@@ -332,7 +332,7 @@ def family_q(spec: FamilySpec | str, tol_q: float = 1e-9,
     """Solve the SDE for a deterministic family without densifying it.
 
     Uses the closed-form lambda1 when available (and requested); otherwise
-    the matrix-free power iteration on the sparse adjacency.
+    :func:`spectral_radius` on the sparse adjacency.
     """
     if isinstance(spec, str):
         spec = parse_family(spec)
@@ -429,7 +429,7 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
 
 def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
-    """q(W_N) - 2 with lambda1 computed matrix-free and cross-checked
+    """q(W_N) - 2 with lambda1 from spectral_radius, cross-checked
     against the closed form 1 + sqrt(N); positive and decreasing in N."""
     if n < 5:
         raise BadSpec("wheel limit check needs N >= 5")
@@ -439,7 +439,7 @@ def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
     lam_exact = 1.0 + math.sqrt(n)
     if abs(lam - lam_exact) > 1e-9 * lam_exact:
         raise InvalidGraph(
-            f"power iteration lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
+            f"spectral_radius lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
     degs = np.asarray(a.sum(axis=1)).ravel()
     ds = degree_sequence_from_degrees(degs)
     return solve_bisection(ds, lam, tol_q=tol_q).q - 2.0

@@ -76,7 +76,8 @@ class Graph:
         return self.weights.sum(axis=1)
 
     def num_links(self) -> int:
-        return int(np.count_nonzero(np.triu(self.weights, 1)))
+        # symmetric with a zero diagonal: every link is counted twice
+        return int(np.count_nonzero(self.weights)) // 2
 
     def links(self) -> list[tuple[int, int]]:
         """Positive-weight links as (i, j) with i < j, lexicographic."""
@@ -90,7 +91,9 @@ class Graph:
         return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1) <= tol)))
 
     def has_integral_weights(self) -> bool:
-        return bool(np.all(self.weights == np.round(self.weights)))
+        # zeros are integral, so only the links need checking (no n x n copy)
+        w = self.weights[self.weights != 0]
+        return bool(np.all(w == np.round(w)))
 
     def scaled(self, s: float) -> Graph:
         """Graph with every weight multiplied by s > 0."""

@@ -248,7 +248,7 @@ def sde(g: Graph, *, method: str = METHOD_BISECTION, tol_q: float = DEFAULT_TOL_
 
     Orchestration: regular graphs are Undefined (NaN), a max-clique
     component gives Infinite, biregular graphs are classified to exactly 2;
-    anything else computes lambda1 (power iteration unless supplied) and
+    anything else computes lambda1 (spectral_radius unless supplied) and
     runs the configured solver. ``verify=True`` cross-checks bisection
     against the recursion and raises NoConvergence on disagreement.
     """

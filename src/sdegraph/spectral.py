@@ -1,14 +1,15 @@
 """Eigenvalue computations: spectral radius and full adjacency/Laplacian spectra.
 
-The spectral radius uses a shifted power iteration on A + d_max*I so the
-dominant eigenvalue is unique and non-negative even for bipartite graphs.
-The iteration is matrix-free over a compressed sparse row operator, which
-keeps structured families with ~2e5 nodes tractable; dense graphs are
-converted on entry. Full spectra go through the dense symmetric LAPACK
-solver and are capped at ``DENSE_CAP`` nodes.
+The spectral radius is the top dense LAPACK eigenvalue up to
+``DENSE_LAMBDA1_CAP`` nodes, and above it ARPACK Lanczos on a sparse operator
+(structured families with ~2e5 nodes stay tractable), returned as the
+``math.fsum`` Rayleigh quotient of the Lanczos vector after a residual check.
+Full spectra go through the dense symmetric LAPACK solver and are capped at
+``DENSE_CAP`` nodes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,10 @@ from .errors import InvalidGraph, NoConvergence, TooLargeForDense
 from .graph import Graph
 
 DENSE_CAP = 2048
+# largest n whose lambda1 comes from dense eigvalsh; measured break-even with
+# Lanczos on ER, BA and lollipop graphs (the path favours eigvalsh up to ~700)
+DENSE_LAMBDA1_CAP = 192
 DEFAULT_TOL = 1e-12
-MAX_ITER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -38,53 +41,47 @@ class Spectrum:
         return float(self.adjacency[0])
 
 
-def _as_csr(g) -> sp.csr_array:
-    if isinstance(g, Graph):
-        return sp.csr_array(g.weights)
-    if sp.issparse(g):
-        return sp.csr_array(g)
-    return sp.csr_array(np.asarray(g, dtype=float))
-
-
-def _start_vector(n: int) -> np.ndarray:
-    # all-ones plus a deterministic index-dependent perturbation; avoids an
-    # orthogonal start on vertex-transitive graphs while staying reproducible
-    v = 1.0 + 1e-3 * np.cos(2.399963229728653 * np.arange(n))
-    return v / np.linalg.norm(v)
-
-
-def spectral_radius(g, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> float:
+def spectral_radius(g, tol: float = DEFAULT_TOL) -> float:
     """Largest adjacency eigenvalue, absolute error <= tol * max(1, d_max).
 
     Accepts a :class:`Graph` or any scipy sparse / dense symmetric
-    non-negative matrix. Convergence requires both a stagnating Rayleigh
-    quotient and a small residual ||A v - lambda v||.
+    non-negative matrix. Above ``DENSE_LAMBDA1_CAP`` nodes, Lanczos failing
+    or a residual ``||A v - lambda v|| > tol * max(1, d_max)`` raises
+    NoConvergence.
     """
     if not (0 < tol <= 1e-6):
         raise InvalidGraph("tol must be in (0, 1e-6]")
-    a = _as_csr(g)
+    a = g.weights if isinstance(g, Graph) else g
+    if not sp.issparse(a):
+        a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    degs = np.asarray(a.sum(axis=1)).ravel()
-    d_max = float(degs.max()) if n else 0.0
+    d_max = float(np.asarray(a.sum(axis=1)).max()) if n else 0.0
     if d_max == 0.0:
         return 0.0  # edgeless
-    scale = max(1.0, d_max)
-    v = _start_vector(n)
-    lam_shift_prev = np.inf
-    for _ in range(max_iter):
-        w = a @ v + d_max * v
-        lam_shift = float(v @ w)  # Rayleigh quotient of the shifted operator
-        resid = float(np.linalg.norm(w - lam_shift * v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if (abs(lam_shift - lam_shift_prev) <= tol * scale
-                and resid <= tol * scale):
-            return lam_shift - d_max
-        lam_shift_prev = lam_shift
-    raise NoConvergence(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations")
+    if n <= DENSE_LAMBDA1_CAP:
+        dense = a.toarray() if sp.issparse(a) else a
+        return float(np.linalg.eigvalsh(dense)[-1])
+    # imported here so that start-up does not pay for scipy.sparse.linalg
+    # on runs that never reach Lanczos
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    a = sp.csr_array(a)
+    # the all-ones start overlaps the non-negative Perron vector of every
+    # component, so lambda1's eigenvector lies in the Krylov space
+    try:
+        _, vecs = eigsh(a, k=1, which="LA", v0=np.ones(n), tol=0)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos did not converge: {exc}") from exc
+    v = vecs[:, 0]
+    av = a @ v
+    # the Ritz value can be off by ~1e-13 (the 2000-node path); the exactly
+    # summed Rayleigh quotient is limited only by the roundoff in A v
+    lam = math.fsum(v * av) / math.fsum(v * v)
+    resid = float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
+    if resid > tol * max(1.0, d_max):
+        raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds tol={tol} "
+                            f"times max(1, d_max) (lambda1={lam})")
+    return lam
 
 
 def full_spectrum(g: Graph, dense_cap: int = DENSE_CAP) -> Spectrum:

@@ -210,7 +210,7 @@ def test_criterion_6_fork_constant():
         for n in (5, 20, 100, 1000):
             q = family_q(f"fork:{n}").q
             assert abs(q - q_eq) <= 1e-6, n
-        # full numeric pipeline at small N (power-iteration lambda1)
+        # full numeric pipeline at small N (computed lambda1)
         assert abs(sde(generate("fork:5")).q - q_eq) <= 1e-6
 
 

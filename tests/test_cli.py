@@ -4,7 +4,8 @@ import math
 import pytest
 
 from conftest import FIXTURE_N7
-from sdegraph import METRIC_NAMES, encode_graph6, generate, read_records_csv
+from sdegraph import (METRIC_NAMES, encode_graph6, fork_q_constant, generate,
+                      generate_sparse, path_q_exact, read_records_csv)
 from sdegraph.cli import correlation_report, main
 
 from conftest import k4_plus_p3
@@ -36,6 +37,24 @@ def test_compute_edge_list_inf(tmp_path, capsys):
     code, out, _ = run(capsys, "compute", "--edge-list", str(path))
     assert code == 0
     assert "q: inf" in out
+
+
+@pytest.mark.parametrize("spec, lambda1, q, q_tol", [
+    ("path:2000", 2 * math.cos(math.pi / 2001), path_q_exact(2000),
+     1e-7 * path_q_exact(2000)),
+    ("fork:2000", 2.0, fork_q_constant(), 1e-9),
+], ids=["path", "fork"])
+def test_compute_edge_list_slow_mixing(spec, lambda1, q, q_tol, tmp_path, capsys):
+    # tiny spectral gaps (~1/N^2) as generic edge lists: lambda1 must not
+    # stall, and q must match the closed forms
+    a = generate_sparse(spec).tocoo()
+    path = tmp_path / "graph.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in zip(a.row, a.col) if i < j))
+    code, out, _ = run(capsys, "compute", "--edge-list", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["lambda1"] - lambda1) <= 1e-12 * lambda1
+    assert abs(payload["q"] - q) <= q_tol
 
 
 def test_compute_graph6_literal(capsys):

@@ -213,3 +213,21 @@ def test_mutations_keep_invariants(rng):
     h.validate()
     assert np.array_equal(h.weights, h.weights.T)
     assert np.all(np.diag(h.weights) == 0)
+
+
+def test_link_count_and_integrality_match_dense_formulas(rng):
+    # num_links and has_integral_weights avoid n x n temporaries; they must
+    # equal the triu / round formulas on unweighted, integer and real weights
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        w = np.triu(random_er(rng, n, float(rng.uniform(0.0, 0.7))).weights, 1)
+        kind = rng.integers(3)
+        if kind == 1:
+            w = w * rng.integers(1, 5, size=(n, n))
+        elif kind == 2:
+            w = w * rng.uniform(0.1, 3.0, size=(n, n))
+        g = Graph(w + w.T)
+        g.validate()
+        assert g.num_links() == int(np.count_nonzero(np.triu(g.weights, 1)))
+        assert g.has_integral_weights() == bool(
+            np.all(g.weights == np.round(g.weights)))

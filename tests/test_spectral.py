@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from conftest import cycle_graph, random_er
-from sdegraph import (Graph, NoConvergence, TooLargeForDense, full_spectrum,
-                      generate, generate_sparse, spectral_radius)
+from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
+                      full_spectrum, generate, generate_sparse, spectral_radius)
+from sdegraph.cli import main
+from sdegraph.spectral import DENSE_LAMBDA1_CAP
 
 
 def test_path5_radius():
@@ -32,9 +35,12 @@ def test_fork_radius_exactly_two():
 
 
 def test_sparse_operator_matches_dense():
-    a = generate_sparse("lollipop:40")
-    g = Graph(a.toarray())
-    assert abs(spectral_radius(a) - spectral_radius(g)) < 1e-11
+    # one graph on each side of the dense / Lanczos crossover
+    assert 40 <= DENSE_LAMBDA1_CAP < 400
+    for spec in ("lollipop:40", "lollipop:400"):
+        a = generate_sparse(spec)
+        g = Graph(a.toarray())
+        assert abs(spectral_radius(a) - spectral_radius(g)) < 1e-11
 
 
 def test_full_spectrum_k2():
@@ -70,14 +76,24 @@ def test_spectrum_invariants(rng):
         assert s.adjacency[0] <= d_max * (1 + 1e-10) + 1e-12
 
 
-def test_power_iteration_agrees_with_dense(rng):
-    # 500 random ER graphs with n <= 100
-    for _ in range(500):
-        n = int(rng.integers(2, 101))
-        g = random_er(rng, n, float(rng.uniform(0.05, 0.6)))
-        lam_p = spectral_radius(g, tol=1e-12)
+def test_lanczos_agrees_with_dense(rng):
+    # n above the crossover: ER, BA, complete bipartite (spectrum symmetric
+    # about 0) and disconnected graphs against the dense full spectrum
+    graphs = []
+    for _ in range(12):
+        n = int(rng.integers(DENSE_LAMBDA1_CAP + 1, 2 * DENSE_LAMBDA1_CAP))
+        graphs.append(random_er(rng, n, float(rng.uniform(0.01, 0.3))))
+        graphs.append(ba_graph(n, int(rng.integers(1, 5)), rng))
+    graphs.append(generate(f"kbip:{DENSE_LAMBDA1_CAP}:{DENSE_LAMBDA1_CAP // 2}"))
+    er, ba = random_er(rng, 150, 0.05), ba_graph(150, 3, rng)
+    disjoint = np.zeros((300, 300))
+    disjoint[:150, :150], disjoint[150:, 150:] = er.weights, ba.weights
+    graphs.append(Graph(disjoint))
+    for g in graphs:
+        assert g.n > DENSE_LAMBDA1_CAP
+        lam_l = spectral_radius(g, tol=1e-12)
         lam_d = full_spectrum(g).lambda1
-        assert abs(lam_p - lam_d) <= 1e-8 * max(1.0, g.degrees().max())
+        assert abs(lam_l - lam_d) <= 1e-8 * max(1.0, g.degrees().max())
 
 
 def test_rayleigh_and_gershgorin_bounds(rng):
@@ -106,9 +122,31 @@ def test_edgeless_and_tiny():
     assert abs(spectral_radius(generate("complete:2")) - 1.0) < 1e-12
 
 
-def test_no_convergence_error():
+def test_no_convergence_error(monkeypatch, tmp_path, capsys):
+    # ARPACK failing to converge is a NoConvergence in the library and exit 3
+    # from the CLI
+    def arpack_fails(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    n = DENSE_LAMBDA1_CAP + 10
+    monkeypatch.setattr(spla, "eigsh", arpack_fails)
     with pytest.raises(NoConvergence):
-        spectral_radius(generate("path:30"), tol=1e-12, max_iter=3)
+        spectral_radius(generate(f"path:{n}"), tol=1e-12)
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    assert main(["compute", "--edge-list", str(path)]) == 3
+    assert "Lanczos did not converge" in capsys.readouterr().err
+
+
+def test_lanczos_residual_check(monkeypatch):
+    # a returned vector that is not an eigenvector fails the residual bound
+    def arpack_returns_garbage(a, *args, **kwargs):
+        v = np.arange(a.shape[0], dtype=float)
+        return np.array([1.0]), (v / np.linalg.norm(v))[:, None]
+
+    monkeypatch.setattr(spla, "eigsh", arpack_returns_garbage)
+    with pytest.raises(NoConvergence, match="residual"):
+        spectral_radius(generate(f"path:{DENSE_LAMBDA1_CAP + 10}"), tol=1e-12)
 
 
 def test_tol_precondition():
@@ -120,8 +158,8 @@ def test_tol_precondition():
 
 
 def test_bipartite_shift_correctness():
-    # without the d_max shift, bipartite graphs oscillate between +-lambda1;
-    # the shifted iteration must still land on +lambda1
+    # bipartite spectra are symmetric, so -lambda1 is an eigenvalue too;
+    # the largest algebraic eigenvalue must be returned
     g = generate("kbip:4:5")
     assert abs(spectral_radius(g) - math.sqrt(20)) < 1e-10
 
