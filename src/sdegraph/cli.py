@@ -22,8 +22,9 @@ from .errors import (ConstantSeries, InputError, FilterExhausted, NumericalError
 from .families import (FamilySpec, analytic_lambda1, ba_graph, er_graph,
                        family_q, fork_q_constant, generate, lollipop_q_asymptotic,
                        parse_family, path_q_asymptotic)
-from .graph import Graph, add_link, classify, degree_sequence, Regular
-from .metrics import METRIC_NAMES, bfs_distances, metric_suite, pearson
+from .graph import (Graph, add_link, classify, connected_components, degree_sequence,
+                    Regular)
+from .metrics import METRIC_NAMES, metric_suite, pearson
 from .solver import bounds, sde
 from .spectral import spectral_radius
 
@@ -245,7 +246,7 @@ def _ensemble_sample(spec: FamilySpec, master_seed: int, index: int,
             g = er_graph(spec.args[0], spec.args[1], rng)
         else:
             g = ba_graph(spec.args[0], spec.args[1], rng)
-        if not np.isfinite(bfs_distances(g.weights > 0)).all():
+        if len(connected_components(g)) != 1:
             continue
         if isinstance(classify(g), Regular):
             continue

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, k4_plus_p3, random_er
 from sdegraph import (ConstantSeries, DisconnectedInput, Graph, InputError,
                       METRIC_NAMES, UndefinedAssortativity, WeightedUnsupported,
-                      assortativity, full_spectrum, generate, metric_suite,
-                      pearson, transitivity)
-from sdegraph.metrics import (bfs_distances, count_bridges, local_efficiency,
-                              mean_local_clustering)
+                      assortativity, connected_components, full_spectrum, generate,
+                      metric_suite, pearson, transitivity)
+from sdegraph import metrics
+from sdegraph.metrics import (_global_efficiency, bfs_distances, count_bridges,
+                              local_efficiency, mean_local_clustering)
 
 
 def brute_force_assortativity(g):
@@ -229,3 +232,120 @@ def test_spanning_trees_match_enumeration_small():
                 continue
             rec_count = metric_suite(g)["num_spanning_trees"]
             assert rec_count == enumerate_spanning_trees(g)
+
+
+# batched kernels against per-node references
+
+
+def reference_local_efficiency(g):
+    """Per-node loop: one BFS per neighbour-induced subgraph."""
+    adj = g.weights > 0
+    total = 0.0
+    for i in range(g.n):
+        nb = np.nonzero(adj[i])[0]
+        if nb.size < 2:
+            continue
+        total += _global_efficiency(bfs_distances(adj[np.ix_(nb, nb)]))
+    return total / g.n
+
+
+def reference_mean_local_clustering(g):
+    adj = (g.weights > 0).astype(float)
+    deg = adj.sum(axis=1)
+    tri = np.einsum("ij,jk,ki->i", adj, adj, adj) / 2.0
+    total = 0.0
+    for i in range(g.n):
+        k = deg[i]
+        if k >= 2:
+            total += tri[i] / (k * (k - 1) / 2.0)
+    return total / g.n
+
+
+def reference_transitivity(g):
+    adj = (g.weights > 0).astype(float)
+    deg = adj.sum(axis=1)
+    triads = float((deg * (deg - 1)).sum())
+    if triads == 0.0:
+        return 0.0
+    return float(np.trace(adj @ adj @ adj)) / triads
+
+
+def reference_bridge_count(g):
+    """A link is a bridge iff deleting it splits the graph; links on a
+    triangle never are."""
+    adj = g.weights > 0
+    common = adj.astype(float) @ adj.astype(float)
+    components = len(connected_components(g))
+    bridges = 0
+    for i, j in zip(*np.nonzero(np.triu(adj, 1))):
+        if common[i, j] > 0:
+            continue
+        w = g.weights.copy()
+        w[i, j] = w[j, i] = 0.0
+        bridges += len(connected_components(Graph(w))) > components
+    return bridges
+
+
+@st.composite
+def hub_graphs(draw):
+    """ER background, some isolated nodes, and one hub of a drawn degree
+    (the degree-bucket edges 7/8/9, 16/17 and 32/33 included)."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    w = (upper | upper.T).astype(float)
+    if n >= 2:
+        hub = draw(st.integers(0, n - 1))
+        hub_degree = min(n - 1, draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 32, 33])))
+        others = rng.permutation([v for v in range(n) if v != hub])
+        isolated = others[hub_degree:hub_degree + draw(st.integers(0, n // 4))]
+        w[isolated, :] = w[:, isolated] = 0.0
+        w[hub, :] = w[:, hub] = 0.0
+        w[hub, others[:hub_degree]] = w[others[:hub_degree], hub] = 1.0
+    return Graph(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hub_graphs())
+@example(Graph.empty(1))
+@example(generate("star:9"))
+@example(generate("complete:9"))
+@example(generate("complete:17"))
+@example(k4_plus_p3())
+def test_batched_kernels_match_per_node_references(g):
+    ref = reference_local_efficiency(g)
+    assert abs(local_efficiency(g) - ref) <= 1e-12 * abs(ref)
+    assert mean_local_clustering(g) == reference_mean_local_clustering(g)
+    assert transitivity(g) == reference_transitivity(g)
+    assert count_bridges(g) == reference_bridge_count(g)
+
+
+def test_kernels_match_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    graphs = [generate("star:9"), generate("wheel:12"), k4_plus_p3()]
+    graphs += [random_er(rng, int(rng.integers(2, 41)), p) for p in (0.1, 0.3, 0.7)
+               for _ in range(4)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.links())
+        want = nx.local_efficiency(h)
+        assert abs(local_efficiency(g) - want) <= 1e-12 * abs(want)
+        assert abs(mean_local_clustering(g) - nx.average_clustering(h)) <= 1e-12
+        assert abs(transitivity(g) - nx.transitivity(h)) <= 1e-12
+        assert count_bridges(g) == sum(1 for _ in nx.bridges(h))
+
+
+@pytest.mark.parametrize("cap", [None, 100])
+def test_local_efficiency_chunked_stack(rng, monkeypatch, cap):
+    if cap is not None:  # below one neighbourhood: one node per chunk
+        monkeypatch.setattr(metrics, "NEIGHBOURHOOD_STACK_CAP", cap)
+    g = random_er(rng, 120, 0.9)
+    deg = g.degrees()
+    # every node falls in the top bucket (degree 65..128, padded to n = 120),
+    # whose stack holds more entries than one chunk may
+    assert deg.min() > 64
+    assert g.n * g.n * g.n > metrics.NEIGHBOURHOOD_STACK_CAP
+    ref = reference_local_efficiency(g)
+    assert abs(local_efficiency(g) - ref) <= 1e-12 * abs(ref)
