@@ -14,22 +14,22 @@ result = sde(g)
 print(f"fork:25  ->  q = {result.q:.9f}  ({result.method}, "
       f"{result.iterations} iterations, residual {result.residual:.2e})")
 
-# Both solvers agree: log-domain bisection and the accelerated fixed-point
-# recursion started from the closed-form upper bound q0.
+# The default solver above is Newton's method from the closed-form upper
+# bound q0. Log-domain bisection and the paper's accelerated fixed-point
+# recursion, also started from q0, agree with it.
 ds = degree_sequence(g)
 lam = spectral_radius(g)
 qb = solve_bisection(ds, lam)
 qr = solve_recursion(ds, lam)
-print(f"bisection {qb.q:.12f} vs recursion {qr.q:.12f} "
-      f"(diff {abs(qb.q - qr.q):.1e})")
+print(f"newton {result.q:.12f}, bisection {qb.q:.12f}, recursion {qr.q:.12f}")
 
 # The bracket from the degree sequence alone:
 b = bounds(ds, lam)
 print(f"bounds: {b.lower:.4f} <= q <= {b.sharpened_upper:.4f} <= {b.upper:.4f}")
 
 # f1 is the log-domain root function; it vanishes at the solution.
-print(f"f1 at the root: {f1(qb.q, ds, lam):.2e}")
-print(f"probabilistic-form residual: {probabilistic_residual(g, qb.q):.2e}")
+print(f"f1 at the root: {f1(result.q, ds, lam):.2e}")
+print(f"probabilistic-form residual: {probabilistic_residual(g, result.q):.2e}")
 
 # Extremal cases.
 print()

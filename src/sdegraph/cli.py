@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge list node ids start at 1")
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check bisection against the recursion")
+                   help="cross-check Newton against bisection")
     p.add_argument("--tol", type=float, default=1e-9, help="q tolerance")
     p.set_defaults(func=cmd_compute)
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .errors import BadSpec, InvalidGraph
 from .graph import Graph, degree_sequence_from_degrees
-from .solver import SdeResult, solve_bisection
+from .solver import SdeResult, solve_newton
 from .spectral import spectral_radius
 
 DENSE_GENERATE_CAP = 20_000
@@ -332,7 +332,8 @@ def family_q(spec: FamilySpec | str, tol_q: float = 1e-9,
     """Solve the SDE for a deterministic family without densifying it.
 
     Uses the closed-form lambda1 when available (and requested); otherwise
-    :func:`spectral_radius` on the sparse adjacency.
+    :func:`spectral_radius` on the sparse adjacency. q comes from
+    :func:`solve_newton`, the default solver of :func:`sde`.
     """
     if isinstance(spec, str):
         spec = parse_family(spec)
@@ -346,7 +347,7 @@ def family_q(spec: FamilySpec | str, tol_q: float = 1e-9,
         lam = spectral_radius(a, tol=1e-12)
     if ds.c >= ds.n:
         return SdeResult(math.nan, "classified", note="regular")
-    return solve_bisection(ds, lam, tol_q=tol_q)
+    return solve_newton(ds, lam, tol_q=tol_q)
 
 
 # closed-form / asymptotic oracles
@@ -430,7 +431,8 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
 def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
     """q(W_N) - 2 with lambda1 from spectral_radius, cross-checked
-    against the closed form 1 + sqrt(N); positive and decreasing in N."""
+    against the closed form 1 + sqrt(N), and q from the default Newton
+    solver; positive and decreasing in N."""
     if n < 5:
         raise BadSpec("wheel limit check needs N >= 5")
     spec = FamilySpec("wheel", (n,))
@@ -442,4 +444,4 @@ def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
             f"spectral_radius lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
     degs = np.asarray(a.sum(axis=1)).ravel()
     ds = degree_sequence_from_degrees(degs)
-    return solve_bisection(ds, lam, tol_q=tol_q).q - 2.0
+    return solve_newton(ds, lam, tol_q=tol_q).q - 2.0

@@ -230,7 +230,8 @@ def _two_color(adj: np.ndarray, nodes: list[int]) -> tuple[list[int], list[int]]
     return part0, part1
 
 
-def _biregular_pair(g: Graph, degs: np.ndarray, tol: float) -> tuple[float, float] | None:
+def _biregular_pair(g: Graph, comps: list[set[int]], degs: np.ndarray,
+                    tol: float) -> tuple[float, float] | None:
     """The global (r1, r2) part degrees if ``g`` is biregular, else None.
 
     A disconnected graph qualifies only if every component is bipartite with
@@ -240,7 +241,7 @@ def _biregular_pair(g: Graph, degs: np.ndarray, tol: float) -> tuple[float, floa
     """
     adj = g.weights > 0
     pair: tuple[float, float] | None = None
-    for comp in connected_components(g):
+    for comp in comps:
         nodes = sorted(comp)
         if len(nodes) < 2:
             return None
@@ -263,9 +264,9 @@ def _biregular_pair(g: Graph, degs: np.ndarray, tol: float) -> tuple[float, floa
     return pair
 
 
-def _max_clique_component(g: Graph, degs: np.ndarray, tol: float) -> tuple[int, ...] | None:
+def _max_clique_component(g: Graph, comps: list[set[int]], degs: np.ndarray,
+                          tol: float) -> tuple[int, ...] | None:
     """Nodes of a complete component whose degrees all equal d_max, if any."""
-    comps = connected_components(g)
     if len(comps) < 2:
         return None
     d_max = degs.max()
@@ -286,17 +287,19 @@ def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
 
     Regularity makes the SDE undefined regardless of any other structure, so
     it is tested first. Bipartiteness is determined by two-coloring over
-    positive-weight links.
+    positive-weight links. The components are computed once, for both
+    structural tests.
     """
     degs = g.degrees()
     d_max = float(degs.max())
     tol = tol_deg * max(d_max, 1.0)
     if d_max - degs.min() <= tol:
         return Regular(degree=d_max)
-    pair = _biregular_pair(g, degs, tol)
+    comps = connected_components(g)
+    pair = _biregular_pair(g, comps, degs, tol)
     if pair is not None:
         return Biregular(r1=pair[0], r2=pair[1])
-    clique = _max_clique_component(g, degs, tol)
+    clique = _max_clique_component(g, comps, degs, tol)
     if clique is not None:
         return MaxCliqueComponent(clique=clique)
     return Generic()

@@ -1,11 +1,15 @@
 """Spectral degree exponent: the unique q >= 2 with lambda1 = ((1/N) sum d_i^q)^(1/q).
 
 All equation work happens in the log domain: the defining equation is
-recast as f1(q) = q*log(lambda1) + log(N) - log(sum d_i^q) with the power
-sum evaluated by max-factored log-sum-exp, so degree powers never overflow.
-Two solvers are provided — bracketing bisection and the fixed-point
-recursion started from the closed-form upper bound q0 — plus the bound
-computations and the structural-classification shortcuts.
+recast as f1(q) = q*log(lambda1) + log(N) - log(sum d_i^q), evaluated on
+the (distinct degree, count) pairs of the degree sequence relative to
+d_max, so degree powers never overflow and each evaluation costs
+O(distinct degrees). f1 is concave, because log-sum-exp is convex, and
+f1 <= 0 at the closed-form upper bound q0, so the default solver, Newton's
+method started at q0, decreases monotonically to the root and stops on a
+certified bracket [q - tol_q, q]. Bisection (the test oracle) and the
+paper's fixed-point recursion (Aitken-accelerated) remain selectable, next
+to the bound computations and the structural-classification shortcuts.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ DEFAULT_TOL_Q = 1e-9
 # lambda1 this close to d_max means a d_max-regular component: q is infinite
 _INF_GUARD = 1e-11
 
+METHOD_NEWTON = "newton"
 METHOD_BISECTION = "bisection"
 METHOD_RECURSION = "recursion"
 METHOD_CLASSIFIED = "classified"
@@ -65,27 +70,50 @@ class SdeBounds:
     sharpened_upper: float | None = None
 
 
-def _positive_log_degrees(ds: DegreeSequence) -> np.ndarray:
-    d = ds.degrees[ds.degrees > 0]
+def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
+    """f1 and its slope as one function of q, on the distinct positive degrees.
+
+    With c_top nodes at exactly d_max and D = log(d_max/lambda1),
+    f1(q) = log(N/c_top) - q*D - log1p(S(q)) where S(q) sums
+    (n_k/c_top) * (d_k/d_max)^q over the distinct positive degrees d_k below
+    d_max, n_k times each. Every power is at most 1, so nothing overflows, and
+    no term of size q*log(lambda1) cancels against the log-sum. Each call
+    costs O(distinct degrees).
+    """
+    if lambda1 <= 0:
+        raise InvalidGraph("lambda1 must be positive")
+    d = ds.degrees[ds.degrees > 0]  # descending
     if d.size == 0:
         raise AllDegreesZero("every weighted degree is zero")
-    return np.log(d)
+    # first index of each distinct degree below d_max
+    starts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
+    ends = starts + [d.size]
+    d_max = float(d[0])
+    log_ratio = [math.log(v / d_max) for v in d[starts].tolist()]
+    weight = [(b - a) / ends[0] for a, b in zip(ends, ends[1:])]
+    base = math.log(ds.n / ends[0])
+    denom = math.log(d_max / lambda1)
+
+    def value_and_slope(q: float) -> tuple[float, float]:
+        s = s_log = 0.0
+        for w, r in zip(weight, log_ratio):
+            p = w * math.exp(q * r)
+            s += p
+            s_log += p * r
+        return base - q * denom - math.log1p(s), -denom - s_log / (1.0 + s)
+
+    return value_and_slope
 
 
 def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     """Log-domain root function: q*log(lambda1) + log(N) - log(sum d_i^q).
 
     Zero degrees contribute nothing to the power sum (0^q = 0 for q > 0).
-    Strictly decreasing in q for non-regular degree sequences; its unique
-    root on [2, inf) is the SDE.
+    Concave in q, and strictly decreasing from its root on for non-regular
+    degree sequences; its unique root on [2, inf) is the SDE. Evaluated on
+    the degree histogram, relative to d_max (see :func:`_f1_on_histogram`).
     """
-    if lambda1 <= 0:
-        raise InvalidGraph("lambda1 must be positive")
-    logd = _positive_log_degrees(ds)
-    z = q * logd
-    m = z.max()
-    lse = m + math.log(np.exp(z - m).sum())
-    return q * math.log(lambda1) + math.log(ds.n) - lse
+    return _f1_on_histogram(ds, lambda1)(q)[0]
 
 
 def _check_solvable(ds: DegreeSequence, lambda1: float) -> float:
@@ -122,6 +150,23 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     return SdeBounds(lower=lower, upper=upper, sharpened_upper=sharpened)
 
 
+def _without_iteration(ds: DegreeSequence, lambda1: float, tol_q: float,
+                       method: str) -> SdeResult | None:
+    """The result every solver returns before iterating, or None.
+
+    Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
+    input raises; a closed-form upper bound q0 above Q_MAX gives inf.
+    """
+    if not (0 < tol_q <= 1e-4):
+        raise InvalidGraph("tol_q must be in (0, 1e-4]")
+    if _lambda1_at_dmax(ds, lambda1):
+        return SdeResult(math.inf, method, note="lambda1 at d_max")
+    q0 = math.log(ds.n / ds.c) / _check_solvable(ds, lambda1)
+    if q0 > Q_MAX:
+        return SdeResult(math.inf, method, note="q_max exceeded")
+    return None
+
+
 def solve_bisection(ds: DegreeSequence, lambda1: float,
                     tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
     """Bisect f1 on [2, U] with U grown from the closed-form upper bound.
@@ -131,18 +176,13 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
     f1(2) — possible only through rounding, since q >= 2 always — clamps
     the root to exactly 2.
     """
-    if not (0 < tol_q <= 1e-4):
-        raise InvalidGraph("tol_q must be in (0, 1e-4]")
-    if _lambda1_at_dmax(ds, lambda1):
-        return SdeResult(math.inf, METHOD_BISECTION, note="lambda1 at d_max")
-    denom = _check_solvable(ds, lambda1)
-    q0 = math.log(ds.n / ds.c) / denom
-    if q0 > Q_MAX:
-        return SdeResult(math.inf, METHOD_BISECTION, note="q_max exceeded")
+    early = _without_iteration(ds, lambda1, tol_q, METHOD_BISECTION)
+    if early is not None:
+        return early
     f2 = f1(2.0, ds, lambda1)
     if f2 <= 0.0:
         return SdeResult(2.0, METHOD_BISECTION, iterations=0, residual=abs(f2))
-    hi = q0 * (1 + 1e-12)
+    hi = math.log(ds.n / ds.c) / math.log(ds.d_max / lambda1) * (1 + 1e-12)
     while f1(hi, ds, lambda1) > 0.0:
         hi *= 2.0
         if hi > Q_MAX:
@@ -159,6 +199,49 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
     q = 0.5 * (lo + hi)
     return SdeResult(q, METHOD_BISECTION, iterations=iters,
                      residual=abs(f1(q, ds, lambda1)))
+
+
+def solve_newton(ds: DegreeSequence, lambda1: float, tol_q: float = DEFAULT_TOL_Q,
+                 max_iter: int = 100) -> SdeResult:
+    """Newton's method on f1, started at q0 = log(N/c_top)/log(d_max/lambda1).
+
+    c_top counts the nodes at exactly d_max (``ds.c`` unless ``tol_deg``
+    merged near-ties). f1 is concave (log-sum-exp is convex) and
+    f1(q0) = -log1p(S(q0)) <= 0, so every Newton step moves left and never
+    passes the root: the iterates decrease monotonically to it, with no
+    bracket to grow and no fallback. The loop stops at the first iterate q
+    reached by a step of at most ``tol_q`` with f1(q) <= 0 and
+    f1(q - tol_q) > 0 (or q - tol_q <= 2, where f1(2) > 0 already holds),
+    which certifies the root in [q - tol_q, q]; ``iterations`` counts the
+    steps. More than ``max_iter`` steps raise NoConvergence, which happens
+    only where f1 changes by less than its rounding across ``tol_q``. The
+    results without iteration (inf, exactly 2, the exceptions) are those
+    of :func:`solve_bisection`.
+    """
+    early = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
+    if early is not None:
+        return early
+    value_and_slope = _f1_on_histogram(ds, lambda1)
+    f2 = value_and_slope(2.0)[0]
+    if f2 <= 0.0:
+        return SdeResult(2.0, METHOD_NEWTON, iterations=0, residual=abs(f2))
+    base = math.log(ds.n / np.count_nonzero(ds.degrees == ds.d_max))
+    denom = math.log(ds.d_max / lambda1)
+    q = base / denom
+    if q * denom < base:  # keep f1(q0) <= 0 after rounding
+        q = math.nextafter(q, math.inf)
+    step = math.inf
+    for k in range(max_iter + 1):
+        f, slope = value_and_slope(q)
+        if (f <= 0.0 and step <= tol_q
+                and (q - tol_q <= 2.0 or value_and_slope(q - tol_q)[0] > 0.0)):
+            return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
+        step = f / slope
+        q_next = q - step
+        # a step under half an ulp leaves q in place: f rounded positive at
+        # the root, or the certificate is out of reach and the cap will say so
+        q = q_next if q_next != q else math.nextafter(q, math.inf)
+    raise NoConvergence(f"Newton's method did not certify q within {max_iter} steps")
 
 
 def _recursion_map(ds: DegreeSequence, lambda1: float):
@@ -193,15 +276,11 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     way. ``accelerate=False`` runs the literal recursion. Oscillation or
     exhaustion of ``max_iter`` falls back to bisection.
     """
-    if not (0 < tol_q <= 1e-4):
-        raise InvalidGraph("tol_q must be in (0, 1e-4]")
-    if _lambda1_at_dmax(ds, lambda1):
-        return SdeResult(math.inf, METHOD_RECURSION, note="lambda1 at d_max")
-    _check_solvable(ds, lambda1)
+    early = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
+    if early is not None:
+        return early
     F = _recursion_map(ds, lambda1)
     q0 = math.log(ds.n / ds.c) / math.log(ds.d_max / lambda1)
-    if q0 > Q_MAX:
-        return SdeResult(math.inf, METHOD_RECURSION, note="q_max exceeded")
     hi_clamp = max(q0, 2.0)
     evals = 0
 
@@ -241,7 +320,7 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
                    iterations=evals + fallback.iterations)
 
 
-def sde(g: Graph, *, method: str = METHOD_BISECTION, tol_q: float = DEFAULT_TOL_Q,
+def sde(g: Graph, *, method: str = METHOD_NEWTON, tol_q: float = DEFAULT_TOL_Q,
         tol_deg: float = 1e-9, lambda1: float | None = None,
         spectral_tol: float = 1e-12, verify: bool = False) -> SdeResult:
     """Spectral degree exponent of a graph.
@@ -249,8 +328,9 @@ def sde(g: Graph, *, method: str = METHOD_BISECTION, tol_q: float = DEFAULT_TOL_
     Orchestration: regular graphs are Undefined (NaN), a max-clique
     component gives Infinite, biregular graphs are classified to exactly 2;
     anything else computes lambda1 (spectral_radius unless supplied) and
-    runs the configured solver. ``verify=True`` cross-checks bisection
-    against the recursion and raises NoConvergence on disagreement.
+    runs the configured solver, Newton's method by default.
+    ``verify=True`` cross-checks the result against bisection (bisection
+    against Newton) and raises NoConvergence on disagreement.
     """
     cls = classify(g, tol_deg)
     if isinstance(cls, Regular):
@@ -261,14 +341,16 @@ def sde(g: Graph, *, method: str = METHOD_BISECTION, tol_q: float = DEFAULT_TOL_
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
     ds = degree_sequence(g, tol_deg)
     lam = spectral_radius(g, tol=spectral_tol) if lambda1 is None else lambda1
-    if method == METHOD_BISECTION:
+    if method == METHOD_NEWTON:
+        result = solve_newton(ds, lam, tol_q=tol_q)
+    elif method == METHOD_BISECTION:
         result = solve_bisection(ds, lam, tol_q=tol_q)
     elif method == METHOD_RECURSION:
         result = solve_recursion(ds, lam, tol_q=tol_q)
     else:
         raise InvalidGraph(f"unknown solver method {method!r}")
     if verify:
-        other = (solve_recursion if method == METHOD_BISECTION
+        other = (solve_newton if method == METHOD_BISECTION
                  else solve_bisection)(ds, lam, tol_q=tol_q)
         both_finite = result.is_finite and other.is_finite
         if both_finite and abs(result.q - other.q) > 2 * tol_q:

@@ -63,6 +63,27 @@ def test_classify_path4_generic():
     assert isinstance(classify(generate("path:4")), Generic)
 
 
+@pytest.mark.parametrize("g, cls, passes", [
+    (cycle_graph(6), Regular, 0),
+    (generate("kbip:2:3"), Biregular, 1),
+    (k4_plus_p3(), MaxCliqueComponent, 1),
+    (generate("path:4"), Generic, 1),
+    (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), Generic, 1),
+], ids=["cycle6", "kbip2_3", "k4_plus_p3", "path4", "star_plus_isolated"])
+def test_classify_computes_components_once(monkeypatch, g, cls, passes):
+    # the biregular and max-clique-component tests share one component pass
+    import sdegraph.graph as graph_module
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return connected_components(graph)
+
+    monkeypatch.setattr(graph_module, "connected_components", counted)
+    assert isinstance(graph_module.classify(g), cls)
+    assert len(calls) == passes
+
+
 def test_classify_weighted_biregular_scales():
     g = generate("kbip:2:3").scaled(2.5)
     assert classify(g) == Biregular(r1=7.5, r2=5.0)

@@ -1,14 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sdegraph.solver as solver_module
 from conftest import cycle_graph, k4_plus_p3, random_er
 from sdegraph import (AllDegreesZero, Graph, InvalidGraph, NoConvergence,
                       RegularGraph, bounds, degree_sequence,
                       degree_sequence_from_degrees, f1, fork_q_constant,
-                      full_spectrum, generate, probabilistic_residual, sde,
-                      solve_bisection, solve_recursion, spectral_radius)
+                      SdeResult, full_spectrum, generate, probabilistic_residual, sde,
+                      solve_bisection, solve_newton, solve_recursion,
+                      spectral_radius)
 
 
 def _ds_lam(g, lam=None):
@@ -151,6 +156,129 @@ def test_bisection_tol_validation():
         solve_bisection(ds, 1.7, tol_q=1e-3)
 
 
+# newton
+
+TOL_Q = 1e-9
+
+
+@st.composite
+def histograms_and_lambda1(draw):
+    """A non-regular degree sequence from (degree, count) pairs, integral or
+    weighted, and lambda1 between sqrt(mean d^2) (where q = 2) and d_max."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 160), st.integers(1, 25)),
+                          min_size=2, max_size=12, unique_by=lambda p: p[0]))
+    degs = np.repeat([float(d) for d, _ in pairs], [k for _, k in pairs])
+    if draw(st.booleans()):  # weighted: quarter steps times an arbitrary scale
+        degs = degs / 4.0 * draw(st.floats(0.01, 100.0))
+    assume(degs.max() > 0)
+    ds = degree_sequence_from_degrees(degs)
+    assume(ds.c < ds.n)
+    m2 = math.sqrt(float(np.mean(degs ** 2)))
+    return ds, m2 + draw(st.floats(0.0, 1.0)) * (ds.d_max - m2)
+
+
+def newton_iterates(ds, lam):
+    """solve_newton's result and the iterates at which it evaluated f1 (not
+    the f1(2) test or the certificate evaluations at q - tol_q)."""
+    spy_calls = []
+    real = solver_module._f1_on_histogram
+
+    def spy(ds_, lam_):
+        value_and_slope = real(ds_, lam_)
+
+        def recorded(q):
+            spy_calls.append(q)
+            return value_and_slope(q)
+        return recorded
+
+    with mock.patch.object(solver_module, "_f1_on_histogram", spy):
+        result = solve_newton(ds, lam, tol_q=TOL_Q)
+    iterates = []
+    for q in spy_calls[1:]:
+        if not (iterates and q == iterates[-1] - TOL_Q):
+            iterates.append(q)
+    return result, iterates
+
+
+@settings(max_examples=300, deadline=None)
+@given(histograms_and_lambda1())
+def test_newton_matches_bisection_and_certifies(case):
+    ds, lam = case
+    newton, iterates = newton_iterates(ds, lam)
+    bisection = solve_bisection(ds, lam, tol_q=TOL_Q)
+    assert newton.method == "newton"
+    assert newton.is_infinite == bisection.is_infinite
+    if newton.is_infinite:
+        assert newton.note == bisection.note
+        return
+    assert (newton.q == 2.0) == (bisection.q == 2.0)
+    assert abs(newton.q - bisection.q) <= TOL_Q
+    if newton.iterations == 0:
+        return
+    q = newton.q
+    # the certificate: the root lies in [q - tol_q, q]
+    assert f1(q, ds, lam) <= 0.0
+    assert q - TOL_Q <= 2.0 or f1(q - TOL_Q, ds, lam) > 0.0
+    # descent from q0 to q; only rounding at the root can leave an iterate
+    # below q, and never by more than tol_q
+    first_at_root = next(i for i, x in enumerate(iterates) if x <= q)
+    descent = iterates[:first_at_root + 1]
+    assert all(b <= a for a, b in zip(descent, descent[1:]))
+    assert all(q - TOL_Q <= x <= q for x in iterates[first_at_root:])
+    assert newton.iterations == len(iterates) - 1
+
+
+STAR6 = degree_sequence(generate("star:6"))
+K4_P3 = degree_sequence(k4_plus_p3())
+P5 = degree_sequence(generate("path:5"))
+
+
+@pytest.mark.parametrize("ds, lam, tol_q", [
+    (K4_P3, 3.0, TOL_Q),                        # lambda1 at d_max: inf
+    (K4_P3, 3.0 * (1 - 1e-8), TOL_Q),           # q0 above Q_MAX: inf
+    (STAR6, math.sqrt(5) * (1 - 1e-6), TOL_Q),  # f1(2) < 0: exactly 2
+    (degree_sequence(Graph.empty(3)), 1.0, TOL_Q),  # all degrees zero
+    (P5, 1.7, 1e-3),                            # tol_q out of range
+    (P5, 1.7, 0.0),
+    (P5, 0.0, TOL_Q),                           # lambda1 not positive
+    (degree_sequence(cycle_graph(5)), 1.5, TOL_Q),  # regular
+], ids=["lambda1_at_dmax", "q_max", "exactly_2", "all_zero", "tol_high",
+        "tol_zero", "lambda1_zero", "regular"])
+def test_newton_edge_cases_match_bisection(ds, lam, tol_q):
+    outcomes = []
+    for solve in (solve_newton, solve_bisection):
+        try:
+            r = solve(ds, lam, tol_q=tol_q)
+            outcomes.append((r.q, r.iterations, r.note))
+        except (InvalidGraph, RegularGraph, AllDegreesZero) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_newton_fork_constant():
+    r = solve_newton(degree_sequence(generate("fork:9")), 2.0)
+    assert r.method == "newton" and r.iterations > 0
+    assert abs(r.q - 2.36864027979053) <= 1e-12
+
+
+def test_newton_iteration_cap_raises():
+    ds = degree_sequence(generate("fork:9"))
+    with pytest.raises(NoConvergence):
+        solve_newton(ds, 2.0, max_iter=2)
+
+
+def test_newton_refuses_uncertifiable_root():
+    # degrees 5 and 5(1 - 1e-4): across [q - tol_q, q + tol_q] f1 changes by
+    # one ulp of its terms, so no float64 evaluation can certify a bracket
+    ds = degree_sequence_from_degrees([5.0, 5.0 * (1 - 1e-4)])
+    m2 = math.sqrt((25.0 + (5.0 * (1 - 1e-4)) ** 2) / 2)
+    lam = m2 + 1e-3 * (5.0 - m2)
+    qb = solve_bisection(ds, lam).q
+    assert abs(f1(qb - TOL_Q, ds, lam) - f1(qb + TOL_Q, ds, lam)) < 1e-15
+    with pytest.raises(NoConvergence):
+        solve_newton(ds, lam)
+
+
 # recursion
 
 
@@ -227,6 +355,25 @@ def test_sde_verify_cross_check(rng):
     g = connected_er(rng, 40, 0.25)
     r = sde(g, verify=True)
     assert r.is_finite
+
+
+def test_sde_verify_compares_newton_with_bisection(monkeypatch):
+    g = generate("fork:9")
+    assert sde(g, verify=True).method == "newton"
+    shifted = lambda ds, lam, tol_q: SdeResult(  # noqa: E731
+        solve_bisection(ds, lam, tol_q=tol_q).q + 1e-6, "bisection")
+    monkeypatch.setattr(solver_module, "solve_bisection", shifted)
+    with pytest.raises(NoConvergence):
+        sde(g, verify=True)
+
+
+def test_sde_defaults_to_newton(rng):
+    g = connected_er(rng, 25, 0.3)
+    r = sde(g)
+    assert r.method == "newton" and r.iterations > 0
+    assert sde(g, method="bisection").method == "bisection"
+    assert sde(g, method="recursion").method == "recursion"
+    assert abs(r.q - sde(g, method="bisection").q) <= TOL_Q
 
 
 def test_sde_methods_agree(rng):
