@@ -3,7 +3,8 @@
 All equation work happens in the log domain: the defining equation is
 recast as f1(q) = q*log(lambda1) + log(N) - log(sum d_i^q), evaluated on
 the (distinct degree, count) pairs of the degree sequence relative to
-d_max, so degree powers never overflow and each evaluation costs
+lambda1, so degree powers never overflow, rounding stays in proportion to
+how far the degrees are from lambda1, and each evaluation costs
 O(distinct degrees). f1 is concave, because log-sum-exp is convex, and
 f1 <= 0 at the closed-form upper bound q0, so the default solver, Newton's
 method started at q0, decreases monotonically to the root and stops on a
@@ -27,6 +28,10 @@ Q_MAX = 1e6
 DEFAULT_TOL_Q = 1e-9
 # lambda1 this close to d_max means a d_max-regular component: q is infinite
 _INF_GUARD = 1e-11
+_EPS = 2.0 ** -52  # float64 machine epsilon
+_NEWTON_MAX_STEPS = 100
+# converged iterates that may fail the certificate before Newton gives up
+_NEWTON_RETRIES = 5
 
 METHOD_NEWTON = "newton"
 METHOD_BISECTION = "bisection"
@@ -71,38 +76,60 @@ class SdeBounds:
 
 
 def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
-    """f1 and its slope as one function of q, on the distinct positive degrees.
+    """f1 on the distinct positive degrees, and Newton's start q_top.
 
-    With c_top nodes at exactly d_max and D = log(d_max/lambda1),
-    f1(q) = log(N/c_top) - q*D - log1p(S(q)) where S(q) sums
-    (n_k/c_top) * (d_k/d_max)^q over the distinct positive degrees d_k below
-    d_max, n_k times each. Every power is at most 1, so nothing overflows, and
-    no term of size q*log(lambda1) cancels against the log-sum. Each call
-    costs O(distinct degrees).
+    With w_k = n_k/N for the distinct positive degrees d_k (n_k times each),
+    rho_k = log(d_k/lambda1) and N_0 zero degrees,
+    f1(q) = -log(sum_k w_k exp(q*rho_k)) = -log1p(S(q)) where
+    S(q) = sum_k w_k expm1(q*rho_k) - N_0/N (the weights sum to 1). Relative
+    to lambda1 each term of S is as small as its degree is close to lambda1,
+    and so is its rounding: for near-regular degrees, where f1 and its slope
+    are tiny at the root, f1 stays resolved across ``tol_q``. A shift by
+    q*rho_max above 700 keeps exp from overflowing. The returned function
+    gives f1(q), its slope and an estimate of the rounding error of f1(q)
+    (from the size of each term and of its argument; valid where
+    q*rho_max <= 700, the range the solvers evaluate), in O(distinct
+    degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
+    at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
+    unless lambda1 < d_max).
     """
     if lambda1 <= 0:
         raise InvalidGraph("lambda1 must be positive")
     d = ds.degrees[ds.degrees > 0]  # descending
     if d.size == 0:
         raise AllDegreesZero("every weighted degree is zero")
-    # first index of each distinct degree below d_max
-    starts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
-    ends = starts + [d.size]
-    d_max = float(d[0])
-    log_ratio = [math.log(v / d_max) for v in d[starts].tolist()]
-    weight = [(b - a) / ends[0] for a, b in zip(ends, ends[1:])]
-    base = math.log(ds.n / ends[0])
-    denom = math.log(d_max / lambda1)
+    # first index of each distinct degree
+    starts = [0] + (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
+    ends = starts[1:] + [d.size]
+    n = ds.n
+    rho_max = math.log1p((d[0] - lambda1) / lambda1)
+    q_top = math.log(n / ends[0]) / rho_max if rho_max > 0 else math.inf
+    zero_weight = (n - d.size) / n
+    # per distinct degree: w, rho, w*rho, |w*rho|, and w signed like expm1(q*rho)
+    terms = []
+    for a, b, v in zip(starts, ends, d[starts].tolist()):
+        w = (b - a) / n
+        r = math.log1p((v - lambda1) / lambda1)
+        terms.append((w, r, w * r, abs(w * r), math.copysign(w, r)))
 
-    def value_and_slope(q: float) -> tuple[float, float]:
-        s = s_log = 0.0
-        for w, r in zip(weight, log_ratio):
-            p = w * math.exp(q * r)
-            s += p
-            s_log += p * r
-        return base - q * denom - math.log1p(s), -denom - s_log / (1.0 + s)
+    def evaluate(q: float) -> tuple[float, float, float]:
+        shift = q * rho_max - 700.0  # exp overflows above ~709.8
+        if shift < 0.0:
+            shift = 0.0
+        s = s_abs = s_rho = s_rho_abs = 0.0
+        for w, r, w_r, w_r_abs, w_sign in terms:
+            e = math.expm1(q * r - shift)
+            t = e + 1.0
+            s += w * e
+            s_abs += w_sign * e
+            s_rho += w_r * t
+            s_rho_abs += w_r_abs * t
+        s -= zero_weight
+        # each term of S carries about an ulp of its size and of its argument
+        rounding = _EPS * (shift + (s_abs + q * s_rho_abs + zero_weight) / (1.0 + s))
+        return -shift - math.log1p(s), -s_rho / (1.0 + s), rounding
 
-    return value_and_slope
+    return evaluate, q_top
 
 
 def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
@@ -111,9 +138,9 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     Zero degrees contribute nothing to the power sum (0^q = 0 for q > 0).
     Concave in q, and strictly decreasing from its root on for non-regular
     degree sequences; its unique root on [2, inf) is the SDE. Evaluated on
-    the degree histogram, relative to d_max (see :func:`_f1_on_histogram`).
+    the degree histogram, relative to lambda1 (see :func:`_f1_on_histogram`).
     """
-    return _f1_on_histogram(ds, lambda1)(q)[0]
+    return _f1_on_histogram(ds, lambda1)[0](q)[0]
 
 
 def _check_solvable(ds: DegreeSequence, lambda1: float) -> float:
@@ -151,20 +178,23 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
 
 
 def _without_iteration(ds: DegreeSequence, lambda1: float, tol_q: float,
-                       method: str) -> SdeResult | None:
-    """The result every solver returns before iterating, or None.
+                       method: str) -> tuple[SdeResult | None, float]:
+    """The result every solver returns before iterating (or None), and q0.
 
     Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
-    input raises; a closed-form upper bound q0 above Q_MAX gives inf.
+    input raises; a closed-form upper bound q0 = log(N/c)/log(d_max/lambda1)
+    above Q_MAX gives inf.
     """
     if not (0 < tol_q <= 1e-4):
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
     if _lambda1_at_dmax(ds, lambda1):
-        return SdeResult(math.inf, method, note="lambda1 at d_max")
-    q0 = math.log(ds.n / ds.c) / _check_solvable(ds, lambda1)
+        return SdeResult(math.inf, method, note="lambda1 at d_max"), math.inf
+    _check_solvable(ds, lambda1)
+    # log(d_max/lambda1) as f1 computes it, so that f1 <= 0 at q0 after rounding
+    q0 = math.log(ds.n / ds.c) / math.log1p((ds.d_max - lambda1) / lambda1)
     if q0 > Q_MAX:
-        return SdeResult(math.inf, method, note="q_max exceeded")
-    return None
+        return SdeResult(math.inf, method, note="q_max exceeded"), q0
+    return None, q0
 
 
 def solve_bisection(ds: DegreeSequence, lambda1: float,
@@ -176,13 +206,13 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
     f1(2) — possible only through rounding, since q >= 2 always — clamps
     the root to exactly 2.
     """
-    early = _without_iteration(ds, lambda1, tol_q, METHOD_BISECTION)
+    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_BISECTION)
     if early is not None:
         return early
     f2 = f1(2.0, ds, lambda1)
     if f2 <= 0.0:
         return SdeResult(2.0, METHOD_BISECTION, iterations=0, residual=abs(f2))
-    hi = math.log(ds.n / ds.c) / math.log(ds.d_max / lambda1) * (1 + 1e-12)
+    hi = q0 * (1 + 1e-12)
     while f1(hi, ds, lambda1) > 0.0:
         hi *= 2.0
         if hi > Q_MAX:
@@ -201,47 +231,59 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
                      residual=abs(f1(q, ds, lambda1)))
 
 
-def solve_newton(ds: DegreeSequence, lambda1: float, tol_q: float = DEFAULT_TOL_Q,
-                 max_iter: int = 100) -> SdeResult:
+def _exceeds_rounding(evaluation: tuple[float, float, float]) -> bool:
+    value, _, rounding = evaluation
+    return value > rounding
+
+
+def solve_newton(ds: DegreeSequence, lambda1: float,
+                 tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
     """Newton's method on f1, started at q0 = log(N/c_top)/log(d_max/lambda1).
 
     c_top counts the nodes at exactly d_max (``ds.c`` unless ``tol_deg``
-    merged near-ties). f1 is concave (log-sum-exp is convex) and
-    f1(q0) = -log1p(S(q0)) <= 0, so every Newton step moves left and never
-    passes the root: the iterates decrease monotonically to it, with no
-    bracket to grow and no fallback. The loop stops at the first iterate q
-    reached by a step of at most ``tol_q`` with f1(q) <= 0 and
-    f1(q - tol_q) > 0 (or q - tol_q <= 2, where f1(2) > 0 already holds),
-    which certifies the root in [q - tol_q, q]; ``iterations`` counts the
-    steps. More than ``max_iter`` steps raise NoConvergence, which happens
-    only where f1 changes by less than its rounding across ``tol_q``. The
-    results without iteration (inf, exactly 2, the exceptions) are those
-    of :func:`solve_bisection`.
+    merged near-ties). f1 is concave (log-sum-exp is convex) and f1(q0) <= 0,
+    so every Newton step moves left and never passes the root: the iterates
+    decrease monotonically to it (up to rounding at the root), with no
+    bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
+    rounding estimate of f1 (see :func:`_f1_on_histogram`), and stops at
+    the first iterate q reached by a step of at most ``tol_q`` with
+    f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where f1(2) > 0
+    already holds): the signs hold despite rounding, which certifies the
+    root in [q - tol_q, q]; ``iterations`` counts the steps. Where f1
+    changes by less than 2r across ``tol_q`` no float64 evaluation can
+    certify the root, and it raises NoConvergence at the first converged
+    iterate; it also raises after 5 converged iterates fail the
+    certificate, or after 100 steps. The results without iteration (inf,
+    exactly 2, the exceptions) are those of :func:`solve_bisection`.
     """
-    early = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
+    early, _ = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
         return early
-    value_and_slope = _f1_on_histogram(ds, lambda1)
-    f2 = value_and_slope(2.0)[0]
+    evaluate, q = _f1_on_histogram(ds, lambda1)
+    f2 = evaluate(2.0)[0]
     if f2 <= 0.0:
         return SdeResult(2.0, METHOD_NEWTON, iterations=0, residual=abs(f2))
-    base = math.log(ds.n / np.count_nonzero(ds.degrees == ds.d_max))
-    denom = math.log(ds.d_max / lambda1)
-    q = base / denom
-    if q * denom < base:  # keep f1(q0) <= 0 after rounding
-        q = math.nextafter(q, math.inf)
     step = math.inf
-    for k in range(max_iter + 1):
-        f, slope = value_and_slope(q)
-        if (f <= 0.0 and step <= tol_q
-                and (q - tol_q <= 2.0 or value_and_slope(q - tol_q)[0] > 0.0)):
-            return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
-        step = f / slope
+    misses = 0
+    for k in range(_NEWTON_MAX_STEPS + 1):
+        f, slope, rounding = evaluate(q)
+        if abs(step) <= tol_q:
+            if f <= -rounding and (q - tol_q <= 2.0 or _exceeds_rounding(evaluate(q - tol_q))):
+                return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
+            misses += 1
+            if misses > _NEWTON_RETRIES or -slope * tol_q <= 2.0 * rounding:
+                raise NoConvergence(
+                    f"f1 changes by about its rounding across tol_q near q = {q!r}: "
+                    "the root cannot be certified")
+        # aim at f1 = -1.5*rounding, inside the band where f1 <= -rounding
+        # holds despite rounding (f1 moves in steps of up to its rounding)
+        g = f + 1.5 * rounding
+        step = g / slope
         q_next = q - step
-        # a step under half an ulp leaves q in place: f rounded positive at
-        # the root, or the certificate is out of reach and the cap will say so
-        q = q_next if q_next != q else math.nextafter(q, math.inf)
-    raise NoConvergence(f"Newton's method did not certify q within {max_iter} steps")
+        # a step under half an ulp: move up an ulp if still short of the aim
+        q = math.nextafter(q, math.inf) if q_next == q and g > 0.0 else q_next
+    raise NoConvergence(
+        f"Newton's method did not certify q within {_NEWTON_MAX_STEPS} steps")
 
 
 def _recursion_map(ds: DegreeSequence, lambda1: float):
@@ -276,11 +318,10 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     way. ``accelerate=False`` runs the literal recursion. Oscillation or
     exhaustion of ``max_iter`` falls back to bisection.
     """
-    early = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
+    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
     F = _recursion_map(ds, lambda1)
-    q0 = math.log(ds.n / ds.c) / math.log(ds.d_max / lambda1)
     hi_clamp = max(q0, 2.0)
     evals = 0
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -177,24 +178,34 @@ def histograms_and_lambda1(draw):
     return ds, m2 + draw(st.floats(0.0, 1.0)) * (ds.d_max - m2)
 
 
-def newton_iterates(ds, lam):
-    """solve_newton's result and the iterates at which it evaluated f1 (not
-    the f1(2) test or the certificate evaluations at q - tol_q)."""
-    spy_calls = []
+def newton_evaluations(ds, lam):
+    """solve_newton's result (or its NoConvergence) and every q at which it
+    evaluated f1, in order, the f1(2) test first."""
+    calls = []
     real = solver_module._f1_on_histogram
 
     def spy(ds_, lam_):
-        value_and_slope = real(ds_, lam_)
+        evaluate, q_top = real(ds_, lam_)
 
         def recorded(q):
-            spy_calls.append(q)
-            return value_and_slope(q)
-        return recorded
+            calls.append(q)
+            return evaluate(q)
+        return recorded, q_top
 
     with mock.patch.object(solver_module, "_f1_on_histogram", spy):
-        result = solve_newton(ds, lam, tol_q=TOL_Q)
+        try:
+            result = solve_newton(ds, lam, tol_q=TOL_Q)
+        except NoConvergence as exc:
+            result = exc
+    return result, calls
+
+
+def newton_iterates(ds, lam):
+    """solve_newton's result and its iterates: the evaluations without the
+    f1(2) test and the certificate evaluations at q - tol_q."""
+    result, calls = newton_evaluations(ds, lam)
     iterates = []
-    for q in spy_calls[1:]:
+    for q in calls[1:]:
         if not (iterates and q == iterates[-1] - TOL_Q):
             iterates.append(q)
     return result, iterates
@@ -261,22 +272,101 @@ def test_newton_fork_constant():
     assert abs(r.q - 2.36864027979053) <= 1e-12
 
 
-def test_newton_iteration_cap_raises():
-    ds = degree_sequence(generate("fork:9"))
-    with pytest.raises(NoConvergence):
-        solve_newton(ds, 2.0, max_iter=2)
+def exact_f1(q, ds, lam):
+    """f1 in 50-digit decimal arithmetic on the exact binary values of q,
+    lambda1 and the degrees."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log_lam = Decimal(lam).ln()
+        total = sum((Decimal(q) * (Decimal(float(d)).ln() - log_lam)).exp()
+                    for d in ds.degrees if d > 0)
+        return float(Decimal(ds.n).ln() - total.ln())
 
 
-def test_newton_refuses_uncertifiable_root():
-    # degrees 5 and 5(1 - 1e-4): across [q - tol_q, q + tol_q] f1 changes by
-    # one ulp of its terms, so no float64 evaluation can certify a bracket
-    ds = degree_sequence_from_degrees([5.0, 5.0 * (1 - 1e-4)])
-    m2 = math.sqrt((25.0 + (5.0 * (1 - 1e-4)) ** 2) / 2)
-    lam = m2 + 1e-3 * (5.0 - m2)
-    qb = solve_bisection(ds, lam).q
-    assert abs(f1(qb - TOL_Q, ds, lam) - f1(qb + TOL_Q, ds, lam)) < 1e-15
+@st.composite
+def near_regular_and_lambda1(draw):
+    """Weighted degrees within 10^-k relative of d_max = 5 (k in 2..9) and
+    lambda1 between sqrt(mean d^2) and d_max: f1 and its slope are tiny at
+    the root, and the rounding of f1 decides whether q can be certified."""
+    spread = 10.0 ** -draw(st.integers(2, 9))
+    below = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=30))
+    degs = np.array([5.0] * draw(st.integers(1, 30)) + [5.0 * (1 - spread * u) for u in below])
+    ds = degree_sequence_from_degrees(degs)
+    assume(ds.c < ds.n)
+    m2 = math.sqrt(float(np.mean(degs ** 2)))
+    return ds, m2 + draw(st.floats(0.0, 1.0)) * (ds.d_max - m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_regular_and_lambda1())
+def test_newton_certificate_holds_in_exact_arithmetic(case):
+    # Newton certifies with a margin of the rounding estimate r on each
+    # side, so the exact f1 keeps the certificate's signs unless its float
+    # value is off by more than r; this checks them to within 2r (errors
+    # against the exact f1 stayed below 1.3r on ~5,000 such inputs). Where
+    # Newton cannot certify it says so at once, not at its step cap.
+    ds, lam = case
+    result, calls = newton_evaluations(ds, lam)
+    if isinstance(result, NoConvergence):
+        assert "rounding" in str(result)
+        assert len(calls) < 60
+        return
+    if not result.is_finite or result.q == 2.0:
+        return
+    evaluate, _ = solver_module._f1_on_histogram(ds, lam)
+    q = result.q
+    assert exact_f1(q, ds, lam) <= evaluate(q)[2]
+    assert q - TOL_Q <= 2.0 or exact_f1(q - TOL_Q, ds, lam) > -evaluate(q - TOL_Q)[2]
+
+
+@pytest.mark.parametrize("spread", [1e-3, 1e-5, 1e-7])
+def test_f1_rounding_follows_distance_from_lambda1(spread):
+    # degrees 5 and 5(1 - spread): relative to lambda1 the rounding of f1
+    # shrinks with the spread (relative to d_max it stays ~1e-16), and the
+    # estimate returned with f1 tracks the error against the exact value
+    ds = degree_sequence_from_degrees([5.0] * 3 + [5.0 * (1 - spread)] * 4)
+    m2 = math.sqrt(float(np.mean(ds.degrees ** 2)))
+    lam = m2 + 0.3 * (ds.d_max - m2)
+    evaluate, _ = solver_module._f1_on_histogram(ds, lam)
+    for q in (2.0, 3.0, 10.0):
+        value, _, rounding = evaluate(q)
+        assert abs(value - exact_f1(q, ds, lam)) <= 2 * rounding
+        assert rounding <= 1e-14 * spread
+
+
+def k5_with_heavy_link(weight):
+    adjacency = np.ones((5, 5)) - np.eye(5)
+    adjacency[0, 1] = adjacency[1, 0] = weight
+    return Graph(adjacency)
+
+
+def test_newton_certifies_perturbed_complete_graph():
+    # K5 with one link of weight 1 + 1e-3: f1 changes ~70 times its
+    # rounding across tol_q, so Newton certifies the root and agrees with
+    # bisection
+    g = k5_with_heavy_link(1 + 1e-3)
+    r = sde(g)
+    assert r.method == "newton" and r.is_finite
+    ds, lam = degree_sequence(g), spectral_radius(g)
+    assert f1(r.q, ds, lam) <= 0.0 < f1(r.q - TOL_Q, ds, lam)
+    assert abs(r.q - sde(g, method="bisection").q) <= TOL_Q
+    assert 2.6 < r.q < 2.6003
+
+
+def test_newton_refuses_perturbed_complete_graph_it_cannot_certify():
+    # K5 with one link of weight 1 + 1e-5: across tol_q f1 changes by less
+    # than twice its rounding (~0.7 of it), so no float64 evaluation
+    # certifies [q - tol_q, q]. The default solver, and so sde() and
+    # `sde compute`, raise NoConvergence (exit 3) on the first converged
+    # iterate; bisection still returns an uncertified q.
+    g = k5_with_heavy_link(1 + 1e-5)
+    ds, lam = degree_sequence(g), spectral_radius(g)
+    result, calls = newton_evaluations(ds, lam)
+    assert isinstance(result, NoConvergence) and "rounding" in str(result)
+    assert len(calls) < 40
     with pytest.raises(NoConvergence):
-        solve_newton(ds, lam)
+        sde(g)
+    assert sde(g, method="bisection").is_finite
 
 
 # recursion
