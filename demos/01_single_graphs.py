@@ -14,11 +14,16 @@ result = sde(g)
 print(f"fork:25  ->  q = {result.q:.9f}  ({result.method}, "
       f"{result.iterations} iterations, residual {result.residual:.2e})")
 
+# q depends on the graph only through lambda1 and the degree histogram:
+# the distinct degrees, how many nodes hold each, and c, the nodes at d_max.
+ds = degree_sequence(g.degrees())
+lam = spectral_radius(g)
+print("degree histogram:", dict(zip(ds.values.tolist(), ds.counts.tolist())),
+      f"c = {ds.c}")
+
 # The default solver above is Newton's method from the closed-form upper
 # bound q0. Log-domain bisection and the paper's accelerated fixed-point
 # recursion, also started from q0, agree with it.
-ds = degree_sequence(g)
-lam = spectral_radius(g)
 qb = solve_bisection(ds, lam)
 qr = solve_recursion(ds, lam)
 print(f"newton {result.q:.12f}, bisection {qb.q:.12f}, recursion {qr.q:.12f}")
@@ -31,7 +36,8 @@ print(f"bounds: {b.lower:.4f} <= q <= {b.sharpened_upper:.4f} <= {b.upper:.4f}")
 print(f"f1 at the root: {f1(result.q, ds, lam):.2e}")
 print(f"probabilistic-form residual: {probabilistic_residual(g, result.q):.2e}")
 
-# Extremal cases.
+# Extremal cases. Biregularity is read from the degrees: every degree is
+# d_max or d_min and every link joins the two classes (kbip:3:4).
 print()
 for spec in ("complete:6", "kbip:3:4", "star:9"):
     g = generate(spec)

@@ -20,8 +20,7 @@ from .families import (FamilySpec, analytic_lambda1, ba_graph, er_graph, family_
                        path_q_asymptotic, path_q_exact, wheel_limit_check)
 from .graph import (Biregular, DegreeSequence, Generic, Graph, GraphClass,
                     MaxCliqueComponent, Regular, add_link, classify,
-                    connected_components, degree_sequence,
-                    degree_sequence_from_degrees, dpr_rewire)
+                    connected_components, degree_sequence, dpr_rewire)
 from .io import (encode_graph6, load_edge_list, parse_graph6,
                  parse_weighted_edge_list, read_graph6_file, read_records_csv,
                  write_records_csv)
@@ -44,8 +43,8 @@ __all__ = [
     "SelfLoop", "Spectrum", "TooLargeForDense", "UndefinedAssortativity",
     "WeightedUnsupported", "add_link", "analytic_lambda1", "assortativity",
     "ba_graph", "bounds", "classify", "connected_components", "degree_sequence",
-    "degree_sequence_from_degrees", "dpr_rewire", "encode_graph6", "er_graph",
-    "f1", "family_q", "fork_q_constant", "full_spectrum", "generate",
+    "dpr_rewire", "encode_graph6", "er_graph", "f1", "family_q",
+    "fork_q_constant", "full_spectrum", "generate",
     "generate_sparse", "load_edge_list", "lollipop_limit_lambda1",
     "lollipop_q_asymptotic", "metric_suite", "parse_family", "parse_graph6",
     "parse_weighted_edge_list", "path_q_asymptotic", "path_q_exact", "pearson",

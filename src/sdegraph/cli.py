@@ -22,8 +22,7 @@ from .errors import (ConstantSeries, InputError, FilterExhausted, NumericalError
 from .families import (FamilySpec, analytic_lambda1, ba_graph, er_graph,
                        family_q, fork_q_constant, generate, lollipop_q_asymptotic,
                        parse_family, path_q_asymptotic)
-from .graph import (Graph, add_link, classify, connected_components, degree_sequence,
-                    Regular)
+from .graph import Graph, add_link, connected_components, degree_sequence
 from .metrics import METRIC_NAMES, metric_suite, pearson
 from .solver import bounds, sde
 from .spectral import spectral_radius
@@ -121,7 +120,7 @@ def cmd_compute(args) -> int:
     if lam is None:
         lam = spectral_radius(g)
     result = sde(g, tol_q=args.tol, verify=args.verify, lambda1=lam)
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     b = None
     if result.is_finite:
         try:
@@ -248,9 +247,9 @@ def _ensemble_sample(spec: FamilySpec, master_seed: int, index: int,
             g = ba_graph(spec.args[0], spec.args[1], rng)
         if len(connected_components(g)) != 1:
             continue
-        if isinstance(classify(g), Regular):
-            continue
-        return g
+        degs = g.degrees()
+        if degs.min() != degs.max():
+            return g
 
 
 def cmd_ensemble(args) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph, degree_sequence_from_degrees
+from .graph import Graph, degree_sequence
 from .solver import SdeResult, solve_newton
 from .spectral import spectral_radius
 
@@ -327,11 +327,10 @@ def analytic_lambda1(spec: FamilySpec | str) -> float | None:
     return None
 
 
-def family_q(spec: FamilySpec | str, tol_q: float = 1e-9,
-             use_analytic_lambda1: bool = True) -> SdeResult:
+def family_q(spec: FamilySpec | str, tol_q: float = 1e-9) -> SdeResult:
     """Solve the SDE for a deterministic family without densifying it.
 
-    Uses the closed-form lambda1 when available (and requested); otherwise
+    Uses the closed-form lambda1 when available; otherwise
     :func:`spectral_radius` on the sparse adjacency. q comes from
     :func:`solve_newton`, the default solver of :func:`sde`.
     """
@@ -341,8 +340,8 @@ def family_q(spec: FamilySpec | str, tol_q: float = 1e-9,
         raise BadSpec("family_q handles deterministic families; use sde() on a sample")
     a = generate_sparse(spec)
     degs = np.asarray(a.sum(axis=1)).ravel()
-    ds = degree_sequence_from_degrees(degs)
-    lam = analytic_lambda1(spec) if use_analytic_lambda1 else None
+    ds = degree_sequence(degs)
+    lam = analytic_lambda1(spec)
     if lam is None:
         lam = spectral_radius(a, tol=1e-12)
     if ds.c >= ds.n:
@@ -443,5 +442,5 @@ def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
         raise InvalidGraph(
             f"spectral_radius lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
     degs = np.asarray(a.sum(axis=1)).ravel()
-    ds = degree_sequence_from_degrees(degs)
+    ds = degree_sequence(degs)
     return solve_newton(ds, lam, tol_q=tol_q).q - 2.0

@@ -2,6 +2,10 @@
 
 The adjacency is stored dense (float64, symmetric, zero diagonal). All
 operations are pure: mutating operations return new :class:`Graph` values.
+Degrees have one representation, the histogram :class:`DegreeSequence`
+built by :func:`degree_sequence` from any degree array, and
+:func:`classify` decides its classes from the degrees and the links, with
+no graph search except for the max-clique-component test.
 Dense storage targets general graphs up to a few thousand nodes; the large
 structured families are handled sparsely in :mod:`sdegraph.spectral` and
 :mod:`sdegraph.families`.
@@ -9,6 +13,7 @@ structured families are handled sparsely in :mod:`sdegraph.spectral` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,11 +95,6 @@ class Graph:
             return bool(np.all((w == 0) | (w == 1)))
         return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1) <= tol)))
 
-    def has_integral_weights(self) -> bool:
-        # zeros are integral, so only the links need checking (no n x n copy)
-        w = self.weights[self.weights != 0]
-        return bool(np.all(w == np.round(w)))
-
     def scaled(self, s: float) -> Graph:
         """Graph with every weight multiplied by s > 0."""
         if s <= 0:
@@ -104,65 +104,53 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Weighted degrees sorted descending, with max-degree multiplicity.
+    """Degree histogram: the distinct weighted degrees ``values`` in
+    descending order and the number of nodes at each, ``counts``.
 
     ``c`` counts the nodes attaining the maximum degree under the tolerance
-    used at construction; ``d2`` is the (c+1)-th entry, i.e. the largest
-    degree strictly below d_max (NaN for regular graphs).
+    used at construction; ``d2`` is the largest degree below those c nodes
+    (NaN for regular graphs).
     """
 
-    degrees: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
     c: int
 
-    @property
+    @cached_property
     def n(self) -> int:
-        return len(self.degrees)
+        return int(self.counts.sum())
 
     @property
     def d_max(self) -> float:
-        return float(self.degrees[0])
+        return float(self.values[0])
 
     @property
     def d_min(self) -> float:
-        return float(self.degrees[-1])
+        return float(self.values[-1])
 
     @property
     def d2(self) -> float:
         if self.c >= self.n:
             return float("nan")
-        return float(self.degrees[self.c])
+        return float(self.values[np.cumsum(self.counts) > self.c][0])
 
 
-def degree_sequence(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> DegreeSequence:
-    """Descending weighted degree sequence of ``g``.
+def degree_sequence(degrees, tol_deg: float = DEFAULT_TOL_DEG) -> DegreeSequence:
+    """Degree histogram of a degree array, e.g. ``degree_sequence(g.degrees())``.
 
-    For graphs with integral weights the max-degree multiplicity uses exact
+    When every degree is integral the max-degree multiplicity uses exact
     comparison; otherwise degrees within relative ``tol_deg`` of d_max count
     toward the multiplicity.
     """
     if not (0 < tol_deg <= 1e-3):
         raise InvalidGraph("tol_deg must be in (0, 1e-3]")
-    degs = np.sort(g.degrees())[::-1]
-    d_max = degs[0]
-    if g.has_integral_weights():
-        c = int(np.sum(degs == d_max))
+    values, counts = np.unique(np.asarray(degrees, dtype=float), return_counts=True)
+    values, counts = values[::-1], counts[::-1]
+    if (values == np.rint(values)).all():
+        c = int(counts[0])
     else:
-        c = int(np.sum(degs >= d_max * (1 - tol_deg)))
-    return DegreeSequence(degrees=degs, c=c)
-
-
-def degree_sequence_from_degrees(degrees, tol_deg: float = DEFAULT_TOL_DEG,
-                                 integral: bool | None = None) -> DegreeSequence:
-    """DegreeSequence from a raw degree array (for sparse/implicit graphs)."""
-    degs = np.sort(np.asarray(degrees, dtype=float))[::-1]
-    d_max = degs[0]
-    if integral is None:
-        integral = bool(np.all(degs == np.round(degs)))
-    if integral:
-        c = int(np.sum(degs == d_max))
-    else:
-        c = int(np.sum(degs >= d_max * (1 - tol_deg)))
-    return DegreeSequence(degrees=degs, c=c)
+        c = int(counts[values >= values[0] * (1 - tol_deg)].sum())
+    return DegreeSequence(values=values, counts=counts, c=c)
 
 
 # classification
@@ -212,58 +200,6 @@ def connected_components(g: Graph) -> list[set[int]]:
     return comps
 
 
-def _two_color(adj: np.ndarray, nodes: list[int]) -> tuple[list[int], list[int]] | None:
-    """Two-coloring of one connected component, or None if an odd cycle exists."""
-    color = {nodes[0]: 0}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u])[0]:
-            v = int(v)
-            if v not in color:
-                color[v] = 1 - color[u]
-                stack.append(v)
-            elif color[v] == color[u]:
-                return None
-    part0 = [u for u in nodes if color[u] == 0]
-    part1 = [u for u in nodes if color[u] == 1]
-    return part0, part1
-
-
-def _biregular_pair(g: Graph, comps: list[set[int]], degs: np.ndarray,
-                    tol: float) -> tuple[float, float] | None:
-    """The global (r1, r2) part degrees if ``g`` is biregular, else None.
-
-    A disconnected graph qualifies only if every component is bipartite with
-    two constant, distinct part degrees and all components share the same
-    unordered degree pair. Components with a single node (isolated nodes)
-    disqualify the graph: a zero degree can never pair with a positive one.
-    """
-    adj = g.weights > 0
-    pair: tuple[float, float] | None = None
-    for comp in comps:
-        nodes = sorted(comp)
-        if len(nodes) < 2:
-            return None
-        coloring = _two_color(adj, nodes)
-        if coloring is None:
-            return None
-        part_degrees = []
-        for part in coloring:
-            d = degs[part]
-            if d.max() - d.min() > tol:
-                return None
-            part_degrees.append(float(d[0]))
-        a, b = sorted(part_degrees, reverse=True)
-        if a - b <= tol:
-            return None  # both parts equal: forces r1 == r2, i.e. regular
-        if pair is None:
-            pair = (a, b)
-        elif abs(pair[0] - a) > tol or abs(pair[1] - b) > tol:
-            return None
-    return pair
-
-
 def _max_clique_component(g: Graph, comps: list[set[int]], degs: np.ndarray,
                           tol: float) -> tuple[int, ...] | None:
     """Nodes of a complete component whose degrees all equal d_max, if any."""
@@ -286,20 +222,27 @@ def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
     MaxCliqueComponent > Generic.
 
     Regularity makes the SDE undefined regardless of any other structure, so
-    it is tested first. Bipartiteness is determined by two-coloring over
-    positive-weight links. The components are computed once, for both
-    structural tests.
+    it is tested first. Biregularity is decided from the degrees: a
+    non-regular graph with no isolated node is biregular exactly when every
+    degree lies within tol of d_max (the high class) or within tol of d_min
+    (the low class) and every positive link joins the two classes. Then the
+    classes two-colour every component with one degree per part, so every
+    component is bipartite with part degrees (d_max, d_min); conversely, a
+    biregular graph's links all join an r1 node to an r2 node. The
+    components are computed only for the max-clique-component test.
     """
     degs = g.degrees()
-    d_max = float(degs.max())
+    d_max, d_min = float(degs.max()), float(degs.min())
     tol = tol_deg * max(d_max, 1.0)
-    if d_max - degs.min() <= tol:
+    if d_max - d_min <= tol:
         return Regular(degree=d_max)
-    comps = connected_components(g)
-    pair = _biregular_pair(g, comps, degs, tol)
-    if pair is not None:
-        return Biregular(r1=pair[0], r2=pair[1])
-    clique = _max_clique_component(g, comps, degs, tol)
+    high = d_max - degs <= tol
+    if d_min > 0 and (high | (degs - d_min <= tol)).all():
+        # weight from each node into its own class: zero iff every link crosses
+        classes = np.column_stack([high, ~high])
+        if not (g.weights @ classes)[classes].any():
+            return Biregular(r1=d_max, r2=d_min)
+    clique = _max_clique_component(g, connected_components(g), degs, tol)
     if clique is not None:
         return MaxCliqueComponent(clique=clique)
     return Generic()

@@ -2,15 +2,17 @@
 
 All equation work happens in the log domain: the defining equation is
 recast as f1(q) = q*log(lambda1) + log(N) - log(sum d_i^q), evaluated on
-the (distinct degree, count) pairs of the degree sequence relative to
-lambda1, so degree powers never overflow, rounding stays in proportion to
-how far the degrees are from lambda1, and each evaluation costs
-O(distinct degrees). f1 is concave, because log-sum-exp is convex, and
-f1 <= 0 at the closed-form upper bound q0, so the default solver, Newton's
-method started at q0, decreases monotonically to the root and stops on a
-certified bracket [q - tol_q, q]. Bisection (the test oracle) and the
-paper's fixed-point recursion (Aitken-accelerated) remain selectable, next
-to the bound computations and the structural-classification shortcuts.
+the degree histogram (:class:`DegreeSequence`: distinct degrees and their
+counts) relative to lambda1, so degree powers never overflow, rounding
+stays in proportion to how far the degrees are from lambda1, and each
+evaluation costs O(distinct degrees). f1 is concave, because log-sum-exp is
+convex, and f1 <= 0 at the closed-form upper bound q0, so the default
+solver, Newton's method started at q0, decreases monotonically to the root
+and stops on a certified bracket [q - tol_q, q]. q0 is only a bound: q is
+reported infinite only where lambda1 reaches d_max or f1(Q_MAX) > 0.
+Bisection (the test oracle) and the paper's fixed-point recursion
+(Aitken-accelerated) remain selectable, next to the bound computations and
+the structural-classification shortcuts.
 """
 from __future__ import annotations
 
@@ -95,20 +97,18 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     """
     if lambda1 <= 0:
         raise InvalidGraph("lambda1 must be positive")
-    d = ds.degrees[ds.degrees > 0]  # descending
-    if d.size == 0:
+    positive = ds.values > 0
+    values, counts = ds.values[positive].tolist(), ds.counts[positive].tolist()
+    if not values:
         raise AllDegreesZero("every weighted degree is zero")
-    # first index of each distinct degree
-    starts = [0] + (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
-    ends = starts[1:] + [d.size]
     n = ds.n
-    rho_max = math.log1p((d[0] - lambda1) / lambda1)
-    q_top = math.log(n / ends[0]) / rho_max if rho_max > 0 else math.inf
-    zero_weight = (n - d.size) / n
+    rho_max = math.log1p((values[0] - lambda1) / lambda1)
+    q_top = math.log(n / counts[0]) / rho_max if rho_max > 0 else math.inf
+    zero_weight = (n - sum(counts)) / n
     # per distinct degree: w, rho, w*rho, |w*rho|, and w signed like expm1(q*rho)
     terms = []
-    for a, b, v in zip(starts, ends, d[starts].tolist()):
-        w = (b - a) / n
+    for count, v in zip(counts, values):
+        w = count / n
         r = math.log1p((v - lambda1) / lambda1)
         terms.append((w, r, w * r, abs(w * r), math.copysign(w, r)))
 
@@ -182,8 +182,10 @@ def _without_iteration(ds: DegreeSequence, lambda1: float, tol_q: float,
     """The result every solver returns before iterating (or None), and q0.
 
     Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
-    input raises; a closed-form upper bound q0 = log(N/c)/log(d_max/lambda1)
-    above Q_MAX gives inf.
+    input raises. The closed-form upper bound q0 = log(N/c)/log(d_max/lambda1)
+    may exceed Q_MAX with a small root: inf is reported only when
+    f1(Q_MAX) > 0 certifies the root above Q_MAX, and otherwise q0 is capped
+    at Q_MAX, where f1 <= 0.
     """
     if not (0 < tol_q <= 1e-4):
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
@@ -193,7 +195,9 @@ def _without_iteration(ds: DegreeSequence, lambda1: float, tol_q: float,
     # log(d_max/lambda1) as f1 computes it, so that f1 <= 0 at q0 after rounding
     q0 = math.log(ds.n / ds.c) / math.log1p((ds.d_max - lambda1) / lambda1)
     if q0 > Q_MAX:
-        return SdeResult(math.inf, method, note="q_max exceeded"), q0
+        if f1(Q_MAX, ds, lambda1) > 0.0:
+            return SdeResult(math.inf, method, note="q_max exceeded"), q0
+        q0 = Q_MAX
     return None, q0
 
 
@@ -241,25 +245,29 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     """Newton's method on f1, started at q0 = log(N/c_top)/log(d_max/lambda1).
 
     c_top counts the nodes at exactly d_max (``ds.c`` unless ``tol_deg``
-    merged near-ties). f1 is concave (log-sum-exp is convex) and f1(q0) <= 0,
-    so every Newton step moves left and never passes the root: the iterates
-    decrease monotonically to it (up to rounding at the root), with no
-    bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
+    merged near-ties); a start above Q_MAX moves down to Q_MAX when
+    f1(Q_MAX) <= 0. f1 is concave (log-sum-exp is convex) and f1 <= 0 at the
+    start, so every Newton step moves left and never passes the root: the
+    iterates decrease monotonically to it (up to rounding at the root), with
+    no bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
     rounding estimate of f1 (see :func:`_f1_on_histogram`), and stops at
     the first iterate q reached by a step of at most ``tol_q`` with
     f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where f1(2) > 0
     already holds): the signs hold despite rounding, which certifies the
     root in [q - tol_q, q]; ``iterations`` counts the steps. Where f1
     changes by less than 2r across ``tol_q`` no float64 evaluation can
-    certify the root, and it raises NoConvergence at the first converged
-    iterate; it also raises after 5 converged iterates fail the
-    certificate, or after 100 steps. The results without iteration (inf,
-    exactly 2, the exceptions) are those of :func:`solve_bisection`.
+    certify the root, and it raises NoConvergence at the first iterate that
+    is converged or within 2r of its aim; it also raises after 5 converged
+    iterates fail the certificate, or after 100 steps. The results without
+    iteration (inf, exactly 2, the exceptions) are those of
+    :func:`solve_bisection`.
     """
-    early, _ = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
+    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
         return early
     evaluate, q = _f1_on_histogram(ds, lambda1)
+    if q0 == Q_MAX:  # capped below q_top, where f1(Q_MAX) <= 0
+        q = Q_MAX
     f2 = evaluate(2.0)[0]
     if f2 <= 0.0:
         return SdeResult(2.0, METHOD_NEWTON, iterations=0, residual=abs(f2))
@@ -267,17 +275,21 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     misses = 0
     for k in range(_NEWTON_MAX_STEPS + 1):
         f, slope, rounding = evaluate(q)
-        if abs(step) <= tol_q:
-            if f <= -rounding and (q - tol_q <= 2.0 or _exceeds_rounding(evaluate(q - tol_q))):
-                return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
-            misses += 1
-            if misses > _NEWTON_RETRIES or -slope * tol_q <= 2.0 * rounding:
-                raise NoConvergence(
-                    f"f1 changes by about its rounding across tol_q near q = {q!r}: "
-                    "the root cannot be certified")
         # aim at f1 = -1.5*rounding, inside the band where f1 <= -rounding
         # holds despite rounding (f1 moves in steps of up to its rounding)
         g = f + 1.5 * rounding
+        converged = abs(step) <= tol_q
+        if converged:
+            if f <= -rounding and (q - tol_q <= 2.0 or _exceeds_rounding(evaluate(q - tol_q))):
+                return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
+            misses += 1
+        # f1 changing by under 2r across tol_q cannot certify, once the
+        # iterate is converged or within rounding of the aim
+        flat = -slope * tol_q <= 2.0 * rounding and (converged or abs(g) <= 2.0 * rounding)
+        if misses > _NEWTON_RETRIES or flat:
+            raise NoConvergence(
+                f"f1 changes by about its rounding across tol_q near q = {q!r}: "
+                "the root cannot be certified")
         step = g / slope
         q_next = q - step
         # a step under half an ulp: move up an ulp if still short of the aim
@@ -287,21 +299,24 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
 
 
 def _recursion_map(ds: DegreeSequence, lambda1: float):
-    """The fixed-point map F(q) behind the recursion, in the log domain."""
-    denom = math.log(ds.d_max / lambda1)
+    """The fixed-point map F(q) behind the recursion, in the log domain.
+
+    F(q) = -log1p(S(q)/N)/log(d_max/lambda1), where
+    S(q) = c + sum (d_i/d_max)^q - N is summed as expm1 terms over the
+    positive distinct degrees below the c nodes at d_max, less the isolated
+    nodes: with log1p throughout, the rounding stays in proportion to how
+    far the degrees are from d_max.
+    """
+    denom = math.log1p((ds.d_max - lambda1) / lambda1)
     n, c = ds.n, ds.c
-    rest = ds.degrees[c:]
-    rest = rest[rest > 0]
-    log_ratio = np.log(rest / ds.d_max)  # all strictly negative
+    rest = (np.cumsum(ds.counts) > c) & (ds.values > 0)
+    counts = ds.counts[rest]
+    zeros = n - c - int(counts.sum())
+    log_ratio = np.log1p((ds.values[rest] - ds.d_max) / ds.d_max)  # all negative
 
     def F(q: float) -> float:
-        if log_ratio.size:
-            z = q * log_ratio
-            m = z.max()
-            s = math.exp(m) * np.exp(z - m).sum()
-        else:
-            s = 0.0
-        return (math.log(n) - math.log(c + s)) / denom
+        s = float(counts @ np.expm1(q * log_ratio)) - zeros
+        return -math.log1p(s / n) / denom
 
     return F
 
@@ -380,7 +395,7 @@ def sde(g: Graph, *, method: str = METHOD_NEWTON, tol_q: float = DEFAULT_TOL_Q,
         return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-clique component")
     if isinstance(cls, Biregular):
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
-    ds = degree_sequence(g, tol_deg)
+    ds = degree_sequence(g.degrees(), tol_deg)
     lam = spectral_radius(g, tol=spectral_tol) if lambda1 is None else lambda1
     if method == METHOD_NEWTON:
         result = solve_newton(ds, lam, tol_q=tol_q)
@@ -407,18 +422,10 @@ def probabilistic_residual(g: Graph, q: float, lambda1: float | None = None) -> 
 
     Evaluates |q*log(lambda1) - log(sum_k Pr[D=k] k^q)| where Pr[D=k] is the
     empirical degree distribution — the log-domain gap between the two sides
-    of the probabilistic form of the defining equation.
+    of the probabilistic form of the defining equation, which is |f1(q)| on
+    the degree histogram.
     """
     if not math.isfinite(q):
         raise InvalidGraph("q must be finite")
-    degs = g.degrees()
     lam = spectral_radius(g) if lambda1 is None else lambda1
-    values, counts = np.unique(degs, return_counts=True)
-    keep = values > 0
-    values, counts = values[keep], counts[keep]
-    if values.size == 0:
-        raise AllDegreesZero("every weighted degree is zero")
-    z = np.log(counts / len(degs)) + q * np.log(values)
-    m = z.max()
-    rhs = m + math.log(np.exp(z - m).sum())
-    return abs(q * math.log(lam) - rhs)
+    return abs(f1(q, degree_sequence(g.degrees()), lam))

@@ -1,25 +1,121 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, k4_plus_p3, random_er
+from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import (Biregular, Generic, Graph, InvalidGraph, LinkExists,
                       MaxCliqueComponent, Regular, RewireConflict, SelfLoop,
                       add_link, classify, connected_components, degree_sequence,
-                      dpr_rewire, generate)
+                      dpr_rewire, generate, read_graph6_file)
+
+TOL_DEG = 1e-9
+
+
+def _two_color(adj, nodes):
+    """Two-colouring of one connected component, or None on an odd cycle."""
+    color = {nodes[0]: 0}
+    stack = [nodes[0]]
+    while stack:
+        u = stack.pop()
+        for v in np.nonzero(adj[u])[0].tolist():
+            if v not in color:
+                color[v] = 1 - color[u]
+                stack.append(v)
+            elif color[v] == color[u]:
+                return None
+    return [u for u in nodes if color[u] == 0], [u for u in nodes if color[u] == 1]
+
+
+def _reference_biregular_pair(g, comps, degs, tol):
+    adj = g.weights > 0
+    pair = None
+    for comp in comps:
+        nodes = sorted(comp)
+        if len(nodes) < 2:
+            return None  # an isolated node never pairs with a positive degree
+        coloring = _two_color(adj, nodes)
+        if coloring is None:
+            return None
+        part_degrees = []
+        for part in coloring:
+            d = degs[part]
+            if d.max() - d.min() > tol:
+                return None
+            part_degrees.append(float(d[0]))
+        a, b = sorted(part_degrees, reverse=True)
+        if a - b <= tol:
+            return None  # both parts equal: regular
+        if pair is None:
+            pair = (a, b)
+        elif abs(pair[0] - a) > tol or abs(pair[1] - b) > tol:
+            return None
+    return pair
+
+
+def _reference_max_clique(g, comps, degs, tol):
+    if len(comps) < 2:
+        return None
+    for comp in comps:
+        nodes = sorted(comp)
+        if len(nodes) < 2:
+            continue
+        sub = g.weights[np.ix_(nodes, nodes)]
+        complete = bool(np.all((sub > 0) | np.eye(len(nodes), dtype=bool)))
+        if complete and np.all(np.abs(degs[nodes] - degs.max()) <= tol):
+            return tuple(nodes)
+    return None
+
+
+def reference_classify(g, tol_deg=TOL_DEG):
+    """The two-colouring classifier that ``classify`` replaced, kept as its
+    oracle: every component is two-coloured by a depth-first search and
+    must have two constant, distinct part degrees, each part represented by
+    its lowest-numbered node, within tol of the first component's pair."""
+    degs = g.degrees()
+    d_max = float(degs.max())
+    tol = tol_deg * max(d_max, 1.0)
+    if d_max - degs.min() <= tol:
+        return Regular(degree=d_max)
+    comps = connected_components(g)
+    pair = _reference_biregular_pair(g, comps, degs, tol)
+    if pair is not None:
+        return Biregular(r1=pair[0], r2=pair[1])
+    clique = _reference_max_clique(g, comps, degs, tol)
+    if clique is not None:
+        return MaxCliqueComponent(clique=clique)
+    return Generic()
+
+
+def same_class(got, want, g):
+    """Same class and clique tuple; r1/r2 equal when ``g`` has integral
+    weights and within the classifier's tol otherwise."""
+    if type(got) is not type(want):
+        return False
+    if not isinstance(want, Biregular) or np.all(g.weights == np.round(g.weights)):
+        return got == want
+    tol = TOL_DEG * max(float(g.degrees().max()), 1.0)
+    return abs(got.r1 - want.r1) <= tol and abs(got.r2 - want.r2) <= tol
+
+
+def relabel(g, order):
+    """``g`` with node order[i] renumbered as i."""
+    return Graph(g.weights[np.ix_(order, order)])
 
 
 def test_degree_sequence_star():
     g = generate("star:5")
-    ds = degree_sequence(g)
-    assert ds.degrees.tolist() == [4, 1, 1, 1, 1]
+    ds = degree_sequence(g.degrees())
+    assert ds.values.tolist() == [4, 1] and ds.counts.tolist() == [1, 4]
+    assert ds.n == 5
     assert ds.c == 1
     assert ds.d2 == 1
     assert ds.d_max == 4 and ds.d_min == 1
 
 
 def test_degree_sequence_complete():
-    ds = degree_sequence(generate("complete:4"))
-    assert ds.degrees.tolist() == [3, 3, 3, 3]
+    ds = degree_sequence(generate("complete:4").degrees())
+    assert ds.values.tolist() == [3] and ds.counts.tolist() == [4]
     assert ds.c == 4
     assert np.isnan(ds.d2)
 
@@ -27,8 +123,8 @@ def test_degree_sequence_complete():
 def test_degree_sequence_weighted_triangle():
     # row sums by hand: node0 = 2+1, node1 = 2+1, node2 = 1+1
     g = Graph.from_edges(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])
-    ds = degree_sequence(g)
-    assert ds.degrees.tolist() == [3, 3, 2]
+    ds = degree_sequence(g.degrees())
+    assert ds.values.tolist() == [3, 2] and ds.counts.tolist() == [2, 1]
     assert ds.c == 2
     assert ds.d2 == 2
 
@@ -36,9 +132,9 @@ def test_degree_sequence_weighted_triangle():
 def test_degree_sequence_tolerance_bounds():
     g = generate("star:5")
     with pytest.raises(InvalidGraph):
-        degree_sequence(g, tol_deg=0.0)
+        degree_sequence(g.degrees(), tol_deg=0.0)
     with pytest.raises(InvalidGraph):
-        degree_sequence(g, tol_deg=1e-2)
+        degree_sequence(g.degrees(), tol_deg=1e-2)
 
 
 def test_classify_cycle_regular():
@@ -65,13 +161,14 @@ def test_classify_path4_generic():
 
 @pytest.mark.parametrize("g, cls, passes", [
     (cycle_graph(6), Regular, 0),
-    (generate("kbip:2:3"), Biregular, 1),
+    (generate("kbip:2:3"), Biregular, 0),
     (k4_plus_p3(), MaxCliqueComponent, 1),
     (generate("path:4"), Generic, 1),
     (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), Generic, 1),
 ], ids=["cycle6", "kbip2_3", "k4_plus_p3", "path4", "star_plus_isolated"])
 def test_classify_computes_components_once(monkeypatch, g, cls, passes):
-    # the biregular and max-clique-component tests share one component pass
+    # biregularity is decided from the degrees and links; only the
+    # max-clique-component test needs the components, and computes them once
     import sdegraph.graph as graph_module
     calls = []
 
@@ -93,6 +190,11 @@ def test_classify_isolated_node_breaks_biregularity():
     # star plus isolated node: three degree values, never biregular
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
     assert isinstance(classify(g), Generic)
+    # links lighter than tol: the leaves' degrees lie within tol of the
+    # isolated node's 0, and every link joins the two degree classes
+    tiny = Graph.from_edges(6, [(0, k, 0.9e-9) for k in range(1, 5)])
+    assert isinstance(classify(tiny), Generic)
+    assert isinstance(reference_classify(tiny), Generic)
 
 
 def test_classify_disconnected_biregular_same_pair():
@@ -115,6 +217,95 @@ def test_classify_dmax_regular_non_clique_component_is_generic():
 
 def test_classify_priority_regular_first():
     assert isinstance(classify(generate("complete:4")), Regular)
+
+
+@pytest.mark.parametrize("path", [FIXTURE_N7, FIXTURE_N8], ids=["n7", "n8"])
+def test_classify_matches_reference_on_fixtures(path):
+    for g in read_graph6_file(path):
+        assert same_class(classify(g), reference_classify(g), g)
+
+
+def _union(graphs):
+    n = sum(h.n for h in graphs)
+    w = np.zeros((n, n))
+    start = 0
+    for h in graphs:
+        w[start:start + h.n, start:start + h.n] = h.weights
+        start += h.n
+    return Graph(w)
+
+
+NEAR_TIES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)  # multiples of tol_deg
+
+
+@st.composite
+def components(draw):
+    kind = draw(st.sampled_from(("random", "kbip", "bireg", "complete", "isolated")))
+    if kind == "isolated":
+        return Graph.empty(1)
+    if kind == "random":
+        n = draw(st.integers(2, 6))
+        w = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                             dtype=float).reshape(n, n), 1)
+        if draw(st.booleans()):
+            w *= draw(st.integers(1, 3))
+        g = Graph(w + w.T)
+    elif kind == "kbip":
+        g = generate(f"kbip:{draw(st.integers(1, 3))}:{draw(st.integers(1, 4))}")
+    elif kind == "bireg":
+        g = generate(draw(st.sampled_from(("bireg:4:6:3", "bireg:2:4:2", "bireg:3:6:2"))))
+    else:
+        g = generate(f"complete:{draw(st.integers(2, 4))}")
+    scale = draw(st.sampled_from((1.0, 1.0, 2.5, 0.3, 1000.0)))
+    return g.scaled(scale * (1 + draw(st.sampled_from(NEAR_TIES)) * TOL_DEG))
+
+
+@st.composite
+def classify_cases(draw):
+    """Unions of one to three components (weighted random graphs, scaled
+    kbip/bireg/complete graphs, isolated nodes) at scales that tie within
+    a few tol_deg, one link optionally perturbed by such a factor, and the
+    nodes shuffled."""
+    g = _union(draw(st.lists(components(), min_size=1, max_size=3)))
+    links = g.links()
+    if links and draw(st.booleans()):
+        i, j = draw(st.sampled_from(links))
+        w = g.weights.copy()
+        w[i, j] = w[j, i] = w[i, j] * (1 + draw(st.sampled_from(NEAR_TIES)) * TOL_DEG)
+        g = Graph(w)
+    return relabel(g, np.array(draw(st.permutations(range(g.n)))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(classify_cases())
+def test_classify_matches_reference(g):
+    # The reference represents each part by its lowest-numbered node and
+    # compares every component with the first, so where one degree class
+    # spans more than tol its answer can depend on the node numbering;
+    # classify's cannot. There the two must still agree for some
+    # numbering, and classify must give the same class for every one.
+    got = classify(g)
+    if same_class(got, reference_classify(g), g):
+        return
+    orders = [np.roll(np.arange(g.n), r) for r in range(g.n)]
+    orders += [np.argsort(-g.degrees(), kind="stable"), np.argsort(g.degrees(), kind="stable")]
+    relabelled = [relabel(g, order) for order in orders]
+    answers = [reference_classify(h) for h in relabelled]
+    assert len({type(a) for a in answers}) > 1
+    assert any(same_class(got, a, g) for a in answers)
+    assert all(type(classify(h)) is type(got) for h in relabelled)
+
+
+def test_classify_degree_classes_do_not_depend_on_numbering():
+    # three K_{2,3} copies whose high degrees span 3.6 tol_deg: the degree
+    # classes are not within tol of d_max and d_min, so the graph is
+    # generic; the reference accepts it when the middle copy comes first
+    copies = [generate("kbip:2:3").scaled(1 + k * TOL_DEG) for k in (0.0, 0.6, -0.6)]
+    middle_first, top_first = _union(copies), _union(copies[1:] + copies[:1])
+    assert isinstance(classify(middle_first), Generic)
+    assert isinstance(classify(top_first), Generic)
+    assert isinstance(reference_classify(middle_first), Biregular)
+    assert isinstance(reference_classify(top_first), Generic)
 
 
 def test_connected_components_partition():
@@ -237,8 +428,9 @@ def test_mutations_keep_invariants(rng):
 
 
 def test_link_count_and_integrality_match_dense_formulas(rng):
-    # num_links and has_integral_weights avoid n x n temporaries; they must
-    # equal the triu / round formulas on unweighted, integer and real weights
+    # num_links avoids n x n temporaries; it must equal the triu formula on
+    # unweighted, integer and real weights, and integral degrees must keep
+    # exact max-degree ties
     for _ in range(60):
         n = int(rng.integers(1, 30))
         w = np.triu(random_er(rng, n, float(rng.uniform(0.0, 0.7))).weights, 1)
@@ -250,5 +442,6 @@ def test_link_count_and_integrality_match_dense_formulas(rng):
         g = Graph(w + w.T)
         g.validate()
         assert g.num_links() == int(np.count_nonzero(np.triu(g.weights, 1)))
-        assert g.has_integral_weights() == bool(
-            np.all(g.weights == np.round(g.weights)))
+        degs = g.degrees()
+        if kind < 2:
+            assert degree_sequence(degs).c == int(np.sum(degs == degs.max()))

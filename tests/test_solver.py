@@ -4,24 +4,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sdegraph.solver as solver_module
 from conftest import cycle_graph, k4_plus_p3, random_er
-from sdegraph import (AllDegreesZero, Graph, InvalidGraph, NoConvergence,
+from sdegraph import (AllDegreesZero, Graph, InvalidGraph, NoConvergence, Q_MAX,
                       RegularGraph, bounds, degree_sequence,
-                      degree_sequence_from_degrees, f1, fork_q_constant,
+                      f1, fork_q_constant,
                       SdeResult, full_spectrum, generate, probabilistic_residual, sde,
                       solve_bisection, solve_newton, solve_recursion,
                       spectral_radius)
 
 
 def _ds_lam(g, lam=None):
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     if lam is None:
         lam = full_spectrum(g).lambda1
     return ds, lam
+
+
+def rms_degree(ds):
+    return math.sqrt(float((ds.counts * ds.values ** 2).sum()) / ds.n)
 
 
 def connected_er(rng, n, p):
@@ -46,20 +50,20 @@ def test_f1_regular_is_identically_zero():
 
 def test_f1_star_zero_at_two():
     g = generate("star:6")
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     assert abs(f1(2.0, ds, math.sqrt(5))) < 1e-12
 
 
 def test_f1_p3_arithmetic():
     # 2 log sqrt2 + log 3 - log 6 == 0
-    ds = degree_sequence(generate("path:3"))
+    ds = degree_sequence(generate("path:3").degrees())
     assert abs(f1(2.0, ds, math.sqrt(2))) < 1e-12
 
 
 def test_f1_errors():
     with pytest.raises(AllDegreesZero):
-        f1(2.0, degree_sequence(Graph.empty(3)), 1.0)
-    ds = degree_sequence(generate("path:3"))
+        f1(2.0, degree_sequence(Graph.empty(3).degrees()), 1.0)
+    ds = degree_sequence(generate("path:3").degrees())
     with pytest.raises(InvalidGraph):
         f1(2.0, ds, 0.0)
 
@@ -67,7 +71,7 @@ def test_f1_errors():
 def test_f1_ignores_zero_degrees():
     # star plus isolated node: the isolated node adds to N but not the sum
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     val = f1(3.0, ds, 2.0)
     manual = 3 * math.log(2.0) + math.log(5) - math.log(3.0 ** 3 + 3 * 1.0)
     assert abs(val - manual) < 1e-12
@@ -78,7 +82,7 @@ def test_f1_ignores_zero_degrees():
 
 def test_bounds_star10_upper():
     g = generate("star:10")
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     b = bounds(ds, 3.0)  # lambda1 = sqrt(9) = 3 exactly
     assert abs(b.upper - math.log(10) / math.log(3)) < 1e-12
     assert b.lower == 2.0  # biregular: raw lower bound clamps to 2
@@ -99,7 +103,7 @@ def test_bounds_errors():
     ds, _ = _ds_lam(cycle_graph(5))
     with pytest.raises(RegularGraph):
         bounds(ds, 2.0)
-    ds2 = degree_sequence(k4_plus_p3())
+    ds2 = degree_sequence(k4_plus_p3().degrees())
     with pytest.raises(RegularGraph):
         bounds(ds2, 3.0)  # lambda1 at d_max
 
@@ -115,7 +119,7 @@ def test_bounds_no_sharpened_with_isolated_node():
 
 
 def test_bisection_biregular_k34():
-    ds = degree_sequence(generate("kbip:3:4"))
+    ds = degree_sequence(generate("kbip:3:4").degrees())
     r = solve_bisection(ds, math.sqrt(12))
     assert abs(r.q - 2.0) <= 1e-9
     assert r.method == "bisection"
@@ -123,14 +127,14 @@ def test_bisection_biregular_k34():
 
 def test_bisection_fork_constant():
     g = generate("fork:9")
-    ds = degree_sequence(g)
+    ds = degree_sequence(g.degrees())
     r = solve_bisection(ds, 2.0)
     assert abs(r.q - fork_q_constant()) <= 2e-9
     assert abs(r.q - 2.36864) <= 1e-4
 
 
 def test_bisection_infinite_on_clique_component():
-    ds = degree_sequence(k4_plus_p3())
+    ds = degree_sequence(k4_plus_p3().degrees())
     r = solve_bisection(ds, 3.0)
     assert r.is_infinite
 
@@ -152,7 +156,7 @@ def test_bisection_residual_small(rng):
 
 
 def test_bisection_tol_validation():
-    ds = degree_sequence(generate("path:5"))
+    ds = degree_sequence(generate("path:5").degrees())
     with pytest.raises(InvalidGraph):
         solve_bisection(ds, 1.7, tol_q=1e-3)
 
@@ -172,7 +176,7 @@ def histograms_and_lambda1(draw):
     if draw(st.booleans()):  # weighted: quarter steps times an arbitrary scale
         degs = degs / 4.0 * draw(st.floats(0.01, 100.0))
     assume(degs.max() > 0)
-    ds = degree_sequence_from_degrees(degs)
+    ds = degree_sequence(degs)
     assume(ds.c < ds.n)
     m2 = math.sqrt(float(np.mean(degs ** 2)))
     return ds, m2 + draw(st.floats(0.0, 1.0)) * (ds.d_max - m2)
@@ -239,20 +243,20 @@ def test_newton_matches_bisection_and_certifies(case):
     assert newton.iterations == len(iterates) - 1
 
 
-STAR6 = degree_sequence(generate("star:6"))
-K4_P3 = degree_sequence(k4_plus_p3())
-P5 = degree_sequence(generate("path:5"))
+STAR6 = degree_sequence(generate("star:6").degrees())
+K4_P3 = degree_sequence(k4_plus_p3().degrees())
+P5 = degree_sequence(generate("path:5").degrees())
 
 
 @pytest.mark.parametrize("ds, lam, tol_q", [
     (K4_P3, 3.0, TOL_Q),                        # lambda1 at d_max: inf
     (K4_P3, 3.0 * (1 - 1e-8), TOL_Q),           # q0 above Q_MAX: inf
     (STAR6, math.sqrt(5) * (1 - 1e-6), TOL_Q),  # f1(2) < 0: exactly 2
-    (degree_sequence(Graph.empty(3)), 1.0, TOL_Q),  # all degrees zero
+    (degree_sequence(Graph.empty(3).degrees()), 1.0, TOL_Q),  # all degrees zero
     (P5, 1.7, 1e-3),                            # tol_q out of range
     (P5, 1.7, 0.0),
     (P5, 0.0, TOL_Q),                           # lambda1 not positive
-    (degree_sequence(cycle_graph(5)), 1.5, TOL_Q),  # regular
+    (degree_sequence(cycle_graph(5).degrees()), 1.5, TOL_Q),  # regular
 ], ids=["lambda1_at_dmax", "q_max", "exactly_2", "all_zero", "tol_high",
         "tol_zero", "lambda1_zero", "regular"])
 def test_newton_edge_cases_match_bisection(ds, lam, tol_q):
@@ -267,7 +271,7 @@ def test_newton_edge_cases_match_bisection(ds, lam, tol_q):
 
 
 def test_newton_fork_constant():
-    r = solve_newton(degree_sequence(generate("fork:9")), 2.0)
+    r = solve_newton(degree_sequence(generate("fork:9").degrees()), 2.0)
     assert r.method == "newton" and r.iterations > 0
     assert abs(r.q - 2.36864027979053) <= 1e-12
 
@@ -278,8 +282,8 @@ def exact_f1(q, ds, lam):
     with localcontext() as ctx:
         ctx.prec = 50
         log_lam = Decimal(lam).ln()
-        total = sum((Decimal(q) * (Decimal(float(d)).ln() - log_lam)).exp()
-                    for d in ds.degrees if d > 0)
+        total = sum(int(k) * (Decimal(q) * (Decimal(float(d)).ln() - log_lam)).exp()
+                    for d, k in zip(ds.values, ds.counts) if d > 0)
         return float(Decimal(ds.n).ln() - total.ln())
 
 
@@ -291,7 +295,7 @@ def near_regular_and_lambda1(draw):
     spread = 10.0 ** -draw(st.integers(2, 9))
     below = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=30))
     degs = np.array([5.0] * draw(st.integers(1, 30)) + [5.0 * (1 - spread * u) for u in below])
-    ds = degree_sequence_from_degrees(degs)
+    ds = degree_sequence(degs)
     assume(ds.c < ds.n)
     m2 = math.sqrt(float(np.mean(degs ** 2)))
     return ds, m2 + draw(st.floats(0.0, 1.0)) * (ds.d_max - m2)
@@ -299,6 +303,9 @@ def near_regular_and_lambda1(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(near_regular_and_lambda1())
+# q0 above Q_MAX with f1(Q_MAX) <= 0: Newton starts at Q_MAX and reaches a
+# root near 114.7 where f1 moves by 1/700 of its rounding across tol_q
+@example((degree_sequence([5.0, 4.9999999875]), 4.99999999375))
 def test_newton_certificate_holds_in_exact_arithmetic(case):
     # Newton certifies with a margin of the rounding estimate r on each
     # side, so the exact f1 keeps the certificate's signs unless its float
@@ -324,8 +331,8 @@ def test_f1_rounding_follows_distance_from_lambda1(spread):
     # degrees 5 and 5(1 - spread): relative to lambda1 the rounding of f1
     # shrinks with the spread (relative to d_max it stays ~1e-16), and the
     # estimate returned with f1 tracks the error against the exact value
-    ds = degree_sequence_from_degrees([5.0] * 3 + [5.0 * (1 - spread)] * 4)
-    m2 = math.sqrt(float(np.mean(ds.degrees ** 2)))
+    ds = degree_sequence([5.0] * 3 + [5.0 * (1 - spread)] * 4)
+    m2 = rms_degree(ds)
     lam = m2 + 0.3 * (ds.d_max - m2)
     evaluate, _ = solver_module._f1_on_histogram(ds, lam)
     for q in (2.0, 3.0, 10.0):
@@ -334,8 +341,8 @@ def test_f1_rounding_follows_distance_from_lambda1(spread):
         assert rounding <= 1e-14 * spread
 
 
-def k5_with_heavy_link(weight):
-    adjacency = np.ones((5, 5)) - np.eye(5)
+def complete_with_heavy_link(n, weight):
+    adjacency = np.ones((n, n)) - np.eye(n)
     adjacency[0, 1] = adjacency[1, 0] = weight
     return Graph(adjacency)
 
@@ -344,10 +351,10 @@ def test_newton_certifies_perturbed_complete_graph():
     # K5 with one link of weight 1 + 1e-3: f1 changes ~70 times its
     # rounding across tol_q, so Newton certifies the root and agrees with
     # bisection
-    g = k5_with_heavy_link(1 + 1e-3)
+    g = complete_with_heavy_link(5, 1 + 1e-3)
     r = sde(g)
     assert r.method == "newton" and r.is_finite
-    ds, lam = degree_sequence(g), spectral_radius(g)
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
     assert f1(r.q, ds, lam) <= 0.0 < f1(r.q - TOL_Q, ds, lam)
     assert abs(r.q - sde(g, method="bisection").q) <= TOL_Q
     assert 2.6 < r.q < 2.6003
@@ -359,14 +366,48 @@ def test_newton_refuses_perturbed_complete_graph_it_cannot_certify():
     # certifies [q - tol_q, q]. The default solver, and so sde() and
     # `sde compute`, raise NoConvergence (exit 3) on the first converged
     # iterate; bisection still returns an uncertified q.
-    g = k5_with_heavy_link(1 + 1e-5)
-    ds, lam = degree_sequence(g), spectral_radius(g)
+    g = complete_with_heavy_link(5, 1 + 1e-5)
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
     result, calls = newton_evaluations(ds, lam)
     assert isinstance(result, NoConvergence) and "rounding" in str(result)
     assert len(calls) < 40
     with pytest.raises(NoConvergence):
         sde(g)
     assert sde(g, method="bisection").is_finite
+
+
+def exact_root(ds, lam):
+    """The root of the 50-digit f1 (see exact_f1) in [2, 10], bisected to 1e-12."""
+    lo, hi = 2.0, 10.0
+    assert exact_f1(lo, ds, lam) > 0.0 >= exact_f1(hi, ds, lam)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if exact_f1(mid, ds, lam) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n, eps, above", [(8, 1e-5, True), (30, 1e-4, False),
+                                           (50, 1e-4, True)])
+def test_q0_above_q_max_gives_inf_only_on_evidence(n, eps, above):
+    # K_n with one link of weight 1 + eps: the root is below 3 while the
+    # bound q0 is near or above Q_MAX. f1(Q_MAX) <= 0, so no solver reports
+    # inf; bisection finds the exact root, and Newton certifies it or says
+    # that it cannot
+    g = complete_with_heavy_link(n, 1 + eps)
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
+    assert (bounds(ds, lam).upper > Q_MAX) == above
+    root = exact_root(ds, lam)
+    assert abs(solve_bisection(ds, lam).q - root) <= TOL_Q
+    assert not solve_recursion(ds, lam).is_infinite
+    try:
+        q = solve_newton(ds, lam).q
+    except NoConvergence as exc:
+        assert "rounding" in str(exc)
+        return
+    assert q - TOL_Q <= root <= q
 
 
 # recursion
@@ -384,13 +425,13 @@ def test_recursion_matches_bisection_er(rng):
 
 
 def test_recursion_biregular_reaches_two():
-    ds = degree_sequence(generate("kbip:2:5"))
+    ds = degree_sequence(generate("kbip:2:5").degrees())
     r = solve_recursion(ds, math.sqrt(10))
     assert abs(r.q - 2.0) <= 2e-9
 
 
 def test_recursion_star_starts_at_upper_bound():
-    ds = degree_sequence(generate("star:10"))
+    ds = degree_sequence(generate("star:10").degrees())
     q0 = math.log(10) / math.log(3)  # 2.0959...
     r = solve_recursion(ds, 3.0)
     assert abs(r.q - 2.0) <= 2e-9
@@ -415,7 +456,7 @@ def test_recursion_fallback_on_iteration_budget(rng):
 
 
 def test_recursion_infinite_guard():
-    ds = degree_sequence(k4_plus_p3())
+    ds = degree_sequence(k4_plus_p3().degrees())
     assert solve_recursion(ds, 3.0).is_infinite
 
 
@@ -511,8 +552,8 @@ def test_f1_nonnegative_at_two_and_strictly_decreasing(rng):
 def test_monotone_in_lambda1_at_fixed_degrees(rng):
     for _ in range(10):
         g = connected_er(rng, 30, 0.25)
-        ds = degree_sequence(g)
-        rms = math.sqrt(float((ds.degrees ** 2).mean()))
+        ds = degree_sequence(g.degrees())
+        rms = rms_degree(ds)
         lams = np.linspace(rms * 1.001, ds.d_max * 0.999, 5)
         qs = [solve_bisection(ds, lam).q for lam in lams]
         assert all(b > a for a, b in zip(qs, qs[1:]))
@@ -527,7 +568,7 @@ def test_scale_invariance(rng):
 
 
 def test_synthetic_degree_sequence_interface():
-    ds = degree_sequence_from_degrees([5, 3, 3, 2, 1])
+    ds = degree_sequence([5, 3, 3, 2, 1])
     assert ds.d_max == 5 and ds.c == 1 and ds.d2 == 3
     r = solve_bisection(ds, 4.0)
     assert r.is_finite and r.q >= 2.0
