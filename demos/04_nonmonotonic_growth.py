@@ -15,7 +15,7 @@ rng = np.random.default_rng(7)
 
 w = np.zeros((n, n))
 w[0, 1:] = w[1:, 0] = 1.0
-g = Graph(w)
+g = Graph.from_dense(w)
 
 trajectory = [sde(g).q]
 missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]

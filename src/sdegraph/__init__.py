@@ -15,9 +15,9 @@ from .errors import (AllDegreesZero, BadSpec, ConstantSeries, DisconnectedInput,
                      SdegraphError, SelfLoop, TooLargeForDense,
                      UndefinedAssortativity, WeightedUnsupported)
 from .families import (FamilySpec, analytic_lambda1, ba_graph, er_graph, family_q,
-                       fork_q_constant, generate, generate_sparse,
-                       lollipop_limit_lambda1, lollipop_q_asymptotic, parse_family,
-                       path_q_asymptotic, path_q_exact, wheel_limit_check)
+                       fork_q_constant, generate, lollipop_limit_lambda1,
+                       lollipop_q_asymptotic, parse_family, path_q_asymptotic,
+                       path_q_exact, wheel_limit_check)
 from .graph import (Biregular, DegreeSequence, Generic, Graph, GraphClass,
                     MaxCliqueComponent, Regular, add_link, classify,
                     connected_components, degree_sequence, dpr_rewire)
@@ -44,9 +44,8 @@ __all__ = [
     "WeightedUnsupported", "add_link", "analytic_lambda1", "assortativity",
     "ba_graph", "bounds", "classify", "connected_components", "degree_sequence",
     "dpr_rewire", "encode_graph6", "er_graph", "f1", "family_q",
-    "fork_q_constant", "full_spectrum", "generate",
-    "generate_sparse", "load_edge_list", "lollipop_limit_lambda1",
-    "lollipop_q_asymptotic", "metric_suite", "parse_family", "parse_graph6",
+    "fork_q_constant", "full_spectrum", "generate", "load_edge_list",
+    "lollipop_limit_lambda1", "lollipop_q_asymptotic", "metric_suite", "parse_family", "parse_graph6",
     "parse_weighted_edge_list", "path_q_asymptotic", "path_q_exact", "pearson",
     "probabilistic_residual", "read_graph6_file", "read_records_csv", "sde",
     "solve_bisection", "solve_newton", "solve_recursion", "spectral_radius", "transitivity",

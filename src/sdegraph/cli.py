@@ -286,9 +286,7 @@ def cmd_nonmonotonic(args) -> int:
     rows = []
     trials_with_decrease = 0
     for trial in range(args.trials):
-        w = np.zeros((n, n))
-        w[0, 1:] = w[1:, 0] = 1.0  # star
-        g = Graph(w)
+        g = generate(FamilySpec("star", (n,)))
         q = sde(g, tol_q=args.tol).q
         rows.append((trial, 0, g.num_links(), q, 0))
         missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]

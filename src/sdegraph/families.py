@@ -2,10 +2,12 @@
 
 Deterministic families (path, wheel, star, complete, complete bipartite,
 modular biregular, path-with-double-fork, modified lollipop) plus seeded
-Erdos-Renyi and Barabasi-Albert models. Each deterministic generator
-asserts its expected degree profile after construction. Families whose
-spectral radius has a proven closed form expose it through
+Erdos-Renyi and Barabasi-Albert models. :func:`generate` builds every
+family as a CSR :class:`Graph`, at any size, and each deterministic
+generator asserts its expected degree profile after construction. Families
+whose spectral radius has a proven closed form expose it through
 :func:`analytic_lambda1`; the lollipop has none and is always computed.
+:func:`family_q` is :func:`sde` on the generated graph with that lambda1.
 
 Family specs are expressible as CLI strings, e.g. ``path:100``,
 ``lollipop:1000``, ``er:100:0.1:42``, ``ba:100:3:42``, ``kbip:2:3``,
@@ -19,14 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph, degree_sequence
-from .solver import SdeResult, solve_newton
+from .graph import Graph
+from .solver import SdeResult, sde
 from .spectral import spectral_radius
-
-DENSE_GENERATE_CAP = 20_000
 
 FAMILY_KINDS = ("path", "wheel", "star", "complete", "kbip", "bireg",
                 "fork", "lollipop", "er", "ba")
@@ -176,43 +175,17 @@ _EDGE_BUILDERS = {
 }
 
 
-def _expected_profile(spec: FamilySpec) -> Counter | None:
-    """Exact degree multiset a deterministic family must produce."""
-    kind, args = spec.kind, spec.args
-    if kind == "path":
-        (n,) = args
-        return Counter({2: n - 2, 1: 2})
-    if kind == "wheel":
-        (n,) = args
-        prof = Counter({3: n - 1})
-        prof[n - 1] += 1
-        return prof
-    if kind == "star":
-        (n,) = args
-        return Counter({n - 1: 1, 1: n - 1})
-    if kind == "complete":
-        (n,) = args
-        return Counter({n - 1: n})
-    if kind == "kbip":
-        m, n = args
-        prof = Counter()
-        prof[n] += m
-        prof[m] += n
-        return prof
-    if kind == "bireg":
-        m, n, r1 = args
-        r2 = (m * r1) // n
-        prof = Counter()
-        prof[r1] += m
-        prof[r2] += n
-        return prof
-    if kind == "fork":
-        (n,) = args
-        return Counter({1: 4, 3: 2, 2: n - 2})
-    if kind == "lollipop":
-        (n,) = args
-        return Counter({3: 5, 2: n - 1, 1: 1})
-    return None
+# (degree, count) pairs of the exact degree multiset each family must produce
+_PROFILES = {
+    "path": lambda n: [(2, n - 2), (1, 2)],
+    "wheel": lambda n: [(3, n - 1), (n - 1, 1)],
+    "star": lambda n: [(n - 1, 1), (1, n - 1)],
+    "complete": lambda n: [(n - 1, n)],
+    "kbip": lambda m, n: [(n, m), (m, n)],
+    "bireg": lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
+    "fork": lambda n: [(1, 4), (3, 2), (2, n - 2)],
+    "lollipop": lambda n: [(3, 5), (2, n - 1), (1, 1)],
+}
 
 
 # random models
@@ -222,9 +195,8 @@ def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """One Erdos-Renyi G(n, p) sample."""
     if n < 1 or not (0 <= p <= 1):
         raise BadSpec("er needs N >= 1 and p in [0, 1]")
-    u = rng.random((n, n))
-    w = np.triu(u < p, 1).astype(float)
-    return Graph(w + w.T)
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return Graph.from_dense(upper | upper.T)
 
 
 def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
@@ -233,11 +205,9 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     the repeated-ends link list."""
     if not (1 <= m < n):
         raise BadSpec("ba needs 1 <= m < N")
-    w = np.zeros((n, n))
     repeated: list[int] = []
     for i in range(m):
         for j in range(i + 1, m):
-            w[i, j] = w[j, i] = 1.0
             repeated += [i, j]
     if m == 1:
         repeated = [0]  # degenerate seed: a single node, no links yet
@@ -246,32 +216,26 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
         while len(targets) < m:
             targets.add(repeated[int(rng.integers(len(repeated)))])
         for t in targets:
-            w[v, t] = w[t, v] = 1.0
             repeated += [v, t]
-    return Graph(w)
-
-
-def _build_edges(spec: FamilySpec) -> tuple[int, list]:
-    builder = _EDGE_BUILDERS.get(spec.kind)
-    if builder is None:
-        raise BadSpec(f"family {spec.kind!r} has no deterministic edge form")
-    return builder(*spec.args)
+    # past the placeholder seed of m = 1, the ends are the links' (i, j) pairs
+    ends = repeated[1:] if m == 1 else repeated
+    return Graph._from_links(n, ends[0::2], ends[1::2])
 
 
 def _assert_profile(spec: FamilySpec, degrees: np.ndarray) -> None:
-    expected = _expected_profile(spec)
-    if expected is None:
-        return
-    got = Counter(int(round(d)) for d in degrees)
-    got = Counter({k: v for k, v in got.items() if v})
-    expected = Counter({k: v for k, v in expected.items() if v})
+    expected = Counter()
+    for degree, count in _PROFILES[spec.kind](*spec.args):
+        expected[degree] += count
+    expected = {k: v for k, v in expected.items() if v}
+    values, counts = np.unique(np.rint(degrees).astype(np.int64), return_counts=True)
+    got = dict(zip(values.tolist(), counts.tolist()))
     if got != expected:
         raise InvalidGraph(
-            f"{spec} generated degree profile {dict(got)} != expected {dict(expected)}")
+            f"{spec} generated degree profile {got} != expected {expected}")
 
 
 def generate(spec: FamilySpec | str) -> Graph:
-    """Materialize a family spec as a dense :class:`Graph`."""
+    """Materialize a family spec as a CSR :class:`Graph`."""
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind == "er":
@@ -280,27 +244,10 @@ def generate(spec: FamilySpec | str) -> Graph:
     if spec.kind == "ba":
         n, m, seed = spec.args
         return ba_graph(n, m, np.random.default_rng(seed))
-    n, edges = _build_edges(spec)
-    if n > DENSE_GENERATE_CAP:
-        raise BadSpec(
-            f"n={n} too large for dense generation; use generate_sparse")
+    n, edges = _EDGE_BUILDERS[spec.kind](*spec.args)
     g = Graph.from_edges(n, edges)
     _assert_profile(spec, g.degrees())
     return g
-
-
-def generate_sparse(spec: FamilySpec | str) -> sp.csr_array:
-    """CSR adjacency for large structured families (path/wheel/fork/lollipop
-    at up to ~2e5 nodes)."""
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    n, edges = _build_edges(spec)
-    arr = np.asarray(edges)
-    rows = np.concatenate([arr[:, 0], arr[:, 1]])
-    cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    a = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    _assert_profile(spec, np.asarray(a.sum(axis=1)).ravel())
-    return a
 
 
 def analytic_lambda1(spec: FamilySpec | str) -> float | None:
@@ -328,25 +275,13 @@ def analytic_lambda1(spec: FamilySpec | str) -> float | None:
 
 
 def family_q(spec: FamilySpec | str, tol_q: float = 1e-9) -> SdeResult:
-    """Solve the SDE for a deterministic family without densifying it.
-
-    Uses the closed-form lambda1 when available; otherwise
-    :func:`spectral_radius` on the sparse adjacency. q comes from
-    :func:`solve_newton`, the default solver of :func:`sde`.
-    """
+    """:func:`sde` of a deterministic family, with the closed-form lambda1
+    when the family has one (otherwise :func:`spectral_radius`)."""
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind in ("er", "ba"):
         raise BadSpec("family_q handles deterministic families; use sde() on a sample")
-    a = generate_sparse(spec)
-    degs = np.asarray(a.sum(axis=1)).ravel()
-    ds = degree_sequence(degs)
-    lam = analytic_lambda1(spec)
-    if lam is None:
-        lam = spectral_radius(a, tol=1e-12)
-    if ds.c >= ds.n:
-        return SdeResult(math.nan, "classified", note="regular")
-    return solve_newton(ds, lam, tol_q=tol_q)
+    return sde(generate(spec), lambda1=analytic_lambda1(spec), tol_q=tol_q)
 
 
 # closed-form / asymptotic oracles
@@ -379,6 +314,8 @@ def path_q_exact(n: int, tol: float = 1e-12) -> float:
         return 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # tol is finer than the float spacing at the root
         if g(mid) > 0.0:
             lo = mid
         else:
@@ -408,8 +345,7 @@ def fork_q_constant(tol: float = 1e-12) -> float:
 def lollipop_limit_lambda1() -> float:
     """Limiting spectral radius of the lollipop family, computed once at
     N = 1e4 (convergence in N is extremely fast); approx 2.9021160."""
-    return spectral_radius(generate_sparse(FamilySpec("lollipop", (10_000,))),
-                           tol=1e-12)
+    return spectral_radius(generate(FamilySpec("lollipop", (10_000,))), tol=1e-12)
 
 
 def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
@@ -430,17 +366,13 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
 def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
     """q(W_N) - 2 with lambda1 from spectral_radius, cross-checked
-    against the closed form 1 + sqrt(N), and q from the default Newton
-    solver; positive and decreasing in N."""
+    against the closed form 1 + sqrt(N); positive and decreasing in N."""
     if n < 5:
         raise BadSpec("wheel limit check needs N >= 5")
-    spec = FamilySpec("wheel", (n,))
-    a = generate_sparse(spec)
-    lam = spectral_radius(a, tol=1e-12)
+    g = generate(FamilySpec("wheel", (n,)))
+    lam = spectral_radius(g, tol=1e-12)
     lam_exact = 1.0 + math.sqrt(n)
     if abs(lam - lam_exact) > 1e-9 * lam_exact:
         raise InvalidGraph(
             f"spectral_radius lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
-    degs = np.asarray(a.sum(axis=1)).ravel()
-    ds = degree_sequence(degs)
-    return solve_newton(ds, lam, tol_q=tol_q).q - 2.0
+    return sde(g, lambda1=lam, tol_q=tol_q).q - 2.0

@@ -1,14 +1,14 @@
 """Weighted undirected graphs: representation, degrees, classification, mutation.
 
-The adjacency is stored dense (float64, symmetric, zero diagonal). All
-operations are pure: mutating operations return new :class:`Graph` values.
-Degrees have one representation, the histogram :class:`DegreeSequence`
-built by :func:`degree_sequence` from any degree array, and
-:func:`classify` decides its classes from the degrees and the links, with
-no graph search except for the max-clique-component test.
-Dense storage targets general graphs up to a few thousand nodes; the large
-structured families are handled sparsely in :mod:`sdegraph.spectral` and
-:mod:`sdegraph.families`.
+A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
+memory grows with the links, not with n squared; its degrees are summed
+once, and ``Graph.weights`` is a cached dense view (at most ``DENSE_CAP``
+nodes) for the dense kernels. All operations are pure: mutating operations
+return new :class:`Graph` values. Degrees have one representation, the
+histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
+degree array, and :func:`classify` decides its classes from the degrees
+and the links, searching components only when a node could lie in a
+max-clique component.
 """
 from __future__ import annotations
 
@@ -17,39 +17,68 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGraph, LinkExists, RewireConflict, SelfLoop
+from .errors import (InvalidGraph, LinkExists, RewireConflict, SelfLoop,
+                     TooLargeForDense)
 
 DEFAULT_TOL_DEG = 1e-9
+# largest n whose dense n x n view (Graph.weights) may be built
+DENSE_CAP = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with non-negative link weights.
+    """Simple undirected graph with positive link weights, in CSR form.
 
-    Invariants (checked by :meth:`validate`): the weight matrix is square,
-    symmetric, has a zero diagonal and no negative entries.
+    Row i holds the neighbours of node i, ``indices[indptr[i]:indptr[i+1]]``,
+    in increasing order, with their link weights in ``data``. Invariants
+    (checked by :meth:`validate`): the stored matrix is symmetric, has
+    sorted columns without repeats, no diagonal, and only positive finite
+    weights.
     """
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> Graph:
         if n < 1:
             raise InvalidGraph("node count must be >= 1")
-        return cls(np.zeros((n, n)))
+        return cls._from_links(n, [], [])
+
+    @classmethod
+    def from_dense(cls, weights) -> Graph:
+        """Graph of the nonzero entries of a square weight matrix (not
+        validated, like every constructor but :meth:`from_edges`)."""
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
+            raise InvalidGraph("weights must be a square matrix with n >= 1")
+        n = w.shape[0]
+        keys = np.flatnonzero(w)  # row * n + column, sorted
+        return cls(n, _row_offsets(keys, n), keys % n, w.ravel()[keys])
+
+    @classmethod
+    def _from_links(cls, n: int, i, j, w=None) -> Graph:
+        """Graph of the distinct links (i[k], j[k]) with weights w[k]
+        (1 when ``w`` is None), given in any order and orientation."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        keys = np.concatenate((i * n + j, j * n + i))
+        if w is None:
+            keys, data = np.sort(keys), np.ones(keys.size)
+        else:
+            order = np.argsort(keys)
+            keys, data = keys[order], np.concatenate((w, w))[order]
+        return cls(n, _row_offsets(keys, n), keys % n, data)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        """Build a graph from (i, j) or (i, j, weight) tuples."""
-        w = np.zeros((n, n))
+        """Build a graph from (i, j) or (i, j, weight) tuples; a repeated
+        link keeps its last weight and a zero weight adds no link."""
+        if n < 1:
+            raise InvalidGraph("a graph needs n >= 1 nodes")
+        links: dict[tuple[int, int], float] = {}
         for e in edges:
             if len(e) == 2:
                 i, j = e
@@ -58,48 +87,86 @@ class Graph:
                 i, j, wt = e
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
-            w[i, j] = w[j, i] = wt
-        g = cls(w)
+            links[(i, j) if i < j else (j, i)] = wt
+        links = {k: wt for k, wt in links.items() if wt != 0}
+        ends = np.array(list(links), dtype=np.int64).reshape(-1, 2)
+        if ends.size and (ends.min() < 0 or ends.max() >= n):
+            raise InvalidGraph(f"node ids must lie in [0, {n})")
+        g = cls._from_links(n, ends[:, 0], ends[:, 1],
+                            np.array(list(links.values()), dtype=float))
         g.validate()
         return g
 
     def validate(self) -> None:
-        w = self.weights
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
-            raise InvalidGraph("weights must be a square matrix with n >= 1")
-        if not np.array_equal(w, w.T):
-            raise InvalidGraph("weights must be symmetric")
-        if np.any(np.diagonal(w) != 0):
+        n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
+        if n < 1:
+            raise InvalidGraph("a graph needs n >= 1 nodes")
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
+                or data.shape != indices.shape or np.any(np.diff(indptr) < 0)):
+            raise InvalidGraph("CSR arrays do not describe n rows")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise InvalidGraph(f"node ids must lie in [0, {n})")
+        if not np.all(np.isfinite(data) & (data > 0)):
+            raise InvalidGraph("stored weights must be positive and finite")
+        rows = self._rows
+        if np.any(rows == indices):
             raise InvalidGraph("diagonal must be zero (no self-loops)")
-        if np.any(w < 0):
-            raise InvalidGraph("weights must be non-negative")
-        if not np.all(np.isfinite(w)):
-            raise InvalidGraph("weights must be finite")
+        keys = rows * n + indices
+        if np.any(np.diff(keys) <= 0):
+            raise InvalidGraph("columns must be sorted within each row, without repeats")
+        # the transpose, sorted by its own rows, must reproduce the matrix
+        order = np.argsort(indices * n + rows)
+        if not (np.array_equal(indices[order] * n + rows[order], keys)
+                and np.array_equal(data[order], data)):
+            raise InvalidGraph("weights must be symmetric")
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        degrees = np.bincount(self._rows, weights=self.data, minlength=self.n)
+        degrees.flags.writeable = False
+        return degrees
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of each node (row sums)."""
-        return self.weights.sum(axis=1)
+        """Weighted degree of each node (row sums), computed once per graph."""
+        return self._degrees
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Dense weight matrix (read-only, cached); TooLargeForDense above
+        ``DENSE_CAP`` nodes."""
+        if self.n > DENSE_CAP:
+            raise TooLargeForDense(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
+        w = np.zeros((self.n, self.n))
+        w[self._rows, self.indices] = self.data
+        w.flags.writeable = False
+        return w
 
     def num_links(self) -> int:
-        # symmetric with a zero diagonal: every link is counted twice
-        return int(np.count_nonzero(self.weights)) // 2
+        return self.indices.size // 2  # every link is stored in both rows
 
     def links(self) -> list[tuple[int, int]]:
         """Positive-weight links as (i, j) with i < j, lexicographic."""
-        iu, ju = np.nonzero(np.triu(self.weights, 1))
-        return list(zip(iu.tolist(), ju.tolist()))
+        upper = self.indices > self._rows
+        return list(zip(self._rows[upper].tolist(), self.indices[upper].tolist()))
 
-    def is_unweighted(self, tol: float = 0.0) -> bool:
-        w = self.weights
-        if tol == 0.0:
-            return bool(np.all((w == 0) | (w == 1)))
-        return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1) <= tol)))
+    def is_unweighted(self) -> bool:
+        return bool(np.all(self.data == 1))
 
     def scaled(self, s: float) -> Graph:
         """Graph with every weight multiplied by s > 0."""
         if s <= 0:
             raise InvalidGraph("scale factor must be positive")
-        return Graph(self.weights * s)
+        return Graph(self.n, self.indptr, self.indices, self.data * s)
+
+
+def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of the sorted entry keys row * n + column."""
+    return np.searchsorted(keys, np.arange(0, n * n + 1, n))
 
 
 @dataclass(frozen=True)
@@ -181,38 +248,40 @@ GraphClass = Regular | Biregular | MaxCliqueComponent | Generic
 
 
 def connected_components(g: Graph) -> list[set[int]]:
-    """Partition of the nodes into maximal positive-weight-connected sets."""
-    n = g.n
-    adj = g.weights > 0
-    seen = np.zeros(n, dtype=bool)
-    comps: list[set[int]] = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        comp = frontier.copy()
-        while frontier.any():
-            frontier = (adj[frontier].any(axis=0)) & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(set(np.nonzero(comp)[0].tolist()))
-    return comps
+    """Partition of the nodes into maximal positive-weight-connected sets,
+    ordered by their smallest node.
+
+    Vectorised on the CSR links. Each node's label points to a node of its
+    component with no larger id. A round lowers, across every link, the
+    label of one end's label to the other end's label, then lets every
+    label jump once along these pointers; labels only decrease, and a round
+    that changes none leaves every component labelled by its smallest node.
+    """
+    labels = np.arange(g.n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[g._rows], labels[g.indices])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    order = np.argsort(labels, kind="stable")
+    return [set(part.tolist())
+            for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
-def _max_clique_component(g: Graph, comps: list[set[int]], degs: np.ndarray,
-                          tol: float) -> tuple[int, ...] | None:
+def _max_clique_component(g: Graph, comps: list[set[int]],
+                          high: np.ndarray) -> tuple[int, ...] | None:
     """Nodes of a complete component whose degrees all equal d_max, if any."""
     if len(comps) < 2:
         return None
-    d_max = degs.max()
+    links = np.diff(g.indptr)
     for comp in comps:
-        nodes = sorted(comp)
-        if len(nodes) < 2:
+        if len(comp) < 2:
             continue
-        sub = g.weights[np.ix_(nodes, nodes)]
-        complete = bool(np.all((sub > 0) | np.eye(len(nodes), dtype=bool)))
-        if complete and np.all(np.abs(degs[nodes] - d_max) <= tol):
+        nodes = sorted(comp)
+        # no repeated links or self-loops: m - 1 links each make K_m
+        if high[nodes].all() and (links[nodes] == len(nodes) - 1).all():
             return tuple(nodes)
     return None
 
@@ -229,7 +298,9 @@ def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
     classes two-colour every component with one degree per part, so every
     component is bipartite with part degrees (d_max, d_min); conversely, a
     biregular graph's links all join an r1 node to an r2 node. The
-    components are computed only for the max-clique-component test.
+    components are computed only for the max-clique-component test, and
+    only when some node passes its necessary condition: the node is high
+    and so is every neighbour, with the same link count.
     """
     degs = g.degrees()
     d_max, d_min = float(degs.max()), float(degs.min())
@@ -237,14 +308,17 @@ def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
     if d_max - d_min <= tol:
         return Regular(degree=d_max)
     high = d_max - degs <= tol
-    if d_min > 0 and (high | (degs - d_min <= tol)).all():
-        # weight from each node into its own class: zero iff every link crosses
-        classes = np.column_stack([high, ~high])
-        if not (g.weights @ classes)[classes].any():
-            return Biregular(r1=d_max, r2=d_min)
-    clique = _max_clique_component(g, connected_components(g), degs, tol)
-    if clique is not None:
-        return MaxCliqueComponent(clique=clique)
+    rows, cols = g._rows, g.indices
+    if (d_min > 0 and (high | (degs - d_min <= tol)).all()
+            and (high[rows] != high[cols]).all()):
+        return Biregular(r1=d_max, r2=d_min)
+    links = np.diff(g.indptr)
+    candidate = high & (links > 0)
+    candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
+    if candidate.any():
+        clique = _max_clique_component(g, connected_components(g), high)
+        if clique is not None:
+            return MaxCliqueComponent(clique=clique)
     return Generic()
 
 
@@ -257,11 +331,24 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
         raise SelfLoop(f"cannot link node {i} to itself")
     if w <= 0:
         raise InvalidGraph("link weight must be positive")
-    if g.weights[i, j] > 0:
+    indptr, indices, data = g.indptr, g.indices, g.data
+    # insertion points of j in row i and of i in row j
+    lo, hi = indptr[i], indptr[i + 1]
+    at_i = lo + int(np.searchsorted(indices[lo:hi], j))
+    if at_i < hi and indices[at_i] == j:
         raise LinkExists(f"link ({i}, {j}) already present")
-    weights = g.weights.copy()
-    weights[i, j] = weights[j, i] = w
-    return Graph(weights)
+    at_j = indptr[j] + int(np.searchsorted(indices[indptr[j]:indptr[j + 1]], i))
+    (a, col_a), (b, col_b) = ((at_i, j), (at_j, i)) if i < j else ((at_j, i), (at_i, j))
+    new_indptr = indptr.copy()
+    new_indptr[i + 1:] += 1
+    new_indptr[j + 1:] += 1
+    return Graph(g.n, new_indptr,
+                 np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
+                 np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:])))
+
+
+def _has_link(g: Graph, i: int, j: int) -> bool:
+    return j in g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
 def dpr_rewire(g: Graph, link1: tuple[int, int], link2: tuple[int, int],
@@ -282,14 +369,13 @@ def dpr_rewire(g: Graph, link1: tuple[int, int], link2: tuple[int, int],
     c, d = link2
     if len({a, b, c, d}) != 4:
         raise InvalidGraph("rewiring requires four distinct nodes")
-    w = g.weights
-    if w[a, b] == 0 or w[c, d] == 0:
+    if not (_has_link(g, a, b) and _has_link(g, c, d)):
         raise InvalidGraph("both links must exist")
 
     candidates = []  # pairs of new links per orientation
-    if w[a, c] == 0 and w[b, d] == 0:
+    if not (_has_link(g, a, c) or _has_link(g, b, d)):
         candidates.append(((a, c), (b, d)))
-    if w[a, d] == 0 and w[b, c] == 0:
+    if not (_has_link(g, a, d) or _has_link(g, b, c)):
         candidates.append(((a, d), (b, c)))
     if orientation is not None:
         wanted = ((a, c), (b, d)) if orientation == 0 else ((a, d), (b, c))
@@ -301,9 +387,6 @@ def dpr_rewire(g: Graph, link1: tuple[int, int], link2: tuple[int, int],
     else:
         choice = candidates[0]
 
-    weights = w.copy()
-    weights[a, b] = weights[b, a] = 0.0
-    weights[c, d] = weights[d, c] = 0.0
-    for (i, j) in choice:
-        weights[i, j] = weights[j, i] = 1.0
-    return Graph(weights)
+    removed = {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+    kept = [link for link in g.links() if link not in removed]
+    return Graph.from_edges(g.n, kept + list(choice))

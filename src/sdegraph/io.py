@@ -7,6 +7,8 @@ order). Only plain graph6 is supported — no sparse6/digraph6.
 from __future__ import annotations
 
 import csv
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -55,23 +57,18 @@ def parse_graph6(line: str) -> Graph:
         raise MalformedGraph6("graphs need at least one node")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = data[off:]
+    body = np.frombuffer(data, dtype=np.uint8, offset=off)
     if len(body) != need:
         raise MalformedGraph6(
             f"expected {need} adjacency bytes for n={n}, got {len(body)}")
-    bits = np.zeros(need * 6, dtype=bool)
-    for k, b in enumerate(body):
-        v = b - 63
-        for t in range(6):
-            bits[6 * k + t] = (v >> (5 - t)) & 1
-    w = np.zeros((n, n))
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                w[i, j] = w[j, i] = 1.0
-            k += 1
-    return Graph(w)
+    # six big-endian bits per byte; bit k is the pair (i, j), i < j, of the
+    # upper triangle in column-major order: k = j (j - 1) / 2 + i
+    bits = np.unpackbits(body - np.uint8(63)).reshape(-1, 8)[:, 2:].ravel()
+    k = np.flatnonzero(bits[:nbits])
+    column = np.arange(n)
+    first = column * (column - 1) // 2  # the first bit of each column
+    j = np.searchsorted(first, k, side="right") - 1
+    return Graph._from_links(n, k - first[j], j)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -86,18 +83,11 @@ def encode_graph6(g: Graph) -> str:
         out = [n + 63]
     else:
         out = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    acc = 0
-    nb = 0
-    w = g.weights
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | int(w[i, j] > 0)
-            nb += 1
-            if nb == 6:
-                out.append(acc + 63)
-                acc, nb = 0, 0
-    if nb:
-        out.append((acc << (6 - nb)) + 63)
+    upper = g.indices > g._rows
+    bits = np.zeros((n * (n - 1) // 2 + 5) // 6 * 6, dtype=np.uint8)
+    j = g.indices[upper]
+    bits[j * (j - 1) // 2 + g._rows[upper]] = 1
+    out += (bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63).tolist()
     return bytes(out).decode("ascii")
 
 
@@ -164,7 +154,7 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
                 raise ParseError(f"bad weight in {line!r}", line=lineno)
         if u == v:
             raise SelfLoop(f"line {lineno}: self-loop at node {u}")
-        if w <= 0 or not np.isfinite(w):
+        if w <= 0 or not math.isfinite(w):
             raise NegativeWeight(f"line {lineno}: weight must be positive, got {w}")
         key = (min(u, v), max(u, v))
         if key in edges:
@@ -177,10 +167,9 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     n = n_directive if n_directive is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"node id {max_id} exceeds declared n={n}")
-    weights = np.zeros((n, n))
-    for (u, v), w in edges.items():
-        weights[u, v] = weights[v, u] = w
-    return Graph(weights)
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return Graph._from_links(n, ends[0::2], ends[1::2],
+                             np.fromiter(edges.values(), dtype=float, count=len(edges)))
 
 
 def load_edge_list(path, one_based: bool = False) -> Graph:

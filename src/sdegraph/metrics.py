@@ -83,7 +83,8 @@ def assortativity(g: Graph) -> float:
     """Degree assortativity: Pearson correlation of end-node degrees over
     the directed link list (each link counted in both orientations)."""
     degs = g.degrees()
-    iu, ju = np.nonzero(np.triu(g.weights, 1))
+    upper = g.indices > g._rows  # CSR order: the links (i < j) lexicographic
+    iu, ju = g._rows[upper], g.indices[upper]
     if iu.size == 0:
         raise UndefinedAssortativity("graph has no links")
     x = np.concatenate([degs[iu], degs[ju]])
@@ -117,9 +118,8 @@ def bfs_distances(adj: np.ndarray) -> np.ndarray:
 def count_bridges(g: Graph) -> int:
     """Number of bridges via the standard low-link DFS pass (iterative)."""
     n = g.n
-    rows, cols = np.nonzero(g.weights > 0)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
+    starts = g.indptr.tolist()
+    cols = g.indices.tolist()
     nbrs = [cols[starts[i]:starts[i + 1]] for i in range(n)]
     disc = [-1] * n
     low = [0] * n
@@ -184,15 +184,14 @@ def local_efficiency(g: Graph) -> float:
     first reached at level d add 1/d to their node's sum, which is then
     divided by k_i (k_i - 1).
     """
-    adj = g.weights > 0
     n = g.n
-    deg = adj.sum(axis=1)
+    deg = np.diff(g.indptr)
     nodes = np.nonzero(deg >= 2)[0]
     eff = np.zeros(n)
     padded = np.zeros((n + 1, n + 1), dtype=bool)
-    padded[:n, :n] = adj
-    rows, cols = np.nonzero(adj)
-    slot_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
+    padded[:n, :n] = g.weights > 0
+    rows, cols = g._rows, g.indices
+    slot_in_row = np.arange(rows.size) - g.indptr[rows]
     width = np.zeros(n, dtype=int)
     width[nodes] = np.minimum(np.maximum(
         MIN_BUCKET, 1 << np.ceil(np.log2(deg[nodes])).astype(int)), n)

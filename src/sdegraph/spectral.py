@@ -1,8 +1,8 @@
 """Eigenvalue computations: spectral radius and full adjacency/Laplacian spectra.
 
 The spectral radius is the top dense LAPACK eigenvalue up to
-``DENSE_LAMBDA1_CAP`` nodes, and above it ARPACK Lanczos on a sparse operator
-(structured families with ~2e5 nodes stay tractable), returned as the
+``DENSE_LAMBDA1_CAP`` nodes, and above it ARPACK Lanczos on the graph's own
+CSR arrays (graphs with 1e6 nodes stay tractable), returned as the
 ``math.fsum`` Rayleigh quotient of the Lanczos vector after a residual check.
 Full spectra go through the dense symmetric LAPACK solver and are capped at
 ``DENSE_CAP`` nodes.
@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidGraph, NoConvergence, TooLargeForDense
-from .graph import Graph
+from .graph import DENSE_CAP, Graph
 
-DENSE_CAP = 2048
 # largest n whose lambda1 comes from dense eigvalsh; measured break-even with
 # Lanczos on ER, BA and lollipop graphs (the path favours eigvalsh up to ~700)
 DENSE_LAMBDA1_CAP = 192
@@ -41,31 +39,26 @@ class Spectrum:
         return float(self.adjacency[0])
 
 
-def spectral_radius(g, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """Largest adjacency eigenvalue, absolute error <= tol * max(1, d_max).
 
-    Accepts a :class:`Graph` or any scipy sparse / dense symmetric
-    non-negative matrix. Above ``DENSE_LAMBDA1_CAP`` nodes, Lanczos failing
-    or a residual ``||A v - lambda v|| > tol * max(1, d_max)`` raises
-    NoConvergence.
+    Above ``DENSE_LAMBDA1_CAP`` nodes, Lanczos failing or a residual
+    ``||A v - lambda v|| > tol * max(1, d_max)`` raises NoConvergence.
     """
     if not (0 < tol <= 1e-6):
         raise InvalidGraph("tol must be in (0, 1e-6]")
-    a = g.weights if isinstance(g, Graph) else g
-    if not sp.issparse(a):
-        a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    d_max = float(np.asarray(a.sum(axis=1)).max()) if n else 0.0
+    n = g.n
+    d_max = float(g.degrees().max())
     if d_max == 0.0:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
-        dense = a.toarray() if sp.issparse(a) else a
-        return float(np.linalg.eigvalsh(dense)[-1])
-    # imported here so that start-up does not pay for scipy.sparse.linalg
-    # on runs that never reach Lanczos
+        return float(np.linalg.eigvalsh(g.weights)[-1])
+    # imported here so that start-up does not pay for scipy.sparse on runs
+    # that never reach Lanczos
+    from scipy.sparse import csr_array
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    a = sp.csr_array(a)
+    a = csr_array((g.data, g.indices, g.indptr), shape=(n, n))
     # the all-ones start overlaps the non-negative Perron vector of every
     # component, so lambda1's eigenvector lies in the Krylov space
     try:
@@ -85,11 +78,11 @@ def spectral_radius(g, tol: float = DEFAULT_TOL) -> float:
 
 
 def full_spectrum(g: Graph, dense_cap: int = DENSE_CAP) -> Spectrum:
-    """All adjacency and Laplacian eigenvalues of a dense graph."""
+    """All adjacency and Laplacian eigenvalues, from the dense view."""
     if g.n > dense_cap:
         raise TooLargeForDense(f"n={g.n} exceeds the dense cap {dense_cap}")
     w = g.weights
     adj = np.linalg.eigvalsh(w)[::-1]
-    lap = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)[::-1]
+    lap = np.linalg.eigvalsh(np.diag(g.degrees()) - w)[::-1]
     lap = np.maximum(lap, 0.0)
     return Spectrum(adjacency=adj, laplacian=lap)

@@ -24,7 +24,7 @@ def k4_plus_p3() -> Graph:
 def random_er(rng: np.random.Generator, n: int, p: float) -> Graph:
     u = rng.random((n, n))
     w = np.triu(u < p, 1).astype(float)
-    return Graph(w + w.T)
+    return Graph.from_dense(w + w.T)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 from conftest import FIXTURE_N7, FIXTURE_N8, random_er
 from sdegraph import (Biregular, Graph, MaxCliqueComponent, Regular, classify,
                       degree_sequence, encode_graph6, family_q, fork_q_constant,
-                      full_spectrum, generate, generate_sparse,
+                      full_spectrum, generate,
                       lollipop_limit_lambda1, parse_graph6, path_q_asymptotic,
                       path_q_exact, read_graph6_file, sde, solve_bisection,
                       solve_recursion, spectral_radius)
@@ -110,7 +110,7 @@ def _disjoint_union(parts):
     for p in parts:
         w[off:off + p.n, off:off + p.n] = p.weights
         off += p.n
-    return Graph(w)
+    return Graph.from_dense(w)
 
 
 def test_criterion_3_infinite_iff_max_clique_component():
@@ -240,14 +240,14 @@ def test_criterion_8_wheel_limit():
 def test_criterion_9_lollipop_asymptotics():
     with criterion(9, 300.0, "lollipop: lambda1 -> 2.902 by N=1e3; q-vs-logN "
                              "slope within 5% of 1/(log3 - log lambda1)"):
-        lam_1000 = spectral_radius(generate_sparse("lollipop:1000"), tol=1e-12)
+        lam_1000 = spectral_radius(generate("lollipop:1000"), tol=1e-12)
         assert abs(lam_1000 - 2.902) <= 1e-3
         qs = []
         ns = (1000, 10000, 100000)
         for n in ns:
-            a = generate_sparse(f"lollipop:{n}")
-            lam = spectral_radius(a, tol=1e-12)
-            ds = degree_sequence(np.asarray(a.sum(axis=1)).ravel())
+            g = generate(f"lollipop:{n}")
+            lam = spectral_radius(g, tol=1e-12)
+            ds = degree_sequence(g.degrees())
             qs.append(solve_bisection(ds, lam).q)
         slope = np.polyfit(np.log(np.array(ns, dtype=float)), np.array(qs), 1)[0]
         target = 1.0 / (math.log(3.0) - math.log(lollipop_limit_lambda1()))

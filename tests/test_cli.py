@@ -4,8 +4,8 @@ import math
 import pytest
 
 from conftest import FIXTURE_N7
-from sdegraph import (METRIC_NAMES, encode_graph6, fork_q_constant, generate,
-                      generate_sparse, path_q_exact, read_records_csv)
+from sdegraph import (METRIC_NAMES, encode_graph6, family_q, fork_q_constant,
+                      generate, path_q_exact, read_records_csv)
 from sdegraph.cli import correlation_report, main
 
 from conftest import k4_plus_p3
@@ -49,14 +49,23 @@ def test_compute_edge_list_inf(tmp_path, capsys):
 def test_compute_edge_list_slow_mixing(spec, lambda1, q, q_tol, tmp_path, capsys):
     # tiny spectral gaps (~1/N^2) as generic edge lists: lambda1 must not
     # stall, and q must match the closed forms
-    a = generate_sparse(spec).tocoo()
     path = tmp_path / "graph.txt"
-    path.write_text("".join(f"{i} {j}\n" for i, j in zip(a.row, a.col) if i < j))
+    path.write_text("".join(f"{i} {j}\n" for i, j in generate(spec).links()))
     code, out, _ = run(capsys, "compute", "--edge-list", str(path), "--json")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["lambda1"] - lambda1) <= 1e-12 * lambda1
     assert abs(payload["q"] - q) <= q_tol
+
+
+def test_compute_large_family_matches_family_q(capsys):
+    # 1e5 nodes: generated as CSR and solved by the same pipeline as family_q
+    code, out, err = run(capsys, "compute", "--family", "lollipop:100000", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    expected = family_q("lollipop:100000")
+    assert (payload["nodes"], payload["links"]) == (100005, 100007)
+    assert payload["q"] == expected.q and payload["method"] == expected.method
 
 
 def test_compute_graph6_literal(capsys):

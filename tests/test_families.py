@@ -6,7 +6,7 @@ import pytest
 
 from sdegraph import (BadSpec, FamilySpec, analytic_lambda1, classify,
                       connected_components, family_q, fork_q_constant, generate,
-                      generate_sparse, lollipop_limit_lambda1,
+                      lollipop_limit_lambda1,
                       lollipop_q_asymptotic, parse_family, path_q_asymptotic,
                       path_q_exact, sde, spectral_radius, wheel_limit_check)
 from sdegraph.graph import Biregular
@@ -102,11 +102,17 @@ def test_ba_reproducibility_and_structure():
     assert a.num_links() == 3 + 97 * 3
 
 
-def test_generate_sparse_matches_dense():
-    spec = "lollipop:50"
-    dense = generate(spec).weights
-    sparse = generate_sparse(spec).toarray()
-    assert np.array_equal(dense, sparse)
+def test_generate_lollipop_matches_dense_reference():
+    # K4 minus (2, 3), both loose ends joined to node 4, then the path 4..54
+    n = 50
+    dense = np.zeros((n + 5, n + 5))
+    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]:
+        dense[i, j] = dense[j, i] = 1.0
+    for k in range(4, n + 4):
+        dense[k, k + 1] = dense[k + 1, k] = 1.0
+    g = generate(f"lollipop:{n}")
+    g.validate()
+    assert np.array_equal(g.weights, dense)
 
 
 def test_analytic_lambda1_against_power_iteration():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import (Biregular, Generic, Graph, InvalidGraph, LinkExists,
                       MaxCliqueComponent, Regular, RewireConflict, SelfLoop,
-                      add_link, classify, connected_components, degree_sequence,
-                      dpr_rewire, generate, read_graph6_file)
+                      TooLargeForDense, add_link, analytic_lambda1, classify,
+                      connected_components, degree_sequence, dpr_rewire,
+                      encode_graph6, generate, load_edge_list, parse_graph6,
+                      parse_weighted_edge_list, path_q_exact, read_graph6_file, sde)
+from sdegraph.graph import DENSE_CAP
 
 TOL_DEG = 1e-9
 
@@ -100,7 +105,7 @@ def same_class(got, want, g):
 
 def relabel(g, order):
     """``g`` with node order[i] renumbered as i."""
-    return Graph(g.weights[np.ix_(order, order)])
+    return Graph.from_dense(g.weights[np.ix_(order, order)])
 
 
 def test_degree_sequence_star():
@@ -163,12 +168,15 @@ def test_classify_path4_generic():
     (cycle_graph(6), Regular, 0),
     (generate("kbip:2:3"), Biregular, 0),
     (k4_plus_p3(), MaxCliqueComponent, 1),
-    (generate("path:4"), Generic, 1),
-    (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), Generic, 1),
-], ids=["cycle6", "kbip2_3", "k4_plus_p3", "path4", "star_plus_isolated"])
+    (generate("path:4"), Generic, 0),
+    (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), Generic, 0),
+    (Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]), Generic, 1),
+], ids=["cycle6", "kbip2_3", "k4_plus_p3", "path4", "star_plus_isolated", "c4_plus_p3"])
 def test_classify_computes_components_once(monkeypatch, g, cls, passes):
     # biregularity is decided from the degrees and links; only the
-    # max-clique-component test needs the components, and computes them once
+    # max-clique-component test needs the components, computes them at most
+    # once, and only when a high node has only high neighbours with its own
+    # link count (the path's and the star's high nodes have low neighbours)
     import sdegraph.graph as graph_module
     calls = []
 
@@ -232,7 +240,7 @@ def _union(graphs):
     for h in graphs:
         w[start:start + h.n, start:start + h.n] = h.weights
         start += h.n
-    return Graph(w)
+    return Graph.from_dense(w)
 
 
 NEAR_TIES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)  # multiples of tol_deg
@@ -249,7 +257,7 @@ def components(draw):
                              dtype=float).reshape(n, n), 1)
         if draw(st.booleans()):
             w *= draw(st.integers(1, 3))
-        g = Graph(w + w.T)
+        g = Graph.from_dense(w + w.T)
     elif kind == "kbip":
         g = generate(f"kbip:{draw(st.integers(1, 3))}:{draw(st.integers(1, 4))}")
     elif kind == "bireg":
@@ -272,7 +280,7 @@ def classify_cases(draw):
         i, j = draw(st.sampled_from(links))
         w = g.weights.copy()
         w[i, j] = w[j, i] = w[i, j] * (1 + draw(st.sampled_from(NEAR_TIES)) * TOL_DEG)
-        g = Graph(w)
+        g = Graph.from_dense(w)
     return relabel(g, np.array(draw(st.permutations(range(g.n)))))
 
 
@@ -407,11 +415,11 @@ def test_add_link_path_to_triangle():
 
 def test_graph_validate_rejections():
     with pytest.raises(InvalidGraph):
-        Graph(np.array([[0.0, 1.0], [0.5, 0.0]])).validate()  # asymmetric
+        Graph.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]])).validate()  # asymmetric
     with pytest.raises(InvalidGraph):
-        Graph(np.array([[1.0]])).validate()  # self-loop
+        Graph.from_dense(np.array([[1.0]])).validate()  # self-loop
     with pytest.raises(InvalidGraph):
-        Graph(np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
+        Graph.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
     with pytest.raises(SelfLoop):
         Graph.from_edges(2, [(0, 0)])
 
@@ -439,9 +447,136 @@ def test_link_count_and_integrality_match_dense_formulas(rng):
             w = w * rng.integers(1, 5, size=(n, n))
         elif kind == 2:
             w = w * rng.uniform(0.1, 3.0, size=(n, n))
-        g = Graph(w + w.T)
+        g = Graph.from_dense(w + w.T)
         g.validate()
         assert g.num_links() == int(np.count_nonzero(np.triu(g.weights, 1)))
         degs = g.degrees()
         if kind < 2:
             assert degree_sequence(degs).c == int(np.sum(degs == degs.max()))
+
+
+# CSR storage: every construction path against a dense reference
+
+
+def _assert_matches_dense(g, w):
+    """``g`` is valid CSR whose rows are the nonzero entries of ``w``."""
+    g.validate()
+    n = w.shape[0]
+    rows, cols = np.nonzero(w)
+    assert g.n == n
+    assert g.indptr.tolist() == np.searchsorted(rows, np.arange(n + 1)).tolist()
+    assert g.indices.tolist() == cols.tolist()
+    assert g.data.tolist() == w[rows, cols].tolist()
+    assert np.array_equal(g.weights, w)
+    assert np.allclose(g.degrees(), w.sum(axis=1), rtol=1e-14, atol=0)
+    assert g.num_links() == int(np.count_nonzero(np.triu(w, 1)))
+
+
+def _reference_graph6(w):
+    """graph6 of a small unweighted matrix, written bit by bit from the
+    format: size byte, then the upper triangle column by column."""
+    n = w.shape[0]
+    bits = [int(w[i, j] > 0) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [63 + int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
+    return bytes([63 + n] + body).decode("ascii")
+
+
+@st.composite
+def dense_graphs(draw):
+    """A symmetric zero-diagonal weight matrix on 1..12 nodes, unweighted or
+    with integer or real weights."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < p, 1).astype(float)
+    kind = draw(st.sampled_from(("unweighted", "integer", "real")))
+    if kind == "integer":
+        upper *= rng.integers(1, 5, size=(n, n))
+    elif kind == "real":
+        upper *= rng.uniform(0.01, 10.0, size=(n, n))
+    return upper + upper.T, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_graphs())
+def test_every_construction_path_matches_dense_reference(case):
+    w, rng = case
+    n = w.shape[0]
+    _assert_matches_dense(Graph.from_dense(w), w)
+    iu, ju = np.nonzero(np.triu(w, 1))
+    links = [(int(i), int(j), float(w[i, j])) for i, j in zip(iu, ju)]
+    # any order and orientation
+    shuffled = [links[k] for k in rng.permutation(len(links))]
+    shuffled = [(j, i, x) if rng.random() < 0.5 else (i, j, x) for i, j, x in shuffled]
+    _assert_matches_dense(Graph.from_edges(n, shuffled), w)
+    text = f"n={n}\n" + "".join(f"{i} {j} {x!r}\n" for i, j, x in shuffled)
+    _assert_matches_dense(parse_weighted_edge_list(text), w)
+    unweighted = (w > 0).astype(float)
+    _assert_matches_dense(parse_graph6(_reference_graph6(unweighted)), unweighted)
+    assert encode_graph6(Graph.from_dense(unweighted)) == _reference_graph6(unweighted)
+    g = Graph.from_dense(w)
+    absent = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i, j] == 0]
+    if absent:
+        i, j = absent[int(rng.integers(len(absent)))]
+        x = float(rng.uniform(0.5, 2.0))
+        expected = w.copy()
+        expected[i, j] = expected[j, i] = x
+        _assert_matches_dense(add_link(g, j, i, x) if rng.random() < 0.5
+                              else add_link(g, i, j, x), expected)
+    if len(links) >= 2:
+        h = Graph.from_dense(unweighted)
+        (a, b, _), (c, d, _) = (links[k] for k in rng.choice(len(links), 2, replace=False))
+        if len({a, b, c, d}) == 4:
+            free = [((a, c), (b, d)), ((a, d), (b, c))]
+            free = [pair for pair in free if all(unweighted[e] == 0 for e in pair)]
+            if not free:
+                with pytest.raises(RewireConflict):
+                    dpr_rewire(h, (a, b), (c, d))
+            else:
+                expected = unweighted.copy()
+                expected[a, b] = expected[b, a] = expected[c, d] = expected[d, c] = 0.0
+                for u, v in free[0]:
+                    expected[u, v] = expected[v, u] = 1.0
+                _assert_matches_dense(dpr_rewire(h, (a, b), (c, d)), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_graphs(), st.sampled_from(("asymmetric", "diagonal", "negative", "nan", "inf")))
+def test_validate_rejects_invalid_matrices(case, fault):
+    w, rng = case
+    n = w.shape[0]
+    w = w.copy()
+    i, j = (int(x) for x in rng.integers(n, size=2))
+    if fault == "diagonal" or n == 1:
+        w[i, i] = 1.0
+    elif fault == "asymmetric":
+        j = (i + 1 + j % (n - 1)) % n  # j != i
+        w[i, j] += 0.5
+    else:
+        w[i, j] = w[j, i] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[fault]
+    with pytest.raises(InvalidGraph):
+        Graph.from_dense(w).validate()
+
+
+def test_dense_view_is_capped():
+    g = generate(f"path:{DENSE_CAP + 1}")
+    with pytest.raises(TooLargeForDense):
+        g.weights
+    assert g.num_links() == DENSE_CAP and g.degrees().sum() == 2 * DENSE_CAP
+
+
+def test_path_edge_list_memory(tmp_path):
+    # 2e5 nodes: a dense copy would take 320 GB; the CSR pipeline from file
+    # to q stays within 100 MB of traced allocations
+    n = 200_000
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        result = sde(load_edge_list(path), lambda1=analytic_lambda1(f"path:{n}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20, peak
+    assert abs(result.q - path_q_exact(n)) <= 1e-7 * result.q

@@ -282,7 +282,7 @@ def reference_bridge_count(g):
             continue
         w = g.weights.copy()
         w[i, j] = w[j, i] = 0.0
-        bridges += len(connected_components(Graph(w))) > components
+        bridges += len(connected_components(Graph.from_dense(w))) > components
     return bridges
 
 
@@ -303,7 +303,7 @@ def hub_graphs(draw):
         w[isolated, :] = w[:, isolated] = 0.0
         w[hub, :] = w[:, hub] = 0.0
         w[hub, others[:hub_degree]] = w[others[:hub_degree], hub] = 1.0
-    return Graph(w)
+    return Graph.from_dense(w)
 
 
 @settings(max_examples=150, deadline=None)

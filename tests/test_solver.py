@@ -344,7 +344,7 @@ def test_f1_rounding_follows_distance_from_lambda1(spread):
 def complete_with_heavy_link(n, weight):
     adjacency = np.ones((n, n)) - np.eye(n)
     adjacency[0, 1] = adjacency[1, 0] = weight
-    return Graph(adjacency)
+    return Graph.from_dense(adjacency)
 
 
 def test_newton_certifies_perturbed_complete_graph():

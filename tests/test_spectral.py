@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import cycle_graph, random_er
 from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
-                      full_spectrum, generate, generate_sparse, spectral_radius)
+                      full_spectrum, generate, spectral_radius)
 from sdegraph.cli import main
 from sdegraph.spectral import DENSE_LAMBDA1_CAP
 
@@ -35,12 +35,12 @@ def test_fork_radius_exactly_two():
 
 
 def test_sparse_operator_matches_dense():
-    # one graph on each side of the dense / Lanczos crossover
+    # above the dense / Lanczos crossover: Lanczos on the stored CSR against
+    # dense eigvalsh on the dense view of the same graph
     assert 40 <= DENSE_LAMBDA1_CAP < 400
-    for spec in ("lollipop:40", "lollipop:400"):
-        a = generate_sparse(spec)
-        g = Graph(a.toarray())
-        assert abs(spectral_radius(a) - spectral_radius(g)) < 1e-11
+    g = generate("lollipop:400")
+    assert g.n > DENSE_LAMBDA1_CAP
+    assert abs(spectral_radius(g) - np.linalg.eigvalsh(g.weights)[-1]) < 1e-11
 
 
 def test_full_spectrum_k2():
@@ -88,7 +88,7 @@ def test_lanczos_agrees_with_dense(rng):
     er, ba = random_er(rng, 150, 0.05), ba_graph(150, 3, rng)
     disjoint = np.zeros((300, 300))
     disjoint[:150, :150], disjoint[150:, 150:] = er.weights, ba.weights
-    graphs.append(Graph(disjoint))
+    graphs.append(Graph.from_dense(disjoint))
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
         lam_l = spectral_radius(g, tol=1e-12)
@@ -102,7 +102,7 @@ def test_rayleigh_and_gershgorin_bounds(rng):
         g = random_er(rng, n, 0.5)
         if rng.random() < 0.5:  # weighted variant
             w = g.weights * rng.uniform(0.5, 3.0)
-            g = Graph((w + w.T) / 2)
+            g = Graph.from_dense((w + w.T) / 2)
         lam = spectral_radius(g)
         degs = g.degrees()
         assert degs.mean() <= lam + 1e-9
