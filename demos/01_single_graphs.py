@@ -3,8 +3,7 @@
 Run: python demos/01_single_graphs.py
 """
 from sdegraph import (Graph, bounds, classify, degree_sequence, f1, generate,
-                      probabilistic_residual, sde, solve_bisection,
-                      solve_recursion, spectral_radius)
+                      sde, solve_bisection, solve_recursion, spectral_radius)
 
 # The exponent q solves lambda1 = ((1/N) sum d_i^q)^(1/q). Take the path
 # with a double fork at each end: its spectral radius is exactly 2 no
@@ -34,7 +33,6 @@ print(f"bounds: {b.lower:.4f} <= q <= {b.sharpened_upper:.4f} <= {b.upper:.4f}")
 
 # f1 is the log-domain root function; it vanishes at the solution.
 print(f"f1 at the root: {f1(result.q, ds, lam):.2e}")
-print(f"probabilistic-form residual: {probabilistic_residual(g, result.q):.2e}")
 
 # Extremal cases. Biregularity is read from the degrees: every degree is
 # d_max or d_min and every link joins the two classes (kbip:3:4).

@@ -26,9 +26,8 @@ from .io import (encode_graph6, load_edge_list, parse_graph6,
                  write_records_csv)
 from .metrics import (METRIC_NAMES, assortativity, metric_suite, pearson,
                       transitivity)
-from .solver import (Q_MAX, SdeBounds, SdeResult, bounds, f1,
-                     probabilistic_residual, sde, solve_bisection, solve_newton,
-                     solve_recursion)
+from .solver import (Q_MAX, SdeBounds, SdeResult, bounds, f1, sde, solve_bisection,
+                     solve_newton, solve_recursion)
 from .spectral import Spectrum, full_spectrum, spectral_radius
 
 __version__ = "0.1.0"
@@ -47,7 +46,7 @@ __all__ = [
     "fork_q_constant", "full_spectrum", "generate", "load_edge_list",
     "lollipop_limit_lambda1", "lollipop_q_asymptotic", "metric_suite", "parse_family", "parse_graph6",
     "parse_weighted_edge_list", "path_q_asymptotic", "path_q_exact", "pearson",
-    "probabilistic_residual", "read_graph6_file", "read_records_csv", "sde",
+    "read_graph6_file", "read_records_csv", "sde",
     "solve_bisection", "solve_newton", "solve_recursion", "spectral_radius", "transitivity",
     "wheel_limit_check", "write_records_csv",
 ]

@@ -345,7 +345,7 @@ def fork_q_constant(tol: float = 1e-12) -> float:
 def lollipop_limit_lambda1() -> float:
     """Limiting spectral radius of the lollipop family, computed once at
     N = 1e4 (convergence in N is extremely fast); approx 2.9021160."""
-    return spectral_radius(generate(FamilySpec("lollipop", (10_000,))), tol=1e-12)
+    return spectral_radius(generate(FamilySpec("lollipop", (10_000,))))
 
 
 def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
@@ -370,7 +370,7 @@ def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
     if n < 5:
         raise BadSpec("wheel limit check needs N >= 5")
     g = generate(FamilySpec("wheel", (n,)))
-    lam = spectral_radius(g, tol=1e-12)
+    lam = spectral_radius(g)
     lam_exact = 1.0 + math.sqrt(n)
     if abs(lam - lam_exact) > 1e-9 * lam_exact:
         raise InvalidGraph(

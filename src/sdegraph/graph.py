@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (InvalidGraph, LinkExists, RewireConflict, SelfLoop,
                      TooLargeForDense)
 
-DEFAULT_TOL_DEG = 1e-9
+# relative tolerance under which two weighted degrees count as equal
+TOL_DEG = 1e-9
 # largest n whose dense n x n view (Graph.weights) may be built
 DENSE_CAP = 2048
 
@@ -174,8 +175,8 @@ class DegreeSequence:
     """Degree histogram: the distinct weighted degrees ``values`` in
     descending order and the number of nodes at each, ``counts``.
 
-    ``c`` counts the nodes attaining the maximum degree under the tolerance
-    used at construction; ``d2`` is the largest degree below those c nodes
+    ``c`` counts the nodes attaining the maximum degree (within ``TOL_DEG``
+    for non-integral degrees); ``d2`` is the largest degree below those c nodes
     (NaN for regular graphs).
     """
 
@@ -202,21 +203,19 @@ class DegreeSequence:
         return float(self.values[np.cumsum(self.counts) > self.c][0])
 
 
-def degree_sequence(degrees, tol_deg: float = DEFAULT_TOL_DEG) -> DegreeSequence:
+def degree_sequence(degrees) -> DegreeSequence:
     """Degree histogram of a degree array, e.g. ``degree_sequence(g.degrees())``.
 
     When every degree is integral the max-degree multiplicity uses exact
-    comparison; otherwise degrees within relative ``tol_deg`` of d_max count
+    comparison; otherwise degrees within relative ``TOL_DEG`` of d_max count
     toward the multiplicity.
     """
-    if not (0 < tol_deg <= 1e-3):
-        raise InvalidGraph("tol_deg must be in (0, 1e-3]")
     values, counts = np.unique(np.asarray(degrees, dtype=float), return_counts=True)
     values, counts = values[::-1], counts[::-1]
     if (values == np.rint(values)).all():
         c = int(counts[0])
     else:
-        c = int(counts[values >= values[0] * (1 - tol_deg)].sum())
+        c = int(counts[values >= values[0] * (1 - TOL_DEG)].sum())
     return DegreeSequence(values=values, counts=counts, c=c)
 
 
@@ -286,12 +285,13 @@ def _max_clique_component(g: Graph, comps: list[set[int]],
     return None
 
 
-def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
+def classify(g: Graph) -> GraphClass:
     """Structural class of ``g`` in priority order Regular > Biregular >
     MaxCliqueComponent > Generic.
 
     Regularity makes the SDE undefined regardless of any other structure, so
-    it is tested first. Biregularity is decided from the degrees: a
+    it is tested first; degrees within tol = ``TOL_DEG`` * max(d_max, 1)
+    count as equal. Biregularity is decided from the degrees: a
     non-regular graph with no isolated node is biregular exactly when every
     degree lies within tol of d_max (the high class) or within tol of d_min
     (the low class) and every positive link joins the two classes. Then the
@@ -304,7 +304,7 @@ def classify(g: Graph, tol_deg: float = DEFAULT_TOL_DEG) -> GraphClass:
     """
     degs = g.degrees()
     d_max, d_min = float(degs.max()), float(degs.min())
-    tol = tol_deg * max(d_max, 1.0)
+    tol = TOL_DEG * max(d_max, 1.0)
     if d_max - d_min <= tol:
         return Regular(degree=d_max)
     high = d_max - degs <= tol

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (DuplicateLink, MalformedGraph6, NegativeWeight, ParseError,
                      SelfLoop, WeightedUnsupported)
 from .graph import Graph
+from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
 _G6_MAX_N = 258047  # largest node count of the four-byte size form
@@ -190,25 +191,20 @@ def format_value(v) -> str:
     return format(x, ".12g")
 
 
-def write_records_csv(records, path, names=None) -> None:
-    """Write metric records as UTF-8 CSV with LF line endings.
-
-    ``names`` fixes the column order; by default the frozen metric-name
-    list from :mod:`sdegraph.metrics` is used. All records must carry the
-    same name set.
+def write_records_csv(records, path) -> None:
+    """Write metric records as UTF-8 CSV with LF line endings, in the
+    column order of the frozen metric-name list. Every record must carry
+    exactly those names.
     """
-    if names is None:
-        from .metrics import METRIC_NAMES
-        names = METRIC_NAMES
     for rec in records:
-        if set(rec) != set(names):
+        if set(rec) != set(METRIC_NAMES):
             raise ParseError("records must share the same metric-name set")
 
     def _write(fh):
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
+        writer.writerow(METRIC_NAMES)
         for rec in records:
-            writer.writerow([format_value(rec[name]) for name in names])
+            writer.writerow([format_value(rec[name]) for name in METRIC_NAMES])
 
     if hasattr(path, "write"):
         _write(path)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConstantSeries, DisconnectedInput, InputError,
                      NumericalError, UndefinedAssortativity, WeightedUnsupported)
 from .graph import Graph
-from .solver import SdeResult, sde
+from .solver import DEFAULT_TOL_Q, sde
 from .spectral import Spectrum, full_spectrum
 
 # largest padded neighbourhood stack (B * k * k entries, 1 MB as float32)
@@ -166,11 +166,6 @@ def _global_efficiency(dist: np.ndarray) -> float:
     return float(inv.sum()) / (n * (n - 1))
 
 
-def global_efficiency(g: Graph) -> float:
-    """Mean inverse shortest-path length over ordered node pairs."""
-    return _global_efficiency(bfs_distances(g.weights > 0))
-
-
 def local_efficiency(g: Graph) -> float:
     """Mean over nodes of the global efficiency of the neighbour-induced
     subgraph; nodes with fewer than two neighbours contribute 0.
@@ -281,12 +276,9 @@ def spanning_tree_count(spectrum: Spectrum, n: int) -> float:
     return float(rounded)
 
 
-def metric_suite(g: Graph, spectrum: Spectrum | None = None,
-                 sde_result: SdeResult | None = None,
-                 tol_q: float = 1e-9) -> dict[str, float]:
+def metric_suite(g: Graph, tol_q: float = DEFAULT_TOL_Q) -> dict[str, float]:
     """Full metric record for one connected unweighted graph.
 
-    ``spectrum`` and ``sde_result`` may be precomputed by batch callers.
     Assortativity of a regular graph is recorded as NaN (it is undefined,
     exactly like sde_q).
     """
@@ -298,10 +290,8 @@ def metric_suite(g: Graph, spectrum: Spectrum | None = None,
         raise DisconnectedInput("distance metrics require a connected graph")
     n = g.n
     degs = g.degrees()
-    if spectrum is None:
-        spectrum = full_spectrum(g)
-    if sde_result is None:
-        sde_result = sde(g, lambda1=spectrum.lambda1, tol_q=tol_q)
+    spectrum = full_spectrum(g)
+    q = sde(g, lambda1=spectrum.lambda1, tol_q=tol_q).q
     ae = spectrum.adjacency
     mu = spectrum.laplacian
     try:
@@ -334,6 +324,6 @@ def metric_suite(g: Graph, spectrum: Spectrum | None = None,
         "estrada_index": float(np.exp(ae).sum()),
         "num_spanning_trees": spanning_tree_count(spectrum, n),
         "max_laplacian_eigenvalue": float(mu[0]),
-        "sde_q": sde_result.q,
+        "sde_q": q,
     }
     return record

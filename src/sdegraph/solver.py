@@ -6,20 +6,20 @@ the degree histogram (:class:`DegreeSequence`: distinct degrees and their
 counts) relative to lambda1, so degree powers never overflow, rounding
 stays in proportion to how far the degrees are from lambda1, and each
 evaluation costs O(distinct degrees). f1 is concave, because log-sum-exp is
-convex, and f1 <= 0 at the closed-form upper bound q0, so the default
-solver, Newton's method started at q0, decreases monotonically to the root
-and stops on a certified bracket [q - tol_q, q]. q0 is only a bound: q is
+convex, and f1 <= 0 at the closed-form upper bound q0, so Newton's method
+started at q0 decreases monotonically to the root and stops on a certified
+bracket [q - tol_q, q]. q0 is only a bound: q is
 reported infinite only where lambda1 reaches d_max or f1(Q_MAX) > 0.
-Bisection (the test oracle) and the paper's fixed-point recursion
-(Aitken-accelerated) remain selectable, next to the bound computations and
-the structural-classification shortcuts.
+:func:`sde` classifies the graph first (regular, biregular and max-clique
+component need no solve) and runs Newton otherwise. Bisection (the test
+oracle, and ``sde(verify=True)``'s cross-check) and the paper's fixed-point
+recursion (with Aitken extrapolation, on the same f1) are callable on a degree
+histogram, next to the closed-form bounds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from .graph import (Biregular, DegreeSequence, Graph, MaxCliqueComponent, Regular,
@@ -34,12 +34,12 @@ _EPS = 2.0 ** -52  # float64 machine epsilon
 _NEWTON_MAX_STEPS = 100
 # converged iterates that may fail the certificate before Newton gives up
 _NEWTON_RETRIES = 5
+_RECURSION_MAX_STEPS = 100
 
 METHOD_NEWTON = "newton"
 METHOD_BISECTION = "bisection"
 METHOD_RECURSION = "recursion"
 METHOD_CLASSIFIED = "classified"
-METHOD_FALLBACK = "bisection_fallback"
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,8 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
                  tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
     """Newton's method on f1, started at q0 = log(N/c_top)/log(d_max/lambda1).
 
-    c_top counts the nodes at exactly d_max (``ds.c`` unless ``tol_deg``
-    merged near-ties); a start above Q_MAX moves down to Q_MAX when
+    c_top counts the nodes at exactly d_max (``ds.c`` unless
+    :func:`degree_sequence` merged near-ties); a start above Q_MAX moves down to Q_MAX when
     f1(Q_MAX) <= 0. f1 is concave (log-sum-exp is convex) and f1 <= 0 at the
     start, so every Newton step moves left and never passes the root: the
     iterates decrease monotonically to it (up to rounding at the root), with
@@ -298,116 +298,66 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
         f"Newton's method did not certify q within {_NEWTON_MAX_STEPS} steps")
 
 
-def _recursion_map(ds: DegreeSequence, lambda1: float):
-    """The fixed-point map F(q) behind the recursion, in the log domain.
-
-    F(q) = -log1p(S(q)/N)/log(d_max/lambda1), where
-    S(q) = c + sum (d_i/d_max)^q - N is summed as expm1 terms over the
-    positive distinct degrees below the c nodes at d_max, less the isolated
-    nodes: with log1p throughout, the rounding stays in proportion to how
-    far the degrees are from d_max.
-    """
-    denom = math.log1p((ds.d_max - lambda1) / lambda1)
-    n, c = ds.n, ds.c
-    rest = (np.cumsum(ds.counts) > c) & (ds.values > 0)
-    counts = ds.counts[rest]
-    zeros = n - c - int(counts.sum())
-    log_ratio = np.log1p((ds.values[rest] - ds.d_max) / ds.d_max)  # all negative
-
-    def F(q: float) -> float:
-        s = float(counts @ np.expm1(q * log_ratio)) - zeros
-        return -math.log1p(s / n) / denom
-
-    return F
-
-
 def solve_recursion(ds: DegreeSequence, lambda1: float,
-                    tol_q: float = DEFAULT_TOL_Q, max_iter: int = 1000,
-                    accelerate: bool = True) -> SdeResult:
-    """Fixed-point recursion q_k = [log N - log(c + sum (d_i/d_max)^q_{k-1})]
-    / log(d_max/lambda1), started from the upper bound q0.
+                    tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
+    """The paper's fixed-point recursion
+    q_k = [log N - log(c + sum (d_i/d_max)^q_{k-1})] / log(d_max/lambda1),
+    started from the upper bound q0, with Aitken's delta-squared
+    extrapolation at each step (Steffensen's method), since the plain map
+    contracts only linearly, at rates that can approach 1.
 
-    The plain map contracts only linearly (rate can approach 1), so by
-    default each step applies Aitken's delta-squared extrapolation to the
-    map (Steffensen's method); ``iterations`` counts map evaluations either
-    way. ``accelerate=False`` runs the literal recursion. Oscillation or
-    exhaustion of ``max_iter`` falls back to bisection.
+    The numerator equals f1(q) + q*log(d_max/lambda1), so the map is
+    F(q) = q + f1(q)/log(d_max/lambda1), evaluated on the degree histogram
+    relative to lambda1 like f1 itself. ``iterations`` counts map
+    evaluations. Raises NoConvergence after ``_RECURSION_MAX_STEPS`` steps.
     """
     early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
-    F = _recursion_map(ds, lambda1)
+    evaluate, _ = _f1_on_histogram(ds, lambda1)
+    rho_max = math.log1p((ds.d_max - lambda1) / lambda1)
+
+    def F(q: float) -> float:
+        return q + evaluate(q)[0] / rho_max
+
     hi_clamp = max(q0, 2.0)
-    evals = 0
-
-    if accelerate:
-        p0 = q0
-        for _ in range(max_iter):
-            p1 = F(p0)
-            p2 = F(p1)
-            evals += 2
-            d2 = p2 - 2.0 * p1 + p0
-            p_new = p2 if d2 == 0.0 else p0 - (p1 - p0) ** 2 / d2
-            p_new = min(max(p_new, 2.0), hi_clamp)
-            if abs(p_new - p0) <= tol_q:
-                return SdeResult(p_new, METHOD_RECURSION, iterations=evals,
-                                 residual=abs(f1(p_new, ds, lambda1)))
-            p0 = p_new
-    else:
-        q_prev2 = math.inf
-        q_prev = q0
-        osc = 0
-        for _ in range(max_iter):
-            q = F(q_prev)
-            evals += 1
-            if abs(q - q_prev) <= tol_q:
-                return SdeResult(q, METHOD_RECURSION, iterations=evals,
-                                 residual=abs(f1(q, ds, lambda1)))
-            if abs(q - q_prev2) <= tol_q:
-                osc += 1
-                if osc >= 3:
-                    break  # two-cycle: fall back
-            else:
-                osc = 0
-            q_prev2, q_prev = q_prev, q
-
-    fallback = solve_bisection(ds, lambda1, tol_q=tol_q)
-    return replace(fallback, method=METHOD_FALLBACK,
-                   iterations=evals + fallback.iterations)
+    p0 = q0
+    for k in range(1, _RECURSION_MAX_STEPS + 1):
+        p1 = F(p0)
+        p2 = F(p1)
+        d2 = p2 - 2.0 * p1 + p0
+        p_new = p2 if d2 == 0.0 else p0 - (p1 - p0) ** 2 / d2
+        p_new = min(max(p_new, 2.0), hi_clamp)
+        if abs(p_new - p0) <= tol_q:
+            return SdeResult(p_new, METHOD_RECURSION, iterations=2 * k,
+                             residual=abs(evaluate(p_new)[0]))
+        p0 = p_new
+    raise NoConvergence(
+        f"the recursion did not converge within {_RECURSION_MAX_STEPS} steps")
 
 
-def sde(g: Graph, *, method: str = METHOD_NEWTON, tol_q: float = DEFAULT_TOL_Q,
-        tol_deg: float = 1e-9, lambda1: float | None = None,
-        spectral_tol: float = 1e-12, verify: bool = False) -> SdeResult:
+def sde(g: Graph, *, tol_q: float = DEFAULT_TOL_Q, lambda1: float | None = None,
+        verify: bool = False) -> SdeResult:
     """Spectral degree exponent of a graph.
 
     Orchestration: regular graphs are Undefined (NaN), a max-clique
     component gives Infinite, biregular graphs are classified to exactly 2;
     anything else computes lambda1 (spectral_radius unless supplied) and
-    runs the configured solver, Newton's method by default.
-    ``verify=True`` cross-checks the result against bisection (bisection
-    against Newton) and raises NoConvergence on disagreement.
+    runs Newton's method. ``verify=True`` cross-checks the result against
+    bisection and raises NoConvergence on disagreement.
     """
-    cls = classify(g, tol_deg)
+    cls = classify(g)
     if isinstance(cls, Regular):
         return SdeResult(math.nan, METHOD_CLASSIFIED, note="regular")
     if isinstance(cls, MaxCliqueComponent):
         return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-clique component")
     if isinstance(cls, Biregular):
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
-    ds = degree_sequence(g.degrees(), tol_deg)
-    lam = spectral_radius(g, tol=spectral_tol) if lambda1 is None else lambda1
-    if method == METHOD_NEWTON:
-        result = solve_newton(ds, lam, tol_q=tol_q)
-    elif method == METHOD_BISECTION:
-        result = solve_bisection(ds, lam, tol_q=tol_q)
-    elif method == METHOD_RECURSION:
-        result = solve_recursion(ds, lam, tol_q=tol_q)
-    else:
-        raise InvalidGraph(f"unknown solver method {method!r}")
+    ds = degree_sequence(g.degrees())
+    lam = spectral_radius(g) if lambda1 is None else lambda1
+    result = solve_newton(ds, lam, tol_q=tol_q)
     if verify:
-        other = (solve_newton if method == METHOD_BISECTION
-                 else solve_bisection)(ds, lam, tol_q=tol_q)
+        other = solve_bisection(ds, lam, tol_q=tol_q)
         both_finite = result.is_finite and other.is_finite
         if both_finite and abs(result.q - other.q) > 2 * tol_q:
             raise NoConvergence(
@@ -415,17 +365,3 @@ def sde(g: Graph, *, method: str = METHOD_NEWTON, tol_q: float = DEFAULT_TOL_Q,
         if result.is_infinite != other.is_infinite:
             raise NoConvergence("solver cross-check failed: inf mismatch")
     return result
-
-
-def probabilistic_residual(g: Graph, q: float, lambda1: float | None = None) -> float:
-    """Consistency check of a solved q through the degree distribution.
-
-    Evaluates |q*log(lambda1) - log(sum_k Pr[D=k] k^q)| where Pr[D=k] is the
-    empirical degree distribution — the log-domain gap between the two sides
-    of the probabilistic form of the defining equation, which is |f1(q)| on
-    the degree histogram.
-    """
-    if not math.isfinite(q):
-        raise InvalidGraph("q must be finite")
-    lam = spectral_radius(g) if lambda1 is None else lambda1
-    return abs(f1(q, degree_sequence(g.degrees()), lam))

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGraph, NoConvergence, TooLargeForDense
-from .graph import DENSE_CAP, Graph
+from .errors import NoConvergence
+from .graph import Graph
 
 # largest n whose lambda1 comes from dense eigvalsh; measured break-even with
 # Lanczos on ER, BA and lollipop graphs (the path favours eigvalsh up to ~700)
 DENSE_LAMBDA1_CAP = 192
-DEFAULT_TOL = 1e-12
+# Lanczos residual bound on lambda1, relative to max(1, d_max)
+TOL_LAMBDA1 = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,12 @@ class Spectrum:
         return float(self.adjacency[0])
 
 
-def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Largest adjacency eigenvalue, absolute error <= tol * max(1, d_max).
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue, absolute error <= TOL_LAMBDA1 * max(1, d_max).
 
     Above ``DENSE_LAMBDA1_CAP`` nodes, Lanczos failing or a residual
-    ``||A v - lambda v|| > tol * max(1, d_max)`` raises NoConvergence.
+    ``||A v - lambda v|| > TOL_LAMBDA1 * max(1, d_max)`` raises NoConvergence.
     """
-    if not (0 < tol <= 1e-6):
-        raise InvalidGraph("tol must be in (0, 1e-6]")
     n = g.n
     d_max = float(g.degrees().max())
     if d_max == 0.0:
@@ -71,16 +70,15 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> float:
     # summed Rayleigh quotient is limited only by the roundoff in A v
     lam = math.fsum(v * av) / math.fsum(v * v)
     resid = float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
-    if resid > tol * max(1.0, d_max):
-        raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds tol={tol} "
+    if resid > TOL_LAMBDA1 * max(1.0, d_max):
+        raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds {TOL_LAMBDA1} "
                             f"times max(1, d_max) (lambda1={lam})")
     return lam
 
 
-def full_spectrum(g: Graph, dense_cap: int = DENSE_CAP) -> Spectrum:
-    """All adjacency and Laplacian eigenvalues, from the dense view."""
-    if g.n > dense_cap:
-        raise TooLargeForDense(f"n={g.n} exceeds the dense cap {dense_cap}")
+def full_spectrum(g: Graph) -> Spectrum:
+    """All adjacency and Laplacian eigenvalues, from the dense view
+    (TooLargeForDense above ``DENSE_CAP`` nodes)."""
     w = g.weights
     adj = np.linalg.eigvalsh(w)[::-1]
     lap = np.linalg.eigvalsh(np.diag(g.degrees()) - w)[::-1]

@@ -240,13 +240,13 @@ def test_criterion_8_wheel_limit():
 def test_criterion_9_lollipop_asymptotics():
     with criterion(9, 300.0, "lollipop: lambda1 -> 2.902 by N=1e3; q-vs-logN "
                              "slope within 5% of 1/(log3 - log lambda1)"):
-        lam_1000 = spectral_radius(generate("lollipop:1000"), tol=1e-12)
+        lam_1000 = spectral_radius(generate("lollipop:1000"))
         assert abs(lam_1000 - 2.902) <= 1e-3
         qs = []
         ns = (1000, 10000, 100000)
         for n in ns:
             g = generate(f"lollipop:{n}")
-            lam = spectral_radius(g, tol=1e-12)
+            lam = spectral_radius(g)
             ds = degree_sequence(g.degrees())
             qs.append(solve_bisection(ds, lam).q)
         slope = np.polyfit(np.log(np.array(ns, dtype=float)), np.array(qs), 1)[0]

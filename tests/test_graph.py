@@ -134,14 +134,6 @@ def test_degree_sequence_weighted_triangle():
     assert ds.d2 == 2
 
 
-def test_degree_sequence_tolerance_bounds():
-    g = generate("star:5")
-    with pytest.raises(InvalidGraph):
-        degree_sequence(g.degrees(), tol_deg=0.0)
-    with pytest.raises(InvalidGraph):
-        degree_sequence(g.degrees(), tol_deg=1e-2)
-
-
 def test_classify_cycle_regular():
     cls = classify(cycle_graph(6))
     assert isinstance(cls, Regular)

@@ -12,7 +12,7 @@ from conftest import cycle_graph, k4_plus_p3, random_er
 from sdegraph import (AllDegreesZero, Graph, InvalidGraph, NoConvergence, Q_MAX,
                       RegularGraph, bounds, degree_sequence,
                       f1, fork_q_constant,
-                      SdeResult, full_spectrum, generate, probabilistic_residual, sde,
+                      SdeResult, full_spectrum, generate, sde,
                       solve_bisection, solve_newton, solve_recursion,
                       spectral_radius)
 
@@ -356,7 +356,7 @@ def test_newton_certifies_perturbed_complete_graph():
     assert r.method == "newton" and r.is_finite
     ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
     assert f1(r.q, ds, lam) <= 0.0 < f1(r.q - TOL_Q, ds, lam)
-    assert abs(r.q - sde(g, method="bisection").q) <= TOL_Q
+    assert abs(r.q - solve_bisection(ds, lam).q) <= TOL_Q
     assert 2.6 < r.q < 2.6003
 
 
@@ -373,7 +373,7 @@ def test_newton_refuses_perturbed_complete_graph_it_cannot_certify():
     assert len(calls) < 40
     with pytest.raises(NoConvergence):
         sde(g)
-    assert sde(g, method="bisection").is_finite
+    assert solve_bisection(ds, lam).is_finite
 
 
 def exact_root(ds, lam):
@@ -438,26 +438,46 @@ def test_recursion_star_starts_at_upper_bound():
     assert q0 > r.q  # the start value is an upper bound
 
 
-def test_recursion_plain_mode(rng):
-    g = connected_er(rng, 30, 0.3)
-    ds, lam = _ds_lam(g)
-    qb = solve_bisection(ds, lam).q
-    rp = solve_recursion(ds, lam, tol_q=1e-9, max_iter=100000, accelerate=False)
-    assert rp.method == "recursion"
-    assert abs(rp.q - qb) <= 1e-6  # linear contraction: looser guarantee
-
-
-def test_recursion_fallback_on_iteration_budget(rng):
-    g = connected_er(rng, 30, 0.3)
-    ds, lam = _ds_lam(g)
-    r = solve_recursion(ds, lam, max_iter=2, accelerate=False)
-    assert r.method == "bisection_fallback"
-    assert abs(r.q - solve_bisection(ds, lam).q) <= 2e-9
-
-
 def test_recursion_infinite_guard():
     ds = degree_sequence(k4_plus_p3().degrees())
     assert solve_recursion(ds, 3.0).is_infinite
+
+
+@pytest.mark.parametrize("spec", ["fork:9", "ER(50, 0.2)"])
+def test_recursion_map_is_the_papers_formula(spec, rng):
+    # the paper's recursion, with the degrees d_1 >= ... >= d_N and the c
+    # nodes at d_max first, is
+    # q_k = [log N - log(c + sum_{i > c} (d_i/d_max)^q_{k-1})] / log(d_max/lambda1);
+    # its right-hand side equals q + f1(q)/log(d_max/lambda1), the map
+    # solve_recursion iterates, and the solved q is its fixed point
+    if spec == "fork:9":
+        g, lam = generate(spec), 2.0
+    else:
+        g = connected_er(rng, 50, 0.2)
+        lam = full_spectrum(g).lambda1
+    ds = degree_sequence(g.degrees())
+    d = sorted(g.degrees().tolist(), reverse=True)
+    n, d_max = len(d), d[0]
+    c = d.count(d_max)
+
+    def paper(q):
+        return ((math.log(n) - math.log(c + sum((d_i / d_max) ** q for d_i in d[c:])))
+                / math.log(d_max / lam))
+
+    for q in (2.0, 3.0, 7.0):
+        assert abs(q + f1(q, ds, lam) / math.log(d_max / lam) - paper(q)) <= 1e-12 * paper(q)
+    r = solve_recursion(ds, lam)
+    assert abs(paper(r.q) - r.q) <= 2e-9
+
+
+def test_recursion_raises_where_it_does_not_converge():
+    # K50 with one link of weight 1 + 1e-5 (q near 3 - 2/50): the map's
+    # rate is near 1 and its rounding swamps the steps, so the recursion
+    # raises instead of returning an uncertified number
+    g = complete_with_heavy_link(50, 1 + 1e-5)
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
+    with pytest.raises(NoConvergence, match="recursion"):
+        solve_recursion(ds, lam)
 
 
 # sde orchestration
@@ -502,36 +522,43 @@ def test_sde_defaults_to_newton(rng):
     g = connected_er(rng, 25, 0.3)
     r = sde(g)
     assert r.method == "newton" and r.iterations > 0
-    assert sde(g, method="bisection").method == "bisection"
-    assert sde(g, method="recursion").method == "recursion"
-    assert abs(r.q - sde(g, method="bisection").q) <= TOL_Q
+    ds, lam = _ds_lam(g, spectral_radius(g))
+    assert solve_bisection(ds, lam).method == "bisection"
+    assert solve_recursion(ds, lam).method == "recursion"
+    assert abs(r.q - solve_bisection(ds, lam).q) <= TOL_Q
 
 
 def test_sde_methods_agree(rng):
     g = connected_er(rng, 25, 0.3)
-    qb = sde(g, method="bisection").q
-    qr = sde(g, method="recursion").q
+    ds, lam = _ds_lam(g, spectral_radius(g))
+    qb = solve_bisection(ds, lam).q
+    qr = solve_recursion(ds, lam).q
     assert abs(qb - qr) <= 2e-9
 
 
-# probabilistic form
+# probabilistic form: |q*log(lambda1) - log(sum_k Pr[D=k] k^q)|, with the
+# empirical degree distribution Pr[D=k], is |f1(q)| on the degree histogram
+
+
+def probabilistic_residual(g, q, lam):
+    return abs(f1(q, degree_sequence(g.degrees()), lam))
 
 
 def test_probabilistic_residual_at_root(rng):
     g = connected_er(rng, 30, 0.25)
     lam = full_spectrum(g).lambda1
     q = sde(g, lambda1=lam).q
-    assert probabilistic_residual(g, q, lambda1=lam) <= 1e-8
+    assert probabilistic_residual(g, q, lam) <= 1e-8
 
 
 def test_probabilistic_residual_biregular():
     g = generate("kbip:2:3")
-    assert probabilistic_residual(g, 2.0, lambda1=math.sqrt(6)) <= 1e-12
+    assert probabilistic_residual(g, 2.0, math.sqrt(6)) <= 1e-12
 
 
 def test_probabilistic_residual_off_root():
     g = generate("path:5")
-    assert probabilistic_residual(g, 10.0) > 0.1
+    assert probabilistic_residual(g, 10.0, spectral_radius(g)) > 0.1
 
 
 # theory-level properties

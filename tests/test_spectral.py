@@ -8,6 +8,7 @@ from conftest import cycle_graph, random_er
 from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
                       full_spectrum, generate, spectral_radius)
 from sdegraph.cli import main
+from sdegraph.graph import DENSE_CAP
 from sdegraph.spectral import DENSE_LAMBDA1_CAP
 
 
@@ -62,7 +63,7 @@ def test_full_spectrum_c4():
 
 def test_full_spectrum_dense_cap():
     with pytest.raises(TooLargeForDense):
-        full_spectrum(generate("path:10"), dense_cap=5)
+        full_spectrum(generate(f"path:{DENSE_CAP + 1}"))
 
 
 def test_spectrum_invariants(rng):
@@ -91,7 +92,7 @@ def test_lanczos_agrees_with_dense(rng):
     graphs.append(Graph.from_dense(disjoint))
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
-        lam_l = spectral_radius(g, tol=1e-12)
+        lam_l = spectral_radius(g)
         lam_d = full_spectrum(g).lambda1
         assert abs(lam_l - lam_d) <= 1e-8 * max(1.0, g.degrees().max())
 
@@ -131,7 +132,7 @@ def test_no_convergence_error(monkeypatch, tmp_path, capsys):
     n = DENSE_LAMBDA1_CAP + 10
     monkeypatch.setattr(spla, "eigsh", arpack_fails)
     with pytest.raises(NoConvergence):
-        spectral_radius(generate(f"path:{n}"), tol=1e-12)
+        spectral_radius(generate(f"path:{n}"))
     path = tmp_path / "path.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
     assert main(["compute", "--edge-list", str(path)]) == 3
@@ -146,15 +147,7 @@ def test_lanczos_residual_check(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", arpack_returns_garbage)
     with pytest.raises(NoConvergence, match="residual"):
-        spectral_radius(generate(f"path:{DENSE_LAMBDA1_CAP + 10}"), tol=1e-12)
-
-
-def test_tol_precondition():
-    from sdegraph import InvalidGraph
-    with pytest.raises(InvalidGraph):
-        spectral_radius(generate("path:5"), tol=1e-3)
-    with pytest.raises(InvalidGraph):
-        spectral_radius(generate("path:5"), tol=0.0)
+        spectral_radius(generate(f"path:{DENSE_LAMBDA1_CAP + 10}"))
 
 
 def test_bipartite_shift_correctness():
