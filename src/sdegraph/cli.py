@@ -338,7 +338,7 @@ def cmd_asymptotics(args) -> int:
         elif family == "wheel":
             q_asym = 2.0  # the proven large-N limit
         elif family == "fork":
-            q_asym = fork_q_constant(tol=1e-12)
+            q_asym = fork_q_constant()
         elif family == "lollipop":
             q_asym = lollipop_q_asymptotic(n)
         else:

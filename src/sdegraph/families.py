@@ -78,44 +78,42 @@ def parse_family(text: str) -> FamilySpec:
     raise BadSpec(f"unknown family {kind!r} (known: {', '.join(FAMILY_KINDS)})")
 
 
-# deterministic edge builders
+# deterministic link builders: (node count, i, j) with one entry per link
 
 
-def _edges_path(n: int) -> tuple[int, list]:
+def _edges_path(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     if n < 2:
         raise BadSpec("path needs N >= 2")
-    return n, [(i, i + 1) for i in range(n - 1)]
+    return n, np.arange(n - 1), np.arange(1, n)
 
 
-def _edges_wheel(n: int) -> tuple[int, list]:
+def _edges_wheel(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     # hub is node 0; rim cycle on 1..n-1
     if n < 4:
         raise BadSpec("wheel needs N >= 4")
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(i, i + 1) for i in range(1, n - 1)]
-    edges.append((1, n - 1))
-    return n, edges
+    return (n, np.r_[np.zeros(n - 1, dtype=np.int64), 1:n - 1, 1],
+            np.r_[1:n, 2:n, n - 1])
 
 
-def _edges_star(n: int) -> tuple[int, list]:
+def _edges_star(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     if n < 2:
         raise BadSpec("star needs N >= 2")
-    return n, [(0, i) for i in range(1, n)]
+    return n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
 
 
-def _edges_complete(n: int) -> tuple[int, list]:
+def _edges_complete(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     if n < 2:
         raise BadSpec("complete graph needs N >= 2")
-    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (n, *np.triu_indices(n, 1))
 
 
-def _edges_kbip(m: int, n: int) -> tuple[int, list]:
+def _edges_kbip(m: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     if m < 1 or n < 1:
         raise BadSpec("complete bipartite needs m, n >= 1")
-    return m + n, [(i, m + j) for i in range(m) for j in range(n)]
+    return m + n, np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
 
 
-def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, list]:
+def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Modular biregular construction: part-A node i links to part-B nodes
     (i*r1 + j) mod n for j = 0..r1-1; requires m*r1 divisible by n."""
     if m < 1 or n < 1 or r1 < 1:
@@ -124,43 +122,26 @@ def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, list]:
         raise BadSpec(f"r1={r1} exceeds opposite part size n={n}")
     if (m * r1) % n != 0:
         raise BadSpec(f"m*r1={m * r1} not divisible by n={n}")
-    # r1 <= n already forces the implied r2 = m*r1/n <= m
-    edges = []
-    seen = set()
-    for i in range(m):
-        for j in range(r1):
-            b = (i * r1 + j) % n
-            key = (i, b)
-            if key in seen:
-                raise BadSpec("modular construction produced a multi-link")
-            seen.add(key)
-            edges.append((i, m + b))
-    return m + n, edges
+    # r1 <= n already forces the implied r2 = m*r1/n <= m, and makes a row's
+    # r1 consecutive residues distinct, so no link repeats
+    return m + n, np.repeat(np.arange(m), r1), m + np.arange(m * r1) % n
 
 
-def _edges_fork(n: int) -> tuple[int, list]:
+def _edges_fork(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Path on N nodes with two pendant nodes at each end (N+4 nodes)."""
     if n < 2:
         raise BadSpec("fork needs N >= 2")
-    total = n + 4
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges += [(0, n), (0, n + 1), (n - 1, n + 2), (n - 1, n + 3)]
-    return total, edges
+    return n + 4, np.r_[0:n - 1, 0, 0, n - 1, n - 1], np.r_[1:n, n:n + 4]
 
 
-def _edges_lollipop(n: int) -> tuple[int, list]:
+def _edges_lollipop(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Complete graph K4 minus one link, the two loose ends joined to a new
     node, and a path of N nodes hanging off that node (N+5 nodes)."""
     if n < 1:
         raise BadSpec("lollipop needs N >= 1")
-    total = n + 5
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]  # K4 minus (2,3)
-    edges += [(2, 4), (3, 4)]
-    prev = 4
-    for k in range(5, total):
-        edges.append((prev, k))
-        prev = k
-    return total, edges
+    # K4 minus (2,3), then (2,4), (3,4), then the path 4-5-...-(N+4)
+    return (n + 5, np.r_[0, 0, 0, 1, 1, 2, 3, 4:n + 4],
+            np.r_[1, 2, 3, 2, 3, 4, 4, 5:n + 5])
 
 
 _EDGE_BUILDERS = {
@@ -244,8 +225,9 @@ def generate(spec: FamilySpec | str) -> Graph:
     if spec.kind == "ba":
         n, m, seed = spec.args
         return ba_graph(n, m, np.random.default_rng(seed))
-    n, edges = _EDGE_BUILDERS[spec.kind](*spec.args)
-    g = Graph.from_edges(n, edges)
+    n, i, j = _EDGE_BUILDERS[spec.kind](*spec.args)
+    g = Graph._from_links(n, i, j)
+    g.validate()
     _assert_profile(spec, g.degrees())
     return g
 
@@ -323,16 +305,15 @@ def path_q_exact(n: int, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def fork_q_constant(tol: float = 1e-12) -> float:
-    """The N-independent fork exponent: root of 3*2^q = 2 + 3^q above 2."""
-    if tol <= 0:
-        raise BadSpec("tol must be positive")
+def fork_q_constant() -> float:
+    """The N-independent fork exponent: root of 3*2^q = 2 + 3^q above 2,
+    bisected to a bracket of width 1e-12."""
 
     def h(q: float) -> float:
         return 3.0 * 2.0 ** q - 2.0 - 3.0 ** q
 
     lo, hi = 2.0, 3.0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:
             lo = mid

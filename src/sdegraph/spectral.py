@@ -1,9 +1,10 @@
 """Eigenvalue computations: spectral radius and full adjacency/Laplacian spectra.
 
 The spectral radius is the top dense LAPACK eigenvalue up to
-``DENSE_LAMBDA1_CAP`` nodes, and above it ARPACK Lanczos on the graph's own
-CSR arrays (graphs with 1e6 nodes stay tractable), returned as the
-``math.fsum`` Rayleigh quotient of the Lanczos vector after a residual check.
+``DENSE_LAMBDA1_CAP`` nodes, and above it a thick-restart Lanczos in numpy
+whose matrix-vector product runs on the graph's own CSR arrays (graphs with
+1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh quotient
+of the Lanczos vector after a residual check. Nothing here imports scipy.
 Full spectra go through the dense symmetric LAPACK solver and are capped at
 ``DENSE_CAP`` nodes.
 """
@@ -17,11 +18,22 @@ import numpy as np
 from .errors import NoConvergence
 from .graph import Graph
 
-# largest n whose lambda1 comes from dense eigvalsh; measured break-even with
-# Lanczos on ER, BA and lollipop graphs (the path favours eigvalsh up to ~700)
+# largest n whose lambda1 comes from dense eigvalsh; kept at its ARPACK-era
+# value after re-measuring against the numpy Lanczos (one BLAS thread):
+# Lanczos wins from ~130 nodes on ER and BA graphs and from ~190 on the
+# lollipop, while the path favours eigvalsh up to ~700
 DENSE_LAMBDA1_CAP = 192
 # Lanczos residual bound on lambda1, relative to max(1, d_max)
 TOL_LAMBDA1 = 1e-12
+# thick-restart Lanczos: basis size, Ritz vectors kept at a restart (20
+# rather than 12 took 1517 instead of 1917 matvecs on the 2000-node path),
+# restart cap (the 10,000-node path needs 673 restarts, 16 s), and steps
+# between convergence checks (an eigh of T at every step doubled the path's
+# time)
+LANCZOS_BASIS = 48
+LANCZOS_KEEP = 20
+LANCZOS_MAX_RESTARTS = 10_000
+LANCZOS_CHECK_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -52,28 +64,75 @@ def spectral_radius(g: Graph) -> float:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
         return float(np.linalg.eigvalsh(g.weights)[-1])
-    # imported here so that start-up does not pay for scipy.sparse on runs
-    # that never reach Lanczos
-    from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    a = csr_array((g.data, g.indices, g.indptr), shape=(n, n))
-    # the all-ones start overlaps the non-negative Perron vector of every
-    # component, so lambda1's eigenvector lies in the Krylov space
-    try:
-        _, vecs = eigsh(a, k=1, which="LA", v0=np.ones(n), tol=0)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"Lanczos did not converge: {exc}") from exc
-    v = vecs[:, 0]
-    av = a @ v
+    bound = TOL_LAMBDA1 * max(1.0, d_max)
+    # the Ritz estimate |beta s_m| matches the true residual only up to
+    # roundoff (on the 10004-node fork an estimate under the bound 3e-12 came
+    # with a true residual of 3.04e-12), so Lanczos aims at a quarter of it
+    v = _lanczos(g, bound / 4)
+    av = _matvec(g, v)
     # the Ritz value can be off by ~1e-13 (the 2000-node path); the exactly
     # summed Rayleigh quotient is limited only by the roundoff in A v
     lam = math.fsum(v * av) / math.fsum(v * v)
     resid = float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
-    if resid > TOL_LAMBDA1 * max(1.0, d_max):
+    if resid > bound:
         raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds {TOL_LAMBDA1} "
                             f"times max(1, d_max) (lambda1={lam})")
     return lam
+
+
+def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:
+    """A x on the stored CSR arrays."""
+    return np.bincount(g._rows, weights=g.data * x[g.indices], minlength=g.n)
+
+
+def _lanczos(g: Graph, bound: float) -> np.ndarray:
+    """Ritz vector of the largest adjacency eigenvalue, by thick-restart
+    Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2), 2000).
+
+    Each new basis vector is orthogonalised twice against all before it.
+    When ``LANCZOS_BASIS`` vectors are built, the ``LANCZOS_KEEP`` largest
+    Ritz vectors and the residual direction start the next cycle, their
+    block of T an arrowhead. Stops when the top Ritz residual |beta s_m| is
+    at most ``bound``, which includes every invariant Krylov space (beta ~
+    0); NoConvergence after ``LANCZOS_MAX_RESTARTS`` restarts.
+    """
+    n, m = g.n, LANCZOS_BASIS
+    basis = np.empty((m + 1, n))
+    t = np.zeros((m, m))
+    # the all-ones start overlaps the non-negative Perron vector of every
+    # component, so lambda1's eigenvector lies in the Krylov space
+    basis[0] = 1.0 / math.sqrt(n)
+    j = restarts = 0
+    while True:
+        w = _matvec(g, basis[j])
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            t[j, j] += h[j]
+        beta = float(np.linalg.norm(w))
+        j += 1
+        if beta <= bound or j % LANCZOS_CHECK_EVERY == 0 or j == m:
+            theta, s = np.linalg.eigh(t[:j, :j])
+            resid = abs(beta * s[-1, -1])
+            if resid <= bound:
+                return s[:, -1] @ basis[:j]
+        basis[j] = w / beta
+        if j < m:
+            t[j - 1, j] = t[j, j - 1] = beta
+            continue
+        if restarts == LANCZOS_MAX_RESTARTS:
+            raise NoConvergence(
+                f"Lanczos did not converge in {restarts} restarts of {m} vectors "
+                f"(top Ritz residual {resid:.3g}, bound {bound:.3g})")
+        restarts += 1
+        k = LANCZOS_KEEP
+        kept = s[:, -k:]
+        basis[:k] = kept.T @ basis[:m]
+        basis[k] = basis[m]
+        t[:] = 0.0
+        t[range(k), range(k)] = theta[-k:]
+        t[:k, k] = t[k, :k] = beta * kept[-1]
+        j = k
 
 
 def full_spectrum(g: Graph) -> Spectrum:

@@ -203,7 +203,7 @@ def test_criterion_5_solver_cross_validation():
 def test_criterion_6_fork_constant():
     with criterion(6, 5.0, "fork family solves to the 3*2^q = 2+3^q root "
                            "(~2.36864) for N in {5,20,100,1000}"):
-        q_eq = fork_q_constant(tol=1e-12)
+        q_eq = fork_q_constant()
         assert abs(3 * 2 ** q_eq - 2 - 3 ** q_eq) <= 1e-9
         assert abs(q_eq - 2.36864) <= 1e-4
         for n in (5, 20, 100, 1000):

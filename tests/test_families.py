@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sdegraph import (BadSpec, FamilySpec, analytic_lambda1, classify,
+from sdegraph import (BadSpec, FamilySpec, Graph, analytic_lambda1, classify,
                       connected_components, family_q, fork_q_constant, generate,
                       lollipop_limit_lambda1,
                       lollipop_q_asymptotic, parse_family, path_q_asymptotic,
@@ -115,6 +115,51 @@ def test_generate_lollipop_matches_dense_reference():
     assert np.array_equal(g.weights, dense)
 
 
+def _reference_links(kind, *args):
+    """(node count, link tuples) of a deterministic family, built by loops."""
+    if kind == "path":
+        (n,) = args
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if kind == "wheel":
+        (n,) = args
+        return n, ([(0, i) for i in range(1, n)]
+                   + [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)])
+    if kind == "star":
+        (n,) = args
+        return n, [(0, i) for i in range(1, n)]
+    if kind == "complete":
+        (n,) = args
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "kbip":
+        m, n = args
+        return m + n, [(i, m + j) for i in range(m) for j in range(n)]
+    if kind == "bireg":
+        m, n, r1 = args
+        return m + n, [(i, m + (i * r1 + j) % n) for i in range(m) for j in range(r1)]
+    if kind == "fork":
+        (n,) = args
+        return n + 4, ([(i, i + 1) for i in range(n - 1)]
+                       + [(0, n), (0, n + 1), (n - 1, n + 2), (n - 1, n + 3)])
+    (n,) = args  # lollipop
+    return n + 5, ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)]
+                   + [(k, k + 1) for k in range(4, n + 4)])
+
+
+@pytest.mark.parametrize("spec", [
+    "path:2", "path:3", "path:50", "wheel:4", "wheel:5", "wheel:40",
+    "star:2", "star:30", "complete:2", "complete:3", "complete:12",
+    "kbip:1:1", "kbip:2:3", "kbip:7:4", "bireg:2:1:1", "bireg:4:6:3",
+    "bireg:5:10:4", "bireg:6:4:2", "fork:2", "fork:3", "fork:40",
+    "lollipop:1", "lollipop:2", "lollipop:60"])
+def test_generate_matches_tuple_reference(spec):
+    spec = parse_family(spec)
+    n, links = _reference_links(spec.kind, *spec.args)
+    ref, g = Graph.from_edges(n, links), generate(spec)
+    assert g.n == ref.n
+    for got, want in ((g.indptr, ref.indptr), (g.indices, ref.indices), (g.data, ref.data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_analytic_lambda1_against_power_iteration():
     for spec in ("path:30", "wheel:12", "star:9", "complete:6", "kbip:3:4",
                  "bireg:4:6:3", "fork:8"):
@@ -154,7 +199,7 @@ def test_path_exact_approaches_asymptotic():
 
 
 def test_fork_constant_satisfies_equation():
-    q = fork_q_constant(tol=1e-12)
+    q = fork_q_constant()
     assert abs(3 * 2 ** q - 2 - 3 ** q) <= 1e-9
     assert abs(q - 2.36864) <= 1e-4
     # sign check: at q=2 the left side exceeds the right, so the root is above 2

@@ -1,12 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from conftest import cycle_graph, random_er
 from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
-                      full_spectrum, generate, spectral_radius)
+                      full_spectrum, generate, lollipop_limit_lambda1,
+                      spectral_radius)
+from sdegraph import spectral
 from sdegraph.cli import main
 from sdegraph.graph import DENSE_CAP
 from sdegraph.spectral import DENSE_LAMBDA1_CAP
@@ -79,7 +81,9 @@ def test_spectrum_invariants(rng):
 
 def test_lanczos_agrees_with_dense(rng):
     # n above the crossover: ER, BA, complete bipartite (spectrum symmetric
-    # about 0) and disconnected graphs against the dense full spectrum
+    # about 0), disconnected, wheel and star (a Krylov space of dimension 2
+    # from the ones vector), two equal components (lambda1 repeated) and
+    # weighted graphs against the dense full spectrum
     graphs = []
     for _ in range(12):
         n = int(rng.integers(DENSE_LAMBDA1_CAP + 1, 2 * DENSE_LAMBDA1_CAP))
@@ -90,6 +94,14 @@ def test_lanczos_agrees_with_dense(rng):
     disjoint = np.zeros((300, 300))
     disjoint[:150, :150], disjoint[150:, 150:] = er.weights, ba.weights
     graphs.append(Graph.from_dense(disjoint))
+    graphs += [generate(f"wheel:{DENSE_LAMBDA1_CAP + 1}"),
+               generate(f"star:{2 * DENSE_LAMBDA1_CAP}")]
+    twin = np.zeros((2 * 150, 2 * 150))
+    twin[:150, :150] = twin[150:, 150:] = ba.weights
+    graphs.append(Graph.from_dense(twin))
+    for base in (random_er(rng, 250, 0.05), ba_graph(300, 2, rng)):
+        w = np.triu(base.weights * rng.uniform(0.1, 5.0, base.weights.shape), 1)
+        graphs.append(Graph.from_dense(w + w.T))
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
         lam_l = spectral_radius(g)
@@ -124,14 +136,11 @@ def test_edgeless_and_tiny():
 
 
 def test_no_convergence_error(monkeypatch, tmp_path, capsys):
-    # ARPACK failing to converge is a NoConvergence in the library and exit 3
-    # from the CLI
-    def arpack_fails(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
+    # Lanczos running out of restarts is a NoConvergence in the library and
+    # exit 3 from the CLI; the path's 1/N^2 gap needs more than one cycle
     n = DENSE_LAMBDA1_CAP + 10
-    monkeypatch.setattr(spla, "eigsh", arpack_fails)
-    with pytest.raises(NoConvergence):
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 0)
+    with pytest.raises(NoConvergence, match="Lanczos did not converge"):
         spectral_radius(generate(f"path:{n}"))
     path = tmp_path / "path.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
@@ -141,13 +150,28 @@ def test_no_convergence_error(monkeypatch, tmp_path, capsys):
 
 def test_lanczos_residual_check(monkeypatch):
     # a returned vector that is not an eigenvector fails the residual bound
-    def arpack_returns_garbage(a, *args, **kwargs):
-        v = np.arange(a.shape[0], dtype=float)
-        return np.array([1.0]), (v / np.linalg.norm(v))[:, None]
+    def not_an_eigenvector(g, bound):
+        v = np.arange(g.n, dtype=float)
+        return v / np.linalg.norm(v)
 
-    monkeypatch.setattr(spla, "eigsh", arpack_returns_garbage)
+    monkeypatch.setattr(spectral, "_lanczos", not_an_eigenvector)
     with pytest.raises(NoConvergence, match="residual"):
         spectral_radius(generate(f"path:{DENSE_LAMBDA1_CAP + 10}"))
+
+
+def test_no_scipy_import(monkeypatch, tmp_path, capsys):
+    # lambda1 above the dense cap, from an edge list and for the lollipop
+    # family (which has no closed form), with every scipy module unimportable
+    for name in ["scipy", *[m for m in sys.modules if m.startswith("scipy.")]]:
+        monkeypatch.setitem(sys.modules, name, None)
+    lollipop_limit_lambda1.cache_clear()
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(399)))
+    assert main(["compute", "--edge-list", str(path)]) == 0
+    assert main(["asymptotics", "--family", "lollipop", "--n-list", "300,1000"]) == 0
+    out = capsys.readouterr().out
+    assert "lambda1: 1.9999386" in out  # 2 cos(pi / 401)
+    assert "lollipop,300," in out and "lollipop,1000," in out
 
 
 def test_bipartite_shift_correctness():
