@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +183,8 @@ def cmd_batch(args) -> int:
     work = [(i, ln, args.tol) for i, ln in lines]
     results = []
     if args.jobs > 1:
+        # imported here: the pool costs every other command ~15 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for k, out in enumerate(pool.map(_batch_one, work, chunksize=64), 1):
                 results.append(out)

@@ -156,6 +156,11 @@ class Graph:
         return list(zip(self._rows[upper].tolist(), self.indices[upper].tolist()))
 
     def is_unweighted(self) -> bool:
+        """Whether every link weight is 1 (computed once per graph)."""
+        return self._unweighted
+
+    @cached_property
+    def _unweighted(self) -> bool:
         return bool(np.all(self.data == 1))
 
     def scaled(self, s: float) -> Graph:

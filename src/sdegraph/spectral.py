@@ -4,7 +4,10 @@ The spectral radius is the top dense LAPACK eigenvalue up to
 ``DENSE_LAMBDA1_CAP`` nodes, and above it a thick-restart Lanczos in numpy
 whose matrix-vector product runs on the graph's own CSR arrays (graphs with
 1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh quotient
-of the Lanczos vector after a residual check. Nothing here imports scipy.
+of the Lanczos vector after a residual check. A Lanczos step pays only for
+the work it needs: one Gram-Schmidt pass unless the DGKS test asks for a
+second, no weight products on unweighted graphs, and no eigensolve of T in
+a cycle that cannot converge before its restart. Nothing here imports scipy.
 Full spectra go through the dense symmetric LAPACK solver and are capped at
 ``DENSE_CAP`` nodes.
 """
@@ -18,22 +21,31 @@ import numpy as np
 from .errors import NoConvergence
 from .graph import Graph
 
-# largest n whose lambda1 comes from dense eigvalsh; kept at its ARPACK-era
-# value after re-measuring against the numpy Lanczos (one BLAS thread):
-# Lanczos wins from ~130 nodes on ER and BA graphs and from ~190 on the
-# lollipop, while the path favours eigvalsh up to ~700
+# largest n whose lambda1 comes from dense eigvalsh (dense view included);
+# kept at its ARPACK-era value after re-measuring against the numpy Lanczos
+# (one BLAS thread): Lanczos wins from ~120 nodes on ER and BA graphs and
+# from ~140 on the lollipop, while the path favours eigvalsh up to ~400
 DENSE_LAMBDA1_CAP = 192
 # Lanczos residual bound on lambda1, relative to max(1, d_max)
 TOL_LAMBDA1 = 1e-12
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart (20
 # rather than 12 took 1517 instead of 1917 matvecs on the 2000-node path),
-# restart cap (the 10,000-node path needs 673 restarts, 16 s), and steps
-# between convergence checks (an eigh of T at every step doubled the path's
-# time)
+# and restart cap (the 10,000-node path needs 674 restarts)
 LANCZOS_BASIS = 48
 LANCZOS_KEEP = 20
 LANCZOS_MAX_RESTARTS = 10_000
+# steps between convergence checks within a cycle (an eigh of T at every
+# step doubled the path's time); after a restart, a cycle is checked before
+# its own restart only if that restart's top Ritz residual was within
+# LANCZOS_CHECK_NEAR times the bound (on the 2000-node path this skips 282
+# of 379 checks and no matvec)
 LANCZOS_CHECK_EVERY = 4
+LANCZOS_CHECK_NEAR = 1e3
+# DGKS test (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): the
+# Gram-Schmidt pass is repeated only when it left less than this fraction of
+# the vector's norm (after the three-term subtraction, 1 of 1,516 steps on
+# the 2000-node path and 2 of 36 on the 100,005-node lollipop)
+LANCZOS_DGKS = 1 / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -81,20 +93,27 @@ def spectral_radius(g: Graph) -> float:
 
 
 def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    """A x on the stored CSR arrays."""
-    return np.bincount(g._rows, weights=g.data * x[g.indices], minlength=g.n)
+    """A x on the stored CSR arrays; unit weights need no product."""
+    terms = x[g.indices] if g.is_unweighted() else g.data * x[g.indices]
+    return np.bincount(g._rows, weights=terms, minlength=g.n)
 
 
 def _lanczos(g: Graph, bound: float) -> np.ndarray:
     """Ritz vector of the largest adjacency eigenvalue, by thick-restart
     Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2), 2000).
 
-    Each new basis vector is orthogonalised twice against all before it.
-    When ``LANCZOS_BASIS`` vectors are built, the ``LANCZOS_KEEP`` largest
-    Ritz vectors and the residual direction start the next cycle, their
-    block of T an arrowhead. Stops when the top Ritz residual |beta s_m| is
-    at most ``bound``, which includes every invariant Krylov space (beta ~
-    0); NoConvergence after ``LANCZOS_MAX_RESTARTS`` restarts.
+    Each step subtracts the three-term recurrence's beta v_{j-1} from
+    A v_j, then orthogonalises against every basis vector by one classical
+    Gram-Schmidt pass, and by a second one when the DGKS test
+    (``LANCZOS_DGKS``) sees the first cancel most of the vector. When
+    ``LANCZOS_BASIS`` vectors are built, the ``LANCZOS_KEEP`` largest Ritz
+    vectors and the residual direction start the next cycle, their block of
+    T an arrowhead. The top Ritz residual |beta s_m| is checked at every
+    restart, every ``LANCZOS_CHECK_EVERY`` steps of the first cycle and of
+    any cycle whose restart left it within ``LANCZOS_CHECK_NEAR`` times
+    ``bound``, and whenever beta is at most ``bound`` (an invariant Krylov
+    space). Stops when that residual is at most ``bound``; NoConvergence
+    after ``LANCZOS_MAX_RESTARTS`` restarts.
     """
     n, m = g.n, LANCZOS_BASIS
     basis = np.empty((m + 1, n))
@@ -103,15 +122,21 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
     # component, so lambda1's eigenvector lies in the Krylov space
     basis[0] = 1.0 / math.sqrt(n)
     j = restarts = 0
+    check = True
     while True:
         w = _matvec(g, basis[j])
+        if j:
+            w -= t[j - 1, j] * basis[j - 1]
+        before = math.sqrt(w @ w)
         for _ in range(2):
             h = basis[:j + 1] @ w
             w -= h @ basis[:j + 1]
             t[j, j] += h[j]
-        beta = float(np.linalg.norm(w))
+            beta = math.sqrt(w @ w)
+            if beta >= LANCZOS_DGKS * before:
+                break
         j += 1
-        if beta <= bound or j % LANCZOS_CHECK_EVERY == 0 or j == m:
+        if beta <= bound or j == m or (check and j % LANCZOS_CHECK_EVERY == 0):
             theta, s = np.linalg.eigh(t[:j, :j])
             resid = abs(beta * s[-1, -1])
             if resid <= bound:
@@ -125,6 +150,7 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
                 f"Lanczos did not converge in {restarts} restarts of {m} vectors "
                 f"(top Ritz residual {resid:.3g}, bound {bound:.3g})")
         restarts += 1
+        check = resid <= LANCZOS_CHECK_NEAR * bound
         k = LANCZOS_KEEP
         kept = s[:, -k:]
         basis[:k] = kept.T @ basis[:m]

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdegraph
 from conftest import FIXTURE_N7
 from sdegraph import (METRIC_NAMES, encode_graph6, family_q, fork_q_constant,
                       generate, path_q_exact, read_records_csv)
@@ -141,6 +146,17 @@ def test_batch_stdout_and_jobs(tmp_path, capsys):
     code2, out2, _ = run(capsys, "batch", str(g6), "--jobs", "2")
     assert code2 == 0
     assert out2 == out  # parallel output keeps input order
+
+
+def test_cli_import_skips_process_pool():
+    # only `batch --jobs` needs the process pool, so importing the CLI
+    # (every command's start-up) leaves concurrent.futures unloaded
+    src = str(Path(sdegraph.__file__).resolve().parents[1])
+    check = ("import sys, sdegraph.cli; "
+             "sys.exit('concurrent.futures' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", check],
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0
 
 
 def test_correlate_pipeline(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
 from sdegraph import spectral
 from sdegraph.cli import main
 from sdegraph.graph import DENSE_CAP
-from sdegraph.spectral import DENSE_LAMBDA1_CAP
+from sdegraph.spectral import DENSE_LAMBDA1_CAP, LANCZOS_BASIS, LANCZOS_KEEP
 
 
 def test_path5_radius():
@@ -102,11 +102,47 @@ def test_lanczos_agrees_with_dense(rng):
     for base in (random_er(rng, 250, 0.05), ba_graph(300, 2, rng)):
         w = np.triu(base.weights * rng.uniform(0.1, 5.0, base.weights.shape), 1)
         graphs.append(Graph.from_dense(w + w.T))
+    # the path and the fork restart, so they reach the cycles whose
+    # convergence checks are skipped
+    graphs += [generate(f"path:{2 * DENSE_LAMBDA1_CAP}"),
+               generate(f"fork:{DENSE_LAMBDA1_CAP}")]
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
         lam_l = spectral_radius(g)
         lam_d = full_spectrum(g).lambda1
         assert abs(lam_l - lam_d) <= 1e-8 * max(1.0, g.degrees().max())
+    # uniform weights take the weighted product and scale lambda1
+    plain = generate("path:400")
+    weighted = plain.scaled(2.5)
+    assert plain.is_unweighted() and not weighted.is_unweighted()
+    lam = spectral_radius(plain)
+    assert abs(spectral_radius(weighted) - 2.5 * lam) <= 1e-12 * 2.5 * lam
+
+
+def test_lanczos_checks_only_near_convergence(monkeypatch):
+    # an eigh check of T every fourth step of every cycle took 379 checks
+    # and 1,517 products on the 2000-node path; checking a restarted cycle
+    # only near convergence may cost at most one more cycle of products
+    calls = {"eigh": 0, "matvec": 0}
+    eigh, matvec = np.linalg.eigh, spectral._matvec
+
+    def counted_eigh(a):
+        calls["eigh"] += 1
+        return eigh(a)
+
+    def counted_matvec(g, x):
+        calls["matvec"] += 1
+        return matvec(g, x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(spectral, "_matvec", counted_matvec)
+    spectral_radius(generate("path:2000"))
+    assert calls["eigh"] <= 130
+    assert calls["matvec"] <= 1517 + LANCZOS_BASIS - LANCZOS_KEEP
+    # the lollipop converges within its first cycle, in 37 products
+    calls["matvec"] = 0
+    spectral_radius(generate("lollipop:100000"))
+    assert calls["matvec"] <= 37
 
 
 def test_rayleigh_and_gershgorin_bounds(rng):
