@@ -10,7 +10,7 @@ Run: python demos/03_correlation_study.py        (about half a minute)
 from pathlib import Path
 
 from sdegraph import metric_suite, read_graph6_file
-from sdegraph.cli import correlation_report
+from sdegraph.study import correlation_report
 
 FIXTURE = Path(__file__).parent.parent / "tests" / "data" / "graph7c.g6"
 

@@ -1,5 +1,6 @@
-"""Command-line front end: single-graph queries, graph6 batch processing,
-correlation reports, seeded ensembles, and the link-addition experiment.
+"""The ``sde`` command line: it only parses arguments, checks them, reads
+and writes files and prints. Graph loading, solving and the studies are
+library calls (:mod:`sdegraph.study` holds the studies).
 
 Subcommands: compute, batch, correlate, ensemble, nonmonotonic, asymptotics.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
@@ -7,96 +8,22 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from contextlib import ExitStack
 
 from . import io as gio
-from .errors import (ConstantSeries, InputError, FilterExhausted, NumericalError,
-                     SdegraphError)
-from .families import (FamilySpec, analytic_lambda1, ba_graph, er_graph,
-                       family_q, fork_q_constant, generate, lollipop_q_asymptotic,
-                       parse_family, path_q_asymptotic)
-from .graph import Graph, add_link, connected_components, degree_sequence
-from .metrics import METRIC_NAMES, metric_suite, pearson
+from .errors import InputError, NumericalError, SdegraphError
+from .families import analytic_lambda1, generate, parse_family
+from .graph import Graph, degree_sequence
+from .metrics import metric_suite
 from .solver import bounds, sde
 from .spectral import spectral_radius
+from .study import (ASYMPTOTIC_LAWS, asymptotics_rows, correlation_report,
+                    ensemble_samples, growth_trajectories)
 
 PROGRESS_EVERY = 2000
-
-
-@dataclass
-class CorrelationReport:
-    """Pearson correlations of every metric column against sde_q."""
-
-    corpus: str
-    graph_count: int
-    excluded: dict[str, int] = field(default_factory=dict)
-    correlations: dict[str, float] = field(default_factory=dict)
-    excluded_metrics: dict[str, str] = field(default_factory=dict)
-
-    def as_json(self) -> str:
-        payload = {
-            "corpus": self.corpus,
-            "graph_count": self.graph_count,
-            "excluded": self.excluded,
-            "correlations": {k: _jsonable(v) for k, v in self.correlations.items()},
-            "excluded_metrics": self.excluded_metrics,
-        }
-        return json.dumps(payload, indent=2)
-
-    def as_table(self) -> str:
-        lines = [f"corpus: {self.corpus}",
-                 f"graphs used: {self.graph_count}"]
-        for reason, count in sorted(self.excluded.items()):
-            lines.append(f"excluded ({reason}): {count}")
-        width = max(len(n) for n in METRIC_NAMES)
-        lines.append(f"{'metric'.ljust(width)}  r_vs_sde_q")
-        for name in METRIC_NAMES:
-            if name == "sde_q":
-                continue
-            if name in self.correlations:
-                lines.append(f"{name.ljust(width)}  {self.correlations[name]:+.3f}")
-            else:
-                reason = self.excluded_metrics.get(name, "n/a")
-                lines.append(f"{name.ljust(width)}  excluded ({reason})")
-        return "\n".join(lines)
-
-
-def _jsonable(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return gio.format_value(v)
-    return v
-
-
-def correlation_report(records: list[dict[str, float]], corpus: str) -> CorrelationReport:
-    """Correlate every metric column against sde_q over rows where both are
-    finite; constant or under-populated columns are excluded with a reason."""
-    if not records or "sde_q" not in records[0]:
-        raise InputError("records must contain an sde_q column")
-    q = np.array([rec["sde_q"] for rec in records], dtype=float)
-    usable = np.isfinite(q)
-    report = CorrelationReport(corpus=corpus, graph_count=int(usable.sum()))
-    dropped = len(records) - int(usable.sum())
-    if dropped:
-        report.excluded["nonfinite_sde_q"] = dropped
-    for name in records[0]:
-        if name == "sde_q":
-            continue
-        x = np.array([rec[name] for rec in records], dtype=float)
-        mask = usable & np.isfinite(x)
-        if mask.sum() < 2:
-            report.excluded_metrics[name] = "too_few_points"
-            continue
-        try:
-            report.correlations[name] = pearson(x[mask], q[mask])
-        except ConstantSeries:
-            report.excluded_metrics[name] = "constant_series"
-    return report
 
 
 # ---- compute ----
@@ -125,7 +52,7 @@ def cmd_compute(args) -> int:
         try:
             b = bounds(ds, lam)
         except SdegraphError:
-            b = None
+            pass  # no closed-form bracket (lambda1 at d_max)
     payload = {
         "input": label,
         "nodes": g.n,
@@ -142,7 +69,7 @@ def cmd_compute(args) -> int:
         "bounds_sharpened_upper": b.sharpened_upper if b else None,
     }
     if args.json:
-        print(json.dumps({k: _jsonable(v) for k, v in payload.items()}, indent=2))
+        print(json.dumps({k: gio.jsonable(v) for k, v in payload.items()}, indent=2))
         return 0
     if result.is_undefined:
         q_text = "undefined (regular)"
@@ -154,8 +81,7 @@ def cmd_compute(args) -> int:
     print(f"q: {q_text}")
     print(f"method: {result.method} (iterations={result.iterations}, "
           f"residual={gio.format_value(result.residual)})")
-    if lam is not None:
-        print(f"lambda1: {gio.format_value(lam)}")
+    print(f"lambda1: {gio.format_value(lam)}")
     print(f"d_max: {gio.format_value(ds.d_max)}  c: {ds.c}")
     if b is not None:
         sharp = gio.format_value(b.sharpened_upper) if b.sharpened_upper is not None else "-"
@@ -179,20 +105,18 @@ def _batch_one(item: tuple[int, str, float]):
 
 def cmd_batch(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
-    work = [(i, ln, args.tol) for i, ln in lines]
-    results = []
-    if args.jobs > 1:
-        # imported here: the pool costs every other command ~15 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for k, out in enumerate(pool.map(_batch_one, work, chunksize=64), 1):
-                results.append(out)
-                if k % PROGRESS_EVERY == 0:
-                    print(f"processed {k}/{len(work)} graphs", file=sys.stderr)
-    else:
-        for k, item in enumerate(work, 1):
-            results.append(_batch_one(item))
+        work = [(i, ln.strip(), args.tol) for i, ln in enumerate(fh, 1) if ln.strip()]
+    with ExitStack() as stack:
+        if args.jobs > 1:
+            # imported here: the pool costs every other command ~15 ms of start-up
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            outcomes = pool.map(_batch_one, work, chunksize=64)
+        else:
+            outcomes = map(_batch_one, work)
+        results = []
+        for k, out in enumerate(outcomes, 1):
+            results.append(out)
             if k % PROGRESS_EVERY == 0:
                 print(f"processed {k}/{len(work)} graphs", file=sys.stderr)
     records = []
@@ -206,10 +130,7 @@ def cmd_batch(args) -> int:
     regular = sum(1 for rec in records if math.isnan(rec["sde_q"]))
     print(f"batch: {len(records)} rows written, {skipped} skipped, "
           f"{regular} regular (sde_q = nan)", file=sys.stderr)
-    if args.out:
-        gio.write_records_csv(records, args.out)
-    else:
-        gio.write_records_csv(records, sys.stdout)
+    gio.write_records_csv(records, args.out)
     return 0
 
 
@@ -233,26 +154,6 @@ def cmd_correlate(args) -> int:
 # ---- ensemble ----
 
 
-def _ensemble_sample(spec: FamilySpec, master_seed: int, index: int,
-                     budget: list[int]) -> Graph:
-    """One connected non-regular sample; sub-seed = (master_seed, index)."""
-    rng = np.random.default_rng([master_seed, index])
-    while True:
-        if budget[0] <= 0:
-            raise FilterExhausted(
-                "resampling budget exhausted before reaching the target count")
-        budget[0] -= 1
-        if spec.kind == "er":
-            g = er_graph(spec.args[0], spec.args[1], rng)
-        else:
-            g = ba_graph(spec.args[0], spec.args[1], rng)
-        if len(connected_components(g)) != 1:
-            continue
-        degs = g.degrees()
-        if degs.min() != degs.max():
-            return g
-
-
 def cmd_ensemble(args) -> int:
     spec = parse_family(args.family)
     if spec.kind not in ("er", "ba"):
@@ -261,13 +162,11 @@ def cmd_ensemble(args) -> int:
         raise InputError("give the master seed via --seed, not inside the family spec")
     if args.count < 2:
         raise InputError("ensemble needs count >= 2")
-    budget = [100 * args.count]
     records = []
-    for index in range(args.count):
-        g = _ensemble_sample(spec, args.seed, index, budget)
+    for k, g in enumerate(ensemble_samples(spec, args.seed, args.count), 1):
         records.append(metric_suite(g, tol_q=args.tol))
-        if (index + 1) % 200 == 0:
-            print(f"ensemble: {index + 1}/{args.count} samples", file=sys.stderr)
+        if k % 200 == 0:
+            print(f"ensemble: {k}/{args.count} samples", file=sys.stderr)
     if args.out:
         gio.write_records_csv(records, args.out)
     corpus = f"{args.family} x{args.count} seed={args.seed}"
@@ -280,41 +179,16 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_nonmonotonic(args) -> int:
-    n = args.n
-    if n < 4:
+    if args.n < 4:
         raise InputError("nonmonotonic needs n >= 4")
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    trials_with_decrease = 0
-    for trial in range(args.trials):
-        g = generate(FamilySpec("star", (n,)))
-        q = sde(g, tol_q=args.tol).q
-        rows.append((trial, 0, g.num_links(), q, 0))
-        missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-        order = rng.permutation(len(missing))
-        decreased = False
-        step = 0
-        prev_q = q
-        for k in order:
-            i, j = missing[int(k)]
-            g = add_link(g, i, j)
-            step += 1
-            result = sde(g, tol_q=args.tol)
-            if result.is_undefined:
-                break  # complete graph reached: regular, trajectory ends
-            dec = int(result.q < prev_q - 1e-8)
-            decreased = decreased or bool(dec)
-            rows.append((trial, step, g.num_links(), result.q, dec))
-            prev_q = result.q
-        trials_with_decrease += int(decreased)
+    rows = growth_trajectories(args.n, args.trials, args.seed, args.tol)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["trial", "step", "num_links", "q", "decreased"])
-            for trial, step, links, q, dec in rows:
-                writer.writerow([trial, step, links, gio.format_value(q), dec])
+        gio.write_csv(args.out, ["trial", "step", "num_links", "q", "decreased"],
+                      ([trial, step, links, gio.format_value(q), dec]
+                       for trial, step, links, q, dec in rows))
+    with_decrease = {trial for trial, _, _, _, dec in rows if dec}
     print(f"trials: {args.trials}  with at least one strictly decreasing q step: "
-          f"{trials_with_decrease}")
+          f"{len(with_decrease)}")
     print("every trajectory starts at the star (q = 2) and ends at the last "
           "non-regular graph before the complete one")
     return 0
@@ -324,41 +198,17 @@ def cmd_nonmonotonic(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    family = args.family
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"bad --n-list: {exc}") from exc
     if not n_list:
         raise InputError("empty --n-list")
-    rows = []
-    for n in n_list:
-        spec = FamilySpec(family, (n,))
-        if family == "path":
-            q_asym = path_q_asymptotic(n)
-        elif family == "wheel":
-            q_asym = 2.0  # the proven large-N limit
-        elif family == "fork":
-            q_asym = fork_q_constant()
-        elif family == "lollipop":
-            q_asym = lollipop_q_asymptotic(n)
-        else:
-            raise InputError("asymptotics supports path, wheel, fork, lollipop")
-        q_solver = family_q(spec, tol_q=args.tol).q
-        abs_err = abs(q_solver - q_asym)
-        rows.append((n, q_solver, q_asym, abs_err, abs_err / abs(q_solver)))
-    out = args.out
-    fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["family", "n", "q_solver", "q_asymptotic",
-                         "abs_error", "rel_error"])
-        for n, qs, qa, ae, re in rows:
-            writer.writerow([family, n, gio.format_value(qs), gio.format_value(qa),
-                             gio.format_value(ae), gio.format_value(re)])
-    finally:
-        if out:
-            fh.close()
+    rows = asymptotics_rows(args.family, n_list, args.tol)
+    gio.write_csv(args.out, ["family", "n", "q_solver", "q_asymptotic",
+                             "abs_error", "rel_error"],
+                  ([args.family, n, *map(gio.format_value, values)]
+                   for n, *values in rows))
     return 0
 
 
@@ -416,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotics", help="solver vs asymptotic formula")
     p.add_argument("--family", required=True,
-                   choices=["path", "wheel", "fork", "lollipop"])
+                   choices=list(ASYMPTOTIC_LAWS))
     p.add_argument("--n-list", required=True, help="comma-separated N values")
     p.add_argument("--out", help="comparison CSV path (default stdout)")
     p.add_argument("--tol", type=float, default=1e-9)
@@ -430,15 +280,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalError,) as exc:
+    except (SdegraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SdegraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -278,6 +278,20 @@ def path_q_asymptotic(n: int) -> float:
     return 4.0 / pi2 * n + 12.0 / pi2 + (1.0 / 3.0 + 52.0 / (3.0 * pi2)) / n
 
 
+def _bisect(h, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi], with h(lo) > 0 >= h(hi), halved
+    down to width ``tol`` or to the float spacing at the root."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # tol is finer than the float spacing at the root
+        if h(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def path_q_exact(n: int, tol: float = 1e-12) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection; the independent oracle for the path family."""
@@ -294,15 +308,7 @@ def path_q_exact(n: int, tol: float = 1e-12) -> float:
         hi *= 2.0
     if g(lo) <= 0.0:
         return 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # tol is finer than the float spacing at the root
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(g, lo, hi, tol)
 
 
 def fork_q_constant() -> float:
@@ -312,14 +318,7 @@ def fork_q_constant() -> float:
     def h(q: float) -> float:
         return 3.0 * 2.0 ** q - 2.0 - 3.0 ** q
 
-    lo, hi = 2.0, 3.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(h, 2.0, 3.0, 1e-12)
 
 
 @functools.lru_cache(maxsize=1)

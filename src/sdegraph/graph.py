@@ -147,6 +147,14 @@ class Graph:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def _triangles(self) -> np.ndarray:
+        """Triangles at each node (computed once per graph): the row sums of
+        ``(A @ A) * A`` over 2 for the link indicator A, one BLAS product,
+        exact integers in float64."""
+        adj = (self.weights > 0).astype(float)
+        return ((adj @ adj) * adj).sum(axis=1) / 2.0
+
     def num_links(self) -> int:
         return self.indices.size // 2  # every link is stored in both rows
 
@@ -251,9 +259,10 @@ class Generic:
 GraphClass = Regular | Biregular | MaxCliqueComponent | Generic
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    """Partition of the nodes into maximal positive-weight-connected sets,
-    ordered by their smallest node.
+def connected_components(g: Graph) -> np.ndarray:
+    """Component label of every node: the smallest node of its maximal
+    positive-weight-connected set, so ``g`` is connected exactly when every
+    label is 0.
 
     Vectorised on the CSR links. Each node's label points to a node of its
     component with no larger id. A round lowers, across every link, the
@@ -267,27 +276,21 @@ def connected_components(g: Graph) -> list[set[int]]:
         np.minimum.at(hooked, labels[g._rows], labels[g.indices])
         hooked = hooked[hooked]
         if np.array_equal(hooked, labels):
-            break
+            return labels
         labels = hooked
-    order = np.argsort(labels, kind="stable")
-    return [set(part.tolist())
-            for part in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
-def _max_clique_component(g: Graph, comps: list[set[int]],
+def _max_clique_component(g: Graph, labels: np.ndarray,
                           high: np.ndarray) -> tuple[int, ...] | None:
-    """Nodes of a complete component whose degrees all equal d_max, if any."""
-    if len(comps) < 2:
+    """Nodes of the complete component with the smallest label whose
+    degrees all equal d_max, if any."""
+    size = np.bincount(labels)
+    # no repeated links or self-loops: m - 1 links each make K_m
+    fits = high & (np.diff(g.indptr) == size[labels] - 1)
+    complete = (size >= 2) & (np.bincount(labels, weights=fits) == size)
+    if not complete.any():
         return None
-    links = np.diff(g.indptr)
-    for comp in comps:
-        if len(comp) < 2:
-            continue
-        nodes = sorted(comp)
-        # no repeated links or self-loops: m - 1 links each make K_m
-        if high[nodes].all() and (links[nodes] == len(nodes) - 1).all():
-            return tuple(nodes)
-    return None
+    return tuple(np.flatnonzero(labels == np.argmax(complete)).tolist())
 
 
 def classify(g: Graph) -> GraphClass:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+from contextlib import nullcontext
 from itertools import chain
 
 import numpy as np
@@ -191,26 +193,34 @@ def format_value(v) -> str:
     return format(x, ".12g")
 
 
+def jsonable(v):
+    """``v`` for a JSON payload, with a non-finite float spelled as in the CSV
+    files."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return format_value(v)
+    return v
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells as UTF-8 CSV with LF line endings,
+    to the file ``path`` or to stdout when ``path`` is None."""
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records_csv(records, path) -> None:
-    """Write metric records as UTF-8 CSV with LF line endings, in the
-    column order of the frozen metric-name list. Every record must carry
-    exactly those names.
+    """Write metric records with :func:`write_csv` (to stdout when ``path`` is
+    None), in the column order of the frozen metric-name list. Every record
+    must carry exactly those names.
     """
     for rec in records:
         if set(rec) != set(METRIC_NAMES):
             raise ParseError("records must share the same metric-name set")
-
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRIC_NAMES)
-        for rec in records:
-            writer.writerow([format_value(rec[name]) for name in METRIC_NAMES])
-
-    if hasattr(path, "write"):
-        _write(path)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+    write_csv(path, METRIC_NAMES,
+              ([format_value(rec[name]) for name in METRIC_NAMES] for rec in records))
 
 
 def read_records_csv(path) -> tuple[list[str], list[dict[str, float]]]:

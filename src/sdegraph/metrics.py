@@ -4,14 +4,14 @@ The metric set follows the published correlation table: size/degree
 statistics, spectral quantities from the adjacency and Laplacian spectra,
 distance metrics by breadth-first search, efficiency measures, bridges, and
 the solved exponent. Per-node kernels run inside numpy/BLAS: local triangle
-counts are the row sums of ``(A @ A) * A``, and local efficiency is one
-batched frontier BFS over all neighbour-induced subgraphs, grouped into
-power-of-two degree buckets and chunked so that no stack exceeds
-``NEIGHBOURHOOD_STACK_CAP`` floats. Two gap conventions are provided: the
-literal ``lambda1_minus_mean_degree`` and ``dmax_minus_lambda1`` (the
-quantity the reference correlation values actually derive from — see
-README). The same duality applies to ``clustering_coefficient`` (mean local)
-and ``transitivity`` (global).
+counts are the row sums of ``(A @ A) * A``, computed once per graph for both
+clustering metrics, and local efficiency is one batched frontier BFS over
+all neighbour-induced subgraphs, grouped into power-of-two degree buckets
+and chunked so that no stack exceeds ``NEIGHBOURHOOD_STACK_CAP`` floats.
+Two gap conventions are provided: the literal ``lambda1_minus_mean_degree``
+and ``dmax_minus_lambda1`` (the quantity the reference correlation values
+actually derive from — see README). The same duality applies to
+``clustering_coefficient`` (mean local) and ``transitivity`` (global).
 """
 from __future__ import annotations
 
@@ -232,14 +232,10 @@ def _inverse_distance_sums(padded: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
 
 
 def mean_local_clustering(g: Graph) -> float:
-    """Average local clustering; degree-<2 nodes contribute 0.
-
-    Per-node triangle counts are the row sums of ``(A @ A) * A`` over 2: one
-    BLAS product, exact integers in float64.
-    """
-    adj = (g.weights > 0).astype(float)
-    deg = adj.sum(axis=1)
-    tri = ((adj @ adj) * adj).sum(axis=1) / 2.0  # links among neighbours
+    """Average local clustering; degree-<2 nodes contribute 0. The triangle
+    counts are shared with :func:`transitivity` (see ``Graph._triangles``)."""
+    deg = np.diff(g.indptr).tolist()
+    tri = g._triangles.tolist()  # links among each node's neighbours
     total = 0.0
     for i in range(g.n):
         k = deg[i]
@@ -250,13 +246,11 @@ def mean_local_clustering(g: Graph) -> float:
 
 def transitivity(g: Graph) -> float:
     """Global clustering: 3 * triangles / connected triples."""
-    adj = (g.weights > 0).astype(float)
-    deg = adj.sum(axis=1)
+    deg = np.diff(g.indptr)
     triads = float((deg * (deg - 1)).sum())
     if triads == 0.0:
         return 0.0
-    closed = float(((adj @ adj) * adj).sum())  # 6 * triangles
-    return closed / triads
+    return 2.0 * float(g._triangles.sum()) / triads  # 6 * triangles / triads
 
 
 def spanning_tree_count(spectrum: Spectrum, n: int) -> float:

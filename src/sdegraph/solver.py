@@ -207,8 +207,11 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
 
     Returns Infinite when the bracket would exceed Q_MAX with f1 still
     positive (lambda1 at d_max, the clique-component regime). A non-positive
-    f1(2) — possible only through rounding, since q >= 2 always — clamps
-    the root to exactly 2.
+    f1(2) returns exactly 2, with no rounding check. Only a biregular graph
+    has q = 2, yet f1(2) <= 0 happens on others through the rounding of
+    lambda1, which f1's own rounding estimate does not include: on K15 with
+    one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an estimate of
+    1.5e-23, and 2 is returned where q = 2.8667.
     """
     early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_BISECTION)
     if early is not None:
@@ -260,7 +263,8 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     is converged or within 2r of its aim; it also raises after 5 converged
     iterates fail the certificate, or after 100 steps. The results without
     iteration (inf, exactly 2, the exceptions) are those of
-    :func:`solve_bisection`.
+    :func:`solve_bisection`, including an uncertified 2 where lambda1's
+    rounding makes f1(2) <= 0.
     """
     early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:

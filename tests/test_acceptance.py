@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_N7, FIXTURE_N8, random_er
-from sdegraph import (Biregular, Graph, MaxCliqueComponent, Regular, classify,
-                      degree_sequence, encode_graph6, family_q, fork_q_constant,
-                      full_spectrum, generate,
-                      lollipop_limit_lambda1, parse_graph6, path_q_asymptotic,
-                      path_q_exact, read_graph6_file, sde, solve_bisection,
-                      solve_recursion, spectral_radius)
-from sdegraph.cli import correlation_report, main as cli_main
+from sdegraph import (Graph, classify, degree_sequence, family_q, fork_q_constant,
+                      generate, lollipop_limit_lambda1, parse_graph6,
+                      path_q_asymptotic, path_q_exact, read_graph6_file, sde,
+                      solve_bisection, solve_recursion, spectral_radius)
+from sdegraph.cli import main as cli_main
+from sdegraph.graph import Biregular, MaxCliqueComponent, Regular
+from sdegraph.io import encode_graph6
 from sdegraph.metrics import bfs_distances, metric_suite
+from sdegraph.spectral import full_spectrum
+from sdegraph.study import correlation_report
 
 
 @contextmanager
@@ -301,15 +303,10 @@ def test_criterion_10b_n8_optional():
 
 
 def _stochastic_records(kind, n, param, count, master_seed):
-    from sdegraph.cli import _ensemble_sample
     from sdegraph.families import FamilySpec
+    from sdegraph.study import ensemble_samples
     spec = FamilySpec(kind, (n, param, None))
-    budget = [100 * count]
-    records = []
-    for index in range(count):
-        g = _ensemble_sample(spec, master_seed, index, budget)
-        records.append(metric_suite(g))
-    return records
+    return [metric_suite(g) for g in ensemble_samples(spec, master_seed, count)]
 
 
 def test_criterion_11_stochastic_correlations():

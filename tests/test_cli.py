@@ -9,9 +9,11 @@ import pytest
 
 import sdegraph
 from conftest import FIXTURE_N7
-from sdegraph import (METRIC_NAMES, encode_graph6, family_q, fork_q_constant,
-                      generate, path_q_exact, read_records_csv)
-from sdegraph.cli import correlation_report, main
+from sdegraph import family_q, fork_q_constant, generate, path_q_exact
+from sdegraph.cli import main
+from sdegraph.io import encode_graph6, read_records_csv
+from sdegraph.metrics import METRIC_NAMES
+from sdegraph.study import correlation_report
 
 from conftest import k4_plus_p3
 

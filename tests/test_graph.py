@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
-from sdegraph import (Biregular, Generic, Graph, InvalidGraph, LinkExists,
-                      MaxCliqueComponent, Regular, RewireConflict, SelfLoop,
-                      TooLargeForDense, add_link, analytic_lambda1, classify,
-                      connected_components, degree_sequence, dpr_rewire,
-                      encode_graph6, generate, load_edge_list, parse_graph6,
-                      parse_weighted_edge_list, path_q_exact, read_graph6_file, sde)
-from sdegraph.graph import DENSE_CAP
+from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
+                      parse_graph6, parse_weighted_edge_list, path_q_exact,
+                      read_graph6_file, sde)
+from sdegraph.errors import (InvalidGraph, LinkExists, RewireConflict, SelfLoop,
+                             TooLargeForDense)
+from sdegraph.families import analytic_lambda1
+from sdegraph.graph import (DENSE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
+                            connected_components, dpr_rewire)
+from sdegraph.io import encode_graph6, load_edge_list
 
 TOL_DEG = 1e-9
 
@@ -30,6 +32,13 @@ def _two_color(adj, nodes):
             elif color[v] == color[u]:
                 return None
     return [u for u in nodes if color[u] == 0], [u for u in nodes if color[u] == 1]
+
+
+def partition(g):
+    """The components of ``g`` as node sets, ordered by their smallest
+    node, read off the labels of ``connected_components``."""
+    labels = connected_components(g)
+    return [set(np.flatnonzero(labels == root).tolist()) for root in np.unique(labels)]
 
 
 def _reference_biregular_pair(g, comps, degs, tol):
@@ -82,7 +91,7 @@ def reference_classify(g, tol_deg=TOL_DEG):
     tol = tol_deg * max(d_max, 1.0)
     if d_max - degs.min() <= tol:
         return Regular(degree=d_max)
-    comps = connected_components(g)
+    comps = partition(g)
     pair = _reference_biregular_pair(g, comps, degs, tol)
     if pair is not None:
         return Biregular(r1=pair[0], r2=pair[1])
@@ -309,19 +318,23 @@ def test_classify_degree_classes_do_not_depend_on_numbering():
 
 
 def test_connected_components_partition():
-    comps = connected_components(k4_plus_p3())
+    # every label is the smallest node of its component
+    assert connected_components(k4_plus_p3()).tolist() == [0, 0, 0, 0, 4, 4, 4]
+    comps = partition(k4_plus_p3())
     assert sorted(len(c) for c in comps) == [3, 4]
     union = set().union(*comps)
     assert union == set(range(7))
 
 
 def test_connected_components_single():
-    comps = connected_components(generate("path:5"))
+    assert connected_components(generate("path:5")).tolist() == [0] * 5
+    comps = partition(generate("path:5"))
     assert len(comps) == 1 and comps[0] == set(range(5))
 
 
 def test_connected_components_edgeless():
-    comps = connected_components(Graph.empty(3))
+    assert connected_components(Graph.empty(3)).tolist() == [0, 1, 2]
+    comps = partition(Graph.empty(3))
     assert sorted(map(sorted, comps)) == [[0], [1], [2]]
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_N7, random_er
-from sdegraph import (DuplicateLink, Graph, MalformedGraph6, NegativeWeight,
-                      ParseError, Regular, SelfLoop, WeightedUnsupported,
-                      classify, encode_graph6, generate, parse_graph6,
-                      parse_weighted_edge_list, read_graph6_file,
-                      read_records_csv, write_records_csv)
-from sdegraph.io import format_value
+from sdegraph import (Graph, classify, generate, parse_graph6,
+                      parse_weighted_edge_list, read_graph6_file)
+from sdegraph.errors import (DuplicateLink, MalformedGraph6, NegativeWeight,
+                             ParseError, SelfLoop, WeightedUnsupported)
+from sdegraph.graph import Regular
+from sdegraph.io import (encode_graph6, format_value, read_records_csv,
+                         write_records_csv)
 from sdegraph.metrics import METRIC_NAMES
 
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import sdegraph.solver as solver_module
 from conftest import cycle_graph, k4_plus_p3, random_er
-from sdegraph import (AllDegreesZero, Graph, InvalidGraph, NoConvergence, Q_MAX,
-                      RegularGraph, bounds, degree_sequence,
-                      f1, fork_q_constant,
-                      SdeResult, full_spectrum, generate, sde,
-                      solve_bisection, solve_newton, solve_recursion,
+from sdegraph import (Graph, bounds, degree_sequence, f1, fork_q_constant,
+                      generate, sde, solve_bisection, solve_recursion,
                       spectral_radius)
+from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
+from sdegraph.solver import Q_MAX, SdeResult, solve_newton
+from sdegraph.spectral import full_spectrum
 
 
 def _ds_lam(g, lam=None):
@@ -29,13 +29,13 @@ def rms_degree(ds):
 
 
 def connected_er(rng, n, p):
-    from sdegraph import connected_components
+    from sdegraph.graph import connected_components
     while True:
         g = random_er(rng, n, p)
         degs = g.degrees()
         if degs.max() == degs.min():
             continue
-        if len(connected_components(g)) == 1:
+        if not connected_components(g).any():
             return g
 
 
@@ -374,6 +374,19 @@ def test_newton_refuses_perturbed_complete_graph_it_cannot_certify():
     with pytest.raises(NoConvergence):
         sde(g)
     assert solve_bisection(ds, lam).is_finite
+
+
+@pytest.mark.xfail(strict=True, reason="f1(2) <= 0 from lambda1's rounding returns "
+                                       "an uncertified q = 2")
+@pytest.mark.parametrize("n, truth", [(15, 2.86666674746), (20, 2.900000062)])
+def test_perturbed_complete_graph_is_not_pinned_to_two(n, truth):
+    # K_n with one link of weight 1 + 1e-6 is not biregular, so q > 2. The
+    # truths are the root of the defining equation at 60 digits (mpmath),
+    # with lambda1 the top eigenvalue of the equitable partition's 2x2
+    # quotient matrix [[w, n - 2], [2, n - 3]], w the stored weight. Today
+    # the computed lambda1 makes f1(2) about -1e-15, far beyond f1's own
+    # rounding estimate (~1e-23), and every solver returns exactly 2.
+    assert abs(sde(complete_with_heavy_link(n, 1 + 1e-6)).q - truth) <= 1e-6
 
 
 def exact_root(ds, lam):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, random_er
-from sdegraph import (Graph, NoConvergence, TooLargeForDense, ba_graph,
-                      full_spectrum, generate, lollipop_limit_lambda1,
-                      spectral_radius)
+from sdegraph import Graph, generate, lollipop_limit_lambda1, spectral_radius
+from sdegraph.errors import NoConvergence, TooLargeForDense
+from sdegraph.families import ba_graph
+from sdegraph.spectral import full_spectrum
 from sdegraph import spectral
 from sdegraph.cli import main
 from sdegraph.graph import DENSE_CAP
