@@ -324,7 +324,9 @@ def fork_q_constant() -> float:
 @functools.lru_cache(maxsize=1)
 def lollipop_limit_lambda1() -> float:
     """Limiting spectral radius of the lollipop family, computed once at
-    N = 1e4 (convergence in N is extremely fast); approx 2.9021160."""
+    N = 1e4 (convergence in N is extremely fast); approx 2.9021160. The
+    pendant path folds into the 5-node core, so :func:`spectral_radius`
+    takes its sign-test route."""
     return spectral_radius(generate(FamilySpec("lollipop", (10_000,))))
 
 

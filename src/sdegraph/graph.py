@@ -262,35 +262,53 @@ GraphClass = Regular | Biregular | MaxCliqueComponent | Generic
 def connected_components(g: Graph) -> np.ndarray:
     """Component label of every node: the smallest node of its maximal
     positive-weight-connected set, so ``g`` is connected exactly when every
-    label is 0.
+    label is 0."""
+    return _component_labels(g.n, g._rows, g.indices)
 
-    Vectorised on the CSR links. Each node's label points to a node of its
+
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component labels of nodes 0..n-1 joined by the links (rows[k],
+    cols[k]), each given in both orientations.
+
+    Vectorised on the links. Each node's label points to a node of its
     component with no larger id. A round lowers, across every link, the
     label of one end's label to the other end's label, then lets every
     label jump once along these pointers; labels only decrease, and a round
     that changes none leaves every component labelled by its smallest node.
     """
-    labels = np.arange(g.n)
+    labels = np.arange(n)
     while True:
         hooked = labels.copy()
-        np.minimum.at(hooked, labels[g._rows], labels[g.indices])
+        np.minimum.at(hooked, labels[rows], labels[cols])
         hooked = hooked[hooked]
         if np.array_equal(hooked, labels):
             return labels
         labels = hooked
 
 
-def _max_clique_component(g: Graph, labels: np.ndarray,
-                          high: np.ndarray) -> tuple[int, ...] | None:
-    """Nodes of the complete component with the smallest label whose
-    degrees all equal d_max, if any."""
-    size = np.bincount(labels)
-    # no repeated links or self-loops: m - 1 links each make K_m
-    fits = high & (np.diff(g.indptr) == size[labels] - 1)
-    complete = (size >= 2) & (np.bincount(labels, weights=fits) == size)
+def _max_clique_component(g: Graph, candidate: np.ndarray) -> tuple[int, ...] | None:
+    """Nodes of the complete component of ``g`` with the smallest node among
+    those made only of candidates, if any.
+
+    Searches the components of the links joining two candidates, on the
+    candidates alone. Such a component C is a complete component of ``g``
+    exactly when each of its nodes has |C| - 1 links, all inside C (no
+    repeated links or self-loops): a component of the candidate links can
+    meet the size test while a link leaves it for a non-candidate.
+    """
+    nodes = np.flatnonzero(candidate)
+    rows, cols = g._rows, g.indices
+    inside = candidate[rows] & candidate[cols]
+    # candidate ids, renumbered 0..k-1 in node order
+    sub_rows = np.searchsorted(nodes, rows[inside])
+    labels = _component_labels(nodes.size, sub_rows, np.searchsorted(nodes, cols[inside]))
+    size = np.bincount(labels, minlength=nodes.size)
+    inner = np.bincount(sub_rows, minlength=nodes.size)
+    fits = (inner == size[labels] - 1) & (inner == np.diff(g.indptr)[nodes])
+    complete = (size >= 2) & (np.bincount(labels, weights=fits, minlength=nodes.size) == size)
     if not complete.any():
         return None
-    return tuple(np.flatnonzero(labels == np.argmax(complete)).tolist())
+    return tuple(nodes[labels == np.argmax(complete)].tolist())
 
 
 def classify(g: Graph) -> GraphClass:
@@ -305,10 +323,11 @@ def classify(g: Graph) -> GraphClass:
     (the low class) and every positive link joins the two classes. Then the
     classes two-colour every component with one degree per part, so every
     component is bipartite with part degrees (d_max, d_min); conversely, a
-    biregular graph's links all join an r1 node to an r2 node. The
-    components are computed only for the max-clique-component test, and
-    only when some node passes its necessary condition: the node is high
-    and so is every neighbour, with the same link count.
+    biregular graph's links all join an r1 node to an r2 node. Components
+    are searched only for the max-clique-component test, only among the
+    nodes that pass its necessary condition (the node is high and so is
+    every neighbour, with the same link count), and only on the links
+    between two of them.
     """
     degs = g.degrees()
     d_max, d_min = float(degs.max()), float(degs.min())
@@ -324,7 +343,7 @@ def classify(g: Graph) -> GraphClass:
     candidate = high & (links > 0)
     candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
     if candidate.any():
-        clique = _max_clique_component(g, connected_components(g), high)
+        clique = _max_clique_component(g, candidate)
         if clique is not None:
             return MaxCliqueComponent(clique=clique)
     return Generic()

@@ -238,9 +238,18 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
                      residual=abs(f1(q, ds, lambda1)))
 
 
-def _exceeds_rounding(evaluation: tuple[float, float, float]) -> bool:
-    value, _, rounding = evaluation
-    return value > rounding
+def _certifies(evaluate, q: float, tol_q: float, at_q: tuple[float, float, float]) -> bool:
+    """Whether the signs certify the root in [q - tol_q, q] despite
+    rounding: f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where
+    f1(2) > 0 already holds), with ``at_q`` = evaluate(q) and r each
+    evaluation's rounding estimate."""
+    f, _, rounding = at_q
+    if f > -rounding:
+        return False
+    if q - tol_q <= 2.0:
+        return True
+    below, _, rounding = evaluate(q - tol_q)
+    return below > rounding
 
 
 def solve_newton(ds: DegreeSequence, lambda1: float,
@@ -278,13 +287,14 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     step = math.inf
     misses = 0
     for k in range(_NEWTON_MAX_STEPS + 1):
-        f, slope, rounding = evaluate(q)
+        at_q = evaluate(q)
+        f, slope, rounding = at_q
         # aim at f1 = -1.5*rounding, inside the band where f1 <= -rounding
         # holds despite rounding (f1 moves in steps of up to its rounding)
         g = f + 1.5 * rounding
         converged = abs(step) <= tol_q
         if converged:
-            if f <= -rounding and (q - tol_q <= 2.0 or _exceeds_rounding(evaluate(q - tol_q))):
+            if _certifies(evaluate, q, tol_q, at_q):
                 return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
             misses += 1
         # f1 changing by under 2r across tol_q cannot certify, once the
@@ -312,13 +322,22 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
 
     The numerator equals f1(q) + q*log(d_max/lambda1), so the map is
     F(q) = q + f1(q)/log(d_max/lambda1), evaluated on the degree histogram
-    relative to lambda1 like f1 itself. ``iterations`` counts map
-    evaluations. Raises NoConvergence after ``_RECURSION_MAX_STEPS`` steps.
+    relative to lambda1 like f1 itself. A step that moves q by at most
+    ``tol_q`` is returned only with :func:`solve_newton`'s certificate: for
+    q' = q + tol_q/2, f1(q') <= -r and f1(q' - tol_q) > r (or q' - tol_q
+    <= 2), with r the rounding estimate of f1, so the root lies in
+    [q' - tol_q, q'] and q' is returned; otherwise the iteration goes on.
+    ``iterations`` counts map evaluations. The results without iteration
+    are those of :func:`solve_bisection`. Raises NoConvergence after
+    ``_RECURSION_MAX_STEPS`` steps.
     """
     early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
     evaluate, _ = _f1_on_histogram(ds, lambda1)
+    f2 = evaluate(2.0)[0]
+    if f2 <= 0.0:
+        return SdeResult(2.0, METHOD_RECURSION, iterations=0, residual=abs(f2))
     rho_max = math.log1p((ds.d_max - lambda1) / lambda1)
 
     def F(q: float) -> float:
@@ -332,12 +351,15 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
         d2 = p2 - 2.0 * p1 + p0
         p_new = p2 if d2 == 0.0 else p0 - (p1 - p0) ** 2 / d2
         p_new = min(max(p_new, 2.0), hi_clamp)
+        q = p_new + 0.5 * tol_q
         if abs(p_new - p0) <= tol_q:
-            return SdeResult(p_new, METHOD_RECURSION, iterations=2 * k,
-                             residual=abs(evaluate(p_new)[0]))
+            at_q = evaluate(q)
+            if _certifies(evaluate, q, tol_q, at_q):
+                return SdeResult(q, METHOD_RECURSION, iterations=2 * k,
+                                 residual=abs(at_q[0]))
         p0 = p_new
     raise NoConvergence(
-        f"the recursion did not converge within {_RECURSION_MAX_STEPS} steps")
+        f"the recursion did not certify q within {_RECURSION_MAX_STEPS} steps")
 
 
 def sde(g: Graph, *, tol_q: float = DEFAULT_TOL_Q, lambda1: float | None = None,

@@ -1,15 +1,25 @@
 """Eigenvalue computations: spectral radius and full adjacency/Laplacian spectra.
 
-The spectral radius is the top dense LAPACK eigenvalue up to
-``DENSE_LAMBDA1_CAP`` nodes, and above it a thick-restart Lanczos in numpy
-whose matrix-vector product runs on the graph's own CSR arrays (graphs with
-1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh quotient
-of the Lanczos vector after a residual check. A Lanczos step pays only for
-the work it needs: one Gram-Schmidt pass unless the DGKS test asks for a
-second, no weight products on unweighted graphs, and no eigensolve of T in
-a cycle that cannot converge before its restart. Nothing here imports scipy.
-Full spectra go through the dense symmetric LAPACK solver and are capped at
-``DENSE_CAP`` nodes.
+The spectral radius lambda1 takes one of three routes, chosen from the
+graph's own structure:
+
+- up to ``DENSE_LAMBDA1_CAP`` nodes, the top dense LAPACK eigenvalue;
+- above it, a graph with a degree-1 node whose pendant trees leave a 2-core
+  of at most ``DENSE_LAMBDA1_CAP`` nodes (a forest leaves none: the path,
+  the fork, BA trees; the lollipop leaves 5 nodes) gets mu* = d_max -
+  lambda1 from Sylvester's law of inertia (:mod:`sdegraph.inertia`): two
+  sign tests on the leaves-first pivots of (d_max - mu) I - A bracket it
+  within a rounding bound;
+- every other graph runs a thick-restart Lanczos in numpy whose
+  matrix-vector product runs on the graph's own CSR arrays (graphs with
+  1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh
+  quotient of the Lanczos vector after a residual check. A Lanczos step pays
+  only for the work it needs: one Gram-Schmidt pass unless the DGKS test
+  asks for a second, no weight products on unweighted graphs, and no
+  eigensolve of T in a cycle that cannot converge before its restart.
+
+Nothing here imports scipy. Full spectra go through the dense symmetric
+LAPACK solver and are capped at ``DENSE_CAP`` nodes.
 """
 from __future__ import annotations
 
@@ -21,30 +31,32 @@ import numpy as np
 from .errors import NoConvergence
 from .graph import Graph
 
-# largest n whose lambda1 comes from dense eigvalsh (dense view included);
+# largest n whose lambda1 comes from dense eigvalsh (dense view included),
+# and the largest 2-core the sign-test route folds its pendant trees into;
 # kept at its ARPACK-era value after re-measuring against the numpy Lanczos
 # (one BLAS thread): Lanczos wins from ~120 nodes on ER and BA graphs and
-# from ~140 on the lollipop, while the path favours eigvalsh up to ~400
+# from ~140 on the lollipop (which takes the sign-test route above the cap)
 DENSE_LAMBDA1_CAP = 192
-# Lanczos residual bound on lambda1, relative to max(1, d_max)
+# Lanczos residual bound on lambda1, relative to max(1, d_max); the
+# sign-test route brackets lambda1 at least this tightly
 TOL_LAMBDA1 = 1e-12
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart (20
-# rather than 12 took 1517 instead of 1917 matvecs on the 2000-node path),
-# and restart cap (the 10,000-node path needs 674 restarts)
+# rather than 12 took 829 instead of 1009 matvecs on the 2 x 1000 ladder),
+# and restart cap (the 2 x 5000 ladder needs about 280 restarts)
 LANCZOS_BASIS = 48
 LANCZOS_KEEP = 20
 LANCZOS_MAX_RESTARTS = 10_000
 # steps between convergence checks within a cycle (an eigh of T at every
-# step doubled the path's time); after a restart, a cycle is checked before
-# its own restart only if that restart's top Ritz residual was within
-# LANCZOS_CHECK_NEAR times the bound (on the 2000-node path this skips 282
-# of 379 checks and no matvec)
+# step doubled the time on a 2000-node path); after a restart, a cycle is
+# checked before its own restart only if that restart's top Ritz residual
+# was within LANCZOS_CHECK_NEAR times the bound (on the 2 x 1000 ladder
+# this skips 150 of 207 checks and no matvec)
 LANCZOS_CHECK_EVERY = 4
 LANCZOS_CHECK_NEAR = 1e3
 # DGKS test (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): the
 # Gram-Schmidt pass is repeated only when it left less than this fraction of
-# the vector's norm (after the three-term subtraction, 1 of 1,516 steps on
-# the 2000-node path and 2 of 36 on the 100,005-node lollipop)
+# the vector's norm (after the three-term subtraction, 1 of 828 steps on
+# the 2 x 1000 ladder and none of 36 on a 5000-node BA graph with m = 2)
 LANCZOS_DGKS = 1 / math.sqrt(2)
 
 
@@ -67,7 +79,10 @@ class Spectrum:
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue, absolute error <= TOL_LAMBDA1 * max(1, d_max).
 
-    Above ``DENSE_LAMBDA1_CAP`` nodes, Lanczos failing or a residual
+    Above ``DENSE_LAMBDA1_CAP`` nodes, a graph with a degree-1 node and a
+    small 2-core takes the sign-test route (:mod:`sdegraph.inertia`), which
+    raises NoConvergence if its sweeps do not bracket lambda1; other
+    graphs run Lanczos, where failing or a residual
     ``||A v - lambda v|| > TOL_LAMBDA1 * max(1, d_max)`` raises NoConvergence.
     """
     n = g.n
@@ -76,6 +91,12 @@ def spectral_radius(g: Graph) -> float:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
         return float(np.linalg.eigvalsh(g.weights)[-1])
+    if (np.diff(g.indptr) == 1).any():
+        # imported here, so that runs without such graphs never compile it
+        from .inertia import PendantTrees
+        trees = PendantTrees.of(g, d_max)
+        if trees is not None:
+            return d_max - trees.mu_star()[0]
     bound = TOL_LAMBDA1 * max(1.0, d_max)
     # the Ritz estimate |beta s_m| matches the true residual only up to
     # roundoff (on the 10004-node fork an estimate under the bound 3e-12 came

@@ -180,14 +180,30 @@ def test_classify_computes_components_once(monkeypatch, g, cls, passes):
     # link count (the path's and the star's high nodes have low neighbours)
     import sdegraph.graph as graph_module
     calls = []
+    labels = graph_module._component_labels
 
-    def counted(graph):
-        calls.append(graph)
-        return connected_components(graph)
+    def counted(n, rows, cols):
+        calls.append(n)
+        return labels(n, rows, cols)
 
-    monkeypatch.setattr(graph_module, "connected_components", counted)
+    monkeypatch.setattr(graph_module, "_component_labels", counted)
     assert isinstance(graph_module.classify(g), cls)
     assert len(calls) == passes
+
+
+def test_classify_clique_test_needs_every_link_inside():
+    # on the path 0-1-2-3-4-5 (d_max = 2) only nodes 2 and 3 pass the
+    # necessary condition, and their one candidate link makes a component
+    # whose nodes have |C| - 1 = 1 link inside it, yet each has a second link
+    # to a non-candidate: not a clique component
+    g = generate("path:6")
+    assert isinstance(classify(g), Generic)
+    assert isinstance(reference_classify(g), Generic)
+    # the same with a true clique component beside it: K3 is found
+    w = np.zeros((9, 9))
+    w[:6, :6] = g.weights
+    w[6:, 6:] = 1 - np.eye(3)
+    assert classify(Graph.from_dense(w)) == MaxCliqueComponent(clique=(6, 7, 8))
 
 
 def test_classify_weighted_biregular_scales():

@@ -13,7 +13,7 @@ from sdegraph import (Graph, bounds, degree_sequence, f1, fork_q_constant,
                       generate, sde, solve_bisection, solve_recursion,
                       spectral_radius)
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
-from sdegraph.solver import Q_MAX, SdeResult, solve_newton
+from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, solve_newton
 from sdegraph.spectral import full_spectrum
 
 
@@ -407,14 +407,17 @@ def exact_root(ds, lam):
 def test_q0_above_q_max_gives_inf_only_on_evidence(n, eps, above):
     # K_n with one link of weight 1 + eps: the root is below 3 while the
     # bound q0 is near or above Q_MAX. f1(Q_MAX) <= 0, so no solver reports
-    # inf; bisection finds the exact root, and Newton certifies it or says
-    # that it cannot
+    # inf; bisection finds the exact root, and Newton and the recursion
+    # certify it or say that they cannot
     g = complete_with_heavy_link(n, 1 + eps)
     ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
     assert (bounds(ds, lam).upper > Q_MAX) == above
     root = exact_root(ds, lam)
     assert abs(solve_bisection(ds, lam).q - root) <= TOL_Q
-    assert not solve_recursion(ds, lam).is_infinite
+    try:
+        assert not solve_recursion(ds, lam).is_infinite
+    except NoConvergence as exc:
+        assert "recursion" in str(exc)
     try:
         q = solve_newton(ds, lam).q
     except NoConvergence as exc:
@@ -481,6 +484,23 @@ def test_recursion_map_is_the_papers_formula(spec, rng):
         assert abs(q + f1(q, ds, lam) / math.log(d_max / lam) - paper(q)) <= 1e-12 * paper(q)
     r = solve_recursion(ds, lam)
     assert abs(paper(r.q) - r.q) <= 2e-9
+
+
+@pytest.mark.parametrize("n, eps", [(8, 1e-5), (50, 1e-4), (5, 1e-3), (10, 1e-2)])
+def test_recursion_certifies_or_raises(n, eps):
+    # near-regular degrees: the map's rate is near 1, and a step of at most
+    # tol_q once returned q 3.2e-4 from the root on K8/1e-5; a returned q
+    # now carries Newton's certificate, so it is within tol_q of bisection
+    g = complete_with_heavy_link(n, 1 + eps)
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
+    try:
+        r = solve_recursion(ds, lam)
+    except NoConvergence as exc:
+        assert "recursion" in str(exc)
+        return
+    assert abs(r.q - solve_bisection(ds, lam).q) <= TOL_Q
+    f, _, rounding = _f1_on_histogram(ds, lam)[0](r.q)
+    assert f <= -rounding
 
 
 def test_recursion_raises_where_it_does_not_converge():

@@ -1,18 +1,31 @@
+import json
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, random_er
 from sdegraph import Graph, generate, lollipop_limit_lambda1, spectral_radius
 from sdegraph.errors import NoConvergence, TooLargeForDense
 from sdegraph.families import ba_graph
 from sdegraph.spectral import full_spectrum
-from sdegraph import spectral
+from sdegraph import inertia, spectral
 from sdegraph.cli import main
 from sdegraph.graph import DENSE_CAP
-from sdegraph.spectral import DENSE_LAMBDA1_CAP, LANCZOS_BASIS, LANCZOS_KEEP
+from sdegraph.spectral import (DENSE_LAMBDA1_CAP, LANCZOS_BASIS, LANCZOS_KEEP,
+                               TOL_LAMBDA1)
+
+
+def ladder(n: int) -> Graph:
+    """The 2 x n grid: no degree-1 node, so above the dense cap it takes
+    Lanczos, and lambda1 = 1 + 2 cos(pi/(n+1)) has a gap of about
+    3 pi^2/n^2, which makes Lanczos restart."""
+    rails = [(a, a + 1) for a in range(n - 1)] + [(n + a, n + a + 1) for a in range(n - 1)]
+    return Graph.from_edges(2 * n, rails + [(a, n + a) for a in range(n)])
 
 
 def test_path5_radius():
@@ -42,7 +55,7 @@ def test_sparse_operator_matches_dense():
     # above the dense / Lanczos crossover: Lanczos on the stored CSR against
     # dense eigvalsh on the dense view of the same graph
     assert 40 <= DENSE_LAMBDA1_CAP < 400
-    g = generate("lollipop:400")
+    g = ladder(200)
     assert g.n > DENSE_LAMBDA1_CAP
     assert abs(spectral_radius(g) - np.linalg.eigvalsh(g.weights)[-1]) < 1e-11
 
@@ -103,17 +116,16 @@ def test_lanczos_agrees_with_dense(rng):
     for base in (random_er(rng, 250, 0.05), ba_graph(300, 2, rng)):
         w = np.triu(base.weights * rng.uniform(0.1, 5.0, base.weights.shape), 1)
         graphs.append(Graph.from_dense(w + w.T))
-    # the path and the fork restart, so they reach the cycles whose
-    # convergence checks are skipped
-    graphs += [generate(f"path:{2 * DENSE_LAMBDA1_CAP}"),
-               generate(f"fork:{DENSE_LAMBDA1_CAP}")]
+    # ladders restart, so they reach the cycles whose convergence checks are
+    # skipped
+    graphs += [ladder(DENSE_LAMBDA1_CAP), ladder(DENSE_LAMBDA1_CAP // 2 + 7)]
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
         lam_l = spectral_radius(g)
         lam_d = full_spectrum(g).lambda1
         assert abs(lam_l - lam_d) <= 1e-8 * max(1.0, g.degrees().max())
     # uniform weights take the weighted product and scale lambda1
-    plain = generate("path:400")
+    plain = ladder(200)
     weighted = plain.scaled(2.5)
     assert plain.is_unweighted() and not weighted.is_unweighted()
     lam = spectral_radius(plain)
@@ -121,9 +133,10 @@ def test_lanczos_agrees_with_dense(rng):
 
 
 def test_lanczos_checks_only_near_convergence(monkeypatch):
-    # an eigh check of T every fourth step of every cycle took 379 checks
-    # and 1,517 products on the 2000-node path; checking a restarted cycle
-    # only near convergence may cost at most one more cycle of products
+    # an eigh check of T every fourth step of every cycle took 207 checks
+    # and 829 products on the 2 x 1000 ladder; checking a restarted cycle
+    # only near convergence took 57 checks and the same products, and may
+    # cost at most a third more checks and one more cycle of products
     calls = {"eigh": 0, "matvec": 0}
     eigh, matvec = np.linalg.eigh, spectral._matvec
 
@@ -137,13 +150,14 @@ def test_lanczos_checks_only_near_convergence(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(spectral, "_matvec", counted_matvec)
-    spectral_radius(generate("path:2000"))
-    assert calls["eigh"] <= 130
-    assert calls["matvec"] <= 1517 + LANCZOS_BASIS - LANCZOS_KEEP
-    # the lollipop converges within its first cycle, in 37 products
-    calls["matvec"] = 0
-    spectral_radius(generate("lollipop:100000"))
-    assert calls["matvec"] <= 37
+    spectral_radius(ladder(1000))
+    assert calls["eigh"] <= 76
+    assert calls["matvec"] <= 829 + LANCZOS_BASIS - LANCZOS_KEEP
+    # the paper's trees and pendant trees take the sign tests: no product
+    for spec in ("path:2000", "fork:500", "lollipop:100000"):
+        calls["matvec"] = 0
+        spectral_radius(generate(spec))
+        assert calls["matvec"] == 0, spec
 
 
 def test_rayleigh_and_gershgorin_bounds(rng):
@@ -174,13 +188,13 @@ def test_edgeless_and_tiny():
 
 def test_no_convergence_error(monkeypatch, tmp_path, capsys):
     # Lanczos running out of restarts is a NoConvergence in the library and
-    # exit 3 from the CLI; the path's 1/N^2 gap needs more than one cycle
-    n = DENSE_LAMBDA1_CAP + 10
+    # exit 3 from the CLI; the ladder's gap needs more than one cycle
+    g = ladder(DENSE_LAMBDA1_CAP // 2 + 5)
     monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 0)
     with pytest.raises(NoConvergence, match="Lanczos did not converge"):
-        spectral_radius(generate(f"path:{n}"))
-    path = tmp_path / "path.txt"
-    path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        spectral_radius(g)
+    path = tmp_path / "ladder.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in g.links()))
     assert main(["compute", "--edge-list", str(path)]) == 3
     assert "Lanczos did not converge" in capsys.readouterr().err
 
@@ -193,7 +207,7 @@ def test_lanczos_residual_check(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos", not_an_eigenvector)
     with pytest.raises(NoConvergence, match="residual"):
-        spectral_radius(generate(f"path:{DENSE_LAMBDA1_CAP + 10}"))
+        spectral_radius(ladder(DENSE_LAMBDA1_CAP // 2 + 5))
 
 
 def test_no_scipy_import(monkeypatch, tmp_path, capsys):
@@ -222,3 +236,109 @@ def test_disconnected_radius_is_component_max():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                              (4, 5), (5, 6)])
     assert abs(spectral_radius(g) - 3.0) < 1e-10
+
+
+# the sign-test route: pendant trees eliminated leaves first
+
+
+def _sign_tests(g):
+    trees = inertia.PendantTrees.of(g, float(g.degrees().max()))
+    assert trees is not None
+    return trees.mu_star()
+
+
+def _json_lambda1(tmp_path, capsys, g):
+    path = tmp_path / "links.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in g.links()))
+    assert main(["compute", "--edge-list", str(path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["lambda1"]
+
+
+@pytest.mark.parametrize("n", [500, 2000, 10000])
+def test_sign_tests_bracket_the_path(n, tmp_path, capsys):
+    # mu* = 2 - 2 cos(pi/(N+1)) = 4 sin^2(pi/(2N+2)), free of cancellation
+    g = generate(f"path:{n}")
+    mu, low, high = _sign_tests(g)
+    truth = 4 * math.sin(math.pi / (2 * n + 2)) ** 2
+    assert low <= truth <= high and low <= mu <= high
+    assert high - low <= 2 * TOL_LAMBDA1
+    lam = 2 * math.cos(math.pi / (n + 1))
+    assert abs(spectral_radius(g) - lam) <= 2 * TOL_LAMBDA1
+    assert abs(_json_lambda1(tmp_path, capsys, g) - lam) <= 2 * TOL_LAMBDA1
+
+
+def test_sign_tests_bracket_the_fork_and_the_star():
+    # the fork's lambda1 is 2 (mu* = 1); the star's is sqrt(N - 1), summed
+    # over 4,999 leaves at the hub
+    for n in (500, 4000):
+        mu, low, high = _sign_tests(generate(f"fork:{n}"))
+        assert low <= 1.0 <= high
+        assert spectral_radius(generate(f"fork:{n}")) == 2.0
+    mu, low, high = _sign_tests(generate("star:5000"))
+    truth = float(4999 - Decimal(4999).sqrt())
+    assert low <= truth <= high
+    assert abs(spectral_radius(generate("star:5000")) - math.sqrt(4999)) <= 4999 * TOL_LAMBDA1
+
+
+@pytest.mark.parametrize("n", [DENSE_LAMBDA1_CAP, 700, DENSE_CAP - 5])
+def test_sign_tests_match_dense_on_the_lollipop(n):
+    g = generate(f"lollipop:{n}")
+    assert g.n > DENSE_LAMBDA1_CAP
+    assert abs(spectral_radius(g) - np.linalg.eigvalsh(g.weights)[-1]) <= 3 * TOL_LAMBDA1
+
+
+@st.composite
+def pendant_graphs(draw):
+    """A forest, or a small core (a cycle with chords) with pendant trees;
+    the last node always hangs by one link, so there is a leaf."""
+    n = draw(st.integers(3, 40))
+    core = draw(st.sampled_from((0, 0, 3, 4, 6, 9)))
+    core = core if core < n else 0
+    links = [(i, (i + 1) % core) for i in range(core)]
+    links += [(i, j) for i in range(core) for j in range(i + 2, core)
+              if (i, j) != (0, core - 1) and draw(st.booleans())]
+    for v in range(max(core, 1), n):
+        if v == n - 1 or draw(st.integers(0, 4)):  # else v starts a new tree
+            links.append((draw(st.integers(0, v - 1)), v))
+    if draw(st.booleans()):
+        weights = st.sampled_from((0.5, 1.0, 2.0, 3.7)) | st.floats(0.1, 10.0)
+        links = [(i, j, draw(weights)) for i, j in links]
+    return Graph.from_edges(n, links)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pendant_graphs())
+def test_sign_tests_match_dense_eigvalsh(g):
+    d_max = float(g.degrees().max())
+    mu, low, high = _sign_tests(g)
+    lam = float(np.linalg.eigvalsh(g.weights)[-1])
+    assert abs((d_max - mu) - lam) <= TOL_LAMBDA1 * max(1.0, d_max)
+    # eigvalsh's own error is a few ulps of d_max per node at most
+    slack = 8 * g.n * 2.0 ** -52 * d_max
+    assert low - slack <= d_max - lam <= high + slack
+
+
+def test_tree_beside_a_large_core():
+    # a 300-node ladder is a 2-core above the cap, so the whole graph takes
+    # Lanczos, which returns the largest lambda1 of the two components
+    big = ladder(150)
+    ladder_lambda1 = 1 + 2 * math.cos(math.pi / 151)
+    for tree, tree_lambda1 in ((generate("star:60"), math.sqrt(59)),
+                               (generate("path:300"), 2 * math.cos(math.pi / 301))):
+        links = big.links() + [(big.n + i, big.n + j) for i, j in tree.links()]
+        g = Graph.from_edges(big.n + tree.n, links)
+        d_max = float(g.degrees().max())
+        expected = max(ladder_lambda1, tree_lambda1)
+        assert abs(spectral_radius(g) - expected) <= TOL_LAMBDA1 * d_max
+
+
+def test_sign_tests_no_convergence_exit_3(monkeypatch, tmp_path, capsys):
+    # sweeps that do not bracket lambda1 are a NoConvergence, exit 3
+    monkeypatch.setattr(inertia, "MAX_SWEEPS", 1)
+    g = generate(f"path:{DENSE_LAMBDA1_CAP + 10}")
+    with pytest.raises(NoConvergence, match="pivot sweeps"):
+        spectral_radius(g)
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in g.links()))
+    assert main(["compute", "--edge-list", str(path)]) == 3
+    assert "pivot sweeps" in capsys.readouterr().err
