@@ -316,8 +316,9 @@ def classify(g: Graph) -> GraphClass:
     MaxCliqueComponent > Generic.
 
     Regularity makes the SDE undefined regardless of any other structure, so
-    it is tested first; degrees within tol = ``TOL_DEG`` * max(d_max, 1)
-    count as equal. Biregularity is decided from the degrees: a
+    it is tested first; degrees within tol = ``TOL_DEG`` * d_max count as
+    equal, the relative rule of :func:`degree_sequence`, so the class does
+    not change when every weight is scaled. Biregularity is decided from the degrees: a
     non-regular graph with no isolated node is biregular exactly when every
     degree lies within tol of d_max (the high class) or within tol of d_min
     (the low class) and every positive link joins the two classes. Then the
@@ -331,7 +332,7 @@ def classify(g: Graph) -> GraphClass:
     """
     degs = g.degrees()
     d_max, d_min = float(degs.max()), float(degs.min())
-    tol = TOL_DEG * max(d_max, 1.0)
+    tol = TOL_DEG * d_max
     if d_max - d_min <= tol:
         return Regular(degree=d_max)
     high = d_max - degs <= tol

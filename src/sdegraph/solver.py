@@ -6,10 +6,12 @@ the degree histogram (:class:`DegreeSequence`: distinct degrees and their
 counts) relative to lambda1, so degree powers never overflow, rounding
 stays in proportion to how far the degrees are from lambda1, and each
 evaluation costs O(distinct degrees). f1 is concave, because log-sum-exp is
-convex, and f1 <= 0 at the closed-form upper bound q0, so Newton's method
-started at q0 decreases monotonically to the root and stops on a certified
-bracket [q - tol_q, q]. q0 is only a bound: q is
-reported infinite only where lambda1 reaches d_max or f1(Q_MAX) > 0.
+convex, and f1 <= 0 at the closed-form upper bound q_top from the nodes at
+exactly d_max, so Newton's method started at q_top decreases monotonically
+to the root and stops on a certified bracket [q - tol_q, q]. q_top is only
+a bound: q is reported infinite only where lambda1 reaches d_max or
+f1(Q_MAX) > 0. Every solver takes its early exits and its start from
+:func:`_prepare`.
 :func:`sde` classifies the graph first (regular, biregular and max-clique
 component need no solve) and runs Newton otherwise. Bisection (the test
 oracle, and ``sde(verify=True)``'s cross-check) and the paper's fixed-point
@@ -78,7 +80,7 @@ class SdeBounds:
 
 
 def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
-    """f1 on the distinct positive degrees, and Newton's start q_top.
+    """f1 on the distinct positive degrees, and the solvers' start q_top.
 
     With w_k = n_k/N for the distinct positive degrees d_k (n_k times each),
     rho_k = log(d_k/lambda1) and N_0 zero degrees,
@@ -143,27 +145,26 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     return _f1_on_histogram(ds, lambda1)[0](q)[0]
 
 
-def _check_solvable(ds: DegreeSequence, lambda1: float) -> float:
-    """log(d_max/lambda1), or raise/flag the degenerate cases."""
+def _q_is_infinite(ds: DegreeSequence, lambda1: float) -> bool:
+    """Whether lambda1 reaches d_max, so that q is infinite; otherwise raises
+    where q is undefined (a non-positive lambda1 or a regular histogram)."""
+    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
+        return True
     if lambda1 <= 0:
         raise InvalidGraph("lambda1 must be positive")
     if ds.c >= ds.n:
         raise RegularGraph("degree sequence is constant")
-    return math.log(ds.d_max / lambda1)
-
-
-def _lambda1_at_dmax(ds: DegreeSequence, lambda1: float) -> bool:
-    return lambda1 >= ds.d_max * (1.0 - _INF_GUARD)
+    return False
 
 
 def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     """Closed-form bracket: lower from the d2 substitution (clamped at 2),
     upper = q0, and the sharpened upper from the d_min substitution when the
     graph has no isolated nodes."""
-    if _lambda1_at_dmax(ds, lambda1):
+    if _q_is_infinite(ds, lambda1):
         raise RegularGraph(
             "lambda1 reaches d_max: q is infinite (or the graph is regular)")
-    denom = _check_solvable(ds, lambda1)
+    denom = math.log(ds.d_max / lambda1)
     n, c = ds.n, ds.c
     upper = math.log(n / c) / denom
     r2 = ds.d2 / ds.d_max
@@ -177,65 +178,56 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     return SdeBounds(lower=lower, upper=upper, sharpened_upper=sharpened)
 
 
-def _without_iteration(ds: DegreeSequence, lambda1: float, tol_q: float,
-                       method: str) -> tuple[SdeResult | None, float]:
-    """The result every solver returns before iterating (or None), and q0.
+def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
+    """What every solver does before it iterates: (result, None, nan) where
+    no iteration is needed, else (None, evaluate, q_start).
 
     Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
-    input raises. The closed-form upper bound q0 = log(N/c)/log(d_max/lambda1)
-    may exceed Q_MAX with a small root: inf is reported only when
-    f1(Q_MAX) > 0 certifies the root above Q_MAX, and otherwise q0 is capped
-    at Q_MAX, where f1 <= 0.
+    input raises. The start is q_top (see :func:`_f1_on_histogram`), the
+    closed-form upper bound from the nodes at exactly d_max, where f1 <= 0.
+    It may exceed Q_MAX with a small root: inf is reported only when
+    f1(Q_MAX) > 0 certifies the root above Q_MAX, and otherwise the start
+    is Q_MAX. A non-positive f1(2) returns exactly 2, with no rounding
+    check. Only a biregular graph has q = 2, yet f1(2) <= 0 happens on
+    others through the rounding of lambda1, which f1's own rounding
+    estimate does not include: on K15 with one link of weight 1 + 1e-6,
+    f1(2) = -1.1e-15 against an estimate of 1.5e-23, and 2 is returned
+    where q = 2.8667.
     """
     if not (0 < tol_q <= 1e-4):
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
-    if _lambda1_at_dmax(ds, lambda1):
-        return SdeResult(math.inf, method, note="lambda1 at d_max"), math.inf
-    _check_solvable(ds, lambda1)
-    # log(d_max/lambda1) as f1 computes it, so that f1 <= 0 at q0 after rounding
-    q0 = math.log(ds.n / ds.c) / math.log1p((ds.d_max - lambda1) / lambda1)
-    if q0 > Q_MAX:
-        if f1(Q_MAX, ds, lambda1) > 0.0:
-            return SdeResult(math.inf, method, note="q_max exceeded"), q0
-        q0 = Q_MAX
-    return None, q0
+    if _q_is_infinite(ds, lambda1):
+        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan
+    evaluate, q = _f1_on_histogram(ds, lambda1)
+    if q > Q_MAX:
+        if evaluate(Q_MAX)[0] > 0.0:
+            return SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan
+        q = Q_MAX
+    f2 = evaluate(2.0)[0]
+    if f2 <= 0.0:
+        return SdeResult(2.0, method, iterations=0, residual=abs(f2)), None, math.nan
+    return None, evaluate, q
 
 
 def solve_bisection(ds: DegreeSequence, lambda1: float,
                     tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
-    """Bisect f1 on [2, U] with U grown from the closed-form upper bound.
-
-    Returns Infinite when the bracket would exceed Q_MAX with f1 still
-    positive (lambda1 at d_max, the clique-component regime). A non-positive
-    f1(2) returns exactly 2, with no rounding check. Only a biregular graph
-    has q = 2, yet f1(2) <= 0 happens on others through the rounding of
-    lambda1, which f1's own rounding estimate does not include: on K15 with
-    one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an estimate of
-    1.5e-23, and 2 is returned where q = 2.8667.
-    """
-    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_BISECTION)
+    """Bisect f1 on [2, U] down to ``tol_q``, with U a relative 1e-12 above
+    the start of :func:`_prepare`, whose results without iteration it
+    returns as they are."""
+    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_BISECTION)
     if early is not None:
         return early
-    f2 = f1(2.0, ds, lambda1)
-    if f2 <= 0.0:
-        return SdeResult(2.0, METHOD_BISECTION, iterations=0, residual=abs(f2))
-    hi = q0 * (1 + 1e-12)
-    while f1(hi, ds, lambda1) > 0.0:
-        hi *= 2.0
-        if hi > Q_MAX:
-            return SdeResult(math.inf, METHOD_BISECTION, note="q_max exceeded")
-    lo = 2.0
+    lo, hi = 2.0, q * (1 + 1e-12)
     iters = 0
     while hi - lo > tol_q:
         mid = 0.5 * (lo + hi)
-        if f1(mid, ds, lambda1) > 0.0:
+        if evaluate(mid)[0] > 0.0:
             lo = mid
         else:
             hi = mid
         iters += 1
     q = 0.5 * (lo + hi)
-    return SdeResult(q, METHOD_BISECTION, iterations=iters,
-                     residual=abs(f1(q, ds, lambda1)))
+    return SdeResult(q, METHOD_BISECTION, iterations=iters, residual=abs(evaluate(q)[0]))
 
 
 def _certifies(evaluate, q: float, tol_q: float, at_q: tuple[float, float, float]) -> bool:
@@ -254,36 +246,27 @@ def _certifies(evaluate, q: float, tol_q: float, at_q: tuple[float, float, float
 
 def solve_newton(ds: DegreeSequence, lambda1: float,
                  tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
-    """Newton's method on f1, started at q0 = log(N/c_top)/log(d_max/lambda1).
+    """Newton's method on f1, from the start and the results without
+    iteration of :func:`_prepare`.
 
-    c_top counts the nodes at exactly d_max (``ds.c`` unless
-    :func:`degree_sequence` merged near-ties); a start above Q_MAX moves down to Q_MAX when
-    f1(Q_MAX) <= 0. f1 is concave (log-sum-exp is convex) and f1 <= 0 at the
-    start, so every Newton step moves left and never passes the root: the
-    iterates decrease monotonically to it (up to rounding at the root), with
-    no bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
+    f1 is concave (log-sum-exp is convex) and f1 <= 0 at the start, so
+    every Newton step moves left and never passes the root: the iterates
+    decrease monotonically to it (up to rounding at the root), with no
+    bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
     rounding estimate of f1 (see :func:`_f1_on_histogram`), and stops at
     the first iterate q reached by a step of at most ``tol_q`` with
     f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where f1(2) > 0
     already holds): the signs hold despite rounding, which certifies the
-    root in [q - tol_q, q]; ``iterations`` counts the steps. Where f1
-    changes by less than 2r across ``tol_q`` no float64 evaluation can
+    root in [q - tol_q, q]; ``iterations`` counts the steps. A step under
+    half an ulp that is still short of the aim moves q up by one ulp. Where
+    f1 changes by less than 2r across ``tol_q`` no float64 evaluation can
     certify the root, and it raises NoConvergence at the first iterate that
     is converged or within 2r of its aim; it also raises after 5 converged
-    iterates fail the certificate, or after 100 steps. The results without
-    iteration (inf, exactly 2, the exceptions) are those of
-    :func:`solve_bisection`, including an uncertified 2 where lambda1's
-    rounding makes f1(2) <= 0.
+    iterates fail the certificate, or after 100 steps.
     """
-    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_NEWTON)
+    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
         return early
-    evaluate, q = _f1_on_histogram(ds, lambda1)
-    if q0 == Q_MAX:  # capped below q_top, where f1(Q_MAX) <= 0
-        q = Q_MAX
-    f2 = evaluate(2.0)[0]
-    if f2 <= 0.0:
-        return SdeResult(2.0, METHOD_NEWTON, iterations=0, residual=abs(f2))
     step = math.inf
     misses = 0
     for k in range(_NEWTON_MAX_STEPS + 1):
@@ -316,9 +299,10 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
                     tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
     """The paper's fixed-point recursion
     q_k = [log N - log(c + sum (d_i/d_max)^q_{k-1})] / log(d_max/lambda1),
-    started from the upper bound q0, with Aitken's delta-squared
-    extrapolation at each step (Steffensen's method), since the plain map
-    contracts only linearly, at rates that can approach 1.
+    from the start and the results without iteration of :func:`_prepare`,
+    with Aitken's delta-squared extrapolation at each step (Steffensen's
+    method), since the plain map contracts only linearly, at rates that can
+    approach 1.
 
     The numerator equals f1(q) + q*log(d_max/lambda1), so the map is
     F(q) = q + f1(q)/log(d_max/lambda1), evaluated on the degree histogram
@@ -327,30 +311,23 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     q' = q + tol_q/2, f1(q') <= -r and f1(q' - tol_q) > r (or q' - tol_q
     <= 2), with r the rounding estimate of f1, so the root lies in
     [q' - tol_q, q'] and q' is returned; otherwise the iteration goes on.
-    ``iterations`` counts map evaluations. The results without iteration
-    are those of :func:`solve_bisection`. Raises NoConvergence after
+    ``iterations`` counts map evaluations. Raises NoConvergence after
     ``_RECURSION_MAX_STEPS`` steps.
     """
-    early, q0 = _without_iteration(ds, lambda1, tol_q, METHOD_RECURSION)
+    early, evaluate, p0 = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
-    evaluate, _ = _f1_on_histogram(ds, lambda1)
-    f2 = evaluate(2.0)[0]
-    if f2 <= 0.0:
-        return SdeResult(2.0, METHOD_RECURSION, iterations=0, residual=abs(f2))
     rho_max = math.log1p((ds.d_max - lambda1) / lambda1)
 
     def F(q: float) -> float:
         return q + evaluate(q)[0] / rho_max
 
-    hi_clamp = max(q0, 2.0)
-    p0 = q0
     for k in range(1, _RECURSION_MAX_STEPS + 1):
         p1 = F(p0)
         p2 = F(p1)
         d2 = p2 - 2.0 * p1 + p0
         p_new = p2 if d2 == 0.0 else p0 - (p1 - p0) ** 2 / d2
-        p_new = min(max(p_new, 2.0), hi_clamp)
+        p_new = max(p_new, 2.0)
         q = p_new + 0.5 * tol_q
         if abs(p_new - p0) <= tol_q:
             at_q = evaluate(q)
@@ -383,11 +360,9 @@ def sde(g: Graph, *, tol_q: float = DEFAULT_TOL_Q, lambda1: float | None = None,
     lam = spectral_radius(g) if lambda1 is None else lambda1
     result = solve_newton(ds, lam, tol_q=tol_q)
     if verify:
+        # both solvers share every result without iteration (inf among them)
         other = solve_bisection(ds, lam, tol_q=tol_q)
-        both_finite = result.is_finite and other.is_finite
-        if both_finite and abs(result.q - other.q) > 2 * tol_q:
+        if result.is_finite and abs(result.q - other.q) > 2 * tol_q:
             raise NoConvergence(
                 f"solver cross-check failed: {result.q} vs {other.q}")
-        if result.is_infinite != other.is_infinite:
-            raise NoConvergence("solver cross-check failed: inf mismatch")
     return result

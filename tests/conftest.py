@@ -1,14 +1,21 @@
-"""Shared test fixtures: file paths and small named graphs."""
+"""Shared test fixtures: file paths and small named graphs, and the
+hypothesis profiles (``HYPOTHESIS_PROFILE=ci`` prints the blob that
+reproduces a falsifying example with ``@reproduce_failure``)."""
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sdegraph import Graph
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_N7 = DATA_DIR / "graph7c.g6"
 FIXTURE_N8 = DATA_DIR / "graph8c.g6"
+
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def cycle_graph(n: int) -> Graph:

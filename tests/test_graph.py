@@ -88,7 +88,7 @@ def reference_classify(g, tol_deg=TOL_DEG):
     its lowest-numbered node, within tol of the first component's pair."""
     degs = g.degrees()
     d_max = float(degs.max())
-    tol = tol_deg * max(d_max, 1.0)
+    tol = tol_deg * d_max
     if d_max - degs.min() <= tol:
         return Regular(degree=d_max)
     comps = partition(g)
@@ -108,7 +108,7 @@ def same_class(got, want, g):
         return False
     if not isinstance(want, Biregular) or np.all(g.weights == np.round(g.weights)):
         return got == want
-    tol = TOL_DEG * max(float(g.degrees().max()), 1.0)
+    tol = TOL_DEG * float(g.degrees().max())
     return abs(got.r1 - want.r1) <= tol and abs(got.r2 - want.r2) <= tol
 
 
@@ -238,6 +238,16 @@ def test_classify_dmax_regular_non_clique_component_is_generic():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]
     g = Graph.from_edges(7, edges)
     assert isinstance(classify(g), Generic)
+
+
+@pytest.mark.parametrize("a", [0.005, 0.05, 5.0])
+def test_classify_tolerance_scales_with_the_weights(a):
+    # a triangle with link weights a, a, a(1 + 1e-7): its degrees 2a and
+    # 2a + 1e-7 a are 5e-8 apart relative to d_max, beyond TOL_DEG at every
+    # scale, so the triangle is not regular at any a
+    g = Graph.from_edges(3, [(0, 1, a), (0, 2, a), (1, 2, a * (1 + 1e-7))])
+    assert isinstance(classify(g), Generic)
+    assert isinstance(reference_classify(g), Generic)
 
 
 def test_classify_priority_regular_first():
