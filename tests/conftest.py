@@ -1,7 +1,6 @@
 """Shared test fixtures: file paths and small named graphs, and the
-hypothesis profiles (``HYPOTHESIS_PROFILE=ci`` prints the blob that
-reproduces a falsifying example with ``@reproduce_failure``)."""
-import os
+hypothesis settings (a falsifying example prints the blob that reproduces
+it with ``@reproduce_failure``)."""
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +13,8 @@ DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_N7 = DATA_DIR / "graph7c.g6"
 FIXTURE_N8 = DATA_DIR / "graph8c.g6"
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("sdegraph", print_blob=True)
+settings.load_profile("sdegraph")
 
 
 def cycle_graph(n: int) -> Graph:
