@@ -1,9 +1,10 @@
 """Weighted undirected graphs: representation, degrees, classification, mutation.
 
 A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
-memory grows with the links, not with n squared; its degrees are summed
-once, and ``Graph.weights`` is a cached dense view (at most ``DENSE_CAP``
-nodes) for the dense kernels. All operations are pure: mutating operations
+memory grows with the links, not with n squared; the per-graph arrays its
+kernels share (link counts, degrees, triangles) are derived once, and
+``Graph.weights`` is a cached dense view (at most ``DENSE_CAP`` nodes) for
+the dense kernels. All operations are pure: mutating operations
 return new :class:`Graph` values. Degrees have one representation, the
 histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
 degree array, and :func:`classify` decides its classes from the degrees
@@ -122,9 +123,16 @@ class Graph:
             raise InvalidGraph("weights must be symmetric")
 
     @cached_property
+    def _link_counts(self) -> np.ndarray:
+        """Number of links at each node (read-only, computed once per graph)."""
+        counts = np.diff(self.indptr)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
     def _rows(self) -> np.ndarray:
         """Row index of every stored entry."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return np.repeat(np.arange(self.n), self._link_counts)
 
     @cached_property
     def _degrees(self) -> np.ndarray:
@@ -223,8 +231,10 @@ def degree_sequence(degrees) -> DegreeSequence:
     comparison; otherwise degrees within relative ``TOL_DEG`` of d_max count
     toward the multiplicity.
     """
-    values, counts = np.unique(np.asarray(degrees, dtype=float), return_counts=True)
-    values, counts = values[::-1], counts[::-1]
+    d = np.sort(np.asarray(degrees, dtype=float), axis=None)
+    # the first index of each run of equal degrees, and the end
+    runs = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1, [d.size]))
+    values, counts = d[runs[:-1]][::-1], (runs[1:] - runs[:-1])[::-1]
     if (values == np.rint(values)).all():
         c = int(counts[0])
     else:
@@ -304,7 +314,7 @@ def _max_clique_component(g: Graph, candidate: np.ndarray) -> tuple[int, ...] | 
     labels = _component_labels(nodes.size, sub_rows, np.searchsorted(nodes, cols[inside]))
     size = np.bincount(labels, minlength=nodes.size)
     inner = np.bincount(sub_rows, minlength=nodes.size)
-    fits = (inner == size[labels] - 1) & (inner == np.diff(g.indptr)[nodes])
+    fits = (inner == size[labels] - 1) & (inner == g._link_counts[nodes])
     complete = (size >= 2) & (np.bincount(labels, weights=fits, minlength=nodes.size) == size)
     if not complete.any():
         return None
@@ -340,8 +350,8 @@ def classify(g: Graph) -> GraphClass:
     if (d_min > 0 and (high | (degs - d_min <= tol)).all()
             and (high[rows] != high[cols]).all()):
         return Biregular(r1=d_max, r2=d_min)
-    links = np.diff(g.indptr)
-    candidate = high & (links > 0)
+    links = g._link_counts
+    candidate = high.copy()  # a node at d_max > 0 has links
     candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
     if candidate.any():
         clique = _max_clique_component(g, candidate)

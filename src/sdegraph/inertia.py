@@ -40,7 +40,7 @@ def _peel(g: Graph) -> tuple[list[int], list[int]]:
     with those of its removed neighbours, so the Python work is O(1) per
     removed node; the setup is two vectorised O(n + links) passes.
     """
-    links = np.diff(g.indptr)
+    links = g._link_counts
     left = links.tolist()
     other = np.zeros(g.n, dtype=g.indices.dtype)
     linked = np.flatnonzero(links)  # reduceat needs increasing offsets
@@ -90,7 +90,7 @@ class PendantTrees:
     def __init__(self, g: Graph, d_max: float, order: list[int], parent: list[int],
                  core: np.ndarray):
         n, m, kc = g.n, len(order), core.size
-        links = np.diff(g.indptr)
+        links = g._link_counts
         self.m, self.kc, self.d_max = m, kc, d_max
         order_a = np.array(order, dtype=np.int64)
         parent_a = np.array(parent, dtype=np.int64)
@@ -146,7 +146,7 @@ class PendantTrees:
         ``DENSE_LAMBDA1_CAP`` nodes, or where the rounding bound would not
         meet TOL_LAMBDA1 (weighted hubs)."""
         order, parent = _peel(g)
-        kept = np.diff(g.indptr) > 0
+        kept = g._link_counts > 0
         kept[order] = False
         core = np.flatnonzero(kept)
         if core.size > DENSE_LAMBDA1_CAP:

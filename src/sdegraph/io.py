@@ -184,13 +184,12 @@ def load_edge_list(path, one_based: bool = False) -> Graph:
 
 
 def format_value(v) -> str:
-    """Render a number with 12 significant digits; 'inf'/'nan' spelled so."""
-    x = float(v)
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".12g")
+    """Render a number with 12 significant digits; 'inf'/'nan' spelled so.
+
+    The 'g' format spells infinities 'inf' and '-inf' and every NaN 'nan',
+    whatever its sign.
+    """
+    return format(float(v), ".12g")
 
 
 def jsonable(v):
@@ -216,8 +215,9 @@ def write_records_csv(records, path) -> None:
     None), in the column order of the frozen metric-name list. Every record
     must carry exactly those names.
     """
+    names = set(METRIC_NAMES)
     for rec in records:
-        if set(rec) != set(METRIC_NAMES):
+        if rec.keys() != names:
             raise ParseError("records must share the same metric-name set")
     write_csv(path, METRIC_NAMES,
               ([format_value(rec[name]) for name in METRIC_NAMES] for rec in records))

@@ -70,8 +70,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise InputError("pearson needs two equal-length series with >= 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = x - x.sum() / x.size  # the bits of x.mean(), without its wrapper
+    yc = y - y.sum() / y.size
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
@@ -101,17 +101,20 @@ def bfs_distances(adj: np.ndarray) -> np.ndarray:
     unreachable), by simultaneous frontier expansion."""
     n = adj.shape[0]
     adjf = adj.astype(float)
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    d = 0
-    while frontier.any():
-        d += 1
-        nxt = ((frontier.astype(float) @ adjf) > 0) & ~reached
-        dist[nxt] = d
-        reached |= nxt
-        frontier = nxt
+    frontier = np.eye(n)
+    unreached = 1.0 - frontier
+    # a pair at distance d is unreached after levels 0..d-1, so its distance
+    # is the sum of the unreached indicators over the levels
+    dist = unreached.copy()
+    while True:
+        # path counts into the next level, capped at 1 where unreached and
+        # at 0 where reached
+        frontier = np.minimum(frontier @ adjf, unreached)
+        if not frontier.any():
+            break
+        unreached -= frontier
+        dist += unreached
+    dist[unreached > 0] = np.inf
     return dist
 
 
@@ -156,14 +159,15 @@ def count_bridges(g: Graph) -> int:
 
 
 def _global_efficiency(dist: np.ndarray) -> float:
+    """Mean inverse distance over the ordered pairs of distinct nodes (an
+    unreachable pair adds 1/inf = 0)."""
     n = dist.shape[0]
     if n < 2:
         return 0.0
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / dist[off]
-    inv[~np.isfinite(inv)] = 0.0
-    return float(inv.sum()) / (n * (n - 1))
+    # the off-diagonal entries in row-major order: past the first entry, the
+    # diagonal is the last column of an (n - 1) x (n + 1) view
+    off = dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+    return float((1.0 / off).sum()) / (n * (n - 1))
 
 
 def local_efficiency(g: Graph) -> float:
@@ -180,61 +184,63 @@ def local_efficiency(g: Graph) -> float:
     divided by k_i (k_i - 1).
     """
     n = g.n
-    deg = np.diff(g.indptr)
-    nodes = np.nonzero(deg >= 2)[0]
+    deg = g._link_counts
     eff = np.zeros(n)
-    padded = np.zeros((n + 1, n + 1), dtype=bool)
+    padded = np.zeros((n + 1, n + 1), dtype=np.float32)
     padded[:n, :n] = g.weights > 0
-    rows, cols = g._rows, g.indices
-    slot_in_row = np.arange(rows.size) - g.indptr[rows]
-    width = np.zeros(n, dtype=int)
-    width[nodes] = np.minimum(np.maximum(
-        MIN_BUCKET, 1 << np.ceil(np.log2(deg[nodes])).astype(int)), n)
-    local = np.zeros(n, dtype=int)
-    for k in np.unique(width[nodes]).tolist():
-        bucket = np.nonzero(width == k)[0]
-        local[bucket] = np.arange(bucket.size)
-        mine = width[rows] == k
-        nbrs = np.full((bucket.size, k), n)  # neighbour lists padded with n
-        nbrs[local[rows[mine]], slot_in_row[mine]] = cols[mine]
+    indptr, cols = g.indptr, g.indices
+    buckets: dict[int, list[int]] = {}
+    for node, k in enumerate(deg.tolist()):
+        if k >= 2:  # 2**bit_length(k - 1) is the power of two at or above k
+            width = min(max(MIN_BUCKET, 1 << (k - 1).bit_length()), n)
+            buckets.setdefault(width, []).append(node)
+    for k, members in sorted(buckets.items()):
+        bucket = np.array(members)
+        # neighbour lists padded with n
+        slots = np.arange(k)
+        at = np.minimum(indptr[bucket, None] + slots, cols.size - 1)
+        nbrs = np.where(slots < deg[bucket, None], cols[at], n)
         step = max(1, NEIGHBOURHOOD_STACK_CAP // (k * k))
         for c0 in range(0, bucket.size, step):
             chunk = bucket[c0:c0 + step]
+            k_i = deg[chunk]
             eff[chunk] = _inverse_distance_sums(padded, nbrs[c0:c0 + step]) / (
-                deg[chunk] * (deg[chunk] - 1))
+                k_i * (k_i - 1))
     total = 0.0
-    for i in range(n):
-        total += eff[i]
+    for e in eff.tolist():  # in node order, the same bits on every Python
+        total += e
     return total / n
 
 
 def _inverse_distance_sums(padded: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Sum of inverse hop distances over the ordered node pairs of each
-    subgraph ``padded[nbrs[b]][:, nbrs[b]]``; pad entries (index n) have no
-    links, so they add no pairs. float32 path counts stay exact below 2**24
-    nodes."""
-    b, k = nbrs.shape
-    sub = padded[nbrs[:, :, None], nbrs[:, None, :]].astype(np.float32)
-    reached = np.zeros((b, k, k), dtype=bool)
-    reached[:, np.arange(k), np.arange(k)] = True
-    frontier = reached.astype(np.float32)
-    inv_sum = np.zeros(b)
-    d = 0
+    subgraph ``padded[nbrs[b]][:, nbrs[b]]`` of the 0/1 float32 matrix
+    ``padded``; pad entries (index n) have no links, so they add no pairs.
+    float32 path counts stay exact below 2**24 nodes."""
+    k = nbrs.shape[1]
+    sub = padded[nbrs[:, :, None], nbrs[:, None, :]]
+    diagonal = np.arange(k)
+    unreached = 1.0 - sub
+    unreached[:, diagonal, diagonal] = 0.0
+    frontier = sub
+    inv_sum = sub.sum(axis=(1, 2), dtype=float)  # the pairs at distance 1
+    d = 1
     while True:
         d += 1
-        nxt = ((frontier @ sub) > 0) & ~reached
-        newly = nxt.sum(axis=(1, 2))
+        # path counts into the next level, capped at 1 where unreached and
+        # at 0 where reached
+        frontier = np.minimum(frontier @ sub, unreached)
+        newly = frontier.sum(axis=(1, 2), dtype=float)
         if not newly.any():
             return inv_sum
         inv_sum += newly / d
-        reached |= nxt
-        frontier = nxt.astype(np.float32)
+        unreached -= frontier
 
 
 def mean_local_clustering(g: Graph) -> float:
     """Average local clustering; degree-<2 nodes contribute 0. The triangle
     counts are shared with :func:`transitivity` (see ``Graph._triangles``)."""
-    deg = np.diff(g.indptr).tolist()
+    deg = g._link_counts.tolist()
     tri = g._triangles.tolist()  # links among each node's neighbours
     total = 0.0
     for i in range(g.n):
@@ -246,7 +252,7 @@ def mean_local_clustering(g: Graph) -> float:
 
 def transitivity(g: Graph) -> float:
     """Global clustering: 3 * triangles / connected triples."""
-    deg = np.diff(g.indptr)
+    deg = g._link_counts
     triads = float((deg * (deg - 1)).sum())
     if triads == 0.0:
         return 0.0
@@ -278,34 +284,37 @@ def metric_suite(g: Graph, tol_q: float = DEFAULT_TOL_Q) -> dict[str, float]:
     """
     if not g.is_unweighted():
         raise WeightedUnsupported("the metric suite is defined on unweighted graphs")
-    adj = g.weights > 0
-    dist = bfs_distances(adj)
-    if not np.isfinite(dist).all():
+    dist = bfs_distances(g.weights > 0)
+    ecc = dist.max(axis=1)
+    diameter = float(ecc.max())
+    if diameter == math.inf:
         raise DisconnectedInput("distance metrics require a connected graph")
     n = g.n
-    degs = g.degrees()
+    links = g.num_links()
+    degs = g._link_counts.tolist()  # the integral degrees of an unweighted graph
+    d_max = float(max(degs))
     spectrum = full_spectrum(g)
     q = sde(g, lambda1=spectrum.lambda1, tol_q=tol_q).q
     ae = spectrum.adjacency
     mu = spectrum.laplacian
+    lambda1 = spectrum.lambda1
     try:
         rho_d = assortativity(g)
     except UndefinedAssortativity:
         rho_d = math.nan
-    ecc = dist.max(axis=1)
     record = {
-        "num_links": float(g.num_links()),
-        "max_degree": float(degs.max()),
-        "min_degree": float(degs.min()),
-        "degree_variance": float(degs.var()),
-        "lambda1": float(ae[0]),
-        "lambda1_minus_lambda2": float(ae[0] - ae[1]) if n > 1 else 0.0,
-        "lambda1_minus_mean_degree": float(ae[0] - degs.mean()),
-        "dmax_minus_lambda1": float(degs.max() - ae[0]),
+        "num_links": float(links),
+        "max_degree": d_max,
+        "min_degree": float(min(degs)),
+        "degree_variance": float(g.degrees().var()),
+        "lambda1": lambda1,
+        "lambda1_minus_lambda2": lambda1 - float(ae[1]) if n > 1 else 0.0,
+        "lambda1_minus_mean_degree": lambda1 - 2 * links / n,
+        "dmax_minus_lambda1": d_max - lambda1,
         "algebraic_connectivity": float(mu[n - 2]) if n > 1 else 0.0,
-        "effective_graph_resistance": float(n * (1.0 / mu[:-1]).sum()) if n > 1 else 0.0,
-        "avg_shortest_path_length": float(dist.sum() / (n * (n - 1))) if n > 1 else 0.0,
-        "diameter": float(dist.max()),
+        "effective_graph_resistance": n * float((1.0 / mu[:-1]).sum()) if n > 1 else 0.0,
+        "avg_shortest_path_length": float(dist.sum()) / (n * (n - 1)) if n > 1 else 0.0,
+        "diameter": diameter,
         "clustering_coefficient": mean_local_clustering(g),
         "transitivity": transitivity(g),
         "radius": float(ecc.min()),
@@ -313,7 +322,7 @@ def metric_suite(g: Graph, tol_q: float = DEFAULT_TOL_Q) -> dict[str, float]:
         "num_bridges": float(count_bridges(g)),
         "local_efficiency": local_efficiency(g),
         "global_efficiency": _global_efficiency(dist),
-        "num_leaf_nodes": float(np.sum(degs == 1)),
+        "num_leaf_nodes": float(degs.count(1)),
         "graph_energy": float(np.abs(ae).sum()),
         "estrada_index": float(np.exp(ae).sum()),
         "num_spanning_trees": spanning_tree_count(spectrum, n),

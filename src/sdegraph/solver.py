@@ -71,8 +71,9 @@ class SdeResult:
 
 @dataclass(frozen=True)
 class SdeBounds:
-    """Bracket for q: ``upper`` is the closed form q0 = log(N/c)/log(d_max/lambda1);
-    ``sharpened_upper`` exists only when d_min > 0."""
+    """Bracket for q: ``upper`` is the closed form q0 = log(N/c)/log(d_max/lambda1),
+    with c the nodes at exactly d_max; ``sharpened_upper`` exists only when
+    d_min > 0."""
 
     lower: float
     upper: float
@@ -160,21 +161,26 @@ def _q_is_infinite(ds: DegreeSequence, lambda1: float) -> bool:
 def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     """Closed-form bracket: lower from the d2 substitution (clamped at 2),
     upper = q0, and the sharpened upper from the d_min substitution when the
-    graph has no isolated nodes."""
+    graph has no isolated nodes.
+
+    Both upper bounds rest on sum d^q >= c d_max^q, so they count only the
+    nodes at exactly d_max (``q_top``'s count), not ``ds.c``, which also
+    merges non-integral near-ties; the lower bound keeps ``ds.c`` and d2,
+    since merged nodes lie below d_max."""
     if _q_is_infinite(ds, lambda1):
         raise RegularGraph(
             "lambda1 reaches d_max: q is infinite (or the graph is regular)")
     denom = math.log(ds.d_max / lambda1)
-    n, c = ds.n, ds.c
-    upper = math.log(n / c) / denom
+    n, c, c_top = ds.n, ds.c, int(ds.counts[0])
+    upper = math.log(n / c_top) / denom
     r2 = ds.d2 / ds.d_max
     lower = (math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom
     lower = max(lower, 2.0)
     sharpened = None
     if ds.d_min > 0:
         rmin = ds.d_min / ds.d_max
-        term = (n - c) * math.exp(upper * math.log(rmin))
-        sharpened = (math.log(n) - math.log(c + term)) / denom
+        term = (n - c_top) * math.exp(upper * math.log(rmin))
+        sharpened = (math.log(n) - math.log(c_top + term)) / denom
     return SdeBounds(lower=lower, upper=upper, sharpened_upper=sharpened)
 
 

@@ -91,7 +91,7 @@ def spectral_radius(g: Graph) -> float:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
         return float(np.linalg.eigvalsh(g.weights)[-1])
-    if (np.diff(g.indptr) == 1).any():
+    if (g._link_counts == 1).any():
         # imported here, so that runs without such graphs never compile it
         from .inertia import PendantTrees
         trees = PendantTrees.of(g, d_max)

@@ -179,6 +179,12 @@ def test_csv_significant_digits(tmp_path):
     assert format_value(1 / 3) == "0.333333333333"
     assert format_value(2.0) == "2"
     assert format_value(float("-inf")) == "-inf"
+    pinned = [(np.float64("nan"), "nan"), (-np.float64("nan"), "nan"),
+              (np.float64("inf"), "inf"), (-np.inf, "-inf"), (np.int64(7), "7"),
+              (np.float32(0.1), "0.10000000149"), (-0.0, "-0"), (1e16, "1e+16"),
+              (1e-5, "1e-05")]
+    for value, text in pinned:
+        assert format_value(value) == text, repr(value)
     path = tmp_path / "digits.csv"
     write_records_csv([_record(2.3686402797905317)], path)
     assert "2.36864027979" in path.read_text()

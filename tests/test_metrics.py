@@ -6,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, k4_plus_p3, random_er
-from sdegraph import Graph, generate, metric_suite
+from conftest import FIXTURE_N7, cycle_graph, k4_plus_p3, random_er
+from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisection
 from sdegraph import metrics
 from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError,
                              UndefinedAssortativity, WeightedUnsupported)
 from sdegraph.graph import connected_components
+from sdegraph.io import read_graph6_file
 from sdegraph.metrics import (METRIC_NAMES, _global_efficiency, assortativity,
                               bfs_distances, count_bridges, local_efficiency,
                               mean_local_clustering, pearson, transitivity)
@@ -351,3 +352,84 @@ def test_local_efficiency_chunked_stack(rng, monkeypatch, cap):
     assert g.n * g.n * g.n > metrics.NEIGHBOURHOOD_STACK_CAP
     ref = reference_local_efficiency(g)
     assert abs(local_efficiency(g) - ref) <= 1e-12 * abs(ref)
+
+
+# the record wiring: every field against its own reference
+
+
+def reference_record(g):
+    """The 25 fields rebuilt from ``g.weights`` alone: both spectra from
+    eigvalsh, hop distances by Floyd-Warshall, Newman's assortativity in
+    exact integers, the spanning trees from a Laplacian minor, the per-node
+    reference kernels above and q from bisection."""
+    w = g.weights
+    adj = w > 0
+    n = g.n
+    deg = adj.sum(axis=1)
+    links = int(deg.sum()) // 2
+    ae = np.linalg.eigvalsh(w)[::-1]
+    lap = np.diag(deg.astype(float)) - w
+    mu = np.maximum(np.linalg.eigvalsh(lap)[::-1], 0.0)
+    dist = np.where(adj, 1.0, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    off = ~np.eye(n, dtype=bool)
+    # r = (4M sum jk - S1^2) / (2M sum (j^2 + k^2) - S1^2) over the M links,
+    # S1 = sum (j + k), with j and k the end degrees
+    ends = [(int(deg[i]), int(deg[j])) for i, j in zip(*np.nonzero(np.triu(adj, 1)))]
+    s1 = sum(a + b for a, b in ends)
+    den = 2 * links * sum(a * a + b * b for a, b in ends) - s1 * s1
+    rho = (4 * links * sum(a * b for a, b in ends) - s1 * s1) / den if den else math.nan
+    regular = deg.min() == deg.max()
+    return {
+        "num_links": links,
+        "max_degree": deg.max(),
+        "min_degree": deg.min(),
+        "degree_variance": deg.var(),
+        "lambda1": ae[0],
+        "lambda1_minus_lambda2": ae[0] - ae[1],
+        "lambda1_minus_mean_degree": ae[0] - 2 * links / n,
+        "dmax_minus_lambda1": deg.max() - ae[0],
+        "algebraic_connectivity": mu[-2],
+        "effective_graph_resistance": n * (1.0 / mu[:-1]).sum(),
+        "avg_shortest_path_length": dist[off].mean(),
+        "diameter": dist.max(),
+        "clustering_coefficient": reference_mean_local_clustering(g),
+        "transitivity": reference_transitivity(g),
+        "radius": dist.max(axis=1).min(),
+        "degree_assortativity": rho,
+        "num_bridges": reference_bridge_count(g),
+        "local_efficiency": reference_local_efficiency(g),
+        "global_efficiency": (1.0 / dist[off]).mean(),
+        "num_leaf_nodes": (deg == 1).sum(),
+        "graph_energy": np.abs(ae).sum(),
+        "estrada_index": np.exp(ae).sum(),
+        "num_spanning_trees": round(np.linalg.det(lap[1:, 1:])),
+        "max_laplacian_eigenvalue": mu[0],
+        "sde_q": math.nan if regular else solve_bisection(degree_sequence(deg), ae[0]).q,
+    }
+
+
+INTEGRAL_FIELDS = {"num_links", "max_degree", "min_degree", "diameter", "radius",
+                   "num_bridges", "num_leaf_nodes", "num_spanning_trees"}
+
+
+def test_record_fields_match_references_on_n7():
+    graphs = read_graph6_file(FIXTURE_N7)
+    assert len(graphs) == 853
+    for index, g in enumerate(graphs):
+        rec = metric_suite(g)
+        ref = reference_record(g)
+        assert list(rec) == list(METRIC_NAMES)
+        for name in METRIC_NAMES:
+            got, want = rec[name], float(ref[name])
+            where = f"graph {index}, {name}: {got!r} vs {want!r}"
+            if math.isnan(want):
+                assert math.isnan(got), where
+            elif name in INTEGRAL_FIELDS:
+                assert got == want, where
+            elif name == "sde_q":  # Newton against bisection, each to tol_q
+                assert abs(got - want) <= 2e-9, where
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), where

@@ -108,6 +108,20 @@ def test_bounds_errors():
         bounds(ds2, 3.0)  # lambda1 at d_max
 
 
+@pytest.mark.parametrize("r", [6e-7, 8e-7, 1e-6])
+def test_bounds_upper_counts_only_exact_top_degree(r):
+    # a non-integral near-tie merged into ds.c must not pull the upper
+    # bounds below the root (675,774.98 < 675,831.30 at r = 6e-7 when they
+    # counted ds.c = 2 instead of the one node at exactly d_max)
+    ds = degree_sequence([10.5, 10.5 * (1 - 1e-10), 7.25])
+    assert ds.c == 2 and ds.counts[0] == 1
+    lam = 10.5 * (1 - r)
+    b = bounds(ds, lam)
+    q = solve_newton(ds, lam).q
+    assert b.lower <= q <= b.upper
+    assert q <= b.sharpened_upper
+
+
 def test_bounds_no_sharpened_with_isolated_node():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
     ds, lam = _ds_lam(g)
