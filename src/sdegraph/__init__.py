@@ -3,7 +3,8 @@
 The exponent q is the unique value in [2, inf] at which the q-power mean
 of the weighted degree sequence equals the spectral radius. This package
 computes it with log-domain root finding, verifies its structural theory
-(biregular graphs pin q = 2; a max-degree clique component pins q = inf),
+(biregular graphs pin q = 2; a component with every degree at the maximum
+pins q = inf),
 generates the graph families with known asymptotics, and reproduces the
 exponent-vs-metric correlation study on exhaustive and random corpora.
 

@@ -15,13 +15,13 @@ from contextlib import ExitStack
 
 from . import io as gio
 from .errors import InputError, NumericalError, SdegraphError
-from .families import analytic_lambda1, generate, parse_family
-from .graph import Graph, degree_sequence
+from .families import FAMILIES, analytic_lambda1, generate, parse_family
+from .graph import degree_sequence
 from .metrics import metric_suite
 from .solver import bounds, sde
 from .spectral import spectral_radius
-from .study import (ASYMPTOTIC_LAWS, asymptotics_rows, correlation_report,
-                    ensemble_samples, growth_trajectories)
+from .study import (asymptotics_rows, correlation_report, ensemble_samples,
+                    growth_trajectories)
 
 PROGRESS_EVERY = 2000
 
@@ -29,23 +29,21 @@ PROGRESS_EVERY = 2000
 # ---- compute ----
 
 
-def _load_single_graph(args) -> tuple[str, Graph]:
+def cmd_compute(args) -> int:
     sources = [s for s in (args.family, args.graph6, args.edge_list) if s]
     if len(sources) != 1:
         raise InputError("give exactly one of --family / --graph6 / --edge-list")
+    lam = None  # a family's closed form, when it has one
     if args.family:
-        return args.family, generate(parse_family(args.family))
-    if args.graph6:
-        return "graph6", gio.parse_graph6(args.graph6)
-    return args.edge_list, gio.load_edge_list(args.edge_list, one_based=args.one_based)
-
-
-def cmd_compute(args) -> int:
-    label, g = _load_single_graph(args)
-    lam = analytic_lambda1(parse_family(args.family)) if args.family else None
+        spec = parse_family(args.family)
+        label, g, lam = args.family, generate(spec), analytic_lambda1(spec)
+    elif args.graph6:
+        label, g = "graph6", gio.parse_graph6(args.graph6)
+    else:
+        label, g = args.edge_list, gio.load_edge_list(args.edge_list, one_based=args.one_based)
     if lam is None:
         lam = spectral_radius(g)
-    result = sde(g, tol_q=args.tol, verify=args.verify, lambda1=lam)
+    result = sde(g, verify=args.verify, lambda1=lam)
     ds = degree_sequence(g.degrees())
     b = None
     if result.is_finite:
@@ -93,11 +91,11 @@ def cmd_compute(args) -> int:
 # ---- batch ----
 
 
-def _batch_one(item: tuple[int, str, float]):
-    index, line, tol_q = item
+def _batch_one(item: tuple[int, str]):
+    index, line = item
     try:
         g = gio.parse_graph6(line)
-        record = metric_suite(g, tol_q=tol_q)
+        record = metric_suite(g)
         return index, record, None
     except SdegraphError as exc:
         return index, None, f"{type(exc).__name__}: {exc}"
@@ -105,7 +103,7 @@ def _batch_one(item: tuple[int, str, float]):
 
 def cmd_batch(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
-        work = [(i, ln.strip(), args.tol) for i, ln in enumerate(fh, 1) if ln.strip()]
+        work = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
     with ExitStack() as stack:
         if args.jobs > 1:
             # imported here: the pool costs every other command ~15 ms of start-up
@@ -156,7 +154,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     spec = parse_family(args.family)
-    if spec.kind not in ("er", "ba"):
+    if spec.kind in FAMILIES:
         raise InputError("ensemble supports er:N:p and ba:N:m family specs")
     if spec.args[2] is not None:
         raise InputError("give the master seed via --seed, not inside the family spec")
@@ -164,7 +162,7 @@ def cmd_ensemble(args) -> int:
         raise InputError("ensemble needs count >= 2")
     records = []
     for k, g in enumerate(ensemble_samples(spec, args.seed, args.count), 1):
-        records.append(metric_suite(g, tol_q=args.tol))
+        records.append(metric_suite(g))
         if k % 200 == 0:
             print(f"ensemble: {k}/{args.count} samples", file=sys.stderr)
     if args.out:
@@ -181,7 +179,7 @@ def cmd_ensemble(args) -> int:
 def cmd_nonmonotonic(args) -> int:
     if args.n < 4:
         raise InputError("nonmonotonic needs n >= 4")
-    rows = growth_trajectories(args.n, args.trials, args.seed, args.tol)
+    rows = growth_trajectories(args.n, args.trials, args.seed)
     if args.out:
         gio.write_csv(args.out, ["trial", "step", "num_links", "q", "decreased"],
                       ([trial, step, links, gio.format_value(q), dec]
@@ -204,7 +202,7 @@ def cmd_asymptotics(args) -> int:
         raise InputError(f"bad --n-list: {exc}") from exc
     if not n_list:
         raise InputError("empty --n-list")
-    rows = asymptotics_rows(args.family, n_list, args.tol)
+    rows = asymptotics_rows(args.family, n_list)
     gio.write_csv(args.out, ["family", "n", "q_solver", "q_asymptotic",
                              "abs_error", "rel_error"],
                   ([args.family, n, *map(gio.format_value, values)]
@@ -230,14 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true",
                    help="cross-check Newton against bisection")
-    p.add_argument("--tol", type=float, default=1e-9, help="q tolerance")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("batch", help="metric CSV for a graph6 file")
     p.add_argument("input", help="graph6 file, one graph per line")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("correlate", help="correlate metrics against sde_q")
@@ -252,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("nonmonotonic",
@@ -261,15 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="trajectory CSV path")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_nonmonotonic)
 
     p = sub.add_parser("asymptotics", help="solver vs asymptotic formula")
     p.add_argument("--family", required=True,
-                   choices=list(ASYMPTOTIC_LAWS))
+                   choices=[kind for kind, family in FAMILIES.items() if family.law])
     p.add_argument("--n-list", required=True, help="comma-separated N values")
     p.add_argument("--out", help="comparison CSV path (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_asymptotics)
 
     return parser

@@ -1,13 +1,14 @@
 """Graph family generators and their exponent asymptotics.
 
-Deterministic families (path, wheel, star, complete, complete bipartite,
-modular biregular, path-with-double-fork, modified lollipop) plus seeded
-Erdos-Renyi and Barabasi-Albert models. :func:`generate` builds every
-family as a CSR :class:`Graph`, at any size, and each deterministic
-generator asserts its expected degree profile after construction. Families
-whose spectral radius has a proven closed form expose it through
-:func:`analytic_lambda1`; the lollipop has none and is always computed.
-:func:`family_q` is :func:`sde` on the generated graph with that lambda1.
+Every deterministic family is one row of :data:`FAMILIES`: its link
+builder, its expected degree profile, its proven closed-form spectral
+radius (or none) and its asymptotic exponent law q(N) (or none). Parsing,
+:func:`generate` (which checks the degree profile after construction),
+:func:`analytic_lambda1` and the families that
+:func:`sdegraph.study.asymptotics_rows` accepts all read that table, so a
+new family takes a builder and one row. The seeded Erdos-Renyi and
+Barabasi-Albert models are drawn by :func:`sample`. :func:`family_q` is
+:func:`sde` on the generated graph with the closed-form lambda1.
 
 Family specs are expressible as CLI strings, e.g. ``path:100``,
 ``lollipop:1000``, ``er:100:0.1:42``, ``ba:100:3:42``, ``kbip:2:3``,
@@ -18,17 +19,15 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph
+from .graph import Graph, degree_sequence
 from .solver import SdeResult, sde
 from .spectral import spectral_radius
-
-FAMILY_KINDS = ("path", "wheel", "star", "complete", "kbip", "bireg",
-                "fork", "lollipop", "er", "ba")
 
 
 @dataclass(frozen=True)
@@ -37,45 +36,8 @@ class FamilySpec:
     args: tuple
 
     def __str__(self) -> str:
-        return ":".join([self.kind] + [_fmt_arg(a) for a in self.args])
-
-
-def _fmt_arg(a) -> str:
-    if isinstance(a, float):
-        return format(a, "g")
-    return str(a)
-
-
-def parse_family(text: str) -> FamilySpec:
-    """Parse a ``kind:arg:arg...`` family string."""
-    parts = text.strip().split(":")
-    kind = parts[0].lower()
-    raw = parts[1:]
-    try:
-        if kind in ("path", "wheel", "star", "complete", "fork", "lollipop"):
-            (n,) = raw
-            return FamilySpec(kind, (int(n),))
-        if kind == "kbip":
-            m, n = raw
-            return FamilySpec(kind, (int(m), int(n)))
-        if kind == "bireg":
-            m, n, r1 = raw
-            return FamilySpec(kind, (int(m), int(n), int(r1)))
-        if kind == "er":
-            if len(raw) == 2:
-                n, p = raw
-                return FamilySpec(kind, (int(n), float(p), None))
-            n, p, seed = raw
-            return FamilySpec(kind, (int(n), float(p), int(seed)))
-        if kind == "ba":
-            if len(raw) == 2:
-                n, m = raw
-                return FamilySpec(kind, (int(n), int(m), None))
-            n, m, seed = raw
-            return FamilySpec(kind, (int(n), int(m), int(seed)))
-    except ValueError as exc:
-        raise BadSpec(f"bad family arguments in {text!r}: {exc}") from exc
-    raise BadSpec(f"unknown family {kind!r} (known: {', '.join(FAMILY_KINDS)})")
+        # an unseeded random model omits its seed, as parse_family expects
+        return ":".join(str(a) for a in (self.kind, *self.args) if a is not None)
 
 
 # deterministic link builders: (node count, i, j) with one entry per link
@@ -144,128 +106,6 @@ def _edges_lollipop(n: int) -> tuple[int, np.ndarray, np.ndarray]:
             np.r_[1, 2, 3, 2, 3, 4, 4, 5:n + 5])
 
 
-_EDGE_BUILDERS = {
-    "path": _edges_path,
-    "wheel": _edges_wheel,
-    "star": _edges_star,
-    "complete": _edges_complete,
-    "kbip": _edges_kbip,
-    "bireg": _edges_bireg,
-    "fork": _edges_fork,
-    "lollipop": _edges_lollipop,
-}
-
-
-# (degree, count) pairs of the exact degree multiset each family must produce
-_PROFILES = {
-    "path": lambda n: [(2, n - 2), (1, 2)],
-    "wheel": lambda n: [(3, n - 1), (n - 1, 1)],
-    "star": lambda n: [(n - 1, 1), (1, n - 1)],
-    "complete": lambda n: [(n - 1, n)],
-    "kbip": lambda m, n: [(n, m), (m, n)],
-    "bireg": lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
-    "fork": lambda n: [(1, 4), (3, 2), (2, n - 2)],
-    "lollipop": lambda n: [(3, 5), (2, n - 1), (1, 1)],
-}
-
-
-# random models
-
-
-def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """One Erdos-Renyi G(n, p) sample."""
-    if n < 1 or not (0 <= p <= 1):
-        raise BadSpec("er needs N >= 1 and p in [0, 1]")
-    upper = np.triu(rng.random((n, n)) < p, 1)
-    return Graph.from_dense(upper | upper.T)
-
-
-def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
-    """One Barabasi-Albert sample: complete seed graph on m nodes, then each
-    arriving node attaches m distinct links by preferential attachment over
-    the repeated-ends link list."""
-    if not (1 <= m < n):
-        raise BadSpec("ba needs 1 <= m < N")
-    repeated: list[int] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            repeated += [i, j]
-    if m == 1:
-        repeated = [0]  # degenerate seed: a single node, no links yet
-    for v in range(m, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
-        for t in targets:
-            repeated += [v, t]
-    # past the placeholder seed of m = 1, the ends are the links' (i, j) pairs
-    ends = repeated[1:] if m == 1 else repeated
-    return Graph._from_links(n, ends[0::2], ends[1::2])
-
-
-def _assert_profile(spec: FamilySpec, degrees: np.ndarray) -> None:
-    expected = Counter()
-    for degree, count in _PROFILES[spec.kind](*spec.args):
-        expected[degree] += count
-    expected = {k: v for k, v in expected.items() if v}
-    values, counts = np.unique(np.rint(degrees).astype(np.int64), return_counts=True)
-    got = dict(zip(values.tolist(), counts.tolist()))
-    if got != expected:
-        raise InvalidGraph(
-            f"{spec} generated degree profile {got} != expected {expected}")
-
-
-def generate(spec: FamilySpec | str) -> Graph:
-    """Materialize a family spec as a CSR :class:`Graph`."""
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    if spec.kind == "er":
-        n, p, seed = spec.args
-        return er_graph(n, p, np.random.default_rng(seed))
-    if spec.kind == "ba":
-        n, m, seed = spec.args
-        return ba_graph(n, m, np.random.default_rng(seed))
-    n, i, j = _EDGE_BUILDERS[spec.kind](*spec.args)
-    g = Graph._from_links(n, i, j)
-    g.validate()
-    _assert_profile(spec, g.degrees())
-    return g
-
-
-def analytic_lambda1(spec: FamilySpec | str) -> float | None:
-    """Proven closed-form spectral radius, when the family has one."""
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    kind, args = spec.kind, spec.args
-    if kind == "path":
-        return 2.0 * math.cos(math.pi / (args[0] + 1))
-    if kind == "wheel":
-        return 1.0 + math.sqrt(args[0])
-    if kind == "star":
-        return math.sqrt(args[0] - 1)
-    if kind == "complete":
-        return float(args[0] - 1)
-    if kind == "kbip":
-        m, n = args
-        return math.sqrt(m * n)
-    if kind == "bireg":
-        m, n, r1 = args
-        return math.sqrt(r1 * ((m * r1) // n))
-    if kind == "fork":
-        return 2.0
-    return None
-
-
-def family_q(spec: FamilySpec | str, tol_q: float = 1e-9) -> SdeResult:
-    """:func:`sde` of a deterministic family, with the closed-form lambda1
-    when the family has one (otherwise :func:`spectral_radius`)."""
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    if spec.kind in ("er", "ba"):
-        raise BadSpec("family_q handles deterministic families; use sde() on a sample")
-    return sde(generate(spec), lambda1=analytic_lambda1(spec), tol_q=tol_q)
-
-
 # closed-form / asymptotic oracles
 
 
@@ -292,9 +132,10 @@ def _bisect(h, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def path_q_exact(n: int, tol: float = 1e-12) -> float:
+def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
-    bisection; the independent oracle for the path family."""
+    bisection to a bracket of width 1e-12; the independent oracle for the
+    path family."""
     if n < 3:
         raise BadSpec("exact path equation needs N >= 3")
     log_cos = math.log(math.cos(math.pi / (n + 1)))
@@ -308,7 +149,7 @@ def path_q_exact(n: int, tol: float = 1e-12) -> float:
         hi *= 2.0
     if g(lo) <= 0.0:
         return 2.0
-    return _bisect(g, lo, hi, tol)
+    return _bisect(g, lo, hi, 1e-12)
 
 
 def fork_q_constant() -> float:
@@ -346,15 +187,169 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
     return a * math.log(n) + b
 
 
-def wheel_limit_check(n: int, tol_q: float = 1e-9) -> float:
+@dataclass(frozen=True)
+class Family:
+    """One deterministic family. ``links(*args)`` returns (node count, i, j)
+    with one entry per link; ``profile(*args)`` the (degree, count) pairs of
+    the exact degree multiset the graph must have; ``lambda1(*args)`` the
+    proven closed-form spectral radius and ``law(n)`` the asymptotic
+    exponent q(N), each None where the family has none."""
+
+    links: Callable[..., tuple[int, np.ndarray, np.ndarray]]
+    profile: Callable[..., list[tuple[int, int]]]
+    lambda1: Callable[..., float] | None = None
+    law: Callable[[int], float] | None = None
+
+    @property
+    def arity(self) -> int:
+        """How many integer arguments the family takes: the builder's."""
+        return self.links.__code__.co_argcount
+
+
+FAMILIES = {
+    "path": Family(_edges_path, lambda n: [(2, n - 2), (1, 2)],
+                   lambda1=lambda n: 2.0 * math.cos(math.pi / (n + 1)),
+                   law=path_q_asymptotic),
+    "wheel": Family(_edges_wheel, lambda n: [(3, n - 1), (n - 1, 1)],
+                    lambda1=lambda n: 1.0 + math.sqrt(n),
+                    law=lambda n: 2.0),  # the proven large-N limit
+    "star": Family(_edges_star, lambda n: [(n - 1, 1), (1, n - 1)],
+                   lambda1=lambda n: math.sqrt(n - 1)),
+    "complete": Family(_edges_complete, lambda n: [(n - 1, n)],
+                       lambda1=lambda n: float(n - 1)),
+    "kbip": Family(_edges_kbip, lambda m, n: [(n, m), (m, n)],
+                   lambda1=lambda m, n: math.sqrt(m * n)),
+    "bireg": Family(_edges_bireg, lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
+                    lambda1=lambda m, n, r1: math.sqrt(r1 * ((m * r1) // n))),
+    "fork": Family(_edges_fork, lambda n: [(1, 4), (3, 2), (2, n - 2)],
+                   lambda1=lambda n: 2.0, law=lambda n: fork_q_constant()),
+    "lollipop": Family(_edges_lollipop, lambda n: [(3, 5), (2, n - 1), (1, 1)],
+                       law=lollipop_q_asymptotic),
+}
+
+# argument types of the random models: two parameters, then an optional seed
+_RANDOM_ARGS = {"er": (int, float, int), "ba": (int, int, int)}
+
+FAMILY_KINDS = (*FAMILIES, *_RANDOM_ARGS)
+
+
+def parse_family(text: str) -> FamilySpec:
+    """Parse a ``kind:arg:arg...`` family string. A deterministic family
+    takes its builder's integer arguments; ``er:N:p[:seed]`` and
+    ``ba:N:m[:seed]`` leave an omitted seed as None."""
+    kind, *raw = text.strip().split(":")
+    kind = kind.lower()
+    if kind in FAMILIES:
+        types = (int,) * FAMILIES[kind].arity
+    elif kind in _RANDOM_ARGS:
+        types = _RANDOM_ARGS[kind]
+        if len(raw) == len(types) - 1:
+            raw.append(None)
+    else:
+        raise BadSpec(f"unknown family {kind!r} (known: {', '.join(FAMILY_KINDS)})")
+    if len(raw) != len(types):
+        raise BadSpec(f"bad family arguments in {text!r}: "
+                      f"expected {len(types)} arguments, got {len(raw)}")
+    try:
+        args = tuple(None if a is None else cast(a) for cast, a in zip(types, raw))
+    except ValueError as exc:
+        raise BadSpec(f"bad family arguments in {text!r}: {exc}") from exc
+    return FamilySpec(kind, args)
+
+
+# random models
+
+
+def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """One Erdos-Renyi G(n, p) sample."""
+    if n < 1 or not (0 <= p <= 1):
+        raise BadSpec("er needs N >= 1 and p in [0, 1]")
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return Graph.from_dense(upper | upper.T)
+
+
+def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """One Barabasi-Albert sample: complete seed graph on m nodes, then each
+    arriving node attaches m distinct links by preferential attachment over
+    the repeated-ends link list."""
+    if not (1 <= m < n):
+        raise BadSpec("ba needs 1 <= m < N")
+    repeated: list[int] = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            repeated += [i, j]
+    if m == 1:
+        repeated = [0]  # degenerate seed: a single node, no links yet
+    for v in range(m, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in targets:
+            repeated += [v, t]
+    # past the placeholder seed of m = 1, the ends are the links' (i, j) pairs
+    ends = repeated[1:] if m == 1 else repeated
+    return Graph._from_links(n, ends[0::2], ends[1::2])
+
+
+def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
+    """One draw of an ``er`` or ``ba`` spec from ``rng``; the spec's own
+    seed is not read."""
+    n, param = spec.args[:2]
+    if spec.kind == "er":
+        return er_graph(n, param, rng)
+    return ba_graph(n, param, rng)
+
+
+def generate(spec: FamilySpec | str) -> Graph:
+    """Materialize a family spec as a CSR :class:`Graph`; a deterministic
+    family's degree profile is checked against its table row."""
+    if isinstance(spec, str):
+        spec = parse_family(spec)
+    if spec.kind not in FAMILIES:
+        return sample(spec, np.random.default_rng(spec.args[2]))
+    family = FAMILIES[spec.kind]
+    g = Graph._from_links(*family.links(*spec.args))
+    g.validate()
+    expected = Counter()  # equality ignores zero counts
+    for degree, count in family.profile(*spec.args):
+        expected[degree] += count
+    ds = degree_sequence(g.degrees())
+    got = Counter(dict(zip(ds.values.tolist(), ds.counts.tolist())))
+    if got != expected:
+        raise InvalidGraph(
+            f"{spec} generated degree profile {got} != expected {expected}")
+    return g
+
+
+def analytic_lambda1(spec: FamilySpec | str) -> float | None:
+    """Proven closed-form spectral radius, when the family has one."""
+    if isinstance(spec, str):
+        spec = parse_family(spec)
+    family = FAMILIES.get(spec.kind)
+    if family is None or family.lambda1 is None:
+        return None
+    return family.lambda1(*spec.args)
+
+
+def family_q(spec: FamilySpec | str) -> SdeResult:
+    """:func:`sde` of a deterministic family, with the closed-form lambda1
+    when the family has one (otherwise :func:`spectral_radius`)."""
+    if isinstance(spec, str):
+        spec = parse_family(spec)
+    if spec.kind not in FAMILIES:
+        raise BadSpec("family_q handles deterministic families; use sde() on a sample")
+    return sde(generate(spec), lambda1=analytic_lambda1(spec))
+
+
+def wheel_limit_check(n: int) -> float:
     """q(W_N) - 2 with lambda1 from spectral_radius, cross-checked
-    against the closed form 1 + sqrt(N); positive and decreasing in N."""
+    against the closed form; positive and decreasing in N."""
     if n < 5:
         raise BadSpec("wheel limit check needs N >= 5")
-    g = generate(FamilySpec("wheel", (n,)))
-    lam = spectral_radius(g)
-    lam_exact = 1.0 + math.sqrt(n)
+    spec = FamilySpec("wheel", (n,))
+    g = generate(spec)
+    lam, lam_exact = spectral_radius(g), analytic_lambda1(spec)
     if abs(lam - lam_exact) > 1e-9 * lam_exact:
         raise InvalidGraph(
-            f"spectral_radius lambda1={lam} disagrees with 1+sqrt(N)={lam_exact}")
-    return sde(g, lambda1=lam, tol_q=tol_q).q - 2.0
+            f"spectral_radius lambda1={lam} disagrees with the closed form {lam_exact}")
+    return sde(g, lambda1=lam).q - 2.0

@@ -212,15 +212,19 @@ def write_csv(path, header, rows) -> None:
 
 def write_records_csv(records, path) -> None:
     """Write metric records with :func:`write_csv` (to stdout when ``path`` is
-    None), in the column order of the frozen metric-name list. Every record
-    must carry exactly those names.
+    None), in the column order of the frozen metric-name list. ``records``
+    may be any iterable, read once; a record without exactly those names
+    raises ParseError, after the rows before it are written.
     """
     names = set(METRIC_NAMES)
-    for rec in records:
-        if rec.keys() != names:
-            raise ParseError("records must share the same metric-name set")
-    write_csv(path, METRIC_NAMES,
-              ([format_value(rec[name]) for name in METRIC_NAMES] for rec in records))
+
+    def rows():
+        for rec in records:
+            if rec.keys() != names:
+                raise ParseError("records must share the same metric-name set")
+            yield [format_value(rec[name]) for name in METRIC_NAMES]
+
+    write_csv(path, METRIC_NAMES, rows())
 
 
 def read_records_csv(path) -> tuple[list[str], list[dict[str, float]]]:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (ConstantSeries, DisconnectedInput, InputError,
                      NumericalError, UndefinedAssortativity, WeightedUnsupported)
 from .graph import Graph
-from .solver import DEFAULT_TOL_Q, sde
+from .solver import sde
 from .spectral import Spectrum, full_spectrum
 
 # largest padded neighbourhood stack (B * k * k entries, 1 MB as float32)
@@ -276,7 +276,7 @@ def spanning_tree_count(spectrum: Spectrum, n: int) -> float:
     return float(rounded)
 
 
-def metric_suite(g: Graph, tol_q: float = DEFAULT_TOL_Q) -> dict[str, float]:
+def metric_suite(g: Graph) -> dict[str, float]:
     """Full metric record for one connected unweighted graph.
 
     Assortativity of a regular graph is recorded as NaN (it is undefined,
@@ -294,7 +294,7 @@ def metric_suite(g: Graph, tol_q: float = DEFAULT_TOL_Q) -> dict[str, float]:
     degs = g._link_counts.tolist()  # the integral degrees of an unweighted graph
     d_max = float(max(degs))
     spectrum = full_spectrum(g)
-    q = sde(g, lambda1=spectrum.lambda1, tol_q=tol_q).q
+    q = sde(g, lambda1=spectrum.lambda1).q
     ae = spectrum.adjacency
     mu = spectrum.laplacian
     lambda1 = spectrum.lambda1

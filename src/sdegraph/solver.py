@@ -46,9 +46,13 @@ METHOD_CLASSIFIED = "classified"
 
 @dataclass(frozen=True)
 class SdeResult:
-    """Solved exponent. q is NaN for regular graphs (undefined) and inf for
-    the max-clique-component case; ``residual`` is |f1(q)| at the returned
-    root."""
+    """Solved exponent. q is NaN for regular graphs (undefined) and inf
+    when some component has every weighted degree at d_max, so lambda1 =
+    d_max: ``classify`` finds a max-degree clique component, and the
+    solvers report any other such component with the note "lambda1 at
+    d_max" (e.g. C5 beside P3). The solvers also report inf, with the note
+    "q_max exceeded", for a root certified above Q_MAX. ``residual`` is
+    |f1(q)| at the returned root."""
 
     q: float
     method: str

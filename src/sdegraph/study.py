@@ -14,22 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstantSeries, FilterExhausted, InputError
-from .families import (FamilySpec, ba_graph, er_graph, family_q, fork_q_constant,
-                       generate, lollipop_q_asymptotic, path_q_asymptotic)
-from .graph import add_link, connected_components
+from .errors import BadSpec, ConstantSeries, FilterExhausted, InputError
+from .families import FAMILIES, FamilySpec, family_q, sample
+from .graph import Graph, add_link, connected_components
 from .io import jsonable
 from .metrics import METRIC_NAMES, pearson
 from .solver import sde
-
-# family -> its asymptotic exponent law q(N); the keys, in this order, are
-# the families that asymptotics_rows (and `sde asymptotics`) accept
-ASYMPTOTIC_LAWS = {
-    "path": path_q_asymptotic,
-    "wheel": lambda n: 2.0,  # the proven large-N limit
-    "fork": lambda n: fork_q_constant(),
-    "lollipop": lollipop_q_asymptotic,
-}
 
 
 @dataclass
@@ -109,18 +99,15 @@ def ensemble_samples(spec: FamilySpec, seed: int, count: int):
                 raise FilterExhausted(
                     "resampling budget exhausted before reaching the target count")
             budget -= 1
-            if spec.kind == "er":
-                g = er_graph(spec.args[0], spec.args[1], rng)
-            else:
-                g = ba_graph(spec.args[0], spec.args[1], rng)
+            g = sample(spec, rng)
             degs = g.degrees()
             if not connected_components(g).any() and degs.min() != degs.max():
                 yield g
                 break
 
 
-def growth_trajectories(n: int, trials: int, seed: int,
-                        tol_q: float) -> list[tuple[int, int, int, float, int]]:
+def growth_trajectories(n: int, trials: int,
+                        seed: int) -> list[tuple[int, int, int, float, int]]:
     """q along ``trials`` random orders of adding the missing links to the
     star on ``n`` nodes.
 
@@ -131,17 +118,17 @@ def growth_trajectories(n: int, trials: int, seed: int,
     ``seed``.
     """
     rng = np.random.default_rng(seed)
-    star = generate(FamilySpec("star", (n,)))
+    star = Graph.from_edges(n, [(0, j) for j in range(1, n)])
     missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
     rows = []
     for trial in range(trials):
         g = star
-        prev_q = sde(g, tol_q=tol_q).q
+        prev_q = sde(g).q
         rows.append((trial, 0, g.num_links(), prev_q, 0))
         for step, k in enumerate(rng.permutation(len(missing)), 1):
             i, j = missing[int(k)]
             g = add_link(g, i, j)
-            result = sde(g, tol_q=tol_q)
+            result = sde(g)
             if result.is_undefined:
                 break  # complete graph reached: regular, trajectory ends
             rows.append((trial, step, g.num_links(), result.q,
@@ -150,16 +137,18 @@ def growth_trajectories(n: int, trials: int, seed: int,
     return rows
 
 
-def asymptotics_rows(family: str, n_list: list[int],
-                     tol_q: float) -> list[tuple[int, float, float, float, float]]:
+def asymptotics_rows(family: str,
+                     n_list: list[int]) -> list[tuple[int, float, float, float, float]]:
     """(N, q_solver, q_asymptotic, abs_error, rel_error) for each N, with
-    q_solver from :func:`family_q` and q_asymptotic from the family's entry
-    in ``ASYMPTOTIC_LAWS``."""
-    law = ASYMPTOTIC_LAWS[family]
+    q_solver from :func:`family_q` and q_asymptotic from the law of the
+    family's row in :data:`sdegraph.families.FAMILIES`."""
+    law = FAMILIES[family].law if family in FAMILIES else None
+    if law is None:
+        raise BadSpec(f"no asymptotic law for family {family!r}")
     rows = []
     for n in n_list:
         q_asym = law(n)
-        q_solver = family_q(FamilySpec(family, (n,)), tol_q=tol_q).q
+        q_solver = family_q(FamilySpec(family, (n,))).q
         abs_err = abs(q_solver - q_asym)
         rows.append((n, q_solver, q_asym, abs_err, abs_err / abs(q_solver)))
     return rows

@@ -11,9 +11,11 @@ import sdegraph
 from conftest import FIXTURE_N7
 from sdegraph import family_q, fork_q_constant, generate, path_q_exact
 from sdegraph.cli import main
+from sdegraph.errors import BadSpec
+from sdegraph.families import FAMILIES, FAMILY_KINDS
 from sdegraph.io import encode_graph6, read_records_csv
 from sdegraph.metrics import METRIC_NAMES
-from sdegraph.study import correlation_report
+from sdegraph.study import asymptotics_rows, correlation_report
 
 from conftest import k4_plus_p3
 
@@ -249,3 +251,16 @@ def test_asymptotics_bad_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["asymptotics", "--family", "torus", "--n-list", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_asymptotics_takes_the_families_with_a_law(kind, tmp_path, capsys):
+    argv = ["asymptotics", "--family", kind, "--n-list", "6", "--out", str(tmp_path / "a.csv")]
+    if kind in FAMILIES and FAMILIES[kind].law is not None:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    with pytest.raises(BadSpec):
+        asymptotics_rows(kind, [6])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -8,8 +9,9 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
                       lollipop_limit_lambda1, lollipop_q_asymptotic,
                       path_q_asymptotic, path_q_exact, sde, spectral_radius,
                       wheel_limit_check)
-from sdegraph.errors import BadSpec
-from sdegraph.families import FamilySpec, analytic_lambda1, parse_family
+from sdegraph.errors import BadSpec, InvalidGraph
+from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1,
+                               parse_family)
 from sdegraph.graph import Biregular, connected_components
 
 
@@ -62,6 +64,13 @@ def test_biregular_generator_rejections():
     assert degree_multiset(generate("bireg:2:1:1")) == Counter({2: 1, 1: 2})
 
 
+def test_generate_checks_the_row_profile(monkeypatch):
+    wrong = dataclasses.replace(FAMILIES["path"], profile=lambda n: [(2, n - 1), (1, 1)])
+    monkeypatch.setitem(FAMILIES, "path", wrong)
+    with pytest.raises(InvalidGraph):
+        generate("path:5")
+
+
 def test_family_minimums():
     for bad in ("path:1", "wheel:3", "star:1", "complete:1", "fork:1",
                 "lollipop:0"):
@@ -78,11 +87,42 @@ def test_parse_family_errors():
         parse_family("kbip:3")
 
 
+# examples of every deterministic family, degenerate sizes included
+SPECS = [
+    "path:2", "path:3", "path:50", "wheel:4", "wheel:5", "wheel:40",
+    "star:2", "star:30", "complete:2", "complete:3", "complete:12",
+    "kbip:1:1", "kbip:2:3", "kbip:7:4", "bireg:2:1:1", "bireg:4:6:3",
+    "bireg:5:10:4", "bireg:6:4:2", "fork:2", "fork:3", "fork:40",
+    "lollipop:1", "lollipop:2", "lollipop:60"]
+RANDOM_SPECS = ["er:100:0.1:42", "er:30:0.25", "ba:50:3:7", "ba:50:3"]
+
+
+def test_examples_cover_every_kind():
+    assert {parse_family(s).kind for s in SPECS} == set(FAMILIES)
+    assert {parse_family(s).kind for s in SPECS + RANDOM_SPECS} == set(FAMILY_KINDS)
+
+
 def test_parse_family_roundtrip():
-    spec = parse_family("er:100:0.1:42")
-    assert spec == FamilySpec("er", (100, 0.1, 42))
-    assert str(spec) == "er:100:0.1:42"
+    for text in SPECS + RANDOM_SPECS:
+        spec = parse_family(text)
+        assert str(spec) == text
+        assert parse_family(str(spec)) == spec
+
+
+def test_parse_family_random_models():
+    assert parse_family("er:100:0.1:42") == FamilySpec("er", (100, 0.1, 42))
     assert parse_family("ba:50:3") == FamilySpec("ba", (50, 3, None))
+    assert str(FamilySpec("er", (100, 0.1, None))) == "er:100:0.1"
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_parse_family_wrong_argument_count(kind):
+    allowed = {FAMILIES[kind].arity} if kind in FAMILIES else {2, 3}
+    for count in set(range(5)) - allowed:
+        with pytest.raises(BadSpec):
+            parse_family(":".join([kind] + ["3"] * count))
+    for count in allowed:
+        assert len(parse_family(":".join([kind] + ["3"] * count)).args) == max(allowed)
 
 
 def test_er_reproducibility():
@@ -146,12 +186,7 @@ def _reference_links(kind, *args):
                    + [(k, k + 1) for k in range(4, n + 4)])
 
 
-@pytest.mark.parametrize("spec", [
-    "path:2", "path:3", "path:50", "wheel:4", "wheel:5", "wheel:40",
-    "star:2", "star:30", "complete:2", "complete:3", "complete:12",
-    "kbip:1:1", "kbip:2:3", "kbip:7:4", "bireg:2:1:1", "bireg:4:6:3",
-    "bireg:5:10:4", "bireg:6:4:2", "fork:2", "fork:3", "fork:40",
-    "lollipop:1", "lollipop:2", "lollipop:60"])
+@pytest.mark.parametrize("spec", SPECS)
 def test_generate_matches_tuple_reference(spec):
     spec = parse_family(spec)
     n, links = _reference_links(spec.kind, *spec.args)
@@ -161,13 +196,14 @@ def test_generate_matches_tuple_reference(spec):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_analytic_lambda1_against_power_iteration():
-    for spec in ("path:30", "wheel:12", "star:9", "complete:6", "kbip:3:4",
-                 "bireg:4:6:3", "fork:8"):
+def test_analytic_lambda1_against_spectral_radius():
+    for spec in SPECS:
         lam_exact = analytic_lambda1(spec)
-        lam_num = spectral_radius(generate(spec))
-        assert abs(lam_exact - lam_num) <= 1e-9 * max(1.0, lam_exact)
-    assert analytic_lambda1("lollipop:10") is None
+        if FAMILIES[parse_family(spec).kind].lambda1 is None:
+            assert lam_exact is None, spec
+        else:
+            lam_num = spectral_radius(generate(spec))
+            assert abs(lam_exact - lam_num) <= 1e-9 * max(1.0, lam_exact), spec
 
 
 # path oracles

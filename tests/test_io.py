@@ -203,3 +203,14 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_mismatched_names_rejected(tmp_path):
     with pytest.raises(ParseError):
         write_records_csv([{"wrong": 1.0}], tmp_path / "bad.csv")
+    # a later record with other names fails too, not only the first
+    with pytest.raises(ParseError):
+        write_records_csv([_record(2.5), {"wrong": 1.0}], tmp_path / "bad2.csv")
+
+
+def test_csv_generator_records(tmp_path):
+    # records are read once, so a generator writes every row
+    path = tmp_path / "gen.csv"
+    write_records_csv((_record(2.0 + k) for k in range(3)), path)
+    header, back = read_records_csv(path)
+    assert [rec["sde_q"] for rec in back] == [2.0, 3.0, 4.0]

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import sdegraph.solver as solver_module
 from conftest import cycle_graph, k4_plus_p3, random_er
-from sdegraph import (Graph, bounds, degree_sequence, f1, fork_q_constant,
+from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_constant,
                       generate, sde, solve_bisection, solve_recursion,
                       spectral_radius)
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
+from sdegraph.graph import Generic
 from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, solve_newton
 from sdegraph.spectral import full_spectrum
 
@@ -589,6 +590,15 @@ def test_sde_biregular_classified():
 
 def test_sde_max_clique_infinite():
     assert sde(k4_plus_p3()).is_infinite
+
+
+def test_sde_regular_max_degree_component_infinite():
+    # C5 beside P3: no clique, yet the 2-regular component puts lambda1 at
+    # d_max, so the solver (not the classifier) reports q = inf
+    c5_p3 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)])
+    assert isinstance(classify(c5_p3), Generic)
+    r = sde(c5_p3)
+    assert r.is_infinite and r.method == "newton" and r.note == "lambda1 at d_max"
 
 
 def test_sde_wheel_1000_range():
