@@ -102,8 +102,7 @@ def _batch_one(item: tuple[int, str]):
 
 
 def cmd_batch(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
-        work = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    work = gio.graph6_lines(args.input)
     with ExitStack() as stack:
         if args.jobs > 1:
             # imported here: the pool costs every other command ~15 ms of start-up
@@ -112,19 +111,15 @@ def cmd_batch(args) -> int:
             outcomes = pool.map(_batch_one, work, chunksize=64)
         else:
             outcomes = map(_batch_one, work)
-        results = []
-        for k, out in enumerate(outcomes, 1):
-            results.append(out)
+        records, skipped = [], 0
+        for k, (index, record, err) in enumerate(outcomes, 1):
+            if record is None:
+                skipped += 1
+                print(f"skipping line {index}: {err}", file=sys.stderr)
+            else:
+                records.append(record)
             if k % PROGRESS_EVERY == 0:
                 print(f"processed {k}/{len(work)} graphs", file=sys.stderr)
-    records = []
-    skipped = 0
-    for index, record, err in results:
-        if record is None:
-            skipped += 1
-            print(f"skipping line {index}: {err}", file=sys.stderr)
-        else:
-            records.append(record)
     regular = sum(1 for rec in records if math.isnan(rec["sde_q"]))
     print(f"batch: {len(records)} rows written, {skipped} skipped, "
           f"{regular} regular (sde_q = nan)", file=sys.stderr)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadSpec, InvalidGraph
 from .graph import Graph, degree_sequence
-from .solver import SdeResult, sde
+from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
 
@@ -118,20 +118,6 @@ def path_q_asymptotic(n: int) -> float:
     return 4.0 / pi2 * n + 12.0 / pi2 + (1.0 / 3.0 + 52.0 / (3.0 * pi2)) / n
 
 
-def _bisect(h, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the bracket [lo, hi], with h(lo) > 0 >= h(hi), halved
-    down to width ``tol`` or to the float spacing at the root."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break  # tol is finer than the float spacing at the root
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection to a bracket of width 1e-12; the independent oracle for the
@@ -149,7 +135,7 @@ def path_q_exact(n: int) -> float:
         hi *= 2.0
     if g(lo) <= 0.0:
         return 2.0
-    return _bisect(g, lo, hi, 1e-12)
+    return _bisect(g, lo, hi, 1e-12)[0]
 
 
 def fork_q_constant() -> float:
@@ -159,7 +145,7 @@ def fork_q_constant() -> float:
     def h(q: float) -> float:
         return 3.0 * 2.0 ** q - 2.0 - 3.0 ** q
 
-    return _bisect(h, 2.0, 3.0, 1e-12)
+    return _bisect(h, 2.0, 3.0, 1e-12)[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -291,6 +277,12 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     return Graph._from_links(n, ends[0::2], ends[1::2])
 
 
+def check_seed(seed: int | None) -> None:
+    """Raise BadSpec for a negative seed (numpy raises ValueError); None passes."""
+    if seed is not None and seed < 0:
+        raise BadSpec(f"seed must be a non-negative integer, got {seed}")
+
+
 def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     """One draw of an ``er`` or ``ba`` spec from ``rng``; the spec's own
     seed is not read."""
@@ -306,6 +298,7 @@ def generate(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind not in FAMILIES:
+        check_seed(spec.args[2])
         return sample(spec, np.random.default_rng(spec.args[2]))
     family = FAMILIES[spec.kind]
     g = Graph._from_links(*family.links(*spec.args))

@@ -10,6 +10,7 @@ import csv
 import math
 import sys
 from contextlib import nullcontext
+from io import StringIO
 from itertools import chain
 
 import numpy as np
@@ -46,14 +47,12 @@ def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line into an unweighted :class:`Graph`.
 
     A leading ``>>graph6<<`` header is tolerated. Raises MalformedGraph6 on
-    bytes outside 63..126, an invalid size prefix, or a bit stream whose
-    length does not match the node count.
+    characters outside 63..126 (non-ASCII ones included), an invalid size
+    prefix, or a bit stream whose length does not match the node count.
     """
-    s = line.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
-    data = s.encode("ascii", errors="replace")
-    if any(b < 63 or b > 126 for b in data):
+    s = line.strip().removeprefix(GRAPH6_HEADER)
+    data = s.encode("ascii", errors="ignore")  # drops non-ASCII characters
+    if len(data) != len(s) or any(b < 63 or b > 126 for b in data):
         raise MalformedGraph6("graph6 bytes must be in 63..126")
     n, off = _decode_size(data)
     if n < 1:
@@ -94,18 +93,35 @@ def encode_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
+def graph6_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line of a graph6 file. A byte
+    outside ASCII decodes to a lone surrogate, which :func:`parse_graph6`
+    rejects for that line alone."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        return [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+
+
 def read_graph6_file(path) -> list[Graph]:
-    """All graphs from a graph6 file, one per line; strict parsing."""
+    """All graphs from a graph6 file, one per line; a malformed line
+    (non-ASCII bytes included) raises ParseError with its line number."""
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except MalformedGraph6 as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+    for lineno, line in graph6_lines(path):
+        try:
+            graphs.append(parse_graph6(line))
+        except MalformedGraph6 as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return graphs
+
+
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file; invalid UTF-8 raises ParseError with its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 ({exc.reason})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 # weighted edge lists
@@ -122,13 +138,12 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     n_directive = None
     edges: dict[tuple[int, int], float] = {}
     max_id = -1
-    seen_edge_line = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("n="):
-            if seen_edge_line:
+            if edges:
                 raise ParseError("n= directive must precede edge lines", line=lineno)
             try:
                 n_directive = int(line[2:])
@@ -164,7 +179,6 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
             raise DuplicateLink(f"line {lineno}: duplicate link {key}")
         edges[key] = w
         max_id = max(max_id, u, v)
-        seen_edge_line = True
     if max_id < 0 and n_directive is None:
         raise ParseError("no edges and no n= directive")
     n = n_directive if n_directive is not None else max_id + 1
@@ -176,8 +190,7 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
 
 
 def load_edge_list(path, one_based: bool = False) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_weighted_edge_list(fh.read(), one_based=one_based)
+    return parse_weighted_edge_list(_read_utf8(path), one_based=one_based)
 
 
 # CSV reports
@@ -228,18 +241,21 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> tuple[list[str], list[dict[str, float]]]:
-    """Read a CSV written by :func:`write_records_csv` back into records."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """Read a CSV written by :func:`write_records_csv` back into records; a
+    bad row or cell raises ParseError with its line number."""
+    reader = csv.reader(StringIO(_read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty CSV file")
+    records = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"row length {len(row)} != header length {len(header)}",
+                             line=reader.line_num)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty CSV file")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"row length {len(row)} != header length {len(header)}")
             records.append({k: float(v) for k, v in zip(header, row)})
+        except ValueError as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     return header, records

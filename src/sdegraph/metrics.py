@@ -5,9 +5,9 @@ statistics, spectral quantities from the adjacency and Laplacian spectra,
 distance metrics by breadth-first search, efficiency measures, bridges, and
 the solved exponent. Per-node kernels run inside numpy/BLAS: local triangle
 counts are the row sums of ``(A @ A) * A``, computed once per graph for both
-clustering metrics, and local efficiency is one batched frontier BFS over
-all neighbour-induced subgraphs, grouped into power-of-two degree buckets
-and chunked so that no stack exceeds ``NEIGHBOURHOOD_STACK_CAP`` floats.
+clustering metrics, and one hop-level BFS serves the hop distances and, on
+stacks of all neighbour-induced subgraphs (power-of-two degree buckets of at
+most ``NEIGHBOURHOOD_STACK_CAP`` floats), local efficiency.
 Two gap conventions are provided: the literal ``lambda1_minus_mean_degree``
 and ``dmax_minus_lambda1`` (the quantity the reference correlation values
 actually derive from — see README). The same duality applies to
@@ -96,25 +96,31 @@ def assortativity(g: Graph) -> float:
             "all link end-degrees equal; assortativity undefined") from exc
 
 
+def _hop_levels(adj: np.ndarray):
+    """Yield, for d = 1, 2, ..., the 0/1 stack of the ordered node pairs
+    first reached at hop d in a (..., k, k) 0/1 float stack ``adj`` with no
+    diagonal: ``adj`` itself, then each hop that reaches a new pair. Path
+    counts stay exact in float32 below 2**24 nodes."""
+    unreached = 1.0 - adj - np.eye(adj.shape[-1], dtype=adj.dtype)
+    frontier = adj
+    while True:
+        yield frontier
+        # path counts into the next hop, capped at 1 where unreached and at
+        # 0 where reached
+        frontier = np.minimum(frontier @ adj, unreached)
+        if not frontier.any():
+            return
+        unreached -= frontier
+
+
 def bfs_distances(adj: np.ndarray) -> np.ndarray:
     """All-pairs hop distances of a boolean adjacency matrix (inf when
-    unreachable), by simultaneous frontier expansion."""
-    n = adj.shape[0]
-    adjf = adj.astype(float)
-    frontier = np.eye(n)
-    unreached = 1.0 - frontier
-    # a pair at distance d is unreached after levels 0..d-1, so its distance
-    # is the sum of the unreached indicators over the levels
-    dist = unreached.copy()
-    while True:
-        # path counts into the next level, capped at 1 where unreached and
-        # at 0 where reached
-        frontier = np.minimum(frontier @ adjf, unreached)
-        if not frontier.any():
-            break
-        unreached -= frontier
-        dist += unreached
-    dist[unreached > 0] = np.inf
+    unreachable), from :func:`_hop_levels`."""
+    dist = np.zeros(adj.shape)
+    for d, level in enumerate(_hop_levels(adj.astype(float)), 1):
+        dist += d * level
+    dist[dist == 0.0] = np.inf  # no hop arrived
+    dist.ravel()[::adj.shape[0] + 1] = 0.0  # the diagonal
     return dist
 
 
@@ -177,15 +183,15 @@ def local_efficiency(g: Graph) -> float:
     All neighbourhoods are searched together. Nodes are grouped by degree
     into power-of-two buckets of at least ``MIN_BUCKET`` (clamped to n);
     each bucket gathers its neighbour-induced subgraphs into a padded
-    ``(B, k, k)`` stack, where pad index n is an all-zero row and column, in
-    chunks of at most ``NEIGHBOURHOOD_STACK_CAP`` entries. One batched matmul
-    per BFS level expands every source of every subgraph at once; the pairs
-    first reached at level d add 1/d to their node's sum, which is then
-    divided by k_i (k_i - 1).
+    ``(B, k, k)`` float32 stack, where pad index n is an all-zero row and
+    column, in chunks of at most ``NEIGHBOURHOOD_STACK_CAP`` entries, and
+    :func:`_hop_levels` expands every source of every subgraph at once. The
+    pairs first reached at hop d add 1/d to their node's sum, which
+    :func:`_node_mean` divides by k_i (k_i - 1).
     """
     n = g.n
     deg = g._link_counts
-    eff = np.zeros(n)
+    sums = np.zeros(n)
     padded = np.zeros((n + 1, n + 1), dtype=np.float32)
     padded[:n, :n] = g.weights > 0
     indptr, cols = g.indptr, g.indices
@@ -202,52 +208,30 @@ def local_efficiency(g: Graph) -> float:
         nbrs = np.where(slots < deg[bucket, None], cols[at], n)
         step = max(1, NEIGHBOURHOOD_STACK_CAP // (k * k))
         for c0 in range(0, bucket.size, step):
-            chunk = bucket[c0:c0 + step]
-            k_i = deg[chunk]
-            eff[chunk] = _inverse_distance_sums(padded, nbrs[c0:c0 + step]) / (
-                k_i * (k_i - 1))
+            chunk = nbrs[c0:c0 + step]
+            sub = padded[chunk[:, :, None], chunk[:, None, :]]
+            sums[bucket[c0:c0 + step]] = sum(
+                level.sum(axis=(1, 2), dtype=float) / d
+                for d, level in enumerate(_hop_levels(sub), 1))
+    return _node_mean(sums.tolist(), deg.tolist())
+
+
+def _node_mean(pair_sums: list[float], deg: list[int]) -> float:
+    """Mean over the nodes of pair_sums[i] / (k_i (k_i - 1)), the ordered
+    pairs of node i's neighbours; a node of degree < 2 adds exactly 0.0.
+    Summed in node order by a Python loop: the same bits on every Python."""
     total = 0.0
-    for e in eff.tolist():  # in node order, the same bits on every Python
-        total += e
-    return total / n
-
-
-def _inverse_distance_sums(padded: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-    """Sum of inverse hop distances over the ordered node pairs of each
-    subgraph ``padded[nbrs[b]][:, nbrs[b]]`` of the 0/1 float32 matrix
-    ``padded``; pad entries (index n) have no links, so they add no pairs.
-    float32 path counts stay exact below 2**24 nodes."""
-    k = nbrs.shape[1]
-    sub = padded[nbrs[:, :, None], nbrs[:, None, :]]
-    diagonal = np.arange(k)
-    unreached = 1.0 - sub
-    unreached[:, diagonal, diagonal] = 0.0
-    frontier = sub
-    inv_sum = sub.sum(axis=(1, 2), dtype=float)  # the pairs at distance 1
-    d = 1
-    while True:
-        d += 1
-        # path counts into the next level, capped at 1 where unreached and
-        # at 0 where reached
-        frontier = np.minimum(frontier @ sub, unreached)
-        newly = frontier.sum(axis=(1, 2), dtype=float)
-        if not newly.any():
-            return inv_sum
-        inv_sum += newly / d
-        unreached -= frontier
+    for s, k in zip(pair_sums, deg):
+        if k >= 2:
+            total += s / (k * (k - 1))
+    return total / len(deg)
 
 
 def mean_local_clustering(g: Graph) -> float:
     """Average local clustering; degree-<2 nodes contribute 0. The triangle
     counts are shared with :func:`transitivity` (see ``Graph._triangles``)."""
-    deg = g._link_counts.tolist()
-    tri = g._triangles.tolist()  # links among each node's neighbours
-    total = 0.0
-    for i in range(g.n):
-        k = deg[i]
-        if k >= 2:
-            total += tri[i] / (k * (k - 1) / 2.0)
-    return total / g.n
+    # the factor 2 is exact: the bits of dividing by k (k - 1) / 2 per node
+    return 2.0 * _node_mean(g._triangles.tolist(), g._link_counts.tolist())
 
 
 def transitivity(g: Graph) -> float:

@@ -219,24 +219,32 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     return None, evaluate, q
 
 
-def solve_bisection(ds: DegreeSequence, lambda1: float,
-                    tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
-    """Bisect f1 on [2, U] down to ``tol_q``, with U a relative 1e-12 above
-    the start of :func:`_prepare`, whose results without iteration it
-    returns as they are."""
-    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_BISECTION)
-    if early is not None:
-        return early
-    lo, hi = 2.0, q * (1 + 1e-12)
-    iters = 0
-    while hi - lo > tol_q:
+def _bisect(h, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """Midpoint of the bracket [lo, hi], with h(lo) > 0 >= h(hi), halved
+    down to width ``tol`` or to the float spacing at the root, and the
+    number of halvings."""
+    halvings = 0
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if evaluate(mid)[0] > 0.0:
+        if mid in (lo, hi):
+            break  # tol is finer than the float spacing at the root
+        if h(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        iters += 1
-    q = 0.5 * (lo + hi)
+        halvings += 1
+    return 0.5 * (lo + hi), halvings
+
+
+def solve_bisection(ds: DegreeSequence, lambda1: float,
+                    tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
+    """Bisect f1 on [2, U] down to ``tol_q`` or to the float spacing at the
+    root, with U a relative 1e-12 above the start of :func:`_prepare`, whose
+    results without iteration it returns as they are."""
+    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_BISECTION)
+    if early is not None:
+        return early
+    q, iters = _bisect(lambda x: evaluate(x)[0], 2.0, q * (1 + 1e-12), tol_q)
     return SdeResult(q, METHOD_BISECTION, iterations=iters, residual=abs(evaluate(q)[0]))
 
 

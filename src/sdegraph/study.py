@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec, ConstantSeries, FilterExhausted, InputError
-from .families import FAMILIES, FamilySpec, family_q, sample
+from .families import FAMILIES, FamilySpec, check_seed, family_q, sample
 from .graph import Graph, add_link, connected_components
 from .io import jsonable
 from .metrics import METRIC_NAMES, pearson
@@ -91,6 +91,7 @@ def ensemble_samples(spec: FamilySpec, seed: int, count: int):
     spec (its own seed is ignored). Sample i draws from the sub-seed
     ``(seed, i)``; all samples share a budget of ``100 * count`` draws, and
     FilterExhausted is raised when it runs out."""
+    check_seed(seed)
     budget = 100 * count
     for index in range(count):
         rng = np.random.default_rng([seed, index])
@@ -117,6 +118,7 @@ def growth_trajectories(n: int, trials: int,
     the previous step. The orders are drawn from one generator seeded with
     ``seed``.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     star = Graph.from_edges(n, [(0, j) for j in range(1, n)])
     missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]

@@ -123,6 +123,43 @@ def test_batch_small_file(tmp_path, capsys):
     assert records[1]["sde_q"] == 2.0
 
 
+def test_batch_skips_a_non_ascii_line(tmp_path, capsys):
+    g6 = tmp_path / "bytes.g6"
+    g6.write_bytes(b"Bw\nB\xc3\xa9\n")
+    code, _, err = run(capsys, "batch", str(g6), "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert "skipping line 2: MalformedGraph6" in err
+    assert "1 rows written, 1 skipped" in err
+
+
+# each: files to write (name -> bytes), arguments ("{}" is the folder), and
+# a piece of the one-line error message
+MALFORMED_INPUTS = {
+    "graph6-non-ascii": ({}, ["compute", "--graph6", "Bé"], "graph6 bytes"),
+    "edge-list-utf8": ({"e.txt": b"0 1\n1 \xff2\n"},
+                       ["compute", "--edge-list", "{}/e.txt"], "line 2: invalid UTF-8"),
+    "csv-cell": ({"r.csv": b"a,sde_q\n1,2\n1,x\n"}, ["correlate", "{}/r.csv"],
+                 "line 3: could not convert"),
+    "csv-utf8": ({"r.csv": b"a,sde_q\n1,2\n\xff,3\n"}, ["correlate", "{}/r.csv"],
+                 "line 3: invalid UTF-8"),
+    "family-seed": ({}, ["compute", "--family", "er:10:0.5:-1"], "seed"),
+    "ensemble-seed": ({}, ["ensemble", "--family", "er:10:0.5", "--count", "2",
+                           "--seed", "-1"], "seed"),
+    "nonmonotonic-seed": ({}, ["nonmonotonic", "--n", "5", "--trials", "1",
+                               "--seed", "-1"], "seed"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(case, tmp_path, capsys):
+    files, argv, message = MALFORMED_INPUTS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, _, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_batch_empty_file(tmp_path, capsys):
     g6 = tmp_path / "empty.g6"
     g6.write_text("")

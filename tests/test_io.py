@@ -1,16 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURE_N7, random_er
 from sdegraph import (Graph, classify, generate, parse_graph6,
                       parse_weighted_edge_list, read_graph6_file)
-from sdegraph.errors import (DuplicateLink, MalformedGraph6, NegativeWeight,
-                             ParseError, SelfLoop, WeightedUnsupported)
+from sdegraph.errors import (DuplicateLink, InputError, MalformedGraph6,
+                             NegativeWeight, ParseError, SelfLoop,
+                             WeightedUnsupported)
 from sdegraph.graph import Regular
-from sdegraph.io import (encode_graph6, format_value, read_records_csv,
-                         write_records_csv)
+from sdegraph.io import (GRAPH6_HEADER, encode_graph6, format_value, load_edge_list,
+                         read_records_csv, write_records_csv)
 from sdegraph.metrics import METRIC_NAMES
 
 
@@ -65,6 +69,13 @@ def test_parse_malformed():
         parse_graph6("~~???w")  # eight-byte size form unsupported
 
 
+def test_parse_non_ascii_rejected():
+    # a non-ASCII character must not stand in for a valid byte
+    for text in ("Bé", "é", "B\udcc3"):
+        with pytest.raises(MalformedGraph6):
+            parse_graph6(text)
+
+
 def test_encode_weighted_rejected():
     g = Graph.from_edges(2, [(0, 1, 2.5)])
     with pytest.raises(WeightedUnsupported):
@@ -96,6 +107,85 @@ def test_fixture_counts():
     nonregular = [g for g in graphs if not isinstance(classify(g), Regular)]
     assert len(nonregular) == 849
     assert all(g.n == 7 for g in graphs)
+
+
+def test_read_graph6_file_non_ascii_line(tmp_path):
+    path = tmp_path / "bytes.g6"
+    path.write_bytes(b"Bw\nB\xc3\xa9\n")
+    with pytest.raises(ParseError) as err:
+        read_graph6_file(path)
+    assert err.value.line == 2
+
+
+@st.composite
+def unweighted_graphs(draw):
+    """Graphs on 1 to 130 nodes; above 62 nodes graph6 takes the four-byte
+    size prefix."""
+    n = draw(st.one_of(st.integers(1, 130), st.sampled_from((62, 63))))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    links = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    return Graph.from_edges(n, sorted(links))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unweighted_graphs())
+def test_graph6_roundtrip_property(g):
+    s = encode_graph6(g)
+    assert s.startswith("~") == (g.n > 62)
+    h = parse_graph6(s)
+    assert h.n == g.n
+    assert np.array_equal(h.weights, g.weights)
+    assert encode_graph6(h) == s
+
+
+def _small_ids(text: str) -> bool:
+    """Whether every integer token of an edge-list text is below 1e4: a
+    larger node id or n= directive makes the parser allocate arrays of that
+    size."""
+    for token in re.split(r"[\s=#]", text):
+        try:
+            if abs(int(token)) >= 10 ** 4:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+_EDGE_TOKENS = ("0", "1", "2", "7", "-1", "+3", "1_0", "٣", "1.5", "nan",
+                "inf", "-2", "1e-300", "x", "é", "n=3", "n=0", "n=x", "#")
+edge_list_texts = st.lists(st.lists(st.sampled_from(_EDGE_TOKENS), max_size=4)
+                           .map(" ".join), max_size=8).map("\n".join)
+graph6_texts = st.text(st.one_of(st.characters(min_codepoint=62, max_codepoint=127),
+                                  st.sampled_from("é\udcc3")), max_size=12)
+
+
+def _parse_or_input_error(parse, text):
+    """The valid graph that ``parse`` makes of ``text``, or None where it
+    raises an InputError."""
+    try:
+        g = parse(text)
+    except InputError:
+        return None
+    assert isinstance(g, Graph)
+    g.validate()
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), graph6_texts, graph6_texts.map("~{}".format)))
+@example("Bé")
+def test_parse_graph6_arbitrary_text(text):
+    g = _parse_or_input_error(parse_graph6, text)
+    if g is not None:  # one ASCII character per encoded one
+        body = text.strip().removeprefix(GRAPH6_HEADER)
+        assert body.isascii() and len(encode_graph6(g)) == len(body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), edge_list_texts), st.booleans())
+def test_parse_edge_list_arbitrary_text(text, one_based):
+    assume(_small_ids(text))
+    _parse_or_input_error(lambda t: parse_weighted_edge_list(t, one_based=one_based), text)
 
 
 # weighted edge lists
@@ -147,6 +237,14 @@ def test_edge_list_directive_rules():
 def test_edge_list_one_based():
     g = parse_weighted_edge_list("1 2\n2 3", one_based=True)
     assert g.links() == [(0, 1), (1, 2)]
+
+
+def test_load_edge_list_invalid_utf8(tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"0 1\n1 \xff2\n")
+    with pytest.raises(ParseError) as err:
+        load_edge_list(path)
+    assert err.value.line == 2
 
 
 # CSV serialization
@@ -214,3 +312,15 @@ def test_csv_generator_records(tmp_path):
     write_records_csv((_record(2.0 + k) for k in range(3)), path)
     header, back = read_records_csv(path)
     assert [rec["sde_q"] for rec in back] == [2.0, 3.0, 4.0]
+
+
+def test_csv_bad_cells_rejected_with_line(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text("a,sde_q\n1,2\n1,x\n")
+    with pytest.raises(ParseError) as err:
+        read_records_csv(path)
+    assert err.value.line == 3
+    path.write_bytes(b"a,sde_q\n1,2\n\xff,3\n")
+    with pytest.raises(ParseError) as err:
+        read_records_csv(path)
+    assert err.value.line == 3

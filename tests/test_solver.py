@@ -1,4 +1,5 @@
 import math
+import threading
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -168,6 +169,22 @@ def test_bisection_residual_small(rng):
     r = solve_bisection(ds, lam)
     assert r.residual <= 1e-8
     assert r.iterations > 0
+
+
+def test_bisection_stops_at_the_float_spacing():
+    # tol_q far below the float spacing at q (4.4e-16 near 2.37): halving
+    # stops once the midpoint equals an end of the bracket
+    g = generate("fork:9")
+    ds, lam = degree_sequence(g.degrees()), spectral_radius(g)
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(solve_bisection(ds, lam, tol_q=1e-17)), daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive(), "bisection did not return"
+    r = results[0]
+    assert r.iterations <= 60
+    assert abs(r.q - solve_newton(ds, lam).q) <= 1e-9
 
 
 def test_bisection_tol_validation():
