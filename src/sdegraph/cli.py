@@ -12,18 +12,22 @@ import json
 import math
 import sys
 from contextlib import ExitStack
+from itertools import chain
 
 from . import io as gio
 from .errors import InputError, NumericalError, SdegraphError
 from .families import FAMILIES, analytic_lambda1, generate, parse_family
 from .graph import degree_sequence
-from .metrics import metric_suite
+from .metrics import metric_records
 from .solver import bounds, sde
 from .spectral import spectral_radius
 from .study import (asymptotics_rows, correlation_report, ensemble_samples,
                     growth_trajectories)
 
 PROGRESS_EVERY = 2000
+# graph6 lines parsed and measured together, by one worker under --jobs: a
+# full stack of N=8 graphs (metrics.GRAPH_STACK_CAP)
+BATCH_CHUNK = 64
 
 
 # ---- compute ----
@@ -91,26 +95,33 @@ def cmd_compute(args) -> int:
 # ---- batch ----
 
 
-def _batch_one(item: tuple[int, str]):
-    index, line = item
-    try:
-        g = gio.parse_graph6(line)
-        record = metric_suite(g)
-        return index, record, None
-    except SdegraphError as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
+def _batch_chunk(lines: list[tuple[int, str]]) -> list[tuple[int, dict | None, str | None]]:
+    """(line number, record, None) for each graph6 line of one chunk, in
+    order, or (line number, None, why the line is skipped)."""
+    parsed = []
+    for index, line in lines:
+        try:
+            parsed.append((index, gio.parse_graph6(line)))
+        except SdegraphError as exc:
+            parsed.append((index, exc))
+    records = metric_records(g for _, g in parsed if not isinstance(g, SdegraphError))
+    outcomes = [(index, g if isinstance(g, SdegraphError) else next(records))
+                for index, g in parsed]
+    return [(index, None, f"{type(o).__name__}: {o}") if isinstance(o, SdegraphError)
+            else (index, o, None) for index, o in outcomes]
 
 
 def cmd_batch(args) -> int:
     work = gio.graph6_lines(args.input)
+    chunks = [work[i:i + BATCH_CHUNK] for i in range(0, len(work), BATCH_CHUNK)]
     with ExitStack() as stack:
         if args.jobs > 1:
             # imported here: the pool costs every other command ~15 ms of start-up
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            outcomes = pool.map(_batch_one, work, chunksize=64)
+            outcomes = chain.from_iterable(pool.map(_batch_chunk, chunks))
         else:
-            outcomes = map(_batch_one, work)
+            outcomes = chain.from_iterable(map(_batch_chunk, chunks))
         records, skipped = [], 0
         for k, (index, record, err) in enumerate(outcomes, 1):
             if record is None:
@@ -156,8 +167,10 @@ def cmd_ensemble(args) -> int:
     if args.count < 2:
         raise InputError("ensemble needs count >= 2")
     records = []
-    for k, g in enumerate(ensemble_samples(spec, args.seed, args.count), 1):
-        records.append(metric_suite(g))
+    for k, record in enumerate(metric_records(ensemble_samples(spec, args.seed, args.count)), 1):
+        if isinstance(record, SdegraphError):
+            raise record
+        records.append(record)
         if k % 200 == 0:
             print(f"ensemble: {k}/{args.count} samples", file=sys.stderr)
     if args.out:

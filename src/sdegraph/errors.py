@@ -54,6 +54,10 @@ class NegativeWeight(InputError):
     pass
 
 
+class DegreeOverflow(InputError):
+    """A node's weighted degree (the sum of its link weights) overflows float64."""
+
+
 class ParseError(InputError):
     def __init__(self, message, line=None):
         if line is not None:

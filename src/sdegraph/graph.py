@@ -2,7 +2,7 @@
 
 A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
 memory grows with the links, not with n squared; the per-graph arrays its
-kernels share (link counts, degrees, triangles) are derived once, and
+kernels share (link counts, degrees) are derived once, and
 ``Graph.weights`` is a cached dense view (at most ``DENSE_CAP`` nodes) for
 the dense kernels. All operations are pure: mutating operations
 return new :class:`Graph` values. Degrees have one representation, the
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (InvalidGraph, LinkExists, RewireConflict, SelfLoop,
+from .errors import (DegreeOverflow, InvalidGraph, LinkExists, RewireConflict, SelfLoop,
                      TooLargeForDense)
 
 # relative tolerance under which two weighted degrees count as equal
@@ -77,7 +77,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
         """Build a graph from (i, j) or (i, j, weight) tuples; a repeated
-        link keeps its last weight and a zero weight adds no link."""
+        link keeps its last weight and a zero weight adds no link. Raises
+        DegreeOverflow where finite weights sum to an infinite degree."""
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
         links: dict[tuple[int, int], float] = {}
@@ -97,6 +98,7 @@ class Graph:
         g = cls._from_links(n, ends[:, 0], ends[:, 1],
                             np.array(list(links.values()), dtype=float))
         g.validate()
+        _check_degrees(g)
         return g
 
     def validate(self) -> None:
@@ -155,14 +157,6 @@ class Graph:
         w.flags.writeable = False
         return w
 
-    @cached_property
-    def _triangles(self) -> np.ndarray:
-        """Triangles at each node (computed once per graph): the row sums of
-        ``(A @ A) * A`` over 2 for the link indicator A, one BLAS product,
-        exact integers in float64."""
-        adj = (self.weights > 0).astype(float)
-        return ((adj @ adj) * adj).sum(axis=1) / 2.0
-
     def num_links(self) -> int:
         return self.indices.size // 2  # every link is stored in both rows
 
@@ -184,6 +178,15 @@ class Graph:
         if s <= 0:
             raise InvalidGraph("scale factor must be positive")
         return Graph(self.n, self.indptr, self.indices, self.data * s)
+
+
+def _check_degrees(g: Graph) -> None:
+    """Raise DegreeOverflow, naming the first such node, when a weighted
+    degree overflows to inf (finite weights can sum past the float64 range)."""
+    over = np.flatnonzero(np.isinf(g.degrees()))
+    if over.size:
+        raise DegreeOverflow(f"the weighted degree of node {over[0]} overflows float64 "
+                             "(its link weights sum past 1.8e308)")
 
 
 def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:

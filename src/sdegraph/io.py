@@ -7,6 +7,7 @@ order). Only plain graph6 is supported — no sparse6/digraph6.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from contextlib import nullcontext
@@ -17,11 +18,15 @@ import numpy as np
 
 from .errors import (DuplicateLink, MalformedGraph6, NegativeWeight, ParseError,
                      SelfLoop, WeightedUnsupported)
-from .graph import Graph
+from .graph import Graph, _check_degrees
 from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
 _G6_MAX_N = 258047  # largest node count of the four-byte size form
+# largest node count of the one-byte size form. Up to it the bit pairs come
+# from a table cached per n; above it a table would take 16 bytes per bit,
+# so the set bits are located by a search instead.
+_G6_SHORT_MAX_N = 62
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
@@ -65,12 +70,24 @@ def parse_graph6(line: str) -> Graph:
             f"expected {need} adjacency bytes for n={n}, got {len(body)}")
     # six big-endian bits per byte; bit k is the pair (i, j), i < j, of the
     # upper triangle in column-major order: k = j (j - 1) / 2 + i
-    bits = np.unpackbits(body - np.uint8(63)).reshape(-1, 8)[:, 2:].ravel()
-    k = np.flatnonzero(bits[:nbits])
+    bits = np.unpackbits(body - np.uint8(63)).reshape(-1, 8)[:, 2:].ravel()[:nbits]
+    if n <= _G6_SHORT_MAX_N:
+        i, j = _graph6_pairs(n)
+        present = bits.view(bool)
+        return Graph._from_links(n, i[present], j[present])
+    k = np.flatnonzero(bits)
     column = np.arange(n)
     first = column * (column - 1) // 2  # the first bit of each column
     j = np.searchsorted(first, k, side="right") - 1
     return Graph._from_links(n, k - first[j], j)
+
+
+@functools.cache
+def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (i, j) of each upper-triangle bit of an n-node graph6 string,
+    in its column-major order, as two arrays."""
+    j, i = np.nonzero(np.tril(np.ones((n, n), dtype=bool), -1))
+    return i, j
 
 
 def encode_graph6(g: Graph) -> str:
@@ -133,7 +150,8 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     Node ids are 0-based (``one_based`` shifts them down by one). Blank
     lines and '#' comments are skipped; a leading ``n=<int>`` directive
     fixes the node count, otherwise n = max id + 1. Duplicate links,
-    self-loops and non-positive weights are errors.
+    self-loops, non-positive weights and a weighted degree that overflows
+    float64 (DegreeOverflow) are errors.
     """
     n_directive = None
     edges: dict[tuple[int, int], float] = {}
@@ -185,8 +203,10 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     if max_id >= n:
         raise ParseError(f"node id {max_id} exceeds declared n={n}")
     ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    return Graph._from_links(n, ends[0::2], ends[1::2],
-                             np.fromiter(edges.values(), dtype=float, count=len(edges)))
+    g = Graph._from_links(n, ends[0::2], ends[1::2],
+                          np.fromiter(edges.values(), dtype=float, count=len(edges)))
+    _check_degrees(g)
+    return g
 
 
 def load_edge_list(path, one_based: bool = False) -> Graph:

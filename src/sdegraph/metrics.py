@@ -3,11 +3,19 @@
 The metric set follows the published correlation table: size/degree
 statistics, spectral quantities from the adjacency and Laplacian spectra,
 distance metrics by breadth-first search, efficiency measures, bridges, and
-the solved exponent. Per-node kernels run inside numpy/BLAS: local triangle
-counts are the row sums of ``(A @ A) * A``, computed once per graph for both
-clustering metrics, and one hop-level BFS serves the hop distances and, on
-stacks of all neighbour-induced subgraphs (power-of-two degree buckets of at
-most ``NEIGHBOURHOOD_STACK_CAP`` floats), local efficiency.
+the solved exponent. The dense kernels run on stacks of graphs of one size
+n, one numpy pass per kernel per stack: the adjacency and Laplacian spectra
+(one ``eigvalsh`` call each), the hop distances and local efficiency (one
+hop-level BFS, :func:`_hop_levels`, on the ``(B, n, n)`` stack and on the
+stacked neighbour-induced subgraphs of all its nodes, in power-of-two degree
+buckets of at most ``NEIGHBOURHOOD_STACK_CAP`` floats), the local triangle
+counts (the row sums of ``(A @ A) * A``, shared by both clustering metrics)
+and every reduction of these to a record field. :func:`metric_records`
+groups consecutive equal-size graphs into stacks of at most
+``GRAPH_STACK_CAP`` adjacency entries; :func:`metric_suite` on a lone graph
+is the same code on a stack of one, and so are ``bfs_distances``,
+``local_efficiency``, ``mean_local_clustering`` and ``transitivity``. The
+exponent, assortativity and bridges run per graph.
 Two gap conventions are provided: the literal ``lambda1_minus_mean_degree``
 and ``dmax_minus_lambda1`` (the quantity the reference correlation values
 actually derive from — see README). The same duality applies to
@@ -16,15 +24,24 @@ actually derive from — see README). The same duality applies to
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
+from itertools import groupby, islice, repeat
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import (ConstantSeries, DisconnectedInput, InputError,
-                     NumericalError, UndefinedAssortativity, WeightedUnsupported)
-from .graph import Graph
+from .errors import (ConstantSeries, DisconnectedInput, InputError, NumericalError,
+                     SdegraphError, TooLargeForDense, UndefinedAssortativity,
+                     WeightedUnsupported)
+from .graph import DENSE_CAP, Graph
 from .solver import sde
-from .spectral import Spectrum, full_spectrum
+from .spectral import spectra
 
+# largest stack of equal-size graphs, in adjacency entries (B * n * n), whose
+# dense kernels run as one numpy call each: 64 graphs at n = 8 and one graph
+# from n = 64 on. On the N=8 corpus stacks of 32 to 256 graphs timed the
+# same, while the batch's peak memory grew with the stack (+3 MB at 256).
+GRAPH_STACK_CAP = 1 << 12
 # largest padded neighbourhood stack (B * k * k entries, 1 MB as float32)
 # that local_efficiency builds at once; larger degree buckets are processed in
 # chunks. Run time measured flat from 2**14 to 2**20 on ER/BA graphs with
@@ -99,8 +116,9 @@ def assortativity(g: Graph) -> float:
 def _hop_levels(adj: np.ndarray):
     """Yield, for d = 1, 2, ..., the 0/1 stack of the ordered node pairs
     first reached at hop d in a (..., k, k) 0/1 float stack ``adj`` with no
-    diagonal: ``adj`` itself, then each hop that reaches a new pair. Path
-    counts stay exact in float32 below 2**24 nodes."""
+    diagonal: ``adj`` itself, then each hop that reaches a new pair in any
+    matrix of the stack. Path counts stay exact in float32 below 2**24
+    nodes."""
     unreached = 1.0 - adj - np.eye(adj.shape[-1], dtype=adj.dtype)
     frontier = adj
     while True:
@@ -113,15 +131,21 @@ def _hop_levels(adj: np.ndarray):
         unreached -= frontier
 
 
-def bfs_distances(adj: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances of a boolean adjacency matrix (inf when
+def _distances(adj: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances of a (B, n, n) 0/1 float stack (inf when
     unreachable), from :func:`_hop_levels`."""
     dist = np.zeros(adj.shape)
-    for d, level in enumerate(_hop_levels(adj.astype(float)), 1):
+    for d, level in enumerate(_hop_levels(adj), 1):
         dist += d * level
     dist[dist == 0.0] = np.inf  # no hop arrived
-    dist.ravel()[::adj.shape[0] + 1] = 0.0  # the diagonal
+    dist.reshape(len(dist), -1)[:, ::adj.shape[-1] + 1] = 0.0  # the diagonals
     return dist
+
+
+def bfs_distances(adj: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances of a boolean adjacency matrix (inf when
+    unreachable): :func:`_distances` on a stack of one."""
+    return _distances(np.asarray(adj, dtype=float)[None])[0]
 
 
 def count_bridges(g: Graph) -> int:
@@ -164,92 +188,128 @@ def count_bridges(g: Graph) -> int:
     return bridges
 
 
-def _global_efficiency(dist: np.ndarray) -> float:
-    """Mean inverse distance over the ordered pairs of distinct nodes (an
-    unreachable pair adds 1/inf = 0)."""
-    n = dist.shape[0]
+def _global_efficiency(dist: np.ndarray) -> np.ndarray:
+    """Mean inverse distance over the ordered pairs of distinct nodes of
+    each (n, n) matrix of a (..., n, n) stack (an unreachable pair adds
+    1/inf = 0)."""
+    n, lead = dist.shape[-1], dist.shape[:-2]
     if n < 2:
-        return 0.0
+        return np.zeros(lead)
     # the off-diagonal entries in row-major order: past the first entry, the
     # diagonal is the last column of an (n - 1) x (n + 1) view
-    off = dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
-    return float((1.0 / off).sum()) / (n * (n - 1))
+    off = dist.reshape(*lead, n * n)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
+    return (1.0 / off).sum(axis=(-2, -1)) / (n * (n - 1))
+
+
+def _triangles(adj: np.ndarray) -> np.ndarray:
+    """Triangles at each node of a (B, n, n) 0/1 float stack: the row sums
+    of ``(A @ A) * A`` over 2, exact integers in float64."""
+    return ((adj @ adj) * adj).sum(axis=2) / 2.0
+
+
+def _efficiency_sums(adj: np.ndarray, indptr: np.ndarray, cols: np.ndarray,
+                     deg: np.ndarray) -> np.ndarray:
+    """Per node of a (B, n, n) 0/1 float stack, the sum of 1/d over the
+    ordered pairs of its neighbours at hop distance d in their induced
+    subgraph, as a (B, n) array. ``deg`` holds the (B, n) link counts and
+    ``indptr``/``cols`` the stack's neighbour lists: CSR rows b * n + i
+    holding node ids 0..n-1.
+
+    All neighbourhoods of all graphs are searched together. Nodes are
+    grouped by degree into power-of-two buckets of at least ``MIN_BUCKET``
+    (clamped to n); each bucket gathers its neighbour-induced subgraphs into
+    a padded ``(K, k, k)`` float32 stack, where pad index n is an all-zero
+    row and column, in chunks of at most ``NEIGHBOURHOOD_STACK_CAP``
+    entries, and :func:`_hop_levels` expands every source of every subgraph
+    at once. Nodes of degree < 2 get 0.
+    """
+    n = deg.shape[1]
+    links = deg.ravel()
+    sums = np.zeros(links.size)
+    # the stack as rows b * (n + 1) + i, each graph padded by a zero row and
+    # column n
+    padded = np.zeros((deg.shape[0] * (n + 1), n + 1), dtype=np.float32)
+    padded.reshape(-1, n + 1, n + 1)[:, :n, :n] = adj
+    nodes = np.flatnonzero(links >= 2)
+    # 2**bit_length(k - 1), the power of two at or above k
+    width = np.minimum(np.maximum(MIN_BUCKET, 1 << np.frexp(links[nodes] - 1)[1]), n)
+    for k in sorted(set(width.tolist())):
+        bucket = nodes[width == k]
+        # neighbour lists padded with n, and their rows of ``padded``
+        slots = np.arange(k)
+        at = np.minimum(indptr[bucket, None] + slots, cols.size - 1)
+        nbrs = np.where(slots < links[bucket, None], cols[at], n)
+        rows = nbrs + (bucket // n * (n + 1))[:, None]
+        step = max(1, NEIGHBOURHOOD_STACK_CAP // (k * k))
+        for c0 in range(0, bucket.size, step):
+            sub = padded[rows[c0:c0 + step, :, None], nbrs[c0:c0 + step, None, :]]
+            sums[bucket[c0:c0 + step]] = sum(
+                level.sum(axis=(1, 2), dtype=float) / d
+                for d, level in enumerate(_hop_levels(sub), 1))
+    return sums.reshape(deg.shape)
+
+
+def _node_means(per_node: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per graph of a (B, n) stack, the mean over its nodes of
+    per_node[i] / (k_i (k_i - 1)), the ordered pairs of node i's neighbours;
+    a node of degree < 2 adds exactly 0.0. Summed in node order by
+    ``np.cumsum``, which adds sequentially: the bits of a Python loop."""
+    terms = np.zeros(per_node.shape)
+    np.divide(per_node, deg * (deg - 1), out=terms, where=deg >= 2)
+    return np.cumsum(terms, axis=1)[:, -1] / deg.shape[1]
+
+
+def _transitivity(triangles: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Per graph of a (B, n) stack, 3 * triangles / connected triples (0
+    without triples)."""
+    triads = (deg * (deg - 1)).sum(axis=1)
+    # 6 * triangles / triads, from the per-node counts of each triangle
+    return np.divide(2.0 * triangles.sum(axis=1), triads, out=np.zeros(triads.shape),
+                     where=triads > 0)
+
+
+def _link_stack(deg: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 0/1 float link indicators of B graphs of n nodes as a (B, n, n)
+    stack, from their (B, n) link counts and their CSR columns ``cols``
+    (rows b * n + i); TooLargeForDense above ``DENSE_CAP`` nodes."""
+    b, n = deg.shape
+    if n > DENSE_CAP:
+        raise TooLargeForDense(f"n={n} exceeds the dense cap {DENSE_CAP}")
+    adj = np.zeros((b, n, n))
+    adj.reshape(b * n, n)[np.repeat(np.arange(b * n), deg.ravel()), cols] = 1.0
+    return adj
+
+
+def _link_indicator(g: Graph) -> np.ndarray:
+    """The 0/1 float adjacency of ``g`` as a stack of one."""
+    return _link_stack(g._link_counts[None], g.indices)
 
 
 def local_efficiency(g: Graph) -> float:
     """Mean over nodes of the global efficiency of the neighbour-induced
-    subgraph; nodes with fewer than two neighbours contribute 0.
-
-    All neighbourhoods are searched together. Nodes are grouped by degree
-    into power-of-two buckets of at least ``MIN_BUCKET`` (clamped to n);
-    each bucket gathers its neighbour-induced subgraphs into a padded
-    ``(B, k, k)`` float32 stack, where pad index n is an all-zero row and
-    column, in chunks of at most ``NEIGHBOURHOOD_STACK_CAP`` entries, and
-    :func:`_hop_levels` expands every source of every subgraph at once. The
-    pairs first reached at hop d add 1/d to their node's sum, which
-    :func:`_node_mean` divides by k_i (k_i - 1).
-    """
-    n = g.n
-    deg = g._link_counts
-    sums = np.zeros(n)
-    padded = np.zeros((n + 1, n + 1), dtype=np.float32)
-    padded[:n, :n] = g.weights > 0
-    indptr, cols = g.indptr, g.indices
-    buckets: dict[int, list[int]] = {}
-    for node, k in enumerate(deg.tolist()):
-        if k >= 2:  # 2**bit_length(k - 1) is the power of two at or above k
-            width = min(max(MIN_BUCKET, 1 << (k - 1).bit_length()), n)
-            buckets.setdefault(width, []).append(node)
-    for k, members in sorted(buckets.items()):
-        bucket = np.array(members)
-        # neighbour lists padded with n
-        slots = np.arange(k)
-        at = np.minimum(indptr[bucket, None] + slots, cols.size - 1)
-        nbrs = np.where(slots < deg[bucket, None], cols[at], n)
-        step = max(1, NEIGHBOURHOOD_STACK_CAP // (k * k))
-        for c0 in range(0, bucket.size, step):
-            chunk = nbrs[c0:c0 + step]
-            sub = padded[chunk[:, :, None], chunk[:, None, :]]
-            sums[bucket[c0:c0 + step]] = sum(
-                level.sum(axis=(1, 2), dtype=float) / d
-                for d, level in enumerate(_hop_levels(sub), 1))
-    return _node_mean(sums.tolist(), deg.tolist())
-
-
-def _node_mean(pair_sums: list[float], deg: list[int]) -> float:
-    """Mean over the nodes of pair_sums[i] / (k_i (k_i - 1)), the ordered
-    pairs of node i's neighbours; a node of degree < 2 adds exactly 0.0.
-    Summed in node order by a Python loop: the same bits on every Python."""
-    total = 0.0
-    for s, k in zip(pair_sums, deg):
-        if k >= 2:
-            total += s / (k * (k - 1))
-    return total / len(deg)
+    subgraph; nodes with fewer than two neighbours contribute 0. One graph's
+    row of :func:`_efficiency_sums` and :func:`_node_means`."""
+    deg = g._link_counts[None]
+    sums = _efficiency_sums(_link_indicator(g), g.indptr, g.indices, deg)
+    return float(_node_means(sums, deg)[0])
 
 
 def mean_local_clustering(g: Graph) -> float:
-    """Average local clustering; degree-<2 nodes contribute 0. The triangle
-    counts are shared with :func:`transitivity` (see ``Graph._triangles``)."""
+    """Average local clustering; degree-<2 nodes contribute 0."""
     # the factor 2 is exact: the bits of dividing by k (k - 1) / 2 per node
-    return 2.0 * _node_mean(g._triangles.tolist(), g._link_counts.tolist())
+    return 2.0 * float(_node_means(_triangles(_link_indicator(g)), g._link_counts[None])[0])
 
 
 def transitivity(g: Graph) -> float:
     """Global clustering: 3 * triangles / connected triples."""
-    deg = g._link_counts
-    triads = float((deg * (deg - 1)).sum())
-    if triads == 0.0:
-        return 0.0
-    return 2.0 * float(g._triangles.sum()) / triads  # 6 * triangles / triads
+    return float(_transitivity(_triangles(_link_indicator(g)), g._link_counts[None])[0])
 
 
-def spanning_tree_count(spectrum: Spectrum, n: int) -> float:
-    """Matrix-tree count from the Laplacian spectrum, via a log-domain
-    product; rounded to the nearest integer with a 1e-6 relative guard."""
-    mu = spectrum.laplacian[:-1]  # connected: exactly one zero eigenvalue
-    if np.any(mu <= 0):
-        return 0.0  # disconnected remnant; no spanning tree
-    log_count = float(np.log(mu).sum()) - math.log(n)
+def _spanning_tree_count(log_count: float) -> float:
+    """Matrix-tree count from its log, the log of the product of the n - 1
+    largest Laplacian eigenvalues over n (-inf when one of them is 0: no
+    spanning tree); rounded to the nearest integer with a 1e-6 relative
+    guard."""
     if log_count > 700.0:
         return math.exp(700.0)  # saturate rather than overflow
     count = math.exp(log_count)
@@ -260,57 +320,117 @@ def spanning_tree_count(spectrum: Spectrum, n: int) -> float:
     return float(rounded)
 
 
-def metric_suite(g: Graph) -> dict[str, float]:
+def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
+    """Every field of the metric record that the dense kernels give, for
+    graphs that all have n nodes, as one row per graph.
+
+    Each kernel runs once on the ``(B, n, n)`` stack of the graphs' link
+    indicators: both spectra, the hop distances, the triangle counts and the
+    local-efficiency pair sums; so does every reduction of their results to
+    a field. Link weights are not read (:func:`metric_suite` rejects a
+    weighted graph). The row holds ``log_spanning_trees`` (see
+    :func:`_spanning_tree_count`) in place of the four fields
+    :func:`metric_suite` computes per graph. TooLargeForDense above
+    ``DENSE_CAP`` nodes.
+    """
+    deg = np.array([g._link_counts for g in graphs])
+    n = deg.shape[1]
+    degrees = deg.astype(float)  # an unweighted graph's degrees
+    cols = np.concatenate([g.indices for g in graphs])
+    adj = _link_stack(deg, cols)
+    adjacency, laplacian = spectra(adj, degrees)
+    dist = _distances(adj)
+    ecc = dist.max(axis=2)
+    global_efficiency = _global_efficiency(dist)
+    if n < 2:
+        gap = connectivity = path_length = np.zeros(len(graphs))
+    else:
+        gap = adjacency[:, 0] - adjacency[:, 1]
+        connectivity = laplacian[:, n - 2]
+        path_length = dist.sum(axis=(1, 2)) / (n * (n - 1))
+    del dist  # freed once read: fewer page faults where a stack is one graph
+    triangles = _triangles(adj)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    pair_sums = _efficiency_sums(adj, indptr, cols, deg)
+    links = deg.sum(axis=1) // 2
+    d_max = deg.max(axis=1)
+    lambda1 = adjacency[:, 0]
+    centred = degrees - degrees.sum(axis=1, keepdims=True) / n
+    mu = laplacian[:, :-1]  # connected: exactly one zero eigenvalue
+    with np.errstate(divide="ignore"):  # a disconnected graph has more zeros
+        log_trees = np.log(mu).sum(axis=1) - math.log(n)
+        resistance = n * (1.0 / mu).sum(axis=1)  # 0 for n = 1
+    columns = {
+        "num_links": links,
+        "max_degree": d_max,
+        "min_degree": deg.min(axis=1),
+        "degree_variance": (centred * centred).sum(axis=1) / n,  # numpy's var
+        "lambda1": lambda1,
+        "lambda1_minus_lambda2": gap,
+        "lambda1_minus_mean_degree": lambda1 - 2 * links / n,
+        "dmax_minus_lambda1": d_max - lambda1,
+        "algebraic_connectivity": connectivity,
+        "effective_graph_resistance": resistance,
+        "avg_shortest_path_length": path_length,
+        "diameter": ecc.max(axis=1),
+        "clustering_coefficient": 2.0 * _node_means(triangles, deg),
+        "transitivity": _transitivity(triangles, deg),
+        "radius": ecc.min(axis=1),
+        "local_efficiency": _node_means(pair_sums, deg),
+        "global_efficiency": global_efficiency,
+        "num_leaf_nodes": (deg == 1).sum(axis=1),
+        "graph_energy": np.abs(adjacency).sum(axis=1),
+        "estrada_index": np.exp(adjacency).sum(axis=1),
+        "max_laplacian_eigenvalue": laplacian[:, 0],
+        "log_spanning_trees": log_trees,
+    }
+    # one float64 array: every field a float, and one tolist call
+    return [dict(zip(columns, row)) for row in np.array(list(columns.values())).T.tolist()]
+
+
+def metric_suite(g: Graph, _row: dict[str, float] | None = None) -> dict[str, float]:
     """Full metric record for one connected unweighted graph.
 
     Assortativity of a regular graph is recorded as NaN (it is undefined,
-    exactly like sde_q).
+    exactly like sde_q). The dense kernels run on a stack of one unless
+    :func:`metric_records` passes the graph's row of its stack as ``_row``;
+    q, assortativity, bridges and the spanning-tree rounding run per graph.
     """
     if not g.is_unweighted():
         raise WeightedUnsupported("the metric suite is defined on unweighted graphs")
-    dist = bfs_distances(g.weights > 0)
-    ecc = dist.max(axis=1)
-    diameter = float(ecc.max())
-    if diameter == math.inf:
+    row = _kernel_rows([g])[0] if _row is None else _row
+    if row["diameter"] == math.inf:
         raise DisconnectedInput("distance metrics require a connected graph")
-    n = g.n
-    links = g.num_links()
-    degs = g._link_counts.tolist()  # the integral degrees of an unweighted graph
-    d_max = float(max(degs))
-    spectrum = full_spectrum(g)
-    q = sde(g, lambda1=spectrum.lambda1).q
-    ae = spectrum.adjacency
-    mu = spectrum.laplacian
-    lambda1 = spectrum.lambda1
+    q = sde(g, lambda1=row["lambda1"]).q
     try:
         rho_d = assortativity(g)
     except UndefinedAssortativity:
         rho_d = math.nan
-    record = {
-        "num_links": float(links),
-        "max_degree": d_max,
-        "min_degree": float(min(degs)),
-        "degree_variance": float(g.degrees().var()),
-        "lambda1": lambda1,
-        "lambda1_minus_lambda2": lambda1 - float(ae[1]) if n > 1 else 0.0,
-        "lambda1_minus_mean_degree": lambda1 - 2 * links / n,
-        "dmax_minus_lambda1": d_max - lambda1,
-        "algebraic_connectivity": float(mu[n - 2]) if n > 1 else 0.0,
-        "effective_graph_resistance": n * float((1.0 / mu[:-1]).sum()) if n > 1 else 0.0,
-        "avg_shortest_path_length": float(dist.sum()) / (n * (n - 1)) if n > 1 else 0.0,
-        "diameter": diameter,
-        "clustering_coefficient": mean_local_clustering(g),
-        "transitivity": transitivity(g),
-        "radius": float(ecc.min()),
-        "degree_assortativity": rho_d,
-        "num_bridges": float(count_bridges(g)),
-        "local_efficiency": local_efficiency(g),
-        "global_efficiency": _global_efficiency(dist),
-        "num_leaf_nodes": float(degs.count(1)),
-        "graph_energy": float(np.abs(ae).sum()),
-        "estrada_index": float(np.exp(ae).sum()),
-        "num_spanning_trees": spanning_tree_count(spectrum, n),
-        "max_laplacian_eigenvalue": float(mu[0]),
-        "sde_q": q,
-    }
-    return record
+    fields = {**row, "degree_assortativity": rho_d, "num_bridges": float(count_bridges(g)),
+              "num_spanning_trees": _spanning_tree_count(row["log_spanning_trees"]),
+              "sde_q": q}
+    return {name: fields[name] for name in METRIC_NAMES}
+
+
+def metric_records(graphs: Iterable[Graph]) -> Iterator[dict[str, float] | SdegraphError]:
+    """The :func:`metric_suite` record of each graph, in order, or the
+    SdegraphError raised on it.
+
+    Consecutive graphs with the same n share stacks of at most
+    ``GRAPH_STACK_CAP`` adjacency entries; :func:`_kernel_rows` runs once
+    per stack and ``metric_suite`` once per graph, on the graph's row. The
+    graphs are read lazily, one stack ahead of the records.
+    """
+    for n, run in groupby(graphs, key=attrgetter("n")):
+        size = max(1, GRAPH_STACK_CAP // (n * n))
+        while stack := list(islice(run, size)):
+            try:
+                rows = _kernel_rows(stack)
+            except SdegraphError as exc:  # above DENSE_CAP nodes: a stack of one
+                yield from repeat(exc, len(stack))
+                continue
+            for g, row in zip(stack, rows):
+                try:
+                    yield metric_suite(g, row)
+                except SdegraphError as exc:
+                    yield exc

@@ -109,15 +109,17 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     if not values:
         raise AllDegreesZero("every weighted degree is zero")
     n = ds.n
-    rho_max = math.log1p((values[0] - lambda1) / lambda1)
-    q_top = math.log(n / counts[0]) / rho_max if rho_max > 0 else math.inf
     zero_weight = (n - sum(counts)) / n
     # per distinct degree: w, rho, w*rho, |w*rho|, and w signed like expm1(q*rho)
     terms = []
     for count, v in zip(counts, values):
         w = count / n
-        r = math.log1p((v - lambda1) / lambda1)
+        x = (v - lambda1) / lambda1
+        # x rounds to -1, outside log1p's domain, for v below about lambda1 * 2**-53
+        r = math.log1p(x) if x > -1.0 else math.log(v) - math.log(lambda1)
         terms.append((w, r, w * r, abs(w * r), math.copysign(w, r)))
+    rho_max = terms[0][1]
+    q_top = math.log(n / counts[0]) / rho_max if rho_max > 0 else math.inf
 
     def evaluate(q: float) -> tuple[float, float, float]:
         shift = q * rho_max - 700.0  # exp overflows above ~709.8

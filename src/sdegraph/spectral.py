@@ -19,7 +19,8 @@ graph's own structure:
   eigensolve of T in a cycle that cannot converge before its restart.
 
 Nothing here imports scipy. Full spectra go through the dense symmetric
-LAPACK solver and are capped at ``DENSE_CAP`` nodes.
+LAPACK solver, one call per stack of equal-size graphs (:func:`spectra`),
+and are capped at ``DENSE_CAP`` nodes.
 """
 from __future__ import annotations
 
@@ -182,11 +183,29 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
         j = k
 
 
+def spectra(weights: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency and Laplacian eigenvalues of a ``(B, n, n)`` stack of weight
+    matrices with their ``(B, n)`` weighted degrees: two ``(B, n)`` arrays,
+    rows sorted descending, one ``eigvalsh`` call each on the whole stack.
+
+    The Laplacian is built as deg I - W from zeros, never by negating W: a
+    -0.0 entry would flip LAPACK's Householder signs and the last bits of
+    the eigenvalues. Its eigenvalues are clamped at 0 from below. Both
+    arrays are C-contiguous, so that an elementwise numpy function gives
+    the same bits on a stack of any size (on a strided stack it may take a
+    different loop).
+    """
+    lap = np.zeros(weights.shape)
+    lap.reshape(len(lap), -1)[:, ::weights.shape[-1] + 1] = degrees  # the diagonals
+    lap -= weights
+    adj = np.linalg.eigvalsh(weights)[:, ::-1]
+    lap = np.maximum(np.linalg.eigvalsh(lap)[:, ::-1], 0.0)
+    return np.ascontiguousarray(adj), np.ascontiguousarray(lap)
+
+
 def full_spectrum(g: Graph) -> Spectrum:
     """All adjacency and Laplacian eigenvalues, from the dense view
-    (TooLargeForDense above ``DENSE_CAP`` nodes)."""
-    w = g.weights
-    adj = np.linalg.eigvalsh(w)[::-1]
-    lap = np.linalg.eigvalsh(np.diag(g.degrees()) - w)[::-1]
-    lap = np.maximum(lap, 0.0)
-    return Spectrum(adjacency=adj, laplacian=lap)
+    (TooLargeForDense above ``DENSE_CAP`` nodes): :func:`spectra` on a
+    stack of one."""
+    adj, lap = spectra(g.weights[None], g.degrees()[None])
+    return Spectrum(adjacency=adj[0], laplacian=lap[0])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +9,14 @@ from pathlib import Path
 import pytest
 
 import sdegraph
-from conftest import FIXTURE_N7
-from sdegraph import family_q, fork_q_constant, generate, path_q_exact
+from conftest import FIXTURE_N7, FIXTURE_N8
+from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_graph6,
+                      path_q_exact)
 from sdegraph.cli import main
 from sdegraph.errors import BadSpec
 from sdegraph.families import FAMILIES, FAMILY_KINDS
-from sdegraph.io import encode_graph6, read_records_csv
-from sdegraph.metrics import METRIC_NAMES
+from sdegraph.io import encode_graph6, format_value, read_records_csv
+from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES
 from sdegraph.study import asymptotics_rows, correlation_report
 
 from conftest import k4_plus_p3
@@ -48,6 +50,19 @@ def test_compute_edge_list_inf(tmp_path, capsys):
     code, out, _ = run(capsys, "compute", "--edge-list", str(path))
     assert code == 0
     assert "q: inf" in out
+
+
+def test_compute_degree_below_lambda1_rounding(tmp_path, capsys):
+    # a weighted P3 beside a unit link: the unit degrees lie below
+    # lambda1 * 2**-53, where log1p((d - lambda1) / lambda1) sees -1
+    path = tmp_path / "tiny.txt"
+    path.write_text("0 1 1e17\n1 2 1e17\n3 4 1\n")
+    code, out, err = run(capsys, "compute", "--edge-list", str(path), "--json")
+    assert code == 0, err
+    # degrees 1e17 (x2), 2e17, 1, 1 and lambda1 = sqrt(2) 1e17: with
+    # y = 2**(q/2), (2 + y**2) / 5 = y up to the unit degrees' 1e-17**q
+    q = json.loads(out)["q"]
+    assert abs(q - 2 * math.log2((5 + math.sqrt(17)) / 2)) <= 1e-9
 
 
 @pytest.mark.parametrize("spec, lambda1, q, q_tol", [
@@ -142,6 +157,8 @@ MALFORMED_INPUTS = {
                  "line 3: could not convert"),
     "csv-utf8": ({"r.csv": b"a,sde_q\n1,2\n\xff,3\n"}, ["correlate", "{}/r.csv"],
                  "line 3: invalid UTF-8"),
+    "degree-overflow": ({"e.txt": b"0 1 1e308\n1 2 1e308\n2 3\n"},
+                        ["compute", "--edge-list", "{}/e.txt"], "node 1 overflows"),
     "family-seed": ({}, ["compute", "--family", "er:10:0.5:-1"], "seed"),
     "ensemble-seed": ({}, ["ensemble", "--family", "er:10:0.5", "--count", "2",
                            "--seed", "-1"], "seed"),
@@ -158,6 +175,32 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     code, _, err = run(capsys, *(a.format(tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+def test_batch_mixed_sizes_keep_input_order(tmp_path, capsys):
+    # runs of n = 5, 7 and 8 longer than a chunk of lines (64) and a stack
+    # of graphs, a malformed line inside the n = 7 run and a disconnected
+    # graph inside the n = 8 run
+    n7 = FIXTURE_N7.read_text().split()
+    n8 = FIXTURE_N8.read_text().split()
+    lines = ([encode_graph6(generate(s)) for s in ("path:5", "star:5", "wheel:5")]
+             + n7[:100] + ["not-a-graph!!"] + n7[100:180] + n8[:70]
+             + [encode_graph6(k4_plus_p3())] + n8[70:150] + n7[180:190])
+    g6 = tmp_path / "mixed.g6"
+    g6.write_text("\n".join(lines) + "\n")
+    skipped = [104, 255]  # line numbers of the malformed and disconnected lines
+    assert GRAPH_STACK_CAP // 64 < 70  # the n = 8 runs span stacks
+    outs = {}
+    for jobs in (1, 2):
+        out_csv = tmp_path / f"jobs{jobs}.csv"
+        code, _, err = run(capsys, "batch", str(g6), "--jobs", str(jobs), "--out", str(out_csv))
+        assert code == 0
+        assert [int(k) for k in re.findall(r"^skipping line (\d+)", err, re.M)] == skipped
+        outs[jobs] = out_csv.read_bytes()
+    assert outs[1] == outs[2]
+    want = [",".join(format_value(metric_suite(parse_graph6(line))[name]) for name in METRIC_NAMES)
+            for k, line in enumerate(lines, 1) if k not in skipped]
+    assert outs[1].decode().splitlines()[1:] == want
 
 
 def test_batch_empty_file(tmp_path, capsys):

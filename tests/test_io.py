@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_N7, random_er
 from sdegraph import (Graph, classify, generate, parse_graph6,
                       parse_weighted_edge_list, read_graph6_file)
-from sdegraph.errors import (DuplicateLink, InputError, MalformedGraph6,
+from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, MalformedGraph6,
                              NegativeWeight, ParseError, SelfLoop,
                              WeightedUnsupported)
 from sdegraph.graph import Regular
@@ -218,6 +218,17 @@ def test_edge_list_errors():
         parse_weighted_edge_list("0 1 2 3")
     with pytest.raises(ParseError):
         parse_weighted_edge_list("")
+
+
+def test_edge_list_degree_overflow():
+    # each weight is finite, but node 1's two links sum past float64's range
+    links = "0 1 1e308\n1 2 1e308\n2 3\n"
+    with pytest.raises(DegreeOverflow, match="node 1 overflows"):
+        parse_weighted_edge_list(links)
+    with pytest.raises(DegreeOverflow, match="node 1 overflows"):
+        Graph.from_edges(4, [(0, 1, 1e308), (1, 2, 1e308), (2, 3)])
+    # the same weights on disjoint links stay finite
+    assert parse_weighted_edge_list("0 1 1e308\n2 3 1e308\n").degrees().max() == 1e308
 
 
 def test_edge_list_comments_and_directive():

@@ -354,6 +354,40 @@ def test_local_efficiency_chunked_stack(rng, monkeypatch, cap):
     assert abs(local_efficiency(g) - ref) <= 1e-12 * abs(ref)
 
 
+# stacked kernels: a stack's rows against lone graphs
+
+
+def record_bits(record):
+    """The record's names and the bytes of its values (NaN equals NaN)."""
+    return list(record), np.array(list(record.values())).tobytes()
+
+
+@pytest.mark.parametrize("cap", [None, 5 * 49])
+def test_metric_records_match_lone_metric_suite(monkeypatch, cap):
+    if cap is not None:  # five 7-node graphs per stack
+        monkeypatch.setattr(metrics, "GRAPH_STACK_CAP", cap)
+    graphs = read_graph6_file(FIXTURE_N7)
+    # stacks of GRAPH_STACK_CAP // 49 graphs: boundaries inside the run of n = 7
+    assert metrics.GRAPH_STACK_CAP // 49 < len(graphs)
+    records = list(metrics.metric_records(graphs))
+    assert len(records) == len(graphs)
+    for g, record in zip(graphs, records):
+        assert record_bits(record) == record_bits(metric_suite(g))
+
+
+def test_metric_records_keep_order_across_sizes_and_errors(monkeypatch):
+    monkeypatch.setattr(metrics, "GRAPH_STACK_CAP", 2 * 25)  # two 5-node graphs
+    weighted = Graph.from_edges(5, [(0, 1, 2.0), (1, 2), (2, 3), (3, 4)])
+    graphs = [generate("path:5"), generate("star:5"), k4_plus_p3(), generate("wheel:5"),
+              weighted, generate("fork:5"), generate("complete:2")]
+    outcomes = list(metrics.metric_records(iter(graphs)))
+    assert [type(o).__name__ for o in outcomes] == [
+        "dict", "dict", "DisconnectedInput", "dict", "WeightedUnsupported", "dict", "dict"]
+    for g, outcome in zip(graphs, outcomes):
+        if isinstance(outcome, dict):
+            assert record_bits(outcome) == record_bits(metric_suite(g))
+
+
 # the record wiring: every field against its own reference
 
 
