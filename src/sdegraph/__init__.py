@@ -18,7 +18,7 @@ from .families import (family_q, fork_q_constant, generate, lollipop_limit_lambd
                        wheel_limit_check)
 from .graph import Graph, add_link, classify, degree_sequence
 from .io import parse_graph6, parse_weighted_edge_list, read_graph6_file
-from .metrics import metric_suite
+from .metrics import metric_records, metric_suite
 from .solver import bounds, f1, sde, solve_bisection, solve_recursion
 from .spectral import spectral_radius
 
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "add_link", "bounds", "classify", "degree_sequence", "f1", "family_q",
     "fork_q_constant", "generate", "lollipop_limit_lambda1", "lollipop_q_asymptotic",
-    "metric_suite", "parse_graph6", "parse_weighted_edge_list", "path_q_asymptotic",
-    "path_q_exact", "read_graph6_file", "sde", "solve_bisection", "solve_recursion",
-    "spectral_radius", "wheel_limit_check",
+    "metric_records", "metric_suite", "parse_graph6", "parse_weighted_edge_list",
+    "path_q_asymptotic", "path_q_exact", "read_graph6_file", "sde", "solve_bisection",
+    "solve_recursion", "spectral_radius", "wheel_limit_check",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from itertools import chain
@@ -17,7 +18,7 @@ from itertools import chain
 from . import io as gio
 from .errors import InputError, NumericalError, SdegraphError
 from .families import FAMILIES, analytic_lambda1, generate, parse_family
-from .graph import degree_sequence
+from .graph import Graph, degree_sequence
 from .metrics import metric_records
 from .solver import bounds, sde
 from .spectral import spectral_radius
@@ -95,46 +96,53 @@ def cmd_compute(args) -> int:
 # ---- batch ----
 
 
-def _batch_chunk(lines: list[tuple[int, str]]) -> list[tuple[int, dict | None, str | None]]:
-    """(line number, record, None) for each graph6 line of one chunk, in
-    order, or (line number, None, why the line is skipped)."""
-    parsed = []
-    for index, line in lines:
-        try:
-            parsed.append((index, gio.parse_graph6(line)))
-        except SdegraphError as exc:
-            parsed.append((index, exc))
-    records = metric_records(g for _, g in parsed if not isinstance(g, SdegraphError))
-    outcomes = [(index, g if isinstance(g, SdegraphError) else next(records))
-                for index, g in parsed]
-    return [(index, None, f"{type(o).__name__}: {o}") if isinstance(o, SdegraphError)
-            else (index, o, None) for index, o in outcomes]
+def _parsed(line: str) -> Graph | SdegraphError:
+    """The graph of one graph6 line, or the SdegraphError that rejects it."""
+    try:
+        return gio.parse_graph6(line)
+    except SdegraphError as exc:
+        return exc
+
+
+def _batch_chunk(lines: list[tuple[int, str]]) -> list[dict | SdegraphError]:
+    """A ``--jobs`` worker's task: the record of each graph6 line of one
+    chunk, in order, or the error that skips the line."""
+    return list(metric_records(_parsed(line) for _, line in lines))
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     work = gio.graph6_lines(args.input)
-    chunks = [work[i:i + BATCH_CHUNK] for i in range(0, len(work), BATCH_CHUNK)]
-    with ExitStack() as stack:
-        if args.jobs > 1:
-            # imported here: the pool costs every other command ~15 ms of start-up
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
-            outcomes = chain.from_iterable(pool.map(_batch_chunk, chunks))
-        else:
-            outcomes = chain.from_iterable(map(_batch_chunk, chunks))
-        records, skipped = [], 0
-        for k, (index, record, err) in enumerate(outcomes, 1):
-            if record is None:
-                skipped += 1
-                print(f"skipping line {index}: {err}", file=sys.stderr)
+    starts = range(0, len(work), BATCH_CHUNK)
+    # a pool starts all its workers at its first task: no more than chunks or CPUs
+    workers = min(args.jobs, len(starts), os.cpu_count() or 1)
+
+    def records():  # measured as the CSV writer reads them, once the output is open
+        skipped = regular = 0
+        with ExitStack() as stack:
+            if workers > 1:
+                # imported here: the pool costs every other command ~15 ms of start-up
+                from concurrent.futures import ProcessPoolExecutor
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                outcomes = chain.from_iterable(
+                    pool.map(_batch_chunk, (work[i:i + BATCH_CHUNK] for i in starts)))
             else:
-                records.append(record)
-            if k % PROGRESS_EVERY == 0:
-                print(f"processed {k}/{len(work)} graphs", file=sys.stderr)
-    regular = sum(1 for rec in records if math.isnan(rec["sde_q"]))
-    print(f"batch: {len(records)} rows written, {skipped} skipped, "
-          f"{regular} regular (sde_q = nan)", file=sys.stderr)
-    gio.write_records_csv(records, args.out)
+                outcomes = metric_records(_parsed(line) for _, line in work)
+            for k, ((index, _), outcome) in enumerate(zip(work, outcomes), 1):
+                if isinstance(outcome, SdegraphError):
+                    skipped += 1
+                    print(f"skipping line {index}: {type(outcome).__name__}: {outcome}",
+                          file=sys.stderr)
+                else:
+                    regular += math.isnan(outcome["sde_q"])
+                    yield outcome
+                if k % PROGRESS_EVERY == 0:
+                    print(f"processed {k}/{len(work)} graphs", file=sys.stderr)
+        print(f"batch: {len(work) - skipped} rows written, {skipped} skipped, "
+              f"{regular} regular (sde_q = nan)", file=sys.stderr)
+
+    gio.write_records_csv(records(), args.out)
     return 0
 
 
@@ -145,9 +153,9 @@ def cmd_correlate(args) -> int:
     header, records = gio.read_records_csv(args.input)
     if "sde_q" not in header:
         raise InputError("input CSV has no sde_q column")
-    if len([r for r in records if math.isfinite(r["sde_q"])]) < 2:
-        raise InputError("need at least 2 rows with finite sde_q")
     report = correlation_report(records, corpus=args.input)
+    if report.graph_count < 2:
+        raise InputError("need at least 2 rows with finite sde_q")
     print(report.as_json() if args.json else report.as_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,8 +10,8 @@ import csv
 import functools
 import math
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
-from io import StringIO
 from itertools import chain
 
 import numpy as np
@@ -260,22 +260,28 @@ def write_records_csv(records, path) -> None:
     write_csv(path, METRIC_NAMES, rows())
 
 
-def read_records_csv(path) -> tuple[list[str], list[dict[str, float]]]:
-    """Read a CSV written by :func:`write_records_csv` back into records; a
-    bad row or cell raises ParseError with its line number."""
-    reader = csv.reader(StringIO(_read_utf8(path), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("empty CSV file")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"row length {len(row)} != header length {len(header)}",
-                             line=reader.line_num)
-        try:
-            records.append({k: float(v) for k, v in zip(header, row)})
-        except ValueError as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
-    return header, records
+def read_records_csv(path) -> tuple[list[str], Iterator[dict[str, float]]]:
+    """The header of a CSV written by :func:`write_records_csv`, and its rows
+    as records, read lazily. Invalid UTF-8 anywhere raises ParseError here, a
+    bad row or cell when the records reach it, each with its line number."""
+    _read_utf8(path)
+    records = _csv_records(path)
+    return next(records), records
+
+
+def _csv_records(path):
+    """Yield the header of a CSV file, then the record of each row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty CSV file")
+        yield header
+        for row in filter(None, reader):  # blank lines are skipped
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"row length {len(row)} != header length {len(header)}")
+                record = {k: float(v) for k, v in zip(header, row)}
+            except ValueError as exc:
+                raise ParseError(str(exc), line=reader.line_num) from None
+            yield record

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from itertools import groupby, islice, repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -412,16 +411,20 @@ def metric_suite(g: Graph, _row: dict[str, float] | None = None) -> dict[str, fl
     return {name: fields[name] for name in METRIC_NAMES}
 
 
-def metric_records(graphs: Iterable[Graph]) -> Iterator[dict[str, float] | SdegraphError]:
+def metric_records(items: Iterable[Graph | SdegraphError]
+                   ) -> Iterator[dict[str, float] | SdegraphError]:
     """The :func:`metric_suite` record of each graph, in order, or the
-    SdegraphError raised on it.
+    SdegraphError raised on it; an SdegraphError item comes back in its place.
 
     Consecutive graphs with the same n share stacks of at most
     ``GRAPH_STACK_CAP`` adjacency entries; :func:`_kernel_rows` runs once
     per stack and ``metric_suite`` once per graph, on the graph's row. The
-    graphs are read lazily, one stack ahead of the records.
+    items are read lazily, one stack ahead of the records.
     """
-    for n, run in groupby(graphs, key=attrgetter("n")):
+    for n, run in groupby(items, key=lambda g: None if isinstance(g, SdegraphError) else g.n):
+        if n is None:  # a run of error items
+            yield from run
+            continue
         size = max(1, GRAPH_STACK_CAP // (n * n))
         while stack := list(islice(run, size)):
             try:

@@ -12,11 +12,11 @@ graph's own structure:
   within a rounding bound;
 - every other graph runs a thick-restart Lanczos in numpy whose
   matrix-vector product runs on the graph's own CSR arrays (graphs with
-  1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh
-  quotient of the Lanczos vector after a residual check. A Lanczos step pays
-  only for the work it needs: one Gram-Schmidt pass unless the DGKS test
-  asks for a second, no weight products on unweighted graphs, and no
-  eigensolve of T in a cycle that cannot converge before its restart.
+  1e6 nodes stay tractable), returned as the ``math.fsum`` Rayleigh quotient
+  of the Lanczos vector over the stored entries after a residual check. A
+  Lanczos step pays only for the work it needs: one Gram-Schmidt pass unless
+  the DGKS test asks for a second, no weight products on unweighted graphs,
+  and no eigensolve of T in a cycle that cannot converge before its restart.
 
 Nothing here imports scipy. Full spectra go through the dense symmetric
 LAPACK solver, one call per stack of equal-size graphs (:func:`spectra`),
@@ -104,9 +104,10 @@ def spectral_radius(g: Graph) -> float:
     # with a true residual of 3.04e-12), so Lanczos aims at a quarter of it
     v = _lanczos(g, bound / 4)
     av = _matvec(g, v)
-    # the Ritz value can be off by ~1e-13 (the 2000-node path); the exactly
-    # summed Rayleigh quotient is limited only by the roundoff in A v
-    lam = math.fsum(v * av) / math.fsum(v * v)
+    # the Ritz value can be off by ~1e-13 (the 2000-node path), and v . (A v)
+    # by A v's in-order hub rows (wheel:2000 1e-12); the exact sum of the
+    # stored entries' products leaves only the products' own rounding
+    lam = math.fsum(v[g._rows] * g.data * v[g.indices]) / math.fsum(v * v)
     resid = float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
     if resid > bound:
         raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds {TOL_LAMBDA1} "

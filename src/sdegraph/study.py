@@ -10,7 +10,9 @@ family's solved exponent with its asymptotic growth law.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Mapping
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,14 +35,8 @@ class CorrelationReport:
     excluded_metrics: dict[str, str] = field(default_factory=dict)
 
     def as_json(self) -> str:
-        payload = {
-            "corpus": self.corpus,
-            "graph_count": self.graph_count,
-            "excluded": self.excluded,
-            "correlations": {k: jsonable(v) for k, v in self.correlations.items()},
-            "excluded_metrics": self.excluded_metrics,
-        }
-        return json.dumps(payload, indent=2)
+        correlations = {k: jsonable(v) for k, v in self.correlations.items()}
+        return json.dumps({**asdict(self), "correlations": correlations}, indent=2)
 
     def as_table(self) -> str:
         lines = [f"corpus: {self.corpus}",
@@ -60,21 +56,26 @@ class CorrelationReport:
         return "\n".join(lines)
 
 
-def correlation_report(records: list[dict[str, float]], corpus: str) -> CorrelationReport:
+def correlation_report(records: Iterable[Mapping[str, float]], corpus: str) -> CorrelationReport:
     """Correlate every metric column against sde_q over rows where both are
-    finite; constant or under-populated columns are excluded with a reason."""
-    if not records or "sde_q" not in records[0]:
-        raise InputError("records must contain an sde_q column")
-    q = np.array([rec["sde_q"] for rec in records], dtype=float)
+    finite; constant or under-populated columns are excluded with a reason.
+    ``records`` may be any iterable, read once: each column is gathered in
+    one pass, and no records give a report of 0 graphs."""
+    columns: dict[str, array] = {}
+    for rec in records:
+        if not columns:  # the first record names the columns
+            if "sde_q" not in rec:
+                raise InputError("records must contain an sde_q column")
+            columns = {name: array("d") for name in rec}
+        for name, column in columns.items():
+            column.append(rec[name])
+    q = np.frombuffer(columns.pop("sde_q", array("d")))
     usable = np.isfinite(q)
     report = CorrelationReport(corpus=corpus, graph_count=int(usable.sum()))
-    dropped = len(records) - int(usable.sum())
-    if dropped:
-        report.excluded["nonfinite_sde_q"] = dropped
-    for name in records[0]:
-        if name == "sde_q":
-            continue
-        x = np.array([rec[name] for rec in records], dtype=float)
+    if report.graph_count < q.size:
+        report.excluded["nonfinite_sde_q"] = q.size - report.graph_count
+    for name, column in columns.items():
+        x = np.frombuffer(column)
         mask = usable & np.isfinite(x)
         if mask.sum() < 2:
             report.excluded_metrics[name] = "too_few_points"

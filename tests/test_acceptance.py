@@ -15,10 +15,11 @@ import pytest
 
 from conftest import FIXTURE_N7, FIXTURE_N8, random_er
 from sdegraph import (Graph, classify, degree_sequence, family_q, fork_q_constant,
-                      generate, lollipop_limit_lambda1, parse_graph6,
+                      generate, lollipop_limit_lambda1, metric_records, parse_graph6,
                       path_q_asymptotic, path_q_exact, read_graph6_file, sde,
                       solve_bisection, solve_recursion, spectral_radius)
 from sdegraph.cli import main as cli_main
+from sdegraph.errors import SdegraphError
 from sdegraph.graph import Biregular, MaxCliqueComponent, Regular
 from sdegraph.io import encode_graph6
 from sdegraph.metrics import bfs_distances, metric_suite
@@ -257,12 +258,17 @@ def test_criterion_9_lollipop_asymptotics():
         assert abs(target - 30.11) / 30.11 <= 0.01  # published rounded value
 
 
+def measured(graphs):
+    """The metric records of ``graphs``, from stacked kernels
+    (:func:`metric_records`); none of them may be an error."""
+    records = list(metric_records(graphs))
+    assert not any(isinstance(rec, SdegraphError) for rec in records)
+    return records
+
+
 @functools.lru_cache(maxsize=1)
 def fixture_records():
-    records = []
-    for (g, ds, lam, cls) in fixture_data():
-        records.append(metric_suite(g))
-    return records
+    return measured(g for g, *_ in fixture_data())
 
 
 def test_criterion_10_exhaustive_correlations():
@@ -290,9 +296,7 @@ def test_criterion_10b_n8_optional():
                                  "r = 0.749 +- 0.02"):
         graphs = read_graph6_file(FIXTURE_N8)
         assert len(graphs) == 11117
-        records = []
-        for g in graphs:
-            records.append(metric_suite(g))
+        records = measured(graphs)
         report = correlation_report(records, corpus="graph8c")
         assert report.graph_count == 11100
         r_assort = report.correlations["degree_assortativity"]
@@ -306,7 +310,7 @@ def _stochastic_records(kind, n, param, count, master_seed):
     from sdegraph.families import FamilySpec
     from sdegraph.study import ensemble_samples
     spec = FamilySpec(kind, (n, param, None))
-    return [metric_suite(g) for g in ensemble_samples(spec, master_seed, count)]
+    return measured(ensemble_samples(spec, master_seed, count))
 
 
 def test_criterion_11_stochastic_correlations():

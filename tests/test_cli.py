@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdegraph
@@ -13,10 +14,10 @@ from conftest import FIXTURE_N7, FIXTURE_N8
 from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_graph6,
                       path_q_exact)
 from sdegraph.cli import main
-from sdegraph.errors import BadSpec
+from sdegraph.errors import BadSpec, InputError
 from sdegraph.families import FAMILIES, FAMILY_KINDS
 from sdegraph.io import encode_graph6, format_value, read_records_csv
-from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES
+from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
 from sdegraph.study import asymptotics_rows, correlation_report
 
 from conftest import k4_plus_p3
@@ -132,6 +133,7 @@ def test_batch_small_file(tmp_path, capsys):
     assert "skipping line 4" in err
     assert "2 rows written, 2 skipped, 1 regular" in err
     header, records = read_records_csv(out_csv)
+    records = list(records)
     assert list(header) == list(METRIC_NAMES)
     assert len(records) == 2
     assert math.isnan(records[0]["sde_q"])
@@ -232,6 +234,85 @@ def test_batch_stdout_and_jobs(tmp_path, capsys):
     assert out2 == out  # parallel output keeps input order
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for and
+    maps in this process, so that no test forks a pool."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        FakePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, lines, cpus, workers", [
+    (5000, 150, 64, 3),  # three chunks of lines: three workers
+    (5000, 150, 2, 2),   # two CPUs: two workers
+    (2, 40, 64, None),   # one chunk: no pool
+    (4, 0, 64, None),    # no chunks: no pool
+    (1, 150, 64, None),
+], ids=["chunks", "cpus", "one-chunk", "empty", "serial"])
+def test_batch_jobs_start_at_most_chunks_or_cpus_workers(jobs, lines, cpus, workers,
+                                                          tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g6 = tmp_path / "slice.g6"
+    g6.write_text("".join(f"{line}\n" for line in FIXTURE_N7.read_text().split()[:lines]))
+    outs = {}
+    for n_jobs in (1, jobs):
+        out_csv = tmp_path / f"jobs{n_jobs}.csv"
+        assert run(capsys, "batch", str(g6), "--jobs", str(n_jobs), "--out", str(out_csv))[0] == 0
+        outs[n_jobs] = out_csv.read_bytes()
+    assert FakePool.started == ([] if workers is None else [workers])
+    assert outs[1] == outs[jobs]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_batch_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    g6 = tmp_path / "mini.g6"
+    g6.write_text("Bg\n")
+    code, _, err = run(capsys, "batch", str(g6), "--jobs", jobs)
+    assert code == 2
+    assert err == "error: --jobs must be at least 1\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_unwritable_out_fails_before_measuring(jobs, tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+    from sdegraph import io, metrics
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "started", [])
+    calls = []
+    for module, name in ((io, "parse_graph6"), (metrics, "_kernel_rows"),
+                         (metrics, "metric_suite")):
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    g6 = tmp_path / "slice.g6"
+    g6.write_text("".join(f"{line}\n" for line in FIXTURE_N7.read_text().split()[:150]))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out_csv = tmp_path / "no-such-folder" / "out.csv"
+    code, _, err = run(capsys, "batch", str(g6), "--jobs", jobs, "--out", str(out_csv))
+    assert code == 2
+    assert err.startswith("error: ") and "no-such-folder" in err
+    assert calls == [] and FakePool.started == []
+    # the same run to a writable path measures every line
+    out_csv = tmp_path / "out.csv"
+    assert run(capsys, "batch", str(g6), "--jobs", jobs, "--out", str(out_csv))[0] == 0
+    assert len(calls) > 2 * 150 and FakePool.started == ([2] if jobs == "2" else [])
+
+
 def test_cli_import_skips_process_pool():
     # only `batch --jobs` needs the process pool, so importing the CLI
     # (every command's start-up) leaves concurrent.futures unloaded
@@ -265,6 +346,39 @@ def test_correlate_missing_sde_q(tmp_path, capsys):
     code, _, err = run(capsys, "correlate", str(bad))
     assert code == 2
     assert "sde_q" in err
+
+
+def test_correlate_needs_two_finite_rows(tmp_path, capsys):
+    for text in ("a,sde_q\n", "a,sde_q\n1,2\n3,nan\n"):
+        path = tmp_path / "few.csv"
+        path.write_text(text)
+        code, _, err = run(capsys, "correlate", str(path))
+        assert code == 2
+        assert err == "error: need at least 2 rows with finite sde_q\n"
+
+
+def test_correlation_report_reads_any_iterable_once():
+    rng = np.random.default_rng(7)
+    q = 2.0 + rng.random(300)
+    q[::17], q[5] = np.nan, np.inf
+    x = rng.normal(size=300)
+    x[::11] = np.nan
+    records = [{"sde_q": float(qi), "x": float(xi), "const": 1.0, "y": float(qi * qi)}
+               for qi, xi in zip(q, x)]
+    report = correlation_report(records, corpus="synthetic")
+    assert correlation_report(iter(records), corpus="synthetic") == report
+    assert correlation_report((dict(r) for r in records), corpus="synthetic") == report
+    # the same bits as the columns built from lists
+    usable = np.isfinite(q)
+    mask = usable & np.isfinite(x)
+    assert report.correlations["x"] == pearson(x[mask], q[mask])
+    assert report.correlations["y"] == pearson(q[usable] ** 2, q[usable])
+    assert report.excluded == {"nonfinite_sde_q": int((~usable).sum())}
+    assert report.excluded_metrics == {"const": "constant_series"}
+    empty = correlation_report(iter([]), corpus="none")
+    assert (empty.graph_count, empty.correlations, empty.excluded) == (0, {}, {})
+    with pytest.raises(InputError, match="sde_q"):
+        correlation_report(iter([{"x": 1.0}]), corpus="none")
 
 
 def test_correlate_constant_column_excluded():

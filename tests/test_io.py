@@ -304,6 +304,7 @@ def test_csv_roundtrip(tmp_path):
     records = [_record(2.5), _record(math.inf)]
     write_records_csv(records, path)
     header, back = read_records_csv(path)
+    back = list(back)
     assert list(header) == list(METRIC_NAMES)
     assert back[0]["sde_q"] == 2.5
     assert math.isinf(back[1]["sde_q"])
@@ -326,12 +327,22 @@ def test_csv_generator_records(tmp_path):
 
 
 def test_csv_bad_cells_rejected_with_line(tmp_path):
+    # a bad cell or row raises when the lazy records reach it, after the
+    # rows before it
     path = tmp_path / "cells.csv"
-    path.write_text("a,sde_q\n1,2\n1,x\n")
-    with pytest.raises(ParseError) as err:
-        read_records_csv(path)
-    assert err.value.line == 3
+    for text in ("a,sde_q\n1,2\n1,x\n", "a,sde_q\n1,2\n1,2,3\n"):
+        path.write_text(text)
+        header, records = read_records_csv(path)
+        assert header == ["a", "sde_q"]
+        assert next(records) == {"a": 1.0, "sde_q": 2.0}
+        with pytest.raises(ParseError) as err:
+            next(records)
+        assert err.value.line == 3
+    # invalid UTF-8 anywhere raises at once, before any row is read
     path.write_bytes(b"a,sde_q\n1,2\n\xff,3\n")
     with pytest.raises(ParseError) as err:
         read_records_csv(path)
     assert err.value.line == 3
+    path.write_bytes(b"")
+    with pytest.raises(ParseError, match="empty CSV file"):
+        read_records_csv(path)

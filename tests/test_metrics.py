@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_N7, cycle_graph, k4_plus_p3, random_er
 from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisection
 from sdegraph import metrics
-from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError,
+from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError, MalformedGraph6,
                              UndefinedAssortativity, WeightedUnsupported)
 from sdegraph.graph import connected_components
 from sdegraph.io import read_graph6_file
@@ -386,6 +386,26 @@ def test_metric_records_keep_order_across_sizes_and_errors(monkeypatch):
     for g, outcome in zip(graphs, outcomes):
         if isinstance(outcome, dict):
             assert record_bits(outcome) == record_bits(metric_suite(g))
+
+
+def test_metric_records_pass_error_items_in_place(monkeypatch):
+    monkeypatch.setattr(metrics, "GRAPH_STACK_CAP", 3 * 49)  # three 7-node graphs
+    g7 = read_graph6_file(FIXTURE_N7)[:8]
+    errors = [MalformedGraph6(f"line {k}") for k in range(6)]
+    # errors first and last, one inside a stack of g7[0:3], two in a row
+    # between runs of n = 7, and one between runs of n = 5 and n = 7
+    items = [errors[0], g7[0], g7[1], errors[1], g7[2], g7[3], g7[4], g7[5], errors[2],
+             errors[3], g7[6], generate("path:5"), errors[4], g7[7], errors[5]]
+    outcomes = list(metrics.metric_records(iter(items)))
+    assert len(outcomes) == len(items)
+    graphs = [item for item in items if isinstance(item, Graph)]
+    records = iter(metrics.metric_records(graphs))  # the same graphs without errors
+    for item, outcome in zip(items, outcomes):
+        if isinstance(item, Graph):
+            assert record_bits(outcome) == record_bits(next(records))
+            assert record_bits(outcome) == record_bits(metric_suite(item))
+        else:
+            assert outcome is item
 
 
 # the record wiring: every field against its own reference

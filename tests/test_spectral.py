@@ -132,6 +132,15 @@ def test_lanczos_agrees_with_dense(rng):
     assert abs(spectral_radius(weighted) - 2.5 * lam) <= 1e-12 * 2.5 * lam
 
 
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_lanczos_wheel_within_ulps_of_closed_form(n):
+    # the hub row holds n - 1 entries; summed in order inside A v, they put
+    # v . A v 1e-12 from 1 + sqrt(n), while the sum over the stored entries
+    # is exact up to the products' rounding
+    want = 1.0 + math.sqrt(n)
+    assert abs(spectral_radius(generate(f"wheel:{n}")) - want) <= 4 * math.ulp(want)
+
+
 def test_lanczos_checks_only_near_convergence(monkeypatch):
     # an eigh check of T every fourth step of every cycle took 207 checks
     # and 829 products on the 2 x 1000 ladder; checking a restarted cycle
