@@ -105,8 +105,8 @@ def _parsed(line: str) -> Graph | SdegraphError:
 
 
 def _batch_chunk(lines: list[tuple[int, str]]) -> list[dict | SdegraphError]:
-    """A ``--jobs`` worker's task: the record of each graph6 line of one
-    chunk, in order, or the error that skips the line."""
+    """The record of each graph6 line of one chunk, in order, or the error
+    that skips the line; a ``--jobs`` worker's task."""
     return list(metric_records(_parsed(line) for _, line in lines))
 
 
@@ -121,14 +121,13 @@ def cmd_batch(args) -> int:
     def records():  # measured as the CSV writer reads them, once the output is open
         skipped = regular = 0
         with ExitStack() as stack:
+            mapper = map
             if workers > 1:
                 # imported here: the pool costs every other command ~15 ms of start-up
                 from concurrent.futures import ProcessPoolExecutor
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                outcomes = chain.from_iterable(
-                    pool.map(_batch_chunk, (work[i:i + BATCH_CHUNK] for i in starts)))
-            else:
-                outcomes = metric_records(_parsed(line) for _, line in work)
+                mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            outcomes = chain.from_iterable(
+                mapper(_batch_chunk, (work[i:i + BATCH_CHUNK] for i in starts)))
             for k, ((index, _), outcome) in enumerate(zip(work, outcomes), 1):
                 if isinstance(outcome, SdegraphError):
                     skipped += 1

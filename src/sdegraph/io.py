@@ -6,9 +6,11 @@ order). Only plain graph6 is supported — no sparse6/digraph6.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import math
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -130,15 +132,22 @@ def read_graph6_file(path) -> list[Graph]:
     return graphs
 
 
-def _read_utf8(path) -> str:
-    """The text of a UTF-8 file; invalid UTF-8 raises ParseError with its line."""
+def _utf8_blocks(path) -> Iterator[str]:
+    """The text of a UTF-8 file, read and decoded a megabyte at a time;
+    invalid UTF-8 raises ParseError with its line."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines = 0  # newlines in the blocks before; a sequence held over has none
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8 ({exc.reason})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
+        while True:
+            block = fh.read(1 << 20)
+            try:
+                yield decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:  # exc.object: held-over bytes + block
+                raise ParseError(f"invalid UTF-8 ({exc.reason})",
+                                 line=lines + exc.object.count(b"\n", 0, exc.start) + 1) from None
+            if not block:
+                return
+            lines += block.count(b"\n")
 
 
 # weighted edge lists
@@ -210,7 +219,7 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
 
 
 def load_edge_list(path, one_based: bool = False) -> Graph:
-    return parse_weighted_edge_list(_read_utf8(path), one_based=one_based)
+    return parse_weighted_edge_list("".join(_utf8_blocks(path)), one_based=one_based)
 
 
 # CSV reports
@@ -234,20 +243,29 @@ def jsonable(v):
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows of cells as UTF-8 CSV with LF line endings,
-    to the file ``path`` or to stdout when ``path`` is None."""
-    with (open(path, "w", encoding="utf-8", newline="") if path
-          else nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a header and rows of cells as UTF-8 CSV with LF line endings, to
+    stdout when ``path`` is None. A file is written under a temporary name
+    beside ``path`` and renamed onto it once every row is in, so a run that
+    fails part-way leaves ``path`` as it was."""
+    tmp = path and f"{path}.{os.getpid()}.tmp"
+    try:
+        with (open(tmp, "w", encoding="utf-8", newline="") if tmp
+              else nullcontext(sys.stdout)) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        if tmp:
+            os.replace(tmp, path)
+    finally:
+        if tmp and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_records_csv(records, path) -> None:
     """Write metric records with :func:`write_csv` (to stdout when ``path`` is
     None), in the column order of the frozen metric-name list. ``records``
     may be any iterable, read once; a record without exactly those names
-    raises ParseError, after the rows before it are written.
+    raises ParseError.
     """
     names = set(METRIC_NAMES)
 
@@ -264,7 +282,8 @@ def read_records_csv(path) -> tuple[list[str], Iterator[dict[str, float]]]:
     """The header of a CSV written by :func:`write_records_csv`, and its rows
     as records, read lazily. Invalid UTF-8 anywhere raises ParseError here, a
     bad row or cell when the records reach it, each with its line number."""
-    _read_utf8(path)
+    for _ in _utf8_blocks(path):  # the whole file, a block at a time
+        pass
     records = _csv_records(path)
     return next(records), records
 

@@ -313,6 +313,32 @@ def test_batch_unwritable_out_fails_before_measuring(jobs, tmp_path, capsys, mon
     assert len(calls) > 2 * 150 and FakePool.started == ([2] if jobs == "2" else [])
 
 
+def test_batch_interrupted_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # rows go to a temporary file beside --out, renamed onto it only once
+    # every line is measured: a run stopped part-way (Ctrl-C here) keeps an
+    # earlier output whole and leaves no temporary file
+    from sdegraph import metrics
+    g6 = tmp_path / "slice.g6"
+    g6.write_text("".join(f"{line}\n" for line in FIXTURE_N7.read_text().split()[:150]))
+    out_csv = tmp_path / "out.csv"
+    assert run(capsys, "batch", str(g6), "--out", str(out_csv))[0] == 0
+    before = out_csv.read_bytes()
+    calls = []
+
+    def interrupted(*args, _fn=metrics.metric_suite, **kwargs):
+        calls.append(1)
+        if len(calls) == 100:
+            raise KeyboardInterrupt
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "metric_suite", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["batch", str(g6), "--out", str(out_csv)])
+    assert len(calls) == 100
+    assert out_csv.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "slice.g6"]
+
+
 def test_cli_import_skips_process_pool():
     # only `batch --jobs` needs the process pool, so importing the CLI
     # (every command's start-up) leaves concurrent.futures unloaded

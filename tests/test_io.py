@@ -251,11 +251,24 @@ def test_edge_list_one_based():
 
 
 def test_load_edge_list_invalid_utf8(tmp_path):
+    # the file is decoded a megabyte at a time, with the message and line
+    # number of decoding it whole
     path = tmp_path / "bytes.txt"
-    path.write_bytes(b"0 1\n1 \xff2\n")
-    with pytest.raises(ParseError) as err:
-        load_edge_list(path)
-    assert err.value.line == 2
+    comments = b"#\n" * (2**19 - 1) + b"#"  # the next byte ends the first block
+    for data, line in [(b"0 1\n1 \xff2\n", 2),
+                       (b"0 1\n1 2 \xe2\x82\n", 2),  # a sequence cut by a newline
+                       (b"0 1\n1 2\n2 3 \xe2\x82", 3),  # cut by the end of the file
+                       (b"\xc3\xa9 1\n\xed\xa0\x80", 2),  # a surrogate after a valid sequence
+                       # a valid sequence across two blocks, an error in the second
+                       (comments + "\u20ac\n".encode() + b"0 1\n1 \xff2\n", 2**19 + 2),
+                       (comments + b"\xe2\x82", 2**19)]:  # held over past the last block
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(ParseError) as err:
+            load_edge_list(path)
+        assert err.value.line == line == data.count(b"\n", 0, whole.value.start) + 1
+        assert str(err.value) == f"line {line}: invalid UTF-8 ({whole.value.reason})"
 
 
 # CSV serialization
@@ -313,9 +326,15 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_mismatched_names_rejected(tmp_path):
     with pytest.raises(ParseError):
         write_records_csv([{"wrong": 1.0}], tmp_path / "bad.csv")
-    # a later record with other names fails too, not only the first
+    # a later record with other names fails too, not only the first, and
+    # leaves an earlier file at the path as it was, with no temporary file
+    path = tmp_path / "bad2.csv"
+    write_records_csv([_record(1.5)], path)
+    before = path.read_bytes()
     with pytest.raises(ParseError):
-        write_records_csv([_record(2.5), {"wrong": 1.0}], tmp_path / "bad2.csv")
+        write_records_csv([_record(2.5), {"wrong": 1.0}], path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad2.csv"]
 
 
 def test_csv_generator_records(tmp_path):
