@@ -2,20 +2,18 @@
 
 The metric set follows the published correlation table: size/degree
 statistics, spectral quantities from the adjacency and Laplacian spectra,
-distance metrics by breadth-first search, efficiency measures, bridges, and
-the solved exponent. The dense kernels run on stacks of graphs of one size
-n, one numpy pass per kernel per stack: the adjacency and Laplacian spectra
-(one ``eigvalsh`` call each), the hop distances and local efficiency (one
-hop-level BFS, :func:`_hop_levels`, on the ``(B, n, n)`` stack and on the
-stacked neighbour-induced subgraphs of all its nodes, in power-of-two degree
-buckets of at most ``NEIGHBOURHOOD_STACK_CAP`` floats), the local triangle
-counts (the row sums of ``(A @ A) * A``, shared by both clustering metrics)
-and every reduction of these to a record field. :func:`metric_records`
-groups consecutive equal-size graphs into stacks of at most
-``GRAPH_STACK_CAP`` adjacency entries; :func:`metric_suite` on a lone graph
-is the same code on a stack of one, and so are ``bfs_distances``,
-``local_efficiency``, ``mean_local_clustering`` and ``transitivity``. The
-exponent, assortativity and bridges run per graph.
+distance metrics by breadth-first search, efficiency measures, bridges,
+assortativity and the solved exponent. The kernels run on stacks of graphs
+of one size n, one numpy pass per kernel per stack: the adjacency and
+Laplacian spectra (one ``eigvalsh`` call each), the hop distances and local
+efficiency (one hop-level BFS, :func:`_hop_levels`, on the ``(B, n, n)``
+stack and on the stacked neighbour-induced subgraphs of all its nodes, in
+power-of-two degree buckets of at most ``NEIGHBOURHOOD_STACK_CAP`` floats),
+the local triangle counts (the row sums of ``(A @ A) * A``), the bridges,
+assortativity and every reduction to a record field. :func:`metric_records`
+stacks consecutive equal-size graphs, at most ``GRAPH_STACK_CAP`` adjacency
+entries each; :func:`metric_suite` and each public kernel on a lone graph run
+the same code on a stack of one. Only the exponent runs per graph.
 Two gap conventions are provided: the literal ``lambda1_minus_mean_degree``
 and ``dmax_minus_lambda1`` (the quantity the reference correlation values
 actually derive from — see README). The same duality applies to
@@ -96,20 +94,32 @@ def pearson(x, y) -> float:
 
 
 def assortativity(g: Graph) -> float:
-    """Degree assortativity: Pearson correlation of end-node degrees over
-    the directed link list (each link counted in both orientations)."""
-    degs = g.degrees()
-    upper = g.indices > g._rows  # CSR order: the links (i < j) lexicographic
-    iu, ju = g._rows[upper], g.indices[upper]
-    if iu.size == 0:
-        raise UndefinedAssortativity("graph has no links")
-    x = np.concatenate([degs[iu], degs[ju]])
-    y = np.concatenate([degs[ju], degs[iu]])
-    try:
-        return pearson(x, y)
-    except ConstantSeries as exc:
-        raise UndefinedAssortativity(
-            "all link end-degrees equal; assortativity undefined") from exc
+    """Degree assortativity, :func:`_assortativity` on a stack of one: link
+    counts only, so WeightedUnsupported on a weighted graph, and
+    UndefinedAssortativity when all link ends have one degree."""
+    if not g.is_unweighted():
+        raise WeightedUnsupported("assortativity is defined on unweighted graphs")
+    r = _assortativity(g._link_counts[None], g._rows, g.indices)[0]
+    if math.isnan(r):
+        raise UndefinedAssortativity("all link end-degrees equal; assortativity undefined")
+    return r
+
+
+def _assortativity(deg: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[float]:
+    """Newman's r (Phys. Rev. Lett. 89, 208701, 2002) of each graph of a
+    (B, n) stack of link counts with stored entries (``rows`` b * n + i,
+    ``cols`` j): (2M sum d_i s_i - S^2) / (2M sum d_i^3 - S^2), S = sum d_i^2
+    and s_i the degree sum of i's neighbours, NaN where all link ends have
+    one degree; exact int64 sums, Python-int products (past 2**63 near
+    n = 2048) and one rounding."""
+    entries = deg.sum(axis=1)  # 2M
+    graph = rows // deg.shape[1]
+    dsd = np.zeros(len(deg), dtype=np.int64)
+    np.add.at(dsd, graph, deg.ravel()[rows] * deg[graph, cols])
+    return [(m2 * ds - sq * sq) / (m2 * cu - sq * sq) if m2 * cu != sq * sq else math.nan
+            for m2, ds, sq, cu in zip(entries.tolist(), dsd.tolist(),
+                                      (deg * deg).sum(axis=1).tolist(),
+                                      (deg * deg * deg).sum(axis=1).tolist())]
 
 
 def _hop_levels(adj: np.ndarray):
@@ -148,43 +158,42 @@ def bfs_distances(adj: np.ndarray) -> np.ndarray:
 
 
 def count_bridges(g: Graph) -> int:
-    """Number of bridges via the standard low-link DFS pass (iterative)."""
-    n = g.n
-    starts = g.indptr.tolist()
-    cols = g.indices.tolist()
-    nbrs = [cols[starts[i]:starts[i + 1]] for i in range(n)]
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    bridges = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack = [(root, -1, iter(nbrs[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v == parent:
-                    parent = -2  # skip the tree edge once; parallel edges don't exist
-                    continue
-                if disc[v] == -1:
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, u, iter(nbrs[v])))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > disc[p]:
-                        bridges += 1
-    return bridges
+    """Number of bridges, :func:`_bridges` on a stack of one: it reads the
+    dense hop distances, so TooLargeForDense above ``DENSE_CAP`` nodes."""
+    dist = _distances(_link_indicator(g))
+    return int(_bridges(dist, g._link_counts[None], g._rows, g.indices)[0])
+
+
+def _bridges(dist: np.ndarray, deg: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """Bridges of each graph of a stack with (B, n, n) hop distances, (B, n)
+    link counts and stored entries (``rows`` b * n + i, ``cols`` j), by
+    Tarjan's count (Inf. Process. Lett. 2(6), 1974) on a breadth-first
+    forest: each component is rooted at its smallest node, and a node's
+    parent is its smallest neighbour one hop nearer the root. The tree link
+    into v is a bridge exactly when one link leaves v's subtree: when the
+    subtree's sum of c(x) = links(x) - 2 #(links whose tree LCA is x) is 1."""
+    b, n = deg.shape
+    root = np.isfinite(dist).argmax(axis=2)[..., None]
+    depth = np.take_along_axis(dist, root, axis=2).ravel().astype(np.int64)
+    lo, hi = rows, rows - rows % n + cols  # both ends of each entry, as ids b * n + i
+    up = np.flatnonzero(depth[hi] == depth[lo] - 1)
+    up = up[np.diff(lo[up], prepend=-1) > 0]  # the first such entry of a row
+    parent = np.arange(b * n)  # a root is its own parent
+    parent[lo[up]] = hi[up]
+    # a link's ends lie at most a hop apart in depth: lift the deeper, then both
+    # a hop a step to their LCA, counted twice (each link is stored twice)
+    d_lo, d_hi = depth[lo], depth[hi]
+    lo, hi = np.where(d_lo > d_hi, parent[lo], lo), np.where(d_hi > d_lo, parent[hi], hi)
+    sums = deg.ravel().astype(float)  # c(x)
+    while lo.size:
+        met = lo == hi
+        sums -= np.bincount(lo[met], minlength=b * n)
+        lo, hi = parent[lo[~met]], parent[hi[~met]]
+    for d in range(int(depth.max()), 0, -1):  # the subtree sums, a level a step
+        at = depth == d
+        sums += np.bincount(parent[at], weights=sums[at], minlength=b * n)
+    return ((depth > 0) & (sums == 1.0)).reshape(b, n).sum(axis=1)
 
 
 def _global_efficiency(dist: np.ndarray) -> np.ndarray:
@@ -267,21 +276,21 @@ def _transitivity(triangles: np.ndarray, deg: np.ndarray) -> np.ndarray:
                      where=triads > 0)
 
 
-def _link_stack(deg: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _link_stack(deg: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The 0/1 float link indicators of B graphs of n nodes as a (B, n, n)
-    stack, from their (B, n) link counts and their CSR columns ``cols``
-    (rows b * n + i); TooLargeForDense above ``DENSE_CAP`` nodes."""
+    stack, from their (B, n) link counts and their stored entries (``rows``
+    b * n + i, ``cols`` j); TooLargeForDense above ``DENSE_CAP`` nodes."""
     b, n = deg.shape
     if n > DENSE_CAP:
         raise TooLargeForDense(f"n={n} exceeds the dense cap {DENSE_CAP}")
     adj = np.zeros((b, n, n))
-    adj.reshape(b * n, n)[np.repeat(np.arange(b * n), deg.ravel()), cols] = 1.0
+    adj.reshape(b * n, n)[rows, cols] = 1.0
     return adj
 
 
 def _link_indicator(g: Graph) -> np.ndarray:
     """The 0/1 float adjacency of ``g`` as a stack of one."""
-    return _link_stack(g._link_counts[None], g.indices)
+    return _link_stack(g._link_counts[None], g._rows, g.indices)
 
 
 def local_efficiency(g: Graph) -> float:
@@ -320,27 +329,23 @@ def _spanning_tree_count(log_count: float) -> float:
 
 
 def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
-    """Every field of the metric record that the dense kernels give, for
-    graphs that all have n nodes, as one row per graph.
-
-    Each kernel runs once on the ``(B, n, n)`` stack of the graphs' link
-    indicators: both spectra, the hop distances, the triangle counts and the
-    local-efficiency pair sums; so does every reduction of their results to
-    a field. Link weights are not read (:func:`metric_suite` rejects a
-    weighted graph). The row holds ``log_spanning_trees`` (see
-    :func:`_spanning_tree_count`) in place of the four fields
-    :func:`metric_suite` computes per graph. TooLargeForDense above
-    ``DENSE_CAP`` nodes.
-    """
+    """The stacked fields of the metric record of graphs that all have n
+    nodes, one row per graph: each kernel and each reduction to a field runs
+    once per stack, on the link indicators or the CSR columns (weights are
+    not read). ``log_spanning_trees`` stands in for the two fields
+    :func:`metric_suite` computes per graph (see :func:`_spanning_tree_count`).
+    TooLargeForDense above ``DENSE_CAP`` nodes."""
     deg = np.array([g._link_counts for g in graphs])
     n = deg.shape[1]
     degrees = deg.astype(float)  # an unweighted graph's degrees
+    rows = np.repeat(np.arange(deg.size), deg.ravel())  # b * n + i per stored entry
     cols = np.concatenate([g.indices for g in graphs])
-    adj = _link_stack(deg, cols)
+    adj = _link_stack(deg, rows, cols)
     adjacency, laplacian = spectra(adj, degrees)
     dist = _distances(adj)
     ecc = dist.max(axis=2)
     global_efficiency = _global_efficiency(dist)
+    bridges = _bridges(dist, deg, rows, cols)
     if n < 2:
         gap = connectivity = path_length = np.zeros(len(graphs))
     else:
@@ -375,6 +380,8 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
         "clustering_coefficient": 2.0 * _node_means(triangles, deg),
         "transitivity": _transitivity(triangles, deg),
         "radius": ecc.min(axis=1),
+        "degree_assortativity": _assortativity(deg, rows, cols),
+        "num_bridges": bridges,
         "local_efficiency": _node_means(pair_sums, deg),
         "global_efficiency": global_efficiency,
         "num_leaf_nodes": (deg == 1).sum(axis=1),
@@ -388,26 +395,16 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
 
 
 def metric_suite(g: Graph, _row: dict[str, float] | None = None) -> dict[str, float]:
-    """Full metric record for one connected unweighted graph.
-
-    Assortativity of a regular graph is recorded as NaN (it is undefined,
-    exactly like sde_q). The dense kernels run on a stack of one unless
-    :func:`metric_records` passes the graph's row of its stack as ``_row``;
-    q, assortativity, bridges and the spanning-tree rounding run per graph.
-    """
+    """Full metric record of one connected unweighted graph (assortativity
+    and sde_q are NaN on a regular graph): the kernels' row on a stack of
+    one, or ``_row`` from :func:`metric_records`, then q and the checks."""
     if not g.is_unweighted():
         raise WeightedUnsupported("the metric suite is defined on unweighted graphs")
     row = _kernel_rows([g])[0] if _row is None else _row
     if row["diameter"] == math.inf:
         raise DisconnectedInput("distance metrics require a connected graph")
-    q = sde(g, lambda1=row["lambda1"]).q
-    try:
-        rho_d = assortativity(g)
-    except UndefinedAssortativity:
-        rho_d = math.nan
-    fields = {**row, "degree_assortativity": rho_d, "num_bridges": float(count_bridges(g)),
-              "num_spanning_trees": _spanning_tree_count(row["log_spanning_trees"]),
-              "sde_q": q}
+    fields = {**row, "num_spanning_trees": _spanning_tree_count(row["log_spanning_trees"]),
+              "sde_q": sde(g, lambda1=row["lambda1"]).q}
     return {name: fields[name] for name in METRIC_NAMES}
 
 

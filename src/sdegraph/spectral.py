@@ -106,8 +106,10 @@ def spectral_radius(g: Graph) -> float:
     av = _matvec(g, v)
     # the Ritz value can be off by ~1e-13 (the 2000-node path), and v . (A v)
     # by A v's in-order hub rows (wheel:2000 1e-12); the exact sum of the
-    # stored entries' products leaves only the products' own rounding
-    lam = math.fsum(v[g._rows] * g.data * v[g.indices]) / math.fsum(v * v)
+    # stored entries' products leaves only the products' own rounding; a
+    # link's two entries give one float (v_i v_j) w: the upper half, doubled
+    up = g.indices > g._rows
+    lam = 2.0 * math.fsum(v[g._rows[up]] * v[g.indices[up]] * g.data[up]) / math.fsum(v * v)
     resid = float(np.linalg.norm(av - lam * v) / np.linalg.norm(v))
     if resid > bound:
         raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds {TOL_LAMBDA1} "

@@ -1,18 +1,19 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_N7, cycle_graph, k4_plus_p3, random_er
+from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisection
 from sdegraph import metrics
 from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError, MalformedGraph6,
                              UndefinedAssortativity, WeightedUnsupported)
 from sdegraph.graph import connected_components
-from sdegraph.io import read_graph6_file
+from sdegraph.io import parse_graph6, read_graph6_file
 from sdegraph.metrics import (METRIC_NAMES, _global_efficiency, assortativity,
                               bfs_distances, count_bridges, local_efficiency,
                               mean_local_clustering, pearson, transitivity)
@@ -59,6 +60,67 @@ def test_assortativity_undefined_cases():
         assortativity(Graph.from_edges(4, [(0, 1), (2, 3)]))  # K2 + K2
     with pytest.raises(UndefinedAssortativity):
         assortativity(Graph.empty(3))
+    with pytest.raises(WeightedUnsupported):
+        assortativity(Graph.from_edges(3, [(0, 1, 2.0), (1, 2)]))
+
+
+def exact_assortativity(g):
+    """Newman's r as a Fraction, from the means over the links of j k,
+    (j + k) / 2 and (j^2 + k^2) / 2 with j and k the end degrees; None when
+    the denominator is 0."""
+    deg = g._link_counts.tolist()
+    ends = [(deg[i], deg[j]) for i, j in g.links()]
+    if not ends:
+        return None
+    m = len(ends)
+    mean = Fraction(sum(j + k for j, k in ends), 2 * m)
+    square = Fraction(sum(j * j + k * k for j, k in ends), 2 * m)
+    if square == mean * mean:
+        return None
+    return (Fraction(sum(j * k for j, k in ends), m) - mean * mean) / (square - mean * mean)
+
+
+@st.composite
+def small_unweighted_graphs(draw):
+    """A random link set, a star with a link between two leaves or not, or a
+    near-regular graph (a cycle with a chord, a complete graph without one
+    link), each beside up to three isolated nodes."""
+    kind = draw(st.sampled_from(["random", "star", "cycle", "complete"]))
+    k = draw(st.integers(1 if kind == "random" else 4, 12))
+    if kind == "random":
+        pairs = list(itertools.combinations(range(k), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        links = [pair for pair, kept in zip(pairs, keep) if kept]
+    elif kind == "star":
+        links = [(0, i) for i in range(1, k)] + [(1, 2)] * draw(st.booleans())
+    elif kind == "cycle":
+        links = [(i, (i + 1) % k) for i in range(k)] + [(0, draw(st.integers(2, k - 2)))]
+    else:
+        links = [pair for pair in itertools.combinations(range(k), 2) if pair != (0, 1)]
+    return Graph.from_edges(k + draw(st.integers(0, 3)), links)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_unweighted_graphs())
+@example(Graph.empty(1))
+@example(cycle_graph(5))
+@example(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))  # C4 and an isolated node
+@example(generate("star:6"))
+def test_assortativity_is_the_correctly_rounded_fraction(g):
+    want = exact_assortativity(g)
+    if want is None:
+        with pytest.raises(UndefinedAssortativity):
+            assortativity(g)
+    else:
+        assert assortativity(g) == float(want)  # float(Fraction) rounds correctly
+
+
+def test_assortativity_exactly_zero_on_n8_fixture():
+    lines = FIXTURE_N8.read_text().split()
+    for line in (118, 258):  # the Pearson route gave 2.6e-17 and -3.9e-17
+        g = parse_graph6(lines[line - 1])
+        assert exact_assortativity(g) == 0
+        assert assortativity(g) == 0.0
 
 
 def test_pearson_basics():
@@ -290,10 +352,12 @@ def reference_bridge_count(g):
 
 
 @st.composite
-def hub_graphs(draw):
+def hub_graphs(draw, n=None):
     """ER background, some isolated nodes, and one hub of a drawn degree
-    (the degree-bucket edges 7/8/9, 16/17 and 32/33 included)."""
-    n = draw(st.integers(1, 40))
+    (the degree-bucket edges 7/8/9, 16/17 and 32/33 included); n nodes, or
+    a drawn 1..40."""
+    if n is None:
+        n = draw(st.integers(1, 40))
     p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     upper = np.triu(rng.random((n, n)) < p, 1)
@@ -322,6 +386,23 @@ def test_batched_kernels_match_per_node_references(g):
     assert mean_local_clustering(g) == reference_mean_local_clustering(g)
     assert transitivity(g) == reference_transitivity(g)
     assert count_bridges(g) == reference_bridge_count(g)
+
+
+SEVEN_NODES = [generate("path:7"), cycle_graph(7), generate("lollipop:2"), k4_plus_p3()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(hub_graphs(n), min_size=1, max_size=5)))
+@example(SEVEN_NODES)
+@example(SEVEN_NODES[:1])
+@example(SEVEN_NODES[1:2])
+@example(SEVEN_NODES[2:3])
+@example(SEVEN_NODES[3:])
+def test_stacked_bridges_match_reference(graphs):
+    """The bridge forest run once on a stack of equal-n graphs, disconnected
+    ones and n = 1 included."""
+    rows = metrics._kernel_rows(graphs)
+    assert [row["num_bridges"] for row in rows] == [reference_bridge_count(g) for g in graphs]
 
 
 def test_kernels_match_networkx(rng):
