@@ -42,8 +42,9 @@ for spec in ("complete:6", "kbip:3:4", "star:9"):
     print(f"{spec:12s} classify={type(classify(g)).__name__:20s} "
           f"sde={sde(g).q}")
 
-# q = infinity exactly when the graph is disconnected with a clique
-# component realizing the maximum degree.
+# A non-regular graph has q = infinity exactly when some component has every
+# degree at the maximum degree: a clique component realizing it, as here, or
+# any other such component, such as C5 beside P3.
 k4_p3 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                              (4, 5), (5, 6)])
 print(f"K4 + P3      classify={type(classify(k4_p3)).__name__:20s} "

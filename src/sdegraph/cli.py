@@ -50,12 +50,7 @@ def cmd_compute(args) -> int:
         lam = spectral_radius(g)
     result = sde(g, verify=args.verify, lambda1=lam)
     ds = degree_sequence(g.degrees())
-    b = None
-    if result.is_finite:
-        try:
-            b = bounds(ds, lam)
-        except SdegraphError:
-            pass  # no closed-form bracket (lambda1 at d_max)
+    b = bounds(ds, lam) if result.is_finite else None
     payload = {
         "input": label,
         "nodes": g.n,

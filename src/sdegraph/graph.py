@@ -370,8 +370,10 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     """New graph with link (i, j) of weight ``w`` added."""
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
-    if w <= 0:
-        raise InvalidGraph("link weight must be positive")
+    if not (0 <= i < g.n and 0 <= j < g.n):
+        raise InvalidGraph(f"node ids must lie in [0, {g.n})")
+    if not 0 < w < np.inf:
+        raise InvalidGraph("link weight must be positive and finite")
     indptr, indices, data = g.indptr, g.indices, g.data
     # insertion points of j in row i and of i in row j
     lo, hi = indptr[i], indptr[i + 1]

@@ -33,10 +33,8 @@ DEFAULT_TOL_Q = 1e-9
 # lambda1 this close to d_max means a d_max-regular component: q is infinite
 _INF_GUARD = 1e-11
 _EPS = 2.0 ** -52  # float64 machine epsilon
-_NEWTON_MAX_STEPS = 100
-# converged iterates that may fail the certificate before Newton gives up
-_NEWTON_RETRIES = 5
-_RECURSION_MAX_STEPS = 100
+# steps of Newton's method or of the recursion before NoConvergence
+_MAX_STEPS = 100
 
 METHOD_NEWTON = "newton"
 METHOD_BISECTION = "bisection"
@@ -102,8 +100,8 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
     unless lambda1 < d_max).
     """
-    if lambda1 <= 0:
-        raise InvalidGraph("lambda1 must be positive")
+    if not 0 < lambda1 < math.inf:
+        raise InvalidGraph("lambda1 must be positive and finite")
     positive = ds.values > 0
     values, counts = ds.values[positive].tolist(), ds.counts[positive].tolist()
     if not values:
@@ -154,7 +152,10 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
 
 def _q_is_infinite(ds: DegreeSequence, lambda1: float) -> bool:
     """Whether lambda1 reaches d_max, so that q is infinite; otherwise raises
-    where q is undefined (a non-positive lambda1 or a regular histogram)."""
+    where q is undefined (a non-finite or non-positive lambda1 or a regular
+    histogram)."""
+    if not math.isfinite(lambda1):
+        raise InvalidGraph("lambda1 must be finite")
     if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
         return True
     if lambda1 <= 0:
@@ -281,29 +282,26 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     half an ulp that is still short of the aim moves q up by one ulp. Where
     f1 changes by less than 2r across ``tol_q`` no float64 evaluation can
     certify the root, and it raises NoConvergence at the first iterate that
-    is converged or within 2r of its aim; it also raises after 5 converged
-    iterates fail the certificate, or after 100 steps.
+    is converged or within 2r of its aim. Otherwise it raises after
+    ``_MAX_STEPS`` steps, which also ends iterates that settle within
+    ``tol_q`` on floats that fail the certificate.
     """
     early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
         return early
     step = math.inf
-    misses = 0
-    for k in range(_NEWTON_MAX_STEPS + 1):
+    for k in range(_MAX_STEPS + 1):
         at_q = evaluate(q)
         f, slope, rounding = at_q
         # aim at f1 = -1.5*rounding, inside the band where f1 <= -rounding
         # holds despite rounding (f1 moves in steps of up to its rounding)
         g = f + 1.5 * rounding
         converged = abs(step) <= tol_q
-        if converged:
-            if _certifies(evaluate, q, tol_q, at_q):
-                return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
-            misses += 1
+        if converged and _certifies(evaluate, q, tol_q, at_q):
+            return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
         # f1 changing by under 2r across tol_q cannot certify, once the
         # iterate is converged or within rounding of the aim
-        flat = -slope * tol_q <= 2.0 * rounding and (converged or abs(g) <= 2.0 * rounding)
-        if misses > _NEWTON_RETRIES or flat:
+        if -slope * tol_q <= 2.0 * rounding and (converged or abs(g) <= 2.0 * rounding):
             raise NoConvergence(
                 f"f1 changes by about its rounding across tol_q near q = {q!r}: "
                 "the root cannot be certified")
@@ -312,7 +310,7 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
         # a step under half an ulp: move up an ulp if still short of the aim
         q = math.nextafter(q, math.inf) if q_next == q and g > 0.0 else q_next
     raise NoConvergence(
-        f"Newton's method did not certify q within {_NEWTON_MAX_STEPS} steps")
+        f"Newton's method did not certify q within {_MAX_STEPS} steps")
 
 
 def solve_recursion(ds: DegreeSequence, lambda1: float,
@@ -332,7 +330,7 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     <= 2), with r the rounding estimate of f1, so the root lies in
     [q' - tol_q, q'] and q' is returned; otherwise the iteration goes on.
     ``iterations`` counts map evaluations. Raises NoConvergence after
-    ``_RECURSION_MAX_STEPS`` steps.
+    ``_MAX_STEPS`` steps.
     """
     early, evaluate, p0 = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
@@ -342,7 +340,7 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     def F(q: float) -> float:
         return q + evaluate(q)[0] / rho_max
 
-    for k in range(1, _RECURSION_MAX_STEPS + 1):
+    for k in range(1, _MAX_STEPS + 1):
         p1 = F(p0)
         p2 = F(p1)
         d2 = p2 - 2.0 * p1 + p0
@@ -356,18 +354,18 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
                                  residual=abs(at_q[0]))
         p0 = p_new
     raise NoConvergence(
-        f"the recursion did not certify q within {_RECURSION_MAX_STEPS} steps")
+        f"the recursion did not certify q within {_MAX_STEPS} steps")
 
 
-def sde(g: Graph, *, tol_q: float = DEFAULT_TOL_Q, lambda1: float | None = None,
-        verify: bool = False) -> SdeResult:
-    """Spectral degree exponent of a graph.
+def sde(g: Graph, *, lambda1: float | None = None, verify: bool = False) -> SdeResult:
+    """Spectral degree exponent of a graph, solved to ``DEFAULT_TOL_Q``.
 
     Orchestration: regular graphs are Undefined (NaN), a max-clique
     component gives Infinite, biregular graphs are classified to exactly 2;
     anything else computes lambda1 (spectral_radius unless supplied) and
     runs Newton's method. ``verify=True`` cross-checks the result against
-    bisection and raises NoConvergence on disagreement.
+    bisection and raises NoConvergence where they differ by more than
+    2 * ``DEFAULT_TOL_Q``.
     """
     cls = classify(g)
     if isinstance(cls, Regular):
@@ -378,11 +376,11 @@ def sde(g: Graph, *, tol_q: float = DEFAULT_TOL_Q, lambda1: float | None = None,
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
     ds = degree_sequence(g.degrees())
     lam = spectral_radius(g) if lambda1 is None else lambda1
-    result = solve_newton(ds, lam, tol_q=tol_q)
+    result = solve_newton(ds, lam)
     if verify:
         # both solvers share every result without iteration (inf among them)
-        other = solve_bisection(ds, lam, tol_q=tol_q)
-        if result.is_finite and abs(result.q - other.q) > 2 * tol_q:
+        other = solve_bisection(ds, lam)
+        if result.is_finite and abs(result.q - other.q) > 2 * DEFAULT_TOL_Q:
             raise NoConvergence(
                 f"solver cross-check failed: {result.q} vs {other.q}")
     return result

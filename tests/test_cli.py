@@ -39,6 +39,30 @@ def test_compute_fork(capsys):
     assert "lambda1: 2" in out
 
 
+@pytest.mark.parametrize("source, q", [
+    (("--family", "kbip:2:3"), 2.0),  # classified biregular
+    (("--family", "fork:9"), fork_q_constant()),  # Newton
+    (("--family", "complete:5"), "nan"),
+    ("k4+p3", "inf"),
+], ids=["biregular", "newton", "regular", "clique_component"])
+def test_compute_json_bounds_fields(source, q, tmp_path, capsys):
+    # every finite q comes with the closed-form bracket around it
+    if source == "k4+p3":
+        path = tmp_path / "k4p3.txt"
+        path.write_text("".join(f"{i} {j}\n" for i, j in k4_plus_p3().links()))
+        source = ("--edge-list", str(path))
+    code, out, err = run(capsys, "compute", *source, "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    fields = [payload[f"bounds_{name}"] for name in ("lower", "upper", "sharpened_upper")]
+    if isinstance(q, str):
+        assert payload["q"] == q and fields == [None, None, None]
+    else:
+        assert abs(payload["q"] - q) <= 1e-9
+        lower, upper, sharpened = fields
+        assert lower <= payload["q"] <= min(upper, sharpened)
+
+
 def test_compute_regular(capsys):
     code, out, _ = run(capsys, "compute", "--family", "complete:5")
     assert code == 0

@@ -435,6 +435,12 @@ def test_add_link():
         add_link(h, 0, 1)
     with pytest.raises(SelfLoop):
         add_link(h, 1, 1)
+    # ids outside [0, n) once wrapped around (-1) or raised IndexError, and
+    # NaN and inf weights were stored
+    for i, j, w in [(-1, 2, 1.0), (0, -1, 1.0), (1, 5, 1.0), (3, 0, 1.0),
+                    (0, 1, 0.0), (0, 1, -1.0), (0, 1, float("nan")), (0, 1, float("inf"))]:
+        with pytest.raises(InvalidGraph):
+            add_link(Graph.empty(3), i, j, w)
 
 
 def test_add_link_path_to_triangle():
