@@ -18,7 +18,7 @@ from itertools import chain
 from . import io as gio
 from .errors import InputError, NumericalError, SdegraphError
 from .families import FAMILIES, analytic_lambda1, generate, parse_family
-from .graph import Graph, degree_sequence
+from .graph import Graph
 from .metrics import metric_records
 from .solver import bounds, sde
 from .spectral import spectral_radius
@@ -49,7 +49,7 @@ def cmd_compute(args) -> int:
     if lam is None:
         lam = spectral_radius(g)
     result = sde(g, verify=args.verify, lambda1=lam)
-    ds = degree_sequence(g.degrees())
+    ds = g.histogram  # built by sde's classify
     b = bounds(ds, lam) if result.is_finite else None
     payload = {
         "input": label,

@@ -7,14 +7,17 @@ kernels share (link counts, degrees) are derived once, and
 the dense kernels. All operations are pure: mutating operations
 return new :class:`Graph` values. Degrees have one representation, the
 histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
-degree array, and :func:`classify` decides its classes from the degrees
-and the links, searching components only when a node could lie in a
-max-clique component.
+degree array; ``Graph.histogram`` builds a graph's once. :func:`classify`
+reads the histogram first, scans the links only where it still allows a
+biregular graph or a max-clique component, and searches components only
+when a node could lie in a max-clique component.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -147,6 +150,12 @@ class Graph:
         return self._degrees
 
     @cached_property
+    def histogram(self) -> DegreeSequence:
+        """The :class:`DegreeSequence` of :meth:`degrees`, built once per graph
+        and shared by :func:`classify`, ``sde`` and ``sde compute``."""
+        return degree_sequence(self._degrees)
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Dense weight matrix (read-only, cached); TooLargeForDense above
         ``DENSE_CAP`` nodes."""
@@ -171,7 +180,7 @@ class Graph:
 
     @cached_property
     def _unweighted(self) -> bool:
-        return bool(np.all(self.data == 1))
+        return bool((self.data == 1).all())
 
     def scaled(self, s: float) -> Graph:
         """Graph with every weight multiplied by s > 0."""
@@ -185,8 +194,12 @@ def _check_degrees(g: Graph) -> None:
     degree overflows to inf (finite weights can sum past the float64 range)."""
     over = np.flatnonzero(np.isinf(g.degrees()))
     if over.size:
-        raise DegreeOverflow(f"the weighted degree of node {over[0]} overflows float64 "
-                             "(its link weights sum past 1.8e308)")
+        raise _overflow(int(over[0]))
+
+
+def _overflow(node: int) -> DegreeOverflow:
+    return DegreeOverflow(f"the weighted degree of node {node} overflows float64 "
+                          "(its link weights sum past 1.8e308)")
 
 
 def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:
@@ -210,7 +223,12 @@ class DegreeSequence:
 
     @cached_property
     def n(self) -> int:
-        return int(self.counts.sum())
+        return sum(self._lists[1])
+
+    @cached_property
+    def _lists(self) -> tuple[list[float], list[int]]:
+        """``values`` and ``counts`` as Python lists, built once."""
+        return self.values.tolist(), self.counts.tolist()
 
     @property
     def d_max(self) -> float:
@@ -234,10 +252,13 @@ def degree_sequence(degrees) -> DegreeSequence:
     comparison; otherwise degrees within relative ``TOL_DEG`` of d_max count
     toward the multiplicity.
     """
-    d = np.sort(np.asarray(degrees, dtype=float), axis=None)
+    d = np.sort(np.asarray(degrees, dtype=float), axis=None)[::-1]
     # the first index of each run of equal degrees, and the end
-    runs = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1, [d.size]))
-    values, counts = d[runs[:-1]][::-1], (runs[1:] - runs[:-1])[::-1]
+    starts = np.empty(d.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(d[1:], d[:-1], out=starts[1:-1])
+    runs = starts.nonzero()[0]
+    values, counts = d[runs[:-1]], runs[1:] - runs[:-1]
     if (values == np.rint(values)).all():
         c = int(counts[0])
     else:
@@ -342,24 +363,37 @@ def classify(g: Graph) -> GraphClass:
     nodes that pass its necessary condition (the node is high and so is
     every neighbour, with the same link count), and only on the links
     between two of them.
+
+    The degree tests read the graph's histogram (:attr:`Graph.histogram`),
+    whose distinct degrees decide regularity and whether two degree classes
+    are possible; the links are scanned only where a biregular graph or a
+    max-clique component is still possible. A complete component at d_max
+    has at least two high nodes, and on an unweighted graph d_max + 1 of
+    them, so most graphs need no scan at all.
     """
-    degs = g.degrees()
-    d_max, d_min = float(degs.max()), float(degs.min())
+    values, counts = g.histogram._lists
+    d_max, d_min = values[0], values[-1]
     tol = TOL_DEG * d_max
     if d_max - d_min <= tol:
         return Regular(degree=d_max)
-    high = d_max - degs <= tol
+    is_high = [d_max - v <= tol for v in values]
+    two_classes = d_min > 0 and all(h or v - d_min <= tol for h, v in zip(is_high, values))
+    top = sum(k for h, k in zip(is_high, counts) if h)  # the high nodes
+    clique_possible = top >= 2 and (top > d_max or not g.is_unweighted())
+    if not (two_classes or clique_possible):
+        return Generic()
+    high = d_max - g.degrees() <= tol
     rows, cols = g._rows, g.indices
-    if (d_min > 0 and (high | (degs - d_min <= tol)).all()
-            and (high[rows] != high[cols]).all()):
+    if two_classes and (high[rows] != high[cols]).all():
         return Biregular(r1=d_max, r2=d_min)
-    links = g._link_counts
-    candidate = high.copy()  # a node at d_max > 0 has links
-    candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
-    if candidate.any():
-        clique = _max_clique_component(g, candidate)
-        if clique is not None:
-            return MaxCliqueComponent(clique=clique)
+    if clique_possible:
+        links = g._link_counts
+        candidate = high.copy()  # a node at d_max > 0 has links
+        candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
+        if candidate.any():
+            clique = _max_clique_component(g, candidate)
+            if clique is not None:
+                return MaxCliqueComponent(clique=clique)
     return Generic()
 
 
@@ -367,7 +401,10 @@ def classify(g: Graph) -> GraphClass:
 
 
 def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
-    """New graph with link (i, j) of weight ``w`` added."""
+    """New graph with link (i, j) of weight ``w`` added. Raises
+    DegreeOverflow, naming the node as :meth:`Graph.from_edges` does, where
+    the new link makes the weighted degree of i or j overflow; only those
+    two rows are summed."""
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
     if not (0 <= i < g.n and 0 <= j < g.n):
@@ -385,9 +422,14 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     new_indptr = indptr.copy()
     new_indptr[i + 1:] += 1
     new_indptr[j + 1:] += 1
+    new_data = np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:]))
+    for node in sorted((i, j)):
+        row = new_data[new_indptr[node]:new_indptr[node + 1]].tolist()
+        if math.isinf(reduce(add, row, 0.0)):  # summed in row order, like Graph.degrees
+            raise _overflow(node)
     return Graph(g.n, new_indptr,
                  np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
-                 np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:])))
+                 new_data)
 
 
 def _has_link(g: Graph, i: int, j: int) -> bool:

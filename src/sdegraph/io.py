@@ -15,6 +15,7 @@ import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
 _G6_MAX_N = 258047  # largest node count of the four-byte size form
-# largest node count of the one-byte size form. Up to it the bit pairs come
-# from a table cached per n; above it a table would take 16 bytes per bit,
-# so the set bits are located by a search instead.
+# largest node count of the one-byte size form. Up to it the CSR entries are
+# gathered through a table cached per n; above it a table would take 16 bytes
+# per entry, so the set bits are located by a search instead.
 _G6_SHORT_MAX_N = 62
 
 
@@ -66,18 +67,19 @@ def parse_graph6(line: str) -> Graph:
         raise MalformedGraph6("graphs need at least one node")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = np.frombuffer(data, dtype=np.uint8, offset=off)
-    if len(body) != need:
+    if len(data) - off != need:
         raise MalformedGraph6(
-            f"expected {need} adjacency bytes for n={n}, got {len(body)}")
-    # six big-endian bits per byte; bit k is the pair (i, j), i < j, of the
-    # upper triangle in column-major order: k = j (j - 1) / 2 + i
-    bits = np.unpackbits(body - np.uint8(63)).reshape(-1, 8)[:, 2:].ravel()[:nbits]
+            f"expected {need} adjacency bytes for n={n}, got {len(data) - off}")
+    # each byte less 63 is two zero bits and six data bits, big-endian (the
+    # size bytes too); data bit k is the pair (i, j), i < j, of the upper
+    # triangle in column-major order: k = j (j - 1) / 2 + i
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8) - np.uint8(63))
     if n <= _G6_SHORT_MAX_N:
-        i, j = _graph6_pairs(n)
-        present = bits.view(bool)
-        return Graph._from_links(n, i[present], j[present])
-    k = np.flatnonzero(bits)
+        at, row_ends, columns = _graph6_entries(n)
+        present = bits[at].view(bool)
+        indices = columns[present]
+        return Graph(n, np.cumsum(present)[row_ends], indices, np.ones(indices.size))
+    k = np.flatnonzero(bits[8 * off:].reshape(-1, 8)[:, 2:].ravel()[:nbits])
     column = np.arange(n)
     first = column * (column - 1) // 2  # the first bit of each column
     j = np.searchsorted(first, k, side="right") - 1
@@ -85,11 +87,23 @@ def parse_graph6(line: str) -> Graph:
 
 
 @functools.cache
-def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (i, j) of each upper-triangle bit of an n-node graph6 string,
-    in its column-major order, as two arrays."""
-    j, i = np.nonzero(np.tril(np.ones((n, n), dtype=bool), -1))
-    return i, j
+def _graph6_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather table of the n-node graph6 strings, n <= 62 (read-only).
+
+    Entry 0 stands for a bit that is always 0 (the size byte's high bit);
+    entries 1, 2, ... are the off-diagonal (i, j) of an n x n matrix in
+    row-major order. Returns each entry's bit position in the unpacked
+    string and its column j, and the entry count at the end of each row (0,
+    n - 1, ..., n (n - 1)): the cumulative sum of the gathered bits read at
+    those counts is the CSR ``indptr``."""
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    k = hi * (hi - 1) // 2 + lo
+    table = (np.concatenate(([0], 8 + k // 6 * 8 + 2 + k % 6)), np.arange(n + 1) * (n - 1),
+             np.concatenate(([0], j)))
+    for a in table:
+        a.flags.writeable = False  # shared by every string of n nodes
+    return table
 
 
 def encode_graph6(g: Graph) -> str:
@@ -268,12 +282,13 @@ def write_records_csv(records, path) -> None:
     raises ParseError.
     """
     names = set(METRIC_NAMES)
+    cells = itemgetter(*METRIC_NAMES)
 
     def rows():
         for rec in records:
             if rec.keys() != names:
                 raise ParseError("records must share the same metric-name set")
-            yield [format_value(rec[name]) for name in METRIC_NAMES]
+            yield [format(v, ".12g") for v in cells(rec)]  # format_value's cells
 
     write_csv(path, METRIC_NAMES, rows())
 

@@ -330,11 +330,13 @@ def _spanning_tree_count(log_count: float) -> float:
 
 def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
     """The stacked fields of the metric record of graphs that all have n
-    nodes, one row per graph: each kernel and each reduction to a field runs
-    once per stack, on the link indicators or the CSR columns (weights are
-    not read). ``log_spanning_trees`` stands in for the two fields
-    :func:`metric_suite` computes per graph (see :func:`_spanning_tree_count`).
-    TooLargeForDense above ``DENSE_CAP`` nodes."""
+    nodes, one row per graph, keyed in ``METRIC_NAMES`` order without
+    ``sde_q``: each kernel and each reduction to a field runs once per
+    stack, on the link indicators or the CSR columns (weights are not read).
+    The ``num_spanning_trees`` slot holds the count's log, which
+    :func:`metric_suite` turns into the count (see
+    :func:`_spanning_tree_count`). TooLargeForDense above ``DENSE_CAP``
+    nodes."""
     deg = np.array([g._link_counts for g in graphs])
     n = deg.shape[1]
     degrees = deg.astype(float)  # an unweighted graph's degrees
@@ -387,8 +389,8 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
         "num_leaf_nodes": (deg == 1).sum(axis=1),
         "graph_energy": np.abs(adjacency).sum(axis=1),
         "estrada_index": np.exp(adjacency).sum(axis=1),
+        "num_spanning_trees": log_trees,
         "max_laplacian_eigenvalue": laplacian[:, 0],
-        "log_spanning_trees": log_trees,
     }
     # one float64 array: every field a float, and one tolist call
     return [dict(zip(columns, row)) for row in np.array(list(columns.values())).T.tolist()]
@@ -397,15 +399,16 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
 def metric_suite(g: Graph, _row: dict[str, float] | None = None) -> dict[str, float]:
     """Full metric record of one connected unweighted graph (assortativity
     and sde_q are NaN on a regular graph): the kernels' row on a stack of
-    one, or ``_row`` from :func:`metric_records`, then q and the checks."""
+    one, or ``_row`` from :func:`metric_records`, completed in place with
+    the spanning-tree count and q, after the checks."""
     if not g.is_unweighted():
         raise WeightedUnsupported("the metric suite is defined on unweighted graphs")
     row = _kernel_rows([g])[0] if _row is None else _row
     if row["diameter"] == math.inf:
         raise DisconnectedInput("distance metrics require a connected graph")
-    fields = {**row, "num_spanning_trees": _spanning_tree_count(row["log_spanning_trees"]),
-              "sde_q": sde(g, lambda1=row["lambda1"]).q}
-    return {name: fields[name] for name in METRIC_NAMES}
+    row["num_spanning_trees"] = _spanning_tree_count(row["num_spanning_trees"])
+    row["sde_q"] = sde(g, lambda1=row["lambda1"]).q  # the last name
+    return row
 
 
 def metric_records(items: Iterable[Graph | SdegraphError]

@@ -6,10 +6,11 @@ the degree histogram (:class:`DegreeSequence`: distinct degrees and their
 counts) relative to lambda1, so degree powers never overflow, rounding
 stays in proportion to how far the degrees are from lambda1, and each
 evaluation costs O(distinct degrees). f1 is concave, because log-sum-exp is
-convex, and f1 <= 0 at the closed-form upper bound q_top from the nodes at
-exactly d_max, so Newton's method started at q_top decreases monotonically
-to the root and stops on a certified bracket [q - tol_q, q]. q_top is only
-a bound: q is reported infinite only where lambda1 reaches d_max or
+convex, and f1 <= 0 at two upper bounds: the closed form q_top from the
+nodes at exactly d_max, and the zero of f1's tangent at q = 2. Newton's
+method started at the smaller of the two decreases monotonically to the
+root and stops on a certified bracket [q - tol_q, q]. q_top is only a
+bound: q is reported infinite only where lambda1 reaches d_max or
 f1(Q_MAX) > 0. Every solver takes its early exits and its start from
 :func:`_prepare`.
 :func:`sde` classifies the graph first (regular, biregular and max-clique
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from .graph import (Biregular, DegreeSequence, Graph, MaxCliqueComponent, Regular,
-                    classify, degree_sequence)
+                    classify)
 from .spectral import spectral_radius
 
 Q_MAX = 1e6
@@ -102,8 +103,9 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     """
     if not 0 < lambda1 < math.inf:
         raise InvalidGraph("lambda1 must be positive and finite")
-    positive = ds.values > 0
-    values, counts = ds.values[positive].tolist(), ds.counts[positive].tolist()
+    values, counts = ds._lists
+    k = sum(v > 0 for v in values)  # the positive degrees come first
+    values, counts = values[:k], counts[:k]
     if not values:
         raise AllDegreesZero("every weighted degree is zero")
     n = ds.n
@@ -196,11 +198,14 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     no iteration is needed, else (None, evaluate, q_start).
 
     Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
-    input raises. The start is q_top (see :func:`_f1_on_histogram`), the
-    closed-form upper bound from the nodes at exactly d_max, where f1 <= 0.
-    It may exceed Q_MAX with a small root: inf is reported only when
-    f1(Q_MAX) > 0 certifies the root above Q_MAX, and otherwise the start
-    is Q_MAX. A non-positive f1(2) returns exactly 2, with no rounding
+    input raises. The start is the smaller of two upper bounds on the root.
+    One is q_top (see :func:`_f1_on_histogram`), the closed-form bound from
+    the nodes at exactly d_max, where f1 <= 0. It may exceed Q_MAX with a
+    small root: inf is reported only when f1(Q_MAX) > 0 certifies the root
+    above Q_MAX, and otherwise this bound is Q_MAX. The other is the zero
+    of f1's tangent at 2, 2 - f1(2)/f1'(2), wherever f1'(2) < 0: f1 is
+    concave, so the tangent lies above it, and f1 is at most about its
+    rounding there. A non-positive f1(2) returns exactly 2, with no rounding
     check. Only a biregular graph has q = 2, yet f1(2) <= 0 happens on
     others through the rounding of lambda1, which f1's own rounding
     estimate does not include: on K15 with one link of weight 1 + 1e-6,
@@ -216,9 +221,11 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
         if evaluate(Q_MAX)[0] > 0.0:
             return SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan
         q = Q_MAX
-    f2 = evaluate(2.0)[0]
+    f2, slope2, _ = evaluate(2.0)
     if f2 <= 0.0:
         return SdeResult(2.0, method, iterations=0, residual=abs(f2)), None, math.nan
+    if slope2 < 0.0:  # f1 is concave: its tangent at 2 crosses zero above the root
+        q = min(q, 2.0 - f2 / slope2)
     return None, evaluate, q
 
 
@@ -268,7 +275,8 @@ def _certifies(evaluate, q: float, tol_q: float, at_q: tuple[float, float, float
 def solve_newton(ds: DegreeSequence, lambda1: float,
                  tol_q: float = DEFAULT_TOL_Q) -> SdeResult:
     """Newton's method on f1, from the start and the results without
-    iteration of :func:`_prepare`.
+    iteration of :func:`_prepare`: the smaller of q_top and the zero of
+    f1's tangent at q = 2.
 
     f1 is concave (log-sum-exp is convex) and f1 <= 0 at the start, so
     every Newton step moves left and never passes the root: the iterates
@@ -278,13 +286,15 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     the first iterate q reached by a step of at most ``tol_q`` with
     f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where f1(2) > 0
     already holds): the signs hold despite rounding, which certifies the
-    root in [q - tol_q, q]; ``iterations`` counts the steps. A step under
-    half an ulp that is still short of the aim moves q up by one ulp. Where
-    f1 changes by less than 2r across ``tol_q`` no float64 evaluation can
-    certify the root, and it raises NoConvergence at the first iterate that
-    is converged or within 2r of its aim. Otherwise it raises after
-    ``_MAX_STEPS`` steps, which also ends iterates that settle within
-    ``tol_q`` on floats that fail the certificate.
+    root in [q - tol_q, q]; ``iterations`` counts the steps. Where f1
+    changes by at most 2.5r across ``tol_q`` the aim -1.5r lies outside
+    that window, and Newton aims at its centre, f1 = f1' * tol_q / 2. A
+    step under half an ulp that is still short of the aim moves q up by
+    one ulp. Where f1 changes by less than 2r across ``tol_q`` no float64
+    evaluation can certify the root, and it raises NoConvergence at the
+    first iterate that is converged or within 2r of its aim. Otherwise it
+    raises after ``_MAX_STEPS`` steps, which also ends iterates that settle
+    within ``tol_q`` on floats that fail the certificate.
     """
     early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
@@ -294,14 +304,18 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
         at_q = evaluate(q)
         f, slope, rounding = at_q
         # aim at f1 = -1.5*rounding, inside the band where f1 <= -rounding
-        # holds despite rounding (f1 moves in steps of up to its rounding)
-        g = f + 1.5 * rounding
+        # holds despite rounding (f1 moves in steps of up to its rounding);
+        # where f1 changes by at most 2.5*rounding across tol_q that lies
+        # outside the window f1 <= -rounding, f1(q - tol_q) > rounding, so
+        # aim at the window's centre, f1 = slope*tol_q/2
+        drop = -slope * tol_q
+        g = f + (1.5 * rounding if drop > 2.5 * rounding else 0.5 * drop)
         converged = abs(step) <= tol_q
         if converged and _certifies(evaluate, q, tol_q, at_q):
             return SdeResult(q, METHOD_NEWTON, iterations=k, residual=abs(f))
         # f1 changing by under 2r across tol_q cannot certify, once the
         # iterate is converged or within rounding of the aim
-        if -slope * tol_q <= 2.0 * rounding and (converged or abs(g) <= 2.0 * rounding):
+        if drop <= 2.0 * rounding and (converged or abs(g) <= 2.0 * rounding):
             raise NoConvergence(
                 f"f1 changes by about its rounding across tol_q near q = {q!r}: "
                 "the root cannot be certified")
@@ -374,7 +388,7 @@ def sde(g: Graph, *, lambda1: float | None = None, verify: bool = False) -> SdeR
         return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-clique component")
     if isinstance(cls, Biregular):
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
-    ds = degree_sequence(g.degrees())
+    ds = g.histogram  # built by classify
     lam = spectral_radius(g) if lambda1 is None else lambda1
     result = solve_newton(ds, lam)
     if verify:

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
                       parse_graph6, parse_weighted_edge_list, path_q_exact,
                       read_graph6_file, sde)
-from sdegraph.errors import (InvalidGraph, LinkExists, RewireConflict, SelfLoop,
-                             TooLargeForDense)
+from sdegraph.errors import (DegreeOverflow, InvalidGraph, LinkExists, RewireConflict,
+                             SelfLoop, TooLargeForDense)
 from sdegraph.families import analytic_lambda1
 from sdegraph.graph import (DENSE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
                             connected_components, dpr_rewire)
@@ -343,6 +345,95 @@ def test_classify_degree_classes_do_not_depend_on_numbering():
     assert isinstance(reference_classify(top_first), Generic)
 
 
+def _bfs_components(g):
+    """The components of ``g`` as sorted node lists, in order of their
+    smallest node, by breadth-first search on the positive links."""
+    adj = g.weights > 0
+    seen, comps = set(), []
+    for source in range(g.n):
+        if source in seen:
+            continue
+        seen.add(source)
+        comp, queue = [source], deque([source])
+        while queue:
+            for v in np.flatnonzero(adj[queue.popleft()]).tolist():
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def docstring_classify(g):
+    """:func:`classify`'s docstring as code, on every node and every
+    component: degrees within tol = TOL_DEG * d_max of d_max are high.
+    Regular: d_max - d_min <= tol. Biregular: no isolated node, every degree
+    within tol of d_max or of d_min, and in every component the high nodes
+    are one colour class of a two-colouring. MaxCliqueComponent: the first
+    component of two or more nodes, all high and all linked in pairs."""
+    degs = g.degrees().tolist()
+    d_max, d_min = max(degs), min(degs)
+    tol = TOL_DEG * d_max
+    if d_max - d_min <= tol:
+        return Regular(degree=d_max)
+    high = {u for u, d in enumerate(degs) if d_max - d <= tol}
+    comps = _bfs_components(g)
+    if d_min > 0 and all(u in high or d - d_min <= tol for u, d in enumerate(degs)):
+        colourings = [_two_color(g.weights > 0, comp) for comp in comps]
+        if all(parts is not None and sorted(high.intersection(comp)) in parts
+               for parts, comp in zip(colourings, comps)):
+            return Biregular(r1=d_max, r2=d_min)
+    for comp in comps:
+        if (len(comp) >= 2 and set(comp) <= high
+                and all(g.weights[u, v] > 0 for u in comp for v in comp if u != v)):
+            return MaxCliqueComponent(clique=tuple(comp))
+    return Generic()
+
+
+# multiples of TOL_DEG: ties within the tolerance and just outside it
+TIES = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 1.5, -1.5)
+
+
+@st.composite
+def tied_parts(draw):
+    """One component or isolated node: a weighted random graph, a complete
+    graph, a biregular graph, or a biregular graph with one extra link, each
+    scaled by 1 + t * TOL_DEG for a t from ``TIES``."""
+    kind = draw(st.sampled_from(("random", "complete", "bireg", "bireg+link", "isolated")))
+    if kind == "isolated":
+        return Graph.empty(1)
+    if kind == "random":
+        n = draw(st.integers(2, 5))
+        w = np.triu(np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)),
+                                           min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+        g = Graph.from_dense(w + w.T)
+    elif kind == "complete":
+        g = generate(f"complete:{draw(st.integers(2, 4))}")
+    else:
+        g = generate(draw(st.sampled_from(("kbip:1:3", "kbip:2:3", "kbip:2:2",
+                                           "bireg:4:6:3", "bireg:2:4:2"))))
+        if kind == "bireg+link":
+            absent = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                      if g.weights[i, j] == 0]
+            g = add_link(g, *draw(st.sampled_from(absent)))
+    scale = draw(st.sampled_from((1.0, 2.0, 0.25)))
+    return g.scaled(scale * (1 + draw(st.sampled_from(TIES)) * TOL_DEG))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(tied_parts(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_classify_matches_its_docstring(parts, random):
+    # classify reads the degree classes off the histogram and scans the
+    # links only where a biregular graph or a max-clique component is still
+    # possible; the reference scans every node and every component
+    g = _union(parts)
+    order = list(range(g.n))
+    random.shuffle(order)
+    g = relabel(g, np.array(order))
+    assert classify(g) == docstring_classify(g)
+
+
 def test_connected_components_partition():
     # every label is the smallest node of its component
     assert connected_components(k4_plus_p3()).tolist() == [0, 0, 0, 0, 4, 4, 4]
@@ -441,6 +532,30 @@ def test_add_link():
                     (0, 1, 0.0), (0, 1, -1.0), (0, 1, float("nan")), (0, 1, float("inf"))]:
         with pytest.raises(InvalidGraph):
             add_link(Graph.empty(3), i, j, w)
+
+
+def test_add_link_keeps_every_degree_finite():
+    # two links of weight 1e308 at node 0 once gave it the degree inf, which
+    # sde() then classified as regular (q = NaN); add_link now raises as
+    # Graph.from_edges does on the same links, naming the same node
+    with pytest.raises(DegreeOverflow) as added:
+        add_link(add_link(Graph.empty(3), 0, 1, 1e308), 0, 2, 1e308)
+    with pytest.raises(DegreeOverflow) as built:
+        Graph.from_edges(3, [(0, 1, 1e308), (0, 2, 1e308)])
+    assert "node 0 " in str(added.value)
+    assert str(added.value) == str(built.value)
+    # the larger end overflows; both ends overflow: the smaller is named
+    with pytest.raises(DegreeOverflow, match="node 2 "):
+        add_link(add_link(Graph.empty(3), 1, 2, 1e308), 0, 2, 1e308)
+    both = Graph.from_edges(4, [(0, 2, 1e308), (1, 3, 1e308)])
+    with pytest.raises(DegreeOverflow) as added:
+        add_link(both, 1, 0, 1e308)
+    with pytest.raises(DegreeOverflow) as built:
+        Graph.from_edges(4, [(0, 2, 1e308), (1, 3, 1e308), (1, 0, 1e308)])
+    assert "node 0 " in str(added.value) and str(added.value) == str(built.value)
+    # a degree just inside the float64 range stays
+    g = add_link(add_link(Graph.empty(3), 0, 1, 8e307), 0, 2, 8e307)
+    assert math.isfinite(g.degrees()[0])
 
 
 def test_add_link_path_to_triangle():

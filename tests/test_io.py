@@ -138,6 +138,56 @@ def test_graph6_roundtrip_property(g):
     assert encode_graph6(h) == s
 
 
+def graph6_pairs(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The node count and the links of a one-byte-size graph6 string, read
+    bit by bit: bit k of the six-bit groups is the pair (i, j), i < j, in
+    column-major order."""
+    n, body = ord(text[0]) - 63, text[1:]
+    bits = [(ord(ch) - 63) >> (5 - b) & 1 for ch in body for b in range(6)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return n, [pair for pair, bit in zip(pairs, bits) if bit]
+
+
+@st.composite
+def short_graph6(draw):
+    """graph6 strings of 1 to 62 nodes with arbitrary bytes, padding bits
+    included."""
+    n = draw(st.integers(1, 62))
+    size = (n * (n - 1) // 2 + 5) // 6
+    body = draw(st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                        min_size=size, max_size=size))
+    return chr(n + 63) + body
+
+
+def _assert_decoded_as_from_edges(text):
+    g = parse_graph6(text)
+    g.validate()
+    n, pairs = graph6_pairs(text)
+    ref = Graph.from_edges(n, pairs)
+    assert g.n == n
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_graph6_decodes_every_n7_line_as_from_edges():
+    # up to 62 nodes parse_graph6 gathers the CSR entries through a table,
+    # in row-major order; Graph.from_edges sorts its keys
+    with open(FIXTURE_N7, encoding="ascii") as fh:
+        lines = fh.read().split()
+    assert len(lines) == 853
+    for line in lines:
+        _assert_decoded_as_from_edges(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_graph6())
+@example("@")
+@example("}" + "~" * 316)  # K62: 1891 bits in 316 bytes
+def test_graph6_decodes_as_from_edges(text):
+    _assert_decoded_as_from_edges(text)
+
+
 def _small_ids(text: str) -> bool:
     """Whether every integer token of an edge-list text is below 1e4: a
     larger node id or n= directive makes the parser allocate arrays of that

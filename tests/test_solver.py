@@ -9,13 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sdegraph.solver as solver_module
-from conftest import cycle_graph, k4_plus_p3, random_er
+from conftest import FIXTURE_N7, cycle_graph, k4_plus_p3, random_er
 from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_constant,
-                      generate, sde, solve_bisection, solve_recursion,
+                      generate, read_graph6_file, sde, solve_bisection, solve_recursion,
                       spectral_radius)
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from sdegraph.graph import Generic
-from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, solve_newton
+from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, _prepare, solve_newton
 from sdegraph.spectral import full_spectrum
 
 
@@ -381,6 +381,8 @@ def near_regular_and_lambda1(draw):
 # Newton settles on one float near 844,226 that fails the certificate, and
 # the step cap refuses it
 @example((degree_sequence([5.0, 4.99995625]), 4.999995898446472))
+# f1 changes by 2.1r across tol_q: Newton aims at the window's centre
+@example((degree_sequence([5.0, 5.0, 4.999981005475942]), 4.999994703393727))
 def test_newton_certificate_holds_in_exact_arithmetic(case):
     # Newton certifies with a margin of the rounding estimate r on each
     # side, so the exact f1 keeps the certificate's signs unless its float
@@ -388,7 +390,7 @@ def test_newton_certificate_holds_in_exact_arithmetic(case):
     # against the exact f1 stayed below 1.3r on ~5,000 such inputs). Where
     # f1 is flat across tol_q Newton says so at once; the step cap refuses
     # only iterates that have settled within tol_q without a certificate
-    # (there f1 changes by 2r to 3.3r across tol_q: about 1% of uniform
+    # (there f1 changes by 2r to 3.3r across tol_q: about 0.5% of uniform
     # draws of these inputs).
     ds, lam = case
     result, calls = newton_evaluations(ds, lam)
@@ -406,6 +408,62 @@ def test_newton_certificate_holds_in_exact_arithmetic(case):
     q = result.q
     assert exact_f1(q, ds, lam) <= evaluate(q)[2]
     assert q - TOL_Q <= 2.0 or exact_f1(q - TOL_Q, ds, lam) > -evaluate(q - TOL_Q)[2]
+
+
+# f1 changes by 2r to 2.5r across tol_q at the root (r its rounding
+# estimate): the aim f1 = -1.5r lies outside the window where q certifies,
+# and Newton aimed there ran to the step cap
+NARROW_WINDOWS = [
+    (degree_sequence([5.0, 5.0, 4.999981005475942]), 4.999994703393727),
+    (degree_sequence([5.0, 4.999970101518717, 4.999992944779249, 4.999955583066125]),
+     4.999993402444939),
+]
+
+
+@pytest.mark.parametrize("ds, lam", NARROW_WINDOWS, ids=["q138k", "q846k"])
+def test_newton_aims_inside_a_narrow_window(ds, lam):
+    bisection = solve_bisection(ds, lam, tol_q=TOL_Q)
+    _, slope, rounding = _f1_on_histogram(ds, lam)[0](bisection.q)
+    assert 2.0 * rounding < -slope * TOL_Q <= 2.5 * rounding
+    newton = solve_newton(ds, lam, tol_q=TOL_Q)  # aimed at the window's centre
+    assert abs(newton.q - bisection.q) <= TOL_Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(histograms_and_lambda1(), near_regular_and_lambda1()))
+@example(NARROW_WINDOWS[0])
+# f1 is linear (one positive degree), with its root at 2 up to rounding
+@example((degree_sequence([1.0] * 12 + [0.0]), 0.9607689228305228))
+def test_tangent_start_is_an_upper_bound(case):
+    # f1 is concave, so its tangent at q = 2 lies above it and crosses zero
+    # at or above the root. The tangent is drawn from the computed f1(2),
+    # so at the start f1 is at most the rounding of f1(2) plus its own
+    ds, lam = case
+    early, evaluate, start = _prepare(ds, lam, TOL_Q, "newton")
+    if early is not None:
+        return
+    value, _, rounding = evaluate(start)
+    assert value <= rounding + evaluate(2.0)[2]
+    assert start <= min(_f1_on_histogram(ds, lam)[1], Q_MAX)
+
+
+# the sum of SdeResult.iterations over the N=7 corpus when Newton started at
+# q_top, before it started at the tangent bound (3,901 since)
+N7_ITERATIONS_FROM_Q_TOP = 4828
+
+
+def test_tangent_start_on_the_n7_corpus():
+    iterations = 0
+    for g in read_graph6_file(FIXTURE_N7):
+        lam = full_spectrum(g).lambda1
+        result = sde(g, lambda1=lam)
+        iterations += result.iterations
+        if result.method == "newton":
+            early, evaluate, start = _prepare(g.histogram, lam, TOL_Q, "newton")
+            if early is None:
+                value, _, rounding = evaluate(start)
+                assert value <= rounding
+    assert iterations < N7_ITERATIONS_FROM_Q_TOP
 
 
 @pytest.mark.parametrize("spread", [1e-3, 1e-5, 1e-7])
