@@ -32,10 +32,6 @@ class LinkExists(InputError):
     pass
 
 
-class RewireConflict(SdegraphError):
-    """Both degree-preserving alternatives would duplicate a link."""
-
-
 # graph I/O
 
 class MalformedGraph6(InputError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph, degree_sequence
+from .graph import Graph
 from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
@@ -306,8 +306,7 @@ def generate(spec: FamilySpec | str) -> Graph:
     expected = Counter()  # equality ignores zero counts
     for degree, count in family.profile(*spec.args):
         expected[degree] += count
-    ds = degree_sequence(g.degrees())
-    got = Counter(dict(zip(ds.values.tolist(), ds.counts.tolist())))
+    got = Counter(dict(zip(*g.histogram._lists)))  # the histogram sde reuses
     if got != expected:
         raise InvalidGraph(
             f"{spec} generated degree profile {got} != expected {expected}")

@@ -21,8 +21,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import (DegreeOverflow, InvalidGraph, LinkExists, RewireConflict, SelfLoop,
-                     TooLargeForDense)
+from .errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
 
 # relative tolerance under which two weighted degrees count as equal
 TOL_DEG = 1e-9
@@ -430,48 +429,3 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     return Graph(g.n, new_indptr,
                  np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
                  new_data)
-
-
-def _has_link(g: Graph, i: int, j: int) -> bool:
-    return j in g.indices[g.indptr[i]:g.indptr[i + 1]]
-
-
-def dpr_rewire(g: Graph, link1: tuple[int, int], link2: tuple[int, int],
-               rng: np.random.Generator | None = None,
-               orientation: int | None = None) -> Graph:
-    """Degree-preserving rewiring of two disjoint unweighted links.
-
-    Links (a,b), (c,d) are replaced by (a,c),(b,d) (orientation 0) or
-    (a,d),(b,c) (orientation 1). When ``orientation`` is None a feasible one
-    is chosen, uniformly at random if both are feasible and ``rng`` is given.
-
-    Raises RewireConflict when both alternatives would duplicate an existing
-    link; every node keeps its degree exactly.
-    """
-    if not g.is_unweighted():
-        raise InvalidGraph("degree-preserving rewiring is defined for unweighted graphs")
-    a, b = link1
-    c, d = link2
-    if len({a, b, c, d}) != 4:
-        raise InvalidGraph("rewiring requires four distinct nodes")
-    if not (_has_link(g, a, b) and _has_link(g, c, d)):
-        raise InvalidGraph("both links must exist")
-
-    candidates = []  # pairs of new links per orientation
-    if not (_has_link(g, a, c) or _has_link(g, b, d)):
-        candidates.append(((a, c), (b, d)))
-    if not (_has_link(g, a, d) or _has_link(g, b, c)):
-        candidates.append(((a, d), (b, c)))
-    if orientation is not None:
-        wanted = ((a, c), (b, d)) if orientation == 0 else ((a, d), (b, c))
-        candidates = [cand for cand in candidates if cand == wanted]
-    if not candidates:
-        raise RewireConflict("no feasible degree-preserving alternative")
-    if len(candidates) == 2 and rng is not None:
-        choice = candidates[int(rng.integers(2))]
-    else:
-        choice = candidates[0]
-
-    removed = {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
-    kept = [link for link in g.links() if link not in removed]
-    return Graph.from_edges(g.n, kept + list(choice))

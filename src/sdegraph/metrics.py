@@ -308,11 +308,6 @@ def mean_local_clustering(g: Graph) -> float:
     return 2.0 * float(_node_means(_triangles(_link_indicator(g)), g._link_counts[None])[0])
 
 
-def transitivity(g: Graph) -> float:
-    """Global clustering: 3 * triangles / connected triples."""
-    return float(_transitivity(_triangles(_link_indicator(g)), g._link_counts[None])[0])
-
-
 def _spanning_tree_count(log_count: float) -> float:
     """Matrix-tree count from its log, the log of the product of the n - 1
     largest Laplacian eigenvalues over n (-inf when one of them is 0: no

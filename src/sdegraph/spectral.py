@@ -25,7 +25,6 @@ and are capped at ``DENSE_CAP`` nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +58,6 @@ LANCZOS_CHECK_NEAR = 1e3
 # the vector's norm (after the three-term subtraction, 1 of 828 steps on
 # the 2 x 1000 ladder and none of 36 on a 5000-node BA graph with m = 2)
 LANCZOS_DGKS = 1 / math.sqrt(2)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Adjacency and Laplacian eigenvalues, both sorted descending.
-
-    Laplacian eigenvalues are clamped at 0 from below (the matrix is PSD;
-    tiny negative values are roundoff).
-    """
-
-    adjacency: np.ndarray
-    laplacian: np.ndarray
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.adjacency[0])
 
 
 def spectral_radius(g: Graph) -> float:
@@ -206,9 +189,9 @@ def spectra(weights: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.ascontiguousarray(adj), np.ascontiguousarray(lap)
 
 
-def full_spectrum(g: Graph) -> Spectrum:
-    """All adjacency and Laplacian eigenvalues, from the dense view
-    (TooLargeForDense above ``DENSE_CAP`` nodes): :func:`spectra` on a
-    stack of one."""
+def full_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency and Laplacian eigenvalues of one graph, each sorted
+    descending, from the dense view (TooLargeForDense above ``DENSE_CAP``
+    nodes): :func:`spectra` on a stack of one."""
     adj, lap = spectra(g.weights[None], g.degrees()[None])
-    return Spectrum(adjacency=adj[0], laplacian=lap[0])
+    return adj[0], lap[0]

@@ -117,16 +117,16 @@ def growth_trajectories(n: int, trials: int,
     from the star (step 0, q = 2) to the last non-regular graph before the
     complete one; ``decreased`` is 1 where q fell by more than 1e-8 from
     the previous step. The orders are drawn from one generator seeded with
-    ``seed``.
+    ``seed``; the star is solved once, for every trial.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
     star = Graph.from_edges(n, [(0, j) for j in range(1, n)])
     missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    star_q = sde(star).q
     rows = []
     for trial in range(trials):
-        g = star
-        prev_q = sde(g).q
+        g, prev_q = star, star_q
         rows.append((trial, 0, g.num_links(), prev_q, 0))
         for step, k in enumerate(rng.permutation(len(missing)), 1):
             i, j = missing[int(k)]

@@ -12,13 +12,14 @@ import pytest
 import sdegraph
 from conftest import FIXTURE_N7, FIXTURE_N8
 from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_graph6,
-                      path_q_exact)
+                      path_q_exact, sde)
+from sdegraph import study
 from sdegraph.cli import main
 from sdegraph.errors import BadSpec, InputError
 from sdegraph.families import FAMILIES, FAMILY_KINDS
 from sdegraph.io import encode_graph6, format_value, read_records_csv
 from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
-from sdegraph.study import asymptotics_rows, correlation_report
+from sdegraph.study import asymptotics_rows, correlation_report, growth_trajectories
 
 from conftest import k4_plus_p3
 
@@ -470,6 +471,23 @@ def test_nonmonotonic_small(tmp_path, capsys):
     assert all(abs(float(r[3]) - 2.0) <= 1e-9 for r in starts)
     # the complete graph is excluded: max links recorded is C(6,2) - 1
     assert max(int(r.split(",")[2]) for r in rows[1:]) == 14
+
+
+def test_growth_trajectories_solve_the_star_once(monkeypatch):
+    """One sde call for the shared star, then one per link added (the last
+    one reaches the complete graph, which ends the trial without a row)."""
+    rows = growth_trajectories(6, 3, 1)
+    calls = []
+
+    def counting(g, **kwargs):
+        calls.append(g.num_links())
+        return sde(g, **kwargs)
+
+    monkeypatch.setattr(study, "sde", counting)
+    assert growth_trajectories(6, 3, 1) == rows
+    assert len(calls) == len(rows) + 1
+    assert calls.count(5) == 1  # the star on 6 nodes
+    assert [row for row in rows if row[1] == 0] == [(t, 0, 5, 2.0, 0) for t in range(3)]
 
 
 def test_asymptotics_fork(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
 from sdegraph.errors import BadSpec, InvalidGraph
 from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1,
                                parse_family)
+from sdegraph import graph
 from sdegraph.graph import Biregular, connected_components
 
 
@@ -69,6 +71,25 @@ def test_generate_checks_the_row_profile(monkeypatch):
     monkeypatch.setitem(FAMILIES, "path", wrong)
     with pytest.raises(InvalidGraph):
         generate("path:5")
+
+
+def test_generate_then_sde_builds_one_histogram(monkeypatch):
+    """generate checks the family's degree profile on ``Graph.histogram``,
+    which sde then reuses: one DegreeSequence per family graph."""
+    original = graph.degree_sequence
+    calls = []
+
+    def counting(degrees):
+        calls.append(len(degrees))
+        return original(degrees)
+
+    for name, module in list(sys.modules.items()):  # every binding of the original
+        if name.startswith("sdegraph") and getattr(module, "degree_sequence", None) is original:
+            monkeypatch.setattr(module, "degree_sequence", counting)
+    for spec in ("path:9", "fork:9", "lollipop:300", "wheel:400", "bireg:4:6:3"):
+        calls.clear()
+        sde(generate(spec))
+        assert len(calls) == 1, (spec, calls)
 
 
 def test_family_minimums():

@@ -11,11 +11,10 @@ from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
                       parse_graph6, parse_weighted_edge_list, path_q_exact,
                       read_graph6_file, sde)
-from sdegraph.errors import (DegreeOverflow, InvalidGraph, LinkExists, RewireConflict,
-                             SelfLoop, TooLargeForDense)
+from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
 from sdegraph.families import analytic_lambda1
 from sdegraph.graph import (DENSE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
-                            connected_components, dpr_rewire)
+                            connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
 
 TOL_DEG = 1e-9
@@ -455,69 +454,6 @@ def test_connected_components_edgeless():
     assert sorted(map(sorted, comps)) == [[0], [1], [2]]
 
 
-def test_dpr_rewire_path():
-    g = generate("path:4")
-    h = dpr_rewire(g, (0, 1), (2, 3), orientation=0)
-    assert sorted(h.degrees().tolist()) == sorted(g.degrees().tolist())
-    assert h.weights[0, 2] == 1 and h.weights[1, 3] == 1
-    assert h.weights[0, 1] == 0 and h.weights[2, 3] == 0
-
-
-def test_dpr_rewire_complete_graph_conflict():
-    # K_4: every alternative link already exists
-    g = generate("complete:4")
-    with pytest.raises(RewireConflict):
-        dpr_rewire(g, (0, 1), (2, 3))
-
-
-def test_dpr_rewire_cycle_single_feasible_orientation():
-    # C_4 on 0-1-2-3: disjoint links are opposite edges; the (0,3),(1,2)
-    # alternative is blocked but the diagonal one (0,2),(1,3) is free
-    g = cycle_graph(4)
-    h = dpr_rewire(g, (0, 1), (2, 3))
-    assert h.weights[0, 2] == 1 and h.weights[1, 3] == 1
-    assert sorted(h.degrees().tolist()) == [2, 2, 2, 2]
-    with pytest.raises(RewireConflict):
-        dpr_rewire(g, (0, 1), (2, 3), orientation=1)
-
-
-def test_dpr_rewire_requires_distinct_nodes():
-    g = generate("star:5")
-    with pytest.raises(InvalidGraph):
-        dpr_rewire(g, (0, 1), (0, 2))
-
-
-def test_dpr_rewire_requires_existing_links():
-    g = generate("path:4")
-    with pytest.raises(InvalidGraph):
-        dpr_rewire(g, (0, 2), (1, 3))
-
-
-def test_dpr_rewire_weighted_rejected():
-    g = Graph.from_edges(4, [(0, 1, 2.0), (2, 3, 1.0)])
-    with pytest.raises(InvalidGraph):
-        dpr_rewire(g, (0, 1), (2, 3))
-
-
-def test_dpr_rewire_preserves_degrees_randomized(rng):
-    for _ in range(50):
-        g = random_er(rng, 10, 0.4)
-        links = g.links()
-        if len(links) < 2:
-            continue
-        idx = rng.choice(len(links), size=2, replace=False)
-        (a, b), (c, d) = links[idx[0]], links[idx[1]]
-        if len({a, b, c, d}) != 4:
-            continue
-        before = sorted(g.degrees().tolist())
-        try:
-            h = dpr_rewire(g, (a, b), (c, d), rng=rng)
-        except RewireConflict:
-            continue
-        h.validate()
-        assert sorted(h.degrees().tolist()) == before
-
-
 def test_add_link():
     g = Graph.empty(2)
     h = add_link(g, 0, 1)
@@ -676,21 +612,6 @@ def test_every_construction_path_matches_dense_reference(case):
         expected[i, j] = expected[j, i] = x
         _assert_matches_dense(add_link(g, j, i, x) if rng.random() < 0.5
                               else add_link(g, i, j, x), expected)
-    if len(links) >= 2:
-        h = Graph.from_dense(unweighted)
-        (a, b, _), (c, d, _) = (links[k] for k in rng.choice(len(links), 2, replace=False))
-        if len({a, b, c, d}) == 4:
-            free = [((a, c), (b, d)), ((a, d), (b, c))]
-            free = [pair for pair in free if all(unweighted[e] == 0 for e in pair)]
-            if not free:
-                with pytest.raises(RewireConflict):
-                    dpr_rewire(h, (a, b), (c, d))
-            else:
-                expected = unweighted.copy()
-                expected[a, b] = expected[b, a] = expected[c, d] = expected[d, c] = 0.0
-                for u, v in free[0]:
-                    expected[u, v] = expected[v, u] = 1.0
-                _assert_matches_dense(dpr_rewire(h, (a, b), (c, d)), expected)
 
 
 @settings(max_examples=100, deadline=None)

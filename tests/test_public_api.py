@@ -1,5 +1,6 @@
 """The package's exported names, the README and the demos stay in step."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -48,3 +49,24 @@ def test_tests_import_only_main_from_the_cli():
 def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start(), "README quick start", "exec"), {})
     assert capsys.readouterr().out
+
+
+def shim_names() -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
+    """``TRACED`` and ``COMMANDS`` of ``perfbench/shim.py``, read as literals
+    (the shim is neither imported nor installed)."""
+    tree = ast.parse((ROOT / "perfbench" / "shim.py").read_text())
+    found = {target.id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("TRACED", "COMMANDS")}
+    return found["TRACED"], found["COMMANDS"]
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps these functions by name: deleting or
+    renaming one breaks every traced benchmark run."""
+    traced, commands = shim_names()
+    assert traced and commands
+    wanted = [(f"sdegraph.{layer}", name) for layer, names in traced.items() for name in names]
+    wanted += [("sdegraph.cli", f"cmd_{command}") for command in commands]
+    for module, name in wanted:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

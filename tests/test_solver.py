@@ -22,7 +22,7 @@ from sdegraph.spectral import full_spectrum
 def _ds_lam(g, lam=None):
     ds = degree_sequence(g.degrees())
     if lam is None:
-        lam = full_spectrum(g).lambda1
+        lam = full_spectrum(g)[0][0]
     return ds, lam
 
 
@@ -455,7 +455,7 @@ N7_ITERATIONS_FROM_Q_TOP = 4828
 def test_tangent_start_on_the_n7_corpus():
     iterations = 0
     for g in read_graph6_file(FIXTURE_N7):
-        lam = full_spectrum(g).lambda1
+        lam = full_spectrum(g)[0][0]
         result = sde(g, lambda1=lam)
         iterations += result.iterations
         if result.method == "newton":
@@ -628,7 +628,7 @@ def test_recursion_map_is_the_papers_formula(spec, rng):
         g, lam = generate(spec), 2.0
     else:
         g = connected_er(rng, 50, 0.2)
-        lam = full_spectrum(g).lambda1
+        lam = full_spectrum(g)[0][0]
     ds = degree_sequence(g.degrees())
     d = sorted(g.degrees().tolist(), reverse=True)
     n, d_max = len(d), d[0]
@@ -746,7 +746,7 @@ def probabilistic_residual(g, q, lam):
 
 def test_probabilistic_residual_at_root(rng):
     g = connected_er(rng, 30, 0.25)
-    lam = full_spectrum(g).lambda1
+    lam = full_spectrum(g)[0][0]
     q = sde(g, lambda1=lam).q
     assert probabilistic_residual(g, q, lam) <= 1e-8
 
