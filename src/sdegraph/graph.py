@@ -4,20 +4,19 @@ A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
 memory grows with the links, not with n squared; the per-graph arrays its
 kernels share (link counts, degrees) are derived once, and
 ``Graph.weights`` is a cached dense view (at most ``DENSE_CAP`` nodes) for
-the dense kernels. All operations are pure: mutating operations
-return new :class:`Graph` values. Degrees have one representation, the
-histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
-degree array; ``Graph.histogram`` builds a graph's once. :func:`classify`
-reads the histogram first, scans the links only where it still allows a
-biregular graph or a max-clique component, and searches components only
-when a node could lie in a max-clique component.
+the dense kernels. Weights are checked in one builder, ``Graph._from_links``,
+and degree overflow in one function, :func:`_check_degrees`. All operations
+are pure: mutating operations return new :class:`Graph` values. Degrees
+have one representation, the histogram :class:`DegreeSequence` built by
+:func:`degree_sequence` from any degree array; ``Graph.histogram`` builds a
+graph's once. :func:`classify` reads the histogram first, scans the links
+only where it still allows a biregular graph or a max-clique component, and
+searches components only when a node could lie in a max-clique component.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +33,11 @@ class Graph:
     """Simple undirected graph with positive link weights, in CSR form.
 
     Row i holds the neighbours of node i, ``indices[indptr[i]:indptr[i+1]]``,
-    in increasing order, with their link weights in ``data``. Invariants
-    (checked by :meth:`validate`): the stored matrix is symmetric, has
-    sorted columns without repeats, no diagonal, and only positive finite
-    weights.
+    in increasing order, with their link weights in ``data``. Invariants:
+    the stored matrix is symmetric, has sorted columns without repeats, no
+    diagonal, and only positive finite weights with finite row sums. Every
+    constructor sets them up or raises a typed error; :meth:`validate`
+    checks raw CSR arrays given to ``Graph(...)``.
     """
 
     n: int
@@ -53,57 +53,60 @@ class Graph:
 
     @classmethod
     def from_dense(cls, weights) -> Graph:
-        """Graph of the nonzero entries of a square weight matrix (not
-        validated, like every constructor but :meth:`from_edges`)."""
+        """Graph of the nonzero entries of a square weight matrix. Raises
+        InvalidGraph unless it is symmetric with a zero diagonal, then
+        raises as :meth:`_from_links` does."""
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InvalidGraph("weights must be a square matrix with n >= 1")
-        n = w.shape[0]
-        keys = np.flatnonzero(w)  # row * n + column, sorted
-        return cls(n, _row_offsets(keys, n), keys % n, w.ravel()[keys])
+        if not np.array_equal(w, w.T, equal_nan=True) or w.diagonal().any():
+            raise InvalidGraph("weights must be symmetric with a zero diagonal (no self-loops)")
+        i, j = np.nonzero(np.triu(w, 1))
+        return cls._from_links(w.shape[0], i, j, w[i, j])
 
     @classmethod
     def _from_links(cls, n: int, i, j, w=None) -> Graph:
         """Graph of the distinct links (i[k], j[k]) with weights w[k]
-        (1 when ``w`` is None), given in any order and orientation."""
+        (1 when ``w`` is None), given in any order and orientation. Raises
+        InvalidGraph unless each w[k] is positive and finite, and
+        DegreeOverflow (:func:`_check_degrees`)."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         keys = np.concatenate((i * n + j, j * n + i))
         if w is None:
             keys, data = np.sort(keys), np.ones(keys.size)
-        else:
+        elif ((0 < w) & (w < np.inf)).all():
             order = np.argsort(keys)
             keys, data = keys[order], np.concatenate((w, w))[order]
-        return cls(n, _row_offsets(keys, n), keys % n, data)
+        else:
+            raise InvalidGraph("stored weights must be positive and finite")
+        # row r starts at the first key r * n or above
+        g = cls(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, data)
+        return g if w is None else _check_degrees(g)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        """Build a graph from (i, j) or (i, j, weight) tuples; a repeated
-        link keeps its last weight and a zero weight adds no link. Raises
-        DegreeOverflow where finite weights sum to an infinite degree."""
+        """Build a graph from (i, j) or (i, j, weight) tuples of integral ids;
+        a repeated link keeps its last weight and a zero weight adds no link.
+        Raises SelfLoop, InvalidGraph (a malformed tuple or id) and, as
+        :meth:`_from_links`, InvalidGraph and DegreeOverflow."""
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
         links: dict[tuple[int, int], float] = {}
         for e in edges:
-            if len(e) == 2:
-                i, j = e
-                wt = 1.0
-            else:
-                i, j, wt = e
+            if len(e) not in (2, 3):
+                raise InvalidGraph(f"an edge is (i, j) or (i, j, weight), got {e!r}")
+            i, j = _node_id(e[0], n), _node_id(e[1], n)
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
-            links[(i, j) if i < j else (j, i)] = wt
+            links[(i, j) if i < j else (j, i)] = e[2] if len(e) == 3 else 1.0
         links = {k: wt for k, wt in links.items() if wt != 0}
         ends = np.array(list(links), dtype=np.int64).reshape(-1, 2)
-        if ends.size and (ends.min() < 0 or ends.max() >= n):
-            raise InvalidGraph(f"node ids must lie in [0, {n})")
-        g = cls._from_links(n, ends[:, 0], ends[:, 1],
-                            np.array(list(links.values()), dtype=float))
-        g.validate()
-        _check_degrees(g)
-        return g
+        return cls._from_links(n, ends[:, 0], ends[:, 1],
+                               np.array(list(links.values()), dtype=float))
 
     def validate(self) -> None:
+        """Raise InvalidGraph where raw CSR arrays break the invariants."""
         n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
@@ -182,28 +185,31 @@ class Graph:
         return bool((self.data == 1).all())
 
     def scaled(self, s: float) -> Graph:
-        """Graph with every weight multiplied by s > 0."""
-        if s <= 0:
-            raise InvalidGraph("scale factor must be positive")
-        return Graph(self.n, self.indptr, self.indices, self.data * s)
+        """Graph with every weight multiplied by s; InvalidGraph unless s is
+        positive and finite, and DegreeOverflow (:func:`_check_degrees`)."""
+        if not 0 < s < np.inf:
+            raise InvalidGraph("scale factor must be positive and finite")
+        return _check_degrees(Graph(self.n, self.indptr, self.indices, self.data * s))
 
 
-def _check_degrees(g: Graph) -> None:
-    """Raise DegreeOverflow, naming the first such node, when a weighted
-    degree overflows to inf (finite weights can sum past the float64 range)."""
+def _check_degrees(g: Graph) -> Graph:
+    """``g``, once no weighted degree overflows float64: DegreeOverflow names
+    the first node whose finite weights sum past it (degrees stay cached)."""
     over = np.flatnonzero(np.isinf(g.degrees()))
     if over.size:
-        raise _overflow(int(over[0]))
+        raise DegreeOverflow(f"the weighted degree of node {int(over[0])} overflows float64 "
+                             "(its link weights sum past 1.8e308)")
+    return g
 
 
-def _overflow(node: int) -> DegreeOverflow:
-    return DegreeOverflow(f"the weighted degree of node {node} overflows float64 "
-                          "(its link weights sum past 1.8e308)")
-
-
-def _row_offsets(keys: np.ndarray, n: int) -> np.ndarray:
-    """CSR ``indptr`` of the sorted entry keys row * n + column."""
-    return np.searchsorted(keys, np.arange(0, n * n + 1, n))
+def _node_id(x, n: int) -> int:
+    """``x`` as an int; InvalidGraph unless it is an integral value in [0, n)."""
+    try:
+        if int(x) == x and 0 <= x < n:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidGraph(f"node ids must be integers in [0, {n}), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -400,14 +406,12 @@ def classify(g: Graph) -> GraphClass:
 
 
 def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
-    """New graph with link (i, j) of weight ``w`` added. Raises
-    DegreeOverflow, naming the node as :meth:`Graph.from_edges` does, where
-    the new link makes the weighted degree of i or j overflow; only those
-    two rows are summed."""
+    """New graph with link (i, j) of weight ``w`` added. Raises SelfLoop,
+    InvalidGraph (a bad id or weight), LinkExists and DegreeOverflow (the
+    one check of every constructor, :func:`_check_degrees`)."""
+    i, j = _node_id(i, g.n), _node_id(j, g.n)
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
-    if not (0 <= i < g.n and 0 <= j < g.n):
-        raise InvalidGraph(f"node ids must lie in [0, {g.n})")
     if not 0 < w < np.inf:
         raise InvalidGraph("link weight must be positive and finite")
     indptr, indices, data = g.indptr, g.indices, g.data
@@ -421,11 +425,7 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     new_indptr = indptr.copy()
     new_indptr[i + 1:] += 1
     new_indptr[j + 1:] += 1
-    new_data = np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:]))
-    for node in sorted((i, j)):
-        row = new_data[new_indptr[node]:new_indptr[node + 1]].tolist()
-        if math.isinf(reduce(add, row, 0.0)):  # summed in row order, like Graph.degrees
-            raise _overflow(node)
-    return Graph(g.n, new_indptr,
-                 np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
-                 new_data)
+    return _check_degrees(Graph(
+        g.n, new_indptr,
+        np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
+        np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:]))))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DuplicateLink, MalformedGraph6, NegativeWeight, ParseError,
                      SelfLoop, WeightedUnsupported)
-from .graph import Graph, _check_degrees
+from .graph import Graph
 from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -226,10 +226,8 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     if max_id >= n:
         raise ParseError(f"node id {max_id} exceeds declared n={n}")
     ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    g = Graph._from_links(n, ends[0::2], ends[1::2],
-                          np.fromiter(edges.values(), dtype=float, count=len(edges)))
-    _check_degrees(g)
-    return g
+    return Graph._from_links(n, ends[0::2], ends[1::2],
+                             np.fromiter(edges.values(), dtype=float, count=len(edges)))
 
 
 def load_edge_list(path, one_based: bool = False) -> Graph:

@@ -462,12 +462,38 @@ def test_add_link():
         add_link(h, 0, 1)
     with pytest.raises(SelfLoop):
         add_link(h, 1, 1)
-    # ids outside [0, n) once wrapped around (-1) or raised IndexError, and
-    # NaN and inf weights were stored
+    # ids outside [0, n) once wrapped around (-1) or raised IndexError, as did
+    # non-integral ids, and NaN and inf weights were stored
     for i, j, w in [(-1, 2, 1.0), (0, -1, 1.0), (1, 5, 1.0), (3, 0, 1.0),
+                    (0.5, 1, 1.0), (0, 1.9, 1.0), ("0", 1, 1.0),
                     (0, 1, 0.0), (0, 1, -1.0), (0, 1, float("nan")), (0, 1, float("inf"))]:
         with pytest.raises(InvalidGraph):
             add_link(Graph.empty(3), i, j, w)
+
+
+def test_node_ids_must_be_integers():
+    # non-integral ids were truncated to the link (0, 1), and a malformed
+    # edge tuple raised ValueError
+    for edge in [(0.5, 1), (0, 1.9), (0, 1.5, 2.0), ("0", 1), (None, 1), (float("nan"), 1),
+                 (0,), (0, 1, 1.0, 1.0)]:
+        with pytest.raises(InvalidGraph):
+            Graph.from_edges(3, [edge])
+    # integral values keep working, numpy integers included
+    g = Graph.from_edges(3, [(np.int64(0), 1.0), (np.uint8(2), np.float64(1))])
+    assert g.links() == [(0, 1), (1, 2)]
+    assert add_link(g, np.int32(0), 2.0).links() == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_scaled_rejects_bad_factors_and_overflow():
+    # a NaN factor once reached sde as an untyped LinAlgError, and 1e308 gave
+    # infinite degrees that sde classified as regular (q = NaN)
+    g = generate("path:6")
+    for s in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(InvalidGraph):
+            g.scaled(s)
+    with pytest.raises(DegreeOverflow, match="node 1 "):
+        g.scaled(1e308)
+    assert np.isfinite(g.scaled(8e307).degrees()).all()
 
 
 def test_add_link_keeps_every_degree_finite():
@@ -501,13 +527,20 @@ def test_add_link_path_to_triangle():
     assert isinstance(classify(h), Regular)
 
 
+def _raw_csr(w):
+    """The nonzero entries of ``w`` as CSR arrays, unchecked."""
+    n = w.shape[0]
+    keys = np.flatnonzero(w)
+    return Graph(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, w.ravel()[keys])
+
+
 def test_graph_validate_rejections():
     with pytest.raises(InvalidGraph):
-        Graph.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]])).validate()  # asymmetric
+        _raw_csr(np.array([[0.0, 1.0], [0.5, 0.0]])).validate()  # asymmetric
     with pytest.raises(InvalidGraph):
-        Graph.from_dense(np.array([[1.0]])).validate()  # self-loop
+        _raw_csr(np.array([[1.0]])).validate()  # self-loop
     with pytest.raises(InvalidGraph):
-        Graph.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
+        _raw_csr(np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
     with pytest.raises(SelfLoop):
         Graph.from_edges(2, [(0, 0)])
 
@@ -612,6 +645,28 @@ def test_every_construction_path_matches_dense_reference(case):
         expected[i, j] = expected[j, i] = x
         _assert_matches_dense(add_link(g, j, i, x) if rng.random() < 0.5
                               else add_link(g, i, j, x), expected)
+    if n >= 3:
+        # node a's two links of 1e308 make its degree overflow: every
+        # construction path raises DegreeOverflow with one message
+        a, b, c = (int(x) for x in rng.permutation(n)[:3])
+        big = w.copy()
+        big[a, b] = big[b, a] = big[a, c] = big[c, a] = 1e308
+        iu, ju = np.nonzero(np.triu(big, 1))
+        big_links = [(int(i), int(j), float(big[i, j])) for i, j in zip(iu, ju)]
+        big_text = f"n={n}\n" + "".join(f"{i} {j} {x!r}\n" for i, j, x in big_links)
+        without_ac = big.copy()
+        without_ac[a, c] = without_ac[c, a] = 0.0
+        builds = [lambda: Graph.from_dense(big), lambda: Graph.from_edges(n, big_links),
+                  lambda: parse_weighted_edge_list(big_text),
+                  lambda: add_link(Graph.from_dense(without_ac), c, a, 1e308),
+                  lambda: Graph.from_dense(big / 4).scaled(4.0)]
+        messages = set()
+        for build in builds:
+            with pytest.raises(DegreeOverflow) as raised:
+                build()
+            messages.add(str(raised.value))
+        assert messages == {f"the weighted degree of node {a} overflows float64 "
+                            "(its link weights sum past 1.8e308)"}
 
 
 @settings(max_examples=100, deadline=None)
@@ -629,7 +684,9 @@ def test_validate_rejects_invalid_matrices(case, fault):
     else:
         w[i, j] = w[j, i] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[fault]
     with pytest.raises(InvalidGraph):
-        Graph.from_dense(w).validate()
+        Graph.from_dense(w)
+    with pytest.raises(InvalidGraph):
+        _raw_csr(w).validate()
 
 
 def test_dense_view_is_capped():
