@@ -4,17 +4,19 @@ A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
 memory grows with the links, not with n squared; the per-graph arrays its
 kernels share (link counts, degrees) are derived once, and
 ``Graph.weights`` is a cached dense view (at most ``DENSE_CAP`` nodes) for
-the dense kernels. Weights are checked in one builder, ``Graph._from_links``,
-and degree overflow in one function, :func:`_check_degrees`. All operations
-are pure: mutating operations return new :class:`Graph` values. Degrees
-have one representation, the histogram :class:`DegreeSequence` built by
-:func:`degree_sequence` from any degree array; ``Graph.histogram`` builds a
-graph's once. :func:`classify` reads the histogram first, scans the links
-only where it still allows a biregular graph or a max-clique component, and
-searches components only when a node could lie in a max-clique component.
+the dense kernels. One function, :func:`_checked`, tests the stored weights
+and degree sums of every graph built here and of raw arrays that
+``Graph.validate`` checks. All operations are pure: mutating operations
+return new :class:`Graph` values. Degrees have one representation, the
+histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
+degree array; ``Graph.histogram`` builds a graph's once. :func:`classify`
+reads the histogram first, scans the links only where it still allows a
+biregular graph or a max-clique component, and searches components only
+when a node could lie in a max-clique component.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,20 +38,15 @@ class Graph:
     in increasing order, with their link weights in ``data``. Invariants:
     the stored matrix is symmetric, has sorted columns without repeats, no
     diagonal, and only positive finite weights with finite row sums. Every
-    constructor sets them up or raises a typed error; :meth:`validate`
-    checks raw CSR arrays given to ``Graph(...)``.
+    constructor sets them up or raises a typed error, the last two through
+    :func:`_checked`; :meth:`validate` checks raw CSR arrays given to
+    ``Graph(...)``.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int) -> Graph:
-        if n < 1:
-            raise InvalidGraph("node count must be >= 1")
-        return cls._from_links(n, [], [])
 
     @classmethod
     def from_dense(cls, weights) -> Graph:
@@ -67,29 +64,26 @@ class Graph:
     @classmethod
     def _from_links(cls, n: int, i, j, w=None) -> Graph:
         """Graph of the distinct links (i[k], j[k]) with weights w[k]
-        (1 when ``w`` is None), given in any order and orientation. Raises
-        InvalidGraph unless each w[k] is positive and finite, and
-        DegreeOverflow (:func:`_check_degrees`)."""
+        (1 when ``w`` is None), given in any order and orientation, once
+        :func:`_checked` passes it."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         keys = np.concatenate((i * n + j, j * n + i))
         if w is None:
             keys, data = np.sort(keys), np.ones(keys.size)
-        elif ((0 < w) & (w < np.inf)).all():
+        else:
             order = np.argsort(keys)
             keys, data = keys[order], np.concatenate((w, w))[order]
-        else:
-            raise InvalidGraph("stored weights must be positive and finite")
         # row r starts at the first key r * n or above
-        g = cls(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, data)
-        return g if w is None else _check_degrees(g)
+        return _checked(cls(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, data))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        """Build a graph from (i, j) or (i, j, weight) tuples of integral ids;
-        a repeated link keeps its last weight and a zero weight adds no link.
-        Raises SelfLoop, InvalidGraph (a malformed tuple or id) and, as
-        :meth:`_from_links`, InvalidGraph and DegreeOverflow."""
+        """Build a graph from (i, j) or (i, j, weight) tuples of integral ids
+        and real weights; a repeated link keeps its last weight and a zero
+        weight adds no link. Raises SelfLoop, InvalidGraph (a malformed tuple,
+        id or weight) and, as :meth:`_from_links`, InvalidGraph and
+        DegreeOverflow."""
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
         links: dict[tuple[int, int], float] = {}
@@ -99,6 +93,8 @@ class Graph:
             i, j = _node_id(e[0], n), _node_id(e[1], n)
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
+            if len(e) == 3 and not isinstance(e[2], numbers.Real):
+                raise InvalidGraph(f"link weights must be real numbers, got {e[2]!r}")
             links[(i, j) if i < j else (j, i)] = e[2] if len(e) == 3 else 1.0
         links = {k: wt for k, wt in links.items() if wt != 0}
         ends = np.array(list(links), dtype=np.int64).reshape(-1, 2)
@@ -106,7 +102,8 @@ class Graph:
                                np.array(list(links.values()), dtype=float))
 
     def validate(self) -> None:
-        """Raise InvalidGraph where raw CSR arrays break the invariants."""
+        """Raise InvalidGraph where raw CSR arrays break the invariants, and
+        DegreeOverflow (:func:`_checked`)."""
         n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
@@ -115,8 +112,7 @@ class Graph:
             raise InvalidGraph("CSR arrays do not describe n rows")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise InvalidGraph(f"node ids must lie in [0, {n})")
-        if not np.all(np.isfinite(data) & (data > 0)):
-            raise InvalidGraph("stored weights must be positive and finite")
+        _checked(self)
         rows = self._rows
         if np.any(rows == indices):
             raise InvalidGraph("diagonal must be zero (no self-loops)")
@@ -185,16 +181,19 @@ class Graph:
         return bool((self.data == 1).all())
 
     def scaled(self, s: float) -> Graph:
-        """Graph with every weight multiplied by s; InvalidGraph unless s is
-        positive and finite, and DegreeOverflow (:func:`_check_degrees`)."""
-        if not 0 < s < np.inf:
-            raise InvalidGraph("scale factor must be positive and finite")
-        return _check_degrees(Graph(self.n, self.indptr, self.indices, self.data * s))
+        """Graph with every weight multiplied by s, once :func:`_checked` passes
+        it: InvalidGraph for a factor that is not positive and finite or a
+        product that underflows to 0 (an edgeless graph has none to test)."""
+        return _checked(Graph(self.n, self.indptr, self.indices, self.data * s))
 
 
-def _check_degrees(g: Graph) -> Graph:
-    """``g``, once no weighted degree overflows float64: DegreeOverflow names
-    the first node whose finite weights sum past it (degrees stay cached)."""
+def _checked(g: Graph) -> Graph:
+    """``g``, once every stored weight is positive and finite (else
+    InvalidGraph) and no weighted degree overflows float64: DegreeOverflow
+    names the first node whose finite weights sum past it (degrees stay
+    cached)."""
+    if not ((0 < g.data) & (g.data < np.inf)).all():
+        raise InvalidGraph("stored weights must be positive and finite")
     over = np.flatnonzero(np.isinf(g.degrees()))
     if over.size:
         raise DegreeOverflow(f"the weighted degree of node {int(over[0])} overflows float64 "
@@ -407,13 +406,12 @@ def classify(g: Graph) -> GraphClass:
 
 def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     """New graph with link (i, j) of weight ``w`` added. Raises SelfLoop,
-    InvalidGraph (a bad id or weight), LinkExists and DegreeOverflow (the
-    one check of every constructor, :func:`_check_degrees`)."""
+    InvalidGraph (a bad id), LinkExists, and then, as every constructor
+    does through :func:`_checked`, InvalidGraph (a bad weight) and
+    DegreeOverflow."""
     i, j = _node_id(i, g.n), _node_id(j, g.n)
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
-    if not 0 < w < np.inf:
-        raise InvalidGraph("link weight must be positive and finite")
     indptr, indices, data = g.indptr, g.indices, g.data
     # insertion points of j in row i and of i in row j
     lo, hi = indptr[i], indptr[i + 1]
@@ -425,7 +423,7 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     new_indptr = indptr.copy()
     new_indptr[i + 1:] += 1
     new_indptr[j + 1:] += 1
-    return _check_degrees(Graph(
+    return _checked(Graph(
         g.n, new_indptr,
         np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
         np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:]))))

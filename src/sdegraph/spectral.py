@@ -46,11 +46,11 @@ TOL_LAMBDA1 = 1e-12
 LANCZOS_BASIS = 48
 LANCZOS_KEEP = 20
 LANCZOS_MAX_RESTARTS = 10_000
-# steps between convergence checks within a cycle (an eigh of T at every
-# step doubled the time on a 2000-node path); after a restart, a cycle is
-# checked before its own restart only if that restart's top Ritz residual
-# was within LANCZOS_CHECK_NEAR times the bound (on the 2 x 1000 ladder
-# this skips 150 of 207 checks and no matvec)
+# steps between convergence checks within a cycle (an eigh of T at every step
+# of every cycle took the 2 x 1000 ladder from 84 to 265 ms, one BLAS thread);
+# after a restart, a cycle is checked before its own restart only if that
+# restart's top Ritz residual was within LANCZOS_CHECK_NEAR times the bound
+# (on the 2 x 1000 ladder this skips 150 of 207 checks and no matvec)
 LANCZOS_CHECK_EVERY = 4
 LANCZOS_CHECK_NEAR = 1e3
 # DGKS test (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): the

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ NEAR_TIES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)  # multiples of tol_deg
 def components(draw):
     kind = draw(st.sampled_from(("random", "kbip", "bireg", "complete", "isolated")))
     if kind == "isolated":
-        return Graph.empty(1)
+        return Graph.from_edges(1, [])
     if kind == "random":
         n = draw(st.integers(2, 6))
         w = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
@@ -401,7 +402,7 @@ def tied_parts(draw):
     scaled by 1 + t * TOL_DEG for a t from ``TIES``."""
     kind = draw(st.sampled_from(("random", "complete", "bireg", "bireg+link", "isolated")))
     if kind == "isolated":
-        return Graph.empty(1)
+        return Graph.from_edges(1, [])
     if kind == "random":
         n = draw(st.integers(2, 5))
         w = np.triu(np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)),
@@ -449,17 +450,19 @@ def test_connected_components_single():
 
 
 def test_connected_components_edgeless():
-    assert connected_components(Graph.empty(3)).tolist() == [0, 1, 2]
-    comps = partition(Graph.empty(3))
+    assert connected_components(Graph.from_edges(3, [])).tolist() == [0, 1, 2]
+    comps = partition(Graph.from_edges(3, []))
     assert sorted(map(sorted, comps)) == [[0], [1], [2]]
 
 
 def test_add_link():
-    g = Graph.empty(2)
+    g = Graph.from_edges(2, [])
     h = add_link(g, 0, 1)
     assert h.weights[0, 1] == 1 and h.weights[1, 0] == 1
     with pytest.raises(LinkExists):
         add_link(h, 0, 1)
+    with pytest.raises(LinkExists):  # before the weight is checked
+        add_link(h, 0, 1, float("nan"))
     with pytest.raises(SelfLoop):
         add_link(h, 1, 1)
     # ids outside [0, n) once wrapped around (-1) or raised IndexError, as did
@@ -468,29 +471,34 @@ def test_add_link():
                     (0.5, 1, 1.0), (0, 1.9, 1.0), ("0", 1, 1.0),
                     (0, 1, 0.0), (0, 1, -1.0), (0, 1, float("nan")), (0, 1, float("inf"))]:
         with pytest.raises(InvalidGraph):
-            add_link(Graph.empty(3), i, j, w)
+            add_link(Graph.from_edges(3, []), i, j, w)
 
 
 def test_node_ids_must_be_integers():
-    # non-integral ids were truncated to the link (0, 1), and a malformed
-    # edge tuple raised ValueError
+    # non-integral ids were truncated to the link (0, 1), a malformed edge
+    # tuple raised ValueError, and the weight "2.5" was stored as 2.5
     for edge in [(0.5, 1), (0, 1.9), (0, 1.5, 2.0), ("0", 1), (None, 1), (float("nan"), 1),
-                 (0,), (0, 1, 1.0, 1.0)]:
+                 (0,), (0, 1, 1.0, 1.0), (0, 1, "2.5"), (0, 1, "x")]:
         with pytest.raises(InvalidGraph):
             Graph.from_edges(3, [edge])
-    # integral values keep working, numpy integers included
+    # integral ids and real weights keep working, numpy scalars and fractions included
     g = Graph.from_edges(3, [(np.int64(0), 1.0), (np.uint8(2), np.float64(1))])
     assert g.links() == [(0, 1), (1, 2)]
+    g = Graph.from_edges(3, [(0, 1, Fraction(1, 2)), (1, 2, np.float32(2.5))])
+    assert g.degrees().tolist() == [0.5, 3.0, 2.5]
     assert add_link(g, np.int32(0), 2.0).links() == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_scaled_rejects_bad_factors_and_overflow():
-    # a NaN factor once reached sde as an untyped LinAlgError, and 1e308 gave
-    # infinite degrees that sde classified as regular (q = NaN)
+    # a NaN factor once reached sde as an untyped LinAlgError, 1e308 gave
+    # infinite degrees that sde classified as regular (q = NaN), and a weight
+    # that underflowed to 0 was stored, so sde answered q = inf
     g = generate("path:6")
     for s in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(InvalidGraph):
             g.scaled(s)
+    with pytest.raises(InvalidGraph):
+        Graph.from_edges(3, [(0, 1, 0.5), (1, 2, 1.0)]).scaled(5e-324)
     with pytest.raises(DegreeOverflow, match="node 1 "):
         g.scaled(1e308)
     assert np.isfinite(g.scaled(8e307).degrees()).all()
@@ -501,14 +509,14 @@ def test_add_link_keeps_every_degree_finite():
     # sde() then classified as regular (q = NaN); add_link now raises as
     # Graph.from_edges does on the same links, naming the same node
     with pytest.raises(DegreeOverflow) as added:
-        add_link(add_link(Graph.empty(3), 0, 1, 1e308), 0, 2, 1e308)
+        add_link(add_link(Graph.from_edges(3, []), 0, 1, 1e308), 0, 2, 1e308)
     with pytest.raises(DegreeOverflow) as built:
         Graph.from_edges(3, [(0, 1, 1e308), (0, 2, 1e308)])
     assert "node 0 " in str(added.value)
     assert str(added.value) == str(built.value)
     # the larger end overflows; both ends overflow: the smaller is named
     with pytest.raises(DegreeOverflow, match="node 2 "):
-        add_link(add_link(Graph.empty(3), 1, 2, 1e308), 0, 2, 1e308)
+        add_link(add_link(Graph.from_edges(3, []), 1, 2, 1e308), 0, 2, 1e308)
     both = Graph.from_edges(4, [(0, 2, 1e308), (1, 3, 1e308)])
     with pytest.raises(DegreeOverflow) as added:
         add_link(both, 1, 0, 1e308)
@@ -516,7 +524,7 @@ def test_add_link_keeps_every_degree_finite():
         Graph.from_edges(4, [(0, 2, 1e308), (1, 3, 1e308), (1, 0, 1e308)])
     assert "node 0 " in str(added.value) and str(added.value) == str(built.value)
     # a degree just inside the float64 range stays
-    g = add_link(add_link(Graph.empty(3), 0, 1, 8e307), 0, 2, 8e307)
+    g = add_link(add_link(Graph.from_edges(3, []), 0, 1, 8e307), 0, 2, 8e307)
     assert math.isfinite(g.degrees()[0])
 
 
@@ -659,7 +667,8 @@ def test_every_construction_path_matches_dense_reference(case):
         builds = [lambda: Graph.from_dense(big), lambda: Graph.from_edges(n, big_links),
                   lambda: parse_weighted_edge_list(big_text),
                   lambda: add_link(Graph.from_dense(without_ac), c, a, 1e308),
-                  lambda: Graph.from_dense(big / 4).scaled(4.0)]
+                  lambda: Graph.from_dense(big / 4).scaled(4.0),
+                  lambda: _raw_csr(big).validate()]
         messages = set()
         for build in builds:
             with pytest.raises(DegreeOverflow) as raised:

@@ -49,7 +49,7 @@ def test_parse_header_tolerated():
 def test_encode_examples():
     assert encode_graph6(parse_graph6("Bw")) == "Bw"
     assert encode_graph6(generate("path:3")) == "Bg"
-    assert encode_graph6(Graph.empty(1)) == "@"
+    assert encode_graph6(Graph.from_edges(1, [])) == "@"
 
 
 def test_parse_malformed():

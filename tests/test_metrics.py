@@ -65,7 +65,7 @@ def test_assortativity_undefined_cases():
     with pytest.raises(UndefinedAssortativity):
         assortativity(Graph.from_edges(4, [(0, 1), (2, 3)]))  # K2 + K2
     with pytest.raises(UndefinedAssortativity):
-        assortativity(Graph.empty(3))
+        assortativity(Graph.from_edges(3, []))
     with pytest.raises(WeightedUnsupported):
         assortativity(Graph.from_edges(3, [(0, 1, 2.0), (1, 2)]))
 
@@ -108,7 +108,7 @@ def small_unweighted_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_unweighted_graphs())
-@example(Graph.empty(1))
+@example(Graph.from_edges(1, []))
 @example(cycle_graph(5))
 @example(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))  # C4 and an isolated node
 @example(generate("star:6"))
@@ -381,7 +381,7 @@ def hub_graphs(draw, n=None):
 
 @settings(max_examples=150, deadline=None)
 @given(hub_graphs())
-@example(Graph.empty(1))
+@example(Graph.from_edges(1, []))
 @example(generate("star:9"))
 @example(generate("complete:9"))
 @example(generate("complete:17"))

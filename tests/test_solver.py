@@ -64,7 +64,7 @@ def test_f1_p3_arithmetic():
 
 def test_f1_errors():
     with pytest.raises(AllDegreesZero):
-        f1(2.0, degree_sequence(Graph.empty(3).degrees()), 1.0)
+        f1(2.0, degree_sequence(Graph.from_edges(3, []).degrees()), 1.0)
     ds = degree_sequence(generate("path:3").degrees())
     with pytest.raises(InvalidGraph):
         f1(2.0, ds, 0.0)
@@ -308,7 +308,7 @@ P5 = degree_sequence(generate("path:5").degrees())
     (K4_P3, 3.0, TOL_Q),                        # lambda1 at d_max: inf
     (K4_P3, 3.0 * (1 - 1e-8), TOL_Q),           # q0 above Q_MAX: inf
     (STAR6, math.sqrt(5) * (1 - 1e-6), TOL_Q),  # f1(2) < 0: exactly 2
-    (degree_sequence(Graph.empty(3).degrees()), 1.0, TOL_Q),  # all degrees zero
+    (degree_sequence(Graph.from_edges(3, []).degrees()), 1.0, TOL_Q),  # all degrees zero
     (P5, 1.7, 1e-3),                            # tol_q out of range
     (P5, 1.7, 0.0),
     (P5, 0.0, TOL_Q),                           # lambda1 not positive

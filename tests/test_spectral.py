@@ -190,8 +190,8 @@ def test_homogeneity(rng):
 
 
 def test_edgeless_and_tiny():
-    assert spectral_radius(Graph.empty(3)) == 0.0
-    assert spectral_radius(Graph.empty(1)) == 0.0
+    assert spectral_radius(Graph.from_edges(3, [])) == 0.0
+    assert spectral_radius(Graph.from_edges(1, [])) == 0.0
     assert abs(spectral_radius(generate("complete:2")) - 1.0) < 1e-12
 
 
