@@ -7,9 +7,12 @@ kernels share (link counts, degrees) are derived once, and
 the dense kernels. One function, :func:`_checked`, tests the stored weights
 and degree sums of every graph built here and of raw arrays that
 ``Graph.validate`` checks. All operations are pure: mutating operations
-return new :class:`Graph` values. Degrees have one representation, the
-histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
-degree array; ``Graph.histogram`` builds a graph's once. :func:`classify`
+return new :class:`Graph` values. An unweighted graph's degrees are its
+link counts. Degrees have one representation, the histogram
+:class:`DegreeSequence` built by :func:`degree_sequence` from any degree
+array: one ``np.bincount`` of integer link counts, a sort of any other
+degrees. ``Graph.histogram`` builds a graph's once, from its link counts
+when it is unweighted and from its weighted degrees otherwise. :func:`classify`
 reads the histogram first, scans the links only where it still allows a
 biregular graph or a max-clique component, and searches components only
 when a node could lie in a max-clique component.
@@ -93,18 +96,17 @@ class Graph:
             i, j = _node_id(e[0], n), _node_id(e[1], n)
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
-            if len(e) == 3 and not isinstance(e[2], numbers.Real):
-                raise InvalidGraph(f"link weights must be real numbers, got {e[2]!r}")
-            links[(i, j) if i < j else (j, i)] = e[2] if len(e) == 3 else 1.0
+            links[(i, j) if i < j else (j, i)] = _weight(e[2]) if len(e) == 3 else 1.0
         links = {k: wt for k, wt in links.items() if wt != 0}
         ends = np.array(list(links), dtype=np.int64).reshape(-1, 2)
-        return cls._from_links(n, ends[:, 0], ends[:, 1],
-                               np.array(list(links.values()), dtype=float))
+        return cls._from_links(n, ends[:, 0], ends[:, 1], np.array(list(links.values())))
 
     def validate(self) -> None:
         """Raise InvalidGraph where raw CSR arrays break the invariants, and
         DegreeOverflow (:func:`_checked`)."""
         n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
+        if not all(isinstance(a, np.ndarray) for a in (indptr, indices, data)):
+            raise InvalidGraph("CSR fields must be numpy arrays")
         if n < 1:
             raise InvalidGraph("a graph needs n >= 1 nodes")
         if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
@@ -128,7 +130,7 @@ class Graph:
     @cached_property
     def _link_counts(self) -> np.ndarray:
         """Number of links at each node (read-only, computed once per graph)."""
-        counts = np.diff(self.indptr)
+        counts = self.indptr[1:] - self.indptr[:-1]
         counts.flags.writeable = False
         return counts
 
@@ -139,19 +141,24 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        degrees = np.bincount(self._rows, weights=self.data, minlength=self.n)
+        if self._unweighted:  # every weight is 1: the link counts
+            degrees = self._link_counts.astype(float)
+        else:
+            degrees = np.bincount(self._rows, weights=self.data, minlength=self.n)
         degrees.flags.writeable = False
         return degrees
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree of each node (row sums), computed once per graph."""
+        """Weighted degree of each node (row sums, the link counts on an
+        unweighted graph), as floats, computed once per graph."""
         return self._degrees
 
     @cached_property
     def histogram(self) -> DegreeSequence:
         """The :class:`DegreeSequence` of :meth:`degrees`, built once per graph
-        and shared by :func:`classify`, ``sde`` and ``sde compute``."""
-        return degree_sequence(self._degrees)
+        and shared by :func:`classify`, ``sde`` and ``sde compute``; an
+        unweighted graph's is counted from its link counts."""
+        return degree_sequence(self._link_counts if self._unweighted else self._degrees)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -199,6 +206,17 @@ def _checked(g: Graph) -> Graph:
         raise DegreeOverflow(f"the weighted degree of node {int(over[0])} overflows float64 "
                              "(its link weights sum past 1.8e308)")
     return g
+
+
+def _weight(w) -> float:
+    """``w`` as a float; InvalidGraph unless it is a real number within the
+    float range (:func:`_checked` tests the value)."""
+    if not isinstance(w, numbers.Real):
+        raise InvalidGraph(f"link weights must be real numbers, got {w!r}")
+    try:
+        return float(w)
+    except OverflowError:
+        raise InvalidGraph("stored weights must be positive and finite") from None
 
 
 def _node_id(x, n: int) -> int:
@@ -252,11 +270,22 @@ class DegreeSequence:
 def degree_sequence(degrees) -> DegreeSequence:
     """Degree histogram of a degree array, e.g. ``degree_sequence(g.degrees())``.
 
-    When every degree is integral the max-degree multiplicity uses exact
-    comparison; otherwise degrees within relative ``TOL_DEG`` of d_max count
-    toward the multiplicity.
+    Integer counts in [0, len), such as an unweighted graph's link counts,
+    are counted by one ``np.bincount``, read from the top; any other array
+    is sorted as floats. Both give the same histogram. When every degree is
+    integral the max-degree multiplicity uses exact comparison; otherwise
+    degrees within relative ``TOL_DEG`` of d_max count toward the
+    multiplicity.
     """
-    d = np.sort(np.asarray(degrees, dtype=float), axis=None)[::-1]
+    d = np.asarray(degrees).ravel()
+    # signed integers only (bincount takes no uint64); as uint64 a negative
+    # count wraps to at least 2**63
+    if d.dtype.kind == "i" and d.size and d.astype(np.uint64).max() < d.size:
+        hist = np.bincount(d)
+        top = hist.nonzero()[0][::-1]  # the distinct counts, descending
+        counts = hist[top]
+        return DegreeSequence(values=top.astype(float), counts=counts, c=int(counts[0]))
+    d = np.sort(d.astype(float))[::-1]
     # the first index of each run of equal degrees, and the end
     starts = np.empty(d.size + 1, dtype=bool)
     starts[0] = starts[-1] = True
@@ -406,9 +435,8 @@ def classify(g: Graph) -> GraphClass:
 
 def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     """New graph with link (i, j) of weight ``w`` added. Raises SelfLoop,
-    InvalidGraph (a bad id), LinkExists, and then, as every constructor
-    does through :func:`_checked`, InvalidGraph (a bad weight) and
-    DegreeOverflow."""
+    InvalidGraph (a bad id), LinkExists, and then, as :meth:`Graph.from_edges`
+    does, InvalidGraph (a bad weight) and DegreeOverflow."""
     i, j = _node_id(i, g.n), _node_id(j, g.n)
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
@@ -419,6 +447,7 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     if at_i < hi and indices[at_i] == j:
         raise LinkExists(f"link ({i}, {j}) already present")
     at_j = indptr[j] + int(np.searchsorted(indices[indptr[j]:indptr[j + 1]], i))
+    w = _weight(w)
     (a, col_a), (b, col_b) = ((at_i, j), (at_j, i)) if i < j else ((at_j, i), (at_i, j))
     new_indptr = indptr.copy()
     new_indptr[i + 1:] += 1

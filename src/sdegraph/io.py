@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from operator import itemgetter
 
@@ -26,6 +26,7 @@ from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
 _G6_MAX_N = 258047  # largest node count of the four-byte size form
+_G6_BYTES = bytes(range(63, 127))  # the bytes a graph6 string may hold
 # largest node count of the one-byte size form. Up to it the CSR entries are
 # gathered through a table cached per n; above it a table would take 16 bytes
 # per entry, so the set bits are located by a search instead.
@@ -60,7 +61,8 @@ def parse_graph6(line: str) -> Graph:
     """
     s = line.strip().removeprefix(GRAPH6_HEADER)
     data = s.encode("ascii", errors="ignore")  # drops non-ASCII characters
-    if len(data) != len(s) or any(b < 63 or b > 126 for b in data):
+    # translate deletes every byte in 63..126 and leaves the others
+    if len(data) != len(s) or data.translate(None, _G6_BYTES):
         raise MalformedGraph6("graph6 bytes must be in 63..126")
     n, off = _decode_size(data)
     if n < 1:
@@ -254,18 +256,16 @@ def jsonable(v):
     return v
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header and rows of cells as UTF-8 CSV with LF line endings, to
-    stdout when ``path`` is None. A file is written under a temporary name
-    beside ``path`` and renamed onto it once every row is in, so a run that
-    fails part-way leaves ``path`` as it was."""
+@contextmanager
+def _replacing(path) -> Iterator:
+    """A UTF-8 text file to write, stdout when ``path`` is None. A file is
+    written under a temporary name beside ``path`` and renamed onto it once
+    the block ends, so a run that fails part-way leaves ``path`` as it was."""
     tmp = path and f"{path}.{os.getpid()}.tmp"
     try:
         with (open(tmp, "w", encoding="utf-8", newline="") if tmp
               else nullcontext(sys.stdout)) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
         if tmp:
             os.replace(tmp, path)
     finally:
@@ -273,22 +273,33 @@ def write_csv(path, header, rows) -> None:
             os.remove(tmp)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells as CSV with LF line endings through
+    :func:`_replacing` (to stdout when ``path`` is None)."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# a record's CSV line: format_value's cells (no number needs CSV quoting)
+_RECORD_LINE = ",".join(["%.12g"] * len(METRIC_NAMES)) + "\n"
+
+
 def write_records_csv(records, path) -> None:
-    """Write metric records with :func:`write_csv` (to stdout when ``path`` is
-    None), in the column order of the frozen metric-name list. ``records``
-    may be any iterable, read once; a record without exactly those names
-    raises ParseError.
+    """Write metric records as :func:`write_csv` would (to stdout when
+    ``path`` is None), one line per record in the column order of the
+    frozen metric-name list. ``records`` may be any iterable, read once; a
+    record without exactly those names raises ParseError.
     """
     names = set(METRIC_NAMES)
     cells = itemgetter(*METRIC_NAMES)
-
-    def rows():
+    with _replacing(path) as fh:
+        fh.write(",".join(METRIC_NAMES) + "\n")
         for rec in records:
             if rec.keys() != names:
                 raise ParseError("records must share the same metric-name set")
-            yield [format(v, ".12g") for v in cells(rec)]  # format_value's cells
-
-    write_csv(path, METRIC_NAMES, rows())
+            fh.write(_RECORD_LINE % cells(rec))
 
 
 def read_records_csv(path) -> tuple[list[str], Iterator[dict[str, float]]]:

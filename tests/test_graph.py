@@ -145,6 +145,66 @@ def test_degree_sequence_weighted_triangle():
     assert ds.d2 == 2
 
 
+def _assert_same_histogram(a, b):
+    """Two DegreeSequences with the same values, counts, dtypes and c."""
+    assert a.values.dtype == b.values.dtype and a.counts.dtype == b.counts.dtype
+    assert a.values.tolist() == b.values.tolist() and a.counts.tolist() == b.counts.tolist()
+    assert a.c == b.c
+
+
+def _assert_link_count_route(g):
+    """An unweighted graph's link counts (the bincount route) and its float
+    degrees (the sort route) give one histogram, ``g.histogram``, and its
+    degrees are the bincount over its stored entries."""
+    counts = g._link_counts
+    assert counts.dtype.kind == "i"
+    assert g.degrees().tolist() == np.bincount(g._rows, weights=g.data, minlength=g.n).tolist()
+    assert g.degrees().dtype == float
+    by_sort = degree_sequence(g.degrees())
+    _assert_same_histogram(degree_sequence(counts), by_sort)
+    _assert_same_histogram(g.histogram, by_sort)
+
+
+def test_link_counts_give_the_histogram_of_every_n7_graph():
+    for g in read_graph6_file(FIXTURE_N7):
+        _assert_link_count_route(g)
+
+
+@st.composite
+def unweighted_graphs(draw):
+    """An unweighted graph on 1..12 nodes, often with isolated nodes or no
+    links at all, or a star on 1..30 nodes (n = 1 is a lone node)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 30))
+        return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0)))
+    return random_er(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unweighted_graphs())
+def test_link_counts_give_the_histogram(g):
+    _assert_link_count_route(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=41))
+def test_integer_counts_give_the_histogram_of_their_floats(counts):
+    _assert_same_histogram(degree_sequence(np.array(counts)),
+                           degree_sequence(np.array(counts, dtype=float)))
+
+
+@pytest.mark.parametrize("counts", [[-1, 2, 2], [3, -5, 0, 0], [2 ** 40, 1, 1],
+                                    [2 ** 62, 3, 0, 3], [-(2 ** 63), 1]])
+def test_integers_outside_the_counts_are_sorted(monkeypatch, counts):
+    # a negative count or one of len or more is not a link count: bincount
+    # would raise or allocate up to the largest, so the sort route takes them
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: pytest.fail("bincount called"))
+    _assert_same_histogram(degree_sequence(np.array(counts)),
+                           degree_sequence(np.array(counts, dtype=float)))
+
+
 def test_classify_cycle_regular():
     cls = classify(cycle_graph(6))
     assert isinstance(cls, Regular)
@@ -487,6 +547,32 @@ def test_node_ids_must_be_integers():
     g = Graph.from_edges(3, [(0, 1, Fraction(1, 2)), (1, 2, np.float32(2.5))])
     assert g.degrees().tolist() == [0.5, 3.0, 2.5]
     assert add_link(g, np.int32(0), 2.0).links() == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_add_link_and_from_edges_share_one_weight_rule():
+    # add_link raised TypeError on Fraction(1, 2) and 10**400 and numpy's
+    # UFuncTypeError on "x"; from_edges raised an untyped OverflowError on 10**400
+    for w in ("x", "2.5", None, 1j, 10 ** 400, -(10 ** 400), Fraction(10 ** 400)):
+        with pytest.raises(InvalidGraph):
+            add_link(Graph.from_edges(3, []), 0, 1, w)
+        with pytest.raises(InvalidGraph):
+            Graph.from_edges(3, [(0, 1, w)])
+    # a real weight is stored as a float64, as from_edges stores it
+    for w in (Fraction(1, 2), np.float32(2.5), np.int64(3), 2, True):
+        added = add_link(Graph.from_edges(3, []), 0, 1, w)
+        built = Graph.from_edges(3, [(0, 1, w)])
+        assert added.data.dtype == built.data.dtype == np.float64
+        assert added.data.tolist() == built.data.tolist() == [float(w)] * 2
+
+
+def test_validate_rejects_csr_fields_that_are_not_arrays():
+    # a list field raised AttributeError: 'list' object has no attribute 'shape'
+    fields = [[0, 2, 3, 4], [1, 2, 0, 0], [1e308] * 4]
+    for k in range(3):
+        args = [np.array(f) for f in fields]
+        args[k] = fields[k]
+        with pytest.raises(InvalidGraph, match="numpy arrays"):
+            Graph(3, *args).validate()
 
 
 def test_scaled_rejects_bad_factors_and_overflow():

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 
@@ -231,6 +233,28 @@ def test_parse_graph6_arbitrary_text(text):
         assert body.isascii() and len(encode_graph6(g)) == len(body)
 
 
+def test_graph6_byte_range_message_for_every_byte_at_every_position():
+    # the 63..126 test, made with bytes.translate, against the per-byte rule
+    # it replaces: every byte 0..255 inserted at, or put in place of, each
+    # character of a valid line (a byte above 127 both as a character and
+    # as the lone surrogate a graph6 file decodes it to)
+    base = "DQc"  # n = 5: one size byte and two bytes of 10 link bits
+    message = "graph6 bytes must be in 63..126"
+    for b in range(256):
+        chars = [chr(b)] + ([bytes([b]).decode("ascii", "surrogateescape")] if b > 127 else [])
+        for ch in chars:
+            for at in range(len(base) + 1):
+                for text in (base[:at] + ch + base[at:], base[:at] + ch + base[at + 1:]):
+                    body = text.strip()
+                    outside = any(not 63 <= ord(c) <= 126 for c in body)
+                    try:
+                        parse_graph6(text)
+                    except MalformedGraph6 as exc:
+                        assert (str(exc) == message) == outside, (b, at, text)
+                    else:
+                        assert not outside, (b, at, text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), edge_list_texts), st.booleans())
 def test_parse_edge_list_arbitrary_text(text, one_based):
@@ -360,6 +384,23 @@ def test_csv_significant_digits(tmp_path):
     path = tmp_path / "digits.csv"
     write_records_csv([_record(2.3686402797905317)], path)
     assert "2.36864027979" in path.read_text()
+
+
+def test_csv_lines_match_csv_writer(tmp_path):
+    # one joined '.12g' line per record gives csv.writer's bytes: no cell needs quoting
+    edge = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324,
+            1.7976931348623157e308, 1 / 3, -2.5, 1e16, 1e-5, 123456789012345.0]
+    records = []
+    for k in range(len(edge)):
+        rec = {name: edge[(k + i) % len(edge)] for i, name in enumerate(METRIC_NAMES)}
+        records.append(rec)
+    path = tmp_path / "edge.csv"
+    write_records_csv(records, path)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(METRIC_NAMES)
+    writer.writerows([format_value(rec[name]) for name in METRIC_NAMES] for rec in records)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_csv_roundtrip(tmp_path):
