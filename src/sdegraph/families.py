@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph
+from .graph import Graph, _too_large
 from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
@@ -112,8 +112,8 @@ def _edges_lollipop(n: int) -> tuple[int, np.ndarray, np.ndarray]:
 def path_q_asymptotic(n: int) -> float:
     """Three-term expansion of the path exponent: (4/pi^2) N + 12/pi^2 +
     (1/3 + 52/(3 pi^2))/N."""
-    if n < 2:
-        raise BadSpec("path needs N >= 2")
+    if not 2 <= n <= 1e308:
+        raise BadSpec("path needs 2 <= N <= 1e308")
     pi2 = math.pi ** 2
     return 4.0 / pi2 * n + 12.0 / pi2 + (1.0 / 3.0 + 52.0 / (3.0 * pi2)) / n
 
@@ -122,8 +122,8 @@ def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection to a bracket of width 1e-12; the independent oracle for the
     path family."""
-    if n < 3:
-        raise BadSpec("exact path equation needs N >= 3")
+    if not 3 <= n <= 1e308:
+        raise BadSpec("exact path equation needs 3 <= N <= 1e308")
     log_cos = math.log(math.cos(math.pi / (n + 1)))
 
     def g(q: float) -> float:
@@ -205,7 +205,7 @@ FAMILIES = {
                        lambda1=lambda n: float(n - 1)),
     "kbip": Family(_edges_kbip, lambda m, n: [(n, m), (m, n)],
                    lambda1=lambda m, n: math.sqrt(m * n)),
-    "bireg": Family(_edges_bireg, lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
+    "bireg": Family(_edges_bireg, lambda m, n, r1: [(r1, m), ((m * r1) // (n or 1), n)],
                     lambda1=lambda m, n, r1: math.sqrt(r1 * ((m * r1) // n))),
     "fork": Family(_edges_fork, lambda n: [(1, 4), (3, 2), (2, n - 2)],
                    lambda1=lambda n: 2.0, law=lambda n: fork_q_constant()),
@@ -286,6 +286,8 @@ def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     """One draw of an ``er`` or ``ba`` spec from ``rng``; the spec's own
     seed is not read."""
     n, param = spec.args[:2]
+    if why := _too_large(n, n * n if spec.kind == "er" else 2 * param * n):  # er draws n x n
+        raise BadSpec(f"{spec.kind}: {why}")
     if spec.kind == "er":
         return er_graph(n, param, rng)
     return ba_graph(n, param, rng)
@@ -300,10 +302,12 @@ def generate(spec: FamilySpec | str) -> Graph:
         check_seed(spec.args[2])
         return sample(spec, np.random.default_rng(spec.args[2]))
     family = FAMILIES[spec.kind]
-    g = Graph._from_links(*family.links(*spec.args))
     expected = Counter()  # equality ignores zero counts
     for degree, count in family.profile(*spec.args):
         expected[degree] += count
+    if why := _too_large(expected.total(), sum(d * k for d, k in expected.items())):
+        raise BadSpec(f"{spec.kind}: {why}")
+    g = Graph._from_links(*family.links(*spec.args))
     got = Counter(dict(zip(*g.histogram._lists)))  # the histogram sde reuses
     if got != expected:
         raise InvalidGraph(

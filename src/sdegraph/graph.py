@@ -3,19 +3,21 @@
 A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
 memory grows with the links, not with n squared; the per-graph arrays its
 kernels share (link counts, degrees) are derived once, and
-``Graph.weights`` is a cached dense view (at most ``DENSE_CAP`` nodes) for
-the dense kernels. One function, :func:`_checked`, tests the stored weights
-and degree sums of every graph built here and of raw arrays that
-``Graph.validate`` checks. All operations are pure: mutating operations
-return new :class:`Graph` values. An unweighted graph's degrees are its
-link counts. Degrees have one representation, the histogram
-:class:`DegreeSequence` built by :func:`degree_sequence` from any degree
-array: one ``np.bincount`` of integer link counts, a sort of any other
-degrees. ``Graph.histogram`` builds a graph's once, from its link counts
-when it is unweighted and from its weighted degrees otherwise. :func:`classify`
-reads the histogram first, scans the links only where it still allows a
-biregular graph or a max-clique component, and searches components only
-when a node could lie in a max-clique component.
+``Graph.weights`` is a cached dense view for the dense kernels. Each rule
+has one home: :func:`_checked` tests the stored weights and degree sums of
+every graph built here and of raw arrays that ``Graph.validate`` checks,
+:func:`_too_large` refuses more than ``SIZE_CAP`` nodes or stored entries
+before they are allocated, and :func:`_dense` builds every dense view (at
+most ``DENSE_CAP`` nodes). Operations are pure: they return new graphs. An
+unweighted graph's degrees are its link counts. Degrees have one
+representation, the histogram :class:`DegreeSequence` built by
+:func:`degree_sequence` from any degree array: one ``np.bincount`` of
+integer link counts, a sort of any other degrees. ``Graph.histogram``
+builds a graph's once, from its link counts when it is unweighted and from
+its weighted degrees otherwise. :func:`classify` reads the histogram first,
+scans the links only where it still allows a biregular graph or a
+max-clique component, and searches components only when a node could lie
+in a max-clique component.
 """
 from __future__ import annotations
 
@@ -29,8 +31,12 @@ from .errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLarge
 
 # relative tolerance under which two weighted degrees count as equal
 TOL_DEG = 1e-9
-# largest n whose dense n x n view (Graph.weights) may be built
+# largest n whose dense n x n view (Graph.weights, the metric stacks) may be built
 DENSE_CAP = 2048
+# largest node count, and number of stored entries (two per link), of a Graph:
+# its CSR arrays then take under 1 GB and its build a few times that, and
+# n * n, the range of _from_links' keys, stays inside int64
+SIZE_CAP = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +74,9 @@ class Graph:
     def _from_links(cls, n: int, i, j, w=None) -> Graph:
         """Graph of the distinct links (i[k], j[k]) with weights w[k]
         (1 when ``w`` is None), given in any order and orientation, once
-        :func:`_checked` passes it."""
+        :func:`_too_large` (before any allocation) and :func:`_checked` pass it."""
+        if why := _too_large(n, 2 * len(i)):
+            raise InvalidGraph(why)
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         keys = np.concatenate((i * n + j, j * n + i))
@@ -87,9 +95,9 @@ class Graph:
         weight adds no link. Raises SelfLoop, InvalidGraph (a malformed tuple,
         id or weight) and, as :meth:`_from_links`, InvalidGraph and
         DegreeOverflow."""
-        if n < 1:
-            raise InvalidGraph("a graph needs n >= 1 nodes")
-        links: dict[tuple[int, int], float] = {}
+        if not (n >= 1 and n % 1 == 0):
+            raise InvalidGraph("a graph needs n >= 1 nodes, n integral")
+        n, links = int(n), {}
         for e in edges:
             if len(e) not in (2, 3):
                 raise InvalidGraph(f"an edge is (i, j) or (i, j, weight), got {e!r}")
@@ -98,8 +106,8 @@ class Graph:
                 raise SelfLoop(f"self-loop at node {i}")
             links[(i, j) if i < j else (j, i)] = _weight(e[2]) if len(e) == 3 else 1.0
         links = {k: wt for k, wt in links.items() if wt != 0}
-        ends = np.array(list(links), dtype=np.int64).reshape(-1, 2)
-        return cls._from_links(n, ends[:, 0], ends[:, 1], np.array(list(links.values())))
+        i, j = zip(*links) if links else ((), ())  # ids past int64 reach the size rule
+        return cls._from_links(n, i, j, list(links.values()))
 
     def validate(self) -> None:
         """Raise InvalidGraph where raw CSR arrays break the invariants, and
@@ -107,8 +115,10 @@ class Graph:
         n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
         if not all(isinstance(a, np.ndarray) for a in (indptr, indices, data)):
             raise InvalidGraph("CSR fields must be numpy arrays")
-        if n < 1:
-            raise InvalidGraph("a graph needs n >= 1 nodes")
+        if {indptr.dtype.kind, indices.dtype.kind} - set("iu") or data.dtype.kind not in "iuf":
+            raise InvalidGraph("indptr and indices must be integer arrays, data a real one")
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise InvalidGraph("a graph needs an integer n >= 1 nodes")
         if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
                 or data.shape != indices.shape or np.any(np.diff(indptr) < 0)):
             raise InvalidGraph("CSR arrays do not describe n rows")
@@ -162,12 +172,8 @@ class Graph:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Dense weight matrix (read-only, cached); TooLargeForDense above
-        ``DENSE_CAP`` nodes."""
-        if self.n > DENSE_CAP:
-            raise TooLargeForDense(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
-        w = np.zeros((self.n, self.n))
-        w[self._rows, self.indices] = self.data
+        """Dense weight matrix (read-only, cached), at most ``DENSE_CAP`` nodes."""
+        w = _dense(1, self.n, self._rows, self.indices, self.data)[0]
         w.flags.writeable = False
         return w
 
@@ -191,7 +197,24 @@ class Graph:
         """Graph with every weight multiplied by s, once :func:`_checked` passes
         it: InvalidGraph for a factor that is not positive and finite or a
         product that underflows to 0 (an edgeless graph has none to test)."""
-        return _checked(Graph(self.n, self.indptr, self.indices, self.data * s))
+        with np.errstate(over="ignore"):  # _checked refuses an overflowed weight
+            return _checked(Graph(self.n, self.indptr, self.indices, self.data * _weight(s)))
+
+
+def _too_large(nodes: int, entries: int) -> str:
+    """Why ``nodes`` nodes and ``entries`` stored entries break ``SIZE_CAP``, or ''."""
+    if nodes <= SIZE_CAP and entries <= SIZE_CAP:
+        return ""
+    return f"a graph holds at most {SIZE_CAP} nodes and as many stored entries (two per link)"
+
+
+def _dense(b: int, n: int, rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
+    """(b, n, n) zeros but for ``values`` at rows ``rows`` (b * n + i), columns ``cols``."""
+    if n > DENSE_CAP:
+        raise TooLargeForDense(f"n={n} exceeds the dense cap {DENSE_CAP}")
+    out = np.zeros((b, n, n))
+    out.reshape(b * n, n)[rows, cols] = values
+    return out
 
 
 def _checked(g: Graph) -> Graph:
@@ -286,6 +309,8 @@ def degree_sequence(degrees) -> DegreeSequence:
         counts = hist[top]
         return DegreeSequence(values=top.astype(float), counts=counts, c=int(counts[0]))
     d = np.sort(d.astype(float))[::-1]
+    if not (d.size and np.isfinite(d[0]) and np.isfinite(d[-1])):  # NaN and inf sort to an end
+        raise InvalidGraph("a graph needs n >= 1 nodes, each of finite degree")
     # the first index of each run of equal degrees, and the end
     starts = np.empty(d.size + 1, dtype=bool)
     starts[0] = starts[-1] = True

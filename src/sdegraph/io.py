@@ -19,9 +19,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (DuplicateLink, MalformedGraph6, NegativeWeight, ParseError,
+from .errors import (DuplicateLink, InvalidGraph, MalformedGraph6, NegativeWeight, ParseError,
                      SelfLoop, WeightedUnsupported)
-from .graph import Graph
+from .graph import Graph, _too_large
 from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -227,6 +227,8 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     n = n_directive if n_directive is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"node id {max_id} exceeds declared n={n}")
+    if why := _too_large(n, 2 * len(edges)):  # before an id past int64 overflows below
+        raise InvalidGraph(why)
     ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     return Graph._from_links(n, ends[0::2], ends[1::2],
                              np.fromiter(edges.values(), dtype=float, count=len(edges)))

@@ -28,9 +28,8 @@ from itertools import groupby, islice, repeat
 import numpy as np
 
 from .errors import (ConstantSeries, DisconnectedInput, InputError, NumericalError,
-                     SdegraphError, TooLargeForDense, UndefinedAssortativity,
-                     WeightedUnsupported)
-from .graph import DENSE_CAP, Graph
+                     SdegraphError, UndefinedAssortativity, WeightedUnsupported)
+from .graph import Graph, _dense
 from .solver import sde
 from .spectral import spectra
 
@@ -84,6 +83,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise InputError("pearson needs two equal-length series with >= 2 points")
+    # scaled by powers of two, which is exact, so that no sum of squares overflows
+    x, y = (np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y))
     xc = x - x.sum() / x.size  # the bits of x.mean(), without its wrapper
     yc = y - y.sum() / y.size
     sx = math.sqrt(float(xc @ xc))
@@ -276,21 +277,9 @@ def _transitivity(triangles: np.ndarray, deg: np.ndarray) -> np.ndarray:
                      where=triads > 0)
 
 
-def _link_stack(deg: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The 0/1 float link indicators of B graphs of n nodes as a (B, n, n)
-    stack, from their (B, n) link counts and their stored entries (``rows``
-    b * n + i, ``cols`` j); TooLargeForDense above ``DENSE_CAP`` nodes."""
-    b, n = deg.shape
-    if n > DENSE_CAP:
-        raise TooLargeForDense(f"n={n} exceeds the dense cap {DENSE_CAP}")
-    adj = np.zeros((b, n, n))
-    adj.reshape(b * n, n)[rows, cols] = 1.0
-    return adj
-
-
 def _link_indicator(g: Graph) -> np.ndarray:
     """The 0/1 float adjacency of ``g`` as a stack of one."""
-    return _link_stack(g._link_counts[None], g._rows, g.indices)
+    return _dense(1, g.n, g._rows, g.indices, 1.0)
 
 
 def local_efficiency(g: Graph) -> float:
@@ -337,7 +326,7 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
     degrees = deg.astype(float)  # an unweighted graph's degrees
     rows = np.repeat(np.arange(deg.size), deg.ravel())  # b * n + i per stored entry
     cols = np.concatenate([g.indices for g in graphs])
-    adj = _link_stack(deg, rows, cols)
+    adj = _dense(*deg.shape, rows, cols, 1.0)  # the 0/1 link indicators
     adjacency, laplacian = spectra(adj, degrees)
     dist = _distances(adj)
     ecc = dist.max(axis=2)

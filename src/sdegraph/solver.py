@@ -11,13 +11,13 @@ nodes at exactly d_max, and the zero of f1's tangent at q = 2. Newton's
 method started at the smaller of the two decreases monotonically to the
 root and stops on a certified bracket [q - tol_q, q]. q_top is only a
 bound: q is reported infinite only where lambda1 reaches d_max or
-f1(Q_MAX) > 0. Every solver takes its early exits and its start from
-:func:`_prepare`.
+f1(Q_MAX) > 0. :func:`_lambda1_checked` is the one check of lambda1.
+Every solver takes its early exits and its start from :func:`_prepare`.
 :func:`sde` classifies the graph first (regular, biregular and max-clique
 component need no solve) and runs Newton otherwise. Bisection (the test
 oracle, and ``sde(verify=True)``'s cross-check) and the paper's fixed-point
-recursion (with Aitken extrapolation, on the same f1) are callable on a degree
-histogram, next to the closed-form bounds.
+recursion (with Aitken extrapolation, on the same f1) are callable on a
+degree histogram, next to the closed-form bounds.
 """
 from __future__ import annotations
 
@@ -83,6 +83,18 @@ class SdeBounds:
     sharpened_upper: float | None = None
 
 
+def _lambda1_checked(ds: DegreeSequence, lambda1: float) -> float:
+    """``lambda1`` as a float where q is defined: AllDegreesZero without a
+    positive degree, else InvalidGraph unless 0 < lambda1 <= d_max (1 +
+    ``_INF_GUARD``) with d_max/lambda1 finite, tested before the conversion."""
+    d_max = ds.d_max
+    if not d_max > 0:
+        raise AllDegreesZero("every weighted degree is zero")
+    if not (0 < lambda1 <= d_max * (1.0 + _INF_GUARD) and d_max / float(lambda1) < math.inf):
+        raise InvalidGraph(f"lambda1 must lie in (0, d_max = {d_max!r}] with d_max/lambda1 finite")
+    return float(lambda1)
+
+
 def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     """f1 on the distinct positive degrees, and the solvers' start q_top.
 
@@ -99,15 +111,12 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     q*rho_max <= 700, the range the solvers evaluate), in O(distinct
     degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
     at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
-    unless lambda1 < d_max).
+    unless lambda1 < d_max). :func:`_lambda1_checked` checks lambda1.
     """
-    if not 0 < lambda1 < math.inf:
-        raise InvalidGraph("lambda1 must be positive and finite")
+    lambda1 = _lambda1_checked(ds, lambda1)
     values, counts = ds._lists
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
-    if not values:
-        raise AllDegreesZero("every weighted degree is zero")
     n = ds.n
     zero_weight = (n - sum(counts)) / n
     # per distinct degree: w, rho, w*rho, |w*rho|, and w signed like expm1(q*rho)
@@ -142,54 +151,42 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
 
 
 def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
-    """Log-domain root function: q*log(lambda1) + log(N) - log(sum d_i^q).
+    """Log-domain root function, q in [0, Q_MAX]: q*log(lambda1) + log(N) - log(sum d_i^q).
 
     Zero degrees contribute nothing to the power sum (0^q = 0 for q > 0).
     Concave in q, and strictly decreasing from its root on for non-regular
     degree sequences; its unique root on [2, inf) is the SDE. Evaluated on
     the degree histogram, relative to lambda1 (see :func:`_f1_on_histogram`).
     """
+    if not 0 <= q <= Q_MAX:
+        raise InvalidGraph(f"q must lie in [0, {Q_MAX:g}]")
     return _f1_on_histogram(ds, lambda1)[0](q)[0]
 
 
-def _q_is_infinite(ds: DegreeSequence, lambda1: float) -> bool:
-    """Whether lambda1 reaches d_max, so that q is infinite; otherwise raises
-    where q is undefined (a non-finite or non-positive lambda1 or a regular
-    histogram)."""
-    if not math.isfinite(lambda1):
-        raise InvalidGraph("lambda1 must be finite")
-    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
-        return True
-    if lambda1 <= 0:
-        raise InvalidGraph("lambda1 must be positive")
-    if ds.c >= ds.n:
-        raise RegularGraph("degree sequence is constant")
-    return False
-
-
 def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
-    """Closed-form bracket: lower from the d2 substitution (clamped at 2),
-    upper = q0, and the sharpened upper from the d_min substitution when the
-    graph has no isolated nodes.
+    """Closed-form bracket, each bound clamped at 2 (an upper one below 2
+    means f1(2) <= 0, where the solvers return 2): lower from the d2
+    substitution, upper = q0, and the sharpened upper from the d_min
+    substitution when the graph has no isolated nodes.
 
     Both upper bounds rest on sum d^q >= c d_max^q, so they count only the
     nodes at exactly d_max (``q_top``'s count), not ``ds.c``, which also
     merges non-integral near-ties; the lower bound keeps ``ds.c`` and d2,
     since merged nodes lie below d_max."""
-    if _q_is_infinite(ds, lambda1):
+    lambda1 = _lambda1_checked(ds, lambda1)
+    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD) or ds.c >= ds.n:
         raise RegularGraph(
             "lambda1 reaches d_max: q is infinite (or the graph is regular)")
     denom = math.log(ds.d_max / lambda1)
     n, c, c_top = ds.n, ds.c, int(ds.counts[0])
-    upper = math.log(n / c_top) / denom
+    upper = max(math.log(n / c_top) / denom, 2.0)
     r2 = ds.d2 / ds.d_max
-    lower = (math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom
-    lower = max(lower, 2.0)
+    lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)
     sharpened = None
     if ds.d_min > 0:
         rmin = ds.d_min / ds.d_max
         term = (n - c_top) * math.exp(upper * math.log(rmin))
-        sharpened = (math.log(n) - math.log(c_top + term)) / denom
+        sharpened = max((math.log(n) - math.log(c_top + term)) / denom, 2.0)
     return SdeBounds(lower=lower, upper=upper, sharpened_upper=sharpened)
 
 
@@ -197,26 +194,28 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     """What every solver does before it iterates: (result, None, nan) where
     no iteration is needed, else (None, evaluate, q_start).
 
-    Checks ``tol_q``; lambda1 at d_max gives inf; a regular or non-positive
-    input raises. The start is the smaller of two upper bounds on the root.
-    One is q_top (see :func:`_f1_on_histogram`), the closed-form bound from
-    the nodes at exactly d_max, where f1 <= 0. It may exceed Q_MAX with a
-    small root: inf is reported only when f1(Q_MAX) > 0 certifies the root
-    above Q_MAX, and otherwise this bound is Q_MAX. The other is the zero
-    of f1's tangent at 2, 2 - f1(2)/f1'(2), wherever f1'(2) < 0: f1 is
-    concave, so the tangent lies above it, and f1 is at most about its
-    rounding there. A non-positive f1(2) returns exactly 2, with no rounding
-    check. Only a biregular graph has q = 2, yet f1(2) <= 0 happens on
-    others through the rounding of lambda1, which f1's own rounding
-    estimate does not include: on K15 with one link of weight 1 + 1e-6,
-    f1(2) = -1.1e-15 against an estimate of 1.5e-23, and 2 is returned
-    where q = 2.8667.
+    Checks ``tol_q``, then lambda1 (through :func:`_f1_on_histogram`); lambda1
+    at d_max gives inf, a regular histogram raises. The start is the smaller
+    of two upper bounds on the root. One is q_top (see
+    :func:`_f1_on_histogram`), the closed-form bound from the nodes at
+    exactly d_max, where f1 <= 0. It may exceed Q_MAX with a small root: inf
+    is reported only when f1(Q_MAX) > 0 certifies the root above Q_MAX, and
+    otherwise this bound is Q_MAX. The other is the zero of f1's tangent at
+    2, 2 - f1(2)/f1'(2), wherever f1'(2) < 0: f1 is concave, so the tangent
+    lies above it, and f1 is at most about its rounding there. A
+    non-positive f1(2) returns exactly 2, with no rounding check. Only a
+    biregular graph has q = 2, yet f1(2) <= 0 happens on others through the
+    rounding of lambda1, which f1's own rounding estimate does not include:
+    on K15 with one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an
+    estimate of 1.5e-23, and 2 is returned where q = 2.8667.
     """
     if not (0 < tol_q <= 1e-4):
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
-    if _q_is_infinite(ds, lambda1):
-        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan
     evaluate, q = _f1_on_histogram(ds, lambda1)
+    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
+        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan
+    if ds.c >= ds.n:
+        raise RegularGraph("degree sequence is constant")
     if q > Q_MAX:
         if evaluate(Q_MAX)[0] > 0.0:
             return SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan

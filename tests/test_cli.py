@@ -191,6 +191,13 @@ MALFORMED_INPUTS = {
                            "--seed", "-1"], "seed"),
     "nonmonotonic-seed": ({}, ["nonmonotonic", "--n", "5", "--trials", "1",
                                "--seed", "-1"], "seed"),
+    # the size rule, before anything is allocated (each ran out of memory)
+    "family-nodes": ({}, ["compute", "--family", "path:1000000000000"], "at most"),
+    "family-links": ({}, ["compute", "--family", "complete:200000"], "at most"),
+    "edge-list-n-1e12": ({"e.txt": b"n=1000000000000\n"},
+                         ["compute", "--edge-list", "{}/e.txt"], "at most"),
+    "edge-list-n-1e8": ({"e.txt": b"n=100000000\n0 1\n"},
+                        ["compute", "--edge-list", "{}/e.txt"], "at most"),
 }
 
 

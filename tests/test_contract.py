@@ -1,0 +1,279 @@
+"""The input contract: a value of a documented type gives a result in its
+documented range or an ``SdegraphError``, never another exception.
+
+API half: a table over ``sdegraph.__all__`` and the ``Graph`` constructors
+and methods. Each numeric parameter is fed, one at a time, every value of
+``NUMBERS`` (huge ints, subnormals, NaN, +-inf, zeros, negatives) while the
+others keep a valid value; array parameters get the numpy arrays of
+``ARRAYS`` (empty, non-finite, negative and float index arrays). A q must
+be NaN, inf or in [2, Q_MAX], a bracket must have lower <= upper, and a
+returned ``Graph`` must pass ``validate`` and then every query on it. CLI half: every subcommand, run with small mutated
+numeric arguments, exits 0, 2 or 3 without a traceback. Both halves are
+deterministic.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import sdegraph
+from conftest import cycle_graph
+from sdegraph import (Graph, add_link, bounds, classify, degree_sequence, f1, family_q,
+                      fork_q_constant, generate, lollipop_limit_lambda1,
+                      lollipop_q_asymptotic, metric_records, metric_suite, parse_graph6,
+                      parse_weighted_edge_list, path_q_asymptotic, path_q_exact,
+                      read_graph6_file, sde, solve_bisection, solve_recursion,
+                      spectral_radius, wheel_limit_check)
+from sdegraph.cli import main
+from sdegraph.errors import SdegraphError
+from sdegraph.graph import DegreeSequence
+from sdegraph.solver import Q_MAX, SdeBounds, SdeResult, solve_newton
+
+HUGE = 10**400  # past the float range
+# and values inside most domains, so that each check sees results too
+NUMBERS = (HUGE, -HUGE, 2**63, 10**12, 1e308, 5e-324, -5e-324, 1e-300, math.nan,
+           math.inf, -math.inf, 0, 0.0, -1, -2.5, 1.9, 2.000000000002, 3, 3.0, 7)
+# the same as command-line text, and a few spellings argparse or int() refuse
+WORDS = ("1" + "0" * 400, "9223372036854775808", "1000000000000", "1e308", "5e-324",
+         "nan", "inf", "-inf", "0", "-1", "-2.5", "", "0x10")
+
+
+def q_ok(q):
+    assert math.isnan(q) or q == math.inf or 2.0 <= q <= Q_MAX, q
+
+
+def q_in_range(r):
+    assert isinstance(r, SdeResult)
+    q_ok(r.q)
+
+
+def record(row):
+    q_ok(row["sde_q"])
+
+
+def bracket(b):
+    assert isinstance(b, SdeBounds)
+    assert 2.0 <= b.lower <= b.upper, b
+    assert b.sharpened_upper is None or b.lower <= b.sharpened_upper <= b.upper, b
+
+
+def real(x):
+    assert isinstance(x, float)
+
+
+def histogram(ds):
+    assert isinstance(ds, DegreeSequence)
+    assert ds.n >= 1 and np.isfinite(ds.values).all()
+
+
+def graph(g):
+    """A returned graph keeps the invariants, and every query on it answers
+    in range or with an SdegraphError."""
+    assert isinstance(g, Graph)
+    g.validate()
+    assert g.degrees().shape == (g.n,) and len(g.links()) == g.num_links()
+    histogram(g.histogram)
+    for query, check in ((lambda: classify(g), None), (lambda: sde(g), q_in_range),
+                         (lambda: spectral_radius(g), real), (lambda: g.weights, None),
+                         (lambda: metric_suite(g), record)):
+        try:
+            result = query()
+        except SdegraphError:
+            continue
+        if check is not None:
+            check(result)
+
+
+def validated(g):
+    g.validate()
+    return g
+
+
+def records(items):
+    for row in items:
+        if not isinstance(row, SdegraphError):
+            record(row)
+
+
+P6 = generate("path:6")
+# histograms with a valid lambda1 each: generic, biregular, with isolated
+# nodes, regular, edgeless and weighted with a near-tie at d_max
+HISTOGRAMS = [(P6.histogram, spectral_radius(P6)),
+              (generate("star:6").histogram, math.sqrt(5)),
+              (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]).histogram, math.sqrt(3)),
+              (cycle_graph(5).histogram, 2.0),
+              (Graph.from_edges(3, []).histogram, 1.0),
+              (degree_sequence([10.5, 10.5 * (1 - 1e-10), 7.25]), 10.5 * (1 - 6e-7))]
+WEIGHTED = Graph.from_edges(4, [(0, 1, 2.5), (1, 2), (2, 3, 0.5)])
+GRAPHS = [P6, WEIGHTED, Graph.from_edges(3, []), cycle_graph(4), Graph.from_edges(1, [])]
+SPECS = [f"{kind}:{{}}" for kind in ("path", "wheel", "star", "complete", "fork", "lollipop")]
+SPECS += ["kbip:{}:3", "kbip:2:{}", "bireg:{}:6:3", "bireg:4:{}:3", "bireg:4:6:{}"]
+RANDOM_SPECS = ["er:{}:0.5:1", "er:8:{}:1", "er:8:0.5:{}", "ba:{}:2:1", "ba:8:{}:1",
+                "ba:8:2:{}"]
+
+
+def spec_text(x):
+    return str(x) if isinstance(x, int) else format(x, "g")
+
+
+def lambda1_and_tol_calls():
+    """(call of one junk value, check) for every function of lambda1 or tol_q."""
+    calls = []
+    for ds, lam in HISTOGRAMS:
+        calls.append((lambda x, ds=ds: bounds(ds, x), bracket))
+        # a numpy scalar, as eigvalsh gives, divides with numpy's warnings
+        calls.append((lambda x, ds=ds: bounds(ds, np.float64(x) if isinstance(x, float) else x),
+                      bracket))
+        calls.append((lambda x, ds=ds: f1(2.5, ds, x), real))
+        calls.append((lambda x, ds=ds, lam=lam: f1(x, ds, lam), real))
+        for solve in (solve_newton, solve_bisection, solve_recursion):
+            calls.append((lambda x, ds=ds, solve=solve: solve(ds, x), q_in_range))
+            calls.append((lambda x, ds=ds, lam=lam, solve=solve: solve(ds, lam, tol_q=x),
+                          q_in_range))
+    return calls
+
+
+API = {
+    "lambda1_and_tol_q": lambda1_and_tol_calls(),
+    "sde": [(lambda x: sde(P6, lambda1=x), q_in_range),
+            (lambda x: sde(P6, lambda1=x, verify=True), q_in_range),
+            (lambda x: sde(WEIGHTED, lambda1=x), q_in_range)],
+    "family_q": [(lambda x, s=s: family_q(s.format(spec_text(x))), q_in_range)
+                 for s in SPECS],
+    "generate": [(lambda x, s=s: generate(s.format(spec_text(x))), graph)
+                 for s in SPECS + RANDOM_SPECS],
+    "path_and_wheel_laws": [(path_q_asymptotic, real), (path_q_exact, real),
+                            (wheel_limit_check, real)],
+    "lollipop_q_asymptotic": [(lambda x: lollipop_q_asymptotic(x, 2.9), real),
+                              (lambda x: lollipop_q_asymptotic(100, x), real)],
+    "parse_weighted_edge_list": [
+        (lambda x, t=t: parse_weighted_edge_list(t.format(spec_text(x))), graph)
+        for t in ("n={}\n0 1\n", "0 {}\n", "{} 1 2\n", "0 1 {}\n1 2\n", "n=3\n0 2 {}\n")],
+    "parse_graph6": [(lambda x: parse_graph6(spec_text(x)), graph)],
+    "Graph.from_edges": [(lambda x: Graph.from_edges(x, [(0, 1), (1, 2)]), graph),
+                         (lambda x: Graph.from_edges(x, []), graph),
+                         (lambda x: Graph.from_edges(4, [(x, 1)]), graph),
+                         (lambda x: Graph.from_edges(4, [(0, 1, x), (1, 2)]), graph)],
+    "Graph.validate": [(lambda x: validated(
+        Graph(x, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))), graph)],
+    "Graph.scaled": [(lambda x, g=g: g.scaled(x), graph) for g in GRAPHS],
+    "add_link": [(lambda x: add_link(P6, x, 3), graph), (lambda x: add_link(P6, 0, x), graph),
+                 (lambda x: add_link(P6, 0, 3, x), graph),
+                 (lambda x: add_link(WEIGHTED, 0, 3, x), graph)],
+}
+
+
+@pytest.mark.parametrize("name", API)
+def test_numeric_parameters_answer_in_range_or_raise_typed(name):
+    for call, check in API[name]:
+        for x in NUMBERS:
+            try:
+                result = call(x)
+            except SdegraphError:
+                continue
+            check(result)
+
+
+ARRAYS = [np.array([]), np.array([], dtype=np.int64), np.array([np.nan, 1.0]),
+          np.array([np.inf, 1.0]), np.array([1.0, -np.inf]), np.array([-1, 2]),
+          np.array([3, 2, 2]), np.array([1.0, 0.0]), np.array([2**62, 1]),
+          np.array([5e-324, 1.0]), np.array([1e308, 1e308]), np.array([-2.5, 0.0]),
+          np.array([2**63, 1], dtype=np.uint64)]
+
+
+@pytest.mark.parametrize("index", range(len(ARRAYS)))
+def test_array_parameters_answer_in_range_or_raise_typed(index):
+    a = ARRAYS[index]
+    symmetric = a[np.minimum.outer(np.arange(a.size), np.arange(a.size))]  # w_ij = a_min(i,j)
+    np.fill_diagonal(symmetric, 0)
+    calls = [
+        (lambda: degree_sequence(a), histogram),
+        (lambda: Graph.from_dense(np.diag(a)), graph),
+        (lambda: Graph.from_dense(symmetric), graph),
+        # as CSR fields, float index arrays among them
+        (lambda: validated(Graph(3, np.array([0, 1, 2, 2]), a, np.ones(a.size))), graph),
+        (lambda: validated(Graph(max(a.size - 1, 1), a, np.array([1, 0]), np.ones(2))),
+         graph),
+        (lambda: validated(Graph(2, np.array([0, 1, 2]), np.array([1, 0]), a)), graph),
+        (lambda: Graph.from_edges(3, [a]), graph),
+    ]
+    for call, check in calls:
+        try:
+            result = call()
+        except SdegraphError:
+            continue
+        check(result)
+
+
+def test_argument_free_names_and_item_streams(tmp_path):
+    real(fork_q_constant())
+    real(lollipop_limit_lambda1())
+    records(metric_records([P6, WEIGHTED, Graph.from_edges(3, []), cycle_graph(4),
+                            SdegraphError("kept in place")]))
+    for g in GRAPHS:
+        try:
+            records([metric_suite(g)])
+        except SdegraphError:
+            pass
+    path = tmp_path / "junk.g6"
+    for text in ("", "E?\n", "~??~\n", "Bw\nB\n", ">>graph6<<A_\n", "A" * 3):
+        path.write_text(text)
+        try:
+            for g in read_graph6_file(path):
+                graph(g)
+        except SdegraphError:
+            pass
+
+
+def test_every_public_name_is_swept():
+    swept = {"bounds", "f1", "solve_bisection", "solve_recursion", "sde", "degree_sequence",
+             "family_q", "generate", "path_q_asymptotic", "path_q_exact",
+             "wheel_limit_check", "lollipop_q_asymptotic", "parse_weighted_edge_list",
+             "parse_graph6", "Graph", "add_link", "fork_q_constant",
+             "lollipop_limit_lambda1", "metric_records", "metric_suite",
+             "read_graph6_file", "classify", "spectral_radius"}
+    assert swept == set(sdegraph.__all__)
+
+
+# CLI half
+
+
+def cli_argvs(tmp_path):
+    """Every subcommand with one numeric argument mutated at a time."""
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Bw\nCr\nnot-a-graph\nDQc\n")
+    argvs = []
+    for w in WORDS:
+        argvs += [["compute", "--family", s.format(w)] for s in SPECS + RANDOM_SPECS]
+        for text in (f"n={w}\n0 1\n", f"0 {w}\n", f"0 1 {w}\n1 2\n"):
+            path = tmp_path / f"edges-{len(argvs)}.txt"
+            path.write_text(text)
+            argvs.append(["compute", "--edge-list", str(path), "--json"])
+        argvs.append(["compute", "--graph6", w or "?"])
+        csv = tmp_path / f"rows-{len(argvs)}.csv"
+        csv.write_text(f"a,sde_q\n1,2\n{w},3.5\n3,{w}\n4,5\n")
+        argvs.append(["correlate", str(csv), "--json"])
+        argvs.append(["asymptotics", "--family", "path", "--n-list", f"10,{w}"])
+        argvs.append(["asymptotics", "--family", "lollipop", "--n-list", w])
+        argvs.append(["ensemble", "--family", "er:8:0.5", "--count", "3", "--seed", w])
+        argvs.append(["ensemble", "--family", f"ba:{w}:2", "--count", "2"])
+        argvs.append(["ensemble", "--family", f"er:8:{w}", "--count", "2"])
+        argvs.append(["nonmonotonic", "--n", "5", "--trials", "1", "--seed", w])
+    # counts, trials, star sizes and workers stay small: each is work to do (and
+    # a star size past the size rule still runs out of memory: ROADMAP item 10)
+    for w in ("-1", "0", "1", "2", "nan", ""):
+        argvs.append(["batch", str(batch), "--jobs", w])
+        argvs.append(["ensemble", "--family", "er:8:0.5", "--count", w])
+        argvs.append(["nonmonotonic", "--n", w or "4", "--trials", "1"])
+        argvs.append(["nonmonotonic", "--n", "5", "--trials", w])
+    return argvs
+
+
+def test_cli_exits_0_2_or_3_without_traceback(tmp_path, capsys):
+    for argv in cli_argvs(tmp_path):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the text: usage, exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, code, err)

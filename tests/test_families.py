@@ -99,6 +99,33 @@ def test_family_minimums():
             generate(bad)
 
 
+@pytest.mark.parametrize("spec", ["path:1000000000000", "complete:200000", "kbip:100000:100000",
+                                  "wheel:" + "9" * 30, "er:100000:0.5:1", "ba:1000000000000:2:1"])
+def test_oversized_specs_are_refused_before_any_link_is_made(spec, monkeypatch):
+    # path:1e12 and complete:200000 ran out of memory making their links; the
+    # size rule reads the degree profile (or er's n x n draw) first
+    parsed = parse_family(spec)
+
+    def make_links(*args):
+        raise AssertionError(f"{spec}: links were made")
+
+    for name, family in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, links=make_links))
+    monkeypatch.setattr("sdegraph.families.er_graph", make_links)
+    monkeypatch.setattr("sdegraph.families.ba_graph", make_links)
+    with pytest.raises(BadSpec, match="at most"):
+        generate(parsed)
+
+
+@pytest.mark.parametrize("call", [path_q_exact, path_q_asymptotic, wheel_limit_check],
+                         ids=["path_q_exact", "path_q_asymptotic", "wheel_limit_check"])
+def test_laws_refuse_sizes_past_the_float_range(call):
+    # path_q_exact and path_q_asymptotic raised OverflowError, and
+    # wheel_limit_check numpy's ValueError (now the size rule's BadSpec)
+    with pytest.raises(BadSpec):
+        call(10**400)
+
+
 def test_parse_family_errors():
     with pytest.raises(BadSpec):
         parse_family("torus:5")

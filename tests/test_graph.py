@@ -14,7 +14,7 @@ from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
                       read_graph6_file, sde)
 from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
 from sdegraph.families import analytic_lambda1
-from sdegraph.graph import (DENSE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
+from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
                             connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
 
@@ -575,6 +575,35 @@ def test_validate_rejects_csr_fields_that_are_not_arrays():
             Graph(3, *args).validate()
 
 
+def test_validate_rejects_float_index_arrays():
+    # float indices passed, and sde then raised IndexError: arrays used as
+    # indices must be of integer (or boolean) type
+    with pytest.raises(InvalidGraph, match="integer"):
+        Graph(3, np.array([0, 1, 2, 2]), np.array([1.0, 0.0]), np.array([1.0, 1.0])).validate()
+    with pytest.raises(InvalidGraph, match="integer"):
+        Graph(3, np.array([0.0, 1.0, 2.0, 2.0]), np.array([1, 0]), np.array([1.0, 1.0])).validate()
+    # a float n passed with integer arrays, and sde raised the same IndexError
+    with pytest.raises(InvalidGraph, match="integer"):
+        Graph(3.0, np.array([0, 1, 2, 2]), np.array([1, 0]), np.array([1.0, 1.0])).validate()
+
+
+@pytest.mark.parametrize("degrees", [[], np.array([], dtype=np.int64), [np.nan, 1.0],
+                                     [np.inf, 2.0], [1.0, -np.inf]],
+                         ids=["empty", "empty_int", "nan", "inf", "minus_inf"])
+def test_degree_sequence_rejects_empty_and_non_finite_degrees(degrees):
+    # [] raised IndexError: index 0 is out of bounds for axis 0 with size 0
+    with pytest.raises(InvalidGraph):
+        degree_sequence(degrees)
+
+
+def test_from_edges_rejects_a_non_integral_node_count():
+    # n = 2.5 once built a graph with float indices
+    for n in (2.5, math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidGraph):
+            Graph.from_edges(n, [(0, 1)])
+    assert Graph.from_edges(3.0, [(0, 1)]).indices.dtype == np.int64
+
+
 def test_scaled_rejects_bad_factors_and_overflow():
     # a NaN factor once reached sde as an untyped LinAlgError, 1e308 gave
     # infinite degrees that sde classified as regular (q = NaN), and a weight
@@ -789,6 +818,19 @@ def test_dense_view_is_capped():
     with pytest.raises(TooLargeForDense):
         g.weights
     assert g.num_links() == DENSE_CAP and g.degrees().sum() == 2 * DENSE_CAP
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edges(10**12, [(0, 1)]),
+    lambda: Graph.from_edges(SIZE_CAP + 1, []),
+    lambda: Graph.from_edges(10**20, [(0, 10**19)]),  # an id past int64
+    lambda: Graph.from_edges(10**400, []),
+], ids=["n=1e12", "one_past_the_cap", "id_past_int64", "n_past_float"])
+def test_size_rule_refuses_before_allocating(build):
+    # n = 1e12 once built its row offsets as an object array (n * n passes
+    # int64) and ran out of memory; an id past int64 raised OverflowError
+    with pytest.raises(InvalidGraph, match="at most"):
+        build()
 
 
 def test_path_edge_list_memory(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURE_N7, random_er
 from sdegraph import (Graph, classify, generate, parse_graph6,
                       parse_weighted_edge_list, read_graph6_file)
-from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, MalformedGraph6,
-                             NegativeWeight, ParseError, SelfLoop,
+from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, InvalidGraph,
+                             MalformedGraph6, NegativeWeight, ParseError, SelfLoop,
                              WeightedUnsupported)
 from sdegraph.graph import Regular
 from sdegraph.io import (GRAPH6_HEADER, encode_graph6, format_value, load_edge_list,
@@ -317,6 +317,17 @@ def test_edge_list_directive_rules():
         parse_weighted_edge_list("0 1\nn=4")  # directive after edges
     with pytest.raises(ParseError):
         parse_weighted_edge_list("n=2\n0 5")  # id beyond declared n
+
+
+
+@pytest.mark.parametrize("text", ["n=1000000000000\n", "n=100000000\n0 1\n",
+                                  "0 100000000000000000000\n"],
+                         ids=["n=1e12", "n=1e8", "id_past_int64"])
+def test_edge_list_size_rule(text):
+    # the headers once ran out of memory building the row offsets, and an
+    # id past int64 raised OverflowError
+    with pytest.raises(InvalidGraph, match="at most"):
+        parse_weighted_edge_list(text)
 
 
 def test_edge_list_one_based():

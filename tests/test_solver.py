@@ -342,6 +342,36 @@ def test_non_finite_lambda1_is_invalid(call, lam):
         call(FORK9, lam)
 
 
+P6 = degree_sequence(generate("path:6").degrees())
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-300, 1e308, 10**400],
+                         ids=["subnormal", "tiny", "huge", "past_float"])
+def test_lambda1_witness_gets_one_answer_from_every_entry_point(lam):
+    # at 5e-324 f1 gave NaN, bounds an upper 0.0 below the lower 2.0,
+    # bisection q = 1.0 and Newton and the recursion NoConvergence; at 1e-300
+    # bounds gave upper 5.9e-4 below lower 2; at 1e308 f1 raised
+    # ZeroDivisionError while the solvers gave inf; 10**400 raised
+    # OverflowError everywhere
+    calls = {"f1": lambda: f1(2.0, P6, lam), "bounds": lambda: bounds(P6, lam),
+             **{s.__name__: lambda s=s: s(P6, lam)
+                for s in (solve_newton, solve_bisection, solve_recursion)}}
+    outcomes = {}
+    for name, call in calls.items():
+        try:
+            outcomes[name] = call()
+        except InvalidGraph as exc:
+            outcomes[name] = type(exc)
+    if InvalidGraph in outcomes.values():  # outside lambda1's domain: every one refuses
+        assert set(outcomes.values()) == {InvalidGraph}, outcomes
+        return
+    # inside it: f1(2) <= 0, so every solver gives exactly 2, inside [2, 2]
+    b = outcomes.pop("bounds")
+    assert outcomes.pop("f1") <= 0.0
+    assert {r.q for r in outcomes.values()} == {2.0}
+    assert b.lower == b.upper == b.sharpened_upper == 2.0
+
+
 def test_newton_fork_constant():
     r = solve_newton(FORK9, 2.0)
     assert r.method == "newton" and r.iterations > 0
