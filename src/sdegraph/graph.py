@@ -62,7 +62,7 @@ class Graph:
         """Graph of the nonzero entries of a square weight matrix. Raises
         InvalidGraph unless it is symmetric with a zero diagonal, then
         raises as :meth:`_from_links` does."""
-        w = np.asarray(weights, dtype=float)
+        w = _floats(weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise InvalidGraph("weights must be a square matrix with n >= 1")
         if not np.array_equal(w, w.T, equal_nan=True) or w.diagonal().any():
@@ -221,7 +221,10 @@ def _checked(g: Graph) -> Graph:
     """``g``, once every stored weight is positive and finite (else
     InvalidGraph) and no weighted degree overflows float64: DegreeOverflow
     names the first node whose finite weights sum past it (degrees stay
-    cached)."""
+    cached). All-1 weights pass on the cached ``Graph._unweighted`` alone:
+    they are positive and finite, and no degree can pass n - 1."""
+    if g._unweighted:
+        return g
     if not ((0 < g.data) & (g.data < np.inf)).all():
         raise InvalidGraph("stored weights must be positive and finite")
     over = np.flatnonzero(np.isinf(g.degrees()))
@@ -240,6 +243,14 @@ def _weight(w) -> float:
         return float(w)
     except OverflowError:
         raise InvalidGraph("stored weights must be positive and finite") from None
+
+
+def _floats(values) -> np.ndarray:
+    """``values`` as a float array; InvalidGraph for a non-real, ragged or too large entry."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidGraph("values must be real numbers within the float range") from None
 
 
 def _node_id(x, n: int) -> int:
@@ -308,7 +319,7 @@ def degree_sequence(degrees) -> DegreeSequence:
         top = hist.nonzero()[0][::-1]  # the distinct counts, descending
         counts = hist[top]
         return DegreeSequence(values=top.astype(float), counts=counts, c=int(counts[0]))
-    d = np.sort(d.astype(float))[::-1]
+    d = np.sort(_floats(d))[::-1]
     if not (d.size and np.isfinite(d[0]) and np.isfinite(d[-1])):  # NaN and inf sort to an end
         raise InvalidGraph("a graph needs n >= 1 nodes, each of finite degree")
     # the first index of each run of equal degrees, and the end

@@ -3,7 +3,8 @@
 The spectral radius lambda1 takes one of three routes, chosen from the
 graph's own structure:
 
-- up to ``DENSE_LAMBDA1_CAP`` nodes, the top dense LAPACK eigenvalue;
+- up to ``DENSE_LAMBDA1_CAP`` nodes, the top dense LAPACK eigenvalue: the one dense kernel
+  :func:`_top_eigenvalues` on a stack of one (or of a growth trial's steps), the same bits;
 - above it, a graph with a degree-1 node whose pendant trees leave a 2-core
   of at most ``DENSE_LAMBDA1_CAP`` nodes (a forest leaves none: the path,
   the fork, BA trees; the lollipop leaves 5 nodes) gets mu* = d_max -
@@ -74,7 +75,7 @@ def spectral_radius(g: Graph) -> float:
     if d_max == 0.0:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
-        return float(np.linalg.eigvalsh(g.weights)[-1])
+        return float(_top_eigenvalues(g.weights[None])[0])
     if (g._link_counts == 1).any():
         # imported here, so that runs without such graphs never compile it
         from .inertia import PendantTrees
@@ -98,6 +99,11 @@ def spectral_radius(g: Graph) -> float:
         raise NoConvergence(f"Lanczos residual {resid:.3g} exceeds {TOL_LAMBDA1} "
                             f"times max(1, d_max) (lambda1={lam})")
     return lam
+
+
+def _top_eigenvalues(weights: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each symmetric matrix of a (B, n, n) stack: one ``eigvalsh`` call."""
+    return np.linalg.eigvalsh(weights)[:, -1]
 
 
 def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:

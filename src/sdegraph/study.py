@@ -16,12 +16,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BadSpec, ConstantSeries, FilterExhausted, InputError
+from .errors import BadSpec, ConstantSeries, FilterExhausted, InputError, InvalidGraph
 from .families import FAMILIES, FamilySpec, check_seed, family_q, sample
-from .graph import Graph, add_link, connected_components
+from .graph import Graph, _too_large, add_link, connected_components
 from .io import jsonable
-from .metrics import METRIC_NAMES, pearson
+from .metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
 from .solver import sde
+from .spectral import DENSE_LAMBDA1_CAP, _top_eigenvalues
 
 
 @dataclass
@@ -117,27 +118,48 @@ def growth_trajectories(n: int, trials: int,
     from the star (step 0, q = 2) to the last non-regular graph before the
     complete one; ``decreased`` is 1 where q fell by more than 1e-8 from
     the previous step. The orders are drawn from one generator seeded with
-    ``seed``; the star is solved once, for every trial.
+    ``seed``; the star is solved once, for every trial. The size rule on the
+    complete graph comes before any allocation. Up to ``DENSE_LAMBDA1_CAP``
+    nodes each step's ``sde`` is given lambda1 from :func:`_stacked_lambda1s`.
     """
     check_seed(seed)
+    if why := _too_large(n, n * (n - 1)):
+        raise InvalidGraph(why)
     rng = np.random.default_rng(seed)
     star = Graph.from_edges(n, [(0, j) for j in range(1, n)])
-    missing = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    missing = np.add(np.triu_indices(n - 1, 1), 1)  # links (i, j), 0 < i < j, in order
     star_q = sde(star).q
     rows = []
     for trial in range(trials):
         g, prev_q = star, star_q
         rows.append((trial, 0, g.num_links(), prev_q, 0))
-        for step, k in enumerate(rng.permutation(len(missing)), 1):
-            i, j = missing[int(k)]
+        links = missing[:, rng.permutation(missing.shape[1])]
+        lams = _stacked_lambda1s(n, links) if n <= DENSE_LAMBDA1_CAP else [None] * links.shape[1]
+        for step, (i, j, lam) in enumerate(zip(*links.tolist(), lams), 1):
             g = add_link(g, i, j)
-            result = sde(g)
+            result = sde(g, lambda1=lam)
             if result.is_undefined:
                 break  # complete graph reached: regular, trajectory ends
             rows.append((trial, step, g.num_links(), result.q,
                          int(result.q < prev_q - 1e-8)))
             prev_q = result.q
     return rows
+
+
+def _stacked_lambda1s(n: int, links: np.ndarray):
+    """Yield lambda1 of the star on ``n`` nodes plus the first s columns (i < j) of ``links``,
+    s = 1, 2, ...: top eigenvalues of stacks of at most ``GRAPH_STACK_CAP`` entries, each
+    one ``np.cumsum`` of one-hot additions onto the running upper triangle, plus its transpose."""
+    size = max(1, GRAPH_STACK_CAP // (n * n))
+    upper = np.zeros((1, n, n))
+    upper[0, 0, 1:] = 1.0  # the star
+    for lo in range(0, links.shape[1], size):
+        i, j = links[:, lo:lo + size]
+        adds = np.zeros((i.size, n, n))
+        adds[np.arange(i.size), i, j] = 1.0
+        adds[0] += upper[-1]
+        upper = np.cumsum(adds, axis=0)
+        yield from _top_eigenvalues(upper + upper.transpose(0, 2, 1)).tolist()
 
 
 def asymptotics_rows(family: str,

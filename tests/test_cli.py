@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,15 @@ import pytest
 import sdegraph
 from conftest import FIXTURE_N7, FIXTURE_N8
 from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_graph6,
-                      path_q_exact, sde)
+                      path_q_exact, sde, spectral_radius)
 from sdegraph import study
 from sdegraph.cli import main
-from sdegraph.errors import BadSpec, InputError
+from sdegraph.errors import BadSpec, InputError, InvalidGraph
 from sdegraph.families import FAMILIES, FAMILY_KINDS
+from sdegraph.graph import _too_large
 from sdegraph.io import encode_graph6, format_value, read_records_csv
 from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
+from sdegraph.solver import DEFAULT_TOL_Q
 from sdegraph.study import asymptotics_rows, correlation_report, growth_trajectories
 
 from conftest import k4_plus_p3
@@ -198,6 +201,9 @@ MALFORMED_INPUTS = {
                          ["compute", "--edge-list", "{}/e.txt"], "at most"),
     "edge-list-n-1e8": ({"e.txt": b"n=100000000\n0 1\n"},
                         ["compute", "--edge-list", "{}/e.txt"], "at most"),
+    "nonmonotonic-n-6000": ({}, ["nonmonotonic", "--n", "6000", "--trials", "1"], "at most"),
+    "nonmonotonic-n-1e12": ({}, ["nonmonotonic", "--n", "1000000000000", "--trials", "1"],
+                            "at most"),
 }
 
 
@@ -495,6 +501,80 @@ def test_growth_trajectories_solve_the_star_once(monkeypatch):
     assert len(calls) == len(rows) + 1
     assert calls.count(5) == 1  # the star on 6 nodes
     assert [row for row in rows if row[1] == 0] == [(t, 0, 5, 2.0, 0) for t in range(3)]
+
+
+def recorded_lambda1s(monkeypatch, n, trials, seed):
+    """Rows of ``growth_trajectories(n, trials, seed)`` and the (graph,
+    lambda1) pair of every ``sde`` call it makes."""
+    calls = []
+
+    def recording(g, **kwargs):
+        calls.append((g, kwargs.get("lambda1")))
+        return sde(g, **kwargs)
+
+    monkeypatch.setattr(study, "sde", recording)
+    return growth_trajectories(n, trials, seed), calls
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_growth_steps_take_lambda1_from_the_stack_bit_for_bit(monkeypatch, n):
+    rows, calls = recorded_lambda1s(monkeypatch, n, 4, 7)
+    star, *steps = calls
+    assert star[1] is None and len(steps) == 4 * (n - 1) * (n - 2) // 2
+    # every step's lambda1 is the one spectral_radius gives its graph alone
+    assert all(lam == spectral_radius(g) for g, lam in steps)
+
+
+def test_growth_makes_no_spectral_radius_call_up_to_the_dense_cap(monkeypatch):
+    from sdegraph import solver, spectral
+    calls = []
+
+    def counting(g):
+        calls.append(g.num_links())
+        return spectral.spectral_radius(g)
+
+    monkeypatch.setattr(solver, "spectral_radius", counting)
+    assert 11 <= study.DENSE_LAMBDA1_CAP
+    rows = growth_trajectories(11, 3, 1)
+    assert len(rows) == 3 * 45 and calls == []  # the star is biregular: q = 2 unsolved
+
+
+def test_growth_above_the_dense_cap_solves_each_step_alone(monkeypatch):
+    from sdegraph import spectral
+    want = growth_trajectories(11, 3, 2)
+    # every step then takes spectral_radius, and spectral_radius its sparse routes
+    monkeypatch.setattr(study, "DENSE_LAMBDA1_CAP", 4)
+    monkeypatch.setattr(spectral, "DENSE_LAMBDA1_CAP", 4)
+    rows, calls = recorded_lambda1s(monkeypatch, 11, 3, 2)
+    assert all(lam is None for _, lam in calls)
+    assert [r[:3] + r[4:] for r in rows] == [r[:3] + r[4:] for r in want]
+    assert all(abs(r[3] - w[3]) <= DEFAULT_TOL_Q for r, w in zip(rows, want))
+
+
+@pytest.mark.parametrize("cap", [None, 1, 5 * 121, 121 * 121])
+def test_growth_rows_do_not_depend_on_the_stack_size(monkeypatch, cap):
+    # stacks of GRAPH_STACK_CAP // 121 = 33 graphs at n = 11: a boundary falls
+    # inside every trial of 44 steps (and 45 additions)
+    assert GRAPH_STACK_CAP // 121 < 44 < 2 * (GRAPH_STACK_CAP // 121)
+    with monkeypatch.context() as m:  # spectral_radius on each graph alone
+        m.setattr(study, "DENSE_LAMBDA1_CAP", 4)
+        want = growth_trajectories(11, 3, 3)
+    if cap is not None:
+        monkeypatch.setattr(study, "GRAPH_STACK_CAP", cap)
+    assert growth_trajectories(11, 3, 3) == want
+
+
+def test_nonmonotonic_refuses_a_star_past_the_size_rule(capsys):
+    # the star's link list and the n(n - 1)/2 missing links were built before
+    # any check: --n 1000000000000 ran out of memory
+    assert _too_large(5793, 5793 * 5792) == "" != _too_large(5794, 5794 * 5793)
+    with pytest.raises(InvalidGraph, match="at most"):
+        growth_trajectories(5794, 1, 0)
+    for n in ("6000", "1000000000000", str(10**400)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "nonmonotonic", "--n", n, "--trials", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_asymptotics_fork(tmp_path, capsys):

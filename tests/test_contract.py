@@ -4,8 +4,9 @@ documented range or an ``SdegraphError``, never another exception.
 API half: a table over ``sdegraph.__all__`` and the ``Graph`` constructors
 and methods. Each numeric parameter is fed, one at a time, every value of
 ``NUMBERS`` (huge ints, subnormals, NaN, +-inf, zeros, negatives) while the
-others keep a valid value; array parameters get the numpy arrays of
-``ARRAYS`` (empty, non-finite, negative and float index arrays). A q must
+others keep a valid value; array parameters get the numpy arrays and Python
+lists of ``ARRAYS`` (empty, non-finite, negative and float index arrays, and
+lists holding ints past the float range or a string). A q must
 be NaN, inf or in [2, Q_MAX], a bracket must have lower <= upper, and a
 returned ``Graph`` must pass ``validate`` and then every query on it. CLI half: every subcommand, run with small mutated
 numeric arguments, exits 0, 2 or 3 without a traceback. Both halves are
@@ -178,21 +179,26 @@ ARRAYS = [np.array([]), np.array([], dtype=np.int64), np.array([np.nan, 1.0]),
           np.array([np.inf, 1.0]), np.array([1.0, -np.inf]), np.array([-1, 2]),
           np.array([3, 2, 2]), np.array([1.0, 0.0]), np.array([2**62, 1]),
           np.array([5e-324, 1.0]), np.array([1e308, 1e308]), np.array([-2.5, 0.0]),
-          np.array([2**63, 1], dtype=np.uint64)]
+          np.array([2**63, 1], dtype=np.uint64),
+          # Python lists: one holding an int past the float range is an object array
+          [HUGE, 1], [1.0, -HUGE], [0, HUGE], [3, 2, 2], ["x", 1]]
 
 
 @pytest.mark.parametrize("index", range(len(ARRAYS)))
 def test_array_parameters_answer_in_range_or_raise_typed(index):
     a = ARRAYS[index]
-    symmetric = a[np.minimum.outer(np.arange(a.size), np.arange(a.size))]  # w_ij = a_min(i,j)
+    size = np.size(a)
+    # w_ij = a_min(i,j)
+    symmetric = np.asarray(a)[np.minimum.outer(np.arange(size), np.arange(size))]
     np.fill_diagonal(symmetric, 0)
     calls = [
         (lambda: degree_sequence(a), histogram),
         (lambda: Graph.from_dense(np.diag(a)), graph),
         (lambda: Graph.from_dense(symmetric), graph),
+        (lambda: Graph.from_dense(symmetric.tolist()), graph),
         # as CSR fields, float index arrays among them
-        (lambda: validated(Graph(3, np.array([0, 1, 2, 2]), a, np.ones(a.size))), graph),
-        (lambda: validated(Graph(max(a.size - 1, 1), a, np.array([1, 0]), np.ones(2))),
+        (lambda: validated(Graph(3, np.array([0, 1, 2, 2]), a, np.ones(size))), graph),
+        (lambda: validated(Graph(max(size - 1, 1), a, np.array([1, 0]), np.ones(2))),
          graph),
         (lambda: validated(Graph(2, np.array([0, 1, 2]), np.array([1, 0]), a)), graph),
         (lambda: Graph.from_edges(3, [a]), graph),
@@ -259,8 +265,10 @@ def cli_argvs(tmp_path):
         argvs.append(["ensemble", "--family", f"ba:{w}:2", "--count", "2"])
         argvs.append(["ensemble", "--family", f"er:8:{w}", "--count", "2"])
         argvs.append(["nonmonotonic", "--n", "5", "--trials", "1", "--seed", w])
-    # counts, trials, star sizes and workers stay small: each is work to do (and
-    # a star size past the size rule still runs out of memory: ROADMAP item 10)
+    # counts, trials, star sizes and workers stay small: each is work to do; a
+    # star size past the size rule is refused before anything is allocated
+    for w in WORDS[:3]:
+        argvs.append(["nonmonotonic", "--n", w, "--trials", "1"])
     for w in ("-1", "0", "1", "2", "nan", ""):
         argvs.append(["batch", str(batch), "--jobs", w])
         argvs.append(["ensemble", "--family", "er:8:0.5", "--count", w])

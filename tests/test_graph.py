@@ -596,6 +596,44 @@ def test_degree_sequence_rejects_empty_and_non_finite_degrees(degrees):
         degree_sequence(degrees)
 
 
+def test_entries_that_are_not_floats_raise_invalid_graph():
+    # a list holding 10**400 becomes an object array, whose conversion to
+    # float raised an untyped OverflowError: int too large to convert to float;
+    # strings, non-numbers and ragged rows raised ValueError or TypeError
+    for degrees in ([10**400], [3, 10**400, 1], [-(10**400), 2], ["x"], [2, {}]):
+        with pytest.raises(InvalidGraph, match="float range"):
+            degree_sequence(degrees)
+    for weights in ([[0, 10**400], [10**400, 0]], [[0, 1, 0], [1, 0, -(10**400)], [0, 1, 0]],
+                    [[0, "x"], ["x", 0]], [[0, 1], [1]], [[0, {}], [{}, 0]]):
+        with pytest.raises(InvalidGraph, match="float range"):
+            Graph.from_dense(weights)
+
+
+def test_unit_weights_pass_the_check_and_bad_weights_beside_them_do_not():
+    # the path 0 - 1 - 2 as raw CSR arrays: link (0, 1) of weight 1, link (1, 2)
+    # of weight w; every weight is 1 only when w is
+    def path(w):
+        return Graph(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]),
+                     np.array([1.0, 1.0, w, w]))
+
+    g = path(1.0)
+    g.validate()
+    assert g.is_unweighted() and g.degrees().tolist() == [1.0, 2.0, 1.0]
+    for w in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324):
+        with pytest.raises(InvalidGraph, match="positive and finite"):
+            path(w).validate()
+        with pytest.raises(InvalidGraph, match="positive and finite"):
+            add_link(Graph.from_edges(3, [(0, 1)]), 1, 2, w)
+        if w != 0:  # from_edges adds no link for a zero weight
+            with pytest.raises(InvalidGraph, match="positive and finite"):
+                Graph.from_edges(3, [(0, 1), (1, 2, w)])
+    g = add_link(Graph.from_edges(4, [(0, 1), (1, 2)]), 0, 2, 1e308)
+    with pytest.raises(DegreeOverflow, match="node 0 "):
+        add_link(g, 0, 3, 1e308)
+    with pytest.raises(DegreeOverflow, match="node 0 "):
+        Graph.from_edges(4, [(0, 1), (0, 2, 1e308), (0, 3, 1e308)])
+
+
 def test_from_edges_rejects_a_non_integral_node_count():
     # n = 2.5 once built a graph with float indices
     for n in (2.5, math.nan, math.inf, 0.0):
