@@ -18,7 +18,7 @@ from itertools import chain
 from . import io as gio
 from .errors import InputError, NumericalError, SdegraphError
 from .families import FAMILIES, analytic_lambda1, generate, parse_family
-from .graph import Graph
+from .graph import Graph, _integer
 from .metrics import metric_records
 from .solver import bounds, sde
 from .spectral import spectral_radius
@@ -166,8 +166,7 @@ def cmd_ensemble(args) -> int:
         raise InputError("ensemble supports er:N:p and ba:N:m family specs")
     if spec.args[2] is not None:
         raise InputError("give the master seed via --seed, not inside the family spec")
-    if args.count < 2:
-        raise InputError("ensemble needs count >= 2")
+    _integer(args.count, "ensemble counts", 2, error=InputError)
     records = []
     for k, record in enumerate(metric_records(ensemble_samples(spec, args.seed, args.count)), 1):
         if isinstance(record, SdegraphError):
@@ -187,8 +186,6 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_nonmonotonic(args) -> int:
-    if args.n < 4:
-        raise InputError("nonmonotonic needs n >= 4")
     rows = growth_trajectories(args.n, args.trials, args.seed)
     if args.out:
         gio.write_csv(args.out, ["trial", "step", "num_links", "q", "decreased"],

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph, _too_large
+from .graph import Graph, _integer, _too_large
 from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
@@ -40,46 +40,34 @@ class FamilySpec:
         return ":".join(str(a) for a in (self.kind, *self.args) if a is not None)
 
 
-# deterministic link builders: (node count, i, j) with one entry per link
+# deterministic link builders: (node count, i, j), one entry per link, of checked args
 
 
 def _edges_path(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    if n < 2:
-        raise BadSpec("path needs N >= 2")
     return n, np.arange(n - 1), np.arange(1, n)
 
 
 def _edges_wheel(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     # hub is node 0; rim cycle on 1..n-1
-    if n < 4:
-        raise BadSpec("wheel needs N >= 4")
     return (n, np.r_[np.zeros(n - 1, dtype=np.int64), 1:n - 1, 1],
             np.r_[1:n, 2:n, n - 1])
 
 
 def _edges_star(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    if n < 2:
-        raise BadSpec("star needs N >= 2")
     return n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n)
 
 
 def _edges_complete(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    if n < 2:
-        raise BadSpec("complete graph needs N >= 2")
     return (n, *np.triu_indices(n, 1))
 
 
 def _edges_kbip(m: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    if m < 1 or n < 1:
-        raise BadSpec("complete bipartite needs m, n >= 1")
     return m + n, np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)
 
 
 def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Modular biregular construction: part-A node i links to part-B nodes
-    (i*r1 + j) mod n for j = 0..r1-1; requires m*r1 divisible by n."""
-    if m < 1 or n < 1 or r1 < 1:
-        raise BadSpec("biregular needs positive m, n, r1")
+    (i*r1 + j) mod n for j = 0..r1-1; requires r1 <= n and m*r1 divisible by n."""
     if r1 > n:
         raise BadSpec(f"r1={r1} exceeds opposite part size n={n}")
     if (m * r1) % n != 0:
@@ -91,16 +79,12 @@ def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _edges_fork(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Path on N nodes with two pendant nodes at each end (N+4 nodes)."""
-    if n < 2:
-        raise BadSpec("fork needs N >= 2")
     return n + 4, np.r_[0:n - 1, 0, 0, n - 1, n - 1], np.r_[1:n, n:n + 4]
 
 
 def _edges_lollipop(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Complete graph K4 minus one link, the two loose ends joined to a new
     node, and a path of N nodes hanging off that node (N+5 nodes)."""
-    if n < 1:
-        raise BadSpec("lollipop needs N >= 1")
     # K4 minus (2,3), then (2,4), (3,4), then the path 4-5-...-(N+4)
     return (n + 5, np.r_[0, 0, 0, 1, 1, 2, 3, 4:n + 4],
             np.r_[1, 2, 3, 2, 3, 4, 4, 5:n + 5])
@@ -121,10 +105,12 @@ def path_q_asymptotic(n: int) -> float:
 def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection to a bracket of width 1e-12; the independent oracle for the
-    path family."""
+    path family, BadSpec where cos(pi/(N+1)) rounds to 1 (N past about 3e8)."""
     if not 3 <= n <= 1e308:
         raise BadSpec("exact path equation needs 3 <= N <= 1e308")
     log_cos = math.log(math.cos(math.pi / (n + 1)))
+    if log_cos == 0.0:
+        raise BadSpec(f"exact path equation: cos(pi/(N+1)) rounds to 1 at N={n}")
 
     def g(q: float) -> float:
         rhs = 1.0 - 2.0 / n + math.exp((1.0 - q) * math.log(2.0)) / n
@@ -163,8 +149,8 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
     Note the a-coefficient diverges as lambda1 -> 3.
     """
-    if n < 2:
-        raise BadSpec("lollipop asymptotic needs N >= 2")
+    if not 2 <= n <= 1e308:
+        raise BadSpec("lollipop asymptotic needs 2 <= N <= 1e308")
     lam = lollipop_limit_lambda1() if lambda1 is None else lambda1
     if not (2.0 < lam < 3.0):
         raise BadSpec("lambda1 must lie in (2, 3)")
@@ -175,41 +161,43 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """One deterministic family. ``links(*args)`` returns (node count, i, j)
-    with one entry per link; ``profile(*args)`` the (degree, count) pairs of
-    the exact degree multiset the graph must have; ``lambda1(*args)`` the
-    proven closed-form spectral radius and ``law(n)`` the asymptotic
-    exponent q(N), each None where the family has none."""
+    """One deterministic family. ``minima`` holds each integer argument's
+    least value; ``links(*args)`` returns (node count, i, j) with one entry
+    per link; ``profile(*args)`` the (degree, count) pairs of the exact
+    degree multiset the graph must have; ``lambda1(*args)`` the proven
+    closed-form spectral radius and ``law(n)`` the asymptotic exponent q(N),
+    each None where the family has none."""
 
     links: Callable[..., tuple[int, np.ndarray, np.ndarray]]
+    minima: tuple[int, ...]
     profile: Callable[..., list[tuple[int, int]]]
     lambda1: Callable[..., float] | None = None
     law: Callable[[int], float] | None = None
 
     @property
     def arity(self) -> int:
-        """How many integer arguments the family takes: the builder's."""
-        return self.links.__code__.co_argcount
+        """How many integer arguments the family takes."""
+        return len(self.minima)
 
 
 FAMILIES = {
-    "path": Family(_edges_path, lambda n: [(2, n - 2), (1, 2)],
+    "path": Family(_edges_path, (2,), lambda n: [(2, n - 2), (1, 2)],
                    lambda1=lambda n: 2.0 * math.cos(math.pi / (n + 1)),
                    law=path_q_asymptotic),
-    "wheel": Family(_edges_wheel, lambda n: [(3, n - 1), (n - 1, 1)],
+    "wheel": Family(_edges_wheel, (4,), lambda n: [(3, n - 1), (n - 1, 1)],
                     lambda1=lambda n: 1.0 + math.sqrt(n),
                     law=lambda n: 2.0),  # the proven large-N limit
-    "star": Family(_edges_star, lambda n: [(n - 1, 1), (1, n - 1)],
+    "star": Family(_edges_star, (2,), lambda n: [(n - 1, 1), (1, n - 1)],
                    lambda1=lambda n: math.sqrt(n - 1)),
-    "complete": Family(_edges_complete, lambda n: [(n - 1, n)],
+    "complete": Family(_edges_complete, (2,), lambda n: [(n - 1, n)],
                        lambda1=lambda n: float(n - 1)),
-    "kbip": Family(_edges_kbip, lambda m, n: [(n, m), (m, n)],
+    "kbip": Family(_edges_kbip, (1, 1), lambda m, n: [(n, m), (m, n)],
                    lambda1=lambda m, n: math.sqrt(m * n)),
-    "bireg": Family(_edges_bireg, lambda m, n, r1: [(r1, m), ((m * r1) // (n or 1), n)],
+    "bireg": Family(_edges_bireg, (1, 1, 1), lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
                     lambda1=lambda m, n, r1: math.sqrt(r1 * ((m * r1) // n))),
-    "fork": Family(_edges_fork, lambda n: [(1, 4), (3, 2), (2, n - 2)],
+    "fork": Family(_edges_fork, (2,), lambda n: [(1, 4), (3, 2), (2, n - 2)],
                    lambda1=lambda n: 2.0, law=lambda n: fork_q_constant()),
-    "lollipop": Family(_edges_lollipop, lambda n: [(3, 5), (2, n - 1), (1, 1)],
+    "lollipop": Family(_edges_lollipop, (1,), lambda n: [(3, 5), (2, n - 1), (1, 1)],
                        law=lollipop_q_asymptotic),
 }
 
@@ -221,7 +209,7 @@ FAMILY_KINDS = (*FAMILIES, *_RANDOM_ARGS)
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a ``kind:arg:arg...`` family string. A deterministic family
-    takes its builder's integer arguments; ``er:N:p[:seed]`` and
+    takes one integer argument per minimum; ``er:N:p[:seed]`` and
     ``ba:N:m[:seed]`` leave an omitted seed as None."""
     kind, *raw = text.strip().split(":")
     kind = kind.lower()
@@ -248,8 +236,6 @@ def parse_family(text: str) -> FamilySpec:
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """One Erdos-Renyi G(n, p) sample."""
-    if n < 1 or not (0 <= p <= 1):
-        raise BadSpec("er needs N >= 1 and p in [0, 1]")
     return Graph._from_links(n, *np.nonzero(np.triu(rng.random((n, n)) < p, 1)))
 
 
@@ -257,8 +243,6 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     """One Barabasi-Albert sample: complete seed graph on m nodes, then each
     arriving node attaches m distinct links by preferential attachment over
     the repeated-ends link list."""
-    if not (1 <= m < n):
-        raise BadSpec("ba needs 1 <= m < N")
     repeated: list[int] = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -276,38 +260,52 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     return Graph._from_links(n, ends[0::2], ends[1::2])
 
 
-def check_seed(seed: int | None) -> None:
-    """Raise BadSpec for a negative seed (numpy raises ValueError); None passes."""
-    if seed is not None and seed < 0:
-        raise BadSpec(f"seed must be a non-negative integer, got {seed}")
+def check_seed(seed: int | None) -> int | None:
+    """``seed`` as an int, None passing; BadSpec unless it is an integer >= 0
+    (numpy raises ValueError on a negative seed and TypeError on 1.5)."""
+    return None if seed is None else _integer(seed, "seeds", 0, error=BadSpec)
 
 
 def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     """One draw of an ``er`` or ``ba`` spec from ``rng``; the spec's own
-    seed is not read."""
-    n, param = spec.args[:2]
+    seed is not read; BadSpec unless 1 <= N, er's 0 <= p <= 1 and ba's 1 <= m < N."""
+    n, param = _integer(spec.args[0], f"{spec.kind} sizes", 1, error=BadSpec), spec.args[1]
+    if spec.kind == "er" and not 0 <= param <= 1:
+        raise BadSpec("er needs p in [0, 1]")
+    if spec.kind == "ba":
+        param = _integer(param, "ba link counts m", 1, n, BadSpec)
     if why := _too_large(n, n * n if spec.kind == "er" else 2 * param * n):  # er draws n x n
         raise BadSpec(f"{spec.kind}: {why}")
-    if spec.kind == "er":
-        return er_graph(n, param, rng)
-    return ba_graph(n, param, rng)
+    return (er_graph if spec.kind == "er" else ba_graph)(n, param, rng)
+
+
+def _checked_spec(spec: FamilySpec) -> tuple[Family, tuple[int, ...], Counter]:
+    """The row, integer arguments and degree profile of a deterministic spec,
+    once every argument is an integer at or above the row's minimum and the
+    profile passes the size rule; BadSpec otherwise."""
+    family = FAMILIES[spec.kind]
+    if len(spec.args) != family.arity:
+        raise BadSpec(f"{spec.kind} takes {family.arity} arguments, got {len(spec.args)}")
+    args = tuple(_integer(a, f"{spec.kind} arguments", lo, error=BadSpec)
+                 for a, lo in zip(spec.args, family.minima))
+    profile = Counter()  # equality ignores zero counts
+    for degree, count in family.profile(*args):
+        profile[degree] += count
+    if why := _too_large(profile.total(), sum(d * k for d, k in profile.items())):
+        raise BadSpec(f"{spec.kind}: {why}")
+    return family, args, profile
 
 
 def generate(spec: FamilySpec | str) -> Graph:
     """Materialize a family spec as a CSR :class:`Graph`; a deterministic
-    family's degree profile is checked against its table row."""
+    spec passes :func:`_checked_spec` first, and its graph's degree profile
+    is checked against its table row."""
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind not in FAMILIES:
-        check_seed(spec.args[2])
-        return sample(spec, np.random.default_rng(spec.args[2]))
-    family = FAMILIES[spec.kind]
-    expected = Counter()  # equality ignores zero counts
-    for degree, count in family.profile(*spec.args):
-        expected[degree] += count
-    if why := _too_large(expected.total(), sum(d * k for d, k in expected.items())):
-        raise BadSpec(f"{spec.kind}: {why}")
-    g = Graph._from_links(*family.links(*spec.args))
+        return sample(spec, np.random.default_rng(check_seed(spec.args[2])))
+    family, args, expected = _checked_spec(spec)
+    g = Graph._from_links(*family.links(*args))
     got = Counter(dict(zip(*g.histogram._lists)))  # the histogram sde reuses
     if got != expected:
         raise InvalidGraph(
@@ -316,13 +314,14 @@ def generate(spec: FamilySpec | str) -> Graph:
 
 
 def analytic_lambda1(spec: FamilySpec | str) -> float | None:
-    """Proven closed-form spectral radius, when the family has one."""
+    """Proven closed-form spectral radius, when the family has one, of a
+    spec that passes :func:`_checked_spec`."""
     if isinstance(spec, str):
         spec = parse_family(spec)
-    family = FAMILIES.get(spec.kind)
-    if family is None or family.lambda1 is None:
+    if spec.kind not in FAMILIES:
         return None
-    return family.lambda1(*spec.args)
+    family, args, _ = _checked_spec(spec)
+    return None if family.lambda1 is None else family.lambda1(*args)
 
 
 def family_q(spec: FamilySpec | str) -> SdeResult:
@@ -338,9 +337,7 @@ def family_q(spec: FamilySpec | str) -> SdeResult:
 def wheel_limit_check(n: int) -> float:
     """q(W_N) - 2 with lambda1 from spectral_radius, cross-checked
     against the closed form; positive and decreasing in N."""
-    if n < 5:
-        raise BadSpec("wheel limit check needs N >= 5")
-    spec = FamilySpec("wheel", (n,))
+    spec = FamilySpec("wheel", (_integer(n, "wheel limit check sizes", 5, error=BadSpec),))
     g = generate(spec)
     lam, lam_exact = spectral_radius(g), analytic_lambda1(spec)
     if abs(lam - lam_exact) > 1e-9 * lam_exact:

@@ -7,8 +7,9 @@ kernels share (link counts, degrees) are derived once, and
 has one home: :func:`_checked` tests the stored weights and degree sums of
 every graph built here and of raw arrays that ``Graph.validate`` checks,
 :func:`_too_large` refuses more than ``SIZE_CAP`` nodes or stored entries
-before they are allocated, and :func:`_dense` builds every dense view (at
-most ``DENSE_CAP`` nodes). Operations are pure: they return new graphs. An
+before they are allocated, :func:`_integer` admits every node id and integer
+count in the package, and :func:`_dense` builds every dense view (at most
+``DENSE_CAP`` nodes). Operations are pure: they return new graphs. An
 unweighted graph's degrees are its link counts. Degrees have one
 representation, the histogram :class:`DegreeSequence` built by
 :func:`degree_sequence` from any degree array: one ``np.bincount`` of
@@ -95,13 +96,11 @@ class Graph:
         weight adds no link. Raises SelfLoop, InvalidGraph (a malformed tuple,
         id or weight) and, as :meth:`_from_links`, InvalidGraph and
         DegreeOverflow."""
-        if not (n >= 1 and n % 1 == 0):
-            raise InvalidGraph("a graph needs n >= 1 nodes, n integral")
-        n, links = int(n), {}
+        n, links = _integer(n, "node counts", 1), {}
         for e in edges:
             if len(e) not in (2, 3):
                 raise InvalidGraph(f"an edge is (i, j) or (i, j, weight), got {e!r}")
-            i, j = _node_id(e[0], n), _node_id(e[1], n)
+            i, j = _integer(e[0], "node ids", 0, n), _integer(e[1], "node ids", 0, n)
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
             links[(i, j) if i < j else (j, i)] = _weight(e[2]) if len(e) == 3 else 1.0
@@ -246,21 +245,25 @@ def _weight(w) -> float:
 
 
 def _floats(values) -> np.ndarray:
-    """``values`` as a float array; InvalidGraph for a non-real, ragged or too large entry."""
+    """``values`` as a float array; InvalidGraph for a complex, non-real, ragged or
+    too large entry (numpy would drop a complex array's imaginary parts)."""
     try:
-        return np.asarray(values, dtype=float)
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
     except (OverflowError, TypeError, ValueError):
-        raise InvalidGraph("values must be real numbers within the float range") from None
-
-
-def _node_id(x, n: int) -> int:
-    """``x`` as an int; InvalidGraph unless it is an integral value in [0, n)."""
-    try:
-        if int(x) == x and 0 <= x < n:
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidGraph(f"node ids must be integers in [0, {n}), got {x!r}")
+    raise InvalidGraph("values must be real numbers within the float range")
+
+
+def _integer(x, what: str, lo: int, hi: float = float("inf"), error: type = InvalidGraph) -> int:
+    """``x`` as an int; ``error`` naming ``what`` unless it is an integral real in [lo, hi)
+    (the range comes first, so ``% 1`` meets no numpy inf, and a complex number raises)."""
+    try:
+        if lo <= x < hi and x % 1 == 0:
+            return int(x)
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    raise error(f"{what} must be integers in [{lo}, {hi}), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -304,14 +307,14 @@ class DegreeSequence:
 def degree_sequence(degrees) -> DegreeSequence:
     """Degree histogram of a degree array, e.g. ``degree_sequence(g.degrees())``.
 
-    Integer counts in [0, len), such as an unweighted graph's link counts,
-    are counted by one ``np.bincount``, read from the top; any other array
-    is sorted as floats. Both give the same histogram. When every degree is
-    integral the max-degree multiplicity uses exact comparison; otherwise
-    degrees within relative ``TOL_DEG`` of d_max count toward the
-    multiplicity.
+    An integer array of counts in [0, len), such as an unweighted graph's
+    link counts, is counted by one ``np.bincount``, read from the top; any
+    other array, and any array-like, is sorted as floats (:func:`_floats`).
+    Both give the same histogram. When every degree is integral the
+    max-degree multiplicity uses exact comparison; otherwise degrees within
+    relative ``TOL_DEG`` of d_max count toward the multiplicity.
     """
-    d = np.asarray(degrees).ravel()
+    d = (degrees if isinstance(degrees, np.ndarray) else _floats(degrees)).ravel()
     # signed integers only (bincount takes no uint64); as uint64 a negative
     # count wraps to at least 2**63
     if d.dtype.kind == "i" and d.size and d.astype(np.uint64).max() < d.size:
@@ -473,7 +476,7 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     """New graph with link (i, j) of weight ``w`` added. Raises SelfLoop,
     InvalidGraph (a bad id), LinkExists, and then, as :meth:`Graph.from_edges`
     does, InvalidGraph (a bad weight) and DegreeOverflow."""
-    i, j = _node_id(i, g.n), _node_id(j, g.n)
+    i, j = _integer(i, "node ids", 0, g.n), _integer(j, "node ids", 0, g.n)
     if i == j:
         raise SelfLoop(f"cannot link node {i} to itself")
     indptr, indices, data = g.indptr, g.indices, g.data

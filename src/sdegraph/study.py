@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadSpec, ConstantSeries, FilterExhausted, InputError, InvalidGraph
 from .families import FAMILIES, FamilySpec, check_seed, family_q, sample
-from .graph import Graph, _too_large, add_link, connected_components
+from .graph import Graph, _integer, _too_large, add_link, connected_components
 from .io import jsonable
 from .metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
 from .solver import sde
@@ -93,7 +93,7 @@ def ensemble_samples(spec: FamilySpec, seed: int, count: int):
     spec (its own seed is ignored). Sample i draws from the sub-seed
     ``(seed, i)``; all samples share a budget of ``100 * count`` draws, and
     FilterExhausted is raised when it runs out."""
-    check_seed(seed)
+    seed = check_seed(seed)
     budget = 100 * count
     for index in range(count):
         rng = np.random.default_rng([seed, index])
@@ -111,8 +111,8 @@ def ensemble_samples(spec: FamilySpec, seed: int, count: int):
 
 def growth_trajectories(n: int, trials: int,
                         seed: int) -> list[tuple[int, int, int, float, int]]:
-    """q along ``trials`` random orders of adding the missing links to the
-    star on ``n`` nodes.
+    """q along ``trials`` (an integer >= 1) random orders of adding the
+    missing links to the star on ``n`` (an integer >= 4) nodes.
 
     Each trial contributes the rows (trial, step, links, q, decreased),
     from the star (step 0, q = 2) to the last non-regular graph before the
@@ -122,7 +122,9 @@ def growth_trajectories(n: int, trials: int,
     complete graph comes before any allocation. Up to ``DENSE_LAMBDA1_CAP``
     nodes each step's ``sde`` is given lambda1 from :func:`_stacked_lambda1s`.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
+    n = _integer(n, "star sizes", 4, error=InputError)
+    trials = _integer(trials, "trial counts", 1, error=InputError)
     if why := _too_large(n, n * (n - 1)):
         raise InvalidGraph(why)
     rng = np.random.default_rng(seed)

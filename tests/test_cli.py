@@ -17,7 +17,7 @@ from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_g
 from sdegraph import study
 from sdegraph.cli import main
 from sdegraph.errors import BadSpec, InputError, InvalidGraph
-from sdegraph.families import FAMILIES, FAMILY_KINDS
+from sdegraph.families import FAMILIES, FAMILY_KINDS, FamilySpec
 from sdegraph.graph import _too_large
 from sdegraph.io import encode_graph6, format_value, read_records_csv
 from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
@@ -194,6 +194,11 @@ MALFORMED_INPUTS = {
                            "--seed", "-1"], "seed"),
     "nonmonotonic-seed": ({}, ["nonmonotonic", "--n", "5", "--trials", "1",
                                "--seed", "-1"], "seed"),
+    # --trials -1 exited 0 and printed "trials: -1"
+    "nonmonotonic-trials": ({}, ["nonmonotonic", "--n", "5", "--trials", "-1"],
+                            "trial counts must be integers"),
+    "nonmonotonic-n-3": ({}, ["nonmonotonic", "--n", "3", "--trials", "1"],
+                         "star sizes must be integers"),
     # the size rule, before anything is allocated (each ran out of memory)
     "family-nodes": ({}, ["compute", "--family", "path:1000000000000"], "at most"),
     "family-links": ({}, ["compute", "--family", "complete:200000"], "at most"),
@@ -562,6 +567,18 @@ def test_growth_rows_do_not_depend_on_the_stack_size(monkeypatch, cap):
     if cap is not None:
         monkeypatch.setattr(study, "GRAPH_STACK_CAP", cap)
     assert growth_trajectories(11, 3, 3) == want
+
+
+def test_growth_sizes_trials_and_seeds_follow_the_integer_rule():
+    # a trial count of -1 gave no rows, and 1.5 raised TypeError in range(),
+    # as the seeds NaN and 1.5 did in numpy
+    for n, trials, seed in ((3, 1, 0), (4.5, 1, 0), (math.nan, 1, 0), (5, -1, 0), (5, 0, 0),
+                            (5, 1.5, 0), (5, math.inf, 0), (5, 1, math.nan), (5, 1, 1.5)):
+        with pytest.raises(InputError, match="must be integers"):
+            growth_trajectories(n, trials, seed)
+    assert growth_trajectories(5.0, np.int64(2), 3.0) == growth_trajectories(5, 2, 3)
+    with pytest.raises(BadSpec, match="seeds must be integers"):
+        next(study.ensemble_samples(FamilySpec("er", (8, 0.5, None)), 1.5, 2))
 
 
 def test_nonmonotonic_refuses_a_star_past_the_size_rule(capsys):

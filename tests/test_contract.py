@@ -5,17 +5,24 @@ API half: a table over ``sdegraph.__all__`` and the ``Graph`` constructors
 and methods. Each numeric parameter is fed, one at a time, every value of
 ``NUMBERS`` (huge ints, subnormals, NaN, +-inf, zeros, negatives) while the
 others keep a valid value; array parameters get the numpy arrays and Python
-lists of ``ARRAYS`` (empty, non-finite, negative and float index arrays, and
-lists holding ints past the float range or a string). A q must
-be NaN, inf or in [2, Q_MAX], a bracket must have lower <= upper, and a
-returned ``Graph`` must pass ``validate`` and then every query on it. CLI half: every subcommand, run with small mutated
-numeric arguments, exits 0, 2 or 3 without a traceback. Both halves are
-deterministic.
+lists of ``ARRAYS`` (empty, non-finite, negative, complex and float index
+arrays, ragged rows, and lists holding ints past the float range or a
+string). A q must be NaN, inf or in [2, Q_MAX], a law's value finite, a
+bracket must have lower <= upper, and a returned ``Graph`` must pass
+``validate`` and then every query on it. The integer parameters (family
+arguments, seeds, growth sizes and trials, node counts and ids) are also fed
+two junk values at a time, drawn by hypothesis with a fixed seed. CLI half:
+every subcommand, run with small mutated numeric arguments, exits 0, 2 or 3
+without a traceback. Both halves are deterministic.
 """
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdegraph
 from conftest import cycle_graph
@@ -27,8 +34,10 @@ from sdegraph import (Graph, add_link, bounds, classify, degree_sequence, f1, fa
                       spectral_radius, wheel_limit_check)
 from sdegraph.cli import main
 from sdegraph.errors import SdegraphError
+from sdegraph.families import FamilySpec, analytic_lambda1
 from sdegraph.graph import DegreeSequence
 from sdegraph.solver import Q_MAX, SdeBounds, SdeResult, solve_newton
+from sdegraph.study import growth_trajectories
 
 HUGE = 10**400  # past the float range
 # and values inside most domains, so that each check sees results too
@@ -60,6 +69,10 @@ def bracket(b):
 
 def real(x):
     assert isinstance(x, float)
+
+
+def finite(x):
+    assert isinstance(x, float) and math.isfinite(x), x
 
 
 def histogram(ds):
@@ -143,10 +156,10 @@ API = {
                  for s in SPECS],
     "generate": [(lambda x, s=s: generate(s.format(spec_text(x))), graph)
                  for s in SPECS + RANDOM_SPECS],
-    "path_and_wheel_laws": [(path_q_asymptotic, real), (path_q_exact, real),
-                            (wheel_limit_check, real)],
-    "lollipop_q_asymptotic": [(lambda x: lollipop_q_asymptotic(x, 2.9), real),
-                              (lambda x: lollipop_q_asymptotic(100, x), real)],
+    "path_and_wheel_laws": [(path_q_asymptotic, finite), (path_q_exact, finite),
+                            (wheel_limit_check, finite)],
+    "lollipop_q_asymptotic": [(lambda x: lollipop_q_asymptotic(x, 2.9), finite),
+                              (lambda x: lollipop_q_asymptotic(100, x), finite)],
     "parse_weighted_edge_list": [
         (lambda x, t=t: parse_weighted_edge_list(t.format(spec_text(x))), graph)
         for t in ("n={}\n0 1\n", "0 {}\n", "{} 1 2\n", "0 1 {}\n1 2\n", "n=3\n0 2 {}\n")],
@@ -181,19 +194,25 @@ ARRAYS = [np.array([]), np.array([], dtype=np.int64), np.array([np.nan, 1.0]),
           np.array([5e-324, 1.0]), np.array([1e308, 1e308]), np.array([-2.5, 0.0]),
           np.array([2**63, 1], dtype=np.uint64),
           # Python lists: one holding an int past the float range is an object array
-          [HUGE, 1], [1.0, -HUGE], [0, HUGE], [3, 2, 2], ["x", 1]]
+          [HUGE, 1], [1.0, -HUGE], [0, HUGE], [3, 2, 2], ["x", 1],
+          # ragged rows, and complex entries that numpy would cast to their real parts
+          [[1], [2, 3]], np.array([1j, 2]), np.array([1 + 1j, 1 + 1j]), [1 + 1j, 2]]
 
 
 @pytest.mark.parametrize("index", range(len(ARRAYS)))
 def test_array_parameters_answer_in_range_or_raise_typed(index):
     a = ARRAYS[index]
-    size = np.size(a)
+    try:
+        values = np.asarray(a)
+    except ValueError:  # ragged rows: an object array of the rows
+        values = np.asarray(a, dtype=object)
+    size = values.size
     # w_ij = a_min(i,j)
-    symmetric = np.asarray(a)[np.minimum.outer(np.arange(size), np.arange(size))]
+    symmetric = values[np.minimum.outer(np.arange(size), np.arange(size))]
     np.fill_diagonal(symmetric, 0)
     calls = [
         (lambda: degree_sequence(a), histogram),
-        (lambda: Graph.from_dense(np.diag(a)), graph),
+        (lambda: Graph.from_dense(np.diag(values)), graph),
         (lambda: Graph.from_dense(symmetric), graph),
         (lambda: Graph.from_dense(symmetric.tolist()), graph),
         # as CSR fields, float index arrays among them
@@ -206,6 +225,54 @@ def test_array_parameters_answer_in_range_or_raise_typed(index):
     for call, check in calls:
         try:
             result = call()
+        except SdegraphError:
+            continue
+        check(result)
+
+
+# integer parameters, two junk values at a time: integral and not, numpy
+# scalars, fractions, decimals, strings, None and complex numbers
+JUNK = st.one_of(st.sampled_from(NUMBERS), st.integers(-3, 40), st.floats(-50, 50),
+                 st.sampled_from((np.int64(6), np.float64(4.0), np.float64(math.nan),
+                                  Fraction(9, 2), Fraction(6), Decimal("5"), Decimal("5.5"),
+                                  Decimal("nan"), True, "5", None, 3 + 0j)))
+# a count of work (trials) that the rules admit stays small
+TRIALS = st.one_of(st.integers(-3, 3), st.sampled_from((math.nan, math.inf, -math.inf, 1.5,
+                                                        2.0, np.int64(2), "2", None, 1j)))
+
+
+def rows(items):
+    for row in items:
+        q_ok(row[3])
+
+
+def closed_form(lam):
+    assert lam is None or (isinstance(lam, float) and math.isfinite(lam)), lam
+
+
+PAIRS = {
+    "kbip": (lambda x, y: family_q(FamilySpec("kbip", (x, y))), JUNK, JUNK, q_in_range),
+    "bireg": (lambda x, y: generate(FamilySpec("bireg", (x, 6, y))), JUNK, JUNK, graph),
+    "bireg_lambda1": (lambda x, y: analytic_lambda1(FamilySpec("bireg", (4, x, y))), JUNK, JUNK,
+                      closed_form),
+    "er_size_and_seed": (lambda x, y: generate(FamilySpec("er", (x, 0.5, y))), JUNK, JUNK, graph),
+    "ba_size_and_m": (lambda x, y: generate(FamilySpec("ba", (x, y, 1))), JUNK, JUNK, graph),
+    "ba_m_and_seed": (lambda x, y: generate(FamilySpec("ba", (9, x, y))), JUNK, JUNK, graph),
+    "growth_n_and_trials": (lambda x, y: growth_trajectories(x, y, 0), JUNK, TRIALS, rows),
+    "growth_trials_and_seed": (lambda x, y: growth_trajectories(5, x, y), TRIALS, JUNK, rows),
+    "from_edges_n_and_id": (lambda x, y: Graph.from_edges(x, [(y, 0)]), JUNK, JUNK, graph),
+    "from_edges_ids": (lambda x, y: Graph.from_edges(4, [(x, y)]), JUNK, JUNK, graph),
+    "add_link_ids": (lambda x, y: add_link(P6, x, y), JUNK, JUNK, graph),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_parameters_answer_pairs_of_junk_in_range_or_raise_typed(data):
+    for name, (call, xs, ys, check) in PAIRS.items():
+        x, y = data.draw(xs, label=f"{name} x"), data.draw(ys, label=f"{name} y")
+        try:
+            result = call(x, y)
         except SdegraphError:
             continue
         check(result)

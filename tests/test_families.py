@@ -12,7 +12,7 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
                       wheel_limit_check)
 from sdegraph.errors import BadSpec, InvalidGraph
 from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1,
-                               parse_family)
+                               check_seed, parse_family)
 from sdegraph import graph
 from sdegraph.graph import Biregular, connected_components
 
@@ -124,6 +124,86 @@ def test_laws_refuse_sizes_past_the_float_range(call):
     # wheel_limit_check numpy's ValueError (now the size rule's BadSpec)
     with pytest.raises(BadSpec):
         call(10**400)
+
+
+def test_family_domains_are_the_table_minima():
+    # each argument at its minimum builds; one below it, or a non-integer,
+    # is refused by the one spec check, for generate and analytic_lambda1 alike
+    for kind, family in FAMILIES.items():
+        lowest = family.minima
+        assert family.arity == len(lowest) and generate(FamilySpec(kind, lowest)).n >= 2
+        for k, lo in enumerate(lowest):
+            for bad in (lo - 1, lo + 0.5, math.nan, math.inf, -math.inf, str(lo), None):
+                spec = FamilySpec(kind, lowest[:k] + (bad,) + lowest[k + 1:])
+                message = rf"{kind} arguments must be integers in \[{lo}, inf\)"
+                for call in (generate, analytic_lambda1, family_q):
+                    with pytest.raises(BadSpec, match=message):
+                        call(spec)
+
+
+def test_analytic_lambda1_checks_the_spec():
+    # path:0 gave -2.0, bireg:4:0:3 ZeroDivisionError, path:9...9 OverflowError,
+    # and path:5.5 was stopped only by generate's degree-profile self-check
+    for text in ("path:0", "bireg:4:0:3", "star:1", "wheel:3"):
+        with pytest.raises(BadSpec, match="must be integers"):
+            analytic_lambda1(text)
+    with pytest.raises(BadSpec, match="at most"):
+        analytic_lambda1("path:" + "9" * 400)
+    with pytest.raises(BadSpec, match="must be integers"):
+        generate(FamilySpec("path", (5.5,)))
+    with pytest.raises(BadSpec, match="takes 1 arguments"):
+        generate(FamilySpec("path", (5, 6)))
+    # integral values of other types stand for their ints
+    assert analytic_lambda1(FamilySpec("kbip", (np.int64(2), 8.0))) == 4.0
+    assert generate(FamilySpec("path", (5.0,))).links() == generate("path:5").links()
+
+
+def test_random_model_arguments_follow_the_integer_rule():
+    # a float N or m raised numpy's TypeError while drawing
+    for args in ((5.5, 0.5, 1), (math.nan, 0.5, 1), (0, 0.5, 1), (8, math.nan, 1), (8, 1.5, 1)):
+        with pytest.raises(BadSpec):
+            generate(FamilySpec("er", args))
+    for args in ((8.5, 2, 1), (8, 2.5, 1), (8, 0, 1), (8, 8, 1), (8, math.inf, 1)):
+        with pytest.raises(BadSpec):
+            generate(FamilySpec("ba", args))
+    spec = FamilySpec("ba", (8.0, np.int64(2), 3.0))
+    assert generate(spec).links() == generate("ba:8:2:3").links()
+
+
+def test_seeds_follow_the_integer_rule():
+    # NaN and 1.5 passed, and numpy then raised TypeError while drawing
+    for seed in (math.nan, 1.5, math.inf, -1, "1", 2 + 0j):
+        with pytest.raises(BadSpec, match="seeds must be integers"):
+            check_seed(seed)
+        with pytest.raises(BadSpec, match="seeds must be integers"):
+            generate(FamilySpec("er", (8, 0.5, seed)))
+    assert check_seed(None) is None and check_seed(np.int64(3)) == 3 and check_seed(3.0) == 3
+    assert check_seed(10**400) == 10**400  # numpy seeds from any non-negative int
+
+
+def test_wheel_limit_check_size_follows_the_integer_rule():
+    # 5.5 raised numpy's TypeError while building the rim
+    for n in (5.5, 4, math.nan, math.inf, "7"):
+        with pytest.raises(BadSpec, match="wheel limit check sizes"):
+            wheel_limit_check(n)
+    assert wheel_limit_check(7.0) == wheel_limit_check(7)
+
+
+def test_lollipop_law_refuses_sizes_outside_its_range():
+    # NaN gave NaN and inf gave inf
+    for n in (math.nan, math.inf, 1, 1e309, 10**400):
+        with pytest.raises(BadSpec, match="2 <= N <= 1e308"):
+            lollipop_q_asymptotic(n, 2.9)
+    assert math.isfinite(lollipop_q_asymptotic(1e308, 2.9))
+
+
+def test_path_q_exact_refuses_sizes_where_cos_rounds_to_one():
+    # it returned inf at 3e8, 1e9 and 1e12; the values below are kept
+    for n in (3e8, 1e9, 1e12, 1e300):
+        with pytest.raises(BadSpec, match="rounds to 1"):
+            path_q_exact(n)
+    assert path_q_exact(1e6) == pytest.approx(405282.8302859025, rel=1e-12)
+    assert path_q_exact(2.2e8) == pytest.approx(81883630.37219831, rel=1e-12)
 
 
 def test_parse_family_errors():

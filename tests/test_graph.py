@@ -609,6 +609,36 @@ def test_entries_that_are_not_floats_raise_invalid_graph():
             Graph.from_dense(weights)
 
 
+def test_ragged_and_complex_entries_raise_invalid_graph():
+    # a ragged list raised an untyped ValueError in degree_sequence's first
+    # conversion; a complex array lost its imaginary parts: the histogram
+    # [2, 0] and a unit-weight link
+    for degrees in ([[1], [2, 3]], np.array([1j, 2]), [1 + 1j, 2],
+                    np.array([2, 1], dtype=complex)):
+        with pytest.raises(InvalidGraph, match="float range"):
+            degree_sequence(degrees)
+    for weights in (np.array([[0, 1 + 1j], [1 + 1j, 0]]), np.zeros((2, 2), dtype=complex)):
+        with pytest.raises(InvalidGraph, match="float range"):
+            Graph.from_dense(weights)
+    # Python lists of integers take the float route, to the same histogram
+    assert degree_sequence([3, 2, 2]).values.tolist() == [3.0, 2.0]
+    assert degree_sequence([[3], [2]]).counts.tolist() == [1, 1]
+
+
+def test_one_integer_rule_for_ids_and_counts():
+    # a node count or id is an integral real in its range; the count has no
+    # upper bound here, the size rule refuses 10**400
+    for n in (math.nan, math.inf, 1.5, 0, -1, "3", None, 3 + 0j):
+        with pytest.raises(InvalidGraph, match="node counts must be integers in"):
+            Graph.from_edges(n, [])
+    with pytest.raises(InvalidGraph, match="at most"):
+        Graph.from_edges(10**400, [])
+    assert Graph.from_edges(np.float64(3.0), [(Fraction(2), np.int8(1))]).links() == [(1, 2)]
+    for i in (math.nan, math.inf, 1.5, 3, -1, 10**400, "0"):
+        with pytest.raises(InvalidGraph, match=r"node ids must be integers in \[0, 3\)"):
+            add_link(Graph.from_edges(3, []), i, 1)
+
+
 def test_unit_weights_pass_the_check_and_bad_weights_beside_them_do_not():
     # the path 0 - 1 - 2 as raw CSR arrays: link (0, 1) of weight 1, link (1, 2)
     # of weight w; every weight is 1 only when w is
