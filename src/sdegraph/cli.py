@@ -22,8 +22,8 @@ from .graph import Graph, _integer
 from .metrics import metric_records
 from .solver import bounds, sde
 from .spectral import spectral_radius
-from .study import (asymptotics_rows, correlation_report, ensemble_samples,
-                    growth_trajectories)
+from .study import (asymptotics_rows, correlate_columns, correlation_report,
+                    ensemble_samples, growth_trajectories)
 
 PROGRESS_EVERY = 2000
 # graph6 lines parsed and measured together, by one worker under --jobs: a
@@ -147,7 +147,9 @@ def cmd_correlate(args) -> int:
     header, records = gio.read_records_csv(args.input)
     if "sde_q" not in header:
         raise InputError("input CSV has no sde_q column")
-    report = correlation_report(records, corpus=args.input)
+    columns = gio.read_records_columns(args.input, header)  # None: the records, as before
+    report = (correlation_report(records, corpus=args.input) if columns is None
+              else correlate_columns(columns, corpus=args.input))
     if report.graph_count < 2:
         raise InputError("need at least 2 rows with finite sde_q")
     print(report.as_json() if args.json else report.as_table())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, InvalidGraph
-from .graph import Graph, _integer, _too_large
+from .graph import Graph, _integer, _real, _too_large
 from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
@@ -67,14 +67,20 @@ def _edges_kbip(m: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _edges_bireg(m: int, n: int, r1: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Modular biregular construction: part-A node i links to part-B nodes
-    (i*r1 + j) mod n for j = 0..r1-1; requires r1 <= n and m*r1 divisible by n."""
-    if r1 > n:
-        raise BadSpec(f"r1={r1} exceeds opposite part size n={n}")
-    if (m * r1) % n != 0:
-        raise BadSpec(f"m*r1={m * r1} not divisible by n={n}")
+    (i*r1 + j) mod n for j = 0..r1-1, where :func:`_bireg_refuses` passes the
+    arguments."""
     # r1 <= n already forces the implied r2 = m*r1/n <= m, and makes a row's
     # r1 consecutive residues distinct, so no link repeats
     return m + n, np.repeat(np.arange(m), r1), m + np.arange(m * r1) % n
+
+
+def _bireg_refuses(m: int, n: int, r1: int) -> str:
+    """Why bireg's construction has no graph: r1 > n, or m*r1 not divisible by n; or ''."""
+    if r1 > n:
+        return f"r1={r1} exceeds opposite part size n={n}"
+    if (m * r1) % n != 0:
+        return f"m*r1={m * r1} not divisible by n={n}"
+    return ""
 
 
 def _edges_fork(n: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -96,7 +102,7 @@ def _edges_lollipop(n: int) -> tuple[int, np.ndarray, np.ndarray]:
 def path_q_asymptotic(n: int) -> float:
     """Three-term expansion of the path exponent: (4/pi^2) N + 12/pi^2 +
     (1/3 + 52/(3 pi^2))/N."""
-    if not 2 <= n <= 1e308:
+    if not 2 <= _real(n, "path sizes N", BadSpec) <= 1e308:
         raise BadSpec("path needs 2 <= N <= 1e308")
     pi2 = math.pi ** 2
     return 4.0 / pi2 * n + 12.0 / pi2 + (1.0 / 3.0 + 52.0 / (3.0 * pi2)) / n
@@ -106,7 +112,7 @@ def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection to a bracket of width 1e-12; the independent oracle for the
     path family, BadSpec where cos(pi/(N+1)) rounds to 1 (N past about 3e8)."""
-    if not 3 <= n <= 1e308:
+    if not 3 <= _real(n, "path sizes N", BadSpec) <= 1e308:
         raise BadSpec("exact path equation needs 3 <= N <= 1e308")
     log_cos = math.log(math.cos(math.pi / (n + 1)))
     if log_cos == 0.0:
@@ -149,9 +155,9 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
 
     Note the a-coefficient diverges as lambda1 -> 3.
     """
-    if not 2 <= n <= 1e308:
+    if not 2 <= _real(n, "lollipop sizes N", BadSpec) <= 1e308:
         raise BadSpec("lollipop asymptotic needs 2 <= N <= 1e308")
-    lam = lollipop_limit_lambda1() if lambda1 is None else lambda1
+    lam = lollipop_limit_lambda1() if lambda1 is None else _real(lambda1, "lambda1", BadSpec)
     if not (2.0 < lam < 3.0):
         raise BadSpec("lambda1 must lie in (2, 3)")
     a = 1.0 / (math.log(3.0) - math.log(lam))
@@ -166,13 +172,16 @@ class Family:
     per link; ``profile(*args)`` the (degree, count) pairs of the exact
     degree multiset the graph must have; ``lambda1(*args)`` the proven
     closed-form spectral radius and ``law(n)`` the asymptotic exponent q(N),
-    each None where the family has none."""
+    each None where the family has none; ``refuses(*args)``, where given,
+    why arguments at or above the minima still have no graph ('' where
+    they have one)."""
 
     links: Callable[..., tuple[int, np.ndarray, np.ndarray]]
     minima: tuple[int, ...]
     profile: Callable[..., list[tuple[int, int]]]
     lambda1: Callable[..., float] | None = None
     law: Callable[[int], float] | None = None
+    refuses: Callable[..., str] | None = None
 
     @property
     def arity(self) -> int:
@@ -194,7 +203,8 @@ FAMILIES = {
     "kbip": Family(_edges_kbip, (1, 1), lambda m, n: [(n, m), (m, n)],
                    lambda1=lambda m, n: math.sqrt(m * n)),
     "bireg": Family(_edges_bireg, (1, 1, 1), lambda m, n, r1: [(r1, m), ((m * r1) // n, n)],
-                    lambda1=lambda m, n, r1: math.sqrt(r1 * ((m * r1) // n))),
+                    lambda1=lambda m, n, r1: math.sqrt(r1 * ((m * r1) // n)),
+                    refuses=_bireg_refuses),
     "fork": Family(_edges_fork, (2,), lambda n: [(1, 4), (3, 2), (2, n - 2)],
                    lambda1=lambda n: 2.0, law=lambda n: fork_q_constant()),
     "lollipop": Family(_edges_lollipop, (1,), lambda n: [(3, 5), (2, n - 1), (1, 1)],
@@ -268,9 +278,9 @@ def check_seed(seed: int | None) -> int | None:
 
 def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     """One draw of an ``er`` or ``ba`` spec from ``rng``; the spec's own
-    seed is not read; BadSpec unless 1 <= N, er's 0 <= p <= 1 and ba's 1 <= m < N."""
+    seed is not read; BadSpec unless 1 <= N, er's real 0 <= p <= 1 and ba's 1 <= m < N."""
     n, param = _integer(spec.args[0], f"{spec.kind} sizes", 1, error=BadSpec), spec.args[1]
-    if spec.kind == "er" and not 0 <= param <= 1:
+    if spec.kind == "er" and not 0 <= _real(param, "er probabilities p", BadSpec) <= 1:
         raise BadSpec("er needs p in [0, 1]")
     if spec.kind == "ba":
         param = _integer(param, "ba link counts m", 1, n, BadSpec)
@@ -281,13 +291,16 @@ def sample(spec: FamilySpec, rng: np.random.Generator) -> Graph:
 
 def _checked_spec(spec: FamilySpec) -> tuple[Family, tuple[int, ...], Counter]:
     """The row, integer arguments and degree profile of a deterministic spec,
-    once every argument is an integer at or above the row's minimum and the
-    profile passes the size rule; BadSpec otherwise."""
+    once every argument is an integer at or above the row's minimum, the
+    row's ``refuses`` passes them and the profile passes the size rule;
+    BadSpec otherwise."""
     family = FAMILIES[spec.kind]
     if len(spec.args) != family.arity:
         raise BadSpec(f"{spec.kind} takes {family.arity} arguments, got {len(spec.args)}")
     args = tuple(_integer(a, f"{spec.kind} arguments", lo, error=BadSpec)
                  for a, lo in zip(spec.args, family.minima))
+    if family.refuses and (why := family.refuses(*args)):
+        raise BadSpec(why)
     profile = Counter()  # equality ignores zero counts
     for degree, count in family.profile(*args):
         profile[degree] += count

@@ -8,14 +8,17 @@ has one home: :func:`_checked` tests the stored weights and degree sums of
 every graph built here and of raw arrays that ``Graph.validate`` checks,
 :func:`_too_large` refuses more than ``SIZE_CAP`` nodes or stored entries
 before they are allocated, :func:`_integer` admits every node id and integer
-count in the package, and :func:`_dense` builds every dense view (at most
-``DENSE_CAP`` nodes). Operations are pure: they return new graphs. An
-unweighted graph's degrees are its link counts. Degrees have one
-representation, the histogram :class:`DegreeSequence` built by
-:func:`degree_sequence` from any degree array: one ``np.bincount`` of
-integer link counts, a sort of any other degrees. ``Graph.histogram``
-builds a graph's once, from its link counts when it is unweighted and from
-its weighted degrees otherwise. :func:`classify` reads the histogram first,
+count in the package, :func:`_real` every real-valued parameter, and
+:func:`_dense` builds every dense view (at most ``DENSE_CAP`` nodes).
+Operations are pure: they return new graphs. A constructor that stores
+only unit weights records the graph as unweighted (:meth:`Graph._built`),
+so only raw arrays and weighted builds scan their weights. An unweighted
+graph's degrees are its link counts. Degrees have one representation, the
+histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
+degree array, with its Python lists: one ``np.bincount`` of integer link
+counts, a sort of any other degrees. ``Graph.histogram`` builds a graph's
+once, from its link counts when it is unweighted and from its weighted
+degrees otherwise. :func:`classify` reads the histogram's lists first,
 scans the links only where it still allows a biregular graph or a
 max-clique component, and searches components only when a node could lie
 in a max-clique component.
@@ -75,19 +78,29 @@ class Graph:
     def _from_links(cls, n: int, i, j, w=None) -> Graph:
         """Graph of the distinct links (i[k], j[k]) with weights w[k]
         (1 when ``w`` is None), given in any order and orientation, once
-        :func:`_too_large` (before any allocation) and :func:`_checked` pass it."""
+        :func:`_too_large` (before any allocation) and :meth:`_built` pass it."""
         if why := _too_large(n, 2 * len(i)):
             raise InvalidGraph(why)
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         keys = np.concatenate((i * n + j, j * n + i))
         if w is None:
-            keys, data = np.sort(keys), np.ones(keys.size)
+            keys, data = np.sort(keys), None
         else:
             order = np.argsort(keys)
             keys, data = keys[order], np.concatenate((w, w))[order]
         # row r starts at the first key r * n or above
-        return _checked(cls(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, data))
+        return cls._built(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, data)
+
+    @classmethod
+    def _built(cls, n: int, indptr: np.ndarray, indices: np.ndarray, data=None) -> Graph:
+        """A constructor's CSR graph once :func:`_checked` passes it; ``data`` None
+        stores unit weights and records them, so nothing scans ``data``."""
+        if data is not None:
+            return _checked(cls(n, indptr, indices, data))
+        g = cls(n, indptr, indices, np.ones(indices.size))
+        g.__dict__["_unweighted"] = True  # the cached property's value
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
@@ -233,11 +246,23 @@ def _checked(g: Graph) -> Graph:
     return g
 
 
+def _real(x, what: str, error: type = InvalidGraph):
+    """``x``, a numpy real as the Python number it holds; ``error`` naming
+    ``what`` unless it is a real number (an int, float, fraction or numpy
+    real; not a string, None, a complex number or a decimal). So the caller's
+    range test meets no TypeError, and no numpy cast that could overflow."""
+    if type(x) is not float:  # one test for the common case
+        if not isinstance(x, numbers.Real):
+            raise error(f"{what} must be real numbers, got {x!r}")
+        if isinstance(x, np.generic):
+            return x.item()
+    return x
+
+
 def _weight(w) -> float:
-    """``w`` as a float; InvalidGraph unless it is a real number within the
-    float range (:func:`_checked` tests the value)."""
-    if not isinstance(w, numbers.Real):
-        raise InvalidGraph(f"link weights must be real numbers, got {w!r}")
+    """``w`` as a float; InvalidGraph unless it is a real number (:func:`_real`)
+    within the float range (:func:`_checked` tests the value)."""
+    w = _real(w, "link weights")
     try:
         return float(w)
     except OverflowError:
@@ -269,7 +294,8 @@ def _integer(x, what: str, lo: int, hi: float = float("inf"), error: type = Inva
 @dataclass(frozen=True)
 class DegreeSequence:
     """Degree histogram: the distinct weighted degrees ``values`` in
-    descending order and the number of nodes at each, ``counts``.
+    descending order and the number of nodes at each, ``counts``, built with
+    their Python lists ``_lists`` and the node count ``n``.
 
     ``c`` counts the nodes attaining the maximum degree (within ``TOL_DEG``
     for non-integral degrees); ``d2`` is the largest degree below those c nodes
@@ -280,22 +306,19 @@ class DegreeSequence:
     counts: np.ndarray
     c: int
 
-    @cached_property
-    def n(self) -> int:
-        return sum(self._lists[1])
-
-    @cached_property
-    def _lists(self) -> tuple[list[float], list[int]]:
-        """``values`` and ``counts`` as Python lists, built once."""
-        return self.values.tolist(), self.counts.tolist()
+    def __post_init__(self):
+        # ``values`` and ``counts`` as Python lists, O(distinct degrees), built
+        # with the arrays: classify and the solvers read only these
+        values, counts = self.values.tolist(), self.counts.tolist()
+        self.__dict__.update(_lists=(values, counts), n=sum(counts))
 
     @property
     def d_max(self) -> float:
-        return float(self.values[0])
+        return self._lists[0][0]
 
     @property
     def d_min(self) -> float:
-        return float(self.values[-1])
+        return self._lists[0][-1]
 
     @property
     def d2(self) -> float:
@@ -491,7 +514,8 @@ def add_link(g: Graph, i: int, j: int, w: float = 1.0) -> Graph:
     new_indptr = indptr.copy()
     new_indptr[i + 1:] += 1
     new_indptr[j + 1:] += 1
-    return _checked(Graph(
+    unit = w == 1.0 and g._unweighted  # a unit link onto unit weights: recorded, no scan
+    return Graph._built(
         g.n, new_indptr,
         np.concatenate((indices[:a], (col_a,), indices[a:b], (col_b,), indices[b:])),
-        np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:]))))
+        None if unit else np.concatenate((data[:a], (w,), data[a:b], (w,), data[b:])))

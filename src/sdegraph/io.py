@@ -80,7 +80,7 @@ def parse_graph6(line: str) -> Graph:
         at, row_ends, columns = _graph6_entries(n)
         present = bits[at].view(bool)
         indices = columns[present]
-        return Graph(n, np.cumsum(present)[row_ends], indices, np.ones(indices.size))
+        return Graph._built(n, np.cumsum(present)[row_ends], indices)
     k = np.flatnonzero(bits[8 * off:].reshape(-1, 8)[:, 2:].ravel()[:nbits])
     column = np.arange(n)
     first = column * (column - 1) // 2  # the first bit of each column
@@ -312,6 +312,25 @@ def read_records_csv(path) -> tuple[list[str], Iterator[dict[str, float]]]:
         pass
     records = _csv_records(path)
     return next(records), records
+
+
+def read_records_columns(path, header: list[str]) -> dict[str, np.ndarray] | None:
+    """The columns of :func:`read_records_csv`'s records (run it first), read by
+    one ``np.loadtxt`` into C-contiguous rows of one array; None, for those
+    records, where the reads could differ: no rows, a quoted, blank or
+    non-numeric cell, or a row that is not ``len(header)`` cells long."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # the header; a quoted line break in it fails below
+        body = fh.tell()
+        if all(line.isspace() for line in fh):  # no rows: np.loadtxt would warn
+            return None
+        fh.seek(body)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    columns = np.ascontiguousarray(table.T)
+    return dict(zip(header, columns)) if len(columns) == len(header) else None
 
 
 def _csv_records(path):

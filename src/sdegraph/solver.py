@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
-from .graph import (Biregular, DegreeSequence, Graph, MaxCliqueComponent, Regular,
+from .graph import (Biregular, DegreeSequence, Graph, MaxCliqueComponent, Regular, _real,
                     classify)
 from .spectral import spectral_radius
 
@@ -85,11 +85,13 @@ class SdeBounds:
 
 def _lambda1_checked(ds: DegreeSequence, lambda1: float) -> float:
     """``lambda1`` as a float where q is defined: AllDegreesZero without a
-    positive degree, else InvalidGraph unless 0 < lambda1 <= d_max (1 +
-    ``_INF_GUARD``) with d_max/lambda1 finite, tested before the conversion."""
+    positive degree, else InvalidGraph unless it is a real number (:func:`_real`)
+    with 0 < lambda1 <= d_max (1 + ``_INF_GUARD``) and d_max/lambda1 finite,
+    tested before the conversion."""
     d_max = ds.d_max
     if not d_max > 0:
         raise AllDegreesZero("every weighted degree is zero")
+    lambda1 = _real(lambda1, "lambda1")
     if not (0 < lambda1 <= d_max * (1.0 + _INF_GUARD) and d_max / float(lambda1) < math.inf):
         raise InvalidGraph(f"lambda1 must lie in (0, d_max = {d_max!r}] with d_max/lambda1 finite")
     return float(lambda1)
@@ -158,7 +160,7 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     degree sequences; its unique root on [2, inf) is the SDE. Evaluated on
     the degree histogram, relative to lambda1 (see :func:`_f1_on_histogram`).
     """
-    if not 0 <= q <= Q_MAX:
+    if not 0 <= _real(q, "q") <= Q_MAX:
         raise InvalidGraph(f"q must lie in [0, {Q_MAX:g}]")
     return _f1_on_histogram(ds, lambda1)[0](q)[0]
 
@@ -178,7 +180,7 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
         raise RegularGraph(
             "lambda1 reaches d_max: q is infinite (or the graph is regular)")
     denom = math.log(ds.d_max / lambda1)
-    n, c, c_top = ds.n, ds.c, int(ds.counts[0])
+    n, c, c_top = ds.n, ds.c, ds._lists[1][0]
     upper = max(math.log(n / c_top) / denom, 2.0)
     r2 = ds.d2 / ds.d_max
     lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)
@@ -209,7 +211,7 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     on K15 with one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an
     estimate of 1.5e-23, and 2 is returned where q = 2.8667.
     """
-    if not (0 < tol_q <= 1e-4):
+    if not (0 < _real(tol_q, "tol_q") <= 1e-4):
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
     evaluate, q = _f1_on_histogram(ds, lambda1)
     if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):

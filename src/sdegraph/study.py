@@ -1,7 +1,8 @@
 """The paper's four studies as library calls that return data; the ``sde``
 command line (:mod:`sdegraph.cli`) prints or writes their results.
 
-:func:`correlation_report` correlates metric records against ``sde_q``,
+:func:`correlation_report` correlates metric records against ``sde_q``
+(:func:`correlate_columns` the columns of a record table),
 :func:`ensemble_samples` draws the seeded Erdos-Renyi and Barabasi-Albert
 ensembles, :func:`growth_trajectories` follows q along random
 star-to-complete link additions, and :func:`asymptotics_rows` compares a
@@ -58,10 +59,8 @@ class CorrelationReport:
 
 
 def correlation_report(records: Iterable[Mapping[str, float]], corpus: str) -> CorrelationReport:
-    """Correlate every metric column against sde_q over rows where both are
-    finite; constant or under-populated columns are excluded with a reason.
-    ``records`` may be any iterable, read once: each column is gathered in
-    one pass, and no records give a report of 0 graphs."""
+    """:func:`correlate_columns` on metric records, any iterable, read once:
+    each column is gathered in one pass, and no records give 0 graphs."""
     columns: dict[str, array] = {}
     for rec in records:
         if not columns:  # the first record names the columns
@@ -70,13 +69,19 @@ def correlation_report(records: Iterable[Mapping[str, float]], corpus: str) -> C
             columns = {name: array("d") for name in rec}
         for name, column in columns.items():
             column.append(rec[name])
-    q = np.frombuffer(columns.pop("sde_q", array("d")))
+    return correlate_columns({name: np.frombuffer(c) for name, c in columns.items()}, corpus)
+
+
+def correlate_columns(columns: Mapping[str, np.ndarray], corpus: str) -> CorrelationReport:
+    """Correlate every column against ``sde_q`` over rows where both are finite;
+    constant or under-populated columns are excluded with a reason."""
+    columns = dict(columns)
+    q = columns.pop("sde_q", np.empty(0))
     usable = np.isfinite(q)
     report = CorrelationReport(corpus=corpus, graph_count=int(usable.sum()))
     if report.graph_count < q.size:
         report.excluded["nonfinite_sde_q"] = q.size - report.graph_count
-    for name, column in columns.items():
-        x = np.frombuffer(column)
+    for name, x in columns.items():
         mask = usable & np.isfinite(x)
         if mask.sum() < 2:
             report.excluded_metrics[name] = "too_few_points"

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdegraph
 from conftest import FIXTURE_N7, FIXTURE_N8
@@ -19,7 +26,7 @@ from sdegraph.cli import main
 from sdegraph.errors import BadSpec, InputError, InvalidGraph
 from sdegraph.families import FAMILIES, FAMILY_KINDS, FamilySpec
 from sdegraph.graph import _too_large
-from sdegraph.io import encode_graph6, format_value, read_records_csv
+from sdegraph.io import encode_graph6, format_value, read_records_columns, read_records_csv
 from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
 from sdegraph.solver import DEFAULT_TOL_Q
 from sdegraph.study import asymptotics_rows, correlation_report, growth_trajectories
@@ -187,6 +194,8 @@ MALFORMED_INPUTS = {
                  "line 3: could not convert"),
     "csv-utf8": ({"r.csv": b"a,sde_q\n1,2\n\xff,3\n"}, ["correlate", "{}/r.csv"],
                  "line 3: invalid UTF-8"),
+    "csv-short-row": ({"r.csv": b"a,sde_q\n1,2\n3\n4,5\n"}, ["correlate", "{}/r.csv"],
+                      "line 3: row length 1 != header length 2"),
     "degree-overflow": ({"e.txt": b"0 1 1e308\n1 2 1e308\n2 3\n"},
                         ["compute", "--edge-list", "{}/e.txt"], "node 1 overflows"),
     "family-seed": ({}, ["compute", "--family", "er:10:0.5:-1"], "seed"),
@@ -424,6 +433,116 @@ def test_correlate_needs_two_finite_rows(tmp_path, capsys):
         code, _, err = run(capsys, "correlate", str(path))
         assert code == 2
         assert err == "error: need at least 2 rows with finite sde_q\n"
+
+
+# record CSV cells in many spellings; and cells that only the record reader
+# reads (an underscore, a non-ASCII digit) or that it refuses (empty, inner
+# space, words, hex), drawn once in twenty cells
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: format(x, ".12g")),
+    st.sampled_from(("nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "0", "+2", ".5",
+                     "5.", "1e308", "-1e308", "1e400", "5e-324", " 1.5", "2.5 ", "1e-400")))
+ODD_CELLS = st.sampled_from(("1_0", "\u0661", "", "1 2", "x", "0x10", "nan(1)", "1,5"))
+
+
+@st.composite
+def record_csvs(draw):
+    """Bytes of a record CSV: a header with sde_q among one to four columns
+    (a name may repeat), then rows of cells, with blank lines, quoted cells,
+    short or long rows, a constant column and CRLF or CR line ends at times;
+    and whether every row is well formed for the array read."""
+    others = draw(st.lists(st.sampled_from(("a", "b", "c d", "a")), max_size=3))
+    header = draw(st.permutations(["sde_q", *others]))
+    constant = draw(st.sampled_from([None, *range(len(header))]))
+    mostly_nan_q = draw(st.booleans())
+    lines, clean = [",".join(header)], True
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        row = []
+        for k, name in enumerate(header):
+            cell = draw(CELLS)
+            if draw(st.integers(0, 19)) == 0:
+                cell, clean = draw(ODD_CELLS), False
+            if k == constant:
+                cell = "1.0"
+            elif name == "sde_q" and mostly_nan_q and draw(st.integers(0, 3)):
+                cell = "nan"
+            if draw(st.integers(0, 29)) == 0:
+                cell, clean = f'"{cell}"', False
+            row.append(cell)
+        if draw(st.integers(0, 29)) == 0:
+            row, clean = row[:-1] or ["1", "2"], False
+        lines.append(",".join(row))
+    clean = clean and len(lines) > 1 and any(lines[1:])
+    ending = draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    return (ending.join(lines) + draw(st.sampled_from(("", ending)))).encode(), clean
+
+
+def _correlate(path, *flags):
+    """Exit code, stdout and stderr of ``sde correlate``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["correlate", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _array_and_record_reads_agree(path, clean):
+    """The array read and the record read give the same ``correlate`` and
+    ``correlate --json`` output, with no warning; the array holds the bits
+    of the records, and a well-formed file takes the array read."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        header, records = read_records_csv(path)
+        columns = read_records_columns(path, header)
+        assert columns is not None or not clean
+        if columns is not None:
+            rows = list(records)
+            assert list(columns) == list(rows[0])
+            for name, column in columns.items():
+                assert column.flags.c_contiguous
+                assert column.tobytes() == np.array([r[name] for r in rows]).tobytes()
+        for flags in ((), ("--json",)):
+            by_array = _correlate(path, *flags)
+            with mock.patch.object(sdegraph.io, "read_records_columns", lambda path, header: None):
+                by_records = _correlate(path, *flags)
+            assert by_array == by_records
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_csvs())
+def test_correlate_reads_the_array_as_the_records(case):
+    data, clean = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "records.csv"
+        path.write_bytes(data)
+        _array_and_record_reads_agree(path, clean)
+
+
+@pytest.mark.parametrize("text, takes_array", [
+    ("a,sde_q\n1,nan\n2,inf\n-0.0,3\n1e308,4\n5,1e308\n", True),  # non-finite, extreme
+    ("a,sde_q\n\n1,2\n\n3,4\n\n5,7\n", True),  # blank lines
+    ('a,sde_q\n"1",2\n3,"4"\n5,7\n', False),  # quoted cells
+    ("a,b,sde_q\n1,7,2\n2,7,3\n3,7,5\n", True),  # a constant column
+    ("a,sde_q\n1,2\n2,nan\n3,inf\n", True),  # fewer than 2 finite q
+    ("a,sde_q\n", False), ("a,sde_q\n\n\n", False),  # no rows
+    ("a,sde_q\n1,2\n3\n", False),  # a short row
+])
+def test_correlate_array_read_cases(text, takes_array, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    _array_and_record_reads_agree(path, takes_array)
+    assert (read_records_columns(path, read_records_csv(path)[0]) is not None) == takes_array
+
+
+def test_correlate_reads_quoted_numbers_as_the_plain_file(tmp_path):
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("a,sde_q\n1,2\n2,3.5\n4,5\n")
+    quoted.write_text('a,sde_q\n"1",2\n2,"3.5"\n"4","5"\n')
+    assert read_records_columns(quoted, ["a", "sde_q"]) is None
+    assert _correlate(quoted)[1] == _correlate(plain)[1].replace(str(plain), str(quoted))
 
 
 def test_correlation_report_reads_any_iterable_once():

@@ -11,7 +11,9 @@ string). A q must be NaN, inf or in [2, Q_MAX], a law's value finite, a
 bracket must have lower <= upper, and a returned ``Graph`` must pass
 ``validate`` and then every query on it. The integer parameters (family
 arguments, seeds, growth sizes and trials, node counts and ids) are also fed
-two junk values at a time, drawn by hypothesis with a fixed seed. CLI half:
+two junk values at a time, drawn by hypothesis with a fixed seed, and so are
+the real ones (er's p, q, lambda1, tol_q and the laws' arguments), strings,
+None, complex numbers and decimals among the values. CLI half:
 every subcommand, run with small mutated numeric arguments, exits 0, 2 or 3
 without a traceback. Both halves are deterministic.
 """
@@ -241,6 +243,15 @@ TRIALS = st.one_of(st.integers(-3, 3), st.sampled_from((math.nan, math.inf, -mat
                                                         2.0, np.int64(2), "2", None, 1j)))
 
 
+# real parameters: reals, and the non-real values that reached a range test
+# as an untyped TypeError (strings, None, complex numbers and decimals)
+REALS = st.one_of(st.sampled_from(NUMBERS), st.floats(-10, 10),
+                  st.sampled_from(("0.5", "x", "", None, 1j, 2.5 + 0j, np.complex128(0.5),
+                                   Decimal("0.5"), Decimal("nan"), Fraction(1, 2),
+                                   np.float64(0.5), np.float32(2.5), np.int64(3), True)))
+INDEX = st.integers(0, len(HISTOGRAMS) - 1)
+
+
 def rows(items):
     for row in items:
         q_ok(row[3])
@@ -263,6 +274,20 @@ PAIRS = {
     "from_edges_n_and_id": (lambda x, y: Graph.from_edges(x, [(y, 0)]), JUNK, JUNK, graph),
     "from_edges_ids": (lambda x, y: Graph.from_edges(4, [(x, y)]), JUNK, JUNK, graph),
     "add_link_ids": (lambda x, y: add_link(P6, x, y), JUNK, JUNK, graph),
+    # the real parameters
+    "er_p_and_seed": (lambda x, y: generate(FamilySpec("er", (8, x, y))), REALS, JUNK, graph),
+    "f1_q_and_lambda1": (lambda x, y: f1(x, P6.histogram, y), REALS, REALS, real),
+    "bounds_lambda1": (lambda x, y: bounds(HISTOGRAMS[y][0], x), REALS, INDEX, bracket),
+    "newton_lambda1_and_tol_q": (lambda x, y: solve_newton(P6.histogram, x, tol_q=y), REALS,
+                                 REALS, q_in_range),
+    "bisection_tol_q": (lambda x, y: solve_bisection(*HISTOGRAMS[y], tol_q=x), REALS, INDEX,
+                        q_in_range),
+    "recursion_tol_q": (lambda x, y: solve_recursion(*HISTOGRAMS[y], tol_q=x), REALS, INDEX,
+                        q_in_range),
+    "sde_lambda1": (lambda x, y: sde(GRAPHS[y % len(GRAPHS)], lambda1=x), REALS, INDEX,
+                    q_in_range),
+    "lollipop_law": (lambda x, y: lollipop_q_asymptotic(x, y), REALS, REALS, finite),
+    "path_laws": (lambda x, y: path_q_asymptotic(x) + path_q_exact(y), REALS, REALS, finite),
 }
 
 

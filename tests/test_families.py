@@ -158,6 +158,26 @@ def test_analytic_lambda1_checks_the_spec():
     assert generate(FamilySpec("path", (5.0,))).links() == generate("path:5").links()
 
 
+def test_analytic_lambda1_refuses_the_bireg_specs_generate_refuses():
+    # bireg:5:6:3 gave 2.449 (m*r1 = 15 is not a multiple of n = 6) and
+    # bireg:4:2:3 gave 4.243 (r1 = 3 > n = 2), while generate raised BadSpec
+    for text, message in (("bireg:5:6:3", "not divisible"), ("bireg:4:2:3", "exceeds")):
+        for call in (analytic_lambda1, generate, family_q):
+            with pytest.raises(BadSpec, match=message):
+                call(text)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for r1 in range(1, 8):
+                spec = f"bireg:{m}:{n}:{r1}"
+                try:
+                    g = generate(spec)
+                except BadSpec:
+                    with pytest.raises(BadSpec):
+                        analytic_lambda1(spec)
+                    continue
+                assert math.isclose(analytic_lambda1(spec), spectral_radius(g), rel_tol=1e-9)
+
+
 def test_random_model_arguments_follow_the_integer_rule():
     # a float N or m raised numpy's TypeError while drawing
     for args in ((5.5, 0.5, 1), (math.nan, 0.5, 1), (0, 0.5, 1), (8, math.nan, 1), (8, 1.5, 1)):

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from collections import deque
@@ -13,10 +14,11 @@ from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
                       parse_graph6, parse_weighted_edge_list, path_q_exact,
                       read_graph6_file, sde)
 from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
-from sdegraph.families import analytic_lambda1
+from sdegraph.families import FamilySpec, analytic_lambda1, sample
 from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
                             connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
+from sdegraph.metrics import metric_suite
 
 TOL_DEG = 1e-9
 
@@ -146,10 +148,15 @@ def test_degree_sequence_weighted_triangle():
 
 
 def _assert_same_histogram(a, b):
-    """Two DegreeSequences with the same values, counts, dtypes and c."""
+    """Two DegreeSequences with the same values, counts, dtypes, c, node count
+    and Python lists (floats and ints, as the arrays' own ``tolist``)."""
     assert a.values.dtype == b.values.dtype and a.counts.dtype == b.counts.dtype
     assert a.values.tolist() == b.values.tolist() and a.counts.tolist() == b.counts.tolist()
-    assert a.c == b.c
+    assert a.c == b.c and a.n == b.n == sum(b.counts.tolist())
+    for ds in (a, b):
+        values, counts = ds._lists
+        assert values == ds.values.tolist() and counts == ds.counts.tolist()
+        assert {type(v) for v in values} == {float} and {type(k) for k in counts} == {int}
 
 
 def _assert_link_count_route(g):
@@ -193,6 +200,96 @@ def test_link_counts_give_the_histogram(g):
 def test_integer_counts_give_the_histogram_of_their_floats(counts):
     _assert_same_histogram(degree_sequence(np.array(counts)),
                            degree_sequence(np.array(counts, dtype=float)))
+
+
+def _assert_records_what_it_holds(g):
+    """``g`` answers ``is_unweighted`` as a scan of its weights would, and its
+    histogram is the sort route's on its float degrees."""
+    assert g.is_unweighted() == bool((g.data == 1).all())
+    _assert_same_histogram(g.histogram, degree_sequence(np.asarray(g.degrees(), dtype=float)))
+
+
+@st.composite
+def constructions(draw):
+    """A graph from any route that builds one: graph6 in both size forms,
+    ``from_edges`` with and without weights, ``add_link`` with w = 1 and
+    w != 1 onto unit-weight and weighted parents, ``scaled``, the er and ba
+    samplers, and raw arrays that ``validate`` passes."""
+    route = draw(st.sampled_from(("graph6", "from_edges", "add_link", "scaled", "er", "ba",
+                                  "raw")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if route in ("er", "ba"):
+        n = draw(st.integers(2, 30))
+        p = draw(st.sampled_from((0.0, 0.2, 0.7, 1.0)))
+        return sample(FamilySpec(route, (n, p if route == "er" else draw(st.integers(1, n - 1)),
+                                         None)), rng)
+    # a graph6 string of 63 nodes or more takes the four-byte size form
+    n = draw(st.sampled_from((1, 2, 3, 5, 8, 12, 62, 63, 70)))
+    upper = np.triu(rng.random((n, n)) < draw(st.sampled_from((0.0, 0.1, 0.5, 1.0))), 1)
+    weighted = draw(st.booleans())
+    if weighted:  # some weights 1, so that only the scan can tell
+        upper = upper * rng.choice((1.0, 1.0, 2.5, 0.25), size=(n, n))
+    w = upper + upper.T
+    links = [(int(i), int(j), float(w[i, j])) for i, j in zip(*np.nonzero(np.triu(w, 1)))]
+    if route == "graph6":
+        u = (w > 0).astype(float)
+        return parse_graph6(_reference_graph6(u) if n <= 62 else encode_graph6(Graph.from_dense(u)))
+    if route == "from_edges":
+        return Graph.from_edges(n, links if weighted else [(i, j) for i, j, _ in links])
+    # a unit-weight parent from _from_links without weights, else a weighted one
+    g = Graph.from_dense(w) if weighted else Graph._from_links(n, *np.nonzero(np.triu(w, 1)))
+    if route == "scaled":
+        return g.scaled(draw(st.sampled_from((1.0, 2.0, 0.5))))
+    if route == "raw":
+        raw = Graph(g.n, g.indptr.copy(), g.indices.copy(), g.data.copy())
+        raw.validate()
+        return raw
+    absent = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i, j] == 0]
+    if not absent:
+        return g
+    i, j = absent[int(rng.integers(len(absent)))]
+    return add_link(g, i, j, draw(st.sampled_from((1.0, 1, True, np.float64(1), 2.0, 0.5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructions())
+def test_every_constructor_records_what_its_graph_holds(g):
+    _assert_records_what_it_holds(g)
+
+
+def test_unit_weight_builds_are_never_scanned(monkeypatch):
+    # graph6 in both size forms, the family builders, the er/ba samplers and
+    # unit links added to them record unit weights: no check, query or metric
+    # scans their data
+    def scan(g):
+        raise AssertionError("data scanned")
+
+    unscanned = functools.cached_property(scan)
+    unscanned.__set_name__(Graph, "_unweighted")
+    monkeypatch.setattr(Graph, "_unweighted", unscanned)
+    rng = np.random.default_rng(5)
+    graphs = [parse_graph6("Dhc"), parse_graph6(encode_graph6(generate("star:100"))),
+              generate("path:9"), generate("kbip:2:3"), generate("lollipop:4"),
+              sample(FamilySpec("er", (9, 0.5, None)), rng),
+              sample(FamilySpec("ba", (9, 2, None)), rng)]
+    graphs.append(add_link(add_link(graphs[2], 0, 8), 1, 7, 1))
+    for g in graphs:
+        assert g.is_unweighted()
+        classify(g)
+        sde(g)
+        if not connected_components(g).any():
+            metric_suite(g)
+    with pytest.raises(AssertionError, match="data scanned"):  # a raw build is scanned
+        Graph(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2)).is_unweighted()
+    with pytest.raises(AssertionError, match="data scanned"):  # so is a weight != 1
+        add_link(graphs[2], 0, 8, 2.0)
+
+
+def test_a_star_of_a_million_leaves_records_its_histogram():
+    # two distinct degrees, d_max = 10**6: the histogram's lists hold two entries
+    g = generate(f"star:{10 ** 6 + 1}")
+    _assert_records_what_it_holds(g)
+    assert g.histogram._lists == ([1e6, 1.0], [1, 10 ** 6])
 
 
 @pytest.mark.parametrize("counts", [[-1, 2, 2], [3, -5, 0, 0], [2 ** 40, 1, 1],
