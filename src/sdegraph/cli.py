@@ -144,12 +144,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    header, records = gio.read_records_csv(args.input)
-    if "sde_q" not in header:
-        raise InputError("input CSV has no sde_q column")
-    columns = gio.read_records_columns(args.input, header)  # None: the records, as before
-    report = (correlation_report(records, corpus=args.input) if columns is None
-              else correlate_columns(columns, corpus=args.input))
+    _, columns = gio.read_records_columns(args.input)
+    report = correlate_columns(columns, corpus=args.input)
     if report.graph_count < 2:
         raise InputError("need at least 2 rows with finite sde_q")
     print(report.as_json() if args.json else report.as_table())

@@ -3,6 +3,9 @@
 The graph6 codec is bit-exact against the published format (printable
 bytes 63..126, big-endian 6-bit groups, upper triangle in column-major
 order). Only plain graph6 is supported — no sparse6/digraph6.
+:func:`write_records_csv` streams metric records to a CSV file, and
+:func:`read_records_columns` is its one reader: it returns the file's
+columns as float arrays, not records.
 """
 from __future__ import annotations
 
@@ -12,15 +15,16 @@ import functools
 import math
 import os
 import sys
+from array import array
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import (DuplicateLink, InvalidGraph, MalformedGraph6, NegativeWeight, ParseError,
-                     SelfLoop, WeightedUnsupported)
+from .errors import (DuplicateLink, InputError, InvalidGraph, MalformedGraph6, NegativeWeight,
+                     ParseError, SelfLoop, WeightedUnsupported)
 from .graph import Graph, _too_large
 from .metrics import METRIC_NAMES
 
@@ -304,48 +308,46 @@ def write_records_csv(records, path) -> None:
             fh.write(_RECORD_LINE % cells(rec))
 
 
-def read_records_csv(path) -> tuple[list[str], Iterator[dict[str, float]]]:
-    """The header of a CSV written by :func:`write_records_csv`, and its rows
-    as records, read lazily. Invalid UTF-8 anywhere raises ParseError here, a
-    bad row or cell when the records reach it, each with its line number."""
+def read_records_columns(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The header of a CSV written by :func:`write_records_csv` and its
+    columns of floats, keyed by name (a repeated name keeps its last column).
+
+    The file is checked as UTF-8 a block at a time, then opened once: the
+    header is read with the csv module and must name ``sde_q``; the body is
+    read by one ``np.loadtxt`` (comments off). Where that refuses the body (a
+    quoted, blank or non-numeric cell, rows of two lengths) or finds no rows,
+    the same handle is read again row by row, each cell through ``float``,
+    which gives the same bits wherever both reads succeed. Invalid UTF-8, a
+    bad row or cell and a field past the csv module's size limit raise
+    ParseError with its line number.
+    """
     for _ in _utf8_blocks(path):  # the whole file, a block at a time
         pass
-    records = _csv_records(path)
-    return next(records), records
-
-
-def read_records_columns(path, header: list[str]) -> dict[str, np.ndarray] | None:
-    """The columns of :func:`read_records_csv`'s records (run it first), read by
-    one ``np.loadtxt`` into C-contiguous rows of one array; None, for those
-    records, where the reads could differ: no rows, a quoted, blank or
-    non-numeric cell, or a row that is not ``len(header)`` cells long."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the header; a quoted line break in it fails below
-        body = fh.tell()
-        if all(line.isspace() for line in fh):  # no rows: np.loadtxt would warn
-            return None
-        fh.seek(body)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(iter(fh.readline, ""))  # unlike iteration, keeps fh.tell()
         try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    columns = np.ascontiguousarray(table.T)
-    return dict(zip(header, columns)) if len(columns) == len(header) else None
-
-
-def _csv_records(path):
-    """Yield the header of a CSV file, then the record of each row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
         if header is None:
             raise ParseError("empty CSV file")
-        yield header
-        for row in filter(None, reader):  # blank lines are skipped
-            try:
+        if "sde_q" not in header:
+            raise InputError("input CSV has no sde_q column")
+        body = fh.tell()
+        if any(not line.isspace() for line in iter(fh.readline, "")):  # else np.loadtxt warns
+            fh.seek(body)
+            with suppress(ValueError):
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if table.shape[1] == len(header):
+                    return header, dict(zip(header, np.ascontiguousarray(table.T)))
+        fh.seek(body)
+        columns = [array("d") for _ in header]
+        try:
+            for row in filter(None, reader):  # blank lines are skipped
                 if len(row) != len(header):
                     raise ValueError(f"row length {len(row)} != header length {len(header)}")
-                record = {k: float(v) for k, v in zip(header, row)}
-            except ValueError as exc:
-                raise ParseError(str(exc), line=reader.line_num) from None
-            yield record
+                for column, cell in zip(columns, row):
+                    column.append(float(cell))
+        except (csv.Error, ValueError) as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
+    return header, dict(zip(header, map(np.frombuffer, columns)))

@@ -87,11 +87,13 @@ def pearson(x, y) -> float:
     x, y = (np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y))
     xc = x - x.sum() / x.size  # the bits of x.mean(), without its wrapper
     yc = y - y.sum() / y.size
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
+    # numpy's pairwise sums, in an order fixed by the length alone: a BLAS dot
+    # product's order follows its thread count, and r's last digits with it
+    sx = math.sqrt(float((xc * xc).sum()))
+    sy = math.sqrt(float((yc * yc).sum()))
     if sx == 0.0 or sy == 0.0:
         raise ConstantSeries("correlation undefined for a constant series")
-    return float(xc @ yc) / (sx * sy)
+    return float((xc * yc).sum()) / (sx * sy)
 
 
 def assortativity(g: Graph) -> float:

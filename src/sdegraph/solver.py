@@ -113,9 +113,9 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     q*rho_max <= 700, the range the solvers evaluate), in O(distinct
     degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
     at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
-    unless lambda1 < d_max). :func:`_lambda1_checked` checks lambda1.
+    unless lambda1 < d_max). ``lambda1`` is a float that its caller has
+    passed through :func:`_lambda1_checked`.
     """
-    lambda1 = _lambda1_checked(ds, lambda1)
     values, counts = ds._lists
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
@@ -162,7 +162,7 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     """
     if not 0 <= _real(q, "q") <= Q_MAX:
         raise InvalidGraph(f"q must lie in [0, {Q_MAX:g}]")
-    return _f1_on_histogram(ds, lambda1)[0](q)[0]
+    return _f1_on_histogram(ds, _lambda1_checked(ds, lambda1))[0](q)[0]
 
 
 def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
@@ -193,10 +193,12 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
 
 
 def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
-    """What every solver does before it iterates: (result, None, nan) where
-    no iteration is needed, else (None, evaluate, q_start).
+    """What every solver does before it iterates: (result, None, nan, tol_q,
+    lambda1) where no iteration is needed, else (None, evaluate, q_start,
+    tol_q, lambda1), with ``tol_q`` and lambda1 the checked values as Python
+    floats, which the solvers iterate on.
 
-    Checks ``tol_q``, then lambda1 (through :func:`_f1_on_histogram`); lambda1
+    Checks ``tol_q``, then lambda1 (:func:`_lambda1_checked`); lambda1
     at d_max gives inf, a regular histogram raises. The start is the smaller
     of two upper bounds on the root. One is q_top (see
     :func:`_f1_on_histogram`), the closed-form bound from the nodes at
@@ -211,23 +213,27 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     on K15 with one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an
     estimate of 1.5e-23, and 2 is returned where q = 2.8667.
     """
-    if not (0 < _real(tol_q, "tol_q") <= 1e-4):
+    tol_q = _real(tol_q, "tol_q")
+    if not 0 < tol_q <= 1e-4:
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
+    tol_q, lambda1 = float(tol_q), _lambda1_checked(ds, lambda1)
     evaluate, q = _f1_on_histogram(ds, lambda1)
     if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
-        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan
+        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan, tol_q, lambda1
     if ds.c >= ds.n:
         raise RegularGraph("degree sequence is constant")
     if q > Q_MAX:
         if evaluate(Q_MAX)[0] > 0.0:
-            return SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan
+            return (SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan,
+                    tol_q, lambda1)
         q = Q_MAX
     f2, slope2, _ = evaluate(2.0)
     if f2 <= 0.0:
-        return SdeResult(2.0, method, iterations=0, residual=abs(f2)), None, math.nan
+        return (SdeResult(2.0, method, iterations=0, residual=abs(f2)), None, math.nan,
+                tol_q, lambda1)
     if slope2 < 0.0:  # f1 is concave: its tangent at 2 crosses zero above the root
         q = min(q, 2.0 - f2 / slope2)
-    return None, evaluate, q
+    return None, evaluate, q, tol_q, lambda1
 
 
 def _bisect(h, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -252,7 +258,7 @@ def solve_bisection(ds: DegreeSequence, lambda1: float,
     """Bisect f1 on [2, U] down to ``tol_q`` or to the float spacing at the
     root, with U a relative 1e-12 above the start of :func:`_prepare`, whose
     results without iteration it returns as they are."""
-    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_BISECTION)
+    early, evaluate, q, tol_q, _ = _prepare(ds, lambda1, tol_q, METHOD_BISECTION)
     if early is not None:
         return early
     q, iters = _bisect(lambda x: evaluate(x)[0], 2.0, q * (1 + 1e-12), tol_q)
@@ -297,7 +303,7 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     raises after ``_MAX_STEPS`` steps, which also ends iterates that settle
     within ``tol_q`` on floats that fail the certificate.
     """
-    early, evaluate, q = _prepare(ds, lambda1, tol_q, METHOD_NEWTON)
+    early, evaluate, q, tol_q, _ = _prepare(ds, lambda1, tol_q, METHOD_NEWTON)
     if early is not None:
         return early
     step = math.inf
@@ -347,7 +353,7 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     ``iterations`` counts map evaluations. Raises NoConvergence after
     ``_MAX_STEPS`` steps.
     """
-    early, evaluate, p0 = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
+    early, evaluate, p0, tol_q, lambda1 = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
     rho_max = math.log1p((ds.d_max - lambda1) / lambda1)

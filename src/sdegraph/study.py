@@ -1,8 +1,9 @@
 """The paper's four studies as library calls that return data; the ``sde``
 command line (:mod:`sdegraph.cli`) prints or writes their results.
 
-:func:`correlation_report` correlates metric records against ``sde_q``
-(:func:`correlate_columns` the columns of a record table),
+:func:`correlation_report` correlates in-memory metric records against
+``sde_q`` and :func:`correlate_columns` the columns of a record CSV (as
+:func:`sdegraph.io.read_records_columns` reads them),
 :func:`ensemble_samples` draws the seeded Erdos-Renyi and Barabasi-Albert
 ensembles, :func:`growth_trajectories` follows q along random
 star-to-complete link additions, and :func:`asymptotics_rows` compares a

@@ -26,7 +26,7 @@ from sdegraph.cli import main
 from sdegraph.errors import BadSpec, InputError, InvalidGraph
 from sdegraph.families import FAMILIES, FAMILY_KINDS, FamilySpec
 from sdegraph.graph import _too_large
-from sdegraph.io import encode_graph6, format_value, read_records_columns, read_records_csv
+from sdegraph.io import encode_graph6, format_value, read_records_columns
 from sdegraph.metrics import GRAPH_STACK_CAP, METRIC_NAMES, pearson
 from sdegraph.solver import DEFAULT_TOL_Q
 from sdegraph.study import asymptotics_rows, correlation_report, growth_trajectories
@@ -167,12 +167,11 @@ def test_batch_small_file(tmp_path, capsys):
     assert "skipping line 3" in err
     assert "skipping line 4" in err
     assert "2 rows written, 2 skipped, 1 regular" in err
-    header, records = read_records_csv(out_csv)
-    records = list(records)
+    header, columns = read_records_columns(out_csv)
     assert list(header) == list(METRIC_NAMES)
-    assert len(records) == 2
-    assert math.isnan(records[0]["sde_q"])
-    assert records[1]["sde_q"] == 2.0
+    assert len(columns["sde_q"]) == 2
+    assert math.isnan(columns["sde_q"][0])
+    assert columns["sde_q"][1] == 2.0
 
 
 def test_batch_skips_a_non_ascii_line(tmp_path, capsys):
@@ -435,9 +434,9 @@ def test_correlate_needs_two_finite_rows(tmp_path, capsys):
         assert err == "error: need at least 2 rows with finite sde_q\n"
 
 
-# record CSV cells in many spellings; and cells that only the record reader
-# reads (an underscore, a non-ASCII digit) or that it refuses (empty, inner
-# space, words, hex), drawn once in twenty cells
+# record CSV cells in many spellings; and cells that only the row read reads
+# (an underscore, a non-ASCII digit) or that it refuses (empty, inner space,
+# words, hex), drawn once in twenty cells
 CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.floats(-1e3, 1e3).map(lambda x: format(x, ".12g")),
@@ -489,26 +488,51 @@ def _correlate(path, *flags):
     return code, out.getvalue(), err.getvalue()
 
 
-def _array_and_record_reads_agree(path, clean):
-    """The array read and the record read give the same ``correlate`` and
-    ``correlate --json`` output, with no warning; the array holds the bits
-    of the records, and a well-formed file takes the array read."""
+def _refused(*args, **kwargs):
+    raise ValueError("np.loadtxt refuses the body")
+
+
+def _takes_array(path):
+    """Whether :func:`read_records_columns` returns the columns of its
+    ``np.loadtxt`` table, rather than reading the file row by row: whether
+    ``np.loadtxt`` returns a table with a column for each header name."""
+    tables, real_loadtxt = [], np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        tables.append(real_loadtxt(*args, **kwargs))
+        return tables[-1]
+
+    with mock.patch("numpy.loadtxt", loadtxt):
+        try:
+            header, _ = read_records_columns(path)
+        except InputError:
+            return False
+    return bool(tables) and tables[0].shape[1] == len(header)
+
+
+def _array_and_row_reads_agree(path, clean):
+    """The array read and the row read (``np.loadtxt`` refusing) give the
+    same ``correlate`` and ``correlate --json`` output, with no warning; the
+    array holds the bits of the rows, and a well-formed file takes the array
+    read."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        header, records = read_records_csv(path)
-        columns = read_records_columns(path, header)
-        assert columns is not None or not clean
-        if columns is not None:
-            rows = list(records)
-            assert list(columns) == list(rows[0])
+        takes_array = _takes_array(path)
+        assert takes_array or not clean
+        if takes_array:
+            header, columns = read_records_columns(path)
+            with mock.patch("numpy.loadtxt", _refused):
+                row_header, rows = read_records_columns(path)
+            assert row_header == header
+            assert list(columns) == list(rows)
             for name, column in columns.items():
                 assert column.flags.c_contiguous
-                assert column.tobytes() == np.array([r[name] for r in rows]).tobytes()
+                assert column.tobytes() == rows[name].tobytes()
         for flags in ((), ("--json",)):
             by_array = _correlate(path, *flags)
-            with mock.patch.object(sdegraph.io, "read_records_columns", lambda path, header: None):
-                by_records = _correlate(path, *flags)
-            assert by_array == by_records
+            with mock.patch("numpy.loadtxt", _refused):
+                by_rows = _correlate(path, *flags)
+            assert by_array == by_rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,7 +542,7 @@ def test_correlate_reads_the_array_as_the_records(case):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "records.csv"
         path.write_bytes(data)
-        _array_and_record_reads_agree(path, clean)
+        _array_and_row_reads_agree(path, clean)
 
 
 @pytest.mark.parametrize("text, takes_array", [
@@ -533,16 +557,49 @@ def test_correlate_reads_the_array_as_the_records(case):
 def test_correlate_array_read_cases(text, takes_array, tmp_path):
     path = tmp_path / "records.csv"
     path.write_text(text)
-    _array_and_record_reads_agree(path, takes_array)
-    assert (read_records_columns(path, read_records_csv(path)[0]) is not None) == takes_array
+    _array_and_row_reads_agree(path, takes_array)
+    assert _takes_array(path) == takes_array
 
 
 def test_correlate_reads_quoted_numbers_as_the_plain_file(tmp_path):
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     plain.write_text("a,sde_q\n1,2\n2,3.5\n4,5\n")
     quoted.write_text('a,sde_q\n"1",2\n2,"3.5"\n"4","5"\n')
-    assert read_records_columns(quoted, ["a", "sde_q"]) is None
+    assert not _takes_array(quoted)
     assert _correlate(quoted)[1] == _correlate(plain)[1].replace(str(plain), str(quoted))
+
+
+@pytest.mark.parametrize("text", [
+    "a,sde_q\n1,2\n2,3.5\n4,5\n",  # the array read
+    'a,sde_q\n"1",2\n2,"3.5"\n"4","5"\n',  # the row read, after np.loadtxt refuses
+    "a,sde_q\n\n",  # no rows
+], ids=["array", "rows", "no-rows"])
+def test_correlate_opens_the_csv_once_after_the_utf8_scan(text, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    real_open, modes = open, []
+
+    def spy(file, mode="r", *args, **kwargs):
+        if str(file) == str(path):
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    with mock.patch("builtins.open", spy):
+        _correlate(path)
+    assert modes == ["rb", "r"]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,{long},sde_q\n1,2,3\n4,5,6\n", 1),  # in the header
+    ('a,sde_q\n"1",2\n1,{long}\n', 3),  # in a row of the row read
+], ids=["header", "row"])
+def test_correlate_field_past_the_csv_limit_is_a_parse_error(text, line, tmp_path):
+    # the csv module's field size limit escaped as a csv.Error traceback
+    path = tmp_path / "long.csv"
+    path.write_text(text.format(long="b" * 200_000))
+    code, out, err = _correlate(path)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: line {line}: field larger than field limit \(\d+\)\n", err)
 
 
 def test_correlation_report_reads_any_iterable_once():

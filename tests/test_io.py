@@ -16,7 +16,7 @@ from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, InvalidG
                              WeightedUnsupported)
 from sdegraph.graph import Regular
 from sdegraph.io import (GRAPH6_HEADER, encode_graph6, format_value, load_edge_list,
-                         read_records_csv, write_records_csv)
+                         read_records_columns, write_records_csv)
 from sdegraph.metrics import METRIC_NAMES
 
 
@@ -418,11 +418,10 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "rt.csv"
     records = [_record(2.5), _record(math.inf)]
     write_records_csv(records, path)
-    header, back = read_records_csv(path)
-    back = list(back)
-    assert list(header) == list(METRIC_NAMES)
-    assert back[0]["sde_q"] == 2.5
-    assert math.isinf(back[1]["sde_q"])
+    header, columns = read_records_columns(path)
+    assert list(header) == list(columns) == list(METRIC_NAMES)
+    assert columns["sde_q"][0] == 2.5
+    assert math.isinf(columns["sde_q"][1])
 
 
 def test_csv_mismatched_names_rejected(tmp_path):
@@ -443,27 +442,26 @@ def test_csv_generator_records(tmp_path):
     # records are read once, so a generator writes every row
     path = tmp_path / "gen.csv"
     write_records_csv((_record(2.0 + k) for k in range(3)), path)
-    header, back = read_records_csv(path)
-    assert [rec["sde_q"] for rec in back] == [2.0, 3.0, 4.0]
+    header, columns = read_records_columns(path)
+    assert columns["sde_q"].tolist() == [2.0, 3.0, 4.0]
 
 
 def test_csv_bad_cells_rejected_with_line(tmp_path):
-    # a bad cell or row raises when the lazy records reach it, after the
-    # rows before it
     path = tmp_path / "cells.csv"
-    for text in ("a,sde_q\n1,2\n1,x\n", "a,sde_q\n1,2\n1,2,3\n"):
+    for text, message in (("a,sde_q\n1,2\n1,x\n", "could not convert string to float: 'x'"),
+                          ("a,sde_q\n1,2\n1,2,3\n", "row length 3 != header length 2")):
         path.write_text(text)
-        header, records = read_records_csv(path)
-        assert header == ["a", "sde_q"]
-        assert next(records) == {"a": 1.0, "sde_q": 2.0}
         with pytest.raises(ParseError) as err:
-            next(records)
+            read_records_columns(path)
         assert err.value.line == 3
-    # invalid UTF-8 anywhere raises at once, before any row is read
+        assert str(err.value) == f"line 3: {message}"
     path.write_bytes(b"a,sde_q\n1,2\n\xff,3\n")
     with pytest.raises(ParseError) as err:
-        read_records_csv(path)
+        read_records_columns(path)
     assert err.value.line == 3
     path.write_bytes(b"")
     with pytest.raises(ParseError, match="empty CSV file"):
-        read_records_csv(path)
+        read_records_columns(path)
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(InputError, match="^input CSV has no sde_q column$"):
+        read_records_columns(path)

@@ -193,6 +193,19 @@ def test_bisection_tol_validation():
         solve_bisection(ds, 1.7, tol_q=1e-3)
 
 
+@pytest.mark.parametrize("tol_q", [1e-9, 1e-6])
+@pytest.mark.parametrize("solve", [solve_bisection, solve_newton, solve_recursion])
+def test_solvers_iterate_on_numpy_reals_as_python_floats(solve, tol_q):
+    # np.float32 lambda1 and tol_q give the q of the Python floats they hold;
+    # iterating on the raw np.float32 tol_q, Newton did not certify q at 1e-9
+    # and the recursion returned an np.float32 q at 1e-6
+    ds = degree_sequence(generate("path:6").degrees())
+    lam, tol = np.float32(2 * math.cos(math.pi / 7)), np.float32(tol_q)
+    got = solve(ds, lam, tol_q=tol)
+    assert type(got.q) is float
+    assert got.q.hex() == solve(ds, float(lam), tol_q=float(tol)).q.hex()
+
+
 # newton
 
 TOL_Q = 1e-9
@@ -469,7 +482,7 @@ def test_tangent_start_is_an_upper_bound(case):
     # at or above the root. The tangent is drawn from the computed f1(2),
     # so at the start f1 is at most the rounding of f1(2) plus its own
     ds, lam = case
-    early, evaluate, start = _prepare(ds, lam, TOL_Q, "newton")
+    early, evaluate, start, _, _ = _prepare(ds, lam, TOL_Q, "newton")
     if early is not None:
         return
     value, _, rounding = evaluate(start)
@@ -489,7 +502,7 @@ def test_tangent_start_on_the_n7_corpus():
         result = sde(g, lambda1=lam)
         iterations += result.iterations
         if result.method == "newton":
-            early, evaluate, start = _prepare(g.histogram, lam, TOL_Q, "newton")
+            early, evaluate, start, _, _ = _prepare(g.histogram, lam, TOL_Q, "newton")
             if early is None:
                 value, _, rounding = evaluate(start)
                 assert value <= rounding
