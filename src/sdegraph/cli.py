@@ -26,8 +26,9 @@ from .study import (asymptotics_rows, correlate_columns, correlation_report,
                     ensemble_samples, growth_trajectories)
 
 PROGRESS_EVERY = 2000
-# graph6 lines parsed and measured together, by one worker under --jobs: a
-# full stack of N=8 graphs (metrics.GRAPH_STACK_CAP)
+# graph6 lines parsed and measured together, by one worker under --jobs: one
+# stack of up to 64 graphs, below metrics.GRAPH_STACK_CAP's 512 at N=8 (on the
+# N=8 corpus stacks of 32 to 256 graphs timed the same)
 BATCH_CHUNK = 64
 
 

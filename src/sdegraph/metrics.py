@@ -10,10 +10,14 @@ efficiency (one hop-level BFS, :func:`_hop_levels`, on the ``(B, n, n)``
 stack and on the stacked neighbour-induced subgraphs of all its nodes, in
 power-of-two degree buckets of at most ``NEIGHBOURHOOD_STACK_CAP`` floats),
 the local triangle counts (the row sums of ``(A @ A) * A``), the bridges,
-assortativity and every reduction to a record field. :func:`metric_records`
-stacks consecutive equal-size graphs, at most ``GRAPH_STACK_CAP`` adjacency
-entries each; :func:`metric_suite` and each public kernel on a lone graph run
-the same code on a stack of one. Only the exponent runs per graph.
+assortativity and every reduction to a record field. The spectra read the
+float64 link indicators; the hop levels and the triangle products multiply a
+float32 copy, whose path counts are exact integers (at most n <=
+``DENSE_CAP``), and every sum over them and every returned array is float64.
+:func:`metric_records` stacks consecutive equal-size graphs, at most
+``GRAPH_STACK_CAP`` adjacency entries each; :func:`metric_suite` and each
+public kernel on a lone graph run the same code on a stack of one. Only the
+exponent runs per graph.
 Two gap conventions are provided: the literal ``lambda1_minus_mean_degree``
 and ``dmax_minus_lambda1`` (the quantity the reference correlation values
 actually derive from — see README). The same duality applies to
@@ -34,10 +38,14 @@ from .solver import sde
 from .spectral import spectra
 
 # largest stack of equal-size graphs, in adjacency entries (B * n * n), whose
-# dense kernels run as one numpy call each: 64 graphs at n = 8 and one graph
-# from n = 64 on. On the N=8 corpus stacks of 32 to 256 graphs timed the
-# same, while the batch's peak memory grew with the stack (+3 MB at 256).
-GRAPH_STACK_CAP = 1 << 12
+# dense kernels run as one numpy call each: three graphs at n = 100, eight at
+# n = 64 and one graph from n = 129 on (``sde batch`` bounds its stacks by
+# ``cli.BATCH_CHUNK`` lines). On 200-sample ER(100, 0.1) and BA(100, 3)
+# ensembles, stacks of 3 to 8 graphs timed best of 1, 2, 3, 4, 6, 8, 12 and
+# 16, about 15% under stacks of one: each stack's hop loop runs to the
+# largest diameter in it. On the N=8 corpus stacks of 32 to 256 graphs timed
+# the same, while the batch's peak memory grew with the stack (+3 MB at 256).
+GRAPH_STACK_CAP = 1 << 15
 # largest padded neighbourhood stack (B * k * k entries, 1 MB as float32)
 # that local_efficiency builds at once; larger degree buckets are processed in
 # chunks. Run time measured flat from 2**14 to 2**20 on ER/BA graphs with
@@ -214,8 +222,10 @@ def _global_efficiency(dist: np.ndarray) -> np.ndarray:
 
 def _triangles(adj: np.ndarray) -> np.ndarray:
     """Triangles at each node of a (B, n, n) 0/1 float stack: the row sums
-    of ``(A @ A) * A`` over 2, exact integers in float64."""
-    return ((adj @ adj) * adj).sum(axis=2) / 2.0
+    of ``(A @ A) * A`` over 2, exact integers in float64. The products may be
+    float32 (exact below 2**24 nodes); the sums are float64, since a dense
+    graph's total passes 2**24 a few hundred nodes up (K_324's does)."""
+    return ((adj @ adj) * adj).sum(axis=2, dtype=float) / 2.0
 
 
 def _efficiency_sums(adj: np.ndarray, indptr: np.ndarray, cols: np.ndarray,
@@ -330,6 +340,7 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
     cols = np.concatenate([g.indices for g in graphs])
     adj = _dense(*deg.shape, rows, cols, 1.0)  # the 0/1 link indicators
     adjacency, laplacian = spectra(adj, degrees)
+    adj = adj.astype(np.float32)  # the operand of every product below
     dist = _distances(adj)
     ecc = dist.max(axis=2)
     global_efficiency = _global_efficiency(dist)
@@ -340,7 +351,7 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
         gap = adjacency[:, 0] - adjacency[:, 1]
         connectivity = laplacian[:, n - 2]
         path_length = dist.sum(axis=(1, 2)) / (n * (n - 1))
-    del dist  # freed once read: fewer page faults where a stack is one graph
+    del dist  # float64, freed once read: fewer page faults in the products below
     triangles = _triangles(adj)
     indptr = np.concatenate(([0], np.cumsum(deg)))
     pair_sums = _efficiency_sums(adj, indptr, cols, deg)

@@ -86,13 +86,15 @@ class SdeBounds:
 def _lambda1_checked(ds: DegreeSequence, lambda1: float) -> float:
     """``lambda1`` as a float where q is defined: AllDegreesZero without a
     positive degree, else InvalidGraph unless it is a real number (:func:`_real`)
-    with 0 < lambda1 <= d_max (1 + ``_INF_GUARD``) and d_max/lambda1 finite,
+    with 0 < lambda1 <= d_max (1 + ``_INF_GUARD``), float(lambda1) > 0 (a
+    real below the float range converts to 0.0) and d_max/lambda1 finite,
     tested before the conversion."""
     d_max = ds.d_max
     if not d_max > 0:
         raise AllDegreesZero("every weighted degree is zero")
     lambda1 = _real(lambda1, "lambda1")
-    if not (0 < lambda1 <= d_max * (1.0 + _INF_GUARD) and d_max / float(lambda1) < math.inf):
+    if not (0 < lambda1 <= d_max * (1.0 + _INF_GUARD) and float(lambda1) > 0
+            and d_max / float(lambda1) < math.inf):
         raise InvalidGraph(f"lambda1 must lie in (0, d_max = {d_max!r}] with d_max/lambda1 finite")
     return float(lambda1)
 

@@ -3,11 +3,11 @@ documented range or an ``SdegraphError``, never another exception.
 
 API half: a table over ``sdegraph.__all__`` and the ``Graph`` constructors
 and methods. Each numeric parameter is fed, one at a time, every value of
-``NUMBERS`` (huge ints, subnormals, NaN, +-inf, zeros, negatives) while the
-others keep a valid value; array parameters get the numpy arrays and Python
-lists of ``ARRAYS`` (empty, non-finite, negative, complex and float index
-arrays, ragged rows, and lists holding ints past the float range or a
-string). A q must be NaN, inf or in [2, Q_MAX], a law's value finite, a
+``NUMBERS`` (huge ints, subnormals, a fraction below the float range, NaN,
++-inf, zeros, negatives) while the others keep a valid value; array
+parameters get the numpy arrays and Python lists of ``ARRAYS`` (empty,
+non-finite, negative, complex and float index arrays, ragged rows, and lists
+holding ints past the float range or a string). A q must be NaN, inf or in [2, Q_MAX], a law's value finite, a
 bracket must have lower <= upper, and a returned ``Graph`` must pass
 ``validate`` and then every query on it. The integer parameters (family
 arguments, seeds, growth sizes and trials, node counts and ids) are also fed
@@ -44,7 +44,8 @@ from sdegraph.study import growth_trajectories
 HUGE = 10**400  # past the float range
 # and values inside most domains, so that each check sees results too
 NUMBERS = (HUGE, -HUGE, 2**63, 10**12, 1e308, 5e-324, -5e-324, 1e-300, math.nan,
-           math.inf, -math.inf, 0, 0.0, -1, -2.5, 1.9, 2.000000000002, 3, 3.0, 7)
+           math.inf, -math.inf, 0, 0.0, -1, -2.5, 1.9, 2.000000000002, 3, 3.0, 7,
+           Fraction(1, HUGE))  # a positive real that converts to the float 0.0
 # the same as command-line text, and a few spellings argparse or int() refuse
 WORDS = ("1" + "0" * 400, "9223372036854775808", "1000000000000", "1e308", "5e-324",
          "nan", "inf", "-inf", "0", "-1", "-2.5", "", "0x10")
@@ -129,7 +130,7 @@ RANDOM_SPECS = ["er:{}:0.5:1", "er:8:{}:1", "er:8:0.5:{}", "ba:{}:2:1", "ba:8:{}
 
 
 def spec_text(x):
-    return str(x) if isinstance(x, int) else format(x, "g")
+    return str(x) if isinstance(x, (int, Fraction)) else format(x, "g")
 
 
 def lambda1_and_tol_calls():

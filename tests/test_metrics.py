@@ -12,12 +12,14 @@ from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisec
 from sdegraph import metrics
 from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError, MalformedGraph6,
                              UndefinedAssortativity, WeightedUnsupported)
+from sdegraph.families import parse_family
 from sdegraph.graph import connected_components
 from sdegraph.io import parse_graph6, read_graph6_file
 from sdegraph.metrics import (METRIC_NAMES, _global_efficiency, assortativity,
                               bfs_distances, count_bridges, local_efficiency,
                               mean_local_clustering, pearson)
 from sdegraph.spectral import full_spectrum
+from sdegraph.study import ensemble_samples
 
 
 def transitivity(g):
@@ -460,6 +462,40 @@ def test_metric_records_match_lone_metric_suite(monkeypatch, cap):
     assert len(records) == len(graphs)
     for g, record in zip(graphs, records):
         assert record_bits(record) == record_bits(metric_suite(g))
+
+
+@pytest.mark.parametrize("cap", [None, 100 * 100])
+@pytest.mark.parametrize("family", ["er:100:0.1", "ba:100:3"])
+def test_metric_records_stack_ensemble_samples(monkeypatch, family, cap):
+    if cap is not None:  # one 100-node graph per stack
+        monkeypatch.setattr(metrics, "GRAPH_STACK_CAP", cap)
+    graphs = list(ensemble_samples(parse_family(family), 1, 7))
+    # at the default cap, stacks of three: two full stacks and one of one graph
+    assert cap is not None or metrics.GRAPH_STACK_CAP // (100 * 100) == 3
+    records = list(metrics.metric_records(graphs))
+    assert len(records) == len(graphs)
+    for g, record in zip(graphs, records):
+        assert record_bits(record) == record_bits(metric_suite(g))
+
+
+def test_float32_products_give_the_float64_kernels_bits_on_a_dense_graph():
+    # ER(1000, 0.95): the graph's sum of per-node triangle counts (~4e8) is
+    # past 2**24, where a float32 sum would round
+    n = 1000
+    upper = np.triu(np.random.default_rng(7).random((n, n)) < 0.95, 1)
+    adj = (upper | upper.T).astype(float)[None]  # the float64 link indicators
+    deg = adj.sum(axis=2).astype(np.int64)
+    links = adj.astype(np.float32)  # the products' operand in _kernel_rows
+    want = ((adj @ adj) * adj).sum(axis=2) / 2.0
+    triangles = metrics._triangles(links)
+    assert triangles.dtype == np.float64 and np.array_equal(triangles, want)
+    assert metrics._transitivity(triangles, deg).tobytes() == \
+        metrics._transitivity(want, deg).tobytes()
+    assert metrics._node_means(triangles, deg).tobytes() == \
+        metrics._node_means(want, deg).tobytes()
+    dist = metrics._distances(links)
+    assert dist.dtype == np.float64
+    assert dist.tobytes() == metrics._distances(adj).tobytes()
 
 
 def test_metric_records_keep_order_across_sizes_and_errors(monkeypatch):
