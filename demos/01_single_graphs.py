@@ -17,8 +17,7 @@ print(f"fork:25  ->  q = {result.q:.9f}  ({result.method}, "
 # the distinct degrees, how many nodes hold each, and c, the nodes at d_max.
 ds = degree_sequence(g.degrees())
 lam = spectral_radius(g)
-print("degree histogram:", dict(zip(ds.values.tolist(), ds.counts.tolist())),
-      f"c = {ds.c}")
+print("degree histogram:", dict(zip(ds.values, ds.counts)), f"c = {ds.c}")
 
 # The default solver above is Newton's method from the closed-form upper
 # bound q0. Log-domain bisection and the paper's accelerated fixed-point

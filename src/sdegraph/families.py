@@ -319,7 +319,7 @@ def generate(spec: FamilySpec | str) -> Graph:
         return sample(spec, np.random.default_rng(check_seed(spec.args[2])))
     family, args, expected = _checked_spec(spec)
     g = Graph._from_links(*family.links(*args))
-    got = Counter(dict(zip(*g.histogram._lists)))  # the histogram sde reuses
+    got = Counter(dict(zip(g.histogram.values, g.histogram.counts)))  # the histogram sde reuses
     if got != expected:
         raise InvalidGraph(
             f"{spec} generated degree profile {got} != expected {expected}")

@@ -3,22 +3,25 @@
 A :class:`Graph` stores its adjacency in compressed sparse rows (CSR), so
 memory grows with the links, not with n squared; the per-graph arrays its
 kernels share (link counts, degrees) are derived once, and
-``Graph.weights`` is a cached dense view for the dense kernels. Each rule
-has one home: :func:`_checked` tests the stored weights and degree sums of
-every graph built here and of raw arrays that ``Graph.validate`` checks,
-:func:`_too_large` refuses more than ``SIZE_CAP`` nodes or stored entries
-before they are allocated, :func:`_integer` admits every node id and integer
-count in the package, :func:`_real` every real-valued parameter, and
+``Graph.weights`` is a cached dense view for the dense kernels. A graph comes
+only from a constructor (``Graph.from_edges``, ``Graph.from_dense``,
+``Graph.scaled``, :func:`add_link`, the parsers and the family generators),
+and every constructor makes its instance in :meth:`Graph._built`;
+``Graph(...)`` raises TypeError. Each rule has one home: :meth:`Graph._built`
+tests the stored weights and degree sums of every graph, :func:`_too_large`
+refuses more than ``SIZE_CAP`` nodes or stored entries before they are
+allocated, :func:`_integer` admits every node id and integer count in the
+package, :func:`_real` every real-valued parameter, and
 :func:`_dense` builds every dense view (at most ``DENSE_CAP`` nodes).
 Operations are pure: they return new graphs. A constructor that stores
 only unit weights records the graph as unweighted (:meth:`Graph._built`),
-so only raw arrays and weighted builds scan their weights. An unweighted
-graph's degrees are its link counts. Degrees have one representation, the
-histogram :class:`DegreeSequence` built by :func:`degree_sequence` from any
-degree array, with its Python lists: one ``np.bincount`` of integer link
-counts, a sort of any other degrees. ``Graph.histogram`` builds a graph's
-once, from its link counts when it is unweighted and from its weighted
-degrees otherwise. :func:`classify` reads the histogram's lists first,
+so only weighted builds scan their weights. An unweighted graph's degrees
+are its link counts. Degrees have one representation, the histogram
+:class:`DegreeSequence` built by :func:`degree_sequence` from any degree
+array, as tuples of Python floats and ints: one ``np.bincount`` of integer
+link counts, a sort of any other degrees. ``Graph.histogram`` builds a
+graph's once, from its link counts when it is unweighted and from its
+weighted degrees otherwise. :func:`classify` reads the histogram first,
 scans the links only where it still allows a biregular graph or a
 max-clique component, and searches components only when a node could lie
 in a max-clique component.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,7 +47,7 @@ DENSE_CAP = 2048
 SIZE_CAP = 1 << 25
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple undirected graph with positive link weights, in CSR form.
 
@@ -52,14 +56,19 @@ class Graph:
     the stored matrix is symmetric, has sorted columns without repeats, no
     diagonal, and only positive finite weights with finite row sums. Every
     constructor sets them up or raises a typed error, the last two through
-    :func:`_checked`; :meth:`validate` checks raw CSR arrays given to
-    ``Graph(...)``.
+    :meth:`_built`, the one place an instance is made; ``Graph(...)`` raises
+    TypeError, so no graph holds arrays that no constructor checked.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Graph comes from its constructors: Graph.from_edges, "
+                        "Graph.from_dense, Graph.scaled, add_link, parse_graph6, "
+                        "parse_weighted_edge_list and generate")
 
     @classmethod
     def from_dense(cls, weights) -> Graph:
@@ -94,12 +103,26 @@ class Graph:
 
     @classmethod
     def _built(cls, n: int, indptr: np.ndarray, indices: np.ndarray, data=None) -> Graph:
-        """A constructor's CSR graph once :func:`_checked` passes it; ``data`` None
-        stores unit weights and records them, so nothing scans ``data``."""
-        if data is not None:
-            return _checked(cls(n, indptr, indices, data))
-        g = cls(n, indptr, indices, np.ones(indices.size))
-        g.__dict__["_unweighted"] = True  # the cached property's value
+        """The graph of a constructor's CSR arrays, the one place an instance
+        is made. ``data`` None stores unit weights and records them, so
+        nothing scans ``data``. Otherwise every stored weight must be positive
+        and finite (else InvalidGraph) and no weighted degree may overflow
+        float64: DegreeOverflow names the first node whose finite weights sum
+        past it (degrees stay cached). All-1 weights pass on the cached
+        ``_unweighted`` alone: they are positive and finite, and no degree
+        can pass n - 1."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, indptr=indptr, indices=indices,
+                          data=np.ones(indices.size) if data is None else data)
+        if data is None:
+            g.__dict__["_unweighted"] = True  # the cached property's value
+        elif not g._unweighted:
+            if not ((0 < data) & (data < np.inf)).all():
+                raise InvalidGraph("stored weights must be positive and finite")
+            over = np.flatnonzero(np.isinf(g.degrees()))
+            if over.size:
+                raise DegreeOverflow(f"the weighted degree of node {int(over[0])} overflows "
+                                     "float64 (its link weights sum past 1.8e308)")
         return g
 
     @classmethod
@@ -120,34 +143,6 @@ class Graph:
         links = {k: wt for k, wt in links.items() if wt != 0}
         i, j = zip(*links) if links else ((), ())  # ids past int64 reach the size rule
         return cls._from_links(n, i, j, list(links.values()))
-
-    def validate(self) -> None:
-        """Raise InvalidGraph where raw CSR arrays break the invariants, and
-        DegreeOverflow (:func:`_checked`)."""
-        n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
-        if not all(isinstance(a, np.ndarray) for a in (indptr, indices, data)):
-            raise InvalidGraph("CSR fields must be numpy arrays")
-        if {indptr.dtype.kind, indices.dtype.kind} - set("iu") or data.dtype.kind not in "iuf":
-            raise InvalidGraph("indptr and indices must be integer arrays, data a real one")
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise InvalidGraph("a graph needs an integer n >= 1 nodes")
-        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
-                or data.shape != indices.shape or np.any(np.diff(indptr) < 0)):
-            raise InvalidGraph("CSR arrays do not describe n rows")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise InvalidGraph(f"node ids must lie in [0, {n})")
-        _checked(self)
-        rows = self._rows
-        if np.any(rows == indices):
-            raise InvalidGraph("diagonal must be zero (no self-loops)")
-        keys = rows * n + indices
-        if np.any(np.diff(keys) <= 0):
-            raise InvalidGraph("columns must be sorted within each row, without repeats")
-        # the transpose, sorted by its own rows, must reproduce the matrix
-        order = np.argsort(indices * n + rows)
-        if not (np.array_equal(indices[order] * n + rows[order], keys)
-                and np.array_equal(data[order], data)):
-            raise InvalidGraph("weights must be symmetric")
 
     @cached_property
     def _link_counts(self) -> np.ndarray:
@@ -206,11 +201,11 @@ class Graph:
         return bool((self.data == 1).all())
 
     def scaled(self, s: float) -> Graph:
-        """Graph with every weight multiplied by s, once :func:`_checked` passes
+        """Graph with every weight multiplied by s, once :meth:`_built` passes
         it: InvalidGraph for a factor that is not positive and finite or a
         product that underflows to 0 (an edgeless graph has none to test)."""
-        with np.errstate(over="ignore"):  # _checked refuses an overflowed weight
-            return _checked(Graph(self.n, self.indptr, self.indices, self.data * _weight(s)))
+        with np.errstate(over="ignore"):  # _built refuses an overflowed weight
+            return Graph._built(self.n, self.indptr, self.indices, self.data * _weight(s))
 
 
 def _too_large(nodes: int, entries: int) -> str:
@@ -229,23 +224,6 @@ def _dense(b: int, n: int, rows: np.ndarray, cols: np.ndarray, values) -> np.nda
     return out
 
 
-def _checked(g: Graph) -> Graph:
-    """``g``, once every stored weight is positive and finite (else
-    InvalidGraph) and no weighted degree overflows float64: DegreeOverflow
-    names the first node whose finite weights sum past it (degrees stay
-    cached). All-1 weights pass on the cached ``Graph._unweighted`` alone:
-    they are positive and finite, and no degree can pass n - 1."""
-    if g._unweighted:
-        return g
-    if not ((0 < g.data) & (g.data < np.inf)).all():
-        raise InvalidGraph("stored weights must be positive and finite")
-    over = np.flatnonzero(np.isinf(g.degrees()))
-    if over.size:
-        raise DegreeOverflow(f"the weighted degree of node {int(over[0])} overflows float64 "
-                             "(its link weights sum past 1.8e308)")
-    return g
-
-
 def _real(x, what: str, error: type = InvalidGraph):
     """``x``, a numpy real as the Python number it holds; ``error`` naming
     ``what`` unless it is a real number (an int, float, fraction or numpy
@@ -261,7 +239,7 @@ def _real(x, what: str, error: type = InvalidGraph):
 
 def _weight(w) -> float:
     """``w`` as a float; InvalidGraph unless it is a real number (:func:`_real`)
-    within the float range (:func:`_checked` tests the value)."""
+    within the float range (:meth:`Graph._built` tests the value)."""
     w = _real(w, "link weights")
     try:
         return float(w)
@@ -293,38 +271,35 @@ def _integer(x, what: str, lo: int, hi: float = float("inf"), error: type = Inva
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Degree histogram: the distinct weighted degrees ``values`` in
-    descending order and the number of nodes at each, ``counts``, built with
-    their Python lists ``_lists`` and the node count ``n``.
+    """Degree histogram, built by :func:`degree_sequence`: the distinct
+    weighted degrees ``values`` in descending order, as Python floats, the
+    number of nodes at each, ``counts``, as Python ints, and the node count
+    ``n``. Histograms compare and hash by these fields.
 
     ``c`` counts the nodes attaining the maximum degree (within ``TOL_DEG``
     for non-integral degrees); ``d2`` is the largest degree below those c nodes
     (NaN for regular graphs).
     """
 
-    values: np.ndarray
-    counts: np.ndarray
+    values: tuple[float, ...]
+    counts: tuple[int, ...]
     c: int
-
-    def __post_init__(self):
-        # ``values`` and ``counts`` as Python lists, O(distinct degrees), built
-        # with the arrays: classify and the solvers read only these
-        values, counts = self.values.tolist(), self.counts.tolist()
-        self.__dict__.update(_lists=(values, counts), n=sum(counts))
+    n: int
 
     @property
     def d_max(self) -> float:
-        return self._lists[0][0]
+        return self.values[0]
 
     @property
     def d_min(self) -> float:
-        return self._lists[0][-1]
+        return self.values[-1]
 
     @property
     def d2(self) -> float:
         if self.c >= self.n:
             return float("nan")
-        return float(self.values[np.cumsum(self.counts) > self.c][0])
+        at_least = accumulate(self.counts)  # the nodes at each degree or above
+        return next(v for v, k in zip(self.values, at_least) if k > self.c)
 
 
 def degree_sequence(degrees) -> DegreeSequence:
@@ -343,8 +318,9 @@ def degree_sequence(degrees) -> DegreeSequence:
     if d.dtype.kind == "i" and d.size and d.astype(np.uint64).max() < d.size:
         hist = np.bincount(d)
         top = hist.nonzero()[0][::-1]  # the distinct counts, descending
-        counts = hist[top]
-        return DegreeSequence(values=top.astype(float), counts=counts, c=int(counts[0]))
+        counts = tuple(hist[top].tolist())
+        return DegreeSequence(values=tuple(top.astype(float).tolist()), counts=counts,
+                              c=counts[0], n=d.size)
     d = np.sort(_floats(d))[::-1]
     if not (d.size and np.isfinite(d[0]) and np.isfinite(d[-1])):  # NaN and inf sort to an end
         raise InvalidGraph("a graph needs n >= 1 nodes, each of finite degree")
@@ -358,7 +334,8 @@ def degree_sequence(degrees) -> DegreeSequence:
         c = int(counts[0])
     else:
         c = int(counts[values >= values[0] * (1 - TOL_DEG)].sum())
-    return DegreeSequence(values=values, counts=counts, c=c)
+    return DegreeSequence(values=tuple(values.tolist()), counts=tuple(counts.tolist()), c=c,
+                          n=d.size)
 
 
 # classification
@@ -466,7 +443,7 @@ def classify(g: Graph) -> GraphClass:
     has at least two high nodes, and on an unweighted graph d_max + 1 of
     them, so most graphs need no scan at all.
     """
-    values, counts = g.histogram._lists
+    values, counts = g.histogram.values, g.histogram.counts
     d_max, d_min = values[0], values[-1]
     tol = TOL_DEG * d_max
     if d_max - d_min <= tol:

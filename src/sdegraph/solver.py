@@ -118,7 +118,7 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     unless lambda1 < d_max). ``lambda1`` is a float that its caller has
     passed through :func:`_lambda1_checked`.
     """
-    values, counts = ds._lists
+    values, counts = ds.values, ds.counts
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
     n = ds.n
@@ -182,7 +182,7 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
         raise RegularGraph(
             "lambda1 reaches d_max: q is infinite (or the graph is regular)")
     denom = math.log(ds.d_max / lambda1)
-    n, c, c_top = ds.n, ds.c, ds._lists[1][0]
+    n, c, c_top = ds.n, ds.c, ds.counts[0]
     upper = max(math.log(n / c_top) / denom, 2.0)
     r2 = ds.d2 / ds.d_max
     lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)

@@ -1,6 +1,7 @@
-"""Shared test fixtures: file paths and small named graphs, and the
-hypothesis settings (a falsifying example prints the blob that reproduces
-it with ``@reproduce_failure``)."""
+"""Shared test fixtures: file paths, small named graphs, the check of the
+``Graph`` invariants, and the hypothesis settings (a falsifying example
+prints the blob that reproduces it with ``@reproduce_failure``)."""
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,34 @@ FIXTURE_N8 = DATA_DIR / "graph8c.g6"
 
 settings.register_profile("sdegraph", print_blob=True)
 settings.load_profile("sdegraph")
+
+
+def assert_graph_invariants(g) -> None:
+    """``g`` is a Graph holding what its constructors promise: integer
+    ``indptr`` and ``indices`` and real ``data`` arrays of matching shapes,
+    ``indptr`` non-decreasing from 0 to the entry count, ids in [0, n),
+    sorted columns without repeats or diagonal in each row, a symmetric
+    matrix with equal weights both ways, positive finite weights and finite
+    degrees; and ``is_unweighted()`` answers as a scan of ``data`` would."""
+    assert isinstance(g, Graph)
+    n, indptr, indices, data = g.n, g.indptr, g.indices, g.data
+    assert isinstance(n, numbers.Integral) and n >= 1
+    assert all(isinstance(a, np.ndarray) for a in (indptr, indices, data))
+    assert indptr.dtype.kind in "iu" and indices.dtype.kind in "iu" and data.dtype.kind == "f"
+    assert indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
+    assert data.shape == indices.shape and (np.diff(indptr) >= 0).all()
+    assert indices.size == 0 or (indices.min() >= 0 and indices.max() < n)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    assert not (rows == indices).any(), "diagonal entry"
+    keys = rows * n + indices
+    assert (np.diff(keys) > 0).all(), "columns unsorted or repeated within a row"
+    # the transpose, sorted by its own rows, reproduces the matrix
+    order = np.argsort(indices * n + rows)
+    assert np.array_equal(indices[order] * n + rows[order], keys), "asymmetric links"
+    assert np.array_equal(data[order], data), "asymmetric weights"
+    assert ((0 < data) & (data < np.inf)).all()
+    assert np.isfinite(g.degrees()).all()
+    assert g.is_unweighted() == bool((data == 1).all())
 
 
 def cycle_graph(n: int) -> Graph:

@@ -370,7 +370,8 @@ def test_criterion_13_property_suites(rng):
             ds = degree_sequence(g.degrees())
             if ds.c == ds.n:
                 continue
-            rms = math.sqrt(float((ds.counts * ds.values ** 2).sum()) / ds.n)
+            rms = math.sqrt(float((np.asarray(ds.counts) * np.asarray(ds.values) ** 2).sum())
+                            / ds.n)
             if rms >= ds.d_max * 0.999:
                 continue
             lam_lo = float(rng.uniform(rms * 1.0001, ds.d_max * 0.999))

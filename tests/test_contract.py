@@ -6,14 +6,17 @@ and methods. Each numeric parameter is fed, one at a time, every value of
 ``NUMBERS`` (huge ints, subnormals, a fraction below the float range, NaN,
 +-inf, zeros, negatives) while the others keep a valid value; array
 parameters get the numpy arrays and Python lists of ``ARRAYS`` (empty,
-non-finite, negative, complex and float index arrays, ragged rows, and lists
-holding ints past the float range or a string). A q must be NaN, inf or in [2, Q_MAX], a law's value finite, a
-bracket must have lower <= upper, and a returned ``Graph`` must pass
-``validate`` and then every query on it. The integer parameters (family
-arguments, seeds, growth sizes and trials, node counts and ids) are also fed
-two junk values at a time, drawn by hypothesis with a fixed seed, and so are
-the real ones (er's p, q, lambda1, tol_q and the laws' arguments), strings,
-None, complex numbers and decimals among the values. CLI half:
+non-finite, negative, complex and integral float arrays, ragged rows, and
+lists holding ints past the float range or a string). A q must be NaN, inf
+or in [2, Q_MAX], a law's value finite, a bracket must have lower <= upper,
+and a returned ``Graph`` must keep the invariants
+(``conftest.assert_graph_invariants``) and then answer every query. Raw CSR
+arrays are no input: ``Graph(...)`` raises TypeError for any arguments. The
+integer parameters (family arguments, seeds, growth sizes and trials, node
+counts and ids) are also fed two junk values at a time, drawn by hypothesis
+with a fixed seed, and so are the real ones (er's p, q, lambda1, tol_q and
+the laws' arguments), strings, None, complex numbers and decimals among the
+values. CLI half:
 every subcommand, run with small mutated numeric arguments, exits 0, 2 or 3
 without a traceback. Both halves are deterministic.
 """
@@ -27,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdegraph
-from conftest import cycle_graph
+from conftest import assert_graph_invariants, cycle_graph
 from sdegraph import (Graph, add_link, bounds, classify, degree_sequence, f1, family_q,
                       fork_q_constant, generate, lollipop_limit_lambda1,
                       lollipop_q_asymptotic, metric_records, metric_suite, parse_graph6,
@@ -86,8 +89,7 @@ def histogram(ds):
 def graph(g):
     """A returned graph keeps the invariants, and every query on it answers
     in range or with an SdegraphError."""
-    assert isinstance(g, Graph)
-    g.validate()
+    assert_graph_invariants(g)
     assert g.degrees().shape == (g.n,) and len(g.links()) == g.num_links()
     histogram(g.histogram)
     for query, check in ((lambda: classify(g), None), (lambda: sde(g), q_in_range),
@@ -99,11 +101,6 @@ def graph(g):
             continue
         if check is not None:
             check(result)
-
-
-def validated(g):
-    g.validate()
-    return g
 
 
 def records(items):
@@ -171,8 +168,6 @@ API = {
                          (lambda x: Graph.from_edges(x, []), graph),
                          (lambda x: Graph.from_edges(4, [(x, 1)]), graph),
                          (lambda x: Graph.from_edges(4, [(0, 1, x), (1, 2)]), graph)],
-    "Graph.validate": [(lambda x: validated(
-        Graph(x, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))), graph)],
     "Graph.scaled": [(lambda x, g=g: g.scaled(x), graph) for g in GRAPHS],
     "add_link": [(lambda x: add_link(P6, x, 3), graph), (lambda x: add_link(P6, 0, x), graph),
                  (lambda x: add_link(P6, 0, 3, x), graph),
@@ -218,11 +213,6 @@ def test_array_parameters_answer_in_range_or_raise_typed(index):
         (lambda: Graph.from_dense(np.diag(values)), graph),
         (lambda: Graph.from_dense(symmetric), graph),
         (lambda: Graph.from_dense(symmetric.tolist()), graph),
-        # as CSR fields, float index arrays among them
-        (lambda: validated(Graph(3, np.array([0, 1, 2, 2]), a, np.ones(size))), graph),
-        (lambda: validated(Graph(max(size - 1, 1), a, np.array([1, 0]), np.ones(2))),
-         graph),
-        (lambda: validated(Graph(2, np.array([0, 1, 2]), np.array([1, 0]), a)), graph),
         (lambda: Graph.from_edges(3, [a]), graph),
     ]
     for call, check in calls:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR, assert_graph_invariants
 from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
                       lollipop_limit_lambda1, lollipop_q_asymptotic,
                       path_q_asymptotic, path_q_exact, sde, spectral_radius,
@@ -14,6 +16,7 @@ from sdegraph.errors import BadSpec, InvalidGraph
 from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1,
                                check_seed, parse_family)
 from sdegraph import graph
+from sdegraph.cli import main
 from sdegraph.graph import Biregular, connected_components
 
 
@@ -300,7 +303,7 @@ def test_generate_lollipop_matches_dense_reference():
     for k in range(4, n + 4):
         dense[k, k + 1] = dense[k + 1, k] = 1.0
     g = generate(f"lollipop:{n}")
-    g.validate()
+    assert_graph_invariants(g)
     assert np.array_equal(g.weights, dense)
 
 
@@ -352,6 +355,24 @@ def test_analytic_lambda1_against_spectral_radius():
         else:
             lam_num = spectral_radius(generate(spec))
             assert abs(lam_exact - lam_num) <= 1e-9 * max(1.0, lam_exact), spec
+
+
+def test_compute_prints_the_reference_digits(capsys):
+    """``sde compute --json --family S`` prints, field by field, what
+    ``tests/data/reference/compute_families.json`` records for each spec
+    whose family has a closed-form lambda1. That route calls no LAPACK, so
+    the digits do not depend on the numpy build. A change that moves a
+    printed digit fails here, naming each spec, field, old and new value;
+    the file is that command's output for each spec, keyed by spec."""
+    reference = json.loads((DATA_DIR / "reference" / "compute_families.json").read_text())
+    assert list(reference) == [s for s in SPECS if analytic_lambda1(s) is not None]
+    changed = []
+    for spec, old in reference.items():
+        assert main(["compute", "--json", "--family", spec]) == 0
+        new = json.loads(capsys.readouterr().out)
+        changed += [f"{spec} {field}: {old.get(field)!r} -> {new.get(field)!r}"
+                    for field in {**old, **new} if repr(old.get(field)) != repr(new.get(field))]
+    assert not changed, "\n".join(changed)
 
 
 # path oracles

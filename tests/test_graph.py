@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
+from conftest import (FIXTURE_N7, FIXTURE_N8, assert_graph_invariants, cycle_graph, k4_plus_p3,
+                      random_er)
 from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
                       parse_graph6, parse_weighted_edge_list, path_q_exact,
                       read_graph6_file, sde)
 from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
-from sdegraph.families import FamilySpec, analytic_lambda1, sample
+from sdegraph.families import FAMILIES, FamilySpec, analytic_lambda1, sample
 from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
                             connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
@@ -124,7 +125,7 @@ def relabel(g, order):
 def test_degree_sequence_star():
     g = generate("star:5")
     ds = degree_sequence(g.degrees())
-    assert ds.values.tolist() == [4, 1] and ds.counts.tolist() == [1, 4]
+    assert ds.values == (4.0, 1.0) and ds.counts == (1, 4)
     assert ds.n == 5
     assert ds.c == 1
     assert ds.d2 == 1
@@ -133,7 +134,7 @@ def test_degree_sequence_star():
 
 def test_degree_sequence_complete():
     ds = degree_sequence(generate("complete:4").degrees())
-    assert ds.values.tolist() == [3] and ds.counts.tolist() == [4]
+    assert ds.values == (3.0,) and ds.counts == (4,)
     assert ds.c == 4
     assert np.isnan(ds.d2)
 
@@ -142,21 +143,31 @@ def test_degree_sequence_weighted_triangle():
     # row sums by hand: node0 = 2+1, node1 = 2+1, node2 = 1+1
     g = Graph.from_edges(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])
     ds = degree_sequence(g.degrees())
-    assert ds.values.tolist() == [3, 2] and ds.counts.tolist() == [2, 1]
+    assert ds.values == (3.0, 2.0) and ds.counts == (2, 1)
     assert ds.c == 2
     assert ds.d2 == 2
 
 
 def _assert_same_histogram(a, b):
-    """Two DegreeSequences with the same values, counts, dtypes, c, node count
-    and Python lists (floats and ints, as the arrays' own ``tolist``)."""
-    assert a.values.dtype == b.values.dtype and a.counts.dtype == b.counts.dtype
-    assert a.values.tolist() == b.values.tolist() and a.counts.tolist() == b.counts.tolist()
-    assert a.c == b.c and a.n == b.n == sum(b.counts.tolist())
+    """Two equal DegreeSequences that hold Python floats and ints, with
+    ``n`` the sum of the counts."""
+    assert a == b and a.n == sum(a.counts)
     for ds in (a, b):
-        values, counts = ds._lists
-        assert values == ds.values.tolist() and counts == ds.counts.tolist()
-        assert {type(v) for v in values} == {float} and {type(k) for k in counts} == {int}
+        assert type(ds.values) is tuple and type(ds.counts) is tuple
+        assert {type(v) for v in ds.values} == {float} and {type(k) for k in ds.counts} == {int}
+        assert type(ds.c) is int and type(ds.n) is int
+
+
+def test_degree_sequences_compare_and_hash_by_their_histogram():
+    # the histogram held numpy arrays: == raised ValueError (the truth value
+    # of an array is ambiguous) and hash raised TypeError (unhashable ndarray)
+    a, b = degree_sequence([3, 2, 2]), degree_sequence([3.0, 2.0, 2.0])
+    assert a == b and hash(a) == hash(b)
+    assert a != degree_sequence([3, 2, 1])
+    # the bincount route and the sort route give one histogram, with one hash
+    star = generate("star:4")
+    assert {star.histogram, degree_sequence(star.degrees()),
+            degree_sequence([3, 1, 1, 1])} == {star.histogram}
 
 
 def _assert_link_count_route(g):
@@ -203,21 +214,31 @@ def test_integer_counts_give_the_histogram_of_their_floats(counts):
 
 
 def _assert_records_what_it_holds(g):
-    """``g`` answers ``is_unweighted`` as a scan of its weights would, and its
-    histogram is the sort route's on its float degrees."""
-    assert g.is_unweighted() == bool((g.data == 1).all())
+    """``g`` keeps the invariants, among them ``is_unweighted`` answering as
+    a scan of its weights would, and its histogram is the sort route's on
+    its float degrees."""
+    assert_graph_invariants(g)
     _assert_same_histogram(g.histogram, degree_sequence(np.asarray(g.degrees(), dtype=float)))
 
 
 @st.composite
 def constructions(draw):
     """A graph from any route that builds one: graph6 in both size forms,
-    ``from_edges`` with and without weights, ``add_link`` with w = 1 and
-    w != 1 onto unit-weight and weighted parents, ``scaled``, the er and ba
-    samplers, and raw arrays that ``validate`` passes."""
-    route = draw(st.sampled_from(("graph6", "from_edges", "add_link", "scaled", "er", "ba",
-                                  "raw")))
+    ``from_edges`` with and without weights, ``parse_weighted_edge_list``
+    with one-based ids, ``add_link`` with w = 1 and w != 1 onto unit-weight
+    and weighted parents, ``scaled``, the er and ba samplers, and every
+    ``FAMILIES`` row at its minima and at a drawn size."""
+    route = draw(st.sampled_from(("graph6", "from_edges", "edge_list", "add_link", "scaled",
+                                  "er", "ba", "family")))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if route == "family":
+        kind = draw(st.sampled_from(sorted(FAMILIES)))
+        family = FAMILIES[kind]
+        args = family.minima
+        if draw(st.booleans()):
+            args = tuple(draw(st.integers(lo, lo + 20)) for lo in family.minima)
+            assume(not (family.refuses and family.refuses(*args)))
+        return generate(FamilySpec(kind, args))
     if route in ("er", "ba"):
         n = draw(st.integers(2, 30))
         p = draw(st.sampled_from((0.0, 0.2, 0.7, 1.0)))
@@ -236,14 +257,14 @@ def constructions(draw):
         return parse_graph6(_reference_graph6(u) if n <= 62 else encode_graph6(Graph.from_dense(u)))
     if route == "from_edges":
         return Graph.from_edges(n, links if weighted else [(i, j) for i, j, _ in links])
+    if route == "edge_list":
+        text = f"n={n}\n" + "".join(f"{i + 1} {j + 1}" + (f" {x!r}\n" if weighted else "\n")
+                                    for i, j, x in links)
+        return parse_weighted_edge_list(text, one_based=True)
     # a unit-weight parent from _from_links without weights, else a weighted one
     g = Graph.from_dense(w) if weighted else Graph._from_links(n, *np.nonzero(np.triu(w, 1)))
     if route == "scaled":
         return g.scaled(draw(st.sampled_from((1.0, 2.0, 0.5))))
-    if route == "raw":
-        raw = Graph(g.n, g.indptr.copy(), g.indices.copy(), g.data.copy())
-        raw.validate()
-        return raw
     absent = [(i, j) for i in range(n) for j in range(i + 1, n) if w[i, j] == 0]
     if not absent:
         return g
@@ -255,6 +276,11 @@ def constructions(draw):
 @given(constructions())
 def test_every_constructor_records_what_its_graph_holds(g):
     _assert_records_what_it_holds(g)
+
+
+def test_every_family_at_its_minima_records_what_it_holds():
+    for kind, family in FAMILIES.items():
+        _assert_records_what_it_holds(generate(FamilySpec(kind, family.minima)))
 
 
 def test_unit_weight_builds_are_never_scanned(monkeypatch):
@@ -279,8 +305,8 @@ def test_unit_weight_builds_are_never_scanned(monkeypatch):
         sde(g)
         if not connected_components(g).any():
             metric_suite(g)
-    with pytest.raises(AssertionError, match="data scanned"):  # a raw build is scanned
-        Graph(2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2)).is_unweighted()
+    with pytest.raises(AssertionError, match="data scanned"):  # from_edges stores weights
+        Graph.from_edges(2, [(0, 1)])
     with pytest.raises(AssertionError, match="data scanned"):  # so is a weight != 1
         add_link(graphs[2], 0, 8, 2.0)
 
@@ -289,7 +315,7 @@ def test_a_star_of_a_million_leaves_records_its_histogram():
     # two distinct degrees, d_max = 10**6: the histogram's lists hold two entries
     g = generate(f"star:{10 ** 6 + 1}")
     _assert_records_what_it_holds(g)
-    assert g.histogram._lists == ([1e6, 1.0], [1, 10 ** 6])
+    assert (g.histogram.values, g.histogram.counts) == ((1e6, 1.0), (1, 10 ** 6))
 
 
 @pytest.mark.parametrize("counts", [[-1, 2, 2], [3, -5, 0, 0], [2 ** 40, 1, 1],
@@ -662,28 +688,6 @@ def test_add_link_and_from_edges_share_one_weight_rule():
         assert added.data.tolist() == built.data.tolist() == [float(w)] * 2
 
 
-def test_validate_rejects_csr_fields_that_are_not_arrays():
-    # a list field raised AttributeError: 'list' object has no attribute 'shape'
-    fields = [[0, 2, 3, 4], [1, 2, 0, 0], [1e308] * 4]
-    for k in range(3):
-        args = [np.array(f) for f in fields]
-        args[k] = fields[k]
-        with pytest.raises(InvalidGraph, match="numpy arrays"):
-            Graph(3, *args).validate()
-
-
-def test_validate_rejects_float_index_arrays():
-    # float indices passed, and sde then raised IndexError: arrays used as
-    # indices must be of integer (or boolean) type
-    with pytest.raises(InvalidGraph, match="integer"):
-        Graph(3, np.array([0, 1, 2, 2]), np.array([1.0, 0.0]), np.array([1.0, 1.0])).validate()
-    with pytest.raises(InvalidGraph, match="integer"):
-        Graph(3, np.array([0.0, 1.0, 2.0, 2.0]), np.array([1, 0]), np.array([1.0, 1.0])).validate()
-    # a float n passed with integer arrays, and sde raised the same IndexError
-    with pytest.raises(InvalidGraph, match="integer"):
-        Graph(3.0, np.array([0, 1, 2, 2]), np.array([1, 0]), np.array([1.0, 1.0])).validate()
-
-
 @pytest.mark.parametrize("degrees", [[], np.array([], dtype=np.int64), [np.nan, 1.0],
                                      [np.inf, 2.0], [1.0, -np.inf]],
                          ids=["empty", "empty_int", "nan", "inf", "minus_inf"])
@@ -718,8 +722,8 @@ def test_ragged_and_complex_entries_raise_invalid_graph():
         with pytest.raises(InvalidGraph, match="float range"):
             Graph.from_dense(weights)
     # Python lists of integers take the float route, to the same histogram
-    assert degree_sequence([3, 2, 2]).values.tolist() == [3.0, 2.0]
-    assert degree_sequence([[3], [2]]).counts.tolist() == [1, 1]
+    assert degree_sequence([3, 2, 2]).values == (3.0, 2.0)
+    assert degree_sequence([[3], [2]]).counts == (1, 1)
 
 
 def test_one_integer_rule_for_ids_and_counts():
@@ -737,18 +741,19 @@ def test_one_integer_rule_for_ids_and_counts():
 
 
 def test_unit_weights_pass_the_check_and_bad_weights_beside_them_do_not():
-    # the path 0 - 1 - 2 as raw CSR arrays: link (0, 1) of weight 1, link (1, 2)
-    # of weight w; every weight is 1 only when w is
+    # the path 0 - 1 - 2 as the CSR arrays of a constructor, checked where
+    # every constructor's are: link (0, 1) of weight 1, link (1, 2) of
+    # weight w; every weight is 1 only when w is
     def path(w):
-        return Graph(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]),
-                     np.array([1.0, 1.0, w, w]))
+        return Graph._built(3, np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]),
+                            np.array([1.0, 1.0, w, w]))
 
     g = path(1.0)
-    g.validate()
+    assert_graph_invariants(g)
     assert g.is_unweighted() and g.degrees().tolist() == [1.0, 2.0, 1.0]
     for w in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324):
         with pytest.raises(InvalidGraph, match="positive and finite"):
-            path(w).validate()
+            path(w)
         with pytest.raises(InvalidGraph, match="positive and finite"):
             add_link(Graph.from_edges(3, [(0, 1)]), 1, 2, w)
         if w != 0:  # from_edges adds no link for a zero weight
@@ -815,31 +820,18 @@ def test_add_link_path_to_triangle():
     assert isinstance(classify(h), Regular)
 
 
-def _raw_csr(w):
-    """The nonzero entries of ``w`` as CSR arrays, unchecked."""
-    n = w.shape[0]
-    keys = np.flatnonzero(w)
-    return Graph(n, np.searchsorted(keys, np.arange(0, n * n + 1, n)), keys % n, w.ravel()[keys])
-
-
-def test_graph_validate_rejections():
-    with pytest.raises(InvalidGraph):
-        _raw_csr(np.array([[0.0, 1.0], [0.5, 0.0]])).validate()  # asymmetric
-    with pytest.raises(InvalidGraph):
-        _raw_csr(np.array([[1.0]])).validate()  # self-loop
-    with pytest.raises(InvalidGraph):
-        _raw_csr(np.array([[0.0, -1.0], [-1.0, 0.0]])).validate()
+def test_from_edges_rejects_a_self_loop():
     with pytest.raises(SelfLoop):
         Graph.from_edges(2, [(0, 0)])
 
 
 def test_mutations_keep_invariants(rng):
     g = random_er(rng, 8, 0.5)
-    g.validate()
+    assert_graph_invariants(g)
     links = g.links()
     h = add_link(g, *next((i, j) for i in range(8) for j in range(i + 1, 8)
                           if g.weights[i, j] == 0))
-    h.validate()
+    assert_graph_invariants(h)
     assert np.array_equal(h.weights, h.weights.T)
     assert np.all(np.diag(h.weights) == 0)
 
@@ -857,7 +849,7 @@ def test_link_count_and_integrality_match_dense_formulas(rng):
         elif kind == 2:
             w = w * rng.uniform(0.1, 3.0, size=(n, n))
         g = Graph.from_dense(w + w.T)
-        g.validate()
+        assert_graph_invariants(g)
         assert g.num_links() == int(np.count_nonzero(np.triu(g.weights, 1)))
         degs = g.degrees()
         if kind < 2:
@@ -869,7 +861,7 @@ def test_link_count_and_integrality_match_dense_formulas(rng):
 
 def _assert_matches_dense(g, w):
     """``g`` is valid CSR whose rows are the nonzero entries of ``w``."""
-    g.validate()
+    assert_graph_invariants(g)
     n = w.shape[0]
     rows, cols = np.nonzero(w)
     assert g.n == n
@@ -947,8 +939,7 @@ def test_every_construction_path_matches_dense_reference(case):
         builds = [lambda: Graph.from_dense(big), lambda: Graph.from_edges(n, big_links),
                   lambda: parse_weighted_edge_list(big_text),
                   lambda: add_link(Graph.from_dense(without_ac), c, a, 1e308),
-                  lambda: Graph.from_dense(big / 4).scaled(4.0),
-                  lambda: _raw_csr(big).validate()]
+                  lambda: Graph.from_dense(big / 4).scaled(4.0)]
         messages = set()
         for build in builds:
             with pytest.raises(DegreeOverflow) as raised:
@@ -960,7 +951,7 @@ def test_every_construction_path_matches_dense_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(dense_graphs(), st.sampled_from(("asymmetric", "diagonal", "negative", "nan", "inf")))
-def test_validate_rejects_invalid_matrices(case, fault):
+def test_from_dense_rejects_invalid_matrices(case, fault):
     w, rng = case
     n = w.shape[0]
     w = w.copy()
@@ -974,8 +965,6 @@ def test_validate_rejects_invalid_matrices(case, fault):
         w[i, j] = w[j, i] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[fault]
     with pytest.raises(InvalidGraph):
         Graph.from_dense(w)
-    with pytest.raises(InvalidGraph):
-        _raw_csr(w).validate()
 
 
 def test_dense_view_is_capped():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_N7, random_er
+from conftest import FIXTURE_N7, assert_graph_invariants, random_er
 from sdegraph import (Graph, classify, generate, parse_graph6,
                       parse_weighted_edge_list, read_graph6_file)
 from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, InvalidGraph,
@@ -163,7 +163,7 @@ def short_graph6(draw):
 
 def _assert_decoded_as_from_edges(text):
     g = parse_graph6(text)
-    g.validate()
+    assert_graph_invariants(g)
     n, pairs = graph6_pairs(text)
     ref = Graph.from_edges(n, pairs)
     assert g.n == n
@@ -219,7 +219,7 @@ def _parse_or_input_error(parse, text):
     except InputError:
         return None
     assert isinstance(g, Graph)
-    g.validate()
+    assert_graph_invariants(g)
     return g
 
 

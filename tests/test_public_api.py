@@ -1,10 +1,15 @@
-"""The package's exported names, the README and the demos stay in step."""
+"""The package's exported names, the README and the demos stay in step, and
+each graph type is made in one place."""
 import ast
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sdegraph
+from sdegraph import Graph
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -49,6 +54,49 @@ def test_tests_import_only_main_from_the_cli():
 def test_readme_quick_start_runs(capsys):
     exec(compile(quick_start(), "README quick start", "exec"), {})
     assert capsys.readouterr().out
+
+
+def instantiations() -> dict[str, set[str]]:
+    """Where the package makes a ``Graph`` or a ``DegreeSequence``: the
+    qualified names (module, class, function) of the functions that call
+    the class, ``cls`` inside the class's own methods, or ``__new__`` on
+    either."""
+    made = {"Graph": set(), "DegreeSequence": set()}
+
+    def visit(node, scope, owner):
+        if isinstance(node, ast.ClassDef):
+            scope, owner = scope + (node.name,), node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "__new__" and node.args:
+                name = getattr(node.args[0], "id", None)
+            name = owner if name == "cls" else name
+            if name in made:
+                made[name].add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, owner)
+
+    for path in sorted((ROOT / "src" / "sdegraph").glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,), None)
+    return made
+
+
+def test_each_graph_type_is_made_in_one_place():
+    """Every constructor makes its Graph in ``Graph._built``, which checks
+    what it stores, and every histogram comes from ``degree_sequence``."""
+    assert instantiations() == {"Graph": {"graph.Graph._built"},
+                                "DegreeSequence": {"graph.degree_sequence"}}
+
+
+def test_graph_is_not_built_from_raw_arrays():
+    csr = (2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))
+    for call in (lambda: Graph(), lambda: Graph(*csr),
+                 lambda: Graph(**dict(zip(("n", "indptr", "indices", "data"), csr)))):
+        with pytest.raises(TypeError, match="constructors"):
+            call()
 
 
 def shim_names() -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:

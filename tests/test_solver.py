@@ -27,7 +27,7 @@ def _ds_lam(g, lam=None):
 
 
 def rms_degree(ds):
-    return math.sqrt(float((ds.counts * ds.values ** 2).sum()) / ds.n)
+    return math.sqrt(float((np.asarray(ds.counts) * np.asarray(ds.values) ** 2).sum()) / ds.n)
 
 
 def connected_er(rng, n, p):
