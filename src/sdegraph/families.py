@@ -244,27 +244,71 @@ def parse_family(text: str) -> FamilySpec:
 # random models
 
 
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Read-only n x n mask of the pairs i < j, ``np.triu(..., 1)``'s; cached
+    for the last n only, which keeps n * n bytes."""
+    upper = ~np.tri(n, dtype=bool)
+    upper.flags.writeable = False
+    return upper
+
+
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """One Erdos-Renyi G(n, p) sample."""
-    return Graph._from_links(n, *np.nonzero(np.triu(rng.random((n, n)) < p, 1)))
+    """One Erdos-Renyi G(n, p) sample. Stream contract: one
+    ``rng.random((n, n))`` draw, whose upper-triangle entries (i < j) are
+    compared with p; pair (i, j) is linked where its entry is below p. The
+    lower triangle and diagonal are drawn and unread."""
+    linked = rng.random((n, n)) < p
+    linked &= _upper_triangle(n)
+    return Graph._from_links(n, *np.divmod(np.flatnonzero(linked), n))
 
 
 def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     """One Barabasi-Albert sample: complete seed graph on m nodes, then each
     arriving node attaches m distinct links by preferential attachment over
-    the repeated-ends link list."""
+    the repeated-ends link list.
+
+    Stream contract: each pick is the index ``rng.integers(len(ends))`` would
+    return, and the Generator ends in the state those calls leave. The bit
+    generator must buffer half of a 64-bit word for its 32-bit draws (PCG64,
+    PCG64DXSM, Philox, SFC64); the picks are worked out here, as numpy does:
+    each takes the next 32-bit half, low half first, of the words that
+    ``random_raw()`` reads one at a time, and applies Lemire's multiply-shift
+    with rejection below 2**32 mod len(ends) (Lemire, ACM TOMACS 29(1),
+    2019). The buffered half is read from the state at entry and written back
+    at exit. TypeError for a bit generator without that buffer (MT19937);
+    ``default_rng``'s PCG64 has it."""
     repeated: list[int] = []
     for i in range(m):
         for j in range(i + 1, m):
             repeated += [i, j]
-    if m == 1:
-        repeated = [0]  # degenerate seed: a single node, no links yet
-    for v in range(m, n):
+    start = m
+    if m == 1 and n > 1:
+        # degenerate seed: a single node, which node 1 links to; a bound of 1 draws nothing
+        repeated, start = [0, 1, 0], 2
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if "has_uint32" not in state:
+        raise TypeError(f"ba_graph needs a bit generator with a buffered 32-bit half, "
+                        f"as PCG64 has; got {type(bitgen).__name__}")
+    raw, buffered, half = bitgen.random_raw, state["has_uint32"], state["uinteger"]
+    for v in range(start, n):
+        size = len(repeated)
+        threshold = (1 << 32) % size  # a low product below it is biased: rejected
         targets: set[int] = set()
         while len(targets) < m:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
+            if buffered:
+                x, buffered = half * size, 0
+            else:
+                word = raw()
+                x, half, buffered = (word & 0xFFFFFFFF) * size, word >> 32, 1
+            if x & 0xFFFFFFFF >= threshold:
+                targets.add(repeated[x >> 32])
         for t in targets:
             repeated += [v, t]
+    state = bitgen.state  # the words read moved it on; the buffer is set here
+    state["has_uint32"], state["uinteger"] = buffered, half
+    bitgen.state = state
     # past the placeholder seed of m = 1, the ends are the links' (i, j) pairs
     ends = repeated[1:] if m == 1 else repeated
     return Graph._from_links(n, ends[0::2], ends[1::2])

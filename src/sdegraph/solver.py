@@ -100,6 +100,12 @@ def _lambda1_checked(ds: DegreeSequence, lambda1: float) -> float:
 
 
 def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
+    """:func:`_f1_on_degrees` on the histogram's distinct degrees and counts."""
+    return _f1_on_degrees(ds.values, ds.counts, ds.n, lambda1)
+
+
+def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
+                   lambda1: float):
     """f1 on the distinct positive degrees, and the solvers' start q_top.
 
     With w_k = n_k/N for the distinct positive degrees d_k (n_k times each),
@@ -115,13 +121,13 @@ def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
     q*rho_max <= 700, the range the solvers evaluate), in O(distinct
     degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
     at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
-    unless lambda1 < d_max). ``lambda1`` is a float that its caller has
-    passed through :func:`_lambda1_checked`.
+    unless lambda1 < d_max). ``values`` are the distinct degrees in
+    descending order, ``counts`` the nodes at each, of ``n`` nodes in all;
+    ``lambda1`` is a float that its caller has passed through
+    :func:`_lambda1_checked` for them.
     """
-    values, counts = ds.values, ds.counts
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
-    n = ds.n
     zero_weight = (n - sum(counts)) / n
     # per distinct degree: w, rho, w*rho, |w*rho|, and w signed like expm1(q*rho)
     terms = []
@@ -176,7 +182,15 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     Both upper bounds rest on sum d^q >= c d_max^q, so they count only the
     nodes at exactly d_max (``q_top``'s count), not ``ds.c``, which also
     merges non-integral near-ties; the lower bound keeps ``ds.c`` and d2,
-    since merged nodes lie below d_max."""
+    since merged nodes lie below d_max.
+
+    The lower bound log(N/(c + (N - c)(d2/d_max)^2))/log(d_max/lambda1)
+    equals 2 + g/log(d_max/lambda1), with g the d2-substituted f1 at q = 2:
+    0 on a two-degree histogram whose lambda1^2 is the mean squared degree
+    (a biregular graph, q = 2). It exceeds 2 only where g, evaluated as the
+    solvers evaluate f1, exceeds its rounding estimate. A smaller g is
+    rounding, of lambda1 too, and once put the bound up to 4 ulps above a
+    root of exactly 2."""
     lambda1 = _lambda1_checked(ds, lambda1)
     if lambda1 >= ds.d_max * (1.0 - _INF_GUARD) or ds.c >= ds.n:
         raise RegularGraph(
@@ -184,8 +198,11 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
     denom = math.log(ds.d_max / lambda1)
     n, c, c_top = ds.n, ds.c, ds.counts[0]
     upper = max(math.log(n / c_top) / denom, 2.0)
-    r2 = ds.d2 / ds.d_max
-    lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)
+    g, _, rounding = _f1_on_degrees((ds.d_max, ds.d2), (c, n - c), n, lambda1)[0](2.0)
+    lower = 2.0
+    if g > rounding:
+        r2 = ds.d2 / ds.d_max
+        lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)
     sharpened = None
     if ds.d_min > 0:
         rmin = ds.d_min / ds.d_max

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import math
 import sys
 from collections import Counter
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
                       path_q_asymptotic, path_q_exact, sde, spectral_radius,
                       wheel_limit_check)
 from sdegraph.errors import BadSpec, InvalidGraph
-from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1,
-                               check_seed, parse_family)
+from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1, ba_graph,
+                               check_seed, er_graph, parse_family)
 from sdegraph import graph
 from sdegraph.cli import main
 from sdegraph.graph import Biregular, connected_components
+from sdegraph.io import encode_graph6
+from sdegraph.study import ensemble_samples
 
 
 def degree_multiset(g):
@@ -292,6 +296,133 @@ def test_ba_reproducibility_and_structure():
     degs = a.degrees()
     assert np.all(degs[3:] >= 3)  # every arriving node brings m distinct links
     assert a.num_links() == 3 + 97 * 3
+
+
+# the seeded samplers against numpy's own calls: the same graphs, the same stream
+
+
+def reference_ba_graph(n, m, rng):
+    """Barabasi-Albert by one ``rng.integers(len(repeated))`` call per pick,
+    over the repeated-ends link list, after the complete seed graph on m
+    nodes (a lone placeholder node 0 for m = 1)."""
+    repeated = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            repeated += [i, j]
+    if m == 1:
+        repeated = [0]
+    for v in range(m, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in targets:
+            repeated += [v, t]
+    ends = repeated[1:] if m == 1 else repeated
+    return Graph._from_links(n, ends[0::2], ends[1::2])
+
+
+def reference_er_graph(n, p, rng):
+    """Erdos-Renyi from the upper triangle of one (n, n) uniform draw."""
+    return Graph._from_links(n, *np.nonzero(np.triu(rng.random((n, n)) < p, 1)))
+
+
+# the bit generators that buffer half of a 64-bit word for 32-bit draws
+BUFFERED_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                           np.random.SFC64]
+BIT_GENERATORS = [*BUFFERED_BIT_GENERATORS, np.random.MT19937]
+
+
+def _twin_generators(bit_generator, seed, buffered):
+    """Two Generators in one state; ``buffered`` leaves half of a 64-bit
+    word in the bit generator's 32-bit buffer (MT19937 keeps none)."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if buffered:
+        for rng in pair:
+            rng.random(dtype=np.float32)  # one 32-bit draw
+        state = pair[0].bit_generator.state
+        assert state.get("has_uint32", 1) == 1, "no half left buffered"
+    return pair
+
+
+def _assert_same_draws(got, want, reference_rng, rng, what):
+    """The same graph, the same bit generator state, and the same next draws."""
+    assert got.n == want.n, what
+    assert np.array_equal(got.indptr, want.indptr), what
+    assert np.array_equal(got.indices, want.indices), what
+    assert repr(rng.bit_generator.state) == repr(reference_rng.bit_generator.state), what
+    for draw in (lambda r: r.random(dtype=np.float32), lambda r: r.integers(1 << 40, size=3),
+                 lambda r: r.random(2)):
+        assert np.array_equal(draw(rng), draw(reference_rng)), what
+
+
+# m = 1 (the placeholder seed), m = 2, n = m + 1, m = n - 1 and n >= 1000
+BA_SHAPES = [(2, 1), (40, 1), (1000, 1), (3, 2), (60, 2), (1200, 2), (4, 3), (100, 3), (9, 8)]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("bit_generator", BUFFERED_BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_ba_graph_draws_what_integers_draws(bit_generator, buffered):
+    for seed in range(3):
+        for n, m in BA_SHAPES:
+            reference_rng, rng = _twin_generators(bit_generator, [seed, n, m], buffered)
+            want = reference_ba_graph(n, m, reference_rng)
+            got = ba_graph(n, m, rng)
+            _assert_same_draws(got, want, reference_rng, rng, (bit_generator.__name__, seed, n, m))
+
+
+def test_ba_graph_refuses_a_bit_generator_without_a_buffered_half():
+    rng = np.random.Generator(np.random.MT19937(1))
+    state = repr(rng.bit_generator.state)
+    with pytest.raises(TypeError, match="MT19937"):
+        ba_graph(10, 2, rng)
+    assert repr(rng.bit_generator.state) == state
+
+
+@pytest.mark.parametrize("n, m, leftovers", [(40, 1, (0, 1)), (100, 3, (4,))])
+def test_ba_graph_rejects_exactly_as_integers_does(n, m, leftovers):
+    # a crafted buffered half puts the first pick's low product (x * size
+    # mod 2**32) at Lemire's threshold 2**32 mod size, which is kept, or
+    # just below it, which is drawn again; random words land there about
+    # once in 2**32. The first pick's size is 3 for m = 1 (threshold 1) and
+    # 6 for m = 3 (threshold 4).
+    size = 3 if m == 1 else m * (m - 1)
+    assert (1 << 32) % size == max(leftovers)
+    odd, twos = size, 1
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos * 2
+    for leftover in leftovers:
+        half = leftover // twos * pow(odd, -1, 1 << 32) % (1 << 32)
+        assert half * size % (1 << 32) == leftover
+        reference_rng, rng = _twin_generators(np.random.PCG64, 5, buffered=False)
+        for r in (reference_rng, rng):
+            state = r.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, half
+            r.bit_generator.state = state
+        want = reference_ba_graph(n, m, reference_rng)
+        _assert_same_draws(ba_graph(n, m, rng), want, reference_rng, rng, (n, m, leftover))
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_er_graph_draws_what_the_triangle_mask_draws(bit_generator):
+    for seed in range(3):
+        for n, p in [(1, 0.5), (2, 1.0), (30, 0.0), (57, 0.3), (100, 0.1)]:
+            reference_rng, rng = _twin_generators(bit_generator, [seed, n], seed == 1)
+            want = reference_er_graph(n, p, reference_rng)
+            got = er_graph(n, p, rng)
+            _assert_same_draws(got, want, reference_rng, rng, (bit_generator.__name__, seed, n, p))
+
+
+def test_ensemble_samples_match_the_pinned_streams():
+    """``tests/data/reference/ensemble_samples.json`` holds, for each spec at
+    seed 1, the SHA-256 of every sample's graph6 string from
+    ``ensemble_samples``, and the numpy version that wrote it."""
+    pinned = json.loads((DATA_DIR / "reference" / "ensemble_samples.json").read_text())
+    for spec, hashes in pinned["samples"].items():
+        samples = ensemble_samples(parse_family(spec), pinned["seed"], len(hashes))
+        got = [hashlib.sha256(encode_graph6(g).encode()).hexdigest() for g in samples]
+        first = next((i for i, (a, b) in enumerate(zip_longest(got, hashes)) if a != b), None)
+        assert first is None, (f"{spec}: sample {first} differs from the pinned stream "
+                               f"(pinned with numpy {pinned['numpy']}, run with {np.__version__})")
 
 
 def test_generate_lollipop_matches_dense_reference():

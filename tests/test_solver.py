@@ -14,7 +14,8 @@ from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_const
                       generate, read_graph6_file, sde, solve_bisection, solve_recursion,
                       spectral_radius)
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
-from sdegraph.graph import Generic
+from sdegraph.families import analytic_lambda1
+from sdegraph.graph import Biregular, Generic
 from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, _prepare, solve_newton
 from sdegraph.spectral import full_spectrum
 
@@ -122,6 +123,23 @@ def test_bounds_upper_counts_only_exact_top_degree(r):
     q = solve_newton(ds, lam).q
     assert b.lower <= q <= b.upper
     assert q <= b.sharpened_upper
+
+
+@pytest.mark.parametrize("spec", ["path:3", "bireg:2:1:1", "bireg:4:6:3", "bireg:5:10:4",
+                                  "bireg:6:4:2", "kbip:7:4"])
+def test_bounds_lower_is_not_above_q_on_closed_form_biregular_families(spec):
+    # no slack: lambda1's rounding once put the lower end 1 to 4 ulps above
+    # q = 2 (2.0000000000000004 on path:3, 2.0000000000000018 on kbip:7:4)
+    g = generate(spec)
+    lam = analytic_lambda1(spec)
+    assert bounds(g.histogram, lam).lower <= sde(g, lambda1=lam).q == 2.0
+
+
+def test_bounds_lower_is_not_above_q_on_every_biregular_n7_graph():
+    biregular = [g for g in read_graph6_file(FIXTURE_N7) if isinstance(classify(g), Biregular)]
+    assert biregular  # K_{1,6}, K_{2,5} and K_{3,4}
+    for g in biregular:
+        assert bounds(g.histogram, spectral_radius(g)).lower <= sde(g).q == 2.0
 
 
 def test_bounds_no_sharpened_with_isolated_node():
