@@ -42,12 +42,13 @@ for spec in ("complete:6", "kbip:3:4", "star:9"):
           f"sde={sde(g).q}")
 
 # A non-regular graph has q = infinity exactly when some component has every
-# degree at the maximum degree: a clique component realizing it, as here, or
-# any other such component, such as C5 beside P3.
+# degree at the maximum degree, and classify finds each such component: a
+# clique, as in K4 + P3, or any other, as in C5 + P3.
 k4_p3 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                              (4, 5), (5, 6)])
-print(f"K4 + P3      classify={type(classify(k4_p3)).__name__:20s} "
-      f"sde={sde(k4_p3).q}")
+c5_p3 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)])
+for name, g in (("K4 + P3", k4_p3), ("C5 + P3", c5_p3)):
+    print(f"{name:12s} classify={type(classify(g)).__name__:20s} sde={sde(g).q}")
 
 # Weighted graphs work throughout; q is scale-invariant.
 tri = Graph.from_edges(3, [(0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)])

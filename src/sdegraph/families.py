@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -111,23 +112,22 @@ def path_q_asymptotic(n: int) -> float:
 def path_q_exact(n: int) -> float:
     """Root in q of cos^q(pi/(N+1)) = 1 - 2/N + 2^(1-q)/N by log-domain
     bisection to a bracket of width 1e-12; the independent oracle for the
-    path family, BadSpec where cos(pi/(N+1)) rounds to 1 (N past about 3e8)."""
+    path family. Both logs go through log1p, log cos(x) as
+    log1p(-2 sin^2(x/2)), so they keep their digits where cos(pi/(N+1)) nears
+    1; BadSpec where 2 sin^2 is subnormal (N past about 1e154)."""
     if not 3 <= _real(n, "path sizes N", BadSpec) <= 1e308:
         raise BadSpec("exact path equation needs 3 <= N <= 1e308")
-    log_cos = math.log(math.cos(math.pi / (n + 1)))
-    if log_cos == 0.0:
-        raise BadSpec(f"exact path equation: cos(pi/(N+1)) rounds to 1 at N={n}")
+    two_sin2 = 2.0 * math.sin(math.pi / (2.0 * (n + 1))) ** 2
+    if two_sin2 < sys.float_info.min:
+        raise BadSpec(f"exact path equation: 2 sin^2(pi/(2(N+1))) is subnormal at N={n}")
+    log_cos = math.log1p(-two_sin2)
 
     def g(q: float) -> float:
-        rhs = 1.0 - 2.0 / n + math.exp((1.0 - q) * math.log(2.0)) / n
-        return q * log_cos - math.log(rhs)
+        return q * log_cos - math.log1p((math.exp((1.0 - q) * math.log(2.0)) - 2.0) / n)
 
-    lo, hi = 2.0, 10.0 * n
-    while g(hi) > 0.0:  # defensive; 10N comfortably exceeds the root
-        hi *= 2.0
-    if g(lo) <= 0.0:
+    if g(2.0) <= 0.0:
         return 2.0
-    return _bisect(g, lo, hi, 1e-12)[0]
+    return _bisect(g, 2.0, 10.0 * n, 1e-12)[0]  # the root lies below 0.41 N + 2
 
 
 def fork_q_constant() -> float:

@@ -23,8 +23,8 @@ link counts, a sort of any other degrees. ``Graph.histogram`` builds a
 graph's once, from its link counts when it is unweighted and from its
 weighted degrees otherwise. :func:`classify` reads the histogram first,
 scans the links only where it still allows a biregular graph or a
-max-clique component, and searches components only when a node could lie
-in a max-clique component.
+component with every degree at d_max (q is infinite exactly when there is
+one), and searches components only when a node could lie in one.
 """
 from __future__ import annotations
 
@@ -353,8 +353,8 @@ class Biregular:
 
 
 @dataclass(frozen=True)
-class MaxCliqueComponent:
-    clique: tuple[int, ...] = field(default=())
+class MaxDegreeComponent:
+    nodes: tuple[int, ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ class Generic:
     pass
 
 
-GraphClass = Regular | Biregular | MaxCliqueComponent | Generic
+GraphClass = Regular | Biregular | MaxDegreeComponent | Generic
 
 
 def connected_components(g: Graph) -> np.ndarray:
@@ -392,15 +392,14 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         labels = hooked
 
 
-def _max_clique_component(g: Graph, candidate: np.ndarray) -> tuple[int, ...] | None:
-    """Nodes of the complete component of ``g`` with the smallest node among
-    those made only of candidates, if any.
+def _max_degree_component(g: Graph, candidate: np.ndarray) -> tuple[int, ...] | None:
+    """Nodes of the component of ``g`` with the smallest node among those
+    made only of candidates, if any.
 
     Searches the components of the links joining two candidates, on the
-    candidates alone. Such a component C is a complete component of ``g``
-    exactly when each of its nodes has |C| - 1 links, all inside C (no
-    repeated links or self-loops): a component of the candidate links can
-    meet the size test while a link leaves it for a non-candidate.
+    candidates alone. Such a component is a component of ``g`` exactly when
+    every link of each of its nodes stays among the candidates: a component
+    of the candidate links can have a link that leaves it for a non-candidate.
     """
     nodes = np.flatnonzero(candidate)
     rows, cols = g._rows, g.indices
@@ -408,18 +407,17 @@ def _max_clique_component(g: Graph, candidate: np.ndarray) -> tuple[int, ...] | 
     # candidate ids, renumbered 0..k-1 in node order
     sub_rows = np.searchsorted(nodes, rows[inside])
     labels = _component_labels(nodes.size, sub_rows, np.searchsorted(nodes, cols[inside]))
-    size = np.bincount(labels, minlength=nodes.size)
-    inner = np.bincount(sub_rows, minlength=nodes.size)
-    fits = (inner == size[labels] - 1) & (inner == g._link_counts[nodes])
-    complete = (size >= 2) & (np.bincount(labels, weights=fits, minlength=nodes.size) == size)
-    if not complete.any():
+    leaves = np.bincount(sub_rows, minlength=nodes.size) < g._link_counts[nodes]
+    closed = (np.bincount(labels, weights=leaves, minlength=nodes.size) == 0)[labels]
+    if not closed.any():
         return None
-    return tuple(nodes[labels == np.argmax(complete)].tolist())
+    # the first node of a closed component is its smallest, its label
+    return tuple(nodes[labels == np.argmax(closed)].tolist())
 
 
 def classify(g: Graph) -> GraphClass:
     """Structural class of ``g`` in priority order Regular > Biregular >
-    MaxCliqueComponent > Generic.
+    MaxDegreeComponent > Generic.
 
     Regularity makes the SDE undefined regardless of any other structure, so
     it is tested first; degrees within tol = ``TOL_DEG`` * d_max count as
@@ -430,18 +428,20 @@ def classify(g: Graph) -> GraphClass:
     (the low class) and every positive link joins the two classes. Then the
     classes two-colour every component with one degree per part, so every
     component is bipartite with part degrees (d_max, d_min); conversely, a
-    biregular graph's links all join an r1 node to an r2 node. Components
-    are searched only for the max-clique-component test, only among the
-    nodes that pass its necessary condition (the node is high and so is
-    every neighbour, with the same link count), and only on the links
-    between two of them.
+    biregular graph's links all join an r1 node to an r2 node.
+    MaxDegreeComponent holds the first component, by smallest node, whose
+    degrees are all high: then lambda1 = d_max and q is infinite, and
+    otherwise it is finite. Components are searched only for this test,
+    only among the nodes that pass its necessary condition (the node is
+    high and so is every neighbour), and only on the links between two of
+    them.
 
     The degree tests read the graph's histogram (:attr:`Graph.histogram`),
     whose distinct degrees decide regularity and whether two degree classes
     are possible; the links are scanned only where a biregular graph or a
-    max-clique component is still possible. A complete component at d_max
-    has at least two high nodes, and on an unweighted graph d_max + 1 of
-    them, so most graphs need no scan at all.
+    max-degree component is still possible. A component at d_max > 0 has
+    at least two high nodes, and on an unweighted graph d_max + 1 of them,
+    so most graphs need no scan at all.
     """
     values, counts = g.histogram.values, g.histogram.counts
     d_max, d_min = values[0], values[-1]
@@ -451,21 +451,19 @@ def classify(g: Graph) -> GraphClass:
     is_high = [d_max - v <= tol for v in values]
     two_classes = d_min > 0 and all(h or v - d_min <= tol for h, v in zip(is_high, values))
     top = sum(k for h, k in zip(is_high, counts) if h)  # the high nodes
-    clique_possible = top >= 2 and (top > d_max or not g.is_unweighted())
-    if not (two_classes or clique_possible):
+    component_possible = top >= 2 and (top > d_max or not g.is_unweighted())
+    if not (two_classes or component_possible):
         return Generic()
     high = d_max - g.degrees() <= tol
     rows, cols = g._rows, g.indices
     if two_classes and (high[rows] != high[cols]).all():
         return Biregular(r1=d_max, r2=d_min)
-    if clique_possible:
-        links = g._link_counts
+    if component_possible:
         candidate = high.copy()  # a node at d_max > 0 has links
-        candidate[rows[~high[cols] | (links[cols] != links[rows])]] = False
-        if candidate.any():
-            clique = _max_clique_component(g, candidate)
-            if clique is not None:
-                return MaxCliqueComponent(clique=clique)
+        candidate[rows[~high[cols]]] = False
+        nodes = _max_degree_component(g, candidate) if candidate.any() else None
+        if nodes is not None:
+            return MaxDegreeComponent(nodes=nodes)
     return Generic()
 
 

@@ -13,11 +13,12 @@ root and stops on a certified bracket [q - tol_q, q]. q_top is only a
 bound: q is reported infinite only where lambda1 reaches d_max or
 f1(Q_MAX) > 0. :func:`_lambda1_checked` is the one check of lambda1.
 Every solver takes its early exits and its start from :func:`_prepare`.
-:func:`sde` classifies the graph first (regular, biregular and max-clique
-component need no solve) and runs Newton otherwise. Bisection (the test
-oracle, and ``sde(verify=True)``'s cross-check) and the paper's fixed-point
-recursion (with Aitken extrapolation, on the same f1) are callable on a
-degree histogram, next to the closed-form bounds.
+:func:`sde` classifies the graph first (a regular graph, a biregular one
+and one with a component at d_max need no solve) and runs Newton
+otherwise. Bisection (the test oracle, and ``sde(verify=True)``'s
+cross-check) and the paper's fixed-point recursion (with Aitken
+extrapolation, on the same f1) are callable on a degree histogram, next
+to the closed-form bounds.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
-from .graph import (Biregular, DegreeSequence, Graph, MaxCliqueComponent, Regular, _real,
+from .graph import (Biregular, DegreeSequence, Graph, MaxDegreeComponent, Regular, _real,
                     classify)
 from .spectral import spectral_radius
 
@@ -47,11 +48,11 @@ METHOD_CLASSIFIED = "classified"
 class SdeResult:
     """Solved exponent. q is NaN for regular graphs (undefined) and inf
     when some component has every weighted degree at d_max, so lambda1 =
-    d_max: ``classify`` finds a max-degree clique component, and the
-    solvers report any other such component with the note "lambda1 at
-    d_max" (e.g. C5 beside P3). The solvers also report inf, with the note
-    "q_max exceeded", for a root certified above Q_MAX. ``residual`` is
-    |f1(q)| at the returned root."""
+    d_max: ``sde`` gets every such component from ``classify`` (note
+    "max-degree component"). The solvers, called on a degree histogram,
+    report a lambda1 at d_max as inf with the note "lambda1 at d_max", and
+    a root certified above Q_MAX as inf with the note "q_max exceeded".
+    ``residual`` is |f1(q)| at the returned root."""
 
     q: float
     method: str
@@ -218,8 +219,10 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     floats, which the solvers iterate on.
 
     Checks ``tol_q``, then lambda1 (:func:`_lambda1_checked`); lambda1
-    at d_max gives inf, a regular histogram raises. The start is the smaller
-    of two upper bounds on the root. One is q_top (see
+    at d_max gives inf (``sde`` classifies such graphs first, so this serves
+    calls on a bare histogram or with a lambda1 passed in at d_max), a
+    regular histogram raises. The start is the smaller of two upper bounds
+    on the root. One is q_top (see
     :func:`_f1_on_histogram`), the closed-form bound from the nodes at
     exactly d_max, where f1 <= 0. It may exceed Q_MAX with a small root: inf
     is reported only when f1(Q_MAX) > 0 certifies the root above Q_MAX, and
@@ -400,18 +403,18 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
 def sde(g: Graph, *, lambda1: float | None = None, verify: bool = False) -> SdeResult:
     """Spectral degree exponent of a graph, solved to ``DEFAULT_TOL_Q``.
 
-    Orchestration: regular graphs are Undefined (NaN), a max-clique
-    component gives Infinite, biregular graphs are classified to exactly 2;
-    anything else computes lambda1 (spectral_radius unless supplied) and
-    runs Newton's method. ``verify=True`` cross-checks the result against
+    Orchestration: regular graphs are Undefined (NaN), a component with
+    every degree at d_max gives Infinite, biregular graphs are classified to
+    exactly 2; anything else computes lambda1 (spectral_radius unless
+    supplied) and runs Newton's method. ``verify=True`` cross-checks the result against
     bisection and raises NoConvergence where they differ by more than
     2 * ``DEFAULT_TOL_Q``.
     """
     cls = classify(g)
     if isinstance(cls, Regular):
         return SdeResult(math.nan, METHOD_CLASSIFIED, note="regular")
-    if isinstance(cls, MaxCliqueComponent):
-        return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-clique component")
+    if isinstance(cls, MaxDegreeComponent):
+        return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-degree component")
     if isinstance(cls, Biregular):
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
     ds = g.histogram  # built by classify

@@ -20,7 +20,7 @@ from sdegraph import (Graph, classify, degree_sequence, family_q, fork_q_constan
                       solve_bisection, solve_recursion, spectral_radius)
 from sdegraph.cli import main as cli_main
 from sdegraph.errors import SdegraphError
-from sdegraph.graph import Biregular, MaxCliqueComponent, Regular
+from sdegraph.graph import Biregular, MaxDegreeComponent, Regular
 from sdegraph.io import encode_graph6
 from sdegraph.metrics import bfs_distances, metric_suite
 from sdegraph.spectral import full_spectrum
@@ -129,7 +129,7 @@ def test_criterion_3_infinite_iff_max_clique_component():
             g = _disjoint_union(parts)
             if g.degrees().min() == k - 1:
                 continue  # accidental regular union: resample
-            assert isinstance(classify(g), MaxCliqueComponent)
+            assert isinstance(classify(g), MaxDegreeComponent)
             assert sde(g).is_infinite
             built += 1
         for _ in range(50):
@@ -139,7 +139,7 @@ def test_criterion_3_infinite_iff_max_clique_component():
             if rng.random() < 0.5:
                 parts.append(_random_component(rng, max_degree=k - 3))
             g = _disjoint_union(parts)
-            assert not isinstance(classify(g), (Regular, MaxCliqueComponent))
+            assert not isinstance(classify(g), (Regular, MaxDegreeComponent))
             result = sde(g)
             assert result.is_finite, "no d_max-regular component: q is finite"
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -141,6 +142,46 @@ def test_compute_json_inf_spelling(tmp_path, capsys):
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n5 6\n")
     code, out, _ = run(capsys, "compute", "--edge-list", str(path), "--json")
     assert json.loads(out)["q"] == "inf"
+
+
+def test_compute_verify_prints_the_same_and_exits_3_on_a_disagreement(capsys, monkeypatch):
+    code, plain, _ = run(capsys, "compute", "--family", "fork:9", "--json")
+    assert code == 0
+    code, verified, _ = run(capsys, "compute", "--family", "fork:9", "--json", "--verify")
+    assert code == 0 and verified == plain
+    import sdegraph.solver as solver_module
+    bisection = solver_module.solve_bisection
+    monkeypatch.setattr(solver_module, "solve_bisection",
+                        lambda ds, lam: dataclasses.replace(bisection(ds, lam), q=3.0))
+    code, out, err = run(capsys, "compute", "--family", "fork:9", "--json", "--verify")
+    assert code == 3 and out == ""
+    assert err.startswith("error: solver cross-check failed") and err.count("\n") == 1
+
+
+def test_compute_one_based_edge_list_gives_the_zero_based_result(tmp_path, capsys):
+    links = generate("fork:6").links()
+    zero, one = tmp_path / "zero.txt", tmp_path / "one.txt"
+    zero.write_text("".join(f"{i} {j}\n" for i, j in links))
+    one.write_text("".join(f"{i + 1} {j + 1}\n" for i, j in links))
+    code, out0, _ = run(capsys, "compute", "--edge-list", str(zero), "--json")
+    assert code == 0
+    code, out1, _ = run(capsys, "compute", "--edge-list", str(one), "--json", "--one-based")
+    assert code == 0
+    payload0, payload1 = json.loads(out0), json.loads(out1)
+    assert payload1.pop("input") == str(one) and payload0.pop("input") == str(zero)
+    assert payload1 == payload0 and payload0["nodes"] == generate("fork:6").n
+
+
+def test_correlate_out_holds_the_json_report(tmp_path, capsys):
+    g6 = tmp_path / "slice.g6"
+    g6.write_text("\n".join(FIXTURE_N7.read_text().splitlines()[:40]) + "\n")
+    csv_path, report = tmp_path / "slice.csv", tmp_path / "report.json"
+    assert run(capsys, "batch", str(g6), "--out", str(csv_path))[0] == 0
+    code, printed, _ = run(capsys, "correlate", str(csv_path), "--json")
+    assert code == 0
+    code, table, _ = run(capsys, "correlate", str(csv_path), "--out", str(report))
+    assert code == 0 and "degree_assortativity" in table
+    assert report.read_text() == printed
 
 
 def test_compute_input_validation(capsys):

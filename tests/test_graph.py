@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (FIXTURE_N7, FIXTURE_N8, assert_graph_invariants, cycle_graph, k4_plus_p3,
                       random_er)
-from sdegraph import (Graph, add_link, classify, degree_sequence, generate,
-                      parse_graph6, parse_weighted_edge_list, path_q_exact,
-                      read_graph6_file, sde)
+from sdegraph import (Graph, add_link, classify, degree_sequence, family_q, generate,
+                      parse_graph6, parse_weighted_edge_list, read_graph6_file, sde)
 from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
 from sdegraph.families import FAMILIES, FamilySpec, analytic_lambda1, sample
-from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxCliqueComponent, Regular,
+from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxDegreeComponent, Regular,
                             connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
 from sdegraph.metrics import metric_suite
@@ -72,16 +71,11 @@ def _reference_biregular_pair(g, comps, degs, tol):
     return pair
 
 
-def _reference_max_clique(g, comps, degs, tol):
-    if len(comps) < 2:
-        return None
+def _reference_max_degree_component(comps, degs, tol):
+    """The first component, by smallest node, with every degree within tol of d_max."""
     for comp in comps:
         nodes = sorted(comp)
-        if len(nodes) < 2:
-            continue
-        sub = g.weights[np.ix_(nodes, nodes)]
-        complete = bool(np.all((sub > 0) | np.eye(len(nodes), dtype=bool)))
-        if complete and np.all(np.abs(degs[nodes] - degs.max()) <= tol):
+        if np.all(degs.max() - degs[nodes] <= tol):
             return tuple(nodes)
     return None
 
@@ -100,14 +94,14 @@ def reference_classify(g, tol_deg=TOL_DEG):
     pair = _reference_biregular_pair(g, comps, degs, tol)
     if pair is not None:
         return Biregular(r1=pair[0], r2=pair[1])
-    clique = _reference_max_clique(g, comps, degs, tol)
-    if clique is not None:
-        return MaxCliqueComponent(clique=clique)
+    nodes = _reference_max_degree_component(comps, degs, tol)
+    if nodes is not None:
+        return MaxDegreeComponent(nodes=nodes)
     return Generic()
 
 
 def same_class(got, want, g):
-    """Same class and clique tuple; r1/r2 equal when ``g`` has integral
+    """Same class and component nodes; r1/r2 equal when ``g`` has integral
     weights and within the classifier's tol otherwise."""
     if type(got) is not type(want):
         return False
@@ -341,8 +335,8 @@ def test_classify_complete_bipartite_biregular():
 
 def test_classify_max_clique_component():
     cls = classify(k4_plus_p3())
-    assert isinstance(cls, MaxCliqueComponent)
-    assert set(cls.clique) == {0, 1, 2, 3}
+    assert isinstance(cls, MaxDegreeComponent)
+    assert set(cls.nodes) == {0, 1, 2, 3}
 
 
 def test_classify_path4_generic():
@@ -353,16 +347,16 @@ def test_classify_path4_generic():
 @pytest.mark.parametrize("g, cls, passes", [
     (cycle_graph(6), Regular, 0),
     (generate("kbip:2:3"), Biregular, 0),
-    (k4_plus_p3(), MaxCliqueComponent, 1),
+    (k4_plus_p3(), MaxDegreeComponent, 1),
     (generate("path:4"), Generic, 0),
     (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), Generic, 0),
-    (Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]), Generic, 1),
+    (Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]), MaxDegreeComponent, 1),
 ], ids=["cycle6", "kbip2_3", "k4_plus_p3", "path4", "star_plus_isolated", "c4_plus_p3"])
 def test_classify_computes_components_once(monkeypatch, g, cls, passes):
     # biregularity is decided from the degrees and links; only the
-    # max-clique-component test needs the components, computes them at most
-    # once, and only when a high node has only high neighbours with its own
-    # link count (the path's and the star's high nodes have low neighbours)
+    # max-degree-component test needs the components, computes them at most
+    # once, and only when a high node has only high neighbours (the path's
+    # and the star's high nodes have low neighbours)
     import sdegraph.graph as graph_module
     calls = []
     labels = graph_module._component_labels
@@ -379,16 +373,16 @@ def test_classify_computes_components_once(monkeypatch, g, cls, passes):
 def test_classify_clique_test_needs_every_link_inside():
     # on the path 0-1-2-3-4-5 (d_max = 2) only nodes 2 and 3 pass the
     # necessary condition, and their one candidate link makes a component
-    # whose nodes have |C| - 1 = 1 link inside it, yet each has a second link
-    # to a non-candidate: not a clique component
+    # of high nodes, yet each has a second link to a non-candidate: not a
+    # component of the graph
     g = generate("path:6")
     assert isinstance(classify(g), Generic)
     assert isinstance(reference_classify(g), Generic)
-    # the same with a true clique component beside it: K3 is found
+    # the same with a component at d_max beside it: K3 is found
     w = np.zeros((9, 9))
     w[:6, :6] = g.weights
     w[6:, 6:] = 1 - np.eye(3)
-    assert classify(Graph.from_dense(w)) == MaxCliqueComponent(clique=(6, 7, 8))
+    assert classify(Graph.from_dense(w)) == MaxDegreeComponent(nodes=(6, 7, 8))
 
 
 def test_classify_weighted_biregular_scales():
@@ -418,11 +412,19 @@ def test_classify_disconnected_mismatched_pairs_generic():
     assert isinstance(classify(g), Generic)
 
 
-def test_classify_dmax_regular_non_clique_component_is_generic():
-    # C_4 + P_3: lambda1 = d_max = 2 yet no clique component
+def test_classify_dmax_regular_non_clique_component_is_found():
+    # C_4 + P_3: lambda1 = d_max = 2 without a clique; the 2-regular C_4
+    # is a component with every degree at d_max
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)]
     g = Graph.from_edges(7, edges)
-    assert isinstance(classify(g), Generic)
+    assert classify(g) == MaxDegreeComponent(nodes=(0, 1, 2, 3))
+    # every graph of EQUAL_DEGREES beside P3 and beside a star at its degree
+    for h in EQUAL_DEGREES:
+        star = generate(f"star:{int(h.degrees().max()) + 1}")
+        for other in (generate("path:3"), star):
+            u = _union([other, h])
+            assert classify(u) == MaxDegreeComponent(nodes=tuple(range(other.n, u.n)))
+            assert sde(u).is_infinite and sde(u).method == "classified"
 
 
 @pytest.mark.parametrize("a", [0.005, 0.05, 5.0])
@@ -553,8 +555,8 @@ def docstring_classify(g):
     component: degrees within tol = TOL_DEG * d_max of d_max are high.
     Regular: d_max - d_min <= tol. Biregular: no isolated node, every degree
     within tol of d_max or of d_min, and in every component the high nodes
-    are one colour class of a two-colouring. MaxCliqueComponent: the first
-    component of two or more nodes, all high and all linked in pairs."""
+    are one colour class of a two-colouring. MaxDegreeComponent: the first
+    component whose nodes are all high."""
     degs = g.degrees().tolist()
     d_max, d_min = max(degs), min(degs)
     tol = TOL_DEG * d_max
@@ -568,9 +570,8 @@ def docstring_classify(g):
                for parts, comp in zip(colourings, comps)):
             return Biregular(r1=d_max, r2=d_min)
     for comp in comps:
-        if (len(comp) >= 2 and set(comp) <= high
-                and all(g.weights[u, v] > 0 for u in comp for v in comp if u != v)):
-            return MaxCliqueComponent(clique=tuple(comp))
+        if set(comp) <= high:
+            return MaxDegreeComponent(nodes=tuple(comp))
     return Generic()
 
 
@@ -578,15 +579,30 @@ def docstring_classify(g):
 TIES = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 1.5, -1.5)
 
 
+# components with every weighted degree equal that are not complete: cycles,
+# K_{3,3}, the Petersen graph, and a wheel with spokes 1 and a rim of 1.5
+EQUAL_DEGREES = (
+    cycle_graph(4), cycle_graph(5), cycle_graph(6), generate("kbip:3:3"),
+    Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    Graph.from_edges(5, [(0, k) for k in range(1, 5)]
+                     + [(k, k % 4 + 1, 1.5) for k in range(1, 5)]),
+)
+
+
 @st.composite
 def tied_parts(draw):
     """One component or isolated node: a weighted random graph, a complete
-    graph, a biregular graph, or a biregular graph with one extra link, each
-    scaled by 1 + t * TOL_DEG for a t from ``TIES``."""
-    kind = draw(st.sampled_from(("random", "complete", "bireg", "bireg+link", "isolated")))
+    graph, a graph of ``EQUAL_DEGREES``, a biregular graph, or a biregular
+    graph with one extra link, each scaled by 1 + t * TOL_DEG for a t from
+    ``TIES``."""
+    kind = draw(st.sampled_from(("random", "complete", "equal", "bireg", "bireg+link",
+                                 "isolated")))
     if kind == "isolated":
         return Graph.from_edges(1, [])
-    if kind == "random":
+    if kind == "equal":
+        g = draw(st.sampled_from(EQUAL_DEGREES))
+    elif kind == "random":
         n = draw(st.integers(2, 5))
         w = np.triu(np.array(draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)),
                                            min_size=n * n, max_size=n * n))).reshape(n, n), 1)
@@ -608,13 +624,30 @@ def tied_parts(draw):
 @given(st.lists(tied_parts(), min_size=1, max_size=3), st.randoms(use_true_random=False))
 def test_classify_matches_its_docstring(parts, random):
     # classify reads the degree classes off the histogram and scans the
-    # links only where a biregular graph or a max-clique component is still
+    # links only where a biregular graph or a max-degree component is still
     # possible; the reference scans every node and every component
     g = _union(parts)
     order = list(range(g.n))
     random.shuffle(order)
     g = relabel(g, np.array(order))
     assert classify(g) == docstring_classify(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(tied_parts(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_sde_is_infinite_exactly_on_a_max_degree_component(parts, random):
+    # q = inf exactly where some component has every degree at d_max; the
+    # classifier finds each such component, so no solver meets lambda1 at
+    # d_max. A part just outside TOL_DEG of d_max puts lambda1 a few 1e-9
+    # below it: a finite root certified above Q_MAX, which reads inf too
+    g = _union(parts)
+    order = list(range(g.n))
+    random.shuffle(order)
+    g = relabel(g, np.array(order))
+    result = sde(g)
+    at_dmax = isinstance(classify(g), MaxDegreeComponent)
+    assert (result.is_infinite and result.note != "q_max exceeded") == at_dmax
+    assert result.note != "lambda1 at d_max"
 
 
 def test_connected_components_partition():
@@ -989,7 +1022,9 @@ def test_size_rule_refuses_before_allocating(build):
 
 def test_path_edge_list_memory(tmp_path):
     # 2e5 nodes: a dense copy would take 320 GB; the CSR pipeline from file
-    # to q stays within 100 MB of traced allocations
+    # to q stays within 100 MB of traced allocations and gives the family
+    # route's q (whose error against path_q_exact is pinned, with the other
+    # path sizes, in test_families.py::test_family_q_matches_the_path_oracle)
     n = 200_000
     path = tmp_path / "path.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
@@ -1000,4 +1035,4 @@ def test_path_edge_list_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2 ** 20, peak
-    assert abs(result.q - path_q_exact(n)) <= 1e-7 * result.q
+    assert result.q == family_q(f"path:{n}").q

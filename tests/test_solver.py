@@ -15,7 +15,7 @@ from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_const
                       spectral_radius)
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from sdegraph.families import analytic_lambda1
-from sdegraph.graph import Biregular, Generic
+from sdegraph.graph import Biregular, MaxDegreeComponent
 from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, _prepare, solve_newton
 from sdegraph.spectral import full_spectrum
 
@@ -751,11 +751,11 @@ def test_sde_max_clique_infinite():
 
 def test_sde_regular_max_degree_component_infinite():
     # C5 beside P3: no clique, yet the 2-regular component puts lambda1 at
-    # d_max, so the solver (not the classifier) reports q = inf
+    # d_max; the classifier finds it, so no solver runs
     c5_p3 = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)])
-    assert isinstance(classify(c5_p3), Generic)
+    assert classify(c5_p3) == MaxDegreeComponent(nodes=(0, 1, 2, 3, 4))
     r = sde(c5_p3)
-    assert r.is_infinite and r.method == "newton" and r.note == "lambda1 at d_max"
+    assert r.is_infinite and r.method == "classified" and r.note == "max-degree component"
 
 
 def test_sde_wheel_1000_range():
