@@ -151,7 +151,7 @@ def cmd_correlate(args) -> int:
         raise InputError("need at least 2 rows with finite sde_q")
     print(report.as_json() if args.json else report.as_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with gio._replacing(args.out) as fh:
             fh.write(report.as_json() + "\n")
     return 0
 

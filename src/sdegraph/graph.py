@@ -19,12 +19,15 @@ so only weighted builds scan their weights. An unweighted graph's degrees
 are its link counts. Degrees have one representation, the histogram
 :class:`DegreeSequence` built by :func:`degree_sequence` from any degree
 array, as tuples of Python floats and ints: one ``np.bincount`` of integer
-link counts, a sort of any other degrees. ``Graph.histogram`` builds a
-graph's once, from its link counts when it is unweighted and from its
-weighted degrees otherwise. :func:`classify` reads the histogram first,
-scans the links only where it still allows a biregular graph or a
-component with every degree at d_max (q is infinite exactly when there is
-one), and searches components only when a node could lie in one.
+link counts, a sort of any other degrees. Degrees have one tie rule too: d
+is tied at the maximum when d_max - d <= ``TOL_DEG`` * d_max, so neither
+the histogram's ``c`` nor the class changes when every weight is scaled.
+``Graph.histogram`` builds a graph's once, from its link counts when it is
+unweighted and from its weighted degrees otherwise. :func:`classify` reads
+the histogram first, scans the links only where it still allows a
+biregular graph or a component with every degree at d_max (q is infinite
+exactly when there is one), and searches components only when a node
+could lie in one.
 """
 from __future__ import annotations
 
@@ -276,9 +279,9 @@ class DegreeSequence:
     number of nodes at each, ``counts``, as Python ints, and the node count
     ``n``. Histograms compare and hash by these fields.
 
-    ``c`` counts the nodes attaining the maximum degree (within ``TOL_DEG``
-    for non-integral degrees); ``d2`` is the largest degree below those c nodes
-    (NaN for regular graphs).
+    ``c`` counts the nodes with d_max - d <= ``TOL_DEG`` * d_max (``c == n``:
+    regular), whatever the degrees; ``d2`` is the largest degree below those
+    c nodes (NaN for regular graphs).
     """
 
     values: tuple[float, ...]
@@ -308,9 +311,8 @@ def degree_sequence(degrees) -> DegreeSequence:
     An integer array of counts in [0, len), such as an unweighted graph's
     link counts, is counted by one ``np.bincount``, read from the top; any
     other array, and any array-like, is sorted as floats (:func:`_floats`).
-    Both give the same histogram. When every degree is integral the
-    max-degree multiplicity uses exact comparison; otherwise degrees within
-    relative ``TOL_DEG`` of d_max count toward the multiplicity.
+    Both give the same histogram, whose ``c`` counts the degrees tied at
+    d_max by the one rule, d_max - d <= ``TOL_DEG`` * d_max, integral or not.
     """
     d = (degrees if isinstance(degrees, np.ndarray) else _floats(degrees)).ravel()
     # signed integers only (bincount takes no uint64); as uint64 a negative
@@ -319,6 +321,7 @@ def degree_sequence(degrees) -> DegreeSequence:
         hist = np.bincount(d)
         top = hist.nonzero()[0][::-1]  # the distinct counts, descending
         counts = tuple(hist[top].tolist())
+        # c by the tie rule: integers below 1e9 tie only when equal (links < SIZE_CAP)
         return DegreeSequence(values=tuple(top.astype(float).tolist()), counts=counts,
                               c=counts[0], n=d.size)
     d = np.sort(_floats(d))[::-1]
@@ -330,10 +333,8 @@ def degree_sequence(degrees) -> DegreeSequence:
     np.not_equal(d[1:], d[:-1], out=starts[1:-1])
     runs = starts.nonzero()[0]
     values, counts = d[runs[:-1]], runs[1:] - runs[:-1]
-    if (values == np.rint(values)).all():
-        c = int(counts[0])
-    else:
-        c = int(counts[values >= values[0] * (1 - TOL_DEG)].sum())
+    with np.errstate(over="ignore"):  # d < d_max - 1.8e308 overflows to inf: not tied
+        c = int(counts[values[0] - values <= TOL_DEG * values[0]].sum())
     return DegreeSequence(values=tuple(values.tolist()), counts=tuple(counts.tolist()), c=c,
                           n=d.size)
 
@@ -419,39 +420,37 @@ def classify(g: Graph) -> GraphClass:
     """Structural class of ``g`` in priority order Regular > Biregular >
     MaxDegreeComponent > Generic.
 
-    Regularity makes the SDE undefined regardless of any other structure, so
-    it is tested first; degrees within tol = ``TOL_DEG`` * d_max count as
-    equal, the relative rule of :func:`degree_sequence`, so the class does
-    not change when every weight is scaled. Biregularity is decided from the degrees: a
-    non-regular graph with no isolated node is biregular exactly when every
-    degree lies within tol of d_max (the high class) or within tol of d_min
-    (the low class) and every positive link joins the two classes. Then the
-    classes two-colour every component with one degree per part, so every
-    component is bipartite with part degrees (d_max, d_min); conversely, a
-    biregular graph's links all join an r1 node to an r2 node.
-    MaxDegreeComponent holds the first component, by smallest node, whose
-    degrees are all high: then lambda1 = d_max and q is infinite, and
-    otherwise it is finite. Components are searched only for this test,
-    only among the nodes that pass its necessary condition (the node is
-    high and so is every neighbour), and only on the links between two of
-    them.
+    Degrees tie by the one rule of :func:`degree_sequence`: a degree d is
+    high when d_max - d <= tol = ``TOL_DEG`` * d_max, so the class does not
+    change when every weight is scaled, and the histogram's ``c`` counts
+    the high nodes. Regularity (``c == n``) makes the SDE undefined
+    regardless of any other structure, so it is tested first. Biregularity
+    is decided from the degrees: a non-regular graph with no isolated node
+    is biregular exactly when every degree is high or lies within tol of
+    d_min (the low class), that is when d2 does, and every positive link
+    joins the two classes. Then the classes two-colour every component with
+    one degree per part, so every component is bipartite with part degrees
+    (d_max, d_min); conversely, a biregular graph's links all join an r1
+    node to an r2 node. MaxDegreeComponent holds the first component, by
+    smallest node, whose degrees are all high: then lambda1 = d_max and q
+    is infinite, and otherwise it is finite. Components are searched only
+    for this test, only among the nodes that pass its necessary condition
+    (the node is high and so is every neighbour), and only on the links
+    between two of them.
 
-    The degree tests read the graph's histogram (:attr:`Graph.histogram`),
-    whose distinct degrees decide regularity and whether two degree classes
-    are possible; the links are scanned only where a biregular graph or a
-    max-degree component is still possible. A component at d_max > 0 has
-    at least two high nodes, and on an unweighted graph d_max + 1 of them,
-    so most graphs need no scan at all.
+    The degree tests read the graph's histogram (:attr:`Graph.histogram`);
+    the links are scanned only where a biregular graph or a max-degree
+    component is still possible. A component at d_max > 0 has at least two
+    high nodes, and on an unweighted graph d_max + 1 of them, so most
+    graphs need no scan at all.
     """
-    values, counts = g.histogram.values, g.histogram.counts
-    d_max, d_min = values[0], values[-1]
-    tol = TOL_DEG * d_max
-    if d_max - d_min <= tol:
+    ds = g.histogram
+    d_max, d_min, c = ds.d_max, ds.d_min, ds.c
+    if c == ds.n:
         return Regular(degree=d_max)
-    is_high = [d_max - v <= tol for v in values]
-    two_classes = d_min > 0 and all(h or v - d_min <= tol for h, v in zip(is_high, values))
-    top = sum(k for h, k in zip(is_high, counts) if h)  # the high nodes
-    component_possible = top >= 2 and (top > d_max or not g.is_unweighted())
+    tol = TOL_DEG * d_max
+    two_classes = d_min > 0 and ds.d2 - d_min <= tol
+    component_possible = c >= 2 and (c > d_max or not g.is_unweighted())
     if not (two_classes or component_possible):
         return Generic()
     high = d_max - g.degrees() <= tol

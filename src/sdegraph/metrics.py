@@ -313,10 +313,11 @@ def _spanning_tree_count(log_count: float) -> float:
     """Matrix-tree count from its log, the log of the product of the n - 1
     largest Laplacian eigenvalues over n (-inf when one of them is 0: no
     spanning tree); rounded to the nearest integer with a 1e-6 relative
-    guard."""
-    if log_count > 700.0:
-        return math.exp(700.0)  # saturate rather than overflow
-    count = math.exp(log_count)
+    guard, and inf past the float range."""
+    try:
+        count = math.exp(log_count)
+    except OverflowError:
+        return math.inf
     rounded = round(count)
     if abs(count - rounded) > 1e-6 * max(1.0, rounded):
         raise NumericalError(

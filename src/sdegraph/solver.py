@@ -182,8 +182,8 @@ def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
 
     Both upper bounds rest on sum d^q >= c d_max^q, so they count only the
     nodes at exactly d_max (``q_top``'s count), not ``ds.c``, which also
-    merges non-integral near-ties; the lower bound keeps ``ds.c`` and d2,
-    since merged nodes lie below d_max.
+    merges near-ties; the lower bound keeps ``ds.c`` and d2, since merged
+    nodes lie below d_max.
 
     The lower bound log(N/(c + (N - c)(d2/d_max)^2))/log(d_max/lambda1)
     equals 2 + g/log(d_max/lambda1), with g the d2-substituted f1 at q = 2:
@@ -221,8 +221,8 @@ def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     Checks ``tol_q``, then lambda1 (:func:`_lambda1_checked`); lambda1
     at d_max gives inf (``sde`` classifies such graphs first, so this serves
     calls on a bare histogram or with a lambda1 passed in at d_max), a
-    regular histogram raises. The start is the smaller of two upper bounds
-    on the root. One is q_top (see
+    regular histogram (``c == n``, :func:`classify`'s Regular) raises. The
+    start is the smaller of two upper bounds on the root. One is q_top (see
     :func:`_f1_on_histogram`), the closed-form bound from the nodes at
     exactly d_max, where f1 <= 0. It may exceed Q_MAX with a small root: inf
     is reported only when f1(Q_MAX) > 0 certifies the root above Q_MAX, and

@@ -95,10 +95,10 @@ def correlate_columns(columns: Mapping[str, np.ndarray], corpus: str) -> Correla
 
 
 def ensemble_samples(spec: FamilySpec, seed: int, count: int):
-    """Yield ``count`` connected non-regular samples of an ``er`` or ``ba``
-    spec (its own seed is ignored). Sample i draws from the sub-seed
-    ``(seed, i)``; all samples share a budget of ``100 * count`` draws, and
-    FilterExhausted is raised when it runs out."""
+    """Yield ``count`` connected non-regular samples (histogram ``c < n``, the
+    rule of ``classify``) of an ``er`` or ``ba`` spec, whose own seed is
+    ignored. Sample i draws from the sub-seed ``(seed, i)``; all samples share
+    a budget of ``100 * count`` draws; FilterExhausted when it runs out."""
     seed = check_seed(seed)
     budget = 100 * count
     for index in range(count):
@@ -109,8 +109,7 @@ def ensemble_samples(spec: FamilySpec, seed: int, count: int):
                     "resampling budget exhausted before reaching the target count")
             budget -= 1
             g = sample(spec, rng)
-            degs = g.degrees()
-            if not connected_components(g).any() and degs.min() != degs.max():
+            if not connected_components(g).any() and g.histogram.c < g.n:
                 yield g
                 break
 

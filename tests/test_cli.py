@@ -22,7 +22,7 @@ import sdegraph
 from conftest import FIXTURE_N7, FIXTURE_N8
 from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_graph6,
                       path_q_exact, sde, spectral_radius)
-from sdegraph import study
+from sdegraph import cli, study
 from sdegraph.cli import main
 from sdegraph.errors import BadSpec, InputError, InvalidGraph
 from sdegraph.families import FAMILIES, FAMILY_KINDS, FamilySpec
@@ -184,6 +184,36 @@ def test_correlate_out_holds_the_json_report(tmp_path, capsys):
     assert report.read_text() == printed
 
 
+def test_correlate_out_failing_part_way_leaves_the_old_report(tmp_path, capsys, monkeypatch):
+    # a plain open emptied the old report before the JSON existed
+    g6 = tmp_path / "slice.g6"
+    g6.write_text("\n".join(FIXTURE_N7.read_text().splitlines()[:40]) + "\n")
+    csv_path, report = tmp_path / "slice.csv", tmp_path / "report.json"
+    assert run(capsys, "batch", str(g6), "--out", str(csv_path))[0] == 0
+    report.write_text("old report\n")
+
+    def fails(self):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(study.CorrelationReport, "as_json", fails)
+    code, table, err = run(capsys, "correlate", str(csv_path), "--out", str(report))
+    assert code == 2 and "degree_assortativity" in table and "no space left" in err
+    assert report.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
+@pytest.mark.parametrize("scale", ["e9", ""])
+def test_compute_prints_one_c_at_every_weight_scale(scale, tmp_path, capsys):
+    # a C4 with links 1e9, 1e9, 1e9 and 1e9 - 1, and its 1e-9 copy: c read 2 and 4
+    path = tmp_path / "c4.txt"
+    path.write_text("".join(f"{i} {(i + 1) % 4} {w}{scale}\n"
+                            for i, w in enumerate(("1", "1", "1", "0.999999999"))))
+    code, out, _ = run(capsys, "compute", "--edge-list", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["method"], payload["q"], payload["c"]) == ("classified", "nan", 4)
+
+
 def test_compute_input_validation(capsys):
     code, _, err = run(capsys, "compute")
     assert code == 2
@@ -222,6 +252,31 @@ def test_batch_skips_a_non_ascii_line(tmp_path, capsys):
     assert code == 0
     assert "skipping line 2: MalformedGraph6" in err
     assert "1 rows written, 1 skipped" in err
+
+
+def test_batch_skips_a_graph_past_the_dense_cap(tmp_path, capsys):
+    # the stack of one 2049-node graph fails as a whole; the rows around it are written
+    g6 = tmp_path / "big.g6"
+    g6.write_text("\n".join(["Bg", encode_graph6(generate("star:2049")), "Bg"]) + "\n")
+    out_csv = tmp_path / "out.csv"
+    code, _, err = run(capsys, "batch", str(g6), "--out", str(out_csv))
+    assert code == 0
+    assert re.findall(r"^skipping line (\d+): (\w+)", err, re.M) == [("2", "TooLargeForDense")]
+    assert "2 rows written, 1 skipped" in err
+    assert read_records_columns(out_csv)[1]["sde_q"].tolist() == [2.0, 2.0]
+
+
+def test_batch_and_ensemble_print_progress(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PROGRESS_EVERY", 2)
+    g6 = tmp_path / "five.g6"
+    g6.write_text("Bg\n" * 5)
+    code, _, err = run(capsys, "batch", str(g6), "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert re.findall(r"^processed .*$", err, re.M) == ["processed 2/5 graphs",
+                                                        "processed 4/5 graphs"]
+    code, _, err = run(capsys, "ensemble", "--family", "er:6:0.6", "--count", "200", "--seed", "1")
+    assert code == 0
+    assert re.findall(r"^ensemble: .*$", err, re.M) == ["ensemble: 200/200 samples"]
 
 
 # each: files to write (name -> bytes), arguments ("{}" is the folder), and

@@ -17,7 +17,7 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
 from sdegraph.errors import BadSpec, InvalidGraph
 from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1, ba_graph,
                                check_seed, er_graph, parse_family)
-from sdegraph import graph
+from sdegraph import families, graph
 from sdegraph.cli import main
 from sdegraph.graph import Biregular, connected_components
 from sdegraph.io import encode_graph6
@@ -611,6 +611,13 @@ def test_wheel7_lambda1_consistency():
     # the check itself asserts the power-iteration value against 1+sqrt(N)
     gap = wheel_limit_check(7)
     assert gap > 0
+
+
+def test_wheel_limit_check_refuses_a_lambda1_off_the_closed_form(monkeypatch):
+    true_radius = families.spectral_radius
+    monkeypatch.setattr(families, "spectral_radius", lambda g: true_radius(g) * (1 + 1e-8))
+    with pytest.raises(InvalidGraph, match="disagrees with the closed form"):
+        wheel_limit_check(7)
 
 
 def test_family_q_regular_is_undefined():

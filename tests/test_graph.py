@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from collections import deque
 from fractions import Fraction
 
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import (FIXTURE_N7, FIXTURE_N8, assert_graph_invariants, cycle_graph, k4_plus_p3,
                       random_er)
-from sdegraph import (Graph, add_link, classify, degree_sequence, family_q, generate,
-                      parse_graph6, parse_weighted_edge_list, read_graph6_file, sde)
-from sdegraph.errors import DegreeOverflow, InvalidGraph, LinkExists, SelfLoop, TooLargeForDense
+from sdegraph import (Graph, add_link, bounds, classify, degree_sequence, family_q, generate,
+                      parse_graph6, parse_weighted_edge_list, read_graph6_file, sde,
+                      solve_bisection, solve_recursion, spectral_radius)
+from sdegraph.errors import (DegreeOverflow, InvalidGraph, LinkExists, RegularGraph, SelfLoop,
+                             TooLargeForDense)
 from sdegraph.families import FAMILIES, FamilySpec, analytic_lambda1, sample
 from sdegraph.graph import (DENSE_CAP, SIZE_CAP, Biregular, Generic, MaxDegreeComponent, Regular,
                             connected_components)
 from sdegraph.io import encode_graph6, load_edge_list
 from sdegraph.metrics import metric_suite
+from sdegraph.solver import solve_newton
 
 TOL_DEG = 1e-9
 
@@ -140,6 +144,54 @@ def test_degree_sequence_weighted_triangle():
     assert ds.values == (3.0, 2.0) and ds.counts == (2, 1)
     assert ds.c == 2
     assert ds.d2 == 2
+
+
+# C4 whose links weigh 1e9, 1e9, 1e9 and 1e9 - 1: its degrees lie within
+# TOL_DEG * d_max of each other, integral at scale 1 and 3 and not at 0.25
+NEAR_TIED_C4 = Graph.from_edges(4, [(0, 1, 1e9), (1, 2, 1e9), (2, 3, 1e9), (3, 0, 1e9 - 1)])
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-9, 3.0, 0.25])
+def test_one_tie_rule_at_every_weight_scale(s):
+    # integral degrees counted exact ties only: c read 2, 4, 2, 4 while
+    # classify said Regular, and the solvers returned q = 2, raised
+    # RegularGraph, raised NoConvergence or returned 10173.5 by the scale
+    g = NEAR_TIED_C4.scaled(s)
+    assert degree_sequence(g.degrees()).c == g.histogram.c == 4
+    assert isinstance(classify(g), Regular)
+    lam = spectral_radius(g)
+    for solve in (solve_newton, solve_bisection, solve_recursion):
+        with pytest.raises(RegularGraph):
+            solve(g.histogram, lam)
+    with pytest.raises(RegularGraph):
+        bounds(g.histogram, lam)
+    assert sde(g).is_undefined
+
+
+@st.composite
+def degree_arrays(draw):
+    """A float array of integral or real degrees, some within a few TOL_DEG
+    of the largest."""
+    d_max = draw(st.sampled_from((1.0, 7.0, 1e9, 4e9 + 1, 2.5, 1e-9, 3e15)))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.5e-9, 0.999e-9, 1e-9, 1.001e-9, 2e-9, 0.3, 1.0)),
+                         min_size=1, max_size=12))
+    d = d_max * (1.0 - np.array(gaps))
+    return np.rint(d) if draw(st.booleans()) else d
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_arrays())
+def test_c_counts_the_degrees_within_the_tie_rule(d):
+    ds = degree_sequence(d)
+    # integral degrees among them: no exact-tie rule of their own
+    assert ds.c == int((d.max() - d <= TOL_DEG * d.max()).sum())
+
+
+def test_c_takes_an_overflowing_difference_as_no_tie():
+    # d_max - d is inf here, computed without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert degree_sequence([1e308, -1e308]).c == 1
 
 
 def _assert_same_histogram(a, b):
@@ -871,8 +923,8 @@ def test_mutations_keep_invariants(rng):
 
 def test_link_count_and_integrality_match_dense_formulas(rng):
     # num_links avoids n x n temporaries; it must equal the triu formula on
-    # unweighted, integer and real weights, and integral degrees must keep
-    # exact max-degree ties
+    # unweighted, integer and real weights, and small integral degrees tie
+    # at the maximum only when equal (TOL_DEG * d_max < 1)
     for _ in range(60):
         n = int(rng.integers(1, 30))
         w = np.triu(random_er(rng, n, float(rng.uniform(0.0, 0.7))).weights, 1)

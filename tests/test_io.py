@@ -69,6 +69,14 @@ def test_parse_malformed():
         parse_graph6("?")  # zero nodes
     with pytest.raises(MalformedGraph6):
         parse_graph6("~~???w")  # eight-byte size form unsupported
+    with pytest.raises(MalformedGraph6, match="non-canonical"):
+        parse_graph6("~??A??")  # n = 2 in the four-byte form
+
+
+def test_encode_refuses_past_the_four_byte_size_form():
+    # refused before its 3.3e10-bit stream is allocated
+    with pytest.raises(MalformedGraph6, match="exceeds the supported graph6 range"):
+        encode_graph6(Graph.from_edges(258048, []))
 
 
 def test_parse_non_ascii_rejected():

@@ -307,6 +307,14 @@ def test_spanning_trees_match_enumeration_small():
             assert rec_count == enumerate_spanning_trees(g)
 
 
+def test_spanning_trees_past_e700_are_counted_then_infinite():
+    # Cayley's n^(n-2): K_144 has 3.07e306 trees and K_150's count is past
+    # the float range; both read exp(700) = 1.0142e304
+    assert metric_suite(generate("complete:144"))["num_spanning_trees"] == pytest.approx(
+        float(144 ** 142), rel=1e-9)
+    assert metric_suite(generate("complete:150"))["num_spanning_trees"] == math.inf
+
+
 # batched kernels against per-node references
 
 

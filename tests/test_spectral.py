@@ -289,6 +289,21 @@ def test_sign_tests_bracket_the_fork_and_the_star():
     assert abs(spectral_radius(generate("star:5000")) - math.sqrt(4999)) <= 4999 * TOL_LAMBDA1
 
 
+def test_a_weighted_hub_past_the_rounding_bound_takes_lanczos(monkeypatch):
+    # 600 weighted links summed at the hub: the sweeps' rounding bound,
+    # 10 delta ~ 1.4e-12 d_max, would not meet TOL_LAMBDA1, so the route refuses
+    weights = [1 + k % 7 / 8 for k in range(600)]
+    g = Graph.from_edges(601, [(0, k + 1, w) for k, w in enumerate(weights)])
+    d_max = float(g.degrees().max())
+    assert inertia.PendantTrees.of(g, d_max) is None
+    calls = []
+    lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda *a: calls.append(a) or lanczos(*a))
+    lam = spectral_radius(g)
+    assert len(calls) == 1
+    assert abs(lam - math.sqrt(math.fsum(w * w for w in weights))) <= TOL_LAMBDA1 * d_max
+
+
 @pytest.mark.parametrize("n", [DENSE_LAMBDA1_CAP, 700, DENSE_CAP - 5])
 def test_sign_tests_match_dense_on_the_lollipop(n):
     g = generate(f"lollipop:{n}")
