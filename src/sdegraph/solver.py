@@ -122,10 +122,10 @@ def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
     q*rho_max <= 700, the range the solvers evaluate), in O(distinct
     degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
     at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
-    unless lambda1 < d_max). ``values`` are the distinct degrees in
+    unless lambda1 < d_max); its log1p form keeps its digits, and so the
+    bound, where N/c_top nears 1. ``values`` are the distinct degrees in
     descending order, ``counts`` the nodes at each, of ``n`` nodes in all;
-    ``lambda1`` is a float that its caller has passed through
-    :func:`_lambda1_checked` for them.
+    ``lambda1`` has passed :func:`_lambda1_checked` for them.
     """
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
@@ -139,7 +139,7 @@ def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
         r = math.log1p(x) if x > -1.0 else math.log(v) - math.log(lambda1)
         terms.append((w, r, w * r, abs(w * r), math.copysign(w, r)))
     rho_max = terms[0][1]
-    q_top = math.log(n / counts[0]) / rho_max if rho_max > 0 else math.inf
+    q_top = math.log1p((n - counts[0]) / counts[0]) / rho_max if rho_max > 0 else math.inf
 
     def evaluate(q: float) -> tuple[float, float, float]:
         shift = q * rho_max - 700.0  # exp overflows above ~709.8

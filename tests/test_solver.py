@@ -495,6 +495,9 @@ def test_newton_aims_inside_a_narrow_window(ds, lam):
 @example(NARROW_WINDOWS[0])
 # f1 is linear (one positive degree), with its root at 2 up to rounding
 @example((degree_sequence([1.0] * 12 + [0.0]), 0.9607689228305228))
+# the same with N/c_top = 20/19, where q_top taken as log(N/c_top)/rho_max
+# fell 6 ulps below the root
+@example((degree_sequence([0.0075] * 19 + [0.0]), 0.007310095758606723))
 def test_tangent_start_is_an_upper_bound(case):
     # f1 is concave, so its tangent at q = 2 lies above it and crosses zero
     # at or above the root. The tangent is drawn from the computed f1(2),
