@@ -19,14 +19,16 @@ ds = degree_sequence(g.degrees())
 lam = spectral_radius(g)
 print("degree histogram:", dict(zip(ds.values, ds.counts)), f"c = {ds.c}")
 
-# The default solver above is Newton's method from the closed-form upper
-# bound q0. Log-domain bisection and the paper's accelerated fixed-point
-# recursion, also started from q0, agree with it.
+# The default solver above is Newton's method, started at the smaller of
+# two upper bounds: q_top, from the nodes at d_max, and the zero of f1's
+# tangent at q = 2. Log-domain bisection and the paper's accelerated
+# fixed-point recursion, from the same start, agree with it.
 qb = solve_bisection(ds, lam)
 qr = solve_recursion(ds, lam)
 print(f"newton {result.q:.12f}, bisection {qb.q:.12f}, recursion {qr.q:.12f}")
 
-# The bracket from the degree sequence alone:
+# The paper's bracket, each end one step of its map from lambda1 and the
+# degree histogram:
 b = bounds(ds, lam)
 print(f"bounds: {b.lower:.4f} <= q <= {b.sharpened_upper:.4f} <= {b.upper:.4f}")
 

@@ -120,16 +120,16 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n > _G6_MAX_N:
         raise MalformedGraph6(f"n={n} exceeds the supported graph6 range")
-    if n <= 62:
-        out = [n + 63]
-    else:
-        out = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    head = [n + 63] if n <= 62 else [126] + [63 + ((n >> k) & 63) for k in (12, 6, 0)]
+    # one byte per 6-bit group, not per bit: the string's size plus the links
+    out = np.zeros(len(head) + (n * (n - 1) // 2 + 5) // 6, dtype=np.uint8)
     upper = g.indices > g._rows
-    bits = np.zeros((n * (n - 1) // 2 + 5) // 6 * 6, dtype=np.uint8)
     j = g.indices[upper]
-    bits[j * (j - 1) // 2 + g._rows[upper]] = 1
-    out += (bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63).tolist()
-    return bytes(out).decode("ascii")
+    bit = j * (j - 1) // 2 + g._rows[upper]
+    np.bitwise_or.at(out, len(head) + bit // 6, (32 >> bit % 6).astype(np.uint8))
+    out += 63
+    out[:len(head)] = head
+    return str(out.data, "ascii")
 
 
 def graph6_lines(path) -> list[tuple[int, str]]:

@@ -6,19 +6,19 @@ the degree histogram (:class:`DegreeSequence`: distinct degrees and their
 counts) relative to lambda1, so degree powers never overflow, rounding
 stays in proportion to how far the degrees are from lambda1, and each
 evaluation costs O(distinct degrees). f1 is concave, because log-sum-exp is
-convex, and f1 <= 0 at two upper bounds: the closed form q_top from the
-nodes at exactly d_max, and the zero of f1's tangent at q = 2. Newton's
-method started at the smaller of the two decreases monotonically to the
-root and stops on a certified bracket [q - tol_q, q]. q_top is only a
-bound: q is reported infinite only where lambda1 reaches d_max or
-f1(Q_MAX) > 0. :func:`_lambda1_checked` is the one check of lambda1.
-Every solver takes its early exits and its start from :func:`_prepare`.
-:func:`sde` classifies the graph first (a regular graph, a biregular one
-and one with a component at d_max need no solve) and runs Newton
-otherwise. Bisection (the test oracle, and ``sde(verify=True)``'s
-cross-check) and the paper's fixed-point recursion (with Aitken
-extrapolation, on the same f1) are callable on a degree histogram, next
-to the closed-form bounds.
+convex, and f1 <= 0 at two upper bounds: q_top from the nodes at exactly
+d_max, and the zero of f1's tangent at q = 2. Newton's method started at
+the smaller of the two decreases monotonically to the root and stops on a
+certified bracket [q - tol_q, q]. q_top is only a bound: q is reported
+infinite only where lambda1 reaches d_max or f1(Q_MAX) > 0.
+:func:`_bracket` checks lambda1 and takes rho_max and q_top, once, for
+:func:`bounds` and for :func:`_prepare`, which gives every solver its early
+exits and its start. :func:`sde` classifies the graph first (a regular
+graph, a biregular one and one with a component at d_max need no solve)
+and runs Newton otherwise. Bisection (the test oracle, and
+``sde(verify=True)``'s cross-check) and the paper's fixed-point recursion
+(with Aitken extrapolation, on the same f1) are callable on a degree
+histogram, next to the bounds, each a step of the paper's map.
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ class SdeResult:
 
 @dataclass(frozen=True)
 class SdeBounds:
-    """Bracket for q: ``upper`` is the closed form q0 = log(N/c)/log(d_max/lambda1),
-    with c the nodes at exactly d_max; ``sharpened_upper`` exists only when
-    d_min > 0."""
+    """Bracket for q from :func:`bounds`: ``upper`` is the solvers' q_top,
+    ``lower`` and ``sharpened_upper`` one step of the paper's map each;
+    ``sharpened_upper`` exists only when d_min > 0."""
 
     lower: float
     upper: float
@@ -100,14 +100,9 @@ def _lambda1_checked(ds: DegreeSequence, lambda1: float) -> float:
     return float(lambda1)
 
 
-def _f1_on_histogram(ds: DegreeSequence, lambda1: float):
-    """:func:`_f1_on_degrees` on the histogram's distinct degrees and counts."""
-    return _f1_on_degrees(ds.values, ds.counts, ds.n, lambda1)
-
-
 def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
                    lambda1: float):
-    """f1 on the distinct positive degrees, and the solvers' start q_top.
+    """f1 on the distinct positive degrees, and rho_max = log(d_max/lambda1).
 
     With w_k = n_k/N for the distinct positive degrees d_k (n_k times each),
     rho_k = log(d_k/lambda1) and N_0 zero degrees,
@@ -120,12 +115,10 @@ def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
     gives f1(q), its slope and an estimate of the rounding error of f1(q)
     (from the size of each term and of its argument; valid where
     q*rho_max <= 700, the range the solvers evaluate), in O(distinct
-    degrees). q_top = log(N/c_top)/log(d_max/lambda1), with c_top the nodes
-    at exactly d_max, is the closed-form upper bound where f1 <= 0 (inf
-    unless lambda1 < d_max); its log1p form keeps its digits, and so the
-    bound, where N/c_top nears 1. ``values`` are the distinct degrees in
-    descending order, ``counts`` the nodes at each, of ``n`` nodes in all;
-    ``lambda1`` has passed :func:`_lambda1_checked` for them.
+    degrees). rho_max is the log1p form of d_max's rho, as the terms take it.
+    ``values`` are the distinct degrees in descending order, ``counts`` the
+    nodes at each, of ``n`` nodes in all; ``lambda1`` has passed
+    :func:`_lambda1_checked` for them.
     """
     k = sum(v > 0 for v in values)  # the positive degrees come first
     values, counts = values[:k], counts[:k]
@@ -139,7 +132,6 @@ def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
         r = math.log1p(x) if x > -1.0 else math.log(v) - math.log(lambda1)
         terms.append((w, r, w * r, abs(w * r), math.copysign(w, r)))
     rho_max = terms[0][1]
-    q_top = math.log1p((n - counts[0]) / counts[0]) / rho_max if rho_max > 0 else math.inf
 
     def evaluate(q: float) -> tuple[float, float, float]:
         shift = q * rho_max - 700.0  # exp overflows above ~709.8
@@ -158,7 +150,7 @@ def _f1_on_degrees(values: tuple[float, ...], counts: tuple[int, ...], n: int,
         rounding = _EPS * (shift + (s_abs + q * s_rho_abs + zero_weight) / (1.0 + s))
         return -shift - math.log1p(s), -s_rho / (1.0 + s), rounding
 
-    return evaluate, q_top
+    return evaluate, rho_max
 
 
 def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
@@ -167,95 +159,102 @@ def f1(q: float, ds: DegreeSequence, lambda1: float) -> float:
     Zero degrees contribute nothing to the power sum (0^q = 0 for q > 0).
     Concave in q, and strictly decreasing from its root on for non-regular
     degree sequences; its unique root on [2, inf) is the SDE. Evaluated on
-    the degree histogram, relative to lambda1 (see :func:`_f1_on_histogram`).
+    the degree histogram, relative to lambda1 (see :func:`_f1_on_degrees`).
     """
     if not 0 <= _real(q, "q") <= Q_MAX:
         raise InvalidGraph(f"q must lie in [0, {Q_MAX:g}]")
-    return _f1_on_histogram(ds, _lambda1_checked(ds, lambda1))[0](q)[0]
+    return _f1_on_degrees(ds.values, ds.counts, ds.n, _lambda1_checked(ds, lambda1))[0](q)[0]
+
+
+def _bracket(ds: DegreeSequence, lambda1: float):
+    """What :func:`bounds` and every solver share: None where the checked
+    lambda1 (:func:`_lambda1_checked`) reaches d_max (q is infinite),
+    RegularGraph on a regular histogram (``c == n``), else (lambda1,
+    evaluate, rho_max, q_top): f1 and rho_max from :func:`_f1_on_degrees`,
+    and q_top = log1p((N - c_top)/c_top)/rho_max, with c_top the nodes at
+    exactly d_max, an upper bound where f1 <= 0 (sum d^q >= c_top d_max^q)."""
+    lambda1 = _lambda1_checked(ds, lambda1)
+    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
+        return None
+    if ds.c >= ds.n:
+        raise RegularGraph("degree sequence is constant")
+    evaluate, rho_max = _f1_on_degrees(ds.values, ds.counts, ds.n, lambda1)
+    c_top = ds.counts[0]
+    return lambda1, evaluate, rho_max, math.log1p((ds.n - c_top) / c_top) / rho_max
 
 
 def bounds(ds: DegreeSequence, lambda1: float) -> SdeBounds:
-    """Closed-form bracket, each bound clamped at 2 (an upper one below 2
-    means f1(2) <= 0, where the solvers return 2): lower from the d2
-    substitution, upper = q0, and the sharpened upper from the d_min
-    substitution when the graph has no isolated nodes.
+    """The paper's bracket for q, each end clamped at 2 (an upper one below
+    2 means f1(2) <= 0, where the solvers return 2). ``upper`` is q_top of
+    :func:`_bracket`; ``lower`` and ``sharpened_upper`` are one step each of
+    the paper's map F(q) = q + f1(q)/rho_max on a two-degree histogram with
+    the same rho_max. Raises RegularGraph where lambda1 reaches d_max or the
+    histogram is regular.
 
-    Both upper bounds rest on sum d^q >= c d_max^q, so they count only the
-    nodes at exactly d_max (``q_top``'s count), not ``ds.c``, which also
-    merges near-ties; the lower bound keeps ``ds.c`` and d2, since merged
-    nodes lie below d_max.
-
-    The lower bound log(N/(c + (N - c)(d2/d_max)^2))/log(d_max/lambda1)
-    equals 2 + g/log(d_max/lambda1), with g the d2-substituted f1 at q = 2:
-    0 on a two-degree histogram whose lambda1^2 is the mean squared degree
-    (a biregular graph, q = 2). It exceeds 2 only where g, evaluated as the
-    solvers evaluate f1, exceeds its rounding estimate. A smaller g is
-    rounding, of lambda1 too, and once put the bound up to 4 ulps above a
-    root of exactly 2."""
-    lambda1 = _lambda1_checked(ds, lambda1)
-    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD) or ds.c >= ds.n:
-        raise RegularGraph(
-            "lambda1 reaches d_max: q is infinite (or the graph is regular)")
-    denom = math.log(ds.d_max / lambda1)
+    With d_max on top, F(q) = h(q)/rho_max with h(q) = log N - log(sum
+    (d_i/d_max)^q) increasing, and the root is F's fixed point. Raising the
+    degrees below ``ds.c``'s nodes to d2 lowers h, so the root is at least
+    F_d2(2) = 2 + g/rho_max, g the d2-substituted f1(2): ``lower`` is
+    2 + (g - r)/rho_max, r g's rounding estimate, where g > r, else 2 (g is
+    0 for a biregular graph, q = 2; a smaller g is rounding, of lambda1 too).
+    Lowering the degrees below the nodes at exactly d_max to d_min raises h,
+    so the root is at most F_dmin(upper): ``sharpened_upper``, capped at
+    ``upper``, where d_min > 0. ``ds.c`` merges near-ties that lie below
+    d_max, so the upper ends count only the nodes at exactly d_max."""
+    bracket = _bracket(ds, lambda1)
+    if bracket is None:
+        raise RegularGraph("lambda1 reaches d_max: q is infinite")
+    lambda1, _, rho_max, q_top = bracket
     n, c, c_top = ds.n, ds.c, ds.counts[0]
-    upper = max(math.log(n / c_top) / denom, 2.0)
+    upper = max(q_top, 2.0)
     g, _, rounding = _f1_on_degrees((ds.d_max, ds.d2), (c, n - c), n, lambda1)[0](2.0)
-    lower = 2.0
-    if g > rounding:
-        r2 = ds.d2 / ds.d_max
-        lower = max((math.log(n) - math.log(c + (n - c) * r2 * r2)) / denom, 2.0)
+    lower = 2.0 + (g - rounding) / rho_max if g > rounding else 2.0
     sharpened = None
     if ds.d_min > 0:
-        rmin = ds.d_min / ds.d_max
-        term = (n - c_top) * math.exp(upper * math.log(rmin))
-        sharpened = max((math.log(n) - math.log(c_top + term)) / denom, 2.0)
+        f = _f1_on_degrees((ds.d_max, ds.d_min), (c_top, n - c_top), n, lambda1)[0](upper)[0]
+        sharpened = max(min(upper + f / rho_max, upper), 2.0)
     return SdeBounds(lower=lower, upper=upper, sharpened_upper=sharpened)
 
 
 def _prepare(ds: DegreeSequence, lambda1: float, tol_q: float, method: str):
     """What every solver does before it iterates: (result, None, nan, tol_q,
-    lambda1) where no iteration is needed, else (None, evaluate, q_start,
-    tol_q, lambda1), with ``tol_q`` and lambda1 the checked values as Python
-    floats, which the solvers iterate on.
+    nan) where no iteration is needed, else (None, evaluate, q_start, tol_q,
+    rho_max), with ``tol_q`` checked and a Python float, as the solvers use it.
 
-    Checks ``tol_q``, then lambda1 (:func:`_lambda1_checked`); lambda1
-    at d_max gives inf (``sde`` classifies such graphs first, so this serves
-    calls on a bare histogram or with a lambda1 passed in at d_max), a
-    regular histogram (``c == n``, :func:`classify`'s Regular) raises. The
-    start is the smaller of two upper bounds on the root. One is q_top (see
-    :func:`_f1_on_histogram`), the closed-form bound from the nodes at
-    exactly d_max, where f1 <= 0. It may exceed Q_MAX with a small root: inf
-    is reported only when f1(Q_MAX) > 0 certifies the root above Q_MAX, and
-    otherwise this bound is Q_MAX. The other is the zero of f1's tangent at
-    2, 2 - f1(2)/f1'(2), wherever f1'(2) < 0: f1 is concave, so the tangent
-    lies above it, and f1 is at most about its rounding there. A
-    non-positive f1(2) returns exactly 2, with no rounding check. Only a
-    biregular graph has q = 2, yet f1(2) <= 0 happens on others through the
-    rounding of lambda1, which f1's own rounding estimate does not include:
-    on K15 with one link of weight 1 + 1e-6, f1(2) = -1.1e-15 against an
-    estimate of 1.5e-23, and 2 is returned where q = 2.8667.
+    Checks ``tol_q``, then takes :func:`_bracket`: lambda1 at d_max gives
+    inf (``sde`` classifies such graphs first, so this serves calls on a
+    bare histogram or with a lambda1 passed in at d_max), and a regular
+    histogram raises. The start is the smaller of two upper bounds on the
+    root. One is q_top, from the nodes at exactly d_max. It may exceed
+    Q_MAX with a small root: inf is reported only when f1(Q_MAX) > 0
+    certifies the root above Q_MAX, and otherwise this bound is Q_MAX. The
+    other is the zero of f1's tangent at 2, 2 - f1(2)/f1'(2), wherever
+    f1'(2) < 0: f1 is concave, so the tangent lies above it, and f1 is at
+    most about its rounding there. A non-positive f1(2) returns exactly 2,
+    with no rounding check. Only a biregular graph has q = 2, yet f1(2) <= 0
+    happens on others through the rounding of lambda1, which f1's own
+    rounding estimate does not include: on K15 with one link of weight
+    1 + 1e-6, f1(2) = -1.1e-15 against an estimate of 1.5e-23, and 2 is
+    returned where q = 2.8667.
     """
     tol_q = _real(tol_q, "tol_q")
     if not 0 < tol_q <= 1e-4:
         raise InvalidGraph("tol_q must be in (0, 1e-4]")
-    tol_q, lambda1 = float(tol_q), _lambda1_checked(ds, lambda1)
-    evaluate, q = _f1_on_histogram(ds, lambda1)
-    if lambda1 >= ds.d_max * (1.0 - _INF_GUARD):
-        return SdeResult(math.inf, method, note="lambda1 at d_max"), None, math.nan, tol_q, lambda1
-    if ds.c >= ds.n:
-        raise RegularGraph("degree sequence is constant")
+    tol_q, bracket = float(tol_q), _bracket(ds, lambda1)
+    done = None, math.nan, tol_q, math.nan  # follows a result without iteration
+    if bracket is None:
+        return (SdeResult(math.inf, method, note="lambda1 at d_max"), *done)
+    _, evaluate, rho_max, q = bracket
     if q > Q_MAX:
         if evaluate(Q_MAX)[0] > 0.0:
-            return (SdeResult(math.inf, method, note="q_max exceeded"), None, math.nan,
-                    tol_q, lambda1)
+            return (SdeResult(math.inf, method, note="q_max exceeded"), *done)
         q = Q_MAX
     f2, slope2, _ = evaluate(2.0)
     if f2 <= 0.0:
-        return (SdeResult(2.0, method, iterations=0, residual=abs(f2)), None, math.nan,
-                tol_q, lambda1)
+        return (SdeResult(2.0, method, iterations=0, residual=abs(f2)), *done)
     if slope2 < 0.0:  # f1 is concave: its tangent at 2 crosses zero above the root
         q = min(q, 2.0 - f2 / slope2)
-    return None, evaluate, q, tol_q, lambda1
+    return None, evaluate, q, tol_q, rho_max
 
 
 def _bisect(h, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -311,7 +310,7 @@ def solve_newton(ds: DegreeSequence, lambda1: float,
     every Newton step moves left and never passes the root: the iterates
     decrease monotonically to it (up to rounding at the root), with no
     bracket to grow and no fallback. Newton aims at f1 = -1.5r, with r the
-    rounding estimate of f1 (see :func:`_f1_on_histogram`), and stops at
+    rounding estimate of f1 (see :func:`_f1_on_degrees`), and stops at
     the first iterate q reached by a step of at most ``tol_q`` with
     f1(q) <= -r and f1(q - tol_q) > r (or q - tol_q <= 2, where f1(2) > 0
     already holds): the signs hold despite rounding, which certifies the
@@ -375,10 +374,9 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
     ``iterations`` counts map evaluations. Raises NoConvergence after
     ``_MAX_STEPS`` steps.
     """
-    early, evaluate, p0, tol_q, lambda1 = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
+    early, evaluate, p0, tol_q, rho_max = _prepare(ds, lambda1, tol_q, METHOD_RECURSION)
     if early is not None:
         return early
-    rho_max = math.log1p((ds.d_max - lambda1) / lambda1)
 
     def F(q: float) -> float:
         return q + evaluate(q)[0] / rho_max

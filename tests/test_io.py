@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ def test_encode_examples():
     assert encode_graph6(parse_graph6("Bw")) == "Bw"
     assert encode_graph6(generate("path:3")) == "Bg"
     assert encode_graph6(Graph.from_edges(1, [])) == "@"
+
+
+def test_encode_memory_follows_the_string():
+    # 6,000 nodes and two links: a 3.0 MB string. One uint8 per bit of the
+    # upper triangle and the packed groups as Python ints peaked at 62 times
+    # the string's length; one byte per 6-bit group peaks at about twice it
+    g = Graph.from_edges(6000, [(0, 1), (5, 5999)])
+    tracemalloc.start()
+    try:
+        text = encode_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), peak
+    assert parse_graph6(text).links() == [(0, 1), (5, 5999)]
 
 
 def test_parse_malformed():

@@ -16,7 +16,7 @@ from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_const
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from sdegraph.families import analytic_lambda1
 from sdegraph.graph import Biregular, MaxDegreeComponent
-from sdegraph.solver import Q_MAX, SdeResult, _f1_on_histogram, _prepare, solve_newton
+from sdegraph.solver import Q_MAX, SdeResult, _bracket, _prepare, solve_newton
 from sdegraph.spectral import full_spectrum
 
 
@@ -249,17 +249,20 @@ def newton_evaluations(ds, lam):
     """solve_newton's result (or its NoConvergence) and every q at which it
     evaluated f1, in order, the f1(2) test first."""
     calls = []
-    real = solver_module._f1_on_histogram
+    real = solver_module._bracket
 
     def spy(ds_, lam_):
-        evaluate, q_top = real(ds_, lam_)
+        bracket = real(ds_, lam_)
+        if bracket is None:
+            return None
+        lam, evaluate, rho_max, q_top = bracket
 
         def recorded(q):
             calls.append(q)
             return evaluate(q)
-        return recorded, q_top
+        return lam, recorded, rho_max, q_top
 
-    with mock.patch.object(solver_module, "_f1_on_histogram", spy):
+    with mock.patch.object(solver_module, "_bracket", spy):
         try:
             result = solve_newton(ds, lam, tol_q=TOL_Q)
         except NoConvergence as exc:
@@ -285,7 +288,7 @@ def documented_refusal(ds, lam, iterates):
     """Whether the iterates of a Newton run that raised NoConvergence show
     a refusal that solve_newton documents: f1 changing by at most twice
     its rounding r across tol_q at the last iterate, or the step cap."""
-    evaluate, _ = solver_module._f1_on_histogram(ds, lam)
+    evaluate = solver_module._bracket(ds, lam)[1]
     _, slope, rounding = evaluate(iterates[-1])
     return (-slope * TOL_Q <= 2.0 * rounding
             or len(iterates) > solver_module._MAX_STEPS)
@@ -321,7 +324,7 @@ def test_newton_matches_bisection_and_certifies(case):
     # descent from the start to q; near the root rounding can move an
     # iterate up, by a Newton step within the aim band (1.5 r / |slope|)
     # or by the one-ulp nextafter move, and below q by at most tol_q
-    _, slope, rounding = solver_module._f1_on_histogram(ds, lam)[0](q)
+    _, slope, rounding = solver_module._bracket(ds, lam)[1](q)
     rise = max(4 * math.ulp(q), 1.5 * rounding / abs(slope))
     near = next(i for i, x in enumerate(iterates) if x <= q + rise)
     descent = iterates[:near + 1]
@@ -465,7 +468,7 @@ def test_newton_certificate_holds_in_exact_arithmetic(case):
         return
     if not result.is_finite or result.q == 2.0:
         return
-    evaluate, _ = solver_module._f1_on_histogram(ds, lam)
+    evaluate = solver_module._bracket(ds, lam)[1]
     q = result.q
     assert exact_f1(q, ds, lam) <= evaluate(q)[2]
     assert q - TOL_Q <= 2.0 or exact_f1(q - TOL_Q, ds, lam) > -evaluate(q - TOL_Q)[2]
@@ -484,7 +487,7 @@ NARROW_WINDOWS = [
 @pytest.mark.parametrize("ds, lam", NARROW_WINDOWS, ids=["q138k", "q846k"])
 def test_newton_aims_inside_a_narrow_window(ds, lam):
     bisection = solve_bisection(ds, lam, tol_q=TOL_Q)
-    _, slope, rounding = _f1_on_histogram(ds, lam)[0](bisection.q)
+    _, slope, rounding = _bracket(ds, lam)[1](bisection.q)
     assert 2.0 * rounding < -slope * TOL_Q <= 2.5 * rounding
     newton = solve_newton(ds, lam, tol_q=TOL_Q)  # aimed at the window's centre
     assert abs(newton.q - bisection.q) <= TOL_Q
@@ -508,7 +511,36 @@ def test_tangent_start_is_an_upper_bound(case):
         return
     value, _, rounding = evaluate(start)
     assert value <= rounding + evaluate(2.0)[2]
-    assert start <= min(_f1_on_histogram(ds, lam)[1], Q_MAX)
+    assert start <= min(_bracket(ds, lam)[3], Q_MAX)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(histograms_and_lambda1(), near_regular_and_lambda1()))
+# upper taken as log(N/c_top)/log(d_max/lambda1) once fell to
+# 2.000000000000007, below the lower 2.0000000000000115
+@example((degree_sequence([0.0075] * 19 + [0.0]), 0.007310095758606723))
+def test_bounds_bracket_the_root(case):
+    # each end is one step of the paper's map with the solvers' rho_max:
+    # the ends are ordered exactly, and f1 at each has the sign that
+    # brackets the root, to within f1's rounding estimate r (a lower end
+    # of 2 needs none: the solvers return 2 wherever f1(2) <= 0)
+    ds, lam = case
+    try:
+        b = bounds(ds, lam)
+    except RegularGraph:  # lambda1 at d_max
+        return
+    assert b.lower <= b.upper
+    ends = [b.upper]
+    if b.sharpened_upper is not None:
+        assert b.lower <= b.sharpened_upper <= b.upper
+        ends.append(b.sharpened_upper)
+    evaluate = _bracket(ds, lam)[1]
+    value, _, rounding = evaluate(b.lower)
+    assert b.lower == 2.0 or value > -rounding
+    for end in ends:
+        if end <= Q_MAX:
+            value, _, rounding = evaluate(end)
+            assert value <= rounding
 
 
 # the sum of SdeResult.iterations over the N=7 corpus when Newton started at
@@ -538,7 +570,7 @@ def test_f1_rounding_follows_distance_from_lambda1(spread):
     ds = degree_sequence([5.0] * 3 + [5.0 * (1 - spread)] * 4)
     m2 = rms_degree(ds)
     lam = m2 + 0.3 * (ds.d_max - m2)
-    evaluate, _ = solver_module._f1_on_histogram(ds, lam)
+    evaluate = solver_module._bracket(ds, lam)[1]
     for q in (2.0, 3.0, 10.0):
         value, _, rounding = evaluate(q)
         assert abs(value - exact_f1(q, ds, lam)) <= 2 * rounding
@@ -721,7 +753,7 @@ def test_recursion_certifies_or_raises(n, eps):
         assert "recursion" in str(exc)
         return
     assert abs(r.q - solve_bisection(ds, lam).q) <= TOL_Q
-    f, _, rounding = _f1_on_histogram(ds, lam)[0](r.q)
+    f, _, rounding = _bracket(ds, lam)[1](r.q)
     assert f <= -rounding
 
 
