@@ -100,6 +100,14 @@ def _parsed(line: str) -> Graph | SdegraphError:
         return exc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one (``taskset``, cgroup cpusets), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _batch_chunk(lines: list[tuple[int, str]]) -> list[dict | SdegraphError]:
     """The record of each graph6 line of one chunk, in order, or the error
     that skips the line; a ``--jobs`` worker's task."""
@@ -111,8 +119,9 @@ def cmd_batch(args) -> int:
         raise InputError("--jobs must be at least 1")
     work = gio.graph6_lines(args.input)
     starts = range(0, len(work), BATCH_CHUNK)
-    # a pool starts all its workers at its first task: no more than chunks or CPUs
-    workers = min(args.jobs, len(starts), os.cpu_count() or 1)
+    # a pool starts all its workers at its first task: no more than chunks or
+    # usable CPUs
+    workers = min(args.jobs, len(starts), _usable_cpus())
 
     def records():  # measured as the CSV writer reads them, once the output is open
         skipped = regular = 0

@@ -5,15 +5,21 @@ statistics, spectral quantities from the adjacency and Laplacian spectra,
 distance metrics by breadth-first search, efficiency measures, bridges,
 assortativity and the solved exponent. The kernels run on stacks of graphs
 of one size n, one numpy pass per kernel per stack: the adjacency and
-Laplacian spectra (one ``eigvalsh`` call each), the hop distances and local
-efficiency (one hop-level BFS, :func:`_hop_levels`, on the ``(B, n, n)``
-stack and on the stacked neighbour-induced subgraphs of all its nodes, in
-power-of-two degree buckets of at most ``NEIGHBOURHOOD_STACK_CAP`` floats),
-the local triangle counts (the row sums of ``(A @ A) * A``), the bridges,
-assortativity and every reduction to a record field. The spectra read the
-float64 link indicators; the hop levels and the triangle products multiply a
-float32 copy, whose path counts are exact integers (at most n <=
-``DENSE_CAP``), and every sum over them and every returned array is float64.
+Laplacian spectra (one ``eigvalsh`` call each), the common neighbours of
+each link (``A @ A`` read at the stored entries; their sums are the local
+triangle counts), the hop distances and local efficiency (one hop-level
+BFS, :func:`_hop_levels`, on the ``(B, n, n)`` stack and on the stacked
+neighbour-induced subgraphs of all its nodes), the bridges, assortativity
+and every reduction to a record field. Each hop's new pairs are counted per
+matrix by one mat-vec with a ones vector, which also ends the search; the
+distances are summed in float32 and converted to float64 once. Local
+efficiency searches only neighbours with a common neighbour, in power-of-two
+buckets of that count of at most ``NEIGHBOURHOOD_STACK_CAP`` floats, and
+skips a neighbourhood whose links form a matching (t <= 1 links included):
+its sum is 2t. The spectra read the float64 link indicators; the hop levels
+and the common-neighbour products multiply a float32 copy, whose path and
+pair counts are exact integers (at most n <= ``DENSE_CAP``), and every sum
+over them and every returned array is float64.
 :func:`metric_records` stacks consecutive equal-size graphs, at most
 ``GRAPH_STACK_CAP`` adjacency entries each; :func:`metric_suite` and each
 public kernel on a lone graph run the same code on a stack of one. Only the
@@ -47,13 +53,14 @@ from .spectral import spectra
 # the same, while the batch's peak memory grew with the stack (+3 MB at 256).
 GRAPH_STACK_CAP = 1 << 15
 # largest padded neighbourhood stack (B * k * k entries, 1 MB as float32)
-# that local_efficiency builds at once; larger degree buckets are processed in
+# that local_efficiency builds at once; larger buckets are processed in
 # chunks. Run time measured flat from 2**14 to 2**20 on ER/BA graphs with
 # n = 200..2000, while peak memory grows with the cap.
 NEIGHBOURHOOD_STACK_CAP = 1 << 18
 # smallest padded neighbourhood size. Measured on N=8 and n = 100 ER/BA
-# graphs: 4 and 16 were no faster, one bucket per degree was ~2x slower and a
-# single bucket padded to the largest degree ~4x slower on BA(100, 3).
+# graphs while buckets went by degree: 4 and 16 were no faster, one bucket per
+# degree was ~2x slower and a single bucket padded to the largest degree ~4x
+# slower on BA(100, 3).
 MIN_BUCKET = 8
 
 METRIC_NAMES = (
@@ -135,31 +142,38 @@ def _assortativity(deg: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[
 
 def _hop_levels(adj: np.ndarray):
     """Yield, for d = 1, 2, ..., the 0/1 stack of the ordered node pairs
-    first reached at hop d in a (..., k, k) 0/1 float stack ``adj`` with no
-    diagonal: ``adj`` itself, then each hop that reaches a new pair in any
-    matrix of the stack. Path counts stay exact in float32 below 2**24
-    nodes."""
+    first reached at hop d in a (B, k, k) 0/1 float stack ``adj`` with no
+    diagonal, and the (B,) float64 count of those pairs per matrix: ``adj``
+    itself, then each hop that reaches a new pair in any matrix of the
+    stack. The counts are one mat-vec of the flattened level with a ones
+    vector. Path and pair counts stay exact in float32 below 2**24 nodes
+    and k * k < 2**24 pairs (k <= ``DENSE_CAP``)."""
+    ones = np.ones(adj.shape[-1] ** 2, dtype=adj.dtype)
     unreached = 1.0 - adj - np.eye(adj.shape[-1], dtype=adj.dtype)
     frontier = adj
+    counts = frontier.reshape(len(adj), -1) @ ones
     while True:
-        yield frontier
+        yield frontier, counts.astype(float)
         # path counts into the next hop, capped at 1 where unreached and at
         # 0 where reached
         frontier = np.minimum(frontier @ adj, unreached)
-        if not frontier.any():
+        counts = frontier.reshape(len(adj), -1) @ ones
+        if not counts.any():
             return
         unreached -= frontier
 
 
 def _distances(adj: np.ndarray) -> np.ndarray:
     """All-pairs hop distances of a (B, n, n) 0/1 float stack (inf when
-    unreachable), from :func:`_hop_levels`."""
-    dist = np.zeros(adj.shape)
-    for d, level in enumerate(_hop_levels(adj), 1):
+    unreachable), from :func:`_hop_levels`: summed in the stack's dtype,
+    exact below 2**24 hops, and returned as float64."""
+    n = adj.shape[-1]
+    dist = np.zeros(adj.shape, dtype=adj.dtype)
+    for d, (level, _) in enumerate(_hop_levels(adj), 1):
         dist += d * level
     dist[dist == 0.0] = np.inf  # no hop arrived
-    dist.reshape(len(dist), -1)[:, ::adj.shape[-1] + 1] = 0.0  # the diagonals
-    return dist
+    dist.reshape(len(dist), -1)[:, ::n + 1] = 0.0  # the diagonals
+    return dist.astype(float)
 
 
 def bfs_distances(adj: np.ndarray) -> np.ndarray:
@@ -220,54 +234,73 @@ def _global_efficiency(dist: np.ndarray) -> np.ndarray:
     return (1.0 / off).sum(axis=(-2, -1)) / (n * (n - 1))
 
 
-def _triangles(adj: np.ndarray) -> np.ndarray:
-    """Triangles at each node of a (B, n, n) 0/1 float stack: the row sums
-    of ``(A @ A) * A`` over 2, exact integers in float64. The products may be
-    float32 (exact below 2**24 nodes); the sums are float64, since a dense
-    graph's total passes 2**24 a few hundred nodes up (K_324's does)."""
-    return ((adj @ adj) * adj).sum(axis=2, dtype=float) / 2.0
+def _common_neighbours(adj: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per stored entry (``rows`` b * n + i, ``cols`` j) of a (B, n, n) 0/1
+    float stack, the common neighbours of i and j, ``(A @ A)[b, i, j]``, as
+    float64. The product may be float32: its path counts are exact integers
+    below 2**24 nodes."""
+    return (adj @ adj).reshape(-1)[rows * adj.shape[-1] + cols].astype(float)
 
 
-def _efficiency_sums(adj: np.ndarray, indptr: np.ndarray, cols: np.ndarray,
-                     deg: np.ndarray) -> np.ndarray:
+def _triangles(common: np.ndarray, rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Triangles at each node of a (B, n) stack: half the sum of the
+    common-neighbour counts of its links (``common`` per stored entry,
+    ``rows`` b * n + i). Exact integers in float64; a float32 sum would
+    round past 2**24, which a dense graph's total passes a few hundred
+    nodes up (K_324's does)."""
+    return np.bincount(rows, weights=common, minlength=shape[0] * shape[1]).reshape(shape) / 2.0
+
+
+def _efficiency_sums(adj: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     common: np.ndarray) -> np.ndarray:
     """Per node of a (B, n, n) 0/1 float stack, the sum of 1/d over the
     ordered pairs of its neighbours at hop distance d in their induced
-    subgraph, as a (B, n) array. ``deg`` holds the (B, n) link counts and
-    ``indptr``/``cols`` the stack's neighbour lists: CSR rows b * n + i
-    holding node ids 0..n-1.
+    subgraph, as a (B, n) array. ``rows``/``cols`` are the stack's stored
+    entries in row order (b * n + i, j) and ``common`` their
+    common-neighbour counts (:func:`_common_neighbours`).
 
-    All neighbourhoods of all graphs are searched together. Nodes are
-    grouped by degree into power-of-two buckets of at least ``MIN_BUCKET``
-    (clamped to n); each bucket gathers its neighbour-induced subgraphs into
-    a padded ``(K, k, k)`` float32 stack, where pad index n is an all-zero
-    row and column, in chunks of at most ``NEIGHBOURHOOD_STACK_CAP``
-    entries, and :func:`_hop_levels` expands every source of every subgraph
-    at once. Nodes of degree < 2 get 0.
+    A node's t neighbourhood links give 2t ordered pairs at hop 1, the sum
+    of its entries' ``common``. Only neighbours with a common neighbour
+    (a link inside the neighbourhood) are searched: the others reach no
+    one. A neighbourhood whose links form a matching (2t such neighbours,
+    t <= 1 and degree < 2 included) holds no pair beyond hop 1: its sum is
+    2t, with no search. The other neighbourhoods of all graphs are searched
+    together. Their nodes are grouped by searched neighbours into
+    power-of-two buckets of at least ``MIN_BUCKET`` (clamped to n);
+    each bucket gathers its neighbour-induced subgraphs, one flat ``take``
+    per chunk of at most ``NEIGHBOURHOOD_STACK_CAP`` entries, into a padded
+    ``(K, k, k)`` float32 stack, where pad index n is an all-zero row and
+    column, and :func:`_hop_levels` expands every source of every subgraph
+    at once. A node's sum is 0.0 + c_1 / 1 + c_2 / 2 + ..., c_d its hop-d
+    pair count: the bits of a search over all its neighbours.
     """
-    n = deg.shape[1]
-    links = deg.ravel()
-    sums = np.zeros(links.size)
+    n = adj.shape[-1]
+    kept = common > 0
+    rows, cols = rows[kept], cols[kept]
+    size = np.bincount(rows, minlength=len(adj) * n)  # searched neighbours
+    indptr = np.concatenate(([0], np.cumsum(size)))
+    sums = np.bincount(rows, weights=common[kept], minlength=size.size)  # 2t
     # the stack as rows b * (n + 1) + i, each graph padded by a zero row and
-    # column n
-    padded = np.zeros((deg.shape[0] * (n + 1), n + 1), dtype=np.float32)
+    # column n, flattened for the gathers
+    padded = np.zeros((len(adj) * (n + 1), n + 1), dtype=np.float32)
     padded.reshape(-1, n + 1, n + 1)[:, :n, :n] = adj
-    nodes = np.flatnonzero(links >= 2)
+    flat = padded.ravel()
+    nodes = np.flatnonzero(sums != size)
     # 2**bit_length(k - 1), the power of two at or above k
-    width = np.minimum(np.maximum(MIN_BUCKET, 1 << np.frexp(links[nodes] - 1)[1]), n)
+    width = np.minimum(np.maximum(MIN_BUCKET, 1 << np.frexp(size[nodes] - 1)[1]), n)
     for k in sorted(set(width.tolist())):
         bucket = nodes[width == k]
-        # neighbour lists padded with n, and their rows of ``padded``
+        # neighbour lists padded with n, and the flat offsets of their rows
         slots = np.arange(k)
         at = np.minimum(indptr[bucket, None] + slots, cols.size - 1)
-        nbrs = np.where(slots < links[bucket, None], cols[at], n)
-        rows = nbrs + (bucket // n * (n + 1))[:, None]
+        nbrs = np.where(slots < size[bucket, None], cols[at], n)
+        starts = (nbrs + (bucket // n * (n + 1))[:, None]) * (n + 1)
         step = max(1, NEIGHBOURHOOD_STACK_CAP // (k * k))
         for c0 in range(0, bucket.size, step):
-            sub = padded[rows[c0:c0 + step, :, None], nbrs[c0:c0 + step, None, :]]
+            sub = flat.take(starts[c0:c0 + step, :, None] + nbrs[c0:c0 + step, None, :])
             sums[bucket[c0:c0 + step]] = sum(
-                level.sum(axis=(1, 2), dtype=float) / d
-                for d, level in enumerate(_hop_levels(sub), 1))
-    return sums.reshape(deg.shape)
+                counts / d for d, (_, counts) in enumerate(_hop_levels(sub), 1))
+    return sums.reshape(-1, n)
 
 
 def _node_means(per_node: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -298,15 +331,18 @@ def local_efficiency(g: Graph) -> float:
     """Mean over nodes of the global efficiency of the neighbour-induced
     subgraph; nodes with fewer than two neighbours contribute 0. One graph's
     row of :func:`_efficiency_sums` and :func:`_node_means`."""
-    deg = g._link_counts[None]
-    sums = _efficiency_sums(_link_indicator(g), g.indptr, g.indices, deg)
-    return float(_node_means(sums, deg)[0])
+    adj = _link_indicator(g).astype(np.float32)
+    common = _common_neighbours(adj, g._rows, g.indices)
+    sums = _efficiency_sums(adj, g._rows, g.indices, common)
+    return float(_node_means(sums, g._link_counts[None])[0])
 
 
 def mean_local_clustering(g: Graph) -> float:
     """Average local clustering; degree-<2 nodes contribute 0."""
+    adj = _link_indicator(g).astype(np.float32)
+    triangles = _triangles(_common_neighbours(adj, g._rows, g.indices), g._rows, (1, g.n))
     # the factor 2 is exact: the bits of dividing by k (k - 1) / 2 per node
-    return 2.0 * float(_node_means(_triangles(_link_indicator(g)), g._link_counts[None])[0])
+    return 2.0 * float(_node_means(triangles, g._link_counts[None])[0])
 
 
 def _spanning_tree_count(log_count: float) -> float:
@@ -353,9 +389,9 @@ def _kernel_rows(graphs: list[Graph]) -> list[dict[str, float]]:
         connectivity = laplacian[:, n - 2]
         path_length = dist.sum(axis=(1, 2)) / (n * (n - 1))
     del dist  # float64, freed once read: fewer page faults in the products below
-    triangles = _triangles(adj)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    pair_sums = _efficiency_sums(adj, indptr, cols, deg)
+    common = _common_neighbours(adj, rows, cols)
+    triangles = _triangles(common, rows, deg.shape)
+    pair_sums = _efficiency_sums(adj, rows, cols, common)
     links = deg.sum(axis=1) // 2
     d_max = deg.max(axis=1)
     lambda1 = adjacency[:, 0]

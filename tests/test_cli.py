@@ -401,18 +401,24 @@ class FakePool:
         return map(fn, iterable)
 
 
-@pytest.mark.parametrize("jobs, lines, cpus, workers", [
-    (5000, 150, 64, 3),  # three chunks of lines: three workers
-    (5000, 150, 2, 2),   # two CPUs: two workers
-    (2, 40, 64, None),   # one chunk: no pool
-    (4, 0, 64, None),    # no chunks: no pool
-    (1, 150, 64, None),
-], ids=["chunks", "cpus", "one-chunk", "empty", "serial"])
-def test_batch_jobs_start_at_most_chunks_or_cpus_workers(jobs, lines, cpus, workers,
+@pytest.mark.parametrize("jobs, lines, affinity, cpus, workers", [
+    (5000, 150, range(64), 64, 3),  # three chunks of lines: three workers
+    (5000, 150, None, 2, 2),        # two CPUs, no affinity mask: two workers
+    (5000, 150, {0}, 64, None),     # one CPU of 64 allowed (taskset -c 0): no pool
+    (2, 40, range(64), 64, None),   # one chunk: no pool
+    (4, 0, range(64), 64, None),    # no chunks: no pool
+    (1, 150, range(64), 64, None),
+], ids=["chunks", "cpus", "affinity", "one-chunk", "empty", "serial"])
+def test_batch_jobs_start_at_most_chunks_or_cpus_workers(jobs, lines, affinity, cpus, workers,
                                                           tmp_path, capsys, monkeypatch):
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(FakePool, "started", [])
+    # the affinity mask where the OS keeps one, else the CPU count
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     g6 = tmp_path / "slice.g6"
     g6.write_text("".join(f"{line}\n" for line in FIXTURE_N7.read_text().split()[:lines]))

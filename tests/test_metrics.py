@@ -1,19 +1,22 @@
 import itertools
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
+from conftest import DATA_DIR, FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, random_er
 from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisection
 from sdegraph import metrics
 from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError, MalformedGraph6,
                              UndefinedAssortativity, WeightedUnsupported)
 from sdegraph.families import parse_family
-from sdegraph.graph import connected_components
+from sdegraph.graph import _dense, connected_components
 from sdegraph.io import parse_graph6, read_graph6_file
 from sdegraph.metrics import (METRIC_NAMES, _global_efficiency, assortativity,
                               bfs_distances, count_bridges, local_efficiency,
@@ -451,6 +454,68 @@ def test_local_efficiency_chunked_stack(rng, monkeypatch, cap):
     assert abs(local_efficiency(g) - ref) <= 1e-12 * abs(ref)
 
 
+def reference_efficiency_sums(g):
+    """Per node, 0.0 + c_1 / 1 + c_2 / 2 + ... in Python floats, c_d the
+    ordered pairs of its neighbours at hop d in their induced subgraph: a
+    breadth-first search from each neighbour."""
+    nbrs = [set(g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()) for i in range(g.n)]
+    sums = []
+    for i in range(g.n):
+        counts = Counter()  # hop -> ordered pairs first reached there
+        for source in nbrs[i]:
+            seen, frontier, d = {source}, {source}, 0
+            while frontier:
+                d += 1
+                frontier = {v for u in frontier for v in nbrs[u] & nbrs[i]} - seen
+                seen |= frontier
+                counts[d] += len(frontier)
+        total = 0.0
+        for d in sorted(counts):
+            total += counts[d] / d
+        sums.append(total)
+    return sums
+
+
+def efficiency_sums(graphs):
+    """``metrics._efficiency_sums`` on a stack of equal-n graphs, called as
+    ``_kernel_rows`` calls it."""
+    deg = np.array([g._link_counts for g in graphs])
+    rows = np.repeat(np.arange(deg.size), deg.ravel())
+    cols = np.concatenate([g.indices for g in graphs])
+    adj = _dense(*deg.shape, rows, cols, 1.0).astype(np.float32)
+    return metrics._efficiency_sums(adj, rows, cols, metrics._common_neighbours(adj, rows, cols))
+
+
+# nodes 0, 1 and 2 see two triangles, a path of 3 and a path of 5 among their
+# neighbours: searches that end at hops 1, 2 and 4, one chunk under a cap of
+# three 8 x 8 subgraphs
+MIXED_HOPS = Graph.from_edges(17, [(0, v) for v in range(3, 9)]
+                              + [(3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)]
+                              + [(1, 9), (1, 10), (1, 11), (9, 10), (10, 11)]
+                              + [(2, v) for v in range(12, 17)]
+                              + [(v, v + 1) for v in range(12, 16)])
+# a hub joined to each node of a path: the hub's neighbourhood is P11
+FAN_12 = Graph.from_edges(12, [(0, v) for v in range(1, 12)] + [(v, v + 1) for v in range(1, 11)])
+
+
+@pytest.mark.parametrize("cap", [metrics.NEIGHBOURHOOD_STACK_CAP, 3 * metrics.MIN_BUCKET ** 2],
+                         ids=["default-cap", "three-per-chunk"])
+@settings(max_examples=60, deadline=None)
+@given(graphs=st.integers(1, 40).flatmap(lambda n: st.lists(hub_graphs(n), min_size=1,
+                                                            max_size=5)))
+@example(graphs=[generate("star:9")])  # t = 0 at every node
+@example(graphs=[Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])])  # t = 1
+@example(graphs=[FAN_12, generate("wheel:12")])  # path and cycle neighbourhoods
+@example(graphs=[generate("complete:17")])
+@example(graphs=[MIXED_HOPS])
+@example(graphs=[Graph.from_edges(1, [])])
+def test_efficiency_sums_are_the_bits_of_a_per_node_search(cap, graphs):
+    with mock.patch.object(metrics, "NEIGHBOURHOOD_STACK_CAP", cap):
+        got = efficiency_sums(graphs)
+    want = np.array([reference_efficiency_sums(g) for g in graphs])
+    assert got.tobytes() == want.tobytes()
+
+
 # stacked kernels: a stack's rows against lone graphs
 
 
@@ -486,6 +551,32 @@ def test_metric_records_stack_ensemble_samples(monkeypatch, family, cap):
         assert record_bits(record) == record_bits(metric_suite(g))
 
 
+# the record columns that call no LAPACK: their digits do not depend on the
+# numpy build
+LAPACK_FREE_COLUMNS = ["num_links", "max_degree", "min_degree", "degree_variance",
+                       "avg_shortest_path_length", "diameter", "clustering_coefficient",
+                       "transitivity", "radius", "degree_assortativity", "num_bridges",
+                       "local_efficiency", "global_efficiency", "num_leaf_nodes"]
+
+
+def test_ensemble_records_match_the_pinned_columns():
+    """``tests/data/reference/ensemble_records.json`` holds, for each spec at
+    seed 1, the repr of every ``LAPACK_FREE_COLUMNS`` field of each of the
+    ``count`` records ``sde ensemble`` computes, and the numpy version that
+    wrote it. A change that moves one of these bits fails here, naming each
+    spec, sample, column, old and new value."""
+    pinned = json.loads((DATA_DIR / "reference" / "ensemble_records.json").read_text())
+    changed = []
+    for spec, columns in pinned["records"].items():
+        assert list(columns) == LAPACK_FREE_COLUMNS
+        samples = ensemble_samples(parse_family(spec), pinned["seed"], pinned["count"])
+        for i, record in enumerate(metrics.metric_records(samples)):
+            changed += [f"{spec} sample {i} {name}: {old[i]} -> {record[name]!r}"
+                        for name, old in columns.items() if old[i] != repr(record[name])]
+    assert not changed, (f"pinned with numpy {pinned['numpy']}, run with {np.__version__}:\n"
+                         + "\n".join(changed))
+
+
 def test_float32_products_give_the_float64_kernels_bits_on_a_dense_graph():
     # ER(1000, 0.95): the graph's sum of per-node triangle counts (~4e8) is
     # past 2**24, where a float32 sum would round
@@ -494,8 +585,11 @@ def test_float32_products_give_the_float64_kernels_bits_on_a_dense_graph():
     adj = (upper | upper.T).astype(float)[None]  # the float64 link indicators
     deg = adj.sum(axis=2).astype(np.int64)
     links = adj.astype(np.float32)  # the products' operand in _kernel_rows
+    rows, cols = np.nonzero(adj[0])  # the stored entries, rows b * n + i with b = 0
     want = ((adj @ adj) * adj).sum(axis=2) / 2.0
-    triangles = metrics._triangles(links)
+    common = metrics._common_neighbours(links, rows, cols)
+    assert common.tobytes() == metrics._common_neighbours(adj, rows, cols).tobytes()
+    triangles = metrics._triangles(common, rows, deg.shape)
     assert triangles.dtype == np.float64 and np.array_equal(triangles, want)
     assert metrics._transitivity(triangles, deg).tobytes() == \
         metrics._transitivity(want, deg).tobytes()
