@@ -49,7 +49,7 @@ def cmd_compute(args) -> int:
         label, g = args.edge_list, gio.load_edge_list(args.edge_list, one_based=args.one_based)
     if lam is None:
         lam = spectral_radius(g)
-    result = sde(g, verify=args.verify, lambda1=lam)
+    result = sde(g, lambda1=lam)
     ds = g.histogram  # built by sde's classify
     b = bounds(ds, lam) if result.is_finite else None
     payload = {
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-based", action="store_true",
                    help="edge list node ids start at 1")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--verify", action="store_true",
-                   help="cross-check Newton against bisection")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("batch", help="metric CSV for a graph6 file")

@@ -57,10 +57,13 @@ GRAPH_STACK_CAP = 1 << 15
 # chunks. Run time measured flat from 2**14 to 2**20 on ER/BA graphs with
 # n = 200..2000, while peak memory grows with the cap.
 NEIGHBOURHOOD_STACK_CAP = 1 << 18
-# smallest padded neighbourhood size. Measured on N=8 and n = 100 ER/BA
-# graphs while buckets went by degree: 4 and 16 were no faster, one bucket per
-# degree was ~2x slower and a single bucket padded to the largest degree ~4x
-# slower on BA(100, 3).
+# smallest padded neighbourhood size. _efficiency_sums timed best of 5 on one
+# BLAS thread (Xeon, numpy 2.4) at 4 / 8 / 16: the N=8 corpus in stacks of 64,
+# 47-81 / 53-89 / 52-86 ms (16 clamps to n = 8, the same work as 8); seed-1
+# ER(100, 0.1) x200 in stacks of three, 49-61 / 46-49 / 76-107 ms; BA(100, 3)
+# likewise, 39-42 / 37-38 / 42-46 ms. Buckets by degree, before they went by
+# searched neighbours, ran one bucket per degree ~2x slower and a single
+# bucket padded to the largest degree ~4x slower on BA(100, 3).
 MIN_BUCKET = 8
 
 METRIC_NAMES = (

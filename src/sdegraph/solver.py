@@ -15,10 +15,10 @@ infinite only where lambda1 reaches d_max or f1(Q_MAX) > 0.
 :func:`bounds` and for :func:`_prepare`, which gives every solver its early
 exits and its start. :func:`sde` classifies the graph first (a regular
 graph, a biregular one and one with a component at d_max need no solve)
-and runs Newton otherwise. Bisection (the test oracle, and
-``sde(verify=True)``'s cross-check) and the paper's fixed-point recursion
-(with Aitken extrapolation, on the same f1) are callable on a degree
-histogram, next to the bounds, each a step of the paper's map.
+and runs Newton otherwise. Bisection (the test oracle) and the paper's
+fixed-point recursion (with Aitken extrapolation, on the same f1) are
+callable on a degree histogram, next to the bounds, each a step of the
+paper's map.
 """
 from __future__ import annotations
 
@@ -398,15 +398,14 @@ def solve_recursion(ds: DegreeSequence, lambda1: float,
         f"the recursion did not certify q within {_MAX_STEPS} steps")
 
 
-def sde(g: Graph, *, lambda1: float | None = None, verify: bool = False) -> SdeResult:
+def sde(g: Graph, *, lambda1: float | None = None) -> SdeResult:
     """Spectral degree exponent of a graph, solved to ``DEFAULT_TOL_Q``.
 
     Orchestration: regular graphs are Undefined (NaN), a component with
     every degree at d_max gives Infinite, biregular graphs are classified to
     exactly 2; anything else computes lambda1 (spectral_radius unless
-    supplied) and runs Newton's method. ``verify=True`` cross-checks the result against
-    bisection and raises NoConvergence where they differ by more than
-    2 * ``DEFAULT_TOL_Q``.
+    supplied) and runs :func:`solve_newton`, whose q is certified to lie
+    within ``DEFAULT_TOL_Q`` above the root or refused with NoConvergence.
     """
     cls = classify(g)
     if isinstance(cls, Regular):
@@ -415,13 +414,5 @@ def sde(g: Graph, *, lambda1: float | None = None, verify: bool = False) -> SdeR
         return SdeResult(math.inf, METHOD_CLASSIFIED, note="max-degree component")
     if isinstance(cls, Biregular):
         return SdeResult(2.0, METHOD_CLASSIFIED, note="biregular")
-    ds = g.histogram  # built by classify
     lam = spectral_radius(g) if lambda1 is None else lambda1
-    result = solve_newton(ds, lam)
-    if verify:
-        # both solvers share every result without iteration (inf among them)
-        other = solve_bisection(ds, lam)
-        if result.is_finite and abs(result.q - other.q) > 2 * DEFAULT_TOL_Q:
-            raise NoConvergence(
-                f"solver cross-check failed: {result.q} vs {other.q}")
-    return result
+    return solve_newton(g.histogram, lam)  # the histogram classify built

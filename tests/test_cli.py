@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -142,20 +141,6 @@ def test_compute_json_inf_spelling(tmp_path, capsys):
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n5 6\n")
     code, out, _ = run(capsys, "compute", "--edge-list", str(path), "--json")
     assert json.loads(out)["q"] == "inf"
-
-
-def test_compute_verify_prints_the_same_and_exits_3_on_a_disagreement(capsys, monkeypatch):
-    code, plain, _ = run(capsys, "compute", "--family", "fork:9", "--json")
-    assert code == 0
-    code, verified, _ = run(capsys, "compute", "--family", "fork:9", "--json", "--verify")
-    assert code == 0 and verified == plain
-    import sdegraph.solver as solver_module
-    bisection = solver_module.solve_bisection
-    monkeypatch.setattr(solver_module, "solve_bisection",
-                        lambda ds, lam: dataclasses.replace(bisection(ds, lam), q=3.0))
-    code, out, err = run(capsys, "compute", "--family", "fork:9", "--json", "--verify")
-    assert code == 3 and out == ""
-    assert err.startswith("error: solver cross-check failed") and err.count("\n") == 1
 
 
 def test_compute_one_based_edge_list_gives_the_zero_based_result(tmp_path, capsys):
@@ -753,6 +738,14 @@ def test_ensemble_validation(capsys):
     assert run(capsys, "ensemble", "--family", "er:20:0.3", "--count", "1")[0] == 2
     assert run(capsys, "ensemble", "--family", "er:20:0.3:5", "--count", "3")[0] == 2
     assert run(capsys, "ensemble", "--family", "path:20", "--count", "3")[0] == 2
+
+
+def test_ensemble_stops_at_a_draw_past_the_dense_cap(capsys):
+    # the draw's record is the error that ends the study: exit 2, one line
+    code, out, err = run(capsys, "ensemble", "--family", "er:2049:0.004",
+                         "--count", "2", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: n=2049 exceeds the dense cap 2048\n"
 
 
 def test_nonmonotonic_small(tmp_path, capsys):

@@ -150,7 +150,6 @@ def lambda1_and_tol_calls():
 API = {
     "lambda1_and_tol_q": lambda1_and_tol_calls(),
     "sde": [(lambda x: sde(P6, lambda1=x), q_in_range),
-            (lambda x: sde(P6, lambda1=x, verify=True), q_in_range),
             (lambda x: sde(WEIGHTED, lambda1=x), q_in_range)],
     "family_q": [(lambda x, s=s: family_q(s.format(spec_text(x))), q_in_range)
                  for s in SPECS],

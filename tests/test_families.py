@@ -498,16 +498,24 @@ def test_compute_prints_the_reference_digits(capsys):
     whose family has a closed-form lambda1. That route calls no LAPACK, so
     the digits do not depend on the numpy build. A change that moves a
     printed digit fails here, naming each spec, field, old and new value;
-    the file is that command's output for each spec, keyed by spec."""
+    the file is that command's output for each spec, keyed by spec. Each
+    finite q also lies in its printed bounds, within 2 tol_q."""
     reference = json.loads((DATA_DIR / "reference" / "compute_families.json").read_text())
     assert list(reference) == [s for s in SPECS if analytic_lambda1(s) is not None]
-    changed = []
+    changed, outside, bracketed = [], [], 0
     for spec, old in reference.items():
         assert main(["compute", "--json", "--family", spec]) == 0
         new = json.loads(capsys.readouterr().out)
         changed += [f"{spec} {field}: {old.get(field)!r} -> {new.get(field)!r}"
                     for field in {**old, **new} if repr(old.get(field)) != repr(new.get(field))]
+        q, lower = new["q"], new["bounds_lower"]
+        if isinstance(q, float) and lower is not None:  # NaN and inf print as strings
+            upper = min(new["bounds_upper"], new["bounds_sharpened_upper"] or math.inf)
+            bracketed += 1
+            if not lower - 2 * DEFAULT_TOL_Q <= q <= upper + 2 * DEFAULT_TOL_Q:
+                outside.append(f"{spec}: q {q!r} outside [{lower!r}, {upper!r}]")
     assert not changed, "\n".join(changed)
+    assert not outside and bracketed == 14, "\n".join(outside)
 
 
 # path oracles

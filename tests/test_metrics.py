@@ -14,7 +14,7 @@ from conftest import DATA_DIR, FIXTURE_N7, FIXTURE_N8, cycle_graph, k4_plus_p3, 
 from sdegraph import Graph, degree_sequence, generate, metric_suite, solve_bisection
 from sdegraph import metrics
 from sdegraph.errors import (ConstantSeries, DisconnectedInput, InputError, MalformedGraph6,
-                             UndefinedAssortativity, WeightedUnsupported)
+                             NumericalError, UndefinedAssortativity, WeightedUnsupported)
 from sdegraph.families import parse_family
 from sdegraph.graph import _dense, connected_components
 from sdegraph.io import parse_graph6, read_graph6_file
@@ -316,6 +316,13 @@ def test_spanning_trees_past_e700_are_counted_then_infinite():
     assert metric_suite(generate("complete:144"))["num_spanning_trees"] == pytest.approx(
         float(144 ** 142), rel=1e-9)
     assert metric_suite(generate("complete:150"))["num_spanning_trees"] == math.inf
+
+
+def test_spanning_tree_count_rounds_near_integers_and_refuses_the_rest():
+    assert metrics._spanning_tree_count(math.log(3.0000000001)) == 3.0
+    assert metrics._spanning_tree_count(-math.inf) == 0.0
+    with pytest.raises(NumericalError, match="spanning tree count 2.5 too far from an integer"):
+        metrics._spanning_tree_count(math.log(2.5))
 
 
 # batched kernels against per-node references

@@ -16,7 +16,7 @@ from sdegraph import (Graph, bounds, classify, degree_sequence, f1, fork_q_const
 from sdegraph.errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from sdegraph.families import analytic_lambda1
 from sdegraph.graph import Biregular, MaxDegreeComponent
-from sdegraph.solver import Q_MAX, SdeResult, _bracket, _prepare, solve_newton
+from sdegraph.solver import Q_MAX, _bracket, _prepare, solve_newton
 from sdegraph.spectral import full_spectrum
 
 
@@ -796,22 +796,6 @@ def test_sde_regular_max_degree_component_infinite():
 def test_sde_wheel_1000_range():
     r = sde(generate("wheel:1000"))
     assert 2.0 < r.q < 2.5
-
-
-def test_sde_verify_cross_check(rng):
-    g = connected_er(rng, 40, 0.25)
-    r = sde(g, verify=True)
-    assert r.is_finite
-
-
-def test_sde_verify_compares_newton_with_bisection(monkeypatch):
-    g = generate("fork:9")
-    assert sde(g, verify=True).method == "newton"
-    shifted = lambda ds, lam: SdeResult(  # noqa: E731
-        solve_bisection(ds, lam).q + 1e-6, "bisection")
-    monkeypatch.setattr(solver_module, "solve_bisection", shifted)
-    with pytest.raises(NoConvergence):
-        sde(g, verify=True)
 
 
 def test_sde_defaults_to_newton(rng):
