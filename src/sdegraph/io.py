@@ -137,7 +137,7 @@ def graph6_lines(path) -> list[tuple[int, str]]:
     outside ASCII decodes to a lone surrogate, which :func:`parse_graph6`
     rejects for that line alone."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+        return [(i, text) for i, ln in enumerate(fh, 1) if (text := ln.strip())]
 
 
 def read_graph6_file(path) -> list[Graph]:

@@ -17,7 +17,7 @@ graph's own structure:
   of the Lanczos vector over the stored entries after a residual check. A
   Lanczos step pays only for the work it needs: one Gram-Schmidt pass unless
   the DGKS test asks for a second, no weight products on unweighted graphs,
-  and no eigensolve of T in a cycle that cannot converge before its restart.
+  and no eigensolve of T inside a restarted cycle, only at its restart.
 
 Nothing here imports scipy. Full spectra go through the dense symmetric
 LAPACK solver, one call per stack of equal-size graphs (:func:`spectra`),
@@ -42,18 +42,15 @@ DENSE_LAMBDA1_CAP = 192
 # sign-test route brackets lambda1 at least this tightly
 TOL_LAMBDA1 = 1e-12
 # thick-restart Lanczos: basis size, Ritz vectors kept at a restart (20
-# rather than 12 took 829 instead of 1009 matvecs on the 2 x 1000 ladder),
-# and restart cap (the 2 x 5000 ladder needs about 280 restarts)
+# rather than 12 took 833 instead of 1021 matvecs on the 2 x 1000 ladder),
+# and restart cap (the 2 x 5000 ladder needs 286 restarts)
 LANCZOS_BASIS = 48
 LANCZOS_KEEP = 20
 LANCZOS_MAX_RESTARTS = 10_000
-# steps between convergence checks within a cycle (an eigh of T at every step
-# of every cycle took the 2 x 1000 ladder from 84 to 265 ms, one BLAS thread);
-# after a restart, a cycle is checked before its own restart only if that
-# restart's top Ritz residual was within LANCZOS_CHECK_NEAR times the bound
-# (on the 2 x 1000 ladder this skips 150 of 207 checks and no matvec)
+# steps between convergence checks within the first cycle (an eigh of T at
+# every step of every cycle took the 2 x 1000 ladder from 84 to 265 ms, one
+# BLAS thread); a restarted cycle is checked only at its own restart
 LANCZOS_CHECK_EVERY = 4
-LANCZOS_CHECK_NEAR = 1e3
 # DGKS test (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976): the
 # Gram-Schmidt pass is repeated only when it left less than this fraction of
 # the vector's norm (after the three-term subtraction, 1 of 828 steps on
@@ -76,7 +73,11 @@ def spectral_radius(g: Graph) -> float:
         return 0.0  # edgeless
     if n <= DENSE_LAMBDA1_CAP:
         return float(_top_eigenvalues(g.weights[None])[0])
-    if (g._link_counts == 1).any():
+    # a 2-core of k nodes has at most k(k - 3)/2 more links than the graph has
+    # nodes (each pendant-tree node adds one link), so a graph past that bound
+    # at k = DENSE_LAMBDA1_CAP cannot take the sign tests and is not peeled
+    cap = DENSE_LAMBDA1_CAP
+    if (g._link_counts == 1).any() and g.num_links() - n <= cap * (cap - 3) // 2:
         # imported here, so that runs without such graphs never compile it
         from .inertia import PendantTrees
         trees = PendantTrees.of(g, d_max)
@@ -122,11 +123,11 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
     (``LANCZOS_DGKS``) sees the first cancel most of the vector. When
     ``LANCZOS_BASIS`` vectors are built, the ``LANCZOS_KEEP`` largest Ritz
     vectors and the residual direction start the next cycle, their block of
-    T an arrowhead. The top Ritz residual |beta s_m| is checked at every
-    restart, every ``LANCZOS_CHECK_EVERY`` steps of the first cycle and of
-    any cycle whose restart left it within ``LANCZOS_CHECK_NEAR`` times
-    ``bound``, and whenever beta is at most ``bound`` (an invariant Krylov
-    space). Stops when that residual is at most ``bound``; NoConvergence
+    T an arrowhead. The top Ritz residual |beta s_m| is checked every
+    ``LANCZOS_CHECK_EVERY`` steps of the first cycle, at every restart, and
+    whenever beta is at most ``bound`` (an invariant Krylov space); a check
+    only reads T, so it decides when Lanczos stops, never the cycles it
+    builds. Stops when that residual is at most ``bound``; NoConvergence
     after ``LANCZOS_MAX_RESTARTS`` restarts.
     """
     n, m = g.n, LANCZOS_BASIS
@@ -136,7 +137,6 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
     # component, so lambda1's eigenvector lies in the Krylov space
     basis[0] = 1.0 / math.sqrt(n)
     j = restarts = 0
-    check = True
     while True:
         w = _matvec(g, basis[j])
         if j:
@@ -150,7 +150,7 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
             if beta >= LANCZOS_DGKS * before:
                 break
         j += 1
-        if beta <= bound or j == m or (check and j % LANCZOS_CHECK_EVERY == 0):
+        if beta <= bound or j == m or (not restarts and j % LANCZOS_CHECK_EVERY == 0):
             theta, s = np.linalg.eigh(t[:j, :j])
             resid = abs(beta * s[-1, -1])
             if resid <= bound:
@@ -164,7 +164,6 @@ def _lanczos(g: Graph, bound: float) -> np.ndarray:
                 f"Lanczos did not converge in {restarts} restarts of {m} vectors "
                 f"(top Ritz residual {resid:.3g}, bound {bound:.3g})")
         restarts += 1
-        check = resid <= LANCZOS_CHECK_NEAR * bound
         k = LANCZOS_KEEP
         kept = s[:, -k:]
         basis[:k] = kept.T @ basis[:m]

@@ -23,7 +23,7 @@ from sdegraph import (family_q, fork_q_constant, generate, metric_suite, parse_g
                       path_q_exact, sde, spectral_radius)
 from sdegraph import cli, study
 from sdegraph.cli import main
-from sdegraph.errors import BadSpec, InputError, InvalidGraph
+from sdegraph.errors import BadSpec, FilterExhausted, InputError, InvalidGraph
 from sdegraph.families import FAMILIES, FAMILY_KINDS, FamilySpec
 from sdegraph.graph import _too_large
 from sdegraph.io import encode_graph6, format_value, read_records_columns
@@ -746,6 +746,21 @@ def test_ensemble_stops_at_a_draw_past_the_dense_cap(capsys):
                          "--count", "2", "--seed", "1")
     assert code == 2 and out == ""
     assert err == "error: n=2049 exceeds the dense cap 2048\n"
+
+
+def test_ensemble_exit_3_when_the_resampling_budget_runs_out(capsys, monkeypatch):
+    # er:12:0.0 draws only edgeless graphs, which the filter rejects: the
+    # budget of 100 draws per sample runs out, a NumericalError (exit 3)
+    code, out, err = run(capsys, "ensemble", "--family", "er:12:0.0", "--count", "2",
+                         "--seed", "1")
+    assert code == 3 and out == ""
+    assert err == "error: resampling budget exhausted before reaching the target count\n"
+    draws = []
+    sample = study.sample
+    monkeypatch.setattr(study, "sample", lambda spec, rng: draws.append(1) or sample(spec, rng))
+    with pytest.raises(FilterExhausted, match="resampling budget exhausted"):
+        list(study.ensemble_samples(FamilySpec("er", (12, 0.0, None)), 1, 3))
+    assert len(draws) == 300
 
 
 def test_nonmonotonic_small(tmp_path, capsys):

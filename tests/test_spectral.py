@@ -116,8 +116,7 @@ def test_lanczos_agrees_with_dense(rng):
     for base in (random_er(rng, 250, 0.05), ba_graph(300, 2, rng)):
         w = np.triu(base.weights * rng.uniform(0.1, 5.0, base.weights.shape), 1)
         graphs.append(Graph.from_dense(w + w.T))
-    # ladders restart, so they reach the cycles whose convergence checks are
-    # skipped
+    # ladders restart, so they reach the checks made only at a restart
     graphs += [ladder(DENSE_LAMBDA1_CAP), ladder(DENSE_LAMBDA1_CAP // 2 + 7)]
     for g in graphs:
         assert g.n > DENSE_LAMBDA1_CAP
@@ -141,32 +140,75 @@ def test_lanczos_wheel_within_ulps_of_closed_form(n):
     assert abs(spectral_radius(generate(f"wheel:{n}")) - want) <= 4 * math.ulp(want)
 
 
-def test_lanczos_checks_only_near_convergence(monkeypatch):
-    # an eigh check of T every fourth step of every cycle took 207 checks
-    # and 829 products on the 2 x 1000 ladder; checking a restarted cycle
-    # only near convergence took 57 checks and the same products, and may
-    # cost at most a third more checks and one more cycle of products
-    calls = {"eigh": 0, "matvec": 0}
-    eigh, matvec = np.linalg.eigh, spectral._matvec
+def counted_calls(monkeypatch, **targets):
+    """Count the calls to each ``name=(owner, attribute)`` target; a target
+    still calls through to the original."""
+    calls = dict.fromkeys(targets, 0)
+    for name, (owner, attr) in targets.items():
+        def counted(*args, _name=name, _original=getattr(owner, attr)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
 
-    def counted_eigh(a):
-        calls["eigh"] += 1
-        return eigh(a)
 
-    def counted_matvec(g, x):
-        calls["matvec"] += 1
-        return matvec(g, x)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(spectral, "_matvec", counted_matvec)
+def test_lanczos_checks_every_fourth_first_cycle_step_then_each_restart(monkeypatch):
+    # the first cycle is checked every fourth step (12 eigh calls, its
+    # restart included), each later cycle once, at its restart: 40 checks
+    # and 833 products on the 2 x 1000 ladder, where checking every fourth
+    # step of every cycle took 207 checks and 829 products; a check only
+    # reads T, so the schedule moves only where Lanczos stops: the products
+    # may pass 829 by one cycle, and that cycle costs one more check
+    calls = counted_calls(monkeypatch, eigh=(np.linalg, "eigh"), matvec=(spectral, "_matvec"))
     spectral_radius(ladder(1000))
-    assert calls["eigh"] <= 76
+    assert calls["eigh"] <= 41
     assert calls["matvec"] <= 829 + LANCZOS_BASIS - LANCZOS_KEEP
     # the paper's trees and pendant trees take the sign tests: no product
     for spec in ("path:2000", "fork:500", "lollipop:100000"):
         calls["matvec"] = 0
         spectral_radius(generate(spec))
         assert calls["matvec"] == 0, spec
+
+
+def test_large_inputs_finish_lanczos_in_their_first_cycle(monkeypatch, rng):
+    # the check schedule after a restart never matters here: wheel:2000 takes
+    # 3 products, this BA(5000, 2) 33 and the 1e5-node Chung-Lu graph 37, the
+    # last one's sign-test route ruled out by its link count before any peel
+    n, draws = 100_000, 440_000
+    # Chung-Lu ends: node i drawn with probability proportional to (i + 1)^-0.5
+    p = 1.0 / np.sqrt(np.arange(1.0, n + 1.0))
+    ends = np.random.default_rng(20261018).choice(n, size=(draws, 2), p=p / p.sum())
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    chung_lu = Graph._from_links(n, keys // n, keys % n)
+    assert (chung_lu._link_counts == 1).any()
+    calls = counted_calls(monkeypatch, matvec=(spectral, "_matvec"),
+                          peel=(inertia.PendantTrees, "of"))
+    for g in (generate("wheel:2000"), ba_graph(5000, 2, rng), chung_lu):
+        calls["matvec"] = 0
+        spectral_radius(g)
+        assert 0 < calls["matvec"] <= LANCZOS_BASIS, g.n
+    assert calls["peel"] == 0
+
+
+def test_link_count_decides_whether_the_sign_tests_are_tried(monkeypatch):
+    # a 2-core of k nodes has at most k(k - 3)/2 more links than the graph
+    # has nodes: K_194 plus a pendant node (m - n = 18,527) cannot leave a
+    # 2-core within the cap and is not peeled, while K_192 plus two pendant
+    # nodes (m - n = 18,144, the bound) is, and takes the sign tests
+    cap = DENSE_LAMBDA1_CAP
+    calls = counted_calls(monkeypatch, matvec=(spectral, "_matvec"),
+                          peel=(inertia.PendantTrees, "of"))
+    for k, pendants, peeled in ((cap + 2, 1, False), (cap, 2, True)):
+        links = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        g = Graph.from_edges(k + pendants, links + [(a, k + a) for a in range(pendants)])
+        assert (g.num_links() - g.n <= cap * (cap - 3) // 2) is peeled
+        calls.update(matvec=0, peel=0)
+        lam = spectral_radius(g)
+        assert calls["peel"] == int(peeled)
+        assert (calls["matvec"] == 0) is peeled
+        want = np.linalg.eigvalsh(g.weights)[-1]
+        assert abs(lam - want) <= 1e-12 * g.degrees().max()
 
 
 def test_rayleigh_and_gershgorin_bounds(rng):
