@@ -39,7 +39,7 @@ def cmd_compute(args) -> int:
     sources = [s for s in (args.family, args.graph6, args.edge_list) if s]
     if len(sources) != 1:
         raise InputError("give exactly one of --family / --graph6 / --edge-list")
-    lam = None  # a family's closed form, when it has one
+    lam = None  # a deterministic family's lambda1 from its table row
     if args.family:
         spec = parse_family(args.family)
         label, g, lam = args.family, generate(spec), analytic_lambda1(spec)

@@ -1,14 +1,14 @@
 """Graph family generators and their exponent asymptotics.
 
 Every deterministic family is one row of :data:`FAMILIES`: its link
-builder, its expected degree profile, its proven closed-form spectral
-radius (or none) and its asymptotic exponent law q(N) (or none). Parsing,
-:func:`generate` (which checks the degree profile after construction),
-:func:`analytic_lambda1` and the families that
+builder, its expected degree profile, its spectral radius (a closed form,
+or the lollipop's secular root) and its asymptotic exponent law q(N) (or
+none). Parsing, :func:`generate` (which checks the degree profile after
+construction), :func:`analytic_lambda1` and the families that
 :func:`sdegraph.study.asymptotics_rows` accepts all read that table, so a
 new family takes a builder and one row. The seeded Erdos-Renyi and
 Barabasi-Albert models are drawn by :func:`sample`. :func:`family_q` is
-:func:`sde` on the generated graph with the closed-form lambda1.
+:func:`sde` on the generated graph with the row's lambda1: no spectral code.
 
 Family specs are expressible as CLI strings, e.g. ``path:100``,
 ``lollipop:1000``, ``er:100:0.1:42``, ``ba:100:3:42``, ``kbip:2:3``,
@@ -140,18 +140,30 @@ def fork_q_constant() -> float:
     return _bisect(h, 2.0, 3.0, 1e-12)[0]
 
 
-@functools.lru_cache(maxsize=1)
+def _lollipop_lambda1(n: float) -> float:
+    """Spectral radius of the lollipop with an N-node path (N = inf for the
+    limit): the root in (2, 3) of lambda = 4/(lambda - 1) + 2/(lambda - r),
+    bisected to the float spacing. These are the core's Perron equations
+    folded by its symmetry (x0 = x1, x2 = x3), with the path's ratio
+    r = x5/x4 = e^-t expm1(-2Nt)/expm1(-2(N+1)t) at lambda = 2 cosh t (e^-t
+    at N = inf); the right side falls as lambda rises, so the root is unique."""
+
+    def h(lam: float) -> float:
+        t = math.acosh(0.5 * lam)
+        r = math.exp(-t) * math.expm1(-2 * n * t) / math.expm1(-2 * (n + 1) * t)
+        return 4.0 / (lam - 1.0) + 2.0 / (lam - r) - lam
+
+    return _bisect(h, 2.0, 3.0, 0.0)[0]
+
+
 def lollipop_limit_lambda1() -> float:
-    """Limiting spectral radius of the lollipop family, computed once at
-    N = 1e4 (convergence in N is extremely fast); approx 2.9021160. The
-    pendant path folds into the 5-node core, so :func:`spectral_radius`
-    takes its sign-test route."""
-    return spectral_radius(generate(FamilySpec("lollipop", (10_000,))))
+    """Limiting spectral radius of the lollipop family, N -> inf; approx 2.9021160."""
+    return _lollipop_lambda1(math.inf)
 
 
 def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
     """Logarithmic growth law a*log(N) + b with a = 1/(log 3 - log lambda1)
-    and b = log(5)/log(lambda1/3); lambda1 defaults to the computed limit.
+    and b = log(5)/log(lambda1/3); lambda1 defaults to the N -> inf limit.
 
     Note the a-coefficient diverges as lambda1 -> 3.
     """
@@ -170,16 +182,16 @@ class Family:
     """One deterministic family. ``minima`` holds each integer argument's
     least value; ``links(*args)`` returns (node count, i, j) with one entry
     per link; ``profile(*args)`` the (degree, count) pairs of the exact
-    degree multiset the graph must have; ``lambda1(*args)`` the proven
-    closed-form spectral radius and ``law(n)`` the asymptotic exponent q(N),
-    each None where the family has none; ``refuses(*args)``, where given,
-    why arguments at or above the minima still have no graph ('' where
-    they have one)."""
+    degree multiset the graph must have; ``lambda1(*args)`` the spectral
+    radius, from a proven closed form or (the lollipop) a secular equation;
+    ``law(n)`` the asymptotic exponent q(N), None where the family has none;
+    ``refuses(*args)``, where given, why arguments at or above the minima
+    still have no graph ('' where they have one)."""
 
     links: Callable[..., tuple[int, np.ndarray, np.ndarray]]
     minima: tuple[int, ...]
     profile: Callable[..., list[tuple[int, int]]]
-    lambda1: Callable[..., float] | None = None
+    lambda1: Callable[..., float]
     law: Callable[[int], float] | None = None
     refuses: Callable[..., str] | None = None
 
@@ -208,7 +220,7 @@ FAMILIES = {
     "fork": Family(_edges_fork, (2,), lambda n: [(1, 4), (3, 2), (2, n - 2)],
                    lambda1=lambda n: 2.0, law=lambda n: fork_q_constant()),
     "lollipop": Family(_edges_lollipop, (1,), lambda n: [(3, 5), (2, n - 1), (1, 1)],
-                       law=lollipop_q_asymptotic),
+                       lambda1=_lollipop_lambda1, law=lollipop_q_asymptotic),
 }
 
 # argument types of the random models: two parameters, then an optional seed
@@ -371,19 +383,19 @@ def generate(spec: FamilySpec | str) -> Graph:
 
 
 def analytic_lambda1(spec: FamilySpec | str) -> float | None:
-    """Proven closed-form spectral radius, when the family has one, of a
-    spec that passes :func:`_checked_spec`."""
+    """The table row's spectral radius of a deterministic spec that passes
+    :func:`_checked_spec`; None for a random model."""
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind not in FAMILIES:
         return None
     family, args, _ = _checked_spec(spec)
-    return None if family.lambda1 is None else family.lambda1(*args)
+    return family.lambda1(*args)
 
 
 def family_q(spec: FamilySpec | str) -> SdeResult:
-    """:func:`sde` of a deterministic family, with the closed-form lambda1
-    when the family has one (otherwise :func:`spectral_radius`)."""
+    """:func:`sde` of a deterministic family, with the lambda1 of its table
+    row (:func:`analytic_lambda1`), so no spectral code runs."""
     if isinstance(spec, str):
         spec = parse_family(spec)
     if spec.kind not in FAMILIES:

@@ -77,9 +77,7 @@ class PendantTrees:
     with L_core the Laplacian of the links inside the core. By Sylvester's
     law of inertia, M(mu) is positive definite (mu < mu*) exactly when every
     pivot is positive and so is the smallest eigenvalue phi of the core
-    block; phi is the smallest root pivot for a forest. Along a chain whose
-    nodes repeat the same excess and weight, the pivot and its mu-derivative
-    reach a float fixed point, after which a sweep jumps to the chain's end.
+    block; phi is the smallest root pivot for a forest.
 
     Rounding: a sweep's signs are exact for M(mu) + E, where E perturbs
     each entry by a few ulps of d_max (plus the rounding of the weighted
@@ -108,16 +106,6 @@ class PendantTrees:
             keys = g._rows * n + g.indices
             at = np.searchsorted(keys, order_a * n + np.maximum(parent_a, 0))
             w = np.where(has_parent, g.data[np.minimum(at, keys.size - 1)], 0.0)
-        # end[k]: the last position r >= k such that every position in
-        # (k, r] repeats the chain step before it: one child, the position
-        # before, with the same excess, fed by a link of the same weight
-        one = np.bincount(up[has_parent], minlength=m + kc)[:m] == 1
-        repeat = np.zeros(m + 1, dtype=bool)
-        j = np.arange(2, m)
-        repeat[j] = ((up[j - 1] == j) & one[j] & (up[j - 2] == j - 1) & one[j - 1]
-                     & (x[j] == x[j - 1]) & (w[j - 1] == w[j - 2]))
-        stops = np.flatnonzero(~repeat[1:])
-        self.end = stops[np.searchsorted(stops, np.arange(m))].tolist()
         self.x, self.w, self.up = x.tolist(), w.tolist(), up.tolist()
         if kc:
             starts, counts = g.indptr[core], links[core]
@@ -159,21 +147,18 @@ class PendantTrees:
     def sweep(self, mu: float) -> tuple[float, float] | None:
         """(phi, -dphi/dmu) at mu, or None when a non-root pivot is <= 0."""
         m = self.m
-        x, w, up, end = self.x, self.w, self.up, self.end
+        x, w, up = self.x, self.w, self.up
         s = [0.0] * (m + self.kc)  # child terms, compensation, mu-derivatives
         c = [0.0] * (m + self.kc)
         ds = [0.0] * (m + self.kc)
         phi, slope = math.inf, 1.0
-        e_prev = de_prev = math.nan
-        k = 0
-        while k < m:
+        for k in range(m):
             e = x[k] + (s[k] + c[k]) - mu
             de = ds[k] - 1.0
             wk = w[k]
             if wk == 0.0:  # a root: its pivot is e
                 if e < phi:
                     phi, slope = e, -de
-                k += 1
                 continue
             p = e + wk
             if p <= 0.0:
@@ -186,14 +171,6 @@ class PendantTrees:
             c[j] += (a - total) + t if abs(a) >= abs(t) else (t - total) + a
             s[j] = total
             ds[j] += r * r * de
-            if e == e_prev and de == de_prev and end[k] > k:
-                # a fixed point: every node up to end[k] repeats this one
-                k = end[k]
-                s[k], ds[k] = total, ds[j]
-                e_prev = math.nan
-                continue
-            e_prev, de_prev = e, de
-            k += 1
         if self.kc:
             block = self.core_block + np.diag(np.add(s[m:], c[m:]) - mu)
             values, vectors = np.linalg.eigh(block)

@@ -17,7 +17,7 @@ from sdegraph import (Graph, classify, family_q, fork_q_constant, generate,
 from sdegraph.errors import BadSpec, InvalidGraph
 from sdegraph.families import (FAMILIES, FAMILY_KINDS, FamilySpec, analytic_lambda1, ba_graph,
                                check_seed, er_graph, parse_family)
-from sdegraph import families, graph
+from sdegraph import cli, families, graph, solver, spectral
 from sdegraph.cli import main
 from sdegraph.graph import Biregular, connected_components
 from sdegraph.io import encode_graph6
@@ -485,11 +485,22 @@ def test_generate_matches_tuple_reference(spec):
 def test_analytic_lambda1_against_spectral_radius():
     for spec in SPECS:
         lam_exact = analytic_lambda1(spec)
-        if FAMILIES[parse_family(spec).kind].lambda1 is None:
-            assert lam_exact is None, spec
-        else:
-            lam_num = spectral_radius(generate(spec))
-            assert abs(lam_exact - lam_num) <= 1e-9 * max(1.0, lam_exact), spec
+        lam_num = spectral_radius(generate(spec))
+        assert abs(lam_exact - lam_num) <= 1e-9 * max(1.0, lam_exact), spec
+    assert all(analytic_lambda1(spec) is None for spec in RANDOM_SPECS)
+
+
+def test_family_q_runs_no_spectral_code(monkeypatch, capsys):
+    # every table row carries its lambda1, so neither family_q nor the
+    # asymptotics command reaches spectral_radius through any binding
+    calls = []
+    for module in (spectral, solver, families, cli):
+        monkeypatch.setattr(module, "spectral_radius", lambda g: calls.append(g.n))
+    for spec in SPECS:
+        family_q(spec)
+    assert main(["asymptotics", "--family", "lollipop", "--n-list", "1000,100000"]) == 0
+    assert "lollipop,100000," in capsys.readouterr().out
+    assert calls == []
 
 
 def test_compute_prints_the_reference_digits(capsys):
@@ -515,7 +526,7 @@ def test_compute_prints_the_reference_digits(capsys):
             if not lower - 2 * DEFAULT_TOL_Q <= q <= upper + 2 * DEFAULT_TOL_Q:
                 outside.append(f"{spec}: q {q!r} outside [{lower!r}, {upper!r}]")
     assert not changed, "\n".join(changed)
-    assert not outside and bracketed == 14, "\n".join(outside)
+    assert not outside and bracketed == 17, "\n".join(outside)
 
 
 # path oracles
@@ -580,6 +591,23 @@ def test_lollipop_limit_lambda1():
     # frozen from an independent dense eigensolve at N=1000
     assert abs(lam - 2.9021160153529) <= 1e-9
     assert abs(lam - 2.902) <= 1e-3
+    # the bits the sign tests give the 10,005-node lollipop
+    assert lam == 2.9021160153529353
+
+
+@pytest.mark.parametrize("n", [188, 700, 2043, 10**4, 10**5])
+def test_lollipop_secular_root_is_the_sign_tests_lambda1(n):
+    # above the dense cap spectral_radius takes the sign tests: the same bits
+    assert families._lollipop_lambda1(n) == spectral_radius(generate(f"lollipop:{n}"))
+
+
+def test_lollipop_secular_root_matches_dense_below_the_cap():
+    # eigvalsh is up to 13 ulps off a 50-digit root here, the secular root
+    # within 1 ulp
+    for n in range(1, 188):
+        lam = families._lollipop_lambda1(n)
+        dense = np.linalg.eigvalsh(generate(f"lollipop:{n}").weights)[-1]
+        assert abs(lam - dense) <= 16 * math.ulp(lam), n
 
 
 def test_lollipop_asymptotic_constants():

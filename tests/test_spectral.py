@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, random_er
-from sdegraph import Graph, generate, lollipop_limit_lambda1, spectral_radius
+from sdegraph import Graph, generate, spectral_radius
 from sdegraph.errors import NoConvergence, TooLargeForDense
 from sdegraph.families import ba_graph
 from sdegraph.spectral import full_spectrum
@@ -262,11 +262,11 @@ def test_lanczos_residual_check(monkeypatch):
 
 
 def test_no_scipy_import(monkeypatch, tmp_path, capsys):
-    # lambda1 above the dense cap, from an edge list and for the lollipop
-    # family (which has no closed form), with every scipy module unimportable
+    # the sign tests on a path edge list above the dense cap, and the
+    # lollipop asymptotics (secular roots, no spectral code), with every
+    # scipy module unimportable
     for name in ["scipy", *[m for m in sys.modules if m.startswith("scipy.")]]:
         monkeypatch.setitem(sys.modules, name, None)
-    lollipop_limit_lambda1.cache_clear()
     path = tmp_path / "path.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(399)))
     assert main(["compute", "--edge-list", str(path)]) == 0
@@ -344,6 +344,22 @@ def test_a_weighted_hub_past_the_rounding_bound_takes_lanczos(monkeypatch):
     lam = spectral_radius(g)
     assert len(calls) == 1
     assert abs(lam - math.sqrt(math.fsum(w * w for w in weights))) <= TOL_LAMBDA1 * d_max
+
+
+def test_sign_tests_keep_their_pinned_bits():
+    # lambda1 of edge-list graphs whose chains repeat one float state node
+    # after node, pinned while sweeps still skipped such repeats: a sweep
+    # that visits every node gives the same bits
+    pinned = {"lollipop:100000": "2.9021160153529353", "path:100000": "1.9999999990130592",
+              "fork:100000": "2.0", "star:1000": "31.606961258558158",
+              "weighted path": "3.999999802647386"}
+    graphs = {"weighted path": Graph.from_edges(10000, [(i, i + 1, 2.0) for i in range(9999)])}
+    for spec in list(pinned)[:4]:
+        g = generate(spec)
+        graphs[spec] = Graph.from_edges(g.n, g.links())
+    for name, g in graphs.items():
+        assert inertia.PendantTrees.of(g, float(g.degrees().max())) is not None, name
+        assert repr(spectral_radius(g)) == pinned[name], name
 
 
 @pytest.mark.parametrize("n", [DENSE_LAMBDA1_CAP, 700, DENSE_CAP - 5])
