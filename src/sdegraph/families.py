@@ -21,7 +21,7 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .solver import SdeResult, _bisect, sde
 from .spectral import spectral_radius
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str
     args: tuple
 
@@ -177,8 +176,7 @@ def lollipop_q_asymptotic(n: int, lambda1: float | None = None) -> float:
     return a * math.log(n) + b
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One deterministic family. ``minima`` holds each integer argument's
     least value; ``links(*args)`` returns (node count, i, j) with one entry
     per link; ``profile(*args)`` the (degree, count) pairs of the exact

@@ -32,9 +32,9 @@ could lie in one.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ DENSE_CAP = 2048
 SIZE_CAP = 1 << 25
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple undirected graph with positive link weights, in CSR form.
 
@@ -60,7 +59,10 @@ class Graph:
     diagonal, and only positive finite weights with finite row sums. Every
     constructor sets them up or raises a typed error, the last two through
     :meth:`_built`, the one place an instance is made; ``Graph(...)`` raises
-    TypeError, so no graph holds arrays that no constructor checked.
+    TypeError, so no graph holds arrays that no constructor checked. A
+    graph is immutable: its attributes (``n``, ``indptr``, ``indices``,
+    ``data``) cannot be set or deleted, and it compares and hashes by
+    identity.
     """
 
     n: int
@@ -72,6 +74,16 @@ class Graph:
         raise TypeError("a Graph comes from its constructors: Graph.from_edges, "
                         "Graph.from_dense, Graph.scaled, add_link, parse_graph6, "
                         "parse_weighted_edge_list and generate")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Graph(n={self.n!r}, indptr={self.indptr!r}, indices={self.indices!r}, "
+                f"data={self.data!r})")
 
     @classmethod
     def from_dense(cls, weights) -> Graph:
@@ -272,8 +284,7 @@ def _integer(x, what: str, lo: int, hi: float = float("inf"), error: type = Inva
     raise error(f"{what} must be integers in [{lo}, {hi}), got {x!r}")
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(NamedTuple):
     """Degree histogram, built by :func:`degree_sequence`: the distinct
     weighted degrees ``values`` in descending order, as Python floats, the
     number of nodes at each, ``counts``, as Python ints, and the node count
@@ -342,25 +353,34 @@ def degree_sequence(degrees) -> DegreeSequence:
 # classification
 
 
-@dataclass(frozen=True)
-class Regular:
+class Regular(NamedTuple):
     degree: float
 
 
-@dataclass(frozen=True)
-class Biregular:
+class Biregular(NamedTuple):
     r1: float  # larger part degree
     r2: float
 
 
-@dataclass(frozen=True)
-class MaxDegreeComponent:
-    nodes: tuple[int, ...] = field(default=())
+class MaxDegreeComponent(NamedTuple):
+    nodes: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
 class Generic:
-    pass
+    """No structural shortcut: q needs a solve. Every Generic() equals every
+    other and nothing else, and is true (an empty tuple would be false and
+    equal ())."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Generic or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "Generic()"
 
 
 GraphClass = Regular | Biregular | MaxDegreeComponent | Generic

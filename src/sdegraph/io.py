@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import (DuplicateLink, InputError, InvalidGraph, MalformedGraph6, NegativeWeight,
                      ParseError, SelfLoop, WeightedUnsupported)
-from .graph import Graph, _too_large
+from .graph import SIZE_CAP, Graph, _too_large
 from .metrics import METRIC_NAMES
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -177,11 +178,102 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
     """Parse "u v [w]" lines into a weighted graph.
 
     Node ids are 0-based (``one_based`` shifts them down by one). Blank
-    lines and '#' comments are skipped; a leading ``n=<int>`` directive
-    fixes the node count, otherwise n = max id + 1. Duplicate links,
-    self-loops, non-positive weights and a weighted degree that overflows
-    float64 (DegreeOverflow) are errors.
+    lines and '#' comments are skipped; one ``n=<int>`` directive, before
+    every edge line, fixes the node count, otherwise n = max id + 1.
+    Duplicate links, self-loops, non-positive weights, a repeated directive
+    and a weighted degree that overflows float64 (DegreeOverflow) are
+    errors.
+
+    An ASCII text whose data lines are all ``u v`` or all ``u v w`` (one
+    blank or tab between tokens, no blank or comment line, at most a
+    leading ``n=<digits>`` line) is read as one token array and checked by
+    array operations (:func:`_edge_tokens`). Any other text, and every text
+    that breaks a rule, is read line by line (:func:`_parse_edge_lines`),
+    the one source of error messages, so both ways give the same graph bit
+    for bit and the same errors.
     """
+    links = _edge_tokens(text, one_based)
+    if links is None:
+        return _parse_edge_lines(text, one_based)
+    return Graph._from_links(*links)
+
+
+# the bytes of the token reader's layout: digits, blanks, tabs and newlines,
+# and these in a weight's spelling alone
+_ID_BYTES = b"0123456789 \t\n"
+_WEIGHT_BYTES = b".eE+-"
+
+
+def _edge_tokens(text: str, one_based: bool):
+    """(n, i, j, w) of a text in the layout that :func:`parse_weighted_edge_list`
+    reads as one token array, with w None for ``u v`` lines; None where the
+    text is in another layout or breaks a rule. The checks are the line
+    loop's, on the whole arrays: ids of digits below n, no self-loop,
+    weights positive and finite, no link twice (a sort and a diff of the
+    link keys), and the size rule."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    n, start = None, 0
+    if data.startswith(b"n="):
+        start = data.find(b"\n") + 1 or len(data)
+        head = data[2:start].rstrip(b"\n")
+        # a count of more digits than SIZE_CAP breaks the size rule or has
+        # leading zeros; the loop takes either
+        if not (head.isdigit() and len(head) <= len(str(SIZE_CAP)) and (n := int(head)) >= 1):
+            return None
+    rest = data.translate(None, _ID_BYTES)[0 if n is None else 2:]  # less the header's "n="
+    if rest.translate(None, _WEIGHT_BYTES):
+        return None
+    stop = len(data)
+    while stop > start and data[stop - 1] in b" \t\n":
+        stop -= 1
+    if stop == start:  # no data line
+        return None if n is None else (n, np.empty(0, np.int64), np.empty(0, np.int64), None)
+    body = np.frombuffer(data, np.uint8, count=stop - start, offset=start)
+    seps = np.flatnonzero(body <= 32)  # the blanks, tabs and newlines
+    if seps.size and (seps[0] == 0 or (np.diff(seps) == 1).any()):
+        return None  # a leading, trailing or repeated blank, or a blank line
+    ends_line = np.append(body[seps] == 10, True)  # per token: the last of its line
+    k = int(ends_line.argmax()) + 1
+    if k not in (2, 3) or ends_line.size % k or not (
+            ends_line.reshape(-1, k) == (np.arange(k) == k - 1)).all():
+        return None
+    if rest:  # every character of a weight's spelling lies in a weight
+        odd = np.flatnonzero((body > 57) | ((body > 32) & (body < 48)))
+        if (np.searchsorted(seps, odd) % k != 2).any():
+            return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a token read in part raises, or in older numpy warns
+        try:
+            values = np.fromstring(data[start:], dtype=np.int64 if k == 2 else float, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    i, j = np.minimum(values[0::k], values[1::k]), np.maximum(values[0::k], values[1::k])
+    # an id at or past SIZE_CAP breaks the size rule (an int64 token past
+    # its range reads as its largest value); below it a float id is exact
+    if not j.max() < SIZE_CAP + one_based:
+        return None
+    i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    if one_based:
+        i -= 1
+        j -= 1
+    top = int(j.max())
+    n = top + 1 if n is None else n
+    if i.min() < 0 or top >= n or (i == j).any() or _too_large(n, 2 * i.size):
+        return None
+    keys = np.sort(i * n + j)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    w = values[2::3] if k == 3 else None
+    if w is not None and not ((w > 0) & (w < np.inf)).all():
+        return None
+    return n, i, j, w
+
+
+def _parse_edge_lines(text: str, one_based: bool) -> Graph:
+    """:func:`parse_weighted_edge_list` a line at a time: every text it can
+    read, with a message and a line number for every error."""
     n_directive = None
     edges: dict[tuple[int, int], float] = {}
     max_id = -1
@@ -192,6 +284,8 @@ def parse_weighted_edge_list(text: str, one_based: bool = False) -> Graph:
         if line.startswith("n="):
             if edges:
                 raise ParseError("n= directive must precede edge lines", line=lineno)
+            if n_directive is not None:
+                raise ParseError("repeated n= directive", line=lineno)
             try:
                 n_directive = int(line[2:])
             except ValueError:

@@ -23,7 +23,7 @@ paper's map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AllDegreesZero, InvalidGraph, NoConvergence, RegularGraph
 from .graph import (Biregular, DegreeSequence, Graph, MaxDegreeComponent, Regular, _real,
@@ -44,8 +44,7 @@ METHOD_RECURSION = "recursion"
 METHOD_CLASSIFIED = "classified"
 
 
-@dataclass(frozen=True)
-class SdeResult:
+class SdeResult(NamedTuple):
     """Solved exponent. q is NaN for regular graphs (undefined) and inf
     when some component has every weighted degree at d_max, so lambda1 =
     d_max: ``sde`` gets every such component from ``classify`` (note
@@ -73,8 +72,7 @@ class SdeResult:
         return math.isfinite(self.q)
 
 
-@dataclass(frozen=True)
-class SdeBounds:
+class SdeBounds(NamedTuple):
     """Bracket for q from :func:`bounds`: ``upper`` is the solvers' q_top,
     ``lower`` and ``sharpened_upper`` one step of the paper's map each;
     ``sharpened_upper`` exists only when d_min > 0."""

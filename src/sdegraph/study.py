@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +27,19 @@ from .solver import sde
 from .spectral import DENSE_LAMBDA1_CAP, _top_eigenvalues
 
 
-@dataclass
-class CorrelationReport:
-    """Pearson correlations of every metric column against sde_q."""
+class CorrelationReport(NamedTuple):
+    """Pearson correlations of every metric column against sde_q: the rows
+    excluded by reason, r by metric, and the metrics excluded with why."""
 
     corpus: str
     graph_count: int
-    excluded: dict[str, int] = field(default_factory=dict)
-    correlations: dict[str, float] = field(default_factory=dict)
-    excluded_metrics: dict[str, str] = field(default_factory=dict)
+    excluded: dict[str, int]
+    correlations: dict[str, float]
+    excluded_metrics: dict[str, str]
 
     def as_json(self) -> str:
         correlations = {k: jsonable(v) for k, v in self.correlations.items()}
-        return json.dumps({**asdict(self), "correlations": correlations}, indent=2)
+        return json.dumps({**self._asdict(), "correlations": correlations}, indent=2)
 
     def as_table(self) -> str:
         lines = [f"corpus: {self.corpus}",
@@ -79,7 +79,7 @@ def correlate_columns(columns: Mapping[str, np.ndarray], corpus: str) -> Correla
     columns = dict(columns)
     q = columns.pop("sde_q", np.empty(0))
     usable = np.isfinite(q)
-    report = CorrelationReport(corpus=corpus, graph_count=int(usable.sum()))
+    report = CorrelationReport(corpus, int(usable.sum()), {}, {}, {})
     if report.graph_count < q.size:
         report.excluded["nonfinite_sde_q"] = q.size - report.graph_count
     for name, x in columns.items():

@@ -489,6 +489,16 @@ def test_cli_import_skips_process_pool():
     assert child.returncode == 0
 
 
+def test_cli_import_skips_dataclasses():
+    # the result and record types are named tuples and plain classes, so no
+    # command's start-up pays for generating dataclass methods
+    src = str(Path(sdegraph.__file__).resolve().parents[1])
+    check = "import sys, sdegraph.cli; sys.exit('dataclasses' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", check],
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0
+
+
 def test_correlate_pipeline(tmp_path, capsys):
     # batch a slice of the exhaustive fixture, then correlate
     lines = FIXTURE_N7.read_text().splitlines()[:40]

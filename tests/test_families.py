@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -75,7 +74,7 @@ def test_biregular_generator_rejections():
 
 
 def test_generate_checks_the_row_profile(monkeypatch):
-    wrong = dataclasses.replace(FAMILIES["path"], profile=lambda n: [(2, n - 1), (1, 1)])
+    wrong = FAMILIES["path"]._replace(profile=lambda n: [(2, n - 1), (1, 1)])
     monkeypatch.setitem(FAMILIES, "path", wrong)
     with pytest.raises(InvalidGraph):
         generate("path:5")
@@ -118,7 +117,7 @@ def test_oversized_specs_are_refused_before_any_link_is_made(spec, monkeypatch):
         raise AssertionError(f"{spec}: links were made")
 
     for name, family in FAMILIES.items():
-        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, links=make_links))
+        monkeypatch.setitem(FAMILIES, name, family._replace(links=make_links))
     monkeypatch.setattr("sdegraph.families.er_graph", make_links)
     monkeypatch.setattr("sdegraph.families.ba_graph", make_links)
     with pytest.raises(BadSpec, match="at most"):

@@ -204,6 +204,28 @@ def _assert_same_histogram(a, b):
         assert type(ds.c) is int and type(ds.n) is int
 
 
+def test_graphs_and_classes_keep_their_repr_equality_and_immutability():
+    g = generate("path:3")
+    assert repr(g) == ("Graph(n=3, indptr=array([0, 1, 3, 4]), indices=array([1, 0, 2, 1]), "
+                       "data=array([1., 1., 1., 1.]))")
+    assert g == g and g != generate("path:3")  # by identity
+    ds = g.histogram
+    records = [g, ds, Regular(2.0), Biregular(3.0, 2.0), MaxDegreeComponent((0, 1)), Generic()]
+    for record in records:
+        for change in (lambda: setattr(record, "n", 4), lambda: delattr(record, "n"),
+                       lambda: setattr(record, "extra", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert record
+    # the classes compare and hash by their fields; every Generic() is alike
+    assert Regular(2.0) == Regular(degree=2.0) and len({Regular(2.0), Regular(degree=2.0)}) == 1
+    assert MaxDegreeComponent() == MaxDegreeComponent(nodes=())
+    assert Generic() == Generic() and hash(Generic()) == hash(Generic())
+    assert Generic() != () and Generic() != Regular(2.0) and Regular(2.0) != Biregular(2.0, 2.0)
+    assert [repr(r) for r in records[2:]] == ["Regular(degree=2.0)", "Biregular(r1=3.0, r2=2.0)",
+                                              "MaxDegreeComponent(nodes=(0, 1))", "Generic()"]
+
+
 def test_degree_sequences_compare_and_hash_by_their_histogram():
     # the histogram held numpy arrays: == raised ValueError (the truth value
     # of an array is ambiguous) and hash raised TypeError (unhashable ndarray)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURE_N7, assert_graph_invariants, random_er
+import sdegraph.io as sdeio
 from sdegraph import (Graph, classify, generate, parse_graph6,
                       parse_weighted_edge_list, read_graph6_file)
 from sdegraph.errors import (DegreeOverflow, DuplicateLink, InputError, InvalidGraph,
@@ -357,6 +358,101 @@ def test_edge_list_size_rule(text):
 def test_edge_list_one_based():
     g = parse_weighted_edge_list("1 2\n2 3", one_based=True)
     assert g.links() == [(0, 1), (1, 2)]
+
+
+def test_edge_list_repeated_directive():
+    # a second n= line once silently replaced the first
+    with pytest.raises(ParseError) as err:
+        parse_weighted_edge_list("n=5\nn=7\n0 1\n")
+    assert err.value.line == 2 and str(err.value) == "line 2: repeated n= directive"
+
+
+# the token reader (sdeio._edge_tokens) against the line loop: texts in its
+# layout, with the spellings, defects and single-line mutations that must send
+# a text to the loop or make it an error
+
+_ODD_IDS = {0: ["00"], 1: ["+1", "01", "1.0", "1e0"]}  # beside the plain spelling
+_WEIGHTS = ["1", "2", "0.5", ".5", "5.", "1e0", "2.5E-3", "+3", "1e-300", "1.7e308", "7e-320"]
+_BAD_WEIGHTS = ["0", "-1", "1e400", "nan", "inf", "1_0", "1e", "1.2.3", "-", "٣"]
+_JUNK_LINES = ["", "   ", "# note", "0 1 # note", "n=3", "n=x", "1", "0 1 1 1", "0 -1",
+               "0 é", "x y", "2\t3", "6 7 1", " 4 5", "4 5 ", "4  5", "0 1\r", "2\r3", "2\x0b3",
+               "2\x1c3", "2\xa03"]
+
+
+@st.composite
+def edge_list_cases(draw):
+    k, one_based = draw(st.sampled_from((2, 3))), draw(st.booleans())
+    ids = st.integers(draw(st.sampled_from([0] + [int(one_based)] * 3)), draw(st.integers(2, 12)))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                          unique_by=frozenset, min_size=1, max_size=10))
+    defect = draw(st.sampled_from([None] * 4 + ["duplicate", "self-loop", "weight"]))
+    if defect == "duplicate":  # in either orientation
+        u, v = draw(st.sampled_from(pairs))
+        pairs.append(draw(st.sampled_from([(u, v), (v, u)])))
+    elif defect == "self-loop":
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(ids),) * 2)
+    lines = []
+    for u, v in pairs:
+        tokens = [draw(st.sampled_from([str(x)] * 6 + _ODD_IDS.get(x, []))) for x in (u, v)]
+        if k == 3:
+            tokens.append(draw(st.sampled_from(_WEIGHTS)))
+        lines.append(draw(st.sampled_from([" ", "\t"])).join(tokens))
+    if k == 3 and defect == "weight":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at].rsplit(maxsplit=1)[0] + " " + draw(st.sampled_from(_BAD_WEIGHTS))
+    if draw(st.integers(0, 3)) == 0:  # one line changed, or one put in
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_JUNK_LINES))]
+    header = draw(st.sampled_from([None] * 6 + [0, 1, 3, 10, 11, "05"]))
+    if header is not None:
+        lines.insert(0, f"n={header}")
+    end = draw(st.sampled_from(["", "\n", "\n\n", " \n"]))
+    newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n"]))
+    return newline.join(lines) + end, one_based
+
+
+def _outcome(parse, text, one_based):
+    """The graph's arrays, bit for bit, or the exception's type and text."""
+    try:
+        g = parse(text, one_based)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (g.n, g.is_unweighted(),
+            *((a.dtype.str, a.tobytes()) for a in (g.indptr, g.indices, g.data)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_cases())
+@example(("n=2\n0 1\n", False))
+@example(("0 1 1e308\n1 2 1e308\n", False))  # DegreeOverflow from the array route too
+@example(("0 1 2\n1 2 1e400\n", False))  # a weight that reads as inf
+@example(("0 1\n1 2 3", False))
+@example(("0  1\n2  3\n", False))  # two blanks: no empty token
+@example(("0 1\n2 3 4\n5 6 7\n8 9\n", False))  # lines of 2 and 3 tokens
+@example(("0 1\n2\r3\n", False))  # a line break that is not a newline
+@example((" 4 5\n1 2 3\n", False))  # a leading blank
+def test_token_reader_matches_the_line_loop(case):
+    text, one_based = case
+    assert (_outcome(parse_weighted_edge_list, text, one_based)
+            == _outcome(sdeio._parse_edge_lines, text, one_based))
+
+
+def test_clean_edge_lists_skip_the_line_loop(monkeypatch, tmp_path):
+    def loop(text, one_based):
+        raise AssertionError(f"line loop entered for {text!r}")
+
+    monkeypatch.setattr(sdeio, "_parse_edge_lines", loop)
+    assert parse_weighted_edge_list("2 0\n0 1\n").links() == [(0, 1), (0, 2)]
+    assert parse_weighted_edge_list("n=4\n1 2\t0.5\n3 2 1e1", one_based=True).n == 4
+    assert parse_weighted_edge_list("n=7\n").n == 7
+    # load_edge_list parses the whole file in one call
+    calls = []
+    parse = sdeio.parse_weighted_edge_list
+    monkeypatch.setattr(sdeio, "parse_weighted_edge_list",
+                        lambda *args, **kwargs: calls.append(args) or parse(*args, **kwargs))
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1000)))
+    assert load_edge_list(path).num_links() == 1000 and len(calls) == 1
 
 
 def test_load_edge_list_invalid_utf8(tmp_path):

@@ -56,6 +56,17 @@ def test_readme_quick_start_runs(capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_reprs():
+    """The reprs the quick start shows, of a class and of an SdeResult."""
+    source = quick_start()
+    triangle = repr(sdegraph.classify(sdegraph.parse_graph6("Bw")))
+    assert triangle == "Regular(degree=2.0)" and f"# the triangle: {triangle}" in source
+    q, method = re.search(r"# SdeResult\(q=([\d.]+)\.\.\., method='(\w+)'\)", source).groups()
+    shown = repr(sdegraph.sde(sdegraph.generate("fork:25")))
+    assert re.fullmatch(rf"SdeResult\(q={q}\d*, method='{method}', iterations=\d+, "
+                        r"residual=[\d.e+-]+, note=''\)", shown), shown
+
+
 def instantiations() -> dict[str, set[str]]:
     """Where the package makes a ``Graph`` or a ``DegreeSequence``: the
     qualified names (module, class, function) of the functions that call
